@@ -303,6 +303,16 @@ def induced_cover_homology(phi: FreeEndo, cover: CoverGraph) -> IntMatrix:
     return IntMatrix.from_rows([[cols[j][i] for j in range(r)] for i in range(r)])
 
 
+def _totients(limit: int) -> list[int]:
+    """phi(k) for 0 <= k <= limit, by a sieve over the primes."""
+    phi = list(range(limit + 1))
+    for q in range(2, limit + 1):
+        if phi[q] == q:  # untouched so far: q is prime
+            for k in range(q, limit + 1, q):
+                phi[k] -= phi[k] // q
+    return phi
+
+
 def is_cyclotomic_product(coeffs: tuple[int, ...]) -> bool:
     """Does the monic integer polynomial divide a product of cyclotomics,
     i.e. are all its roots roots of unity?  Checked by exact factorization:
@@ -317,14 +327,14 @@ def is_cyclotomic_product(coeffs: tuple[int, ...]) -> bool:
         if factor == sympy.Poly(x, x):
             return False  # root 0 is not a root of unity
         deg = factor.degree()
-        found = False
         # cyclotomic_poly(k) has degree phi(k); phi(k) >= sqrt(k/2), so
-        # k <= 2*deg^2 + 1 bounds the search
-        for k in range(1, 2 * deg * deg + 2):
-            if factor == sympy.Poly(sympy.cyclotomic_poly(k, x), x):
-                found = True
-                break
-        if not found:
+        # only the k <= 2*deg^2 + 1 with phi(k) = deg can match
+        phi = _totients(2 * deg * deg + 1)
+        if not any(
+            factor == sympy.Poly(sympy.cyclotomic_poly(k, x), x)
+            for k in range(1, len(phi))
+            if phi[k] == deg
+        ):
             return False
     return True
 

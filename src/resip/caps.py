@@ -19,8 +19,6 @@ class Caps:
     layer_basis: int = 64           # largest Lyndon basis size per layer
     order_iterations: int = 3 ** 8  # induced-automorphism order search
     group_order: int = 10 ** 5      # finite p-group closure size
-    subspace_vectors: int = 10 ** 6     # p^n bound for exhaustive subspace search
-    subspace_count: int = 200_000       # invariant subspaces enumerated
     combine_witnesses: int = 16
 
     def with_overrides(self, **kwargs: int) -> "Caps":

@@ -4,12 +4,16 @@ Torus bundles G_A = Z^n x| Z: residually p iff A is unipotent mod p;
 the set of good primes is exactly the prime divisors of
 gcd(coefficients of charpoly(A) - (x-1)^n), with gcd 0 meaning all primes.
 
-Free fibers (rank >= 2): unipotence of the H_1 action mod p is sufficient.
-For necessity we run the finite-quotient obstruction: a residually-p
-mapping torus must admit an M-invariant subspace W of F_p^n with
-dim(F_p^n / W) >= 2 on which the induced action has p-power order
-(equivalently, is unipotent).  No qualifying quotient = NotResiduallyP;
-a qualifying quotient without unipotence on the full space = Undecided.
+Free fibers (rank >= 2): unipotence of the H_1 action M mod p is
+sufficient.  For necessity we use the finite-quotient obstruction: a
+residually-p mapping torus must admit an M-invariant subspace W of F_p^n
+with dim(F_p^n / W) >= 2 on which the induced action has p-power order
+(equivalently, is unipotent).  By the Fitting decomposition the action on
+F_p^n / W is unipotent iff (M - I)^n F_p^n is contained in W, so such a W
+exists iff dim ker (M - I)^n >= 2, with W = im (M - I)^n as the witness:
+one rank computation, no enumeration.  No qualifying quotient =
+NotResiduallyP; a qualifying quotient without unipotence on the full
+space = Undecided.
 
 Residual nilpotence for semidirect products with Z^n fiber reduces to
 triviality of the intersection of the chain B^i(Z^n), B = A - I.  That
@@ -31,16 +35,17 @@ import sympy
 from .caps import Caps, DEFAULT_CAPS
 from .errors import (
     CapExceeded,
+    InternalInvariant,
     InvalidQ,
     NotInvertible,
     NotInvertibleMod,
     RankTooSmall,
-    SearchSpaceTooLarge,
 )
 from .freegrp import MappingTorusSpec, abelianization_matrix
 from .intlin import (
     IntMatrix,
     ModMatrix,
+    _require_prime,
     charpoly_exact,
     det_exact,
     is_unipotent_mod,
@@ -101,9 +106,10 @@ def torus_residually_p(a: IntMatrix, p: int) -> Verdict:
     unip = is_unipotent_mod(a, p)
     if a.n == 2 and det_exact(a) == 1:
         det_door = det_exact(a.minus_identity()) % p == 0
-        assert det_door == unip.unipotent, (
-            "unipotence and det(A-I) criteria disagree on an SL2 input"
-        )
+        if det_door != unip.unipotent:
+            raise InternalInvariant(
+                "unipotence and det(A-I) criteria disagree on an SL2 input"
+            )
     if unip:
         return Verdict(
             p,
@@ -214,9 +220,11 @@ def bs_classify(spec: BSSpec) -> BSReport:
     m = IntMatrix.from_rows([[q]])
     primes = _prime_set_from_charpoly_gap(m)
     # charpoly gap for [q] is |q - 1|, so this is the q-1 divisor set
-    assert primes.gcd_value == abs(q - 1)
+    if primes.gcd_value != abs(q - 1):
+        raise InternalInvariant("charpoly gap of [q] is not |q - 1|")
     omega = endo_semidirect_omega_nilpotent(m)
-    assert omega == (q != 2), "lattice-chain criterion disagrees on BS(1,q)"
+    if omega != (q != 2):
+        raise InternalInvariant("lattice-chain criterion disagrees on BS(1,q)")
     return BSReport(q, primes, omega, trivial_case=q == 1)
 
 
@@ -251,31 +259,6 @@ def _apply(m: ModMatrix, v: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
-def _span_contains(basis: tuple[tuple[int, ...], ...], v: tuple[int, ...], p: int) -> bool:
-    reduced = list(v)
-    for row in basis:
-        col = next(i for i, x in enumerate(row) if x)  # pivot of RREF row
-        f = reduced[col] % p
-        if f:
-            reduced = [(x - f * y) % p for x, y in zip(reduced, row)]
-    return not any(x % p for x in reduced)
-
-
-def _cyclic_subspace(m: ModMatrix, v: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    rows = [list(v)]
-    key = _rref_key(rows, m.modulus)
-    while True:
-        grew = False
-        for row in key:
-            image = _apply(m, row)
-            if not _span_contains(key, image, m.modulus):
-                rows = [list(r) for r in key] + [list(image)]
-                key = _rref_key(rows, m.modulus)
-                grew = True
-        if not grew:
-            return key
-
-
 @dataclass(frozen=True)
 class ObstructionResult:
     exists: bool
@@ -292,7 +275,8 @@ class ObstructionResult:
 
 def _quotient_matrix(m: ModMatrix, w_basis: tuple[tuple[int, ...], ...]) -> IntMatrix:
     """Matrix of the action induced on F_p^n / W, in the coordinates of the
-    non-pivot standard basis vectors."""
+    non-pivot standard basis vectors.  W must be given by an RREF basis
+    and be M-invariant; both are checked."""
     p = m.modulus
     n = m.n
     pivots = [next(i for i, x in enumerate(row) if x) for row in w_basis]
@@ -306,11 +290,14 @@ def _quotient_matrix(m: ModMatrix, w_basis: tuple[tuple[int, ...], ...]) -> IntM
                 out = [(x - f * y) % p for x, y in zip(out, row)]
         return out
 
+    if any(any(reduce_mod_w(_apply(m, w))) for w in w_basis):
+        raise InternalInvariant("quotient subspace is not M-invariant")
     cols = []
     for j in free:
         e = tuple(1 if i == j else 0 for i in range(n))
         image = reduce_mod_w(_apply(m, e))
-        assert all(image[c] % p == 0 for c in pivots)
+        if any(image[c] % p for c in pivots):
+            raise InternalInvariant("subspace basis is not in reduced echelon form")
         cols.append([image[i] % p for i in free])
     d = len(free)
     return IntMatrix.from_rows([[cols[j][i] for j in range(d)] for i in range(d)])
@@ -330,95 +317,53 @@ def _unipotent_order(q: IntMatrix, p: int) -> int:
 def p_power_order_quotient_exists(
     m: ModMatrix, p: int, caps: Caps = DEFAULT_CAPS
 ) -> ObstructionResult:
-    """Search for an M-invariant subspace W of F_p^n with quotient
-    dimension >= 2 on which the induced action has p-power order.
+    """Is there an M-invariant subspace W of F_p^n with quotient dimension
+    >= 2 on which the induced action has p-power order?
 
-    In GL_d(F_p) having p-power order is the same as being unipotent, so
-    the test per subspace is unipotence of the quotient action.  The
-    enumeration is exhaustive: every invariant subspace is a join of
-    cyclic subspaces, so closing the cyclic ones under pairwise join
-    reaches all of them.  Deterministic lexicographic order throughout.
+    In GL_d(F_p) having p-power order is the same as being unipotent.  Let
+    N = (M - I)^n.  The answer is yes iff dim ker N >= 2, and
+    W = im N is then a witness of the largest quotient dimension:
+
+    * im N is M-invariant, because N commutes with M.
+    * Every invariant W with V/W unipotent contains im N.  M - I acts
+      nilpotently on V/W, a space of dimension <= n, so (M - I)^n maps V
+      into W.
+    * V/im N is unipotent, because (M - I)^n is zero on it.
+
+    So the qualifying subspaces are exactly the invariant W containing
+    im N.  The largest quotient among them is V/im N, of dimension
+    n - rank N = dim ker N.  One rank computation decides the question;
+    ``examined`` counts that one canonical candidate, and no cap applies.
     """
     if m.modulus != p:
         raise ValueError("matrix must be over F_p")
     n = m.n
     if n < 2:
         raise RankTooSmall("obstruction needs dimension >= 2")
-    if det_exact(IntMatrix.from_rows([list(r) for r in m.entries])) % p == 0:
+    a = IntMatrix.from_rows([list(r) for r in m.entries])
+    if det_exact(a) % p == 0:
         raise NotInvertibleMod("matrix not invertible mod p")
-    unip = is_unipotent_mod(IntMatrix.from_rows([list(r) for r in m.entries]), p)
-    if unip:
+    if is_unipotent_mod(a, p):
         # the zero subspace qualifies: quotient is the whole space
-        order = _unipotent_order(IntMatrix.from_rows([list(r) for r in m.entries]), p)
         return ObstructionResult(
             True,
-            {"subspace": [], "quotient_dim": n, "order": order},
+            {"subspace": [], "quotient_dim": n, "order": _unipotent_order(a, p)},
             examined=1,
         )
-    if p ** n > caps.subspace_vectors:
-        raise SearchSpaceTooLarge(
-            f"p^n = {p ** n} exceeds cap {caps.subspace_vectors}"
-        )
-
-    def projective_vectors():
-        # one representative per line: first nonzero coordinate is 1
-        v = [0] * n
-        while True:
-            i = n - 1
-            while i >= 0 and v[i] == p - 1:
-                v[i] = 0
-                i -= 1
-            if i < 0:
-                return
-            v[i] += 1
-            first = next(x for x in v if x)
-            if first == 1:
-                yield tuple(v)
-
-    # seed: cyclic subspaces, one per line (lines spanning the same cyclic
-    # subspace collapse under the RREF key)
-    seeds = set()
-    for v in projective_vectors():
-        seeds.add(_cyclic_subspace(m, v))
-        if len(seeds) > caps.subspace_count:
-            raise SearchSpaceTooLarge("invariant subspace count exceeds cap")
-    # close under pairwise join
-    family = set(seeds)
-    family.add(())
-    frontier = list(seeds)
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in family.copy():
-                if not b:
-                    continue
-                joined = _rref_key([list(r) for r in a + b], p)
-                if joined not in family:
-                    family.add(joined)
-                    new.append(joined)
-                    if len(family) > caps.subspace_count:
-                        raise SearchSpaceTooLarge(
-                            "invariant subspace count exceeds cap"
-                        )
-        frontier = new
-    examined = 0
-    for key in sorted(family):
-        dim = len(key)
-        if n - dim < 2:
-            continue
-        examined += 1
-        q = _quotient_matrix(m, key)
-        if is_unipotent_mod(q, p):
-            return ObstructionResult(
-                True,
-                {
-                    "subspace": [list(r) for r in key],
-                    "quotient_dim": n - dim,
-                    "order": _unipotent_order(q, p),
-                },
-                examined=examined,
-            )
-    return ObstructionResult(False, None, examined=examined)
+    nil = ModMatrix.reduce(a.minus_identity(), p) ** n
+    image = _rref_key([list(col) for col in zip(*nil.entries)], p)
+    quotient_dim = n - len(image)
+    if quotient_dim < 2:
+        return ObstructionResult(False, None, examined=1)
+    return ObstructionResult(
+        True,
+        {
+            "subspace": [list(r) for r in image],
+            "quotient_dim": quotient_dim,
+            "order": _unipotent_order(_quotient_matrix(m, image), p),
+        },
+        examined=1,
+    )
 
 
 def free_fiber_residually_p(
@@ -445,8 +390,6 @@ def free_fiber_residually_p(
         )
     try:
         obstruction = p_power_order_quotient_exists(ModMatrix.reduce(a, p), p, caps)
-    except SearchSpaceTooLarge as exc:
-        return Verdict(p, UNDECIDED, reason=f"obstruction search too large: {exc}")
     except NotInvertibleMod:
         # H_1 action degenerate mod p; the obstruction argument needs an
         # invertible action, so no decision either way
@@ -479,6 +422,7 @@ def sl2_power_divisibility(
     The default cap p(p^2 - 1) always suffices: eigenvalue orders in
     F_{p^2}* divide p^2 - 1 and a unipotent part contributes p.
     """
+    _require_prime(p)
     if a.n != 2 or det_exact(a) != 1:
         raise NotInvertible("need a 2x2 integer matrix of determinant 1")
     if cap is None:

@@ -1,7 +1,9 @@
 """Batch CLI: validate task files, run classifiers and searches, report.
 
 Exit codes: 0 all tasks completed (verdicts of any flavor included),
-2 schema error in the task file, 3 a cap was exceeded somewhere.
+2 an unreadable or malformed task file, argument or certificate, 3 a cap
+was exceeded somewhere.  A task that fails for any other reason becomes an
+``error`` entry and the batch goes on.
 
 JSON reports are deterministic: entries are ordered by task index and
 integers wider than 2^53 are emitted as strings, so runs with different
@@ -43,7 +45,7 @@ from .classify import (
     torus_residually_nilpotent,
     torus_residually_p,
 )
-from .errors import CapExceeded, LayerTooDeep, ResipError, SchemaError, SearchSpaceTooLarge
+from .errors import CapExceeded, InvalidSpec, LayerTooDeep, ResipError, SchemaError
 from .extension import (
     BilinearCocycle,
     CircleBundleSpec,
@@ -214,6 +216,8 @@ def run_task(task: Task, caps: Caps) -> dict:
         cp = charpoly_exact(matrix)
         divisor_reports = []
         for div in payload.get("divisors", []):
+            if next((c for c in div if c), 0) != 1:
+                raise InvalidSpec(f"divisor {div} is not a monic polynomial")
             quot, rem = poly_divmod(cp, tuple(div))
             divides = all(c == 0 for c in rem)
             entry = {
@@ -279,7 +283,7 @@ def _run_one(task: Task, caps: Caps) -> ReportEntry:
     try:
         result = run_task(task, caps)
         entry = ReportEntry(task.id, task.kind, "ok", result=result)
-    except (CapExceeded, SearchSpaceTooLarge, LayerTooDeep) as exc:
+    except (CapExceeded, LayerTooDeep) as exc:
         entry = ReportEntry(
             task.id,
             task.kind,
@@ -287,7 +291,7 @@ def _run_one(task: Task, caps: Caps) -> ReportEntry:
             error={"type": type(exc).__name__, "message": str(exc)},
             cap_events=[{"type": type(exc).__name__, "message": str(exc)}],
         )
-    except ResipError as exc:
+    except Exception as exc:  # one bad task must not abort the batch
         entry = ReportEntry(
             task.id,
             task.kind,
@@ -406,9 +410,16 @@ def _parse_caps_args(pairs: list[str], base: Caps) -> Caps:
         raise SchemaError(str(exc.args[0])) from exc
 
 
+def _int_list(items, flag: str) -> list[int]:
+    try:
+        return [int(x) for x in items]
+    except ValueError as exc:
+        raise SchemaError(f"bad integer literal: {exc}", flag) from exc
+
+
 def _matrix_from_text(text: str) -> list[list[int]]:
     rows = [row.strip() for row in text.split(";") if row.strip()]
-    return [[int(x) for x in row.split()] for row in rows]
+    return [_int_list(row.split(), "--matrix") for row in rows]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -512,12 +523,10 @@ def _single_task(args) -> dict:
             "strands": args.strands,
             "braid": args.braid,
             "modulus": args.modulus,
-            "assignments": [int(x) for x in args.assignments.split(",")],
+            "assignments": _int_list(args.assignments.split(","), "--assignments"),
         }
         if args.divisor:
-            payload["divisors"] = [
-                [int(c) for c in d.split()] for d in args.divisor
-            ]
+            payload["divisors"] = [_int_list(d.split(), "--divisor") for d in args.divisor]
         return payload
     if args.command == "witness":
         images = _words_arg(args.images)
@@ -554,7 +563,7 @@ def _single_task(args) -> dict:
 
 def _append_primes(payload: dict, args) -> None:
     if args.primes:
-        payload["primes"] = [int(p) for p in args.primes.split(",")]
+        payload["primes"] = _int_list(args.primes.split(","), "--primes")
     elif args.primes_up_to is not None:
         payload["primes_up_to"] = args.primes_up_to
     else:
@@ -575,9 +584,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise SchemaError(f"bad RESIP_CAPS value: {exc}") from exc
         caps = _parse_caps_args(args.caps, caps)
         if args.command == "verify-witness":
-            with open(args.certificate, "r", encoding="utf-8") as fh:
-                cert = PGroupQuotient.from_dict(json.load(fh))
-            report = verify_witness(cert, caps)
+            report = _verify_certificate_file(args.certificate, caps)
             doc = _json_safe({"certificate_ok": report.ok, "checks": report.to_dict()["checks"]})
             if args.format == "json":
                 print(json.dumps(doc, indent=2, sort_keys=True))
@@ -600,6 +607,26 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SchemaError as exc:
         print(f"schema error at {exc.path}: {exc.reason}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"cannot read input: {exc}", file=sys.stderr)
+        return 2
+    except (CapExceeded, LayerTooDeep) as exc:
+        print(f"cap exceeded: {exc}", file=sys.stderr)
+        return 3
+
+
+def _verify_certificate_file(path: str, caps: Caps):
+    """Load and re-check a stored certificate.  A certificate that is not
+    JSON, lacks a field or holds a value of the wrong shape is a schema
+    error; a well-formed one that fails a check is a report with ok False."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return verify_witness(PGroupQuotient.from_dict(json.loads(text)), caps)
+    except (CapExceeded, LayerTooDeep):
+        raise
+    except (LookupError, TypeError, ValueError, AttributeError, ResipError) as exc:
+        raise SchemaError(f"malformed certificate: {type(exc).__name__}: {exc}") from exc
 
 
 if __name__ == "__main__":

@@ -61,8 +61,9 @@ class MixedPrimes(ResipError):
     """Witness combination across different primes."""
 
 
-class SearchSpaceTooLarge(ResipError):
-    """Invariant-subspace enumeration beyond the exhaustive-search cap."""
+class InternalInvariant(ResipError):
+    """An internal cross-check between two routes to the same answer
+    failed.  Raised explicitly, so it also runs under ``python -O``."""
 
 
 class NonPPowerOrder(ResipError):

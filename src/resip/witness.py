@@ -43,7 +43,7 @@ from .freegrp import (
     parse_word,
     word_multiply,
 )
-from .intlin import is_unipotent_mod
+from .intlin import _require_prime, is_unipotent_mod
 from .magnus import SeriesSubstitution, TruncatedSeries, magnus_depth, magnus_embed
 
 
@@ -214,6 +214,7 @@ def find_p_quotient_witness(
     reporting failure (a non-p-power induced order) as an undecided
     outcome rather than an error.
     """
+    _require_prime(p)
     if g.is_identity():
         raise InvalidSpec("the surviving element must be nontrivial")
     phi = spec.fiber

@@ -211,3 +211,39 @@ def test_cover_graph_validation():
         CoverGraph(2, 2, (1, 3))  # assignment not reduced mod m
     with pytest.raises(RankMismatch):
         cover_from_finite_quotient(2, (1,), 2)
+
+
+def _cyclotomic_brute_force(coeffs) -> bool:
+    """Every irreducible factor is some Phi_k, trying every k <= 2 deg^2 + 1."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(list(coeffs), x)
+    for factor, _ in poly.factor_list()[1]:
+        deg = factor.degree()
+        if not any(
+            factor == sympy.Poly(sympy.cyclotomic_poly(k, x), x)
+            for k in range(1, 2 * deg * deg + 2)
+        ):
+            return False
+    return True
+
+
+def test_cyclotomic_product_matches_brute_force():
+    import sympy
+
+    from resip.braid import _totients
+
+    assert _totients(300)[1:] == [int(sympy.totient(k)) for k in range(1, 301)]
+    x = sympy.Symbol("x")
+    others = [x**2 - 3 * x + 1, x**4 + x + 1, x, x - 2, x**3 - x - 1, x**6 + x**2 + 1]
+    rng = random.Random(3011)
+    for trial in range(40):
+        poly = sympy.Integer(1)
+        for k in rng.sample(range(1, 31), rng.randint(1, 3)):
+            poly *= sympy.cyclotomic_poly(k, x)
+        if trial % 2:
+            poly *= rng.choice(others)
+        coeffs = tuple(int(c) for c in sympy.Poly(poly, x).all_coeffs())
+        assert is_cyclotomic_product(coeffs) == _cyclotomic_brute_force(coeffs)
+        assert is_cyclotomic_product(coeffs) == (trial % 2 == 0)

@@ -271,3 +271,63 @@ def test_verdict_serialization_shape():
     d = v.to_dict()
     assert d["p"] == 2 and d["outcome"] == RESIDUALLY_P
     assert "certificate" in d and "obstruction" not in d
+
+
+_BROKEN_UNIPOTENCE = """
+import sys
+from resip import IntMatrix, InternalInvariant, classify
+from resip.intlin import UnipotenceResult
+
+assert sys.flags.optimize == 1
+# make the unipotence route disagree with the det(A - I) route
+classify.is_unipotent_mod = lambda a, p: UnipotenceResult(False, None)
+try:
+    classify.torus_residually_p(IntMatrix.from_rows([[1, 1], [0, 1]]), 3)
+except InternalInvariant as exc:
+    print("raised:", exc)
+"""
+
+
+def test_cross_checks_run_under_python_O():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import resip
+
+    src = str(pathlib.Path(resip.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_UNIPOTENCE],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.startswith("raised: unipotence and det(A-I) criteria disagree")
+
+
+def test_bs_cross_check_raises_internal_invariant(monkeypatch):
+    from resip import InternalInvariant, classify
+
+    monkeypatch.setattr(classify, "endo_semidirect_omega_nilpotent", lambda a: False)
+    with pytest.raises(InternalInvariant):
+        bs_classify(BSSpec(3))
+
+
+def test_quotient_matrix_rejects_a_non_invariant_subspace():
+    from resip import InternalInvariant
+    from resip.classify import _quotient_matrix
+
+    # the 3-cycle moves the line spanned by e1
+    cyc = ModMatrix.reduce(IntMatrix.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]]), 5)
+    with pytest.raises(InternalInvariant):
+        _quotient_matrix(cyc, ((1, 0, 0),))
+
+
+def test_sl2_power_rejects_non_prime():
+    from resip import InvalidSpec
+
+    with pytest.raises(InvalidSpec):
+        sl2_power_divisibility(A_SOL, 4)

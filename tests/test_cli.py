@@ -256,3 +256,99 @@ def test_env_caps_respected(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("RESIP_CAPS", "magnus_degree=banana")
     assert main(["run", "--tasks", str(task)]) == 2
     capsys.readouterr()
+
+
+def _entry(capsys) -> dict:
+    doc = json.loads(capsys.readouterr().out)
+    (entry,) = doc["entries"]
+    return entry
+
+
+def test_non_prime_p_is_an_error_entry(capsys):
+    assert main(["sl2-power", "--matrix", "2 1; 1 1", "--p", "4"]) == 0
+    entry = _entry(capsys)
+    assert entry["status"] == "error" and "result" not in entry
+    assert entry["error"] == {"type": "InvalidSpec", "message": "4 is not prime"}
+
+    args = ["witness", "--images", "x1;x2", "--inverse", "x1;x2", "--p", "4", "--t", "5"]
+    assert main(args) == 0
+    entry = _entry(capsys)
+    assert entry["status"] == "error" and "result" not in entry
+    assert entry["error"]["type"] == "InvalidSpec"
+
+
+def test_bad_tasks_do_not_abort_the_batch(monkeypatch):
+    from resip import cli
+
+    cover = {
+        "kind": "braid-cover",
+        "strands": 3,
+        "braid": "s1 S2",
+        "modulus": 2,
+        "assignments": [1, 1, 1],
+    }
+    doc = {
+        "version": 1,
+        "tasks": [
+            {"id": "before", "kind": "bs", "q": 10},
+            dict(cover, id="zero", divisors=[[0]]),
+            dict(cover, id="non-monic", divisors=[[2, 1]]),
+            {"id": "crash", "kind": "bs", "q": 4},
+            dict(cover, id="after", divisors=[[1, -3, 1]]),
+        ],
+    }
+
+    def bs_classify(spec):
+        if spec.q == 4:
+            raise ZeroDivisionError("integer division by zero")
+        return real_bs_classify(spec)
+
+    real_bs_classify = cli.bs_classify
+    monkeypatch.setattr(cli, "bs_classify", bs_classify)
+    entries = run_tasks(parse_task_file(json.dumps(doc)), 1, DEFAULT_CAPS)
+    status = {e.id: (e.status, e.error and e.error["type"]) for e in entries}
+    assert status == {
+        "before": ("ok", None),
+        "zero": ("error", "InvalidSpec"),
+        "non-monic": ("error", "InvalidSpec"),
+        "crash": ("error", "ZeroDivisionError"),
+        "after": ("ok", None),
+    }
+    assert entries[0].result["residually_p_primes"]["primes"] == [3]
+    assert entries[4].result["divisors"][0]["divides"] is True
+    assert entries[3].error["message"] == "integer division by zero"
+
+
+def test_internal_invariant_reaches_the_report(monkeypatch):
+    from resip import classify
+    from resip.intlin import UnipotenceResult
+
+    monkeypatch.setattr(classify, "is_unipotent_mod", lambda a, p: UnipotenceResult(False, None))
+    doc = {"version": 1, "tasks": [{"kind": "torus", "matrix": [[1, 1], [0, 1]], "primes": [3]}]}
+    (entry,) = run_tasks(parse_task_file(json.dumps(doc)), 1, DEFAULT_CAPS)
+    assert (entry.status, entry.error["type"]) == ("error", "InternalInvariant")
+
+
+@pytest.mark.parametrize("cert", ['{"p": 3}', "[]", "not json", '{"p": 3, "kind": "cube"}'])
+def test_malformed_certificate_exits_2(tmp_path, capsys, cert):
+    path = tmp_path / "cert.json"
+    path.write_text(cert)
+    assert main(["verify-witness", "--certificate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "schema error at $: malformed certificate" in captured.err
+
+
+def test_unreadable_inputs_exit_2(tmp_path, capsys):
+    assert main(["verify-witness", "--certificate", str(tmp_path / "missing.json")]) == 2
+    assert "cannot read input" in capsys.readouterr().err
+    assert main(["torus", "--matrix", "2 x"]) == 2
+    assert "schema error at --matrix: bad integer literal" in capsys.readouterr().err
+
+
+def test_removed_subspace_caps_are_unknown(monkeypatch, capsys):
+    assert main(["bs", "--q", "3", "--caps", "subspace_vectors=5"]) == 2
+    assert "unknown caps" in capsys.readouterr().err
+    monkeypatch.setenv("RESIP_CAPS", "subspace_count=1")
+    assert main(["bs", "--q", "3"]) == 2
+    assert "unknown caps" in capsys.readouterr().err
