@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from .errors import InvalidSpec, NotInvariant, NotTransitive, RankMismatch
+from .errors import InternalInvariant, InvalidSpec, NotInvariant, NotTransitive, RankMismatch
 from .freegrp import (
     FreeEndo,
     FreeWord,
@@ -292,7 +292,8 @@ def induced_cover_homology(phi: FreeEndo, cover: CoverGraph) -> IntMatrix:
         raise NotInvariant("endomorphism does not preserve the cover subgroup")
     basis = cover.schreier_basis_words()
     r = cover.subgroup_rank
-    assert len(basis) == r
+    if len(basis) != r:
+        raise InternalInvariant("Schreier basis size differs from the subgroup rank")
     cols = []
     for s in basis:
         letters = cover.trace_loop(apply_endo(phi, s))

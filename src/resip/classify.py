@@ -350,6 +350,14 @@ def p_power_order_quotient_exists(
             {"subspace": [], "quotient_dim": n, "order": _unipotent_order(a, p)},
             examined=1,
         )
+    return _fitting_obstruction(a, p)
+
+
+def _fitting_obstruction(a: IntMatrix, p: int) -> ObstructionResult:
+    """The obstruction for an A invertible but not unipotent mod p:
+    W = im (A - I)^n, qualifying iff its quotient has dimension >= 2."""
+    m = ModMatrix.reduce(a, p)
+    n = a.n
     nil = ModMatrix.reduce(a.minus_identity(), p) ** n
     image = _rref_key([list(col) for col in zip(*nil.entries)], p)
     quotient_dim = n - len(image)
@@ -388,12 +396,12 @@ def free_fiber_residually_p(
                 "abelianization": [list(r) for r in a.entries],
             },
         )
-    try:
-        obstruction = p_power_order_quotient_exists(ModMatrix.reduce(a, p), p, caps)
-    except NotInvertibleMod:
+    if det_exact(a) % p == 0:
         # H_1 action degenerate mod p; the obstruction argument needs an
         # invertible action, so no decision either way
         return Verdict(p, UNDECIDED, reason="H_1 action not invertible mod p")
+    # not unipotent, as tested above: straight to the Fitting step
+    obstruction = _fitting_obstruction(a, p)
     if not obstruction.exists:
         return Verdict(
             p,

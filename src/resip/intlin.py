@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
-from .errors import CapExceeded, InvalidSpec, NotInvertibleMod
+from .errors import CapExceeded, InternalInvariant, InvalidSpec, NotInvertibleMod
 
 
 @dataclass(frozen=True)
@@ -174,7 +175,9 @@ class ModMatrix:
         return all(x == 0 for row in self.entries for x in row)
 
 
+@lru_cache(maxsize=32)
 def _is_prime_power(m: int) -> bool:
+    # memoised: every ModMatrix product validates its modulus again
     factors = sympy.factorint(m)
     return len(factors) == 1
 
@@ -258,7 +261,8 @@ def poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[tuple[int, ...]
         quot.append(q)
         for i, d in enumerate(den):
             num[i] -= q * d
-        assert num[0] == 0
+        if num[0] != 0:
+            raise InternalInvariant("polynomial division left a leading term")
         num.pop(0)
     while num and num[0] == 0 and len(num) > 1:
         num.pop(0)
@@ -363,7 +367,8 @@ def _solve_exact(columns: list[list[int]], targets: list[list[int]]) -> list[lis
     row = 0
     for col in range(r):
         pivot = next((i for i in range(row, n) if aug[i][col] != 0), None)
-        assert pivot is not None, "columns not independent"
+        if pivot is None:
+            raise InternalInvariant("columns not independent")
         aug[row], aug[pivot] = aug[pivot], aug[row]
         rhs[row], rhs[pivot] = rhs[pivot], rhs[row]
         pv = aug[row][col]
@@ -421,7 +426,8 @@ def lattice_chain_invariants(b: IntMatrix) -> LatticeChainInvariants:
     if r == 0:
         return LatticeChainInvariants(0, None, True)
     basis = column_lattice_basis(bn)
-    assert len(basis) == r
+    if len(basis) != r:
+        raise InternalInvariant("stable lattice basis size differs from the rank")
     b_rows = b.rows()
     images = [
         [sum(b_rows[i][k] * vec[k] for k in range(n)) for i in range(n)]
@@ -429,18 +435,19 @@ def lattice_chain_invariants(b: IntMatrix) -> LatticeChainInvariants:
     ]
     coords = _solve_exact(basis, images)
     t_rows = [[coords[i][j] for j in range(r)] for i in range(r)]
-    assert all(c.denominator == 1 for row in t_rows for c in row), (
-        "stable lattice not preserved -- internal error"
-    )
+    if any(c.denominator != 1 for row in t_rows for c in row):
+        raise InternalInvariant("stable lattice not preserved")
     t = IntMatrix.from_rows([[int(c) for c in row] for row in t_rows])
     diag = smith_diagonal(t)
-    assert all(d != 0 for d in diag), "B not injective on stable lattice"
+    if any(d == 0 for d in diag):
+        raise InternalInvariant("B not injective on stable lattice")
     index = 1
     for d in diag:
         index *= d
-    assert index == index_from_factors, (
-        "lattice index disagrees between SNF and factorization routes"
-    )
+    if index != index_from_factors:
+        raise InternalInvariant(
+            "lattice index disagrees between SNF and factorization routes"
+        )
     return LatticeChainInvariants(r, index, not unit_part)
 
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .caps import Caps, DEFAULT_CAPS
-from .errors import CapExceeded, InvalidSpec, LayerTooDeep
+from .errors import CapExceeded, InternalInvariant, InvalidSpec, LayerTooDeep
 from .freegrp import FreeEndo, FreeWord, apply_endo, commutator
 from .intlin import IntMatrix, charpoly_exact, is_unipotent_mod, poly_pow_x_minus_one
 
@@ -235,7 +235,8 @@ def witt_dimension(rank: int, i: int) -> int:
     for e in range(1, i + 1):
         if i % e == 0:
             total += _mobius(e) * rank ** (i // e)
-    assert total % i == 0
+    if total % i:
+        raise InternalInvariant("necklace count not divisible by the length")
     return total // i
 
 
@@ -310,8 +311,10 @@ def _lyndon_polynomial(w: Monomial) -> dict:
             out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
             out[m2 + m1] = out.get(m2 + m1, 0) - c1 * c2
     poly = {m: c for m, c in out.items() if c}
-    assert poly.get(w) == 1, "Lyndon triangularity violated"
-    assert all(m >= w for m in poly), "Lyndon triangularity violated"
+    if poly.get(w) != 1:
+        raise InternalInvariant("Lyndon triangularity violated: leading coefficient")
+    if any(m < w for m in poly):
+        raise InternalInvariant("Lyndon triangularity violated: smaller monomial")
     return poly
 
 
@@ -350,7 +353,8 @@ def lie_layer_matrix(
         raise CapExceeded("max_rank", caps.max_rank)
     basis = lie_layer_basis(phi.rank, i)
     size = len(basis)
-    assert size == witt_dimension(phi.rank, i)
+    if size != witt_dimension(phi.rank, i):
+        raise InternalInvariant("Lyndon basis size differs from the Witt dimension")
     if size > caps.layer_basis:
         raise LayerTooDeep(f"layer basis size {size} exceeds cap {caps.layer_basis}")
     columns = []

@@ -1,26 +1,45 @@
-"""Brute-force finite p-group laboratory.
+"""Finite p-group laboratory on an integer Cayley table.
 
 Small matrix groups over Z/p^k with explicit element closure.  This module
 exists to validate the p-group lemmas the classifiers lean on (Frattini
-quotients, cyclic-abelianization, towers) on concrete instances; nothing
-here is meant to scale.
+quotients, the Burnside basis theorem, cyclic abelianization) on concrete
+instances.
+
+The group is closed once, breadth-first from the identity, with matrix
+products; that search fixes the order of ``elements``.  It records, for
+every element j but the identity, the element it was reached from and the
+generator it was reached by, elements[j] = elements[parent[j]] * gen[via[j]],
+and the right action of each generator as a list of indices.  Everything
+after that runs on element indices, with no matrix product:
+
+* Row i of the Cayley table, row_i[j] = index of elements[i] * elements[j],
+  follows from row_i[j] = right[via[j]][row_i[parent[j]]].  Rows are built
+  on first use, so a large group never allocates the whole n x n table.
+* A subgroup is an int bitmask over the indices.  Closure, the subgroup
+  lattice, the centre, the derived subgroup and the Frattini checks are
+  searches and set operations on bitmasks.
+
+Matrices appear only at the public boundary: methods take group elements
+and return matrices and frozensets of matrices, in the same order as a
+matrix-level computation would.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
-from typing import Iterable, Optional
-
-import sympy
+from typing import Iterable, Iterator, Optional
 
 from .caps import Caps, DEFAULT_CAPS
-from .errors import CapExceeded, InvalidSpec, NotAPGroup, NotNormal
+from .errors import CapExceeded, InternalInvariant, InvalidSpec, NotAPGroup, NotNormal
+from .intlin import IntMatrix, det_exact
 
 Element = tuple[tuple[int, ...], ...]  # matrix mod modulus
 
+_TRIAL_DIVISION_LIMIT = 10**6
+
 
 def _mmul(a: Element, b: Element, mod: int) -> Element:
-    n = len(a)
     cols = list(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) % mod for col in cols)
@@ -32,31 +51,73 @@ def _identity(n: int) -> Element:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def _prime_base(modulus: int) -> int:
+    """The prime p of a modulus p^k, by trial division; a modulus whose
+    square root exceeds 10^6 is factored by sympy instead."""
+    if modulus < 2:
+        raise InvalidSpec("modulus must be a prime power")
+    root = math.isqrt(modulus)
+    if root > _TRIAL_DIVISION_LIMIT:
+        import sympy
+
+        factors = sympy.factorint(modulus)
+        if len(factors) != 1:
+            raise InvalidSpec("modulus must be a prime power")
+        return int(next(iter(factors)))
+    p = next((d for d in range(2, root + 1) if modulus % d == 0), modulus)
+    rest = modulus
+    while rest % p == 0:
+        rest //= p
+    if rest != 1:
+        raise InvalidSpec("modulus must be a prime power")
+    return p
+
+
+def _mask(indices: Iterable[int]) -> int:
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
+def _bits(mask: int) -> list[int]:
+    """The indices set in a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class FinitePGroup:
     """Explicitly closed group of matrices over Z/p^k."""
 
     def __init__(self, modulus: int, generators: list[Element], cap: int):
-        factors = sympy.factorint(modulus)
-        if len(factors) != 1:
-            raise InvalidSpec("modulus must be a prime power")
+        self.p = _prime_base(modulus)
+        for g in generators:
+            if det_exact(IntMatrix.from_rows(g)) % self.p == 0:
+                raise InvalidSpec("generator not invertible mod the modulus")
         self.modulus = modulus
-        self.p = int(next(iter(factors)))
         self.dim = len(generators[0]) if generators else 1
         self.generators = tuple(generators)
         ident = _identity(self.dim)
         elements = [ident]
         index = {ident: 0}
-        queue = [ident]
-        while queue:
-            g = queue.pop(0)
-            for s in self.generators:
+        parent, via = [0], [0]
+        right: list[list[int]] = [[] for _ in self.generators]
+        for i, g in enumerate(elements):  # breadth-first: the list is the queue
+            for v, s in enumerate(self.generators):
                 h = _mmul(g, s, modulus)
-                if h not in index:
+                j = index.get(h)
+                if j is None:
                     if len(elements) >= cap:
                         raise CapExceeded("group_order", cap)
-                    index[h] = len(elements)
+                    j = index[h] = len(elements)
                     elements.append(h)
-                    queue.append(h)
+                    parent.append(i)
+                    via.append(v)
+                right[v].append(j)
         self.elements = tuple(elements)
         self.index = index
         order = len(elements)
@@ -65,7 +126,13 @@ class FinitePGroup:
             q //= self.p
         if q != 1:
             raise NotAPGroup(f"order {order} is not a power of {self.p}")
-        self._inv: dict[Element, Element] = {}
+        self._right = right
+        self._gens = [act[0] for act in right]  # generator indices
+        self._steps = [(parent[j], right[via[j]]) for j in range(1, order)]
+        self._parent = parent
+        self._via = via
+        self._rows: list[Optional[list[int]]] = [None] * order
+        self._inverses: Optional[list[int]] = None
         self._center: Optional[frozenset] = None
         self._derived: Optional[frozenset] = None
         self._subgroups: Optional[tuple[frozenset, ...]] = None
@@ -77,88 +144,210 @@ class FinitePGroup:
     def mul(self, a: Element, b: Element) -> Element:
         return _mmul(a, b, self.modulus)
 
+    # -- index kernels ------------------------------------------------------
+
+    def _row(self, i: int) -> list[int]:
+        """Row i of the Cayley table: row[j] is the index of
+        elements[i] * elements[j]."""
+        row = self._rows[i]
+        if row is None:
+            row = [i]
+            for par, act in self._steps:
+                row.append(act[row[par]])
+            self._rows[i] = row
+        return row
+
+    def _idx(self, g: Element) -> int:
+        try:
+            return self.index[g]
+        except KeyError:
+            raise InvalidSpec("not an element of the group") from None
+
+    def _mask_of(self, elements: Iterable[Element]) -> int:
+        return _mask(self._idx(g) for g in elements)
+
+    def _as_set(self, mask: int) -> frozenset:
+        return frozenset(self.elements[i] for i in _bits(mask))
+
+    def _inverse(self) -> list[int]:
+        """Index of the inverse of every element.  From
+        elements[j] = elements[parent[j]] * s follows
+        inv(j) = s^-1 * inv(parent[j]): one row per generator inverse."""
+        if self._inverses is None:
+            gen_inverse_rows = []
+            for act in self._right:
+                x = 0  # walk the cycle of s from the identity to s^-1
+                while act[x] != 0:
+                    x = act[x]
+                gen_inverse_rows.append(self._row(x))
+            inv = [0]
+            for par, v in zip(self._parent[1:], self._via[1:]):
+                inv.append(gen_inverse_rows[v][inv[par]])
+            self._inverses = inv
+        return self._inverses
+
+    def _commutator(self, a: int, b: int) -> int:
+        """a b a^-1 b^-1 = (ab)(ba)^-1, on indices."""
+        return self._row(self._row(a)[b])[self._inverse()[self._row(b)[a]]]
+
+    def _closure(self, gens: Iterable[int]) -> int:
+        """Subgroup generated by element indices: everything reached from
+        the identity by left multiplication with a generator."""
+        rows = [self._row(s) for s in gens]
+        seen = 1
+        members = [0]
+        for x in members:  # breadth-first: the list is the queue
+            for row in rows:
+                y = row[x]
+                if not seen >> y & 1:
+                    seen |= 1 << y
+                    members.append(y)
+        return seen
+
+    def _normal_closure(self, gens: Iterable[int]) -> int:
+        """Smallest normal subgroup containing the given indices: conjugate
+        every generator of it by every group generator until nothing new
+        appears.  sKs^-1 is generated by the conjugates of K's generators,
+        and in a finite group sKs^-1 <= K already means equality."""
+        gens = list(gens)
+        mask = self._closure(gens)
+        conjugators = []
+        for s, act in zip(self._gens, self._right):
+            back = [0] * self.order  # right multiplication by s^-1
+            for x, y in enumerate(act):
+                back[y] = x
+            conjugators.append((self._row(s), back))
+        for k in gens:  # grows while new conjugates are added
+            for row, back in conjugators:
+                c = back[row[k]]
+                if not mask >> c & 1:
+                    gens.append(c)
+                    mask = self._closure(gens)
+        return mask
+
+    def _order_mod(self, g: int, mask: int) -> int:
+        """Least m >= 1 with g^m in the subgroup `mask`; with mask 1, the
+        trivial subgroup, the order of g."""
+        row = self._row(g)
+        power = g
+        for m in range(1, self.order + 1):
+            if mask >> power & 1:
+                return m
+            power = row[power]
+        raise InternalInvariant("the powers of an element never reach the subgroup")
+
+    def _powers(self, k: int) -> list[int]:
+        """Index of g^k for every element g."""
+        out = []
+        for i in range(self.order):
+            row = self._row(i)
+            x = 0
+            for _ in range(k):
+                x = row[x]
+            out.append(x)
+        return out
+
+    def _right_cosets(self, h: int) -> list[int]:
+        """For every element x, the bitmask of the right coset Hx."""
+        rows = [self._row(y) for y in _bits(h)]
+        coset = [0] * self.order
+        for x in range(self.order):
+            if not coset[x]:
+                members = [row[x] for row in rows]
+                mask = _mask(members)
+                for z in members:
+                    if coset[z]:
+                        raise InternalInvariant("right cosets of a subgroup overlap")
+                    coset[z] = mask
+        return coset
+
+    def _joins(self, h: int, gens: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+        """(g, <H, g>) for one g outside H from each double coset HgH.
+
+        Every x in HgH gives <H, x> = <H, g>.  <H, g> is grown from H by
+        whole right cosets (Dimino's algorithm): a union of right cosets of
+        H that holds r*s for each coset representative r and each
+        generator s of <H, g> is that subgroup."""
+        todo = ((1 << self.order) - 1) & ~h
+        if not todo:
+            return
+        members = _bits(h)
+        coset = self._right_cosets(h)
+        while todo:
+            g = (todo & -todo).bit_length() - 1
+            g_row = self._row(g)
+            double = 0
+            for y in members:
+                double |= coset[g_row[y]]
+            todo &= ~double
+            joined = h | coset[g]
+            reps = [g]
+            for r in reps:  # grows as cosets are added
+                row = self._row(r)
+                for s in gens + (g,):
+                    x = row[s]
+                    if not joined >> x & 1:
+                        joined |= coset[x]
+                        reps.append(x)
+            yield g, joined
+
+    # -- public, on matrices ------------------------------------------------
+
     def inv(self, g: Element) -> Element:
-        if g not in self._inv:
-            power = g
-            prev = _identity(self.dim)
-            while power != _identity(self.dim):
-                prev = power
-                power = self.mul(power, g)
-            self._inv[g] = prev if g != _identity(self.dim) else g
-        return self._inv[g]
+        return self.elements[self._inverse()[self._idx(g)]]
 
     def element_order(self, g: Element) -> int:
-        ident = _identity(self.dim)
-        power = g
-        order = 1
-        while power != ident:
-            power = self.mul(power, g)
-            order += 1
-        return order
+        return self._order_mod(self._idx(g), 1)
 
     def commutator(self, a: Element, b: Element) -> Element:
-        return self.mul(self.mul(a, b), self.mul(self.inv(a), self.inv(b)))
+        return self.elements[self._commutator(self._idx(a), self._idx(b))]
 
     def closure(self, gens: Iterable[Element]) -> frozenset:
-        gens = list(gens)
-        ident = _identity(self.dim)
-        seen = {ident}
-        queue = [ident]
-        while queue:
-            g = queue.pop(0)
-            for s in gens:
-                h = self.mul(g, s)
-                if h not in seen:
-                    seen.add(h)
-                    queue.append(h)
-        return frozenset(seen)
+        return self._as_set(self._closure([self._idx(g) for g in gens]))
 
     def center(self) -> frozenset:
         if self._center is None:
-            self._center = frozenset(
-                z
-                for z in self.elements
-                if all(self.mul(z, s) == self.mul(s, z) for s in self.generators)
+            # z is central iff z s = s z for every generator s
+            sides = [(act, self._row(s)) for act, s in zip(self._right, self._gens)]
+            self._center = self._as_set(
+                _mask(
+                    z
+                    for z in range(self.order)
+                    if all(act[z] == row[z] for act, row in sides)
+                )
             )
         return self._center
 
     def derived_subgroup(self) -> frozenset:
+        """[G, G]: the normal closure of the commutators of the generators
+        (G modulo it is generated by commuting images, so abelian)."""
         if self._derived is None:
-            comms = {
-                self.commutator(a, b)
-                for a in self.elements
-                for b in self.elements
-            }
-            self._derived = self.closure(comms)
+            comms = {self._commutator(a, b) for a in self._gens for b in self._gens}
+            self._derived = self._as_set(self._normal_closure(comms))
         return self._derived
 
     def all_subgroups(self, count_cap: int = 10_000) -> tuple[frozenset, ...]:
-        """Every subgroup, by closing upward from the trivial one.
-
-        Each subgroup is joined with single elements through a small
-        generating set carried along the search; same lattice, far fewer
-        multiplications than closing over whole element sets.
-        """
+        """Every subgroup, by joining upward from the trivial one, sorted by
+        order and then by the sorted list of member matrices."""
         if self._subgroups is not None:
             return self._subgroups
-        trivial = frozenset({_identity(self.dim)})
-        found: dict[frozenset, tuple] = {trivial: ()}
-        queue = [trivial]
-        while queue:
-            h = queue.pop(0)
+        found: dict[int, tuple[int, ...]] = {1: ()}  # bitmask -> generators
+        queue = [1]
+        for h in queue:  # breadth-first: the list is the queue
             gens = found[h]
-            for g in self.elements:
-                if g in h:
-                    continue
-                k = self.closure(gens + (g,))
+            for g, k in self._joins(h, gens):
                 if k not in found:
                     if len(found) >= count_cap:
                         raise CapExceeded("subgroup_count", count_cap)
                     found[k] = gens + (g,)
                     queue.append(k)
-        self._subgroups = tuple(
-            sorted(found, key=lambda s: (len(s), sorted(s)))
+        rank = [0] * self.order  # position of each element in matrix order
+        for r, i in enumerate(sorted(range(self.order), key=self.elements.__getitem__)):
+            rank[i] = r
+        masks = sorted(
+            found, key=lambda m: (m.bit_count(), sorted(rank[i] for i in _bits(m)))
         )
+        self._subgroups = tuple(self._as_set(m) for m in masks)
         return self._subgroups
 
     def maximal_subgroups(self) -> list[frozenset]:
@@ -167,11 +356,13 @@ class FinitePGroup:
         return [h for h in self.all_subgroups() if len(h) == target]
 
     def is_normal(self, h: frozenset) -> bool:
-        return all(
-            self.mul(self.mul(s, k), self.inv(s)) in h
-            for s in self.generators
-            for k in h
-        )
+        # s H s^-1 = H  iff  s H = H s, for each generator s
+        members = [self._idx(k) for k in h]
+        for act, s in zip(self._right, self._gens):
+            row = self._row(s)
+            if _mask(row[k] for k in members) != _mask(act[k] for k in members):
+                return False
+        return True
 
     def is_cyclic_subgroup(self, h: frozenset) -> bool:
         return any(self.element_order(g) == len(h) for g in h)
@@ -180,11 +371,6 @@ class FinitePGroup:
 def generate_group(
     generators: list[Element], modulus: int, caps: Caps = DEFAULT_CAPS
 ) -> FinitePGroup:
-    for g in generators:
-        det = int(sympy.Matrix([list(r) for r in g]).det())
-        p = int(next(iter(sympy.factorint(modulus))))
-        if det % p == 0:
-            raise InvalidSpec("generator not invertible mod the modulus")
     return FinitePGroup(modulus, generators, caps.group_order)
 
 
@@ -209,51 +395,38 @@ def elementary_abelian_p2(p: int, caps: Caps = DEFAULT_CAPS) -> FinitePGroup:
 
 
 def frattini_data(group: FinitePGroup) -> dict:
-    """Frattini subgroup by brute-force intersection of maximal subgroups,
+    """Frattini subgroup as the intersection of the maximal subgroups,
     cross-checked against P^p [P,P]; returns its order and the rank of the
     elementary abelian quotient P/Phi."""
-    maximals = group.maximal_subgroups()
-    if maximals:
-        phi = frozenset.intersection(*maximals)
-    else:
-        phi = frozenset(group.elements)  # trivial group: Phi(P) = P
-    powers = {_pow(group, g, group.p) for g in group.elements}
-    agreement = group.closure(powers | set(group.derived_subgroup()))
-    assert phi == agreement, "Frattini mismatch between definitions"
-    quotient_order = group.order // len(phi)
+    phi = (1 << group.order) - 1  # trivial group: Phi(P) = P
+    for m in group.maximal_subgroups():
+        phi &= group._mask_of(m)
+    powers = _mask(group._powers(group.p))
+    derived = group._mask_of(group.derived_subgroup())
+    if phi != group._closure(_bits(powers | derived)):
+        raise InternalInvariant("Frattini mismatch between definitions")
+    quotient_order = group.order // phi.bit_count()
     rank = 0
     while quotient_order > 1:
-        assert quotient_order % group.p == 0
+        if quotient_order % group.p:
+            raise InternalInvariant("Frattini quotient order is not a power of p")
         quotient_order //= group.p
         rank += 1
-    elementary = all(_pow(group, g, group.p) in phi for g in group.elements) and all(
-        group.commutator(a, b) in phi for a in group.elements for b in group.elements
-    )
+    # Phi is a subgroup, so it holds every commutator iff it holds [P, P]
+    elementary = (powers | derived) & ~phi == 0
     return {
-        "frattini_order": len(phi),
+        "frattini_order": phi.bit_count(),
         "rank": rank,
         "elementary_abelian_quotient": elementary,
     }
 
 
-def _pow(group: FinitePGroup, g: Element, k: int) -> Element:
-    result = _identity(group.dim)
-    for _ in range(k):
-        result = group.mul(result, g)
-    return result
-
-
-def _quotient_is_cyclic(group: FinitePGroup, h: frozenset, d: frozenset) -> bool:
+def _quotient_is_cyclic(group: FinitePGroup, h: int, d: int) -> bool:
     """Is H/D cyclic?  D must be normal in H (it is: derived subgroup)."""
-    target = len(h) // len(d)
-    for g in h:
+    target = h.bit_count() // d.bit_count()
+    for g in _bits(h):
         # order of gD in H/D = least m with g^m in D
-        power = g
-        m = 1
-        while power not in d:
-            power = group.mul(power, g)
-            m += 1
-        if m == target:
+        if group._order_mod(g, d) == target:
             return True
     return target == 1
 
@@ -262,11 +435,12 @@ def check_cyclic_abelianization(group: FinitePGroup) -> bool:
     """Instance check of: a finite p-group with cyclic abelianization is
     cyclic.  Runs over every subgroup; any violation returns False."""
     for h in group.all_subgroups():
-        sub_comms = {
-            group.commutator(a, b) for a in h for b in h
-        }
-        derived = group.closure(sub_comms)
-        if _quotient_is_cyclic(group, h, derived):
+        mask = group._mask_of(h)
+        members = _bits(mask)
+        derived = group._closure(
+            {group._commutator(a, b) for a in members for b in members}
+        )
+        if _quotient_is_cyclic(group, mask, derived):
             if not group.is_cyclic_subgroup(h):
                 return False
     return True
@@ -288,25 +462,18 @@ def tower_lemma_check(group: FinitePGroup, k1: frozenset, k2: frozenset) -> bool
 
 def inner_automorphism_orders(group: FinitePGroup) -> list[int]:
     """Order of conjugation by g, for every g: least m with g^m central."""
-    center = group.center()
-    orders = []
-    for g in group.elements:
-        power = g
-        m = 1
-        while power not in center:
-            power = group.mul(power, g)
-            m += 1
-        orders.append(m)
-    return orders
+    center = group._mask_of(group.center())
+    return [group._order_mod(g, center) for g in range(group.order)]
 
 
 def minimal_generating_size(group: FinitePGroup, size_cap: int = 4) -> int:
     """Exhaustive smallest generating set size (Burnside basis check)."""
     if group.order == 1:
         return 0
-    candidates = [g for g in group.elements if g != _identity(group.dim)]
+    whole = (1 << group.order) - 1
+    candidates = range(1, group.order)  # every element but the identity
     for size in range(1, size_cap + 1):
         for subset in combinations(candidates, size):
-            if len(group.closure(subset)) == group.order:
+            if group._closure(subset) == whole:
                 return size
     raise CapExceeded("generating_set_size", size_cap)

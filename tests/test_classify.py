@@ -288,7 +288,23 @@ except InternalInvariant as exc:
 """
 
 
-def test_cross_checks_run_under_python_O():
+_BROKEN_LATTICE = """
+import sys
+from resip import InternalInvariant, pgrouplab
+
+assert sys.flags.optimize == 1
+# hide the maximal subgroups: their intersection becomes the whole group,
+# which disagrees with P^p [P, P]
+pgrouplab.FinitePGroup.maximal_subgroups = lambda self: []
+try:
+    pgrouplab.frattini_data(pgrouplab.ut3_group(3))
+except InternalInvariant as exc:
+    print("raised:", exc)
+"""
+
+
+def _run_optimized(script: str) -> str:
+    """Standard output of a script run under python -O with this resip."""
     import os
     import pathlib
     import subprocess
@@ -299,13 +315,23 @@ def test_cross_checks_run_under_python_O():
     src = str(pathlib.Path(resip.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-O", "-c", _BROKEN_UNIPOTENCE],
+        [sys.executable, "-O", "-c", script],
         env=env,
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.startswith("raised: unipotence and det(A-I) criteria disagree")
+    return out.stdout
+
+
+def test_cross_checks_run_under_python_O():
+    out = _run_optimized(_BROKEN_UNIPOTENCE)
+    assert out.startswith("raised: unipotence and det(A-I) criteria disagree")
+
+
+def test_pgrouplab_cross_check_runs_under_python_O():
+    out = _run_optimized(_BROKEN_LATTICE)
+    assert out.startswith("raised: Frattini mismatch between definitions")
 
 
 def test_bs_cross_check_raises_internal_invariant(monkeypatch):

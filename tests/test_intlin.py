@@ -245,3 +245,28 @@ def test_rank_agrees_with_sympy():
         n = rng.randint(1, 4)
         m = _random_matrix(rng, n, -5, 5)
         assert rank_exact(m) == sympy.Matrix(m.rows()).rank()
+
+
+def test_lattice_index_cross_check_raises_internal_invariant(monkeypatch):
+    from resip import InternalInvariant, intlin
+
+    # the SNF route now reports index 2 against the factorization route's 1
+    monkeypatch.setattr(intlin, "smith_diagonal", lambda m: [2] + [1] * (m.n - 1))
+    with pytest.raises(InternalInvariant):
+        lattice_chain_invariants(IntMatrix.from_rows([[1, 1], [1, 0]]))
+
+
+def test_mod_matrix_factors_each_modulus_once(monkeypatch):
+    from resip import InvalidSpec, ModMatrix, intlin
+
+    calls = []
+    factorint = sympy.factorint
+    monkeypatch.setattr(sympy, "factorint", lambda m: calls.append(m) or factorint(m))
+    intlin._is_prime_power.cache_clear()
+    a = ModMatrix.reduce(IntMatrix.from_rows([[2, 1], [1, 1]]), 101)
+    assert (a ** 50) * a == a ** 51
+    assert calls == [101]
+    for _ in range(2):  # a rejected modulus stays rejected
+        with pytest.raises(InvalidSpec):
+            ModMatrix(12, ((1, 0), (0, 1)))
+    assert calls == [101, 12]

@@ -1,6 +1,9 @@
 """Concrete finite p-groups: closure, Frattini data, subgroup lemmas."""
 
+import collections
 import itertools
+import random
+import time
 
 import pytest
 
@@ -57,6 +60,13 @@ def test_generate_group_rejects_non_p_power_order():
 def test_generate_group_rejects_singular_generator():
     with pytest.raises(InvalidSpec):
         generate_group([((0, 0), (0, 0))], 3)
+
+
+def test_direct_construction_rejects_singular_generator():
+    # the zero matrix mod 2 closes to a monoid of order 2, whose inverses
+    # were once searched for without end
+    with pytest.raises(InvalidSpec):
+        FinitePGroup(2, [((0, 0), (0, 0))], 100)
 
 
 def test_group_order_cap():
@@ -157,3 +167,274 @@ def test_element_order_and_inverse():
         for _ in range(o):
             power = group.mul(power, g)
         assert power == ident
+
+
+# ---------------------------------------------------------------------------
+# oracle: the matrix-level closure, lattice, commutators and Frattini checks
+# the lab once ran, one matrix product per group operation
+
+
+def _mmul(a, b, mod):
+    cols = list(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) % mod for col in cols)
+        for row in a
+    )
+
+
+class MatrixOracle:
+    def __init__(self, generators, modulus, p):
+        self.modulus, self.p = modulus, p
+        self.generators = tuple(generators)
+        dim = len(generators[0])
+        self.ident = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+        self.elements = self._bfs(self.generators)
+        self._inverses = {}
+        self._subgroups = None
+
+    def mul(self, a, b):
+        return _mmul(a, b, self.modulus)
+
+    def _bfs(self, gens):
+        seen = {self.ident: None}
+        queue = collections.deque([self.ident])
+        while queue:
+            g = queue.popleft()
+            for s in gens:
+                h = self.mul(g, s)
+                if h not in seen:
+                    seen[h] = None
+                    queue.append(h)
+        return tuple(seen)
+
+    def closure(self, gens):
+        return frozenset(self._bfs(tuple(gens)))
+
+    def power(self, g, k):
+        out = self.ident
+        for _ in range(k):
+            out = self.mul(out, g)
+        return out
+
+    def element_order(self, g):
+        power, order = g, 1
+        while power != self.ident:
+            power, order = self.mul(power, g), order + 1
+        return order
+
+    def inv(self, g):
+        if g not in self._inverses:
+            self._inverses[g] = self.power(g, self.element_order(g) - 1)
+        return self._inverses[g]
+
+    def commutator(self, a, b):
+        return self.mul(self.mul(a, b), self.mul(self.inv(a), self.inv(b)))
+
+    def center(self):
+        return frozenset(
+            z for z in self.elements
+            if all(self.mul(z, s) == self.mul(s, z) for s in self.generators)
+        )
+
+    def derived(self, h):
+        return self.closure({self.commutator(a, b) for a in h for b in h})
+
+    def subgroups(self):
+        if self._subgroups is not None:
+            return self._subgroups
+        found = {frozenset({self.ident}): ()}
+        queue = collections.deque(found)
+        while queue:
+            h = queue.popleft()
+            for g in self.elements:
+                if g not in h:
+                    k = self.closure(found[h] + (g,))
+                    if k not in found:
+                        found[k] = found[h] + (g,)
+                        queue.append(k)
+        self._subgroups = tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
+        return self._subgroups
+
+    def is_normal(self, h):
+        return all(
+            self.mul(self.mul(s, k), self.inv(s)) in h
+            for s in self.generators for k in h
+        )
+
+    def frattini(self):
+        maximals = [h for h in self.subgroups() if len(h) * self.p == len(self.elements)]
+        phi = frozenset.intersection(*maximals) if maximals else frozenset(self.elements)
+        powers = {self.power(g, self.p) for g in self.elements}
+        assert phi == self.closure(powers | self.derived(self.elements))
+        quotient, rank = len(self.elements) // len(phi), 0
+        while quotient > 1:
+            quotient, rank = quotient // self.p, rank + 1
+        elementary = powers <= phi and all(
+            self.commutator(a, b) in phi for a in self.elements for b in self.elements
+        )
+        return {"frattini_order": len(phi), "rank": rank,
+                "elementary_abelian_quotient": elementary}
+
+    def inner_orders(self):
+        center = self.center()
+        out = []
+        for g in self.elements:
+            m = 1
+            while self.power(g, m) not in center:
+                m += 1
+            out.append(m)
+        return out
+
+    def minimal_generating_size(self):
+        candidates = self.elements[1:]
+        for size in range(0, 5):
+            for subset in itertools.combinations(candidates, size):
+                if len(self.closure(subset)) == len(self.elements):
+                    return size
+
+    def cyclic_abelianization_holds(self):
+        for h in self.subgroups():
+            d = self.derived(h)
+            index = len(h) // len(d)
+            quotient_cyclic = index == 1 or any(
+                next(m for m in itertools.count(1) if self.power(g, m) in d) == index
+                for g in h
+            )
+            if quotient_cyclic and not any(self.element_order(g) == len(h) for g in h):
+                return False
+        return True
+
+
+def _unitriangular(a, b, c):
+    return ((1, a, c), (0, 1, b), (0, 0, 1))
+
+
+def _oracle_groups():
+    """(name, generators, modulus, p): the standard generating sets, for
+    each seed a random one of each kind, and for seed 0 a redundant one
+    that repeats a generator and includes the identity."""
+    specs = []
+    for p in (2, 3):
+        specs.append((f"ut3-{p}", [_unitriangular(1, 0, 0), _unitriangular(0, 1, 0)], p, p))
+    for p in (2, 3, 5):
+        specs.append((f"ea-{p}", [_unitriangular(1, 0, 0), _unitriangular(0, 0, 1)], p, p))
+        specs.append((f"cyc-{p}", [((1, 1), (0, 1))], p * p, p))
+    for seed in range(3):
+        rng = random.Random(seed)
+        for p in (2, 3, 5):
+            while True:
+                a1, b1, a2, b2 = (rng.randrange(p) for _ in range(4))
+                if (a1 * b2 - a2 * b1) % p:
+                    break
+            if p <= 3:
+                pair = [_unitriangular(a1, b1, rng.randrange(p)),
+                        _unitriangular(a2, b2, rng.randrange(p))]
+                specs.append((f"ut3-{p}-seed{seed}", pair, p, p))
+                if seed == 0:
+                    specs.append((f"ut3-{p}-seed{seed}-redundant",
+                                  [pair[1], _unitriangular(0, 0, 0), pair[0], pair[1]], p, p))
+            specs.append((f"ea-{p}-seed{seed}",
+                          [_unitriangular(a1, 0, b1), _unitriangular(a2, 0, b2)], p, p))
+            u = rng.choice([u for u in range(1, p * p) if u % p])
+            specs.append((f"cyc-{p}-seed{seed}", [((1, u), (0, 1))], p * p, p))
+    return specs
+
+
+@pytest.mark.parametrize("name,generators,modulus,p", _oracle_groups(),
+                         ids=[s[0] for s in _oracle_groups()])
+def test_table_kernels_match_the_matrix_oracle(name, generators, modulus, p):
+    group = generate_group(generators, modulus)
+    oracle = MatrixOracle(generators, modulus, p)
+    els = oracle.elements
+    assert group.elements == els
+    assert group.center() == oracle.center()
+    assert [group.inv(g) for g in els] == [oracle.inv(g) for g in els]
+    assert [group.element_order(g) for g in els] == [oracle.element_order(g) for g in els]
+    assert [group.commutator(a, b) for a in els for b in els] == [
+        oracle.commutator(a, b) for a in els for b in els
+    ]
+    assert group.derived_subgroup() == oracle.derived(els)
+    for i in range(len(els)):
+        subset = els[i:i + 2]
+        assert group.closure(subset) == oracle.closure(subset)
+    subgroups = oracle.subgroups()
+    assert group.all_subgroups() == subgroups
+    assert [group.is_normal(h) for h in subgroups] == [oracle.is_normal(h) for h in subgroups]
+    assert frattini_data(group) == oracle.frattini()
+    assert inner_automorphism_orders(group) == oracle.inner_orders()
+    assert minimal_generating_size(group) == oracle.minimal_generating_size()
+    assert check_cyclic_abelianization(group) == oracle.cyclic_abelianization_holds()
+
+
+def test_derived_subgroup_of_a_class_three_group():
+    """UT(4,2): the commutators of the generators I+E12, I+E23, I+E34
+    generate a subgroup that is not normal, so [G, G] is reached only
+    through the normal closure."""
+    gens = [
+        tuple(tuple(int(r == c or (r, c) == (i, i + 1)) for c in range(4)) for r in range(4))
+        for i in range(3)
+    ]
+    group = generate_group(gens, 2)
+    oracle = MatrixOracle(gens, 2, 2)
+    els = oracle.elements
+    assert group.elements == els
+    assert group.center() == oracle.center()
+    assert [group.inv(g) for g in els] == [oracle.inv(g) for g in els]
+    derived = oracle.derived(els)
+    assert group.derived_subgroup() == derived
+    assert len(oracle.closure({oracle.commutator(a, b) for a in gens for b in gens})) < len(derived)
+    assert frattini_data(group) == {
+        "frattini_order": 8,
+        "rank": 3,
+        "elementary_abelian_quotient": True,
+    }
+
+
+def test_is_normal_on_sets_that_are_not_subgroups():
+    group = ut3_group(3)
+    oracle = MatrixOracle(group.generators, 3, 3)
+    rng = random.Random(5)
+    for _ in range(50):
+        subset = frozenset(rng.sample(group.elements, rng.randrange(1, 10)))
+        assert group.is_normal(subset) == oracle.is_normal(subset)
+
+
+def test_non_elements_are_rejected():
+    group = ut3_group(3)
+    outside = ((1, 0, 0), (0, 2, 0), (0, 0, 1))
+    for call in (group.inv, group.element_order, lambda g: group.closure([g]),
+                 lambda g: group.is_normal(frozenset({g}))):
+        with pytest.raises(InvalidSpec):
+            call(outside)
+
+
+def test_frattini_of_ut3_5_is_fast():
+    start = time.perf_counter()
+    data = frattini_data(ut3_group(5))
+    assert time.perf_counter() - start < 1.0
+    assert data == {"frattini_order": 5, "rank": 2, "elementary_abelian_quotient": True}
+    assert len(ut3_group(5).all_subgroups()) == 1 + 31 + 6 + 1
+
+
+def test_rows_are_built_on_first_use():
+    group = ut3_group(3)
+    assert all(row is None for row in group._rows)
+    group.center()
+    built = sum(row is not None for row in group._rows)
+    assert built == len(group.generators)
+
+
+def test_group_building_calls_no_sympy(monkeypatch):
+    import sympy
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy called while building a group")
+
+    monkeypatch.setattr(sympy, "factorint", refuse)
+    monkeypatch.setattr(sympy.Matrix, "det", refuse)
+    assert ut3_group(5).order == 125
+    assert cyclic_group_p2(7).order == 49
+    with pytest.raises(InvalidSpec):
+        generate_group([((1, 1), (0, 1))], 12)
+    with pytest.raises(InvalidSpec):
+        generate_group([((3, 0), (0, 1))], 9)
