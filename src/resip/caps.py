@@ -31,14 +31,27 @@ class Caps:
 DEFAULT_CAPS = Caps()
 
 
-def caps_from_env(base: Caps | None = None, env: str = "RESIP_CAPS") -> Caps:
-    """Apply ``KEY=VAL,KEY=VAL`` overrides from the environment."""
-    caps = base or DEFAULT_CAPS
-    raw = os.environ.get(env, "").strip()
-    if not raw:
-        return caps
+def parse_caps(text: str, base: Caps = DEFAULT_CAPS) -> Caps:
+    """Apply comma-separated ``KEY=VAL`` overrides to ``base``.
+
+    Empty items are skipped and a later item wins over an earlier one.  A
+    malformed item or value raises ValueError, an unknown key KeyError.
+    """
     overrides = {}
-    for item in raw.split(","):
-        key, _, value = item.partition("=")
-        overrides[key.strip()] = int(value)
-    return caps.with_overrides(**overrides)
+    for item in text.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise ValueError(f"bad cap override {item!r}, expected KEY=VALUE")
+        try:
+            overrides[key.strip()] = int(value)
+        except ValueError:
+            raise ValueError(f"bad cap value {value!r} for {key.strip()}") from None
+    return base.with_overrides(**overrides)
+
+
+def caps_from_env(base: Caps | None = None, env: str = "RESIP_CAPS") -> Caps:
+    """Apply the overrides in the environment variable, by :func:`parse_caps`."""
+    return parse_caps(os.environ.get(env, ""), base or DEFAULT_CAPS)

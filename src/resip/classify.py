@@ -27,6 +27,7 @@ x^2-x-1 and x^2+3x+3 give r = 4, d = 3 and a nontrivial intersection.)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -154,10 +155,7 @@ def _prime_set_from_charpoly_gap(a: IntMatrix) -> PrimeSet:
     diff = [
         c - t for c, t in zip(charpoly_exact(a), poly_pow_x_minus_one(a.n))
     ]
-    g = 0
-    for c in diff:
-        g = sympy.gcd(g, abs(c))
-    g = int(g)
+    g = math.gcd(*diff)
     if g == 0:
         return PrimeSet(True, (), 0)
     primes = tuple(sorted(int(q) for q in sympy.factorint(g)))
@@ -314,9 +312,7 @@ def _unipotent_order(q: IntMatrix, p: int) -> int:
     return order
 
 
-def p_power_order_quotient_exists(
-    m: ModMatrix, p: int, caps: Caps = DEFAULT_CAPS
-) -> ObstructionResult:
+def p_power_order_quotient_exists(m: ModMatrix, p: int) -> ObstructionResult:
     """Is there an M-invariant subspace W of F_p^n with quotient dimension
     >= 2 on which the induced action has p-power order?
 
@@ -374,9 +370,7 @@ def _fitting_obstruction(a: IntMatrix, p: int) -> ObstructionResult:
     )
 
 
-def free_fiber_residually_p(
-    spec: MappingTorusSpec, p: int, caps: Caps = DEFAULT_CAPS
-) -> Verdict:
+def free_fiber_residually_p(spec: MappingTorusSpec, p: int) -> Verdict:
     """Three-valued verdict for a mapping torus with free fiber of rank >= 2.
 
     Reads only the abelianization mod p, which is what makes the verdict

@@ -5,21 +5,23 @@ Exit codes: 0 all tasks completed (verdicts of any flavor included),
 was exceeded somewhere.  A task that fails for any other reason becomes an
 ``error`` entry and the batch goes on.
 
-JSON reports are deterministic: entries are ordered by task index and
-integers wider than 2^53 are emitted as strings, so runs with different
-parallelism produce byte-identical output.  Timing is only shown in the
-text format for the same reason.
+Tasks run one after another in file order.  JSON reports are
+deterministic: entries keep task order, keys are sorted, integers wider
+than 2^53 are emitted as strings, and timing is only shown in the text
+format, so two runs of the same file produce byte-identical output.
+
+Caps are overridden by comma-separated ``KEY=VAL`` text, from the
+``RESIP_CAPS`` environment variable and from repeated ``--caps`` flags,
+both read by :func:`resip.caps.parse_caps`; flags win.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
@@ -34,7 +36,7 @@ from .braid import (
     parse_braid,
     permutation_order,
 )
-from .caps import Caps, DEFAULT_CAPS, caps_from_env
+from .caps import Caps, DEFAULT_CAPS, caps_from_env, parse_caps
 from .classify import (
     BSSpec,
     bs_classify,
@@ -89,7 +91,6 @@ class ReportEntry:
     status: str  # ok | error | cap
     result: Optional[dict] = None
     error: Optional[dict] = None
-    cap_events: list = field(default_factory=list)
     elapsed_ms: Optional[float] = None
 
     def to_dict(self) -> dict:
@@ -98,8 +99,6 @@ class ReportEntry:
             out["result"] = self.result
         if self.error is not None:
             out["error"] = self.error
-        if self.cap_events:
-            out["cap_events"] = self.cap_events
         return out
 
 
@@ -198,7 +197,7 @@ def run_task(task: Task, caps: Caps) -> dict:
         endo = _build_endo(payload)
         spec = MappingTorusSpec(endo, payload.get("description", ""))
         verdicts = [
-            free_fiber_residually_p(spec, p, caps).to_dict()
+            free_fiber_residually_p(spec, p).to_dict()
             for p in _task_primes(payload)
         ]
         return {"rank": endo.rank, "verdicts": verdicts}
@@ -283,33 +282,21 @@ def _run_one(task: Task, caps: Caps) -> ReportEntry:
     try:
         result = run_task(task, caps)
         entry = ReportEntry(task.id, task.kind, "ok", result=result)
-    except (CapExceeded, LayerTooDeep) as exc:
-        entry = ReportEntry(
-            task.id,
-            task.kind,
-            "cap",
-            error={"type": type(exc).__name__, "message": str(exc)},
-            cap_events=[{"type": type(exc).__name__, "message": str(exc)}],
-        )
     except Exception as exc:  # one bad task must not abort the batch
+        status = "cap" if isinstance(exc, (CapExceeded, LayerTooDeep)) else "error"
         entry = ReportEntry(
             task.id,
             task.kind,
-            "error",
+            status,
             error={"type": type(exc).__name__, "message": str(exc)},
         )
     entry.elapsed_ms = (time.monotonic() - start) * 1000.0
     return entry
 
 
-def run_tasks(
-    taskfile: TaskFile, parallelism: int = 1, caps: Caps = DEFAULT_CAPS
-) -> list[ReportEntry]:
-    """Run every task; output order always matches input order."""
-    if parallelism <= 1 or len(taskfile.tasks) <= 1:
-        return [_run_one(t, caps) for t in taskfile.tasks]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(lambda t: _run_one(t, caps), taskfile.tasks))
+def run_tasks(taskfile: TaskFile, caps: Caps = DEFAULT_CAPS) -> list[ReportEntry]:
+    """Run every task in file order."""
+    return [_run_one(t, caps) for t in taskfile.tasks]
 
 
 def _json_safe(value):
@@ -390,26 +377,6 @@ def _summarize(kind: str, result: dict) -> list[str]:
     return [json.dumps(result)]
 
 
-def _parse_caps_args(pairs: list[str], base: Caps) -> Caps:
-    overrides = {}
-    for chunk in pairs:
-        for item in chunk.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            if "=" not in item:
-                raise SchemaError(f"bad cap override {item!r}, expected KEY=VALUE")
-            key, value = item.split("=", 1)
-            try:
-                overrides[key.strip()] = int(value)
-            except ValueError as exc:
-                raise SchemaError(f"bad cap value {value!r} for {key.strip()}") from exc
-    try:
-        return base.with_overrides(**overrides)
-    except KeyError as exc:
-        raise SchemaError(str(exc.args[0])) from exc
-
-
 def _int_list(items, flag: str) -> list[int]:
     try:
         return [int(x) for x in items]
@@ -431,7 +398,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--parallel", type=int, default=1)
         p.add_argument("--caps", action="append", default=[], metavar="KEY=VAL")
 
     run = sub.add_parser("run", help="run a JSON task file")
@@ -579,10 +545,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         try:
-            caps = caps_from_env(DEFAULT_CAPS)
+            caps = parse_caps(",".join(args.caps), caps_from_env())
         except (KeyError, ValueError) as exc:
-            raise SchemaError(f"bad RESIP_CAPS value: {exc}") from exc
-        caps = _parse_caps_args(args.caps, caps)
+            raise SchemaError(f"{exc.args[0]} (--caps or RESIP_CAPS)") from exc
         if args.command == "verify-witness":
             report = _verify_certificate_file(args.certificate, caps)
             doc = _json_safe({"certificate_ok": report.ok, "checks": report.to_dict()["checks"]})
@@ -599,7 +564,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             task_doc = {"version": 1, "tasks": [_single_task(args)]}
             taskfile = parse_task_file(json.dumps(task_doc))
-        entries = run_tasks(taskfile, args.parallel, caps)
+        entries = run_tasks(taskfile, caps)
         sys.stdout.write(emit_report(entries, args.format))
         if any(e.status == "cap" for e in entries):
             return 3

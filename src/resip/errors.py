@@ -71,11 +71,6 @@ class NonPPowerOrder(ResipError):
     p-power under the unipotence hypothesis but was not."""
 
 
-class NotUnipotentModP(ResipError):
-    """Monodromy abelianization not unipotent mod p; certificate search
-    requires this hypothesis (maps to an Undecided outcome upstream)."""
-
-
 class InvalidQ(ResipError):
     """Baumslag-Solitar parameter q must be a positive integer."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import InvalidSpec, RankMismatch
 from .intlin import IntMatrix
@@ -158,15 +158,6 @@ class FreeEndo:
     def identity(rank: int) -> "FreeEndo":
         gens = tuple(FreeWord.generator(rank, i) for i in range(1, rank + 1))
         return FreeEndo(rank, gens, gens)
-
-    @staticmethod
-    def from_images(
-        images: Sequence[FreeWord],
-        inverse_images: Optional[Sequence[FreeWord]] = None,
-    ) -> "FreeEndo":
-        rank = images[0].rank
-        inv = tuple(inverse_images) if inverse_images is not None else None
-        return FreeEndo(rank, tuple(images), inv)
 
     def apply_raw(self, w: FreeWord) -> FreeWord:
         letters: list[int] = []

@@ -130,10 +130,6 @@ class TruncatedSeries:
         """Degree-i coefficient slice."""
         return {m: c for m, c in self.table.items() if len(m) == i}
 
-    def min_positive_degree(self) -> Optional[int]:
-        degs = [len(m) for m in self.table if m]
-        return min(degs) if degs else None
-
     def unit_inverse(self) -> "TruncatedSeries":
         """Inverse of a series with constant term 1 (geometric expansion)."""
         if self.table.get((), 0) != 1:
@@ -184,24 +180,18 @@ def magnus_embed(
     return result
 
 
-def magnus_depth(
-    w: FreeWord,
-    p: int,
-    cap: Optional[int] = None,
-    caps: Caps = DEFAULT_CAPS,
-) -> Optional[int]:
+def magnus_depth(w: FreeWord, p: int, caps: Caps = DEFAULT_CAPS) -> Optional[int]:
     """Least d with embed(w, d, F_p) != 1; None when w is the identity.
 
-    CapExceeded means "raise the cap", never "w is trivial".
+    The search stops at ``caps.magnus_degree``; CapExceeded means "raise
+    the cap", never "w is trivial".
     """
     if w.is_identity():
         return None
-    if cap is None:
-        cap = caps.magnus_degree
-    for d in range(1, cap + 1):
+    for d in range(1, caps.magnus_degree + 1):
         if not magnus_embed(w, d, p, caps).is_one():
             return d
-    raise CapExceeded("magnus_depth", cap)
+    raise CapExceeded("magnus_depth", caps.magnus_degree)
 
 
 # ---------------------------------------------------------------------------

@@ -24,13 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .caps import Caps, DEFAULT_CAPS
-from .errors import (
-    CapExceeded,
-    InvalidSpec,
-    MixedPrimes,
-    NonPPowerOrder,
-    NotUnipotentModP,
-)
+from .errors import CapExceeded, InvalidSpec, MixedPrimes, NonPPowerOrder
 from .freegrp import (
     FreeEndo,
     FreeWord,
@@ -253,7 +247,7 @@ def find_p_quotient_witness(
             ),
         )
     w = g.fiber_word
-    d = magnus_depth(w, p, caps.magnus_degree, caps)
+    d = magnus_depth(w, p, caps)
     evidence_mon, evidence_coeff = _least_nonzero_evidence(
         magnus_embed(w, d, p, caps), d
     )
@@ -304,10 +298,7 @@ def combine_witnesses(
     if any(w.p != p for w in witnesses):
         raise MixedPrimes("all witnesses must share the prime")
     first = witnesses[0]
-    if any(
-        (w.rank, w.monodromy_images) != (first.rank, first.monodromy_images)
-        for w in witnesses
-    ):
+    if not all(_same_torus(w, first) for w in witnesses):
         raise InvalidSpec("witnesses belong to different mapping tori")
     bound = 1
     for w in witnesses:
@@ -325,11 +316,17 @@ def combine_witnesses(
     )
 
 
+def _same_torus(a: PGroupQuotient, b: PGroupQuotient) -> bool:
+    return (a.rank, a.monodromy_images, a.monodromy_inverse) == (
+        b.rank,
+        b.monodromy_images,
+        b.monodromy_inverse,
+    )
+
+
 def _order_bound(w: PGroupQuotient) -> int:
     if w.kind == "stable_letter":
         return w.data["quotient_order"]
-    if w.kind == "magnus":
-        return w.data["total_order_bound"]
     return w.data["total_order_bound"]
 
 
@@ -370,10 +367,19 @@ def verify_witness(cert: PGroupQuotient, caps: Caps = DEFAULT_CAPS) -> Verificat
     """Re-check a stored certificate from its own data.
 
     Survival, p-power order, and monodromy-invariance of the kernel are
-    all recomputed; nothing is trusted from the original run."""
+    all recomputed; nothing is trusted from the original run.  A p that is
+    not prime is InvalidSpec, for a product's components too."""
+    _require_prime(cert.p)
     checks: list[tuple[str, bool]] = []
     if cert.kind == "product":
         checks.append(("same_prime", all(c.p == cert.p for c in cert.components)))
+        checks.append(
+            (
+                "same_mapping_torus",
+                bool(cert.components)
+                and all(_same_torus(c, cert) for c in cert.components),
+            )
+        )
         checks.append(
             ("count_within_cap", len(cert.components) <= caps.combine_witnesses)
         )
@@ -399,7 +405,7 @@ def verify_witness(cert: PGroupQuotient, caps: Caps = DEFAULT_CAPS) -> Verificat
     d = cert.data["degree"]
     w = parse_word(cert.survivor_word, cert.rank)
     checks.append(("element_in_fiber", cert.survivor_t == 0 and not w.is_identity()))
-    depth = magnus_depth(w, p, max(d, caps.magnus_degree), caps)
+    depth = magnus_depth(w, p, caps)
     checks.append(("depth_minimal", depth == d))
     series = magnus_embed(w, d, p, caps)
     mon = tuple(cert.data["evidence_monomial"])

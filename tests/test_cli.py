@@ -8,13 +8,12 @@ from resip import SchemaError
 from resip.cli import (
     _json_safe,
     _matrix_from_text,
-    _parse_caps_args,
     emit_report,
     main,
     parse_task_file,
     run_tasks,
 )
-from resip.caps import DEFAULT_CAPS
+from resip.caps import DEFAULT_CAPS, parse_caps
 
 
 SOL_TASKS = json.dumps(
@@ -75,12 +74,11 @@ def test_parse_rejections_carry_paths():
     assert "$.tasks[0]" in e.value.path
 
 
-def test_reports_are_deterministic_across_parallelism():
+def test_reports_are_deterministic():
     tf = parse_task_file(SOL_TASKS)
-    serial = emit_report(run_tasks(tf, 1, DEFAULT_CAPS), "json")
-    parallel = emit_report(run_tasks(tf, 4, DEFAULT_CAPS), "json")
-    assert serial == parallel
-    doc = json.loads(serial)
+    first = emit_report(run_tasks(tf), "json")
+    assert first == emit_report(run_tasks(tf), "json")
+    doc = json.loads(first)
     assert doc["version"] == "resip-report/1"
     ids = [e["id"] for e in doc["entries"]]
     assert ids == ["sol", "cube", "2", "beta", "cover", "sl2"]
@@ -88,7 +86,7 @@ def test_reports_are_deterministic_across_parallelism():
 
 def test_report_contents():
     tf = parse_task_file(SOL_TASKS)
-    doc = json.loads(emit_report(run_tasks(tf, 1, DEFAULT_CAPS), "json"))
+    doc = json.loads(emit_report(run_tasks(tf), "json"))
     by_id = {e["id"]: e for e in doc["entries"]}
     sol = by_id["sol"]["result"]
     assert all(v["outcome"] == "NotResiduallyP" for v in sol["verdicts"])
@@ -111,7 +109,7 @@ def test_semantic_errors_embed_not_raise():
             }
         )
     )
-    entries = run_tasks(tf, 1, DEFAULT_CAPS)
+    entries = run_tasks(tf)
     assert entries[0].status == "error"
     assert entries[0].error["type"] == "InvalidQ"
 
@@ -125,12 +123,18 @@ def test_big_integers_become_strings():
 
 def test_matrix_text_and_caps_parsing():
     assert _matrix_from_text("2 1; 1 1") == [[2, 1], [1, 1]]
-    caps = _parse_caps_args(["magnus_degree=9"], DEFAULT_CAPS)
+    caps = parse_caps("magnus_degree=9")
     assert caps.magnus_degree == 9
-    with pytest.raises(SchemaError):
-        _parse_caps_args(["magnus_degree=soon"], DEFAULT_CAPS)
-    with pytest.raises(SchemaError):
-        _parse_caps_args(["flux_capacitor=1"], DEFAULT_CAPS)
+    # empty items are skipped; the base is overridden, not replaced
+    caps = parse_caps(" , max_rank=3,, magnus_degree=5 ,", caps)
+    assert caps == DEFAULT_CAPS.with_overrides(magnus_degree=5, max_rank=3)
+    assert parse_caps("magnus_degree=4,magnus_degree=6").magnus_degree == 6
+    with pytest.raises(ValueError):
+        parse_caps("magnus_degree=soon")
+    with pytest.raises(ValueError):
+        parse_caps("magnus_degree")
+    with pytest.raises(KeyError):
+        parse_caps("flux_capacitor=1")
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -258,6 +262,86 @@ def test_env_caps_respected(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+BETA_WITNESS = [
+    "witness",
+    "--images", "x1 x3 X1; x1; X3 x2 x3",
+    "--inverse", "x2; X2 x1 x2 x3 X2 X1 x2; X2 x1 x2",
+    "--p", "3",
+    "--w", "x1 X2",
+]
+
+
+@pytest.mark.parametrize("text", ["magnus_degree=3,", " magnus_degree = 3 ", ",,max_rank=6", ""])
+def test_caps_flag_and_environment_accept_the_same_text(monkeypatch, capsys, text):
+    assert main(["bs", "--q", "3", "--caps", text]) == 0
+    monkeypatch.setenv("RESIP_CAPS", text)
+    assert main(["bs", "--q", "3"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("magnus_degree=banana", "bad cap value 'banana' for magnus_degree"),
+        ("magnus_degree", "bad cap override 'magnus_degree', expected KEY=VALUE"),
+        ("flux_capacitor=1", "unknown caps: ['flux_capacitor']"),
+    ],
+)
+def test_caps_flag_and_environment_reject_the_same_text(monkeypatch, capsys, text, message):
+    assert main(["bs", "--q", "3", "--caps", text]) == 2
+    from_flag = capsys.readouterr()
+    monkeypatch.setenv("RESIP_CAPS", text)
+    assert main(["bs", "--q", "3"]) == 2
+    from_env = capsys.readouterr()
+    assert from_flag.out == from_env.out == ""
+    assert from_flag.err == from_env.err
+    assert message in from_env.err
+
+
+def test_caps_flags_win_over_environment(monkeypatch, capsys):
+    monkeypatch.setenv("RESIP_CAPS", "magnus_degree=0")
+    assert main(BETA_WITNESS + ["--caps", "magnus_degree=8"]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("RESIP_CAPS", "magnus_degree=8")
+    assert main(BETA_WITNESS + ["--caps", "max_rank=6", "--caps", "magnus_degree=0"]) == 3
+    entry = _entry(capsys)
+    assert entry == {
+        "id": "0",
+        "kind": "witness",
+        "status": "cap",
+        "error": {"type": "CapExceeded", "message": "magnus_depth: cap 0 exceeded"},
+    }
+
+
+def test_verify_witness_depth_beyond_the_cap_exits_3(tmp_path, capsys):
+    # a commutator first shows in the Magnus series at degree 2
+    assert main(BETA_WITNESS + ["--w", "x1 x2 X1 X2"]) == 0
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(_entry(capsys)["result"]["certificate"]))
+    args = ["verify-witness", "--certificate", str(cert)]
+    assert main(args + ["--caps", "magnus_degree=1"]) == 3
+    assert capsys.readouterr().err == "cap exceeded: magnus_depth: cap 1 exceeded\n"
+
+
+def test_non_prime_certificate_exits_2(tmp_path, capsys):
+    cert = {
+        "p": 4,
+        "kind": "stable_letter",
+        "rank": 2,
+        "monodromy_images": ["x1", "x2"],
+        "monodromy_inverse": ["x1", "x2"],
+        "survivor_t": 5,
+        "survivor_word": "1",
+        "data": {"j": 2, "quotient_order": 16, "residue": 5},
+    }
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert main(["verify-witness", "--certificate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "InvalidSpec: 4 is not prime" in captured.err
+
+
 def _entry(capsys) -> dict:
     doc = json.loads(capsys.readouterr().out)
     (entry,) = doc["entries"]
@@ -305,7 +389,7 @@ def test_bad_tasks_do_not_abort_the_batch(monkeypatch):
 
     real_bs_classify = cli.bs_classify
     monkeypatch.setattr(cli, "bs_classify", bs_classify)
-    entries = run_tasks(parse_task_file(json.dumps(doc)), 1, DEFAULT_CAPS)
+    entries = run_tasks(parse_task_file(json.dumps(doc)))
     status = {e.id: (e.status, e.error and e.error["type"]) for e in entries}
     assert status == {
         "before": ("ok", None),
@@ -325,7 +409,7 @@ def test_internal_invariant_reaches_the_report(monkeypatch):
 
     monkeypatch.setattr(classify, "is_unipotent_mod", lambda a, p: UnipotenceResult(False, None))
     doc = {"version": 1, "tasks": [{"kind": "torus", "matrix": [[1, 1], [0, 1]], "primes": [3]}]}
-    (entry,) = run_tasks(parse_task_file(json.dumps(doc)), 1, DEFAULT_CAPS)
+    (entry,) = run_tasks(parse_task_file(json.dumps(doc)))
     assert (entry.status, entry.error["type"]) == ("error", "InternalInvariant")
 
 

@@ -100,7 +100,7 @@ def test_depth_cap_is_a_distinct_outcome():
     w = FreeWord.from_letters(1, [1] * 9)
     with pytest.raises(CapExceeded):
         magnus_depth(w, 3)
-    assert magnus_depth(w, 3, cap=9, caps=Caps(magnus_degree=9)) == 9
+    assert magnus_depth(w, 3, Caps(magnus_degree=9)) == 9
 
 
 def test_depth_of_pth_powers():
@@ -119,9 +119,9 @@ def test_kernel_filtration_fully_invariant():
         w = _random_word(rng, 3, rng.randint(1, 8))
         if w.is_identity():
             continue
-        d = magnus_depth(w, p, cap=6, caps=Caps())
+        d = magnus_depth(w, p, Caps(magnus_degree=6))
         image = apply_endo(phi, w)
-        d_img = magnus_depth(image, p, cap=8, caps=Caps())
+        d_img = magnus_depth(image, p)
         # endomorphisms cannot decrease depth below the original
         assert d_img is None or d_img >= d
 

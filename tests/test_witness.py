@@ -163,7 +163,9 @@ def test_combine_witnesses_product():
         product.data["total_order_bound"]
         == w1.data["total_order_bound"] * w2.data["quotient_order"]
     )
-    assert verify_witness(product).ok
+    report = verify_witness(product)
+    assert report.ok
+    assert ("same_mapping_torus", True) in report.checks
     # singleton passthrough
     assert combine_witnesses([w1]) is w1
 
@@ -182,6 +184,57 @@ def test_combine_witnesses_guards():
         combine_witnesses([w1, other])
     with pytest.raises(CapExceeded):
         combine_witnesses([w1] * 5, Caps(combine_witnesses=4))
+
+
+def test_product_of_other_mapping_tori_fails_verification():
+    beta_part = find_p_quotient_witness(_beta_spec(), _elem(1, "1"), 3).certificate
+    identity_part = find_p_quotient_witness(
+        _identity_spec(3), _elem(0, "x1 X2"), 3
+    ).certificate
+    mixed = PGroupQuotient(
+        p=3,
+        kind="product",
+        rank=3,
+        monodromy_images=beta_part.monodromy_images,
+        monodromy_inverse=beta_part.monodromy_inverse,
+        survivor_t=0,
+        survivor_word="1",
+        data={
+            "total_order_bound": beta_part.data["quotient_order"]
+            * identity_part.data["total_order_bound"],
+            "count": 2,
+        },
+        components=(beta_part, identity_part),
+    )
+    report = verify_witness(mixed)
+    assert not report.ok
+    # each part is a valid certificate on its own; only the torus differs
+    assert [name for name, passed in report.checks if not passed] == ["same_mapping_torus"]
+    empty = PGroupQuotient.from_dict(
+        dict(mixed.to_dict(), components=[], data={"total_order_bound": 1, "count": 0})
+    )
+    assert dict(verify_witness(empty).checks)["same_mapping_torus"] is False
+
+
+def test_non_prime_certificate_is_rejected():
+    cert = PGroupQuotient(
+        p=4,
+        kind="stable_letter",
+        rank=2,
+        monodromy_images=("x1", "x2"),
+        monodromy_inverse=("x1", "x2"),
+        survivor_t=5,
+        survivor_word="1",
+        data={"j": 2, "quotient_order": 16, "residue": 5},
+    )
+    with pytest.raises(InvalidSpec, match="4 is not prime"):
+        verify_witness(cert)
+    good = find_p_quotient_witness(_beta_spec(), _elem(1, "1"), 3).certificate
+    product = PGroupQuotient.from_dict(
+        dict(good.to_dict(), kind="product", components=[good.to_dict(), dict(good.to_dict(), p=9)])
+    )
+    with pytest.raises(InvalidSpec, match="9 is not prime"):
+        verify_witness(product)
 
 
 def test_survival_is_monotone_in_depth():
