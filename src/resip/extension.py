@@ -173,6 +173,14 @@ def ext_power(x: ExtensionElement, m: int, f) -> ExtensionElement:
     return acc
 
 
+def _powers(x: ExtensionElement, count: int, f):
+    """x^1, ..., x^count, each one product from the one before."""
+    acc = ext_identity(f)
+    for _ in range(count):
+        acc = ext_multiply(acc, x, f)
+        yield acc
+
+
 def heisenberg_cocycle() -> BilinearCocycle:
     """f((a,b),(c,d)) = a*d; the extension of Z^2 by Z it defines is the
     integral Heisenberg group."""
@@ -228,11 +236,8 @@ def heisenberg_checks() -> CheckReport:
         for u1 in range(-5, 6):
             for u2 in range(-5, 6):
                 g = ExtensionElement(a, (u1, u2))
-                if g == ident:
-                    continue
-                for m in range(1, 13):
-                    if ext_power(g, m, f) == ident:
-                        torsion_free = False
+                if g != ident and any(gm == ident for gm in _powers(g, 12, f)):
+                    torsion_free = False
     checks.append(("torsion_free_sampled", torsion_free))
     return CheckReport(tuple(checks))
 
@@ -343,9 +348,7 @@ def circle_bundle_central_witness(spec: CircleBundleSpec) -> CheckReport:
         ext_commutator(z, basis(i), f) == ident for i in range(r)
     )
     checks.append(("z_central", z_central))
-    infinite_order = all(
-        ext_power(z, m, f) != ident for m in range(1, 21)
-    )
+    infinite_order = all(zm != ident for zm in _powers(z, 20, f))
     checks.append(("z_image_infinite_order", infinite_order))
     rng = random.Random(11)
     class_two = True
@@ -358,7 +361,7 @@ def circle_bundle_central_witness(spec: CircleBundleSpec) -> CheckReport:
             class_two = False
         if ext_commutator(comm, u, f) != ident:
             class_two = False
-        if u != ident and any(ext_power(u, m, f) == ident for m in range(1, 13)):
+        if u != ident and any(um == ident for um in _powers(u, 12, f)):
             torsion_free = False
     checks.append(("class_two_sampled", class_two))
     checks.append(("torsion_free_sampled", torsion_free))

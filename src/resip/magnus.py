@@ -13,12 +13,25 @@ g of gamma_i has magnus_embed(g) = 1 + (its Lie class) + higher degree, so
 the induced action of an automorphism on layer i is read off from the
 degree-i coefficient slice and rewritten in the Lyndon basis by triangular
 elimination (the Lyndon polynomial P_w is w plus lex-greater monomials).
+
+Kernels.  A series is one sparse table {monomial: coefficient} holding
+nonzero reduced coefficients only; there is no dense form.
+* magnus_embed multiplies the running table by one letter at a time, in
+  place: by 1 + X_i, every m of degree < d adds its coefficient at
+  m + (i,); by (1 + X_i)^-1, the result y solves y = x - y X_i, filled in
+  ascending degree.  No series product is formed.
+* SeriesSubstitution is linear, so it memoises the image of each monomial
+  it meets, one product from the image of its prefix, and a call sums
+  c * image(m) into one table that is reduced once.
+* TruncatedSeries.__mul__ walks, for each left monomial, only the right
+  monomials whose degree still fits under the truncation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Callable, Optional
 
 from .caps import Caps, DEFAULT_CAPS
@@ -102,23 +115,24 @@ class TruncatedSeries:
         return TruncatedSeries(self.rank, self.degree, self.modulus, table)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """Truncated product.  The right factor is sorted by degree once, so
+        a left monomial of degree k walks only the prefix of degree <= d - k
+        and no pair past the truncation is visited."""
         self._compatible(other)
         d = self.degree
+        items = sorted(other.table.items(), key=lambda mc: len(mc[0]))
+        ends = [0] * (d + 1)  # ends[k] = number of right monomials of degree <= k
+        for m, _ in items:
+            ends[len(m)] += 1
+        for k in range(1, d + 1):
+            ends[k] += ends[k - 1]
         table: dict = {}
+        get = table.get
         for m1, c1 in self.table.items():
-            room = d - len(m1)
-            for m2, c2 in other.table.items():
-                if len(m2) > room:
-                    continue
+            for m2, c2 in islice(items, ends[d - len(m1)]):
                 m = m1 + m2
-                v = table.get(m, 0) + c1 * c2
-                table[m] = v
-        out = {}
-        for m, c in table.items():
-            c = self._red(c)
-            if c:
-                out[m] = c
-        return TruncatedSeries(self.rank, self.degree, self.modulus, out)
+                table[m] = get(m, 0) + c1 * c2
+        return TruncatedSeries(self.rank, d, self.modulus, _reduced(table, self.modulus))
 
     def is_one(self) -> bool:
         return self.table == {(): 1}
@@ -152,6 +166,58 @@ class TruncatedSeries:
         return " + ".join(parts)
 
 
+def _reduced(table: dict, modulus: Optional[int]) -> dict:
+    """The table with coefficients reduced and zero entries dropped."""
+    if modulus is None:
+        return {m: c for m, c in table.items() if c}
+    return {m: v for m, c in table.items() if (v := c % modulus)}
+
+
+def _times_generator(table: dict, i: int, d: int, modulus: Optional[int]) -> None:
+    """table <- table * (1 + X_i), in place: every m of degree < d adds its
+    coefficient at m + (i,), read from a snapshot of the table."""
+    step = (i,)
+    for m, c in [(m, c) for m, c in table.items() if len(m) < d]:
+        n = m + step
+        v = table.get(n, 0) + c
+        if modulus is not None:
+            v %= modulus
+        if v:
+            table[n] = v
+        else:
+            del table[n]
+
+
+def _times_generator_inverse(table: dict, i: int, d: int, modulus: Optional[int]) -> None:
+    """table <- table * (1 + X_i)^-1, in place.
+
+    The result y of x * (1 + X_i)^-1 solves y = x - y X_i.  The coefficient
+    of m + (i,) in y X_i is the coefficient of m in y, one degree lower, so
+    ascending degree order finishes every y[m] before it is used."""
+    step = (i,)
+    levels: list[list] = [[] for _ in range(d + 1)]
+    for m in table:
+        levels[len(m)].append(m)
+    for k in range(d):
+        above = levels[k + 1]
+        for m in levels[k]:
+            c = table.get(m)
+            if c is None:  # cancelled earlier in this pass
+                continue
+            n = m + step
+            old = table.get(n)
+            if old is None:
+                above.append(n)
+                old = 0
+            v = old - c
+            if modulus is not None:
+                v %= modulus
+            if v:
+                table[n] = v
+            else:
+                del table[n]
+
+
 def magnus_embed(
     w: FreeWord,
     d: int,
@@ -160,8 +226,10 @@ def magnus_embed(
 ) -> TruncatedSeries:
     """Image of w under x_i -> 1 + X_i, truncated at degree d.
 
-    Inverse letters expand as truncated geometric series, so the map is
-    multiplicative on the nose: embed(uv) = embed(u) * embed(v).
+    Inverse letters map to the truncated geometric series of (1 + X_i)^-1,
+    so the map is multiplicative on the nose: embed(uv) = embed(u) *
+    embed(v).  The running table is multiplied by one letter at a time, in
+    place and reduced after each letter; no series product is formed.
     """
     if d < 1:
         raise InvalidSpec("degree must be >= 1")
@@ -169,15 +237,13 @@ def magnus_embed(
         raise CapExceeded("magnus_degree", caps.magnus_degree)
     if w.rank > caps.max_rank:
         raise CapExceeded("max_rank", caps.max_rank)
-    gens: dict[int, TruncatedSeries] = {}
-    result = TruncatedSeries.one(w.rank, d, modulus)
+    table: dict = {(): 1}
     for a in w.letters:
-        if a not in gens:
-            base = TruncatedSeries.generator_term(w.rank, d, abs(a), modulus)
-            gens[abs(a)] = base
-            gens[-abs(a)] = base.unit_inverse()
-        result = result * gens[a]
-    return result
+        if a > 0:
+            _times_generator(table, a, d, modulus)
+        else:
+            _times_generator_inverse(table, -a, d, modulus)
+    return TruncatedSeries(w.rank, d, modulus, table)
 
 
 def magnus_depth(w: FreeWord, p: int, caps: Caps = DEFAULT_CAPS) -> Optional[int]:
@@ -331,7 +397,8 @@ def lie_layer_matrix(
     """Action induced by phi on gamma_i/gamma_{i+1} tensor the coefficients.
 
     Requires a certified automorphism.  For i = 1 this is the
-    abelianization matrix over the ring.
+    abelianization matrix over the ring.  The layer is read from an
+    embedding at degree i, so i above ``caps.magnus_degree`` is CapExceeded.
     """
     if not phi.is_certified:
         raise InvalidSpec("layer matrices need a certified automorphism")
@@ -351,7 +418,7 @@ def lie_layer_matrix(
     for w in basis:
         g = lyndon_bracket_word(phi.rank, w)
         image = apply_endo(phi, g)
-        series = magnus_embed(image, i, modulus, caps.with_overrides(magnus_degree=max(i, caps.magnus_degree)))
+        series = magnus_embed(image, i, modulus, caps)
         columns.append(_lie_coordinates(series.homogeneous(i), basis, modulus))
     rows = [[columns[j][r] for j in range(size)] for r in range(size)]
     return LieLayerMatrix(i, basis, IntMatrix.from_rows(rows), modulus)
@@ -389,7 +456,13 @@ def unipotent_over_Z(phi: FreeEndo, c: int, caps: Caps = DEFAULT_CAPS) -> bool:
 
 class SeriesSubstitution:
     """Algebra endomorphism X_i -> embed(phi(x_i)) - 1 of the truncated
-    series ring.  Satisfies sub(embed(w)) = embed(phi(w))."""
+    series ring.  Satisfies sub(embed(w)) = embed(phi(w)).
+
+    The map is linear, so a call is the sum of c * image(m) over the terms
+    of its argument.  Monomial images are memoised on the instance, each
+    one product away from its prefix's: image(m) = image(m[:-1]) *
+    images[m[-1] - 1].  Repeated calls, as in the induced-order iteration,
+    only ever multiply for monomials they have not met before."""
 
     def __init__(self, phi: FreeEndo, d: int, modulus: Optional[int], caps: Caps = DEFAULT_CAPS):
         self.rank = phi.rank
@@ -400,17 +473,21 @@ class SeriesSubstitution:
             magnus_embed(phi.images[i], d, modulus, caps) - one
             for i in range(phi.rank)
         ]
+        self._monomial_images: dict[Monomial, TruncatedSeries] = {(): one}
+
+    def _image(self, m: Monomial) -> TruncatedSeries:
+        image = self._monomial_images.get(m)
+        if image is None:
+            image = self._image(m[:-1]) * self.images[m[-1] - 1]
+            self._monomial_images[m] = image
+        return image
 
     def __call__(self, s: TruncatedSeries) -> TruncatedSeries:
         if (s.rank, s.degree, s.modulus) != (self.rank, self.degree, self.modulus):
             raise InvalidSpec("series parameters differ from substitution")
-        acc = TruncatedSeries(self.rank, self.degree, self.modulus, {})
-        one = TruncatedSeries.one(self.rank, self.degree, self.modulus)
+        acc: dict = {}
+        get = acc.get
         for m, c in s.table.items():
-            term = one.scale(c)
-            for idx in m:
-                term = term * self.images[idx - 1]
-                if not term.table:
-                    break
-            acc = acc + term
-        return acc
+            for n, v in self._image(m).table.items():
+                acc[n] = get(n, 0) + c * v
+        return TruncatedSeries(self.rank, self.degree, self.modulus, _reduced(acc, self.modulus))

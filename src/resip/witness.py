@@ -149,15 +149,12 @@ class WitnessOutcome:
         return out
 
 
-def _raw_induced_order(
-    phi: FreeEndo, p: int, d: int, caps: Caps
-) -> int:
-    """Order of phi acting on the level-(p, d) Magnus quotient, by direct
-    iteration of the series substitution on the generator images."""
-    sub = SeriesSubstitution(phi, d, p, caps)
+def _raw_induced_order(sub: SeriesSubstitution, caps: Caps) -> int:
+    """Order of the substitution's automorphism on its level-(p, d) Magnus
+    quotient, by direct iteration on the generator images."""
     start = [
-        magnus_embed(FreeWord.generator(phi.rank, i), d, p, caps)
-        for i in range(1, phi.rank + 1)
+        magnus_embed(FreeWord.generator(sub.rank, i), sub.degree, sub.modulus, caps)
+        for i in range(1, sub.rank + 1)
     ]
     current = list(start)
     for m in range(1, caps.order_iterations + 1):
@@ -174,12 +171,21 @@ def induced_automorphism_order(
 
     With a unipotent-mod-p H_1 action the order must come out a p-power;
     anything else is an invariant violation and aborts."""
-    order = _raw_induced_order(spec.fiber, p, d, caps)
+    order = _raw_induced_order(SeriesSubstitution(spec.fiber, d, p, caps), caps)
     if not _is_p_power(order, p):
         raise NonPPowerOrder(
             f"induced order {order} on level ({p},{d}) is not a power of {p}"
         )
     return order
+
+
+def _stable_letter_exponent(p: int, m: int) -> int:
+    """Least j >= 1 with p^j > |m|: the smallest Z/p^j where t^m survives."""
+    j, q = 1, p
+    while q <= abs(m):
+        j += 1
+        q *= p
+    return j
 
 
 def _monomial_count(rank: int, d: int) -> int:
@@ -222,9 +228,7 @@ def find_p_quotient_witness(
     )
     m = g.t_exponent
     if m != 0:
-        j = 1
-        while p ** j <= abs(m):
-            j += 1
+        j = _stable_letter_exponent(p, m)
         cert = PGroupQuotient(
             kind="stable_letter",
             data={
@@ -394,12 +398,16 @@ def verify_witness(cert: PGroupQuotient, caps: Caps = DEFAULT_CAPS) -> Verificat
     checks.append(("monodromy_reconstructed", True))
     p = cert.p
     if cert.kind == "stable_letter":
-        j = cert.data["j"]
+        # p ** j is taken only for the j derived from the survivor: nothing
+        # bounds the stored j, so one that differs fails every check
         m = cert.survivor_t
-        checks.append(("modulus_beats_exponent", p ** j > abs(m) and m != 0))
-        checks.append(("residue_nonzero", m % p ** j != 0))
-        checks.append(("residue_stored", cert.data["residue"] == m % p ** j))
-        checks.append(("quotient_order", cert.data["quotient_order"] == p ** j))
+        j = _stable_letter_exponent(p, m)
+        stored = cert.data["j"] == j
+        q = p ** j
+        checks.append(("modulus_beats_exponent", stored and q > abs(m) and m != 0))
+        checks.append(("residue_nonzero", stored and m % q != 0))
+        checks.append(("residue_stored", stored and cert.data["residue"] == m % q))
+        checks.append(("quotient_order", stored and cert.data["quotient_order"] == q))
         return VerificationReport(tuple(checks))
     # magnus kind
     d = cert.data["degree"]
@@ -417,13 +425,13 @@ def verify_witness(cert: PGroupQuotient, caps: Caps = DEFAULT_CAPS) -> Verificat
     )
     unip = is_unipotent_mod(abelianization_matrix(phi), p)
     checks.append(("h1_unipotent_mod_p", bool(unip)))
-    order = _raw_induced_order(phi, p, d, caps)
+    sub = SeriesSubstitution(phi, d, p, caps)
+    order = _raw_induced_order(sub, caps)
     checks.append(("induced_order_matches", order == cert.data["induced_order"]))
     checks.append(("induced_order_p_power", _is_p_power(order, p)))
     checks.append(
         ("order_exponent", p ** cert.data["order_exponent"] == cert.data["induced_order"])
     )
-    sub = SeriesSubstitution(phi, d, p, caps)
     invariant = True
     for sample in _kernel_samples(cert.rank, d, seed=p * 1009 + d):
         image = apply_endo(phi, sample)

@@ -1,0 +1,28 @@
+"""The report of every shipped task file, byte for byte.
+
+Each file under ``tests/golden/`` is the standard output of
+``resip run --tasks tasks/<name>.json``.  A change to a kernel must leave
+every report byte the same; a change that alters a report on purpose
+rewrites the golden file in the same commit and says why.
+"""
+
+import pathlib
+
+import pytest
+
+from resip.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TASKS = sorted((ROOT / "tasks").glob("*.json"))
+
+
+def test_every_task_file_has_a_golden_report():
+    golden = sorted(p.name for p in (ROOT / "tests" / "golden").glob("*.json"))
+    assert golden == [p.name for p in TASKS]
+
+
+@pytest.mark.parametrize("path", TASKS, ids=[p.stem for p in TASKS])
+def test_report_matches_golden(path, capsys):
+    assert main(["run", "--tasks", str(path)]) == 0
+    expected = (ROOT / "tests" / "golden" / path.name).read_text()
+    assert capsys.readouterr().out == expected

@@ -40,6 +40,141 @@ def _random_word(rng, rank, length):
     return FreeWord.from_letters(rank, letters)
 
 
+# ---------------------------------------------------------------------------
+# Oracles: the straightforward kernels, on plain coefficient dicts.
+
+
+def _oracle_reduce(table, modulus):
+    out = {}
+    for m, c in table.items():
+        c = c % modulus if modulus is not None else c
+        if c:
+            out[m] = c
+    return out
+
+
+def _oracle_product(a, b, d, modulus):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            if len(m1) + len(m2) <= d:
+                out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
+    return _oracle_reduce(out, modulus)
+
+
+def _oracle_embed(w, d, modulus):
+    """One full series product per letter: 1 + X_i, or the (d+1)-term
+    geometric series 1 - X_i + X_i^2 - ... for the inverse letter."""
+    table = {(): 1}
+    for a in w.letters:
+        i = abs(a)
+        if a > 0:
+            factor = {(): 1, (i,): 1}
+        else:
+            factor = {(i,) * r: (-1) ** r for r in range(d + 1)}
+        table = _oracle_product(table, factor, d, modulus)
+    return table
+
+
+def _oracle_substitute(phi, s_table, d, modulus):
+    """Rebuild the image of every monomial from scratch and add them up."""
+    images = [
+        {m: c for m, c in _oracle_embed(w, d, modulus).items() if m}
+        for w in phi.images
+    ]
+    acc = {}
+    for m, c in s_table.items():
+        term = {(): c}
+        for idx in m:
+            term = _oracle_product(term, images[idx - 1], d, modulus)
+        for n, v in term.items():
+            acc[n] = acc.get(n, 0) + v
+    return _oracle_reduce(acc, modulus)
+
+
+MODULI = (None, 2, 3, 5, 9)
+
+
+def _oracle_words(rng, rank):
+    """Empty, random, long and cancelling words: conjugates, commutators
+    and p-th powers, whose series cancel in low degrees."""
+    u = _random_word(rng, rank, rng.randint(1, 6))
+    v = _random_word(rng, rank, rng.randint(1, 6))
+    x = FreeWord.generator(rank, rng.randint(1, rank))
+    return [
+        FreeWord.identity(rank),
+        _random_word(rng, rank, rng.randint(1, 12)),
+        _random_word(rng, rank, 60),
+        word_multiply(word_multiply(u, v), u.inverse()),
+        commutator(u, v),
+        commutator(commutator(u, v), x),
+        FreeWord.from_letters(rank, list(u.letters) * rng.choice((2, 3, 5, 9))),
+    ]
+
+
+def _random_endo(rng, rank):
+    return FreeEndo(rank, tuple(_random_word(rng, rank, rng.randint(0, 5)) for _ in range(rank)))
+
+
+def _random_table(rng, rank, d, modulus):
+    """A series that is not group-like: random coefficients, constant term
+    included."""
+    table = {}
+    for _ in range(rng.randint(0, 12)):
+        m = tuple(rng.randint(1, rank) for _ in range(rng.randint(0, d)))
+        table[m] = rng.randint(-20, 20)
+    return _oracle_reduce(table, modulus)
+
+
+def test_embed_matches_oracle():
+    rng = random.Random(71)
+    for rank in range(1, 5):
+        for d in range(1, 7):
+            for modulus in MODULI:
+                for w in _oracle_words(rng, rank):
+                    assert magnus_embed(w, d, modulus).table == _oracle_embed(w, d, modulus)
+
+
+def test_product_matches_oracle():
+    rng = random.Random(73)
+    for rank in range(1, 5):
+        for d in range(1, 7):
+            for modulus in MODULI:
+                a = _random_table(rng, rank, d, modulus)
+                b = _random_table(rng, rank, d, modulus)
+                prod = TruncatedSeries(rank, d, modulus, a) * TruncatedSeries(rank, d, modulus, b)
+                assert prod.table == _oracle_product(a, b, d, modulus)
+
+
+def test_substitution_matches_oracle():
+    rng = random.Random(79)
+    for rank in range(1, 5):
+        for d in range(1, 5):
+            for modulus in MODULI:
+                phi = _random_endo(rng, rank)
+                sub = SeriesSubstitution(phi, d, modulus)
+                # repeated calls on one instance reuse its memoised images
+                for _ in range(3):
+                    s = _random_table(rng, rank, d, modulus)
+                    out = sub(TruncatedSeries(rank, d, modulus, s))
+                    assert out.table == _oracle_substitute(phi, s, d, modulus)
+                for w in _oracle_words(rng, rank)[:2]:
+                    s = magnus_embed(w, d, modulus)
+                    assert sub(s).table == _oracle_substitute(phi, s.table, d, modulus)
+
+
+def test_substitution_commutes_with_embedding():
+    rng = random.Random(83)
+    for rank in range(1, 5):
+        for d in range(1, 6):
+            for modulus in MODULI:
+                phi = _random_endo(rng, rank)
+                sub = SeriesSubstitution(phi, d, modulus)
+                for w in _oracle_words(rng, rank):
+                    lhs = sub(magnus_embed(w, d, modulus))
+                    assert lhs == magnus_embed(apply_endo(phi, w), d, modulus)
+
+
 def test_embed_identity_and_generator():
     one = magnus_embed(FreeWord.identity(2), 3)
     assert one.is_one()
@@ -212,6 +347,15 @@ def test_layer_functoriality():
 def test_layer_too_deep_guard():
     with pytest.raises(LayerTooDeep):
         lie_layer_matrix(FreeEndo.identity(2), 5, None, Caps(max_layer=4))
+
+
+def test_layers_respect_the_degree_cap():
+    beta = artin_endo(beta_braid())
+    with pytest.raises(CapExceeded, match="magnus_degree"):
+        unipotent_on_layers(beta, 3, 3, Caps(magnus_degree=1))
+    with pytest.raises(CapExceeded, match="magnus_degree"):
+        lie_layer_matrix(beta, 3, 3, Caps(magnus_degree=2))
+    assert lie_layer_matrix(beta, 3, 3, Caps(magnus_degree=3)).layer == 3
 
 
 def test_unipotence_on_layers_beta():

@@ -1,6 +1,7 @@
 """Finite p-group quotient certificates: search, combination, re-verification."""
 
 import json
+import time
 
 import pytest
 
@@ -55,6 +56,23 @@ def test_stable_letter_beats_large_exponents():
     assert cert.data["j"] == 3
     assert cert.data["residue"] == 9
     assert verify_witness(cert).ok
+
+
+def test_stable_letter_exponent_is_derived_not_trusted():
+    cert = find_p_quotient_witness(_beta_spec(), _elem(9, "1"), 3).certificate
+    names = [name for name, _ in verify_witness(cert).checks]
+    for j in (2, 4, 10 ** 6):
+        forged = PGroupQuotient.from_dict(
+            dict(cert.to_dict(), data=dict(cert.data, j=j))
+        )
+        start = time.perf_counter()
+        report = verify_witness(forged)
+        elapsed = time.perf_counter() - start
+        assert not report.ok
+        # same check names as a valid certificate; every stable-letter check fails
+        assert [name for name, _ in report.checks] == names
+        assert [passed for _, passed in report.checks] == [True, False, False, False, False]
+        assert elapsed < 0.05
 
 
 def test_stable_letter_route_ignores_unipotence():
