@@ -13,12 +13,18 @@ Covers here are coset graphs of kernels of F_n -> Z/m (generator g sent to
 assignment a_g).  The Schreier basis is fixed by a breadth-first spanning
 tree from the base vertex with generators tried in index order, so induced
 homology matrices are reproducible bit for bit.
+
+Cyclotomic test: the roots of a monic integer polynomial are all roots of
+unity iff dividing out each Phi_k with phi(k) <= deg, as often as it
+divides exactly, leaves 1.  Phi_k itself is x^k - 1 divided by Phi_d for
+the proper divisors d of k, so no factorisation is needed.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import Optional
 
@@ -30,7 +36,7 @@ from .freegrp import (
     apply_endo,
     compose_endos,
 )
-from .intlin import IntMatrix
+from .intlin import IntMatrix, poly_divmod
 
 
 @dataclass(frozen=True)
@@ -314,30 +320,44 @@ def _totients(limit: int) -> list[int]:
     return phi
 
 
-def is_cyclotomic_product(coeffs: tuple[int, ...]) -> bool:
-    """Does the monic integer polynomial divide a product of cyclotomics,
-    i.e. are all its roots roots of unity?  Checked by exact factorization:
-    every irreducible factor must be x or a cyclotomic polynomial."""
-    import sympy
+@lru_cache(maxsize=None)
+def _cyclotomic(k: int) -> tuple[int, ...]:
+    """Phi_k: x^k - 1 divided by Phi_d for each proper divisor d of k."""
+    poly = (1,) + (0,) * (k - 1) + (-1,)
+    for d in range(1, k):
+        if k % d == 0:
+            poly = poly_divmod(poly, _cyclotomic(d))[0]
+    return poly
 
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(list(coeffs), x)
-    if poly.degree() == 0:
+
+def is_cyclotomic_product(coeffs: tuple[int, ...]) -> bool:
+    """Does the integer polynomial, up to its content, divide a product of
+    cyclotomics, i.e. are all its roots roots of unity?
+
+    Criterion: divide out each Phi_k with phi(k) <= deg, as often as it
+    divides exactly; the polynomial is a product of cyclotomics iff what
+    is left is 1.  Since phi(k) >= sqrt(k/2), every such k is at most
+    2 deg^2 + 1.  A constant is an empty product; x is not one, because
+    the root 0 is not a root of unity.
+    """
+    poly = list(coeffs)
+    while len(poly) > 1 and poly[0] == 0:
+        poly.pop(0)
+    deg = len(poly) - 1
+    if deg <= 0:
         return True
-    for factor, _ in poly.factor_list()[1]:
-        if factor == sympy.Poly(x, x):
-            return False  # root 0 is not a root of unity
-        deg = factor.degree()
-        # cyclotomic_poly(k) has degree phi(k); phi(k) >= sqrt(k/2), so
-        # only the k <= 2*deg^2 + 1 with phi(k) = deg can match
-        phi = _totients(2 * deg * deg + 1)
-        if not any(
-            factor == sympy.Poly(sympy.cyclotomic_poly(k, x), x)
-            for k in range(1, len(phi))
-            if phi[k] == deg
-        ):
-            return False
-    return True
+    content = gcd(*poly) if poly[0] > 0 else -gcd(*poly)
+    poly = [c // content for c in poly]
+    phi = _totients(2 * deg * deg + 1)
+    for k in range(1, len(phi)):
+        if phi[k] > len(poly) - 1:
+            continue
+        while True:
+            quotient, rest = poly_divmod(poly, _cyclotomic(k))
+            if any(rest):
+                break
+            poly = list(quotient)
+    return poly == [1]
 
 
 def beta_braid() -> BraidWord:

@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-import sympy
-
 from .caps import Caps, DEFAULT_CAPS
 from .errors import (
     CapExceeded,
@@ -52,6 +50,7 @@ from .intlin import (
     is_unipotent_mod,
     lattice_chain_invariants,
     poly_pow_x_minus_one,
+    prime_factors,
 )
 from .magnus import unipotent_over_Z
 
@@ -158,8 +157,7 @@ def _prime_set_from_charpoly_gap(a: IntMatrix) -> PrimeSet:
     g = math.gcd(*diff)
     if g == 0:
         return PrimeSet(True, (), 0)
-    primes = tuple(sorted(int(q) for q in sympy.factorint(g)))
-    return PrimeSet(False, primes, g)
+    return PrimeSet(False, prime_factors(g), g)
 
 
 def residually_p_prime_set(a: IntMatrix) -> PrimeSet:
@@ -450,7 +448,3 @@ def rtfn_sufficient(
     unipotence over Z on all lower-central layers up to c.  False means
     "no certificate", not a refutation."""
     return unipotent_over_Z(spec.fiber, c, caps)
-
-
-def primes_up_to(bound: int) -> list[int]:
-    return [int(p) for p in sympy.primerange(2, bound + 1)]

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-import jsonschema
-
 from .braid import (
     artin_endo,
     braid_permutation,
@@ -41,7 +39,6 @@ from .classify import (
     BSSpec,
     bs_classify,
     free_fiber_residually_p,
-    primes_up_to,
     residually_p_prime_set,
     sl2_power_divisibility,
     torus_residually_nilpotent,
@@ -56,7 +53,14 @@ from .extension import (
     verify_cocycle,
 )
 from .freegrp import FreeEndo, MappingTorusElement, MappingTorusSpec, parse_word
-from .intlin import IntMatrix, charpoly_exact, det_exact, poly_divmod
+from .intlin import (
+    IntMatrix,
+    charpoly_exact,
+    det_exact,
+    is_prime,
+    poly_divmod,
+    primes_up_to,
+)
 from .witness import PGroupQuotient, find_p_quotient_witness, verify_witness
 
 TASK_KINDS = (
@@ -135,6 +139,8 @@ def parse_task_file(text: str) -> TaskFile:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
+    import jsonschema  # here, not at the top: verify-witness never needs it
+
     validator = jsonschema.Draft202012Validator(_schema())
     errors = sorted(
         validator.iter_errors(doc),
@@ -161,10 +167,8 @@ def parse_task_file(text: str) -> TaskFile:
 def _task_primes(payload: dict) -> list[int]:
     if "primes" in payload:
         ps = [_coerce_int(p) for p in payload["primes"]]
-        import sympy
-
         for p in ps:
-            if not sympy.isprime(p):
+            if not is_prime(p):
                 raise SchemaError(f"{p} is not prime", "$.primes")
         return ps
     return primes_up_to(_coerce_int(payload["primes_up_to"]))

@@ -51,6 +51,16 @@ class FreeWord:
     def from_letters(rank: int, letters: Iterable[int]) -> "FreeWord":
         return FreeWord(rank, _reduce(letters))
 
+    @classmethod
+    def _trusted(cls, rank: int, letters: tuple[int, ...]) -> "FreeWord":
+        """A word from letters already known to be in range for rank and
+        freely reduced, such as those of valid words of that rank; skips
+        the checks of __post_init__."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "rank", rank)
+        object.__setattr__(word, "letters", letters)
+        return word
+
     @staticmethod
     def identity(rank: int) -> "FreeWord":
         return FreeWord(rank, ())
@@ -81,11 +91,11 @@ class FreeWord:
 def word_multiply(u: FreeWord, v: FreeWord) -> FreeWord:
     if u.rank != v.rank:
         raise RankMismatch(f"ranks {u.rank} and {v.rank}")
-    return FreeWord.from_letters(u.rank, u.letters + v.letters)
+    return FreeWord._trusted(u.rank, _reduce(u.letters + v.letters))
 
 
 def word_inverse(u: FreeWord) -> FreeWord:
-    return FreeWord(u.rank, tuple(-a for a in reversed(u.letters)))
+    return FreeWord._trusted(u.rank, tuple(-a for a in reversed(u.letters)))
 
 
 def conjugate(u: FreeWord, by: FreeWord) -> FreeWord:
@@ -160,11 +170,12 @@ class FreeEndo:
         return FreeEndo(rank, gens, gens)
 
     def apply_raw(self, w: FreeWord) -> FreeWord:
+        # the images are words of this rank, so their letters need no checks
         letters: list[int] = []
         for a in w.letters:
-            img = self.images[abs(a) - 1]
-            letters.extend(img.letters if a > 0 else word_inverse(img).letters)
-        return FreeWord.from_letters(self.rank, letters)
+            img = self.images[abs(a) - 1].letters
+            letters.extend(img if a > 0 else [-b for b in reversed(img)])
+        return FreeWord._trusted(self.rank, _reduce(letters))
 
     @property
     def is_certified(self) -> bool:

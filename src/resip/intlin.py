@@ -1,9 +1,22 @@
-"""Exact integer and modular linear algebra.
+"""Exact integer and modular linear algebra, and the integer arithmetic
+under it.
 
 Everything here is bit-exact: Python integers only, no floating point.
 Determinants use fraction-free Bareiss elimination, characteristic
 polynomials the division-free Berkowitz scheme, and lattice indices go
-through Hermite/Smith normal forms.
+through Hermite/Smith normal forms, computed in-tree by the algorithms
+sympy uses, so the forms are the same matrices sympy returns.
+
+Primality is trial division for small n and deterministic Miller-Rabin
+with the first 13 prime bases below 3.317 * 10^24, and sympy.isprime,
+imported only then, above.  Prime factors come from trial division, then
+Pollard-Brent rho on every composite cofactor.
+
+The stable index of the lattice chain B^i Z^n needs no factorisation:
+with g the characteristic polynomial of B stripped of its powers of x,
+the product of |c_0|^mult over the irreducible factors with c_0 != 0 is
+|g(0)|.  Whether some factor other than x has constant term +-1 does need
+one, by Zassenhaus (resip.polyfactor).
 """
 
 from __future__ import annotations
@@ -11,10 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, isqrt
 from typing import Iterable, Optional, Sequence
-
-import sympy
-from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 from .errors import CapExceeded, InternalInvariant, InvalidSpec, NotInvertibleMod
 
@@ -178,8 +189,113 @@ class ModMatrix:
 @lru_cache(maxsize=32)
 def _is_prime_power(m: int) -> bool:
     # memoised: every ModMatrix product validates its modulus again
-    factors = sympy.factorint(m)
-    return len(factors) == 1
+    return len(prime_factors(m)) == 1
+
+
+def primes_up_to(bound: int) -> list[int]:
+    """The primes p <= bound, by the sieve of Eratosthenes."""
+    if bound < 2:
+        return []
+    sieve = bytearray([1]) * (bound + 1)
+    sieve[0] = sieve[1] = 0
+    for q in range(2, isqrt(bound) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes(len(range(q * q, bound + 1, q)))
+    return [q for q in range(bound + 1) if sieve[q]]
+
+
+_TRIAL_PRIMES = tuple(primes_up_to(1000))
+_MR_BASES = _TRIAL_PRIMES[:13]  # 2, 3, ..., 41
+# Miller-Rabin with _MR_BASES is exact below this bound (Sorenson-Webster)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality: trial division, then deterministic Miller-Rabin;
+    sympy.isprime only for n >= 3.317 * 10^24."""
+    if n < 2:
+        return False
+    for q in _TRIAL_PRIMES:
+        if q * q > n:
+            return True
+        if n % q == 0:
+            return n == q
+    if n >= _MR_BOUND:
+        import sympy
+
+        return bool(sympy.isprime(n))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n != 0, in increasing order.
+
+    Trial division below 1000, then for the cofactor: a primality test,
+    and Pollard-Brent rho on what is composite.
+    """
+    if n == 0:
+        raise ValueError("0 has no finite set of prime factors")
+    n = abs(n)
+    found = []
+    for q in _TRIAL_PRIMES:
+        if q * q > n:
+            break
+        if n % q == 0:
+            found.append(q)
+            while n % q == 0:
+                n //= q
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            found.append(m)
+        else:
+            d = _pollard_brent(m)
+            stack += [d, m // d]
+    return tuple(sorted(set(found)))
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper divisor of the composite n, which has no factor below 1000
+    (Brent's cycle finding on x -> x^2 + c, gcds batched 128 at a time)."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step through it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def det_exact(m: IntMatrix) -> int:
@@ -264,6 +380,9 @@ def poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[tuple[int, ...]
         if num[0] != 0:
             raise InternalInvariant("polynomial division left a leading term")
         num.pop(0)
+    if quot and len(num) >= len(den):
+        # what is left of num is zero, so are the quotient's remaining digits
+        quot += [0] * (len(num) - len(den) + 1)
     while num and num[0] == 0 and len(num) > 1:
         num.pop(0)
     if not quot:
@@ -342,19 +461,156 @@ def rank_exact(m: IntMatrix) -> int:
     return rank
 
 
+def _gcdex(a: int, b: int) -> tuple[int, int, int]:
+    """x, y, g with x a + y b = g = gcd(a, b), as sympy's igcdex gives them."""
+    if not a or not b:
+        g = abs(a) or abs(b)
+        return (0, 0, 0) if not g else (a // g, b // g, g)
+    sa, a = (-1, -a) if a < 0 else (1, a)
+    sb, b = (-1, -b) if b < 0 else (1, b)
+    x, r, y, s = 1, 0, 0, 1
+    while b:
+        q, c = divmod(a, b)
+        a, b = b, c
+        x, r = r, x - q * r
+        y, s = s, y - q * s
+    return x * sa, y * sb, a
+
+
+def _add_columns(m: list[list[int]], i: int, j: int, a: int, b: int, c: int, d: int) -> None:
+    # column i <- a col_i + b col_j, column j <- c col_i + d col_j
+    for row in m:
+        e = row[i]
+        row[i] = a * e + b * row[j]
+        row[j] = c * e + d * row[j]
+
+
+def _add_rows(m: list[list[int]], i: int, j: int, a: int, b: int, c: int, d: int) -> None:
+    # row i <- a row_i + b row_j, row j <- c row_i + d row_j
+    m[i], m[j] = (
+        [a * x + b * y for x, y in zip(m[i], m[j])],
+        [c * x + d * y for x, y in zip(m[i], m[j])],
+    )
+
+
+def hermite_normal_form(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Column-style Hermite normal form of an integer matrix, as rows.
+
+    Cohen's Algorithm 2.4.5, step for step as sympy's hermite_normal_form:
+    rows are treated from the bottom, pivots go to the rightmost columns,
+    are made positive, and the entries right of a pivot are reduced into
+    [0, pivot).  Only the columns holding a pivot are returned.
+    """
+    a = [list(r) for r in rows]
+    n = len(a[0]) if a else 0
+    k = n
+    for i in range(len(a) - 1, -1, -1):
+        if k == 0:
+            break
+        k -= 1
+        for j in range(k - 1, -1, -1):
+            if a[i][j] != 0:
+                u, v, d = _gcdex(a[i][k], a[i][j])
+                if a[i][k] != 0 and a[i][j] % a[i][k] == 0:  # keep col j out of col k
+                    u, v = (-1 if a[i][k] < 0 else 1), 0
+                _add_columns(a, k, j, u, v, -(a[i][j] // d), a[i][k] // d)
+        b = a[i][k]
+        if b < 0:
+            _add_columns(a, k, k, -1, 0, -1, 0)
+            b = -b
+        if b == 0:
+            k += 1
+        else:
+            for j in range(k + 1, n):
+                _add_columns(a, j, k, 1, -(a[i][j] // b), 0, 1)
+    return [row[k:] for row in a]
+
+
+def _invariant_factors(m: list[list[int]]) -> tuple[int, ...]:
+    """sympy's Smith invariant factors of a nonempty matrix, step for step:
+    clear the first row and column by gcd row and column operations, make
+    the corner nonnegative, recurse on the lower right block, then repair
+    divisibility between the corner and the block's first factor."""
+    rows, cols = len(m), len(m[0])
+
+    def clear_column() -> None:
+        pivot = m[0][0]
+        for j in range(1, rows):
+            if m[j][0] == 0:
+                continue
+            d, r = divmod(m[j][0], pivot)
+            if r == 0:
+                _add_rows(m, 0, j, 1, 0, -d, 1)
+            else:
+                a, b, g = _gcdex(pivot, m[j][0])
+                _add_rows(m, 0, j, a, b, m[j][0] // g, -(pivot // g))
+                pivot = g
+
+    def clear_row() -> None:
+        pivot = m[0][0]
+        for j in range(1, cols):
+            if m[0][j] == 0:
+                continue
+            d, r = divmod(m[0][j], pivot)
+            if r == 0:
+                _add_columns(m, 0, j, 1, 0, -d, 1)
+            else:
+                a, b, g = _gcdex(pivot, m[0][j])
+                _add_columns(m, 0, j, a, b, m[0][j] // g, -(pivot // g))
+                pivot = g
+
+    first = next((i for i in range(rows) if m[i][0] != 0), None)
+    if first:  # a row below the first with a nonzero lead
+        m[0], m[first] = m[first], m[0]
+    elif first is None:
+        first = next((j for j in range(cols) if m[0][j] != 0), None)
+        if first:
+            for row in m:
+                row[0], row[first] = row[first], row[0]
+    while any(m[0][j] != 0 for j in range(1, cols)) or any(
+        m[i][0] != 0 for i in range(1, rows)
+    ):
+        clear_column()
+        clear_row()
+    if m[0][0] < 0:
+        m[0][0] = -m[0][0]
+    invs = () if 1 in (rows, cols) else _invariant_factors([r[1:] for r in m[1:]])
+    if not m[0][0]:
+        return invs + (0,)
+    result = [m[0][0], *invs]
+    for i in range(len(result) - 1):
+        a, b = result[i], result[i + 1]
+        if not b or b % a == 0:
+            break
+        d = gcd(a, b)
+        result[i], result[i + 1] = d, b * (a // d)
+    return tuple(result)
+
+
+def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Smith normal form of an integer matrix, as rows, with the diagonal
+    sympy's smith_normal_form gives."""
+    n_rows, n_cols = len(rows), len(rows[0]) if rows else 0
+    out = [[0] * n_cols for _ in range(n_rows)]
+    if n_rows and n_cols:
+        for i, d in enumerate(_invariant_factors([list(r) for r in rows])):
+            out[i][i] = d
+    return out
+
+
 def column_lattice_basis(m: IntMatrix) -> list[list[int]]:
     """Basis (as columns) of the lattice spanned by the columns of m.
 
     Computed by Hermite normal form; returns r = rank columns.
     """
-    h = hermite_normal_form(sympy.Matrix(m.rows()))
-    return [[int(h[i, j]) for i in range(h.rows)] for j in range(h.cols)]
+    h = hermite_normal_form(m.rows())
+    return [[row[j] for row in h] for j in range(len(h[0]))]
 
 
 def smith_diagonal(m: IntMatrix) -> list[int]:
     """Nonnegative diagonal of the Smith normal form."""
-    s = smith_normal_form(sympy.Matrix(m.rows()))
-    return [abs(int(s[i, i])) for i in range(min(s.rows, s.cols))]
+    s = smith_normal_form(m.rows())
+    return [abs(s[i][i]) for i in range(m.n)]
 
 
 def _solve_exact(columns: list[list[int]], targets: list[list[int]]) -> list[list[Fraction]]:
@@ -405,24 +661,22 @@ def lattice_chain_invariants(b: IntMatrix) -> LatticeChainInvariants:
 
     The intersection of the chain is trivial exactly when B has no
     invariant sublattice on which it acts unimodularly; equivalently, no
-    irreducible factor of charpoly(B) other than x has constant term +-1.
-    The stable index is computed independently through the Smith normal
-    form of B acting on a Hermite basis of the stable lattice, and the two
-    routes are cross-checked.
+    irreducible factor of charpoly(B) other than x has constant term +-1
+    (decided by factoring).  The stable index is |g(0)|, g = charpoly(B)
+    with its powers of x removed, the product of |c_0|^mult over the other
+    factors; it is computed independently through the Smith normal form of
+    B acting on a Hermite basis of the stable lattice, and the two routes
+    are cross-checked.
     """
+    from .polyfactor import factor_monic  # polyfactor imports intlin
+
     n = b.n
     bn = b ** n
     r = rank_exact(bn)
-    factors = sympy.Poly(list(charpoly_exact(b)), sympy.Symbol("x")).factor_list()[1]
-    unit_part = False
-    index_from_factors = 1
-    for poly, mult in factors:
-        c0 = int(poly.TC())
-        if c0 == 0:
-            continue
-        if abs(c0) == 1:
-            unit_part = True
-        index_from_factors *= abs(c0) ** mult
+    g = list(charpoly_exact(b))
+    while g[-1] == 0:  # strip the powers of x; g stays monic
+        g.pop()
+    unit_part = any(abs(f[-1]) == 1 for f, _ in factor_monic(g))
     if r == 0:
         return LatticeChainInvariants(0, None, True)
     basis = column_lattice_basis(bn)
@@ -444,13 +698,13 @@ def lattice_chain_invariants(b: IntMatrix) -> LatticeChainInvariants:
     index = 1
     for d in diag:
         index *= d
-    if index != index_from_factors:
+    if index != abs(g[-1]):
         raise InternalInvariant(
-            "lattice index disagrees between SNF and factorization routes"
+            "lattice index disagrees between the SNF and charpoly routes"
         )
     return LatticeChainInvariants(r, index, not unit_part)
 
 
 def _require_prime(p: int) -> None:
-    if not sympy.isprime(p):
+    if not is_prime(p):
         raise InvalidSpec(f"{p} is not prime")

@@ -26,17 +26,14 @@ matrix-level computation would.
 
 from __future__ import annotations
 
-import math
 from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import CapExceeded, InternalInvariant, InvalidSpec, NotAPGroup, NotNormal
-from .intlin import IntMatrix, det_exact
+from .intlin import IntMatrix, det_exact, prime_factors
 
 Element = tuple[tuple[int, ...], ...]  # matrix mod modulus
-
-_TRIAL_DIVISION_LIMIT = 10**6
 
 
 def _mmul(a: Element, b: Element, mod: int) -> Element:
@@ -52,25 +49,11 @@ def _identity(n: int) -> Element:
 
 
 def _prime_base(modulus: int) -> int:
-    """The prime p of a modulus p^k, by trial division; a modulus whose
-    square root exceeds 10^6 is factored by sympy instead."""
-    if modulus < 2:
+    """The prime p of a modulus p^k."""
+    primes = prime_factors(modulus) if modulus >= 2 else ()
+    if len(primes) != 1:
         raise InvalidSpec("modulus must be a prime power")
-    root = math.isqrt(modulus)
-    if root > _TRIAL_DIVISION_LIMIT:
-        import sympy
-
-        factors = sympy.factorint(modulus)
-        if len(factors) != 1:
-            raise InvalidSpec("modulus must be a prime power")
-        return int(next(iter(factors)))
-    p = next((d for d in range(2, root + 1) if modulus % d == 0), modulus)
-    rest = modulus
-    while rest % p == 0:
-        rest //= p
-    if rest != 1:
-        raise InvalidSpec("modulus must be a prime power")
-    return p
+    return primes[0]
 
 
 def _mask(indices: Iterable[int]) -> int:

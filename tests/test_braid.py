@@ -247,3 +247,26 @@ def test_cyclotomic_product_matches_brute_force():
         coeffs = tuple(int(c) for c in sympy.Poly(poly, x).all_coeffs())
         assert is_cyclotomic_product(coeffs) == _cyclotomic_brute_force(coeffs)
         assert is_cyclotomic_product(coeffs) == (trial % 2 == 0)
+
+
+def test_cyclotomic_division_matches_brute_force_on_edge_cases():
+    import sympy
+
+    from resip.braid import _cyclotomic
+
+    x = sympy.Symbol("x")
+    for k in range(1, 106):
+        assert list(_cyclotomic(k)) == sympy.Poly(sympy.cyclotomic_poly(k, x), x).all_coeffs()
+    others = [x, x**2, x - 2, 2 * x + 1, x**2 - 3 * x + 1, -1, 2, -3]
+    fixed = [(1,), (5,), (0,), (1, 0), (1, 1, 0), (-1, 1), (2, 2), (2, 1), (0, 0, 1, -1)]
+    rng = random.Random(3019)
+    cases = list(fixed)
+    for trial in range(40):
+        poly = sympy.Integer(1)
+        for k in rng.sample(range(1, 25), rng.randint(0, 2)):
+            poly *= sympy.cyclotomic_poly(k, x) ** rng.randint(1, 3)
+        if trial % 2:
+            poly *= rng.choice(others)
+        cases.append(tuple(int(c) for c in sympy.Poly(poly, x).all_coeffs()))
+    for coeffs in cases:
+        assert is_cyclotomic_product(coeffs) == _cyclotomic_brute_force(coeffs), coeffs

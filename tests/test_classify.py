@@ -357,3 +357,22 @@ def test_sl2_power_rejects_non_prime():
 
     with pytest.raises(InvalidSpec):
         sl2_power_divisibility(A_SOL, 4)
+
+
+_BROKEN_LATTICE_INDEX = """
+import sys
+from resip import IntMatrix, InternalInvariant, intlin
+
+assert sys.flags.optimize == 1
+# the SNF route now reports index 2 against the charpoly route's 1
+intlin.smith_diagonal = lambda m: [2] + [1] * (m.n - 1)
+try:
+    intlin.lattice_chain_invariants(IntMatrix.from_rows([[1, 1], [1, 0]]))
+except InternalInvariant as exc:
+    print("raised:", exc)
+"""
+
+
+def test_lattice_index_cross_check_runs_under_python_O():
+    out = _run_optimized(_BROKEN_LATTICE_INDEX)
+    assert out.startswith("raised: lattice index disagrees")

@@ -193,3 +193,22 @@ def test_mapping_torus_spec_requires_certified_inverse():
     with pytest.raises(InvalidSpec):
         MappingTorusSpec(phi)
     MappingTorusSpec(nielsen_transvection(2, 1, 2))  # certified, accepted
+
+
+def test_derived_words_skip_checks_but_public_input_is_still_checked():
+    rng = random.Random(17)
+    phi = nielsen_transvection(3, 1, 2)
+    for _ in range(50):
+        u, v = _random_word(rng, 3, 8), _random_word(rng, 3, 8)
+        for w in (word_multiply(u, v), word_inverse(u), apply_endo(phi, u)):
+            # a derived word equals the checked construction of its letters
+            assert w == FreeWord(w.rank, w.letters)
+            assert hash(w) == hash(FreeWord(w.rank, w.letters))
+    for rank, letters in ((2, (3,)), (2, (0,)), (2, (1, -1)), (0, ())):
+        with pytest.raises(InvalidSpec):
+            FreeWord(rank, letters)
+    with pytest.raises(InvalidSpec):
+        FreeWord.from_letters(2, [1, 3])
+    for text in ("x3", "y0", "x1 X4"):
+        with pytest.raises(InvalidSpec):
+            parse_word(text, 2)

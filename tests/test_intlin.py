@@ -12,6 +12,7 @@ from resip import (
     NotInvertibleMod,
     charpoly_exact,
     det_exact,
+    intlin,
     is_unipotent_mod,
     lattice_chain_invariants,
     matrix_order_mod,
@@ -250,7 +251,7 @@ def test_rank_agrees_with_sympy():
 def test_lattice_index_cross_check_raises_internal_invariant(monkeypatch):
     from resip import InternalInvariant, intlin
 
-    # the SNF route now reports index 2 against the factorization route's 1
+    # the SNF route now reports index 2 against the charpoly route's 1
     monkeypatch.setattr(intlin, "smith_diagonal", lambda m: [2] + [1] * (m.n - 1))
     with pytest.raises(InternalInvariant):
         lattice_chain_invariants(IntMatrix.from_rows([[1, 1], [1, 0]]))
@@ -260,8 +261,8 @@ def test_mod_matrix_factors_each_modulus_once(monkeypatch):
     from resip import InvalidSpec, ModMatrix, intlin
 
     calls = []
-    factorint = sympy.factorint
-    monkeypatch.setattr(sympy, "factorint", lambda m: calls.append(m) or factorint(m))
+    prime_factors = intlin.prime_factors
+    monkeypatch.setattr(intlin, "prime_factors", lambda m: calls.append(m) or prime_factors(m))
     intlin._is_prime_power.cache_clear()
     a = ModMatrix.reduce(IntMatrix.from_rows([[2, 1], [1, 1]]), 101)
     assert (a ** 50) * a == a ** 51
@@ -270,3 +271,92 @@ def test_mod_matrix_factors_each_modulus_once(monkeypatch):
         with pytest.raises(InvalidSpec):
             ModMatrix(12, ((1, 0), (0, 1)))
     assert calls == [101, 12]
+
+
+# The in-tree integer arithmetic against sympy as the oracle.
+
+STRONG_PSEUDOPRIMES = (
+    3215031751,  # to the bases 2, 3, 5 and 7
+    3825123056546413051,  # to the first nine prime bases
+    318665857834031151167461,  # to the first twelve prime bases
+)
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185, 5394826801)
+
+
+def test_is_prime_matches_sympy():
+    assert [n for n in range(-5, 100_001) if intlin.is_prime(n)] == list(
+        sympy.primerange(2, 100_001)
+    )
+    for n in STRONG_PSEUDOPRIMES + CARMICHAEL:
+        assert not sympy.isprime(n) and not intlin.is_prime(n)
+    rng = random.Random(41)
+    near = [2**61 - 1, 2**64 - 59, 2**64 + 13, 2**89 - 1, 10**18 + 9, 10**24 + 7]
+    near += [sympy.nextprime(10**9) * sympy.nextprime(10**9 + 100)]
+    near += [rng.randrange(10**6, 10**25) | 1 for _ in range(300)]
+    near += [int(sympy.prevprime(intlin._MR_BOUND)), intlin._MR_BOUND]
+    for n in near:
+        assert intlin.is_prime(n) == sympy.isprime(n), n
+
+
+def test_sieve_matches_primerange():
+    for bound in (-1, 0, 1, 2, 3, 4, 10, 97, 1000, 7919, 20_000):
+        assert intlin.primes_up_to(bound) == list(sympy.primerange(2, bound + 1))
+
+
+def test_prime_factors_match_factorint():
+    rng = random.Random(43)
+    p, q = int(sympy.nextprime(10**9)), int(sympy.prevprime(10**9))
+    cases = [1, -1, 2, -12, 1024, 997 * 991, 1009**2, 1009**3, 1_000_003**2]
+    cases += [p * q, p * p * q, -p * q * 6, 2**64 + 1, 2**64 - 1, 3 * (2**89 - 1)]
+    cases += [int(sympy.nextprime(2**40)) * int(sympy.nextprime(2**41)) * 1009]
+    cases += [rng.randrange(2, 10**12) for _ in range(300)]
+    cases += [rng.randrange(2, 10**6) * rng.randrange(2, 10**6) * 10007 for _ in range(50)]
+    cases += list(STRONG_PSEUDOPRIMES + CARMICHAEL)
+    for n in cases:
+        assert intlin.prime_factors(n) == tuple(sorted(sympy.factorint(abs(n)))), n
+    with pytest.raises(ValueError):
+        intlin.prime_factors(0)
+
+
+def _random_rows(rng, n, lo, hi, rank_deficient):
+    rows = [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
+    if rank_deficient and n > 1:
+        a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+        rows[rng.randrange(n)] = [a * x + b * y for x, y in zip(rows[0], rows[-1])]
+    return rows
+
+
+def test_normal_forms_match_sympy():
+    from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
+
+    rng = random.Random(47)
+    for trial in range(300):
+        n = rng.randint(1, 5)
+        bound = rng.choice((1, 4, 30))
+        rows = _random_rows(rng, n, -bound, bound, trial % 3 == 0)
+        if trial % 10 == 0:
+            rows[rng.randrange(n)] = [0] * n
+        h = hermite_normal_form(sympy.Matrix(rows))
+        ours = intlin.hermite_normal_form(rows)
+        assert [len(r) for r in ours] == [h.cols] * n
+        assert ours == [[int(h[i, j]) for j in range(h.cols)] for i in range(n)], rows
+        s = smith_normal_form(sympy.Matrix(rows))
+        assert intlin.smith_normal_form(rows) == [[int(x) for x in r] for r in s.tolist()], rows
+        m = IntMatrix.from_rows(rows)
+        assert smith_diagonal(m) == [abs(int(s[i, i])) for i in range(n)]
+
+
+def test_lattice_index_is_the_charpoly_constant_without_x_powers():
+    """|g(0)| for g = charpoly(B) stripped of its x factors is the product
+    of |c_0|^mult over the irreducible factors with c_0 != 0."""
+    rng = random.Random(53)
+    x = sympy.Symbol("x")
+    for _ in range(60):
+        b = _random_matrix(rng, rng.randint(1, 4), -3, 3)
+        if rank_exact(b ** b.n) == 0:
+            continue
+        index = 1
+        for f, mult in sympy.Poly(list(charpoly_exact(b)), x).factor_list()[1]:
+            if f.TC() != 0:
+                index *= abs(int(f.TC())) ** mult
+        assert lattice_chain_invariants(b).stable_index == index

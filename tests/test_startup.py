@@ -1,0 +1,77 @@
+"""A `resip` call imports neither sympy nor, for verify-witness, jsonschema.
+
+Both are slow to import (sympy alone is most of the start-up of a call),
+and no default path needs them: sympy is imported only for integers beyond
+the in-tree primality and factoring bounds.  One fresh interpreter runs
+verify-witness first, then every shipped task file, every other
+subcommand and the README's CLI examples, and reports what it has loaded.
+"""
+
+import json
+import os
+import pathlib
+import shlex
+import subprocess
+import sys
+
+from test_readme import _cli_block_lines
+
+import resip
+from resip.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+IMAGES = "x1 x3 X1; x1; X3 x2 x3"
+INVERSE = "x2; X2 x1 x2 x3 X2 X1 x2; X2 x1 x2"
+
+SCRIPT = """
+import contextlib, io, json, sys
+from resip.cli import main
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code == 0, (argv, code)
+
+run(["verify-witness", "--certificate", sys.argv[1]])
+after_verify = sorted(m for m in ("sympy", "jsonschema") if m in sys.modules)
+for argv in json.loads(sys.argv[2]):
+    run(argv)
+print(json.dumps({"after_verify": after_verify, "sympy": "sympy" in sys.modules}))
+"""
+
+
+def _commands() -> list[list[str]]:
+    commands = [["run", "--tasks", str(p)] for p in sorted((ROOT / "tasks").glob("*.json"))]
+    commands += [
+        ["torus", "--matrix", "2 1; 1 1", "--primes-up-to", "100"],
+        ["torus", "--matrix", "3 1 0; 1 1 1; 0 1 2", "--primes", "2,3,5"],
+        ["primes", "--matrix", "13 8; 8 5"],
+        ["bs", "--q", "10"],
+        ["fibered", "--images", IMAGES, "--inverse", INVERSE, "--primes", "2,3,7"],
+        ["braid-cover", "--strands", "3", "--braid", "s1 S2", "--modulus", "2",
+         "--assignments", "1,1,1", "--divisor", "1 -3 1"],
+        ["witness", "--images", IMAGES, "--inverse", INVERSE, "--p", "3", "--w", "x1 X2"],
+        ["extension", "--check", "circle-bundle", "--genus", "2", "--euler", "3"],
+        ["sl2-power", "--matrix", "2 1; 1 1", "--p", "5"],
+    ]
+    commands += [shlex.split(line, comments=True)[1:] for line in _cli_block_lines()]
+    return commands
+
+
+def test_cli_calls_import_neither_sympy_nor_jsonschema(tmp_path, capsys):
+    assert main(["witness", "--images", IMAGES, "--inverse", INVERSE, "--p", "3",
+                 "--w", "x1 X2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(report["entries"][0]["result"]["certificate"]))
+    src = str(pathlib.Path(resip.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(cert), json.dumps(_commands())],
+        env=dict(os.environ, PYTHONPATH=src),
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = json.loads(out.stdout)
+    assert loaded == {"after_verify": [], "sympy": False}
