@@ -28,12 +28,11 @@ x^2-x-1 and x^2+3x+3 give r = 4, d = 3 and a nontrivial intersection.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import (
-    CapExceeded,
     InternalInvariant,
     InvalidQ,
     NotInvertible,
@@ -414,31 +413,59 @@ def free_fiber_residually_p(spec: MappingTorusSpec, p: int) -> Verdict:
     )
 
 
-def sl2_power_divisibility(
-    a: IntMatrix, p: int, cap: Optional[int] = None
-) -> int:
+def _lucas_v(t: int, m: int, p: int) -> int:
+    """V_m(t) mod p, where V_0 = 2, V_1 = t, V_(j+1) = t V_j - V_(j-1):
+    the trace of A^m for any A in SL_2 with trace t.  Binary ladder on
+    (V_j, V_(j+1)) with V_2j = V_j^2 - 2 and V_(2j+1) = V_j V_(j+1) - t."""
+    v, w = 2 % p, t % p
+    for bit in bin(m)[2:]:
+        if bit == "1":
+            v, w = (v * w - t) % p, (w * w - 2) % p
+        else:
+            v, w = (v * v - 2) % p, (v * w - t) % p
+    return v
+
+
+def sl2_power_divisibility(a: IntMatrix, p: int) -> int:
     """Least k >= 1 with p | det(A^k - I), for A in SL_2(Z).
 
-    The default cap p(p^2 - 1) always suffices: eigenvalue orders in
-    F_{p^2}* divide p^2 - 1 and a unipotent part contributes p.
+    This is the index that makes <Z^2, t^k> in Z^2 x|_A Z residually p.
+    Closed form, with t = tr A and Abar = A mod p:
+
+    * det(B - I) = 2 - tr B for B in SL_2, its characteristic polynomial
+      x^2 - (tr B) x + 1 taken at 1.  So p | det(A^k - I) iff
+      tr A^k = 2 mod p, iff Abar^k has characteristic polynomial (x - 1)^2,
+      iff Abar^k is unipotent (Cayley-Hamilton).
+    * Let Abar = S U be the Jordan decomposition over F_p: S semisimple,
+      U unipotent, S U = U S.  Then Abar^k = S^k U^k is the Jordan
+      decomposition of Abar^k, and by its uniqueness Abar^k is unipotent
+      iff S^k = I.  So the k that qualify are exactly the multiples of
+      e = ord S, and the answer is e.
+    * The eigenvalues of S are the roots l, 1/l of x^2 - t x + 1, which
+      lie in F_(p^2)*, and S diagonalises over F_(p^2).  So e = ord l
+      divides p^2 - 1.
+    * Start at k = p^2 - 1, a multiple of e.  For each prime q | p^2 - 1,
+      divide k by q while q | k and k/q is still a multiple of e, that is
+      tr A^(k/q) = 2 mod p.  This stops with the q-adic valuation of k
+      equal to that of e, so the last k is e.
+    * tr A^m = l^m + l^-m is the Lucas value V_m(t), computed mod p by
+      doubling (``_lucas_v``) with O(log m) products of plain ints.
+
+    The primes of p^2 - 1 are those of p - 1 and p + 1, factored apart so
+    the cofactors stay half the size.
     """
     _require_prime(p)
     if a.n != 2 or det_exact(a) != 1:
         raise NotInvertible("need a 2x2 integer matrix of determinant 1")
-    if cap is None:
-        cap = p * (p * p - 1)
-    base = ModMatrix.reduce(a, p)
-    ident = ModMatrix.identity(2, p)
-    power = base
-    for k in range(1, cap + 1):
-        diff_det = (
-            (power.entries[0][0] - 1) * (power.entries[1][1] - 1)
-            - power.entries[0][1] * power.entries[1][0]
-        ) % p
-        if diff_det == 0:
-            return k
-        power = power * base
-    raise CapExceeded("sl2_power_divisibility", cap)
+    t = a.trace() % p
+    two = 2 % p
+    k = p * p - 1
+    if _lucas_v(t, k, p) != two:
+        raise InternalInvariant("tr A^(p^2 - 1) is not 2 mod p")
+    for q in set(prime_factors(p - 1) + prime_factors(p + 1)):
+        while k % q == 0 and _lucas_v(t, k // q, p) == two:
+            k //= q
+    return k
 
 
 def rtfn_sufficient(

@@ -275,8 +275,7 @@ def run_task(task: Task, caps: Caps) -> dict:
         }
     if task.kind == "sl2-power":
         matrix = _coerce_matrix(payload["matrix"], "$.matrix")
-        cap = _coerce_int(payload["cap"]) if "cap" in payload else None
-        k = sl2_power_divisibility(matrix, payload["p"], cap)
+        k = sl2_power_divisibility(matrix, payload["p"])
         return {"p": payload["p"], "k": k}
     raise SchemaError(f"unknown task kind {task.kind}")
 
@@ -455,7 +454,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sl2 = sub.add_parser("sl2-power", help="least k with p | det(A^k - I)")
     sl2.add_argument("--matrix", required=True)
     sl2.add_argument("--p", type=int, required=True)
-    sl2.add_argument("--cap", type=int, default=None)
     common(sl2)
 
     ver = sub.add_parser("verify-witness", help="re-check a stored certificate")
@@ -520,14 +518,11 @@ def _single_task(args) -> dict:
             payload["euler"] = args.euler
         return payload
     if args.command == "sl2-power":
-        payload = {
+        return {
             "kind": "sl2-power",
             "matrix": _matrix_from_text(args.matrix),
             "p": args.p,
         }
-        if args.cap is not None:
-            payload["cap"] = args.cap
-        return payload
     raise SchemaError(f"no task for command {args.command}")
 
 

@@ -27,7 +27,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Optional, Sequence
 
-from .errors import CapExceeded, InternalInvariant, InvalidSpec, NotInvertibleMod
+from .errors import InternalInvariant, InvalidSpec
 
 
 @dataclass(frozen=True)
@@ -99,14 +99,7 @@ class IntMatrix:
     def __pow__(self, k: int) -> "IntMatrix":
         if k < 0:
             raise InvalidSpec("negative powers of IntMatrix are not defined")
-        result = IntMatrix.identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return _square_and_multiply(self, k, IntMatrix.identity(self.n))
 
     def minus_identity(self) -> "IntMatrix":
         return self - IntMatrix.identity(self.n)
@@ -170,20 +163,24 @@ class ModMatrix:
     def __pow__(self, k: int) -> "ModMatrix":
         if k < 0:
             raise InvalidSpec("negative powers not supported, invert explicitly")
-        result = ModMatrix.identity(self.n, self.modulus)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return _square_and_multiply(self, k, ModMatrix.identity(self.n, self.modulus))
 
     def is_identity(self) -> bool:
         return self == ModMatrix.identity(self.n, self.modulus)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
+
+
+def _square_and_multiply(base, k: int, one):
+    """base^k for k >= 0 by binary powering, with ``one`` the identity."""
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base if k > 1 else base
+        k >>= 1
+    return result
 
 
 @lru_cache(maxsize=32)
@@ -266,6 +263,17 @@ def prime_factors(n: int) -> tuple[int, ...]:
             d = _pollard_brent(m)
             stack += [d, m // d]
     return tuple(sorted(set(found)))
+
+
+def p_power_exponent(n: int, p: int) -> Optional[int]:
+    """s when n = p^s with s >= 0, None when n is not a power of p >= 2."""
+    if n < 1:
+        return None
+    s = 0
+    while n % p == 0:
+        n //= p
+        s += 1
+    return s if n == 1 else None
 
 
 def _pollard_brent(n: int) -> int:
@@ -413,30 +421,6 @@ def is_unipotent_mod(m: IntMatrix, p: int) -> UnipotenceResult:
         if power.is_zero():
             return UnipotenceResult(True, j)
     return UnipotenceResult(False, None)
-
-
-def matrix_order_mod(m: IntMatrix, p: int, k: int, cap: Optional[int] = None) -> int:
-    """Least e >= 1 with M^e = I mod p^k.
-
-    Requires gcd(det M, p) = 1.  The default cap p^(k * n^2) bounds the
-    order of GL_n(Z/p^k); exceeding any cap raises CapExceeded.
-    """
-    _require_prime(p)
-    if k < 1:
-        raise InvalidSpec("precision k must be >= 1")
-    if det_exact(m) % p == 0:
-        raise NotInvertibleMod(f"det divisible by {p}")
-    modulus = p ** k
-    if cap is None:
-        cap = p ** (k * m.n * m.n)
-    base = ModMatrix.reduce(m, modulus)
-    ident = ModMatrix.identity(m.n, modulus)
-    power = base
-    for e in range(1, cap + 1):
-        if power == ident:
-            return e
-        power = power * base
-    raise CapExceeded("matrix_order_mod", cap)
 
 
 def rank_exact(m: IntMatrix) -> int:

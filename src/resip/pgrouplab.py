@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Optional
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import CapExceeded, InternalInvariant, InvalidSpec, NotAPGroup, NotNormal
-from .intlin import IntMatrix, det_exact, prime_factors
+from .intlin import IntMatrix, det_exact, p_power_exponent, prime_factors
 
 Element = tuple[tuple[int, ...], ...]  # matrix mod modulus
 
@@ -104,10 +104,7 @@ class FinitePGroup:
         self.elements = tuple(elements)
         self.index = index
         order = len(elements)
-        q = order
-        while q % self.p == 0:
-            q //= self.p
-        if q != 1:
+        if p_power_exponent(order, self.p) is None:
             raise NotAPGroup(f"order {order} is not a power of {self.p}")
         self._right = right
         self._gens = [act[0] for act in right]  # generator indices
@@ -388,13 +385,9 @@ def frattini_data(group: FinitePGroup) -> dict:
     derived = group._mask_of(group.derived_subgroup())
     if phi != group._closure(_bits(powers | derived)):
         raise InternalInvariant("Frattini mismatch between definitions")
-    quotient_order = group.order // phi.bit_count()
-    rank = 0
-    while quotient_order > 1:
-        if quotient_order % group.p:
-            raise InternalInvariant("Frattini quotient order is not a power of p")
-        quotient_order //= group.p
-        rank += 1
+    rank = p_power_exponent(group.order // phi.bit_count(), group.p)
+    if rank is None:
+        raise InternalInvariant("Frattini quotient order is not a power of p")
     # Phi is a subgroup, so it holds every commutator iff it holds [P, P]
     elementary = (powers | derived) & ~phi == 0
     return {
@@ -436,11 +429,8 @@ def tower_lemma_check(group: FinitePGroup, k1: frozenset, k2: frozenset) -> bool
     for name, k in (("K1", k1), ("K2", k2)):
         if not group.is_normal(k):
             raise NotNormal(f"{name} is not normal")
-    meet = k1 & k2
-    index = group.order // len(meet)
-    while index % group.p == 0:
-        index //= group.p
-    return index == 1
+    index = group.order // len(k1 & k2)
+    return p_power_exponent(index, group.p) is not None
 
 
 def inner_automorphism_orders(group: FinitePGroup) -> list[int]:

@@ -37,16 +37,8 @@ from .freegrp import (
     parse_word,
     word_multiply,
 )
-from .intlin import _require_prime, is_unipotent_mod
+from .intlin import _require_prime, is_unipotent_mod, p_power_exponent
 from .magnus import SeriesSubstitution, TruncatedSeries, magnus_depth, magnus_embed
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    if n < 1:
-        return False
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 @dataclass(frozen=True)
@@ -172,7 +164,7 @@ def induced_automorphism_order(
     With a unipotent-mod-p H_1 action the order must come out a p-power;
     anything else is an invariant violation and aborts."""
     order = _raw_induced_order(SeriesSubstitution(spec.fiber, d, p, caps), caps)
-    if not _is_p_power(order, p):
+    if p_power_exponent(order, p) is None:
         raise NonPPowerOrder(
             f"induced order {order} on level ({p},{d}) is not a power of {p}"
         )
@@ -264,18 +256,13 @@ def find_p_quotient_witness(
                 reason=f"exploratory search failed at depth {d}: {exc}",
             )
         raise
-    s = 0
-    o = order
-    while o > 1:
-        o //= p
-        s += 1
     fiber_bound = p ** _monomial_count(spec.rank, d)
     cert = PGroupQuotient(
         kind="magnus",
         data={
             "degree": d,
             "precision": 1,
-            "order_exponent": s,
+            "order_exponent": p_power_exponent(order, p),
             "induced_order": order,
             "evidence_monomial": evidence_mon,
             "evidence_coefficient": evidence_coeff,
@@ -428,9 +415,15 @@ def verify_witness(cert: PGroupQuotient, caps: Caps = DEFAULT_CAPS) -> Verificat
     sub = SeriesSubstitution(phi, d, p, caps)
     order = _raw_induced_order(sub, caps)
     checks.append(("induced_order_matches", order == cert.data["induced_order"]))
-    checks.append(("induced_order_p_power", _is_p_power(order, p)))
+    checks.append(("induced_order_p_power", p_power_exponent(order, p) is not None))
+    # the stored order's exponent is compared, so no p ** exponent is built
+    # from an unbounded stored value
     checks.append(
-        ("order_exponent", p ** cert.data["order_exponent"] == cert.data["induced_order"])
+        (
+            "order_exponent",
+            p_power_exponent(cert.data["induced_order"], p)
+            == cert.data["order_exponent"],
+        )
     )
     invariant = True
     for sample in _kernel_samples(cert.rank, d, seed=p * 1009 + d):

@@ -34,6 +34,7 @@ from resip import (
     torus_residually_p,
     FreeEndo,
 )
+from oracles import matrix_order_mod, sl2_power_by_search
 
 A_SOL = IntMatrix.from_rows([[2, 1], [1, 1]])
 A_SOL_CUBED = IntMatrix.from_rows([[13, 8], [8, 5]])
@@ -248,6 +249,42 @@ def test_sl2_power_brute_force_agreement():
             assert det_exact((a ** k).minus_identity()) % p == 0
             for j in range(1, k):
                 assert det_exact((a ** j).minus_identity()) % p != 0
+
+
+def test_sl2_power_matches_the_search_oracle():
+    rng = random.Random(404)
+    mats = [A_SOL, IntMatrix.identity(2), IntMatrix.from_rows([[-1, 0], [0, -1]])]
+    mats += [_random_sl2(rng) for _ in range(250)]
+    for p in primes_up_to(101):
+        for a in mats:
+            assert sl2_power_divisibility(a, p) == sl2_power_by_search(a, p), (a, p)
+
+
+def test_sl2_power_is_the_prime_to_p_part_of_the_order():
+    rng = random.Random(5)
+    for _ in range(40):
+        a = _random_sl2(rng)
+        for p in (2, 3, 5, 7, 11):
+            order = matrix_order_mod(a, p, 1)
+            while order % p == 0:
+                order //= p
+            assert sl2_power_divisibility(a, p) == order
+
+
+def test_sl2_power_at_large_primes():
+    assert sl2_power_divisibility(A_SOL, 1000003) == 1000004
+    p = 10 ** 12 + 39
+    for a in (A_SOL, IntMatrix.from_rows([[5, 7], [2, 3]])):
+        k = sl2_power_divisibility(a, p)
+        assert (p * p - 1) % k == 0
+
+        def trace_of_power(e):
+            power = ModMatrix.reduce(a, p) ** e
+            return (power.entries[0][0] + power.entries[1][1]) % p
+
+        assert trace_of_power(k) == 2
+        for q in sympy.factorint(k):
+            assert trace_of_power(k // q) != 2
 
 
 def _random_sl2(rng):

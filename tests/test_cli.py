@@ -8,6 +8,7 @@ from resip import SchemaError
 from resip.cli import (
     _json_safe,
     _matrix_from_text,
+    _schema,
     emit_report,
     main,
     parse_task_file,
@@ -193,6 +194,27 @@ def test_single_task_subcommands(capsys):
     assert main(["torus", "--matrix", "2 1; 1 1", "--primes", "2,3"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["entries"][0]["result"]["verdicts"]) == 2
+
+
+def test_sl2_power_takes_no_cap(tmp_path, capsys):
+    sl2 = ["sl2-power", "--matrix", "2 1; 1 1"]
+    assert main(sl2 + ["--p", "1000003"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["entries"][0]["result"] == {"k": 1000004, "p": 1000003}
+
+    try:
+        code = main(sl2 + ["--p", "5", "--cap", "5"])
+    except SystemExit as exc:  # argparse refuses the command line
+        code = exc.code
+    assert code == 2
+    capsys.readouterr()
+
+    assert "cap" not in _schema()["$defs"]["task"]["properties"]
+    capped = tmp_path / "capped.json"
+    task = {"kind": "sl2-power", "matrix": [[2, 1], [1, 1]], "p": 5, "cap": 5}
+    capped.write_text(json.dumps({"version": 1, "tasks": [task]}))
+    assert main(["run", "--tasks", str(capped)]) == 2
+    assert "schema error at $.tasks[0]" in capsys.readouterr().err
 
 
 def test_verify_witness_round_trip(tmp_path, capsys):

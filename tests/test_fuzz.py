@@ -190,7 +190,7 @@ COMMANDS = st.one_of(
         ("--genus", _optional(SMALL_INT)),
         ("--euler", MAYBE),
     ),
-    _command(["sl2-power"], ("--matrix", st.one_of(MATRIX, JUNK)), ("--p", VALUE), ("--cap", MAYBE)),
+    _command(["sl2-power"], ("--matrix", st.one_of(MATRIX, JUNK)), ("--p", VALUE)),
     _command(["verify-witness"], ("--certificate", JUNK)),
 )
 

@@ -9,18 +9,19 @@ import sympy
 from resip import (
     CapExceeded,
     IntMatrix,
+    ModMatrix,
     NotInvertibleMod,
     charpoly_exact,
     det_exact,
     intlin,
     is_unipotent_mod,
     lattice_chain_invariants,
-    matrix_order_mod,
     poly_divmod,
     poly_pow_x_minus_one,
     rank_exact,
     smith_diagonal,
 )
+from oracles import matrix_order_mod
 
 A_SOL = IntMatrix.from_rows([[2, 1], [1, 1]])
 A_SOL_CUBED = IntMatrix.from_rows([[13, 8], [8, 5]])
@@ -44,6 +45,15 @@ def test_matrix_construction_rejects_bad_shapes():
 def test_matrix_power_and_fixture_cube():
     assert (A_SOL ** 3).entries == A_SOL_CUBED.entries
     assert (A_SOL ** 0).entries == IntMatrix.identity(2).entries
+    rng = random.Random(31)  # both power operators against repeated products
+    for _ in range(20):
+        m = _random_matrix(rng, rng.randint(1, 3), -3, 3)
+        mod = ModMatrix.reduce(m, 9)
+        product, mod_product = IntMatrix.identity(m.n), ModMatrix.identity(m.n, 9)
+        for k in range(9):
+            assert m ** k == product
+            assert mod ** k == mod_product
+            product, mod_product = product * m, mod_product * mod
 
 
 def test_det_fixtures():
@@ -157,6 +167,24 @@ def test_matrix_order_is_the_least_period():
                 for r in range(2)
                 for c in range(2)
             )
+
+
+def test_matrix_order_is_no_longer_library_api():
+    import resip
+
+    assert not hasattr(resip, "matrix_order_mod")
+    assert "matrix_order_mod" not in resip.__all__
+    assert not hasattr(intlin, "matrix_order_mod")
+
+
+def test_p_power_exponent():
+    for p in (2, 3, 7, 101):
+        for s in range(6):
+            assert intlin.p_power_exponent(p ** s, p) == s
+            assert intlin.p_power_exponent(p ** s * (p + 1), p) is None
+    assert intlin.p_power_exponent(3 ** 500, 3) == 500
+    for n in (0, -1, -8, 6, 12):
+        assert intlin.p_power_exponent(n, 2) is None
 
 
 def test_poly_divmod_exact():

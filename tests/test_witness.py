@@ -114,6 +114,20 @@ def test_magnus_certificate_beta_at_three():
     assert report.ok, report.checks
 
 
+def test_order_exponent_is_derived_not_raised_to():
+    cert = find_p_quotient_witness(_beta_spec(), _elem(0, "x1 X2"), 3).certificate
+    assert cert.data["order_exponent"] == 1
+    for s in (0, 2, 10 ** 8):
+        forged = PGroupQuotient.from_dict(
+            dict(cert.to_dict(), data=dict(cert.data, order_exponent=s))
+        )
+        start = time.perf_counter()
+        report = verify_witness(forged)
+        elapsed = time.perf_counter() - start
+        assert [name for name, passed in report.checks if not passed] == ["order_exponent"]
+        assert elapsed < 0.05
+
+
 def test_magnus_route_blocked_without_unipotence():
     out = find_p_quotient_witness(_beta_spec(), _elem(0, "x1 X2"), 5)
     assert out.status == "undecided"
