@@ -1,8 +1,9 @@
 """Search caps used across the library.
 
 All exhaustive searches are bounded; hitting a bound raises
-:class:`resip.errors.CapExceeded` (or a more specific error) rather than
-looping or guessing.  Callers may override any cap.
+:class:`resip.errors.CapExceeded` rather than looping or guessing.  Callers
+may override any cap.  A search that a theorem bounds, such as the induced
+order in :mod:`resip.witness`, takes no cap.
 """
 
 from __future__ import annotations
@@ -14,10 +15,8 @@ from dataclasses import dataclass, replace
 @dataclass(frozen=True)
 class Caps:
     magnus_degree: int = 8          # truncation degree d for Magnus searches
-    max_layer: int = 4              # lower-central layer bound c
     max_rank: int = 6               # free-group rank accepted by classifiers
     layer_basis: int = 64           # largest Lyndon basis size per layer
-    order_iterations: int = 3 ** 8  # induced-automorphism order search
     group_order: int = 10 ** 5      # finite p-group closure size
     combine_witnesses: int = 16
 

@@ -44,7 +44,7 @@ from .classify import (
     torus_residually_nilpotent,
     torus_residually_p,
 )
-from .errors import CapExceeded, InvalidSpec, LayerTooDeep, ResipError, SchemaError
+from .errors import CapExceeded, InvalidSpec, ResipError, SchemaError
 from .extension import (
     BilinearCocycle,
     CircleBundleSpec,
@@ -248,9 +248,7 @@ def run_task(task: Task, caps: Caps) -> dict:
             _coerce_int(payload["element"]["t"]),
             parse_word(payload["element"]["w"], endo.rank),
         )
-        outcome = find_p_quotient_witness(
-            spec, element, payload["p"], caps, payload.get("exploratory", False)
-        )
+        outcome = find_p_quotient_witness(spec, element, payload["p"], caps)
         result = outcome.to_dict()
         if outcome.certificate is not None:
             verification = verify_witness(outcome.certificate, caps)
@@ -286,7 +284,7 @@ def _run_one(task: Task, caps: Caps) -> ReportEntry:
         result = run_task(task, caps)
         entry = ReportEntry(task.id, task.kind, "ok", result=result)
     except Exception as exc:  # one bad task must not abort the batch
-        status = "cap" if isinstance(exc, (CapExceeded, LayerTooDeep)) else "error"
+        status = "cap" if isinstance(exc, CapExceeded) else "error"
         entry = ReportEntry(
             task.id,
             task.kind,
@@ -396,39 +394,39 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="resip",
         description="residual properties of mapping-torus groups",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
     def common(p):
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--caps", action="append", default=[], metavar="KEY=VAL")
 
-    run = sub.add_parser("run", help="run a JSON task file")
+    run = sub.add_parser("run", help="run a JSON task file", allow_abbrev=False)
     run.add_argument("--tasks", required=True, metavar="FILE")
     common(run)
 
-    torus = sub.add_parser("torus", help="torus-bundle verdicts per prime")
+    torus = sub.add_parser("torus", help="torus-bundle verdicts per prime", allow_abbrev=False)
     torus.add_argument("--matrix", required=True, help='rows separated by ";", e.g. "2 1; 1 1"')
     torus.add_argument("--primes-up-to", type=int, default=None)
     torus.add_argument("--primes", default=None, help="comma-separated primes")
     common(torus)
 
-    primes = sub.add_parser("primes", help="exact residually-p prime set")
+    primes = sub.add_parser("primes", help="exact residually-p prime set", allow_abbrev=False)
     primes.add_argument("--matrix", required=True)
     common(primes)
 
-    bs = sub.add_parser("bs", help="classify BS(1,q)")
+    bs = sub.add_parser("bs", help="classify BS(1,q)", allow_abbrev=False)
     bs.add_argument("--q", required=True)
     common(bs)
 
-    fibered = sub.add_parser("fibered", help="free-fiber mapping torus verdicts")
+    fibered = sub.add_parser("fibered", help="free-fiber mapping torus verdicts", allow_abbrev=False)
     fibered.add_argument("--images", required=True, help='generator images separated by ";"')
     fibered.add_argument("--inverse", required=True)
     fibered.add_argument("--primes-up-to", type=int, default=None)
     fibered.add_argument("--primes", default=None)
     common(fibered)
 
-    bc = sub.add_parser("braid-cover", help="induced homology on a cyclic cover")
+    bc = sub.add_parser("braid-cover", help="induced homology on a cyclic cover", allow_abbrev=False)
     bc.add_argument("--strands", type=int, required=True)
     bc.add_argument("--braid", required=True)
     bc.add_argument("--modulus", type=int, required=True)
@@ -436,27 +434,26 @@ def _build_parser() -> argparse.ArgumentParser:
     bc.add_argument("--divisor", action="append", default=[], help='charpoly divisor "1 -3 1"')
     common(bc)
 
-    wit = sub.add_parser("witness", help="search a finite p-group witness")
+    wit = sub.add_parser("witness", help="search a finite p-group witness", allow_abbrev=False)
     wit.add_argument("--images", required=True)
     wit.add_argument("--inverse", required=True)
     wit.add_argument("--p", type=int, required=True)
     wit.add_argument("--t", type=int, default=0)
     wit.add_argument("--w", default="1")
-    wit.add_argument("--exploratory", action="store_true")
     common(wit)
 
-    ext = sub.add_parser("extension", help="central extension checks")
+    ext = sub.add_parser("extension", help="central extension checks", allow_abbrev=False)
     ext.add_argument("--check", choices=("heisenberg", "circle-bundle"), required=True)
     ext.add_argument("--genus", type=int, default=None)
     ext.add_argument("--euler", type=int, default=None)
     common(ext)
 
-    sl2 = sub.add_parser("sl2-power", help="least k with p | det(A^k - I)")
+    sl2 = sub.add_parser("sl2-power", help="least k with p | det(A^k - I)", allow_abbrev=False)
     sl2.add_argument("--matrix", required=True)
     sl2.add_argument("--p", type=int, required=True)
     common(sl2)
 
-    ver = sub.add_parser("verify-witness", help="re-check a stored certificate")
+    ver = sub.add_parser("verify-witness", help="re-check a stored certificate", allow_abbrev=False)
     ver.add_argument("--certificate", required=True, metavar="FILE")
     common(ver)
     return parser
@@ -498,7 +495,7 @@ def _single_task(args) -> dict:
         return payload
     if args.command == "witness":
         images = _words_arg(args.images)
-        payload = {
+        return {
             "kind": "witness",
             "rank": len(images),
             "images": images,
@@ -506,9 +503,6 @@ def _single_task(args) -> dict:
             "p": args.p,
             "element": {"t": args.t, "w": args.w},
         }
-        if args.exploratory:
-            payload["exploratory"] = True
-        return payload
     if args.command == "extension":
         payload = {"kind": "extension", "check": args.check}
         if args.check == "circle-bundle":
@@ -574,7 +568,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 2
-    except (CapExceeded, LayerTooDeep) as exc:
+    except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
 
@@ -587,7 +581,7 @@ def _verify_certificate_file(path: str, caps: Caps):
         text = fh.read()
     try:
         return verify_witness(PGroupQuotient.from_dict(json.loads(text)), caps)
-    except (CapExceeded, LayerTooDeep):
+    except CapExceeded:
         raise
     except (LookupError, TypeError, ValueError, AttributeError, ResipError) as exc:
         raise SchemaError(f"malformed certificate: {type(exc).__name__}: {exc}") from exc

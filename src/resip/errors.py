@@ -33,10 +33,6 @@ class CapExceeded(ResipError):
         self.cap = cap
 
 
-class LayerTooDeep(ResipError):
-    """Requested lower-central layer has a basis larger than the cap."""
-
-
 class NotTransitive(ResipError):
     """Cover assignments do not generate the deck group (graph disconnected)."""
 
@@ -67,8 +63,8 @@ class InternalInvariant(ResipError):
 
 
 class NonPPowerOrder(ResipError):
-    """Internal invariant violation: induced automorphism order should be a
-    p-power under the unipotence hypothesis but was not."""
+    """The monodromy is not unipotent on H_1 mod p, so its induced order on
+    no level-(p, d) Magnus quotient is a power of p."""
 
 
 class InvalidQ(ResipError):

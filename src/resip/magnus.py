@@ -35,7 +35,7 @@ from itertools import islice
 from typing import Callable, Optional
 
 from .caps import Caps, DEFAULT_CAPS
-from .errors import CapExceeded, InternalInvariant, InvalidSpec, LayerTooDeep
+from .errors import CapExceeded, InternalInvariant, InvalidSpec
 from .freegrp import FreeEndo, FreeWord, apply_endo, commutator
 from .intlin import IntMatrix, charpoly_exact, is_unipotent_mod, poly_pow_x_minus_one
 
@@ -398,22 +398,24 @@ def lie_layer_matrix(
 
     Requires a certified automorphism.  For i = 1 this is the
     abelianization matrix over the ring.  The layer is read from an
-    embedding at degree i, so i above ``caps.magnus_degree`` is CapExceeded.
+    embedding at degree i, so i above ``caps.magnus_degree`` is CapExceeded,
+    as is a Witt dimension above ``caps.layer_basis``, before any Lyndon
+    word is enumerated.
     """
     if not phi.is_certified:
         raise InvalidSpec("layer matrices need a certified automorphism")
     if i < 1:
         raise InvalidSpec("layer index must be >= 1")
-    if i > caps.max_layer:
-        raise LayerTooDeep(f"layer {i} exceeds cap {caps.max_layer}")
+    if i > caps.magnus_degree:
+        raise CapExceeded("magnus_degree", caps.magnus_degree)
     if phi.rank > caps.max_rank:
         raise CapExceeded("max_rank", caps.max_rank)
-    basis = lie_layer_basis(phi.rank, i)
-    size = len(basis)
-    if size != witt_dimension(phi.rank, i):
-        raise InternalInvariant("Lyndon basis size differs from the Witt dimension")
+    size = witt_dimension(phi.rank, i)
     if size > caps.layer_basis:
-        raise LayerTooDeep(f"layer basis size {size} exceeds cap {caps.layer_basis}")
+        raise CapExceeded("layer_basis", caps.layer_basis)
+    basis = lie_layer_basis(phi.rank, i)
+    if len(basis) != size:
+        raise InternalInvariant("Lyndon basis size differs from the Witt dimension")
     columns = []
     for w in basis:
         g = lyndon_bracket_word(phi.rank, w)

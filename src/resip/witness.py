@@ -8,10 +8,25 @@ t^m w of a mapping torus:
 * m = 0, w != 1: quotient the fiber by the mod-p dimension subgroup at
   the Magnus depth d of w (the least truncation degree where w is visible
   over F_p).  The kernel is fully invariant, so the monodromy descends;
-  its induced order is computed by iterating the series substitution and
-  must be a p-power whenever the monodromy is unipotent on H_1 mod p.
+  its induced order is a p-power exactly when it is unipotent on H_1
+  mod p (proved below).
   The mapping torus then surjects onto (fiber quotient) x| Z/p^s, a
   finite p-group, and w survives by choice of d.
+
+The induced order.  Let U be the substitution X_i -> embed(phi(x_i)) - 1
+on F_p<X_1..X_r>/(deg > d), and M = I + N the action of phi on H_1 mod p.
+* If N^nu1 = 0, ord(U) divides B, the least p^S >= nu with
+  nu = 1 + d + (nu1 - 1) d (d + 1) / 2.  Proof: U keeps F_k = (deg >= k),
+  and on F_k / F_(k+1) it is 1 for k = 0 and prod_j (I + N_j) for k >= 1,
+  N_j being N on the j-th tensor factor.  The N_j commute, so
+  (prod_j (I + N_j) - I)^e sums monomials of degree >= e in k of them,
+  each with a factor N_j^nu1 = 0 once e = e_k = k (nu1 - 1) + 1.  So
+  (U - I)^(e_k) maps F_k into F_(k+1), and (U - I)^nu = 0 for
+  nu = e_0 + ... + e_d.  Over F_p, U^(p^S) - I = (U - I)^(p^S).  If
+  p >= nu, B = p: ord(U) is 1 or p, and one application decides.
+* If M is not unipotent mod p, no level has a p-power order.  Proof: U
+  acts on F_1 / F_2 as M, so ord(M mod p) divides ord(U), and it is no
+  p-power, since M^(p^s) = I would give (M - I)^(p^s) = 0.
 
 Certificates embed the monodromy and element, so they re-verify from the
 stored JSON alone.
@@ -24,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .caps import Caps, DEFAULT_CAPS
-from .errors import CapExceeded, InvalidSpec, MixedPrimes, NonPPowerOrder
+from .errors import CapExceeded, InternalInvariant, InvalidSpec, MixedPrimes, NonPPowerOrder
 from .freegrp import (
     FreeEndo,
     FreeWord,
@@ -141,34 +156,44 @@ class WitnessOutcome:
         return out
 
 
-def _raw_induced_order(sub: SeriesSubstitution, caps: Caps) -> int:
-    """Order of the substitution's automorphism on its level-(p, d) Magnus
-    quotient, by direct iteration on the generator images."""
+def _induced_order_bound(p: int, d: int, nu1: int) -> int:
+    """B of the module docstring, for (M - I)^nu1 = 0 on H_1 mod p."""
+    bound = p  # nu >= 2
+    while bound < 1 + d + (nu1 - 1) * d * (d + 1) // 2:
+        bound *= p
+    return bound
+
+
+def _raw_induced_order(sub: SeriesSubstitution, p: int, bound: int) -> int:
+    """Order of the substitution on its level-(p, d) Magnus quotient, by
+    iteration on the generator images, given that it divides ``bound``."""
     start = [
-        magnus_embed(FreeWord.generator(sub.rank, i), sub.degree, sub.modulus, caps)
+        TruncatedSeries.generator_term(sub.rank, sub.degree, i, p)
         for i in range(1, sub.rank + 1)
     ]
-    current = list(start)
-    for m in range(1, caps.order_iterations + 1):
+    current = start
+    for order in range(1, bound + 1):
         current = [sub(s) for s in current]
         if current == start:
-            return m
-    raise CapExceeded("order_iterations", caps.order_iterations)
+            if bound % order:
+                raise InternalInvariant(f"induced order {order} does not divide {bound}")
+            return order
+        if bound == p:  # the order divides p and is not 1
+            return p
+    raise InternalInvariant(f"induced order exceeds its bound {bound}")
 
 
 def induced_automorphism_order(
     spec: MappingTorusSpec, p: int, d: int, caps: Caps = DEFAULT_CAPS
 ) -> int:
-    """Order p^s of the monodromy on the level-(p, d) quotient.
-
-    With a unipotent-mod-p H_1 action the order must come out a p-power;
-    anything else is an invariant violation and aborts."""
-    order = _raw_induced_order(SeriesSubstitution(spec.fiber, d, p, caps), caps)
-    if p_power_exponent(order, p) is None:
-        raise NonPPowerOrder(
-            f"induced order {order} on level ({p},{d}) is not a power of {p}"
-        )
-    return order
+    """Order p^s of the monodromy on the level-(p, d) quotient.  A
+    non-unipotent H_1 action mod p has none at any level: NonPPowerOrder,
+    raised before any substitution is built."""
+    unip = is_unipotent_mod(abelianization_matrix(spec.fiber), p)
+    if not unip:
+        raise NonPPowerOrder(f"H_1 action not unipotent mod {p}")
+    sub = SeriesSubstitution(spec.fiber, d, p, caps)
+    return _raw_induced_order(sub, p, _induced_order_bound(p, d, unip.index))
 
 
 def _stable_letter_exponent(p: int, m: int) -> int:
@@ -196,15 +221,13 @@ def find_p_quotient_witness(
     g: MappingTorusElement,
     p: int,
     caps: Caps = DEFAULT_CAPS,
-    exploratory: bool = False,
 ) -> WitnessOutcome:
     """Search for a finite p-group quotient of the mapping torus where g
     survives.
 
-    The certificate route needs the H_1 action unipotent mod p.  Without
-    it the classifier gives no guarantee; exploratory mode still tries,
-    reporting failure (a non-p-power induced order) as an undecided
-    outcome rather than an error.
+    The stable-letter route kills the fiber and needs nothing more.  The
+    Magnus route needs the H_1 action unipotent mod p: without it no level
+    has a p-power induced order, and the outcome is undecided.
     """
     _require_prime(p)
     if g.is_identity():
@@ -231,31 +254,17 @@ def find_p_quotient_witness(
             **base,
         )
         return WitnessOutcome("certificate", certificate=cert)
-    # the Magnus route needs the unipotence hypothesis; the stable-letter
-    # route above does not (the fiber is killed outright)
-    unip = is_unipotent_mod(abelianization_matrix(phi), p)
-    if not unip and not exploratory:
+    if not is_unipotent_mod(abelianization_matrix(phi), p):
         return WitnessOutcome(
             "undecided",
-            reason=(
-                f"H_1 action not unipotent mod {p}; the certificate route "
-                "requires it (use exploratory mode to try anyway)"
-            ),
+            reason=f"H_1 action not unipotent mod {p}; the certificate route requires it",
         )
     w = g.fiber_word
     d = magnus_depth(w, p, caps)
     evidence_mon, evidence_coeff = _least_nonzero_evidence(
         magnus_embed(w, d, p, caps), d
     )
-    try:
-        order = induced_automorphism_order(spec, p, d, caps)
-    except NonPPowerOrder as exc:
-        if exploratory:
-            return WitnessOutcome(
-                "undecided",
-                reason=f"exploratory search failed at depth {d}: {exc}",
-            )
-        raise
+    order = induced_automorphism_order(spec, p, d, caps)
     fiber_bound = p ** _monomial_count(spec.rank, d)
     cert = PGroupQuotient(
         kind="magnus",
@@ -413,8 +422,10 @@ def verify_witness(cert: PGroupQuotient, caps: Caps = DEFAULT_CAPS) -> Verificat
     unip = is_unipotent_mod(abelianization_matrix(phi), p)
     checks.append(("h1_unipotent_mod_p", bool(unip)))
     sub = SeriesSubstitution(phi, d, p, caps)
-    order = _raw_induced_order(sub, caps)
-    checks.append(("induced_order_matches", order == cert.data["induced_order"]))
+    order = 0  # no level has a p-power order: nothing to iterate
+    if unip:
+        order = _raw_induced_order(sub, p, _induced_order_bound(p, d, unip.index))
+    checks.append(("induced_order_matches", bool(unip) and order == cert.data["induced_order"]))
     checks.append(("induced_order_p_power", p_power_exponent(order, p) is not None))
     # the stored order's exponent is compared, so no p ** exponent is built
     # from an unbounded stored value

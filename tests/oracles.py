@@ -1,12 +1,22 @@
 """Brute-force searches the tests hold the closed forms against.
 
-They step through matrix powers one at a time, so they only suit small
-primes; the library computes the same numbers without a search.
+They step through powers one at a time, so they only suit small primes;
+the library computes the same numbers without a search, or with a bound
+from a theorem.
 """
 
 from typing import Optional
 
-from resip import CapExceeded, IntMatrix, InvalidSpec, ModMatrix, NotInvertibleMod, det_exact
+from resip import (
+    CapExceeded,
+    IntMatrix,
+    InvalidSpec,
+    ModMatrix,
+    NotInvertibleMod,
+    SeriesSubstitution,
+    TruncatedSeries,
+    det_exact,
+)
 from resip.intlin import _require_prime
 
 
@@ -49,3 +59,19 @@ def sl2_power_by_search(a: IntMatrix, p: int) -> int:
             (b21 * a12 + b22 * a22) % p,
         )
     raise AssertionError("no k <= p(p^2 - 1) found")
+
+
+def induced_order_by_iteration(sub: SeriesSubstitution) -> int:
+    """Least m >= 1 with sub^m fixing every 1 + X_i, by applying sub until
+    the generator images come back.  There is no bound: the truncated ring
+    over F_p is finite, so an automorphism of it has finite order."""
+    start = [
+        TruncatedSeries.generator_term(sub.rank, sub.degree, i, sub.modulus)
+        for i in range(1, sub.rank + 1)
+    ]
+    current = [sub(s) for s in start]
+    order = 1
+    while current != start:
+        current = [sub(s) for s in current]
+        order += 1
+    return order

@@ -458,3 +458,75 @@ def test_removed_subspace_caps_are_unknown(monkeypatch, capsys):
     monkeypatch.setenv("RESIP_CAPS", "subspace_count=1")
     assert main(["bs", "--q", "3"]) == 2
     assert "unknown caps" in capsys.readouterr().err
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse refuses the command line
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sl2-power", "--matrix", "2 1; 1 1", "--p", "5", "--cap", "magnus_degree=3"],
+        ["torus", "--matrix", "2 1; 1 1", "--primes-up", "50"],
+    ],
+)
+def test_flag_prefixes_are_refused(capsys, argv):
+    assert _exit_code(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_removed_witness_knobs_exit_2(tmp_path, capsys):
+    assert _exit_code(BETA_WITNESS + ["--exploratory"]) == 2
+    capsys.readouterr()
+    for cap in ("order_iterations=1", "max_layer=4"):
+        assert main(BETA_WITNESS + ["--caps", cap]) == 2
+        assert "unknown caps" in capsys.readouterr().err
+    assert set(DEFAULT_CAPS.__dataclass_fields__) == {
+        "magnus_degree", "max_rank", "layer_basis", "group_order", "combine_witnesses"
+    }
+    assert "exploratory" not in _schema()["$defs"]["task"]["properties"]
+    task = {
+        "kind": "witness",
+        "rank": 2,
+        "images": ["x2", "x1"],
+        "inverse": ["x2", "x1"],
+        "p": 3,
+        "element": {"t": 0, "w": "x1"},
+        "exploratory": True,
+    }
+    path = tmp_path / "exploratory.json"
+    path.write_text(json.dumps({"version": 1, "tasks": [task]}))
+    assert main(["run", "--tasks", str(path)]) == 2
+    assert "schema error at $.tasks[0]" in capsys.readouterr().err
+
+
+def test_large_prime_witness_exits_0_and_reverifies(tmp_path, capsys):
+    args = ["witness", "--images", "x1 x2;x2", "--inverse", "x1 X2;x2", "--p", "7919"]
+    assert main(args + ["--w", "x1 x2 X1 X2"]) == 0
+    result = _entry(capsys)["result"]
+    assert result["certificate"]["data"]["induced_order"] == 7919
+    assert result["verification"]["ok"] is True
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(result["certificate"]))
+    assert main(["verify-witness", "--certificate", str(cert)]) == 0
+    assert json.loads(capsys.readouterr().out)["certificate_ok"] is True
+
+
+def test_non_unipotent_certificate_exits_1(tmp_path, capsys):
+    # a valid identity-monodromy certificate with the Sol monodromy swapped in
+    args = ["witness", "--images", "x1;x2", "--inverse", "x1;x2", "--p", "7993"]
+    assert main(args + ["--w", "x1 x2 X1 X2"]) == 0
+    cert = dict(
+        _entry(capsys)["result"]["certificate"],
+        monodromy_images=["x1 x1 x2", "x1 x2"],
+        monodromy_inverse=["x1 X2", "x2 X1 x2"],
+    )
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert main(["verify-witness", "--certificate", str(path)]) == 1
+    failed = [name for name, ok in json.loads(capsys.readouterr().out)["checks"] if not ok]
+    assert failed == ["h1_unipotent_mod_p", "induced_order_matches", "induced_order_p_power"]

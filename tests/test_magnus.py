@@ -9,7 +9,6 @@ from resip import (
     Caps,
     FreeEndo,
     FreeWord,
-    LayerTooDeep,
     SeriesSubstitution,
     TruncatedSeries,
     abelianization_matrix,
@@ -344,9 +343,23 @@ def test_layer_functoriality():
             assert lhs.entries == rhs.entries
 
 
-def test_layer_too_deep_guard():
-    with pytest.raises(LayerTooDeep):
-        lie_layer_matrix(FreeEndo.identity(2), 5, None, Caps(max_layer=4))
+def test_layer_caps_fire_before_any_lyndon_word(monkeypatch):
+    from resip import magnus
+
+    assert lie_layer_matrix(FreeEndo.identity(2), 5, None).matrix.n == witt_dimension(2, 5) == 6
+
+    def refuse(rank, i):
+        raise AssertionError("Lyndon words enumerated")
+
+    monkeypatch.setattr(magnus, "lie_layer_basis", refuse)
+    # rank 6, layer 8: a Witt dimension of 209,790 against the cap of 64
+    with pytest.raises(CapExceeded, match="layer_basis: cap 64"):
+        lie_layer_matrix(FreeEndo.identity(6), 8, None)
+    with pytest.raises(CapExceeded, match="layer_basis: cap 5"):
+        lie_layer_matrix(FreeEndo.identity(2), 5, None, Caps(layer_basis=5))
+    # the degree cap is checked first
+    with pytest.raises(CapExceeded, match="magnus_degree"):
+        lie_layer_matrix(FreeEndo.identity(2), 5, None, Caps(magnus_degree=4, layer_basis=1))
 
 
 def test_layers_respect_the_degree_cap():

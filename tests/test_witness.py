@@ -1,30 +1,40 @@
 """Finite p-group quotient certificates: search, combination, re-verification."""
 
 import json
+import random
 import time
 
 import pytest
 
+from oracles import induced_order_by_iteration
 from resip import (
     CapExceeded,
     Caps,
     FreeEndo,
+    FreeWord,
     InvalidSpec,
     MappingTorusElement,
     MappingTorusSpec,
     MixedPrimes,
     NonPPowerOrder,
     PGroupQuotient,
+    SeriesSubstitution,
+    abelianization_matrix,
     artin_endo,
     beta_braid,
     combine_witnesses,
+    compose_endos,
     endo_power,
     find_p_quotient_witness,
     induced_automorphism_order,
+    inner_automorphism,
+    is_unipotent_mod,
     nielsen_transvection,
     parse_word,
     verify_witness,
 )
+from resip import witness
+from resip.witness import _induced_order_bound
 
 
 def _beta_spec():
@@ -37,6 +47,14 @@ def _identity_spec(rank=2):
 
 def _elem(t, w_text, rank=3):
     return MappingTorusElement(t, parse_word(w_text, rank))
+
+
+# the swap x1 <-> x2 has order 2 on H_1, so no level has an odd p-power order
+_SWAP = FreeEndo(
+    2,
+    (parse_word("x2", 2), parse_word("x1", 2)),
+    (parse_word("x2", 2), parse_word("x1", 2)),
+)
 
 
 def test_stable_letter_certificate():
@@ -134,20 +152,15 @@ def test_magnus_route_blocked_without_unipotence():
     assert "not unipotent" in out.reason
 
 
-def test_exploratory_mode_reports_failure_as_undecided():
-    # swap automorphism has order 2 on H_1; induced order at p = 3 is 2,
-    # not a power of 3
-    swap = FreeEndo(
-        2,
-        (parse_word("x2", 2), parse_word("x1", 2)),
-        (parse_word("x2", 2), parse_word("x1", 2)),
-    )
-    spec = MappingTorusSpec(swap)
-    out = find_p_quotient_witness(
-        spec, MappingTorusElement(0, parse_word("x1", 2)), 3, exploratory=True
-    )
+def test_non_unipotent_magnus_route_is_undecided():
+    # no level has a 3-power order, so the outcome is undecided, and no
+    # mode searches regardless
+    element = MappingTorusElement(0, parse_word("x1", 2))
+    out = find_p_quotient_witness(MappingTorusSpec(_SWAP), element, 3)
     assert out.status == "undecided"
-    assert "exploratory" in out.reason
+    assert out.reason == "H_1 action not unipotent mod 3; the certificate route requires it"
+    with pytest.raises(TypeError):
+        find_p_quotient_witness(MappingTorusSpec(_SWAP), element, 3, exploratory=True)
 
 
 def test_induced_order_fixture():
@@ -156,12 +169,100 @@ def test_induced_order_fixture():
     spec = MappingTorusSpec(nielsen_transvection(2, 1, 2))
     assert induced_automorphism_order(spec, 2, 3) == 4
     with pytest.raises(NonPPowerOrder):
-        swap = FreeEndo(
-            2,
-            (parse_word("x2", 2), parse_word("x1", 2)),
-            (parse_word("x2", 2), parse_word("x1", 2)),
+        induced_automorphism_order(MappingTorusSpec(_SWAP), 3, 2)
+
+
+def test_non_unipotent_order_builds_no_substitution(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a series substitution was built")
+
+    monkeypatch.setattr(witness, "SeriesSubstitution", refuse)
+    with pytest.raises(NonPPowerOrder, match="not unipotent mod 3"):
+        induced_automorphism_order(MappingTorusSpec(_SWAP), 3, 4)
+    with pytest.raises(NonPPowerOrder, match="not unipotent mod 5"):
+        induced_automorphism_order(_beta_spec(), 5, 2)
+
+
+def _random_unipotent(rng, rank, p):
+    """A product of steps that are each unipotent on H_1 mod p: transvections
+    x_i -> x_i x_j with i < j (triangular), p-th powers of any transvection
+    (the identity mod p) and inner automorphisms (the identity)."""
+    phi = FreeEndo.identity(rank)
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            step = nielsen_transvection(rank, *sorted(rng.sample(range(1, rank + 1), 2)))
+        elif kind == 1:
+            step = endo_power(nielsen_transvection(rank, *rng.sample(range(1, rank + 1), 2)), p)
+        else:
+            letters = [rng.choice([-1, 1]) * rng.randint(1, rank) for _ in range(2)]
+            step = inner_automorphism(FreeWord.from_letters(rank, letters))
+        phi = compose_endos(step, phi)
+    return phi
+
+
+def test_induced_order_matches_iteration_and_divides_the_bound():
+    rng = random.Random(919)
+    cases = []
+    for _ in range(200):
+        rank, p, d = rng.randint(2, 4), rng.choice((2, 3, 5, 7)), rng.randint(1, 4)
+        cases.append((_random_unipotent(rng, rank, p), p, d))
+    # random draws seldom reach (M - I)^2 != 0; a chain of transvections
+    # x_i -> x_i x_(i+1) has nilpotency index equal to its rank
+    for rank in (3, 4):
+        chain = FreeEndo.identity(rank)
+        for i in range(1, rank):
+            chain = compose_endos(nielsen_transvection(rank, i, i + 1), chain)
+        assert is_unipotent_mod(abelianization_matrix(chain), 2).index == rank
+        cases += [(chain, p, d) for p in (2, 3, 5, 7) for d in range(1, 5)]
+    orders = set()
+    for phi, p, d in cases:
+        unip = is_unipotent_mod(abelianization_matrix(phi), p)
+        assert unip
+        order = induced_automorphism_order(MappingTorusSpec(phi), p, d)
+        assert order == induced_order_by_iteration(SeriesSubstitution(phi, d, p))
+        assert _induced_order_bound(p, d, unip.index) % order == 0
+        orders.add((order > 1, order > p))
+    # the draw reaches orders 1, p and above p
+    assert orders == {(False, False), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("p", [7919, 1000003])
+def test_large_prime_transvection_witness(p):
+    # the bound is p, so one application of the substitution settles the order
+    spec = MappingTorusSpec(nielsen_transvection(2, 1, 2))
+    element = MappingTorusElement(0, parse_word("x1 x2 X1 X2", 2))
+    cert = find_p_quotient_witness(spec, element, p).certificate
+    assert (cert.kind, cert.data["induced_order"], cert.data["order_exponent"]) == ("magnus", p, 1)
+    restored = PGroupQuotient.from_dict(json.loads(json.dumps(cert.to_dict())))
+    assert verify_witness(restored).ok
+
+
+def _alpha_swapped_certificate() -> PGroupQuotient:
+    """A valid identity-monodromy certificate at p = 7993 with the Sol
+    monodromy alpha swapped in; alpha is not unipotent mod 7993."""
+    element = MappingTorusElement(0, parse_word("x1 x2 X1 X2", 2))
+    cert = find_p_quotient_witness(_identity_spec(), element, 7993).certificate
+    return PGroupQuotient.from_dict(
+        dict(
+            cert.to_dict(),
+            monodromy_images=["x1 x1 x2", "x1 x2"],
+            monodromy_inverse=["x1 X2", "x2 X1 x2"],
         )
-        induced_automorphism_order(MappingTorusSpec(swap), 3, 2)
+    )
+
+
+def test_non_unipotent_certificate_fails_without_iterating():
+    forged = _alpha_swapped_certificate()
+    start = time.perf_counter()
+    report = verify_witness(forged)
+    elapsed = time.perf_counter() - start
+    assert [name for name, passed in report.checks if not passed] == [
+        "h1_unipotent_mod_p",
+        "induced_order_matches",
+        "induced_order_p_power",
+    ]
+    assert elapsed < 0.05
 
 
 def test_round_trip_through_json():
