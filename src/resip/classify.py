@@ -13,7 +13,10 @@ F_p^n / W is unipotent iff (M - I)^n F_p^n is contained in W, so such a W
 exists iff dim ker (M - I)^n >= 2, with W = im (M - I)^n as the witness:
 one rank computation, no enumeration.  No qualifying quotient =
 NotResiduallyP; a qualifying quotient without unipotence on the full
-space = Undecided.
+space = Undecided.  The witness's order is not found by taking powers
+either: a unipotent action whose M - I has nilpotency index nu has order
+p^s for the least p^s >= nu, and on F_p^n / W that index is the first j
+at which rank (M - I)^j stops falling.
 
 Residual nilpotence for semidirect products with Z^n fiber reduces to
 triviality of the intersection of the chain B^i(Z^n), B = A - I.  That
@@ -48,6 +51,7 @@ from .intlin import (
     det_exact,
     is_unipotent_mod,
     lattice_chain_invariants,
+    least_p_power_exponent,
     poly_pow_x_minus_one,
     prime_factors,
 )
@@ -247,13 +251,6 @@ def _rref_key(rows: list[list[int]], p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in mat[:pivot_row])
 
 
-def _apply(m: ModMatrix, v: tuple[int, ...]) -> tuple[int, ...]:
-    p = m.modulus
-    return tuple(
-        sum(m.entries[i][j] * v[j] for j in range(m.n)) % p for i in range(m.n)
-    )
-
-
 @dataclass(frozen=True)
 class ObstructionResult:
     exists: bool
@@ -266,47 +263,6 @@ class ObstructionResult:
             "witness": self.witness,
             "examined": self.examined,
         }
-
-
-def _quotient_matrix(m: ModMatrix, w_basis: tuple[tuple[int, ...], ...]) -> IntMatrix:
-    """Matrix of the action induced on F_p^n / W, in the coordinates of the
-    non-pivot standard basis vectors.  W must be given by an RREF basis
-    and be M-invariant; both are checked."""
-    p = m.modulus
-    n = m.n
-    pivots = [next(i for i, x in enumerate(row) if x) for row in w_basis]
-    free = [j for j in range(n) if j not in pivots]
-
-    def reduce_mod_w(v: tuple[int, ...]) -> list[int]:
-        out = list(v)
-        for row, c in zip(w_basis, pivots):
-            f = out[c] % p
-            if f:
-                out = [(x - f * y) % p for x, y in zip(out, row)]
-        return out
-
-    if any(any(reduce_mod_w(_apply(m, w))) for w in w_basis):
-        raise InternalInvariant("quotient subspace is not M-invariant")
-    cols = []
-    for j in free:
-        e = tuple(1 if i == j else 0 for i in range(n))
-        image = reduce_mod_w(_apply(m, e))
-        if any(image[c] % p for c in pivots):
-            raise InternalInvariant("subspace basis is not in reduced echelon form")
-        cols.append([image[i] % p for i in free])
-    d = len(free)
-    return IntMatrix.from_rows([[cols[j][i] for j in range(d)] for i in range(d)])
-
-
-def _unipotent_order(q: IntMatrix, p: int) -> int:
-    """Order of a unipotent matrix mod p: the least power p^s with
-    q^(p^s) = I."""
-    power = ModMatrix.reduce(q, p)
-    order = 1
-    while not power.is_identity():
-        power = power ** p
-        order *= p
-    return order
 
 
 def p_power_order_quotient_exists(m: ModMatrix, p: int) -> ObstructionResult:
@@ -327,6 +283,9 @@ def p_power_order_quotient_exists(m: ModMatrix, p: int) -> ObstructionResult:
     im N.  The largest quotient among them is V/im N, of dimension
     n - rank N = dim ker N.  One rank computation decides the question;
     ``examined`` counts that one canonical candidate, and no cap applies.
+    The order of the action on V/im N is read off the ranks of the powers
+    of M - I (see ``_fitting_obstruction``); a unipotent M is the case
+    W = 0.
     """
     if m.modulus != p:
         raise ValueError("matrix must be over F_p")
@@ -336,23 +295,37 @@ def p_power_order_quotient_exists(m: ModMatrix, p: int) -> ObstructionResult:
     a = IntMatrix.from_rows([list(r) for r in m.entries])
     if det_exact(a) % p == 0:
         raise NotInvertibleMod("matrix not invertible mod p")
-    if is_unipotent_mod(a, p):
-        # the zero subspace qualifies: quotient is the whole space
-        return ObstructionResult(
-            True,
-            {"subspace": [], "quotient_dim": n, "order": _unipotent_order(a, p)},
-            examined=1,
-        )
     return _fitting_obstruction(a, p)
 
 
+def _column_space(m: ModMatrix) -> tuple[tuple[int, ...], ...]:
+    return _rref_key([list(col) for col in zip(*m.entries)], m.modulus)
+
+
 def _fitting_obstruction(a: IntMatrix, p: int) -> ObstructionResult:
-    """The obstruction for an A invertible but not unipotent mod p:
-    W = im (A - I)^n, qualifying iff its quotient has dimension >= 2."""
-    m = ModMatrix.reduce(a, p)
+    """The obstruction for an A invertible mod p: W = im (A - I)^n,
+    qualifying iff its quotient has dimension >= 2.
+
+    The order of A on V/W, without building the quotient.  With
+    N = A - I mod p, the images im N^j shrink as j grows and are all
+    A-invariant.  Once rank N^j = rank N^(j+1), N maps im N^j onto itself,
+    so every later image is im N^j; before that the rank drops at each
+    step.  So the least j with rank N^j = rank N^(j+1) has
+    im N^j = im N^n = W, and it is nu_W, the nilpotency index of N on V/W:
+    N^i V lies in W iff it equals W (it contains W for i <= n), iff
+    rank N^i = rank N^n.  The order of A on V/W is p^s for the least
+    p^s >= nu_W (``least_p_power_exponent``).  The powers stop at nu_W + 1,
+    and never pass N^n.
+    """
     n = a.n
-    nil = ModMatrix.reduce(a.minus_identity(), p) ** n
-    image = _rref_key([list(col) for col in zip(*nil.entries)], p)
+    nil = ModMatrix.reduce(a.minus_identity(), p)
+    power, image, nu = nil, _column_space(nil), 1
+    while nu < n:
+        power = power * nil
+        next_image = _column_space(power)
+        if len(next_image) == len(image):
+            break
+        image, nu = next_image, nu + 1
     quotient_dim = n - len(image)
     if quotient_dim < 2:
         return ObstructionResult(False, None, examined=1)
@@ -361,7 +334,7 @@ def _fitting_obstruction(a: IntMatrix, p: int) -> ObstructionResult:
         {
             "subspace": [list(r) for r in image],
             "quotient_dim": quotient_dim,
-            "order": _unipotent_order(_quotient_matrix(m, image), p),
+            "order": p ** least_p_power_exponent(nu, p),
         },
         examined=1,
     )
@@ -391,7 +364,6 @@ def free_fiber_residually_p(spec: MappingTorusSpec, p: int) -> Verdict:
         # H_1 action degenerate mod p; the obstruction argument needs an
         # invertible action, so no decision either way
         return Verdict(p, UNDECIDED, reason="H_1 action not invertible mod p")
-    # not unipotent, as tested above: straight to the Fitting step
     obstruction = _fitting_obstruction(a, p)
     if not obstruction.exists:
         return Verdict(

@@ -3,7 +3,8 @@
 Exit codes: 0 all tasks completed (verdicts of any flavor included),
 2 an unreadable or malformed task file, argument or certificate, 3 a cap
 was exceeded somewhere.  A task that fails for any other reason becomes an
-``error`` entry and the batch goes on.
+``error`` entry and the batch goes on.  A reader that closes standard
+output early (``| head``) gets no more output and changes no exit code.
 
 Tasks run one after another in file order.  JSON reports are
 deterministic: entries keep task order, keys are sorted, integers wider
@@ -542,43 +543,64 @@ def main(argv: Optional[list[str]] = None) -> int:
         except (KeyError, ValueError) as exc:
             raise SchemaError(f"{exc.args[0]} (--caps or RESIP_CAPS)") from exc
         if args.command == "verify-witness":
-            report = _verify_certificate_file(args.certificate, caps)
-            doc = _json_safe({"certificate_ok": report.ok, "checks": report.to_dict()["checks"]})
+            text = _read_input(args.certificate)
+            if text is None:
+                return 2
+            report = _verify_certificate(text, caps)
+            checks = report.to_dict()["checks"]
             if args.format == "json":
-                print(json.dumps(doc, indent=2, sort_keys=True))
+                doc = _json_safe({"certificate_ok": report.ok, "checks": checks})
+                out = json.dumps(doc, indent=2, sort_keys=True) + "\n"
             else:
-                print(f"certificate ok: {report.ok}")
-                for name, passed in report.to_dict()["checks"]:
-                    print(f"  {name}: {passed}")
-            return 0 if report.ok else 1
-        if args.command == "run":
-            with open(args.tasks, "r", encoding="utf-8") as fh:
-                taskfile = parse_task_file(fh.read())
+                out = f"certificate ok: {report.ok}\n"
+                out += "".join(f"  {name}: {passed}\n" for name, passed in checks)
+            status = 0 if report.ok else 1
         else:
-            task_doc = {"version": 1, "tasks": [_single_task(args)]}
-            taskfile = parse_task_file(json.dumps(task_doc))
-        entries = run_tasks(taskfile, caps)
-        sys.stdout.write(emit_report(entries, args.format))
-        if any(e.status == "cap" for e in entries):
-            return 3
-        return 0
+            if args.command == "run":
+                text = _read_input(args.tasks)
+                if text is None:
+                    return 2
+            else:
+                text = json.dumps({"version": 1, "tasks": [_single_task(args)]})
+            entries = run_tasks(parse_task_file(text), caps)
+            out = emit_report(entries, args.format)
+            status = 3 if any(e.status == "cap" for e in entries) else 0
     except SchemaError as exc:
         print(f"schema error at {exc.path}: {exc.reason}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
         return 2
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
+    _write_stdout(out)
+    return status
 
 
-def _verify_certificate_file(path: str, caps: Caps):
-    """Load and re-check a stored certificate.  A certificate that is not
-    JSON, lacks a field or holds a value of the wrong shape is a schema
-    error; a well-formed one that fails a check is a report with ok False."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+def _read_input(path: str) -> Optional[str]:
+    """The text of a task or certificate file, or None once the reason it
+    cannot be read (missing, unreadable, not UTF-8) is on standard error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"cannot read input: {exc}", file=sys.stderr)
+        return None
+
+
+def _write_stdout(text: str) -> None:
+    """Write the report.  A reader that closed the pipe early wants no
+    more of it: drop standard output, so that the flush at interpreter
+    exit has nothing to fail on, and keep the exit status."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        sys.stdout = None
+
+
+def _verify_certificate(text: str, caps: Caps):
+    """Re-check a stored certificate.  A certificate that is not JSON,
+    lacks a field or holds a value of the wrong shape is a schema error; a
+    well-formed one that fails a check is a report with ok False."""
     try:
         return verify_witness(PGroupQuotient.from_dict(json.loads(text)), caps)
     except CapExceeded:

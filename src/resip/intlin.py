@@ -12,11 +12,12 @@ with the first 13 prime bases below 3.317 * 10^24, and sympy.isprime,
 imported only then, above.  Prime factors come from trial division, then
 Pollard-Brent rho on every composite cofactor.
 
-The stable index of the lattice chain B^i Z^n needs no factorisation:
-with g the characteristic polynomial of B stripped of its powers of x,
-the product of |c_0|^mult over the irreducible factors with c_0 != 0 is
-|g(0)|.  Whether some factor other than x has constant term +-1 does need
-one, by Zassenhaus (resip.polyfactor).
+The stable rank and index of the lattice chain B^i Z^n need no
+factorisation: with g the characteristic polynomial of B stripped of its
+powers of x, the rank is deg g, and the product of |c_0|^mult over the
+irreducible factors with c_0 != 0 is |g(0)|.  Whether some factor other
+than x has constant term +-1 does need one, by Zassenhaus
+(resip.polyfactor).
 """
 
 from __future__ import annotations
@@ -165,9 +166,6 @@ class ModMatrix:
             raise InvalidSpec("negative powers not supported, invert explicitly")
         return _square_and_multiply(self, k, ModMatrix.identity(self.n, self.modulus))
 
-    def is_identity(self) -> bool:
-        return self == ModMatrix.identity(self.n, self.modulus)
-
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
 
@@ -274,6 +272,22 @@ def p_power_exponent(n: int, p: int) -> Optional[int]:
         n //= p
         s += 1
     return s if n == 1 else None
+
+
+def least_p_power_exponent(n: int, p: int) -> int:
+    """The least s >= 0 with p^s >= n.
+
+    It gives the order of a unipotent matrix in closed form: if N over F_p
+    is nilpotent of index nu (N^nu = 0 != N^(nu - 1)), then I + N has
+    order p^s with s = least_p_power_exponent(nu, p).  Proof: I and N
+    commute, and p divides binom(p^t, k) for 0 < k < p^t, so
+    (I + N)^(p^t) = I + N^(p^t), which is I iff p^t >= nu.  So the order
+    divides p^s, hence is some p^t, and p^t >= nu forces t >= s.
+    """
+    s, q = 0, 1
+    while q < n:
+        s, q = s + 1, q * p
+    return s
 
 
 def _pollard_brent(n: int) -> int:
@@ -410,39 +424,19 @@ class UnipotenceResult:
 def is_unipotent_mod(m: IntMatrix, p: int) -> UnipotenceResult:
     """Is M unipotent mod p, i.e. (M - I)^n = 0 over F_p?
 
-    Returns the nilpotency index of M - I when true.
+    Returns the nilpotency index of M - I when true.  The powers start
+    at N = M - I, and none is formed past N^n.
     """
     _require_prime(p)
     n = m.n
     nil = ModMatrix.reduce(m.minus_identity(), p)
-    power = ModMatrix.identity(n, p)
+    power = nil
     for j in range(1, n + 1):
-        power = power * nil
         if power.is_zero():
             return UnipotenceResult(True, j)
+        if j < n:
+            power = power * nil
     return UnipotenceResult(False, None)
-
-
-def rank_exact(m: IntMatrix) -> int:
-    """Rank over the rationals via exact Gaussian elimination."""
-    rows = [[Fraction(x) for x in row] for row in m.entries]
-    n = m.n
-    rank = 0
-    col = 0
-    while rank < n and col < n:
-        pivot = next((i for i in range(rank, n) if rows[i][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for i in range(rank + 1, n):
-            if rows[i][col] != 0:
-                factor = rows[i][col] / pv
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 def _gcdex(a: int, b: int) -> tuple[int, int, int]:
@@ -643,27 +637,35 @@ class LatticeChainInvariants:
 def lattice_chain_invariants(b: IntMatrix) -> LatticeChainInvariants:
     """Invariants of the decreasing lattice chain Z^n > B Z^n > B^2 Z^n > ...
 
-    The intersection of the chain is trivial exactly when B has no
-    invariant sublattice on which it acts unimodularly; equivalently, no
-    irreducible factor of charpoly(B) other than x has constant term +-1
-    (decided by factoring).  The stable index is |g(0)|, g = charpoly(B)
-    with its powers of x removed, the product of |c_0|^mult over the other
-    factors; it is computed independently through the Smith normal form of
-    B acting on a Hermite basis of the stable lattice, and the two routes
-    are cross-checked.
+    Let g be charpoly(B) with its powers of x removed.
+
+    * The stable rank is deg g.  Proof: rank_Q B^n = n - dim ker B^n, and
+      ker B^n is the generalized 0-eigenspace of B, since B is nilpotent
+      on that space, of dimension <= n.  Its dimension is the algebraic
+      multiplicity of the eigenvalue 0, the power of x in charpoly(B),
+      and n minus that power is deg g.
+    * The intersection of the chain is trivial exactly when B has no
+      invariant sublattice on which it acts unimodularly; equivalently, no
+      irreducible factor of charpoly(B) other than x has constant term +-1
+      (decided by factoring).
+    * The stable index is |g(0)|, the product of |c_0|^mult over the
+      factors other than x.
+
+    The index is computed again through the Smith normal form of B acting
+    on a Hermite basis of B^n Z^n, that basis must have deg g vectors, and
+    both routes are cross-checked.
     """
     from .polyfactor import factor_monic  # polyfactor imports intlin
 
     n = b.n
-    bn = b ** n
-    r = rank_exact(bn)
     g = list(charpoly_exact(b))
     while g[-1] == 0:  # strip the powers of x; g stays monic
         g.pop()
-    unit_part = any(abs(f[-1]) == 1 for f, _ in factor_monic(g))
+    r = len(g) - 1
     if r == 0:
         return LatticeChainInvariants(0, None, True)
-    basis = column_lattice_basis(bn)
+    unit_part = any(abs(f[-1]) == 1 for f, _ in factor_monic(g))
+    basis = column_lattice_basis(b ** n)
     if len(basis) != r:
         raise InternalInvariant("stable lattice basis size differs from the rank")
     b_rows = b.rows()

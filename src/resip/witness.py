@@ -52,7 +52,7 @@ from .freegrp import (
     parse_word,
     word_multiply,
 )
-from .intlin import _require_prime, is_unipotent_mod, p_power_exponent
+from .intlin import _require_prime, is_unipotent_mod, least_p_power_exponent, p_power_exponent
 from .magnus import SeriesSubstitution, TruncatedSeries, magnus_depth, magnus_embed
 
 
@@ -157,11 +157,9 @@ class WitnessOutcome:
 
 
 def _induced_order_bound(p: int, d: int, nu1: int) -> int:
-    """B of the module docstring, for (M - I)^nu1 = 0 on H_1 mod p."""
-    bound = p  # nu >= 2
-    while bound < 1 + d + (nu1 - 1) * d * (d + 1) // 2:
-        bound *= p
-    return bound
+    """B of the module docstring, for (M - I)^nu1 = 0 on H_1 mod p; d >= 1
+    makes nu >= 2, so B >= p."""
+    return p ** least_p_power_exponent(1 + d + (nu1 - 1) * d * (d + 1) // 2, p)
 
 
 def _raw_induced_order(sub: SeriesSubstitution, p: int, bound: int) -> int:
@@ -197,12 +195,9 @@ def induced_automorphism_order(
 
 
 def _stable_letter_exponent(p: int, m: int) -> int:
-    """Least j >= 1 with p^j > |m|: the smallest Z/p^j where t^m survives."""
-    j, q = 1, p
-    while q <= abs(m):
-        j += 1
-        q *= p
-    return j
+    """Least j >= 1 with p^j > |m|, that is p^j >= |m| + 1: the smallest
+    Z/p^j where t^m survives."""
+    return max(1, least_p_power_exponent(abs(m) + 1, p))
 
 
 def _monomial_count(rank: int, d: int) -> int:

@@ -1,15 +1,20 @@
-"""Brute-force searches the tests hold the closed forms against.
+"""Brute-force routes the tests hold the closed forms against.
 
-They step through powers one at a time, so they only suit small primes;
-the library computes the same numbers without a search, or with a bound
-from a theorem.
+They step through powers one at a time, build the quotients the library
+only reasons about, or sample where the library applies a theorem, so
+they only suit small inputs; the library computes the same answers
+without a search, or with a bound from a theorem.
 """
 
+import random
+from fractions import Fraction
 from typing import Optional
 
 from resip import (
     CapExceeded,
+    CocycleCheck,
     IntMatrix,
+    InternalInvariant,
     InvalidSpec,
     ModMatrix,
     NotInvertibleMod,
@@ -75,3 +80,95 @@ def induced_order_by_iteration(sub: SeriesSubstitution) -> int:
         current = [sub(s) for s in current]
         order += 1
     return order
+
+
+def _apply(m: ModMatrix, v: tuple[int, ...]) -> tuple[int, ...]:
+    p = m.modulus
+    return tuple(
+        sum(m.entries[i][j] * v[j] for j in range(m.n)) % p for i in range(m.n)
+    )
+
+
+def quotient_matrix(m: ModMatrix, w_basis: tuple[tuple[int, ...], ...]) -> IntMatrix:
+    """Matrix of the action induced on F_p^n / W, in the coordinates of the
+    non-pivot standard basis vectors.  W must be given by an RREF basis
+    and be M-invariant; both are checked."""
+    p = m.modulus
+    n = m.n
+    pivots = [next(i for i, x in enumerate(row) if x) for row in w_basis]
+    free = [j for j in range(n) if j not in pivots]
+
+    def reduce_mod_w(v: tuple[int, ...]) -> list[int]:
+        out = list(v)
+        for row, c in zip(w_basis, pivots):
+            f = out[c] % p
+            if f:
+                out = [(x - f * y) % p for x, y in zip(out, row)]
+        return out
+
+    if any(any(reduce_mod_w(_apply(m, w))) for w in w_basis):
+        raise InternalInvariant("quotient subspace is not M-invariant")
+    cols = []
+    for j in free:
+        e = tuple(1 if i == j else 0 for i in range(n))
+        image = reduce_mod_w(_apply(m, e))
+        if any(image[c] % p for c in pivots):
+            raise InternalInvariant("subspace basis is not in reduced echelon form")
+        cols.append([image[i] % p for i in free])
+    d = len(free)
+    return IntMatrix.from_rows([[cols[j][i] for j in range(d)] for i in range(d)])
+
+
+def unipotent_order_by_iteration(q: IntMatrix, p: int) -> int:
+    """Order of a unipotent matrix mod p, by taking p-th powers until the
+    identity comes up: the least p^s with q^(p^s) = I."""
+    power = ModMatrix.reduce(q, p)
+    ident = ModMatrix.identity(q.n, p)
+    order = 1
+    while power != ident:
+        power = power ** p
+        order *= p
+    return order
+
+
+def cocycle_by_sampling(f, samples: int = 200, seed: int = 0) -> CocycleCheck:
+    """Normalization and the cocycle identity of a bilinear cocycle on
+    seeded sampled triples with entries in [-5, 5]."""
+    rng = random.Random(seed)
+    zero = f.base_zero()
+    for _ in range(samples):
+        g, h, k = (
+            tuple(rng.randint(-5, 5) for _ in range(f.r)) for _ in range(3)
+        )
+        if f(zero, g) != 0 or f(g, zero) != 0:
+            return CocycleCheck(False, (zero, g, zero))
+        lhs = f(g, h) + f(f.base_add(g, h), k)
+        rhs = f(h, k) + f(g, f.base_add(h, k))
+        if f.coeff_modulus:
+            lhs %= f.coeff_modulus
+            rhs %= f.coeff_modulus
+        if lhs != rhs:
+            return CocycleCheck(False, (g, h, k))
+    return CocycleCheck(True)
+
+
+def rank_exact(m: IntMatrix) -> int:
+    """Rank over the rationals via exact Gaussian elimination."""
+    rows = [[Fraction(x) for x in row] for row in m.entries]
+    n = m.n
+    rank = 0
+    col = 0
+    while rank < n and col < n:
+        pivot = next((i for i in range(rank, n) if rows[i][col] != 0), None)
+        if pivot is None:
+            col += 1
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][col]
+        for i in range(rank + 1, n):
+            if rows[i][col] != 0:
+                factor = rows[i][col] / pv
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+        col += 1
+    return rank

@@ -380,13 +380,15 @@ def test_bs_cross_check_raises_internal_invariant(monkeypatch):
 
 
 def test_quotient_matrix_rejects_a_non_invariant_subspace():
+    # the quotient matrix is a test oracle now; the library reads the
+    # obstruction's order off ranks and builds no quotient
+    from oracles import quotient_matrix
     from resip import InternalInvariant
-    from resip.classify import _quotient_matrix
 
     # the 3-cycle moves the line spanned by e1
     cyc = ModMatrix.reduce(IntMatrix.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]]), 5)
     with pytest.raises(InternalInvariant):
-        _quotient_matrix(cyc, ((1, 0, 0),))
+        quotient_matrix(cyc, ((1, 0, 0),))
 
 
 def test_sl2_power_rejects_non_prime():

@@ -530,3 +530,90 @@ def test_non_unipotent_certificate_exits_1(tmp_path, capsys):
     assert main(["verify-witness", "--certificate", str(path)]) == 1
     failed = [name for name, ok in json.loads(capsys.readouterr().out)["checks"] if not ok]
     assert failed == ["h1_unipotent_mod_p", "induced_order_matches", "induced_order_p_power"]
+
+
+class _ClosedPipe:
+    """A standard output whose reader has gone: every write and flush
+    raises BrokenPipeError, as a pipe closed early by ``head`` does."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    flush = write
+
+
+def test_closed_stdout_is_not_an_input_error(tmp_path, monkeypatch, capsys):
+    assert main(BETA_WITNESS + ["--w", "x1 x2 X1 X2"]) == 0
+    cert = dict(_entry(capsys)["result"]["certificate"])
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(cert))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(cert, data=dict(cert["data"], evidence_coefficient=0))))
+    # the exit status is the run's own: 0, 1 or 3, with nothing on stderr
+    for args, status in (
+        (["bs", "--q", "3"], 0),
+        (["bs", "--q", "3", "--format", "text"], 0),
+        (["verify-witness", "--certificate", str(good)], 0),
+        (["verify-witness", "--certificate", str(bad), "--format", "text"], 1),
+        (BETA_WITNESS + ["--caps", "magnus_degree=0"], 3),
+    ):
+        monkeypatch.setattr("sys.stdout", _ClosedPipe())
+        assert main(args) == status, args
+        monkeypatch.undo()
+        assert capsys.readouterr().err == "", args
+
+
+_CLOSED_PIPE_AT_EXIT = """
+import io
+import sys
+
+from resip.cli import main
+
+
+class Closed(io.RawIOBase):
+    def writable(self):
+        return True
+
+    def write(self, b):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+sys.stdout = io.TextIOWrapper(io.BufferedWriter(Closed()), encoding="utf-8")
+sys.exit(main(["bs", "--q", "3"]))
+"""
+
+
+def test_closed_stdout_leaves_nothing_for_the_exit_flush():
+    # a buffered stdout fails only when it is flushed; the interpreter's
+    # flush at exit would print "Exception ignored" and exit 120
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import resip
+
+    src = str(pathlib.Path(resip.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _CLOSED_PIPE_AT_EXIT], capture_output=True, text=True, env=env
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_missing_task_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["run", "--tasks", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cannot read input: [Errno 2] No such file or directory: '{missing}'\n"
+
+
+def test_input_that_is_not_utf8_exits_2(tmp_path, capsys):
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"version": 1, "tasks": [{"id": "\xe9", "kind": "bs", "q": 3}]}')
+    for args in (["run", "--tasks", str(latin)], ["verify-witness", "--certificate", str(latin)]):
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cannot read input: 'utf-8' codec can't decode byte 0xe9")

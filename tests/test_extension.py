@@ -1,10 +1,14 @@
 """Central extensions by explicit 2-cocycles: Heisenberg, circle bundles."""
 
+import inspect
+import random
+
 import pytest
 
 from resip import (
     BilinearCocycle,
     CircleBundleSpec,
+    CocycleCheck,
     ExtensionElement,
     InvalidSpec,
     NotHomomorphism,
@@ -21,6 +25,7 @@ from resip import (
     pullback_equality_check,
     verify_cocycle,
 )
+from oracles import cocycle_by_sampling
 
 
 def test_heisenberg_full_report():
@@ -64,6 +69,29 @@ def test_extension_associativity_needs_cocycle_identity():
 def test_bilinear_cocycle_verifies():
     assert verify_cocycle(heisenberg_cocycle()).ok
     assert verify_cocycle(circle_bundle_cocycle(CircleBundleSpec(2, -3))).ok
+
+
+def test_bilinear_verdict_agrees_with_sampling():
+    # the theorem decides a bilinear form; the sampled check it replaced
+    # must agree on every integer form, with and without a modulus
+    rng = random.Random(41)
+    for i in range(120):
+        r = rng.randint(1, 4)
+        form = tuple(tuple(rng.randint(-9, 9) for _ in range(r)) for _ in range(r))
+        f = BilinearCocycle(form, rng.randint(2, 12) if i % 2 else None)
+        assert verify_cocycle(f) == cocycle_by_sampling(f, samples=50, seed=i) == CocycleCheck(True)
+
+
+def test_bilinear_cocycle_has_no_sampling_knobs():
+    assert list(inspect.signature(verify_cocycle).parameters) == ["f"]
+
+
+@pytest.mark.parametrize("form", [((0.1, 0.7), (0.3, 0.2)), ((0, 1.0), (0, 0)), ((0, "1"), (0, 0))])
+def test_bilinear_form_entries_must_be_integers(form):
+    # 0.1 and friends made the sampled check report a rounding error as a
+    # violation; the theorem holds over Z, so such forms are refused
+    with pytest.raises(InvalidSpec):
+        BilinearCocycle(form)
 
 
 def test_table_cocycle_with_negative_control():

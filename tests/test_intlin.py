@@ -18,10 +18,9 @@ from resip import (
     lattice_chain_invariants,
     poly_divmod,
     poly_pow_x_minus_one,
-    rank_exact,
     smith_diagonal,
 )
-from oracles import matrix_order_mod
+from oracles import matrix_order_mod, rank_exact, unipotent_order_by_iteration
 
 A_SOL = IntMatrix.from_rows([[2, 1], [1, 1]])
 A_SOL_CUBED = IntMatrix.from_rows([[13, 8], [8, 5]])
@@ -113,6 +112,59 @@ def test_unipotence_agrees_with_direct_power():
             x % p == 0 for row in (b ** n).entries for x in row
         )
         assert bool(is_unipotent_mod(m, p)) == direct
+
+
+def test_unipotence_index_stops_at_the_nth_power(monkeypatch):
+    # the powers start at N = M - I, so N^j costs j - 1 products, and
+    # none is formed past N^n
+    products = []
+    mul = ModMatrix.__mul__
+    monkeypatch.setattr(ModMatrix, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    rng = random.Random(23)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        p = rng.choice([2, 3, 5, 7])
+        m = _random_unipotent(rng, n, p) if rng.random() < 0.5 else _random_matrix(rng, n, -4, 4)
+        products.clear()
+        res = is_unipotent_mod(m, p)
+        b = m.minus_identity()
+        zero = [j for j in range(1, n + 1) if all(x % p == 0 for row in (b ** j).entries for x in row)]
+        assert res.index == (zero[0] if zero else None)
+        assert len(products) == (res.index - 1 if res else n - 1)
+
+
+def _random_unipotent(rng, n: int, p: int) -> IntMatrix:
+    """I + a strictly upper triangular matrix with entries in [0, p),
+    conjugated by a random coordinate permutation."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    upper = [[int(i == j) + (rng.randrange(p) if j > i else 0) for j in range(n)] for i in range(n)]
+    return IntMatrix.from_rows([[upper[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+
+
+def test_unipotent_order_is_the_least_p_power_above_the_index():
+    # the closed form against the p-th-power iteration it replaced
+    rng = random.Random(29)
+    orders = set()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        p = rng.choice([2, 3, 5, 7, 11])
+        m = _random_unipotent(rng, n, p)
+        unip = is_unipotent_mod(m, p)
+        assert unip
+        order = p ** intlin.least_p_power_exponent(unip.index, p)
+        assert order == unipotent_order_by_iteration(m, p)
+        orders.add(intlin.p_power_exponent(order, p))
+    assert orders >= {0, 1, 2}
+
+
+def test_least_p_power_exponent_matches_a_loop():
+    for p in (2, 3, 5, 7, 11, 13):
+        s, q = 0, 1
+        for n in range(-2, 10 ** 4 + 1):
+            while q < n:
+                s, q = s + 1, q * p
+            assert intlin.least_p_power_exponent(n, p) == s, (n, p)
 
 
 def test_unipotence_charpoly_characterization():
@@ -260,6 +312,34 @@ def _integer_inverse(u: IntMatrix) -> IntMatrix:
     assert d in (1, -1)
     (a, b), (c, e) = u.entries
     return IntMatrix.from_rows([[e * d, -b * d], [-c * d, a * d]])
+
+
+def test_stable_rank_matches_rank_exact():
+    # deg of the charpoly stripped of x, against Fraction elimination of B^n
+    rng = random.Random(37)
+    ranks = set()
+    for i in range(240):
+        n = rng.randint(1, 6)
+        if i % 3 == 0:  # nilpotent, or nilpotent plus a small block
+            b = _random_unipotent(rng, n, 4).minus_identity()
+            if i % 2:
+                b = b + IntMatrix.from_rows(
+                    [[rng.randint(-2, 2) if j == k == n - 1 else 0 for k in range(n)] for j in range(n)]
+                )
+        else:
+            b = _random_matrix(rng, n, -3, 3)
+        r = rank_exact(b ** n)
+        assert lattice_chain_invariants(b).stable_rank == r, b.entries
+        ranks.add((r == 0, r == n))
+    assert ranks == {(True, False), (False, True), (False, False)}
+
+
+def test_rank_exact_is_no_longer_library_api():
+    import resip
+
+    assert not hasattr(resip, "rank_exact")
+    assert "rank_exact" not in resip.__all__
+    assert not hasattr(intlin, "rank_exact")
 
 
 def test_rank_and_smith_basics():

@@ -3,7 +3,9 @@
 The exhaustive search that classify once ran lives here as an oracle: it
 enumerates every M-invariant subspace of F_p^n (cyclic subspaces closed
 under joins) and tests each quotient for unipotence.  It is exponential in
-n, so it only runs for p^n <= 10^4.
+n, so it only runs for p^n <= 10^4.  The quotient matrices it tests, and
+the order iteration the witness's order is held against, are the oracles
+``quotient_matrix`` and ``unipotent_order_by_iteration``.
 """
 
 import random
@@ -24,7 +26,8 @@ from resip import (
     p_power_order_quotient_exists,
     parse_word,
 )
-from resip.classify import _quotient_matrix, _rref_key
+from resip.classify import _rref_key
+from oracles import quotient_matrix, unipotent_order_by_iteration
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +107,7 @@ def oracle_max_quotient_dim(m: ModMatrix):
     for key in invariant_subspaces(m):
         d = n - len(key)
         if d >= 2 and (best is None or d > best):
-            if is_unipotent_mod(_quotient_matrix(m, key), p):
+            if is_unipotent_mod(quotient_matrix(m, key), p):
                 best = d
     return best
 
@@ -254,7 +257,7 @@ def _check_witness(m: ModMatrix, p: int) -> None:
         image = [sum(a * b for a, b in zip(row, vec)) % p for row in rows]
         assert _rank_mod(w + [image], p) == dim_w
     # the quotient action is unipotent, of exactly the stored order
-    q = _quotient_matrix(m, tuple(tuple(r) for r in w))
+    q = quotient_matrix(m, tuple(tuple(r) for r in w))
     assert is_unipotent_mod(q, p)
     order = res.witness["order"]
     s = 0
@@ -288,6 +291,52 @@ def test_witness_order_is_exact_on_jordan_blocks():
                 s += 1
             assert res.witness == {"subspace": [], "quotient_dim": d, "order": p ** s}
             _check_witness(m, p)
+
+
+def _jordan_beside_a_fixed_point_free_block(rng, k: int, m: int, p: int) -> ModMatrix:
+    """P (J_k(1) + B) P^-1 over F_p, with B of size m and B - I invertible,
+    so W = im (M - I)^n is the conjugated B-part and nu_W = k."""
+    while True:
+        block = _random_invertible(rng, m, p)
+        if _rank_mod([[x - int(i == j) for j, x in enumerate(row)] for i, row in enumerate(block)], p) == m:
+            break
+    n = k + m
+    b = [[int(c in (r, r + 1)) if r < k and c < k else 0 for c in range(n)] for r in range(n)]
+    for r in range(m):
+        b[k + r][k:] = block[r]
+    conj = _random_invertible(rng, n, p)
+    rows = _mat_mul(_mat_mul(conj, b, p), _inverse_mod(conj, p), p)
+    return ModMatrix(p, tuple(tuple(row) for row in rows))
+
+
+def test_closed_form_order_matches_the_iterated_quotient_order():
+    # the order is read off the ranks of (M - I)^j; the oracle builds the
+    # quotient matrix on V/W and takes p-th powers until the identity
+    rng = random.Random(1010)
+    seen = {"unipotent": 0, "proper": 0, "none": 0, "above p": 0}
+    for i in range(500):
+        n, p = rng.randint(2, 5), rng.choice((2, 3, 5, 7, 11))
+        if i % 5 == 0:
+            k = rng.randint(2, 3)  # F_2 has no 1x1 block without the eigenvalue 1
+            m = _jordan_beside_a_fixed_point_free_block(rng, k, rng.randint(2, 5 - k), p)
+        elif i % 2:
+            m = _structured_matrix(rng, n, p, rng.randint(1, n))
+        else:
+            m = ModMatrix(p, tuple(map(tuple, _random_invertible(rng, n, p))))
+        n = m.n
+        res = p_power_order_quotient_exists(m, p)
+        nil = [[x - int(r == c) for c, x in enumerate(row)] for r, row in enumerate(m.entries)]
+        kernel_dim = n - _rank_mod(_mat_pow(nil, n, p), p)
+        if not res.exists:
+            assert kernel_dim < 2
+            seen["none"] += 1
+            continue
+        w = tuple(tuple(r) for r in res.witness["subspace"])
+        assert res.witness["quotient_dim"] == kernel_dim
+        assert res.witness["order"] == unipotent_order_by_iteration(quotient_matrix(m, w), p), (p, m.entries)
+        seen["proper" if w else "unipotent"] += 1
+        seen["above p"] += bool(w) and res.witness["order"] > p
+    assert min(seen.values()) >= 10, seen
 
 
 def _inversion(rank: int) -> FreeEndo:
