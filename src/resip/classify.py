@@ -2,7 +2,9 @@
 
 Torus bundles G_A = Z^n x| Z: residually p iff A is unipotent mod p;
 the set of good primes is exactly the prime divisors of
-gcd(coefficients of charpoly(A) - (x-1)^n), with gcd 0 meaning all primes.
+gcd(coefficients of charpoly(A) - (x-1)^n), with gcd 0 meaning all primes
+(proved in ``torus_verdicts``, which reads a whole sweep of primes off that
+one gcd).
 
 Free fibers (rank >= 2): unipotence of the H_1 action M mod p is
 sufficient.  For necessity we use the finite-quotient obstruction: a
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import (
@@ -94,44 +96,82 @@ class Verdict:
         return out
 
 
-def _require_automorphism(a: IntMatrix) -> None:
-    if det_exact(a) not in (1, -1):
+def _require_automorphism(a: IntMatrix) -> int:
+    """det A, which must be +-1."""
+    det = det_exact(a)
+    if det not in (1, -1):
         raise NotInvertible("matrix is not in GL_n(Z)")
+    return det
 
 
-def torus_residually_p(a: IntMatrix, p: int) -> Verdict:
-    """Is the torus bundle group Z^n x|_A Z residually p?
+def torus_verdicts(a: IntMatrix, primes: Sequence[int]) -> list[Verdict]:
+    """Is the torus bundle group Z^n x|_A Z residually p?  One verdict per
+    prime, in the order given, from one characteristic polynomial.
 
-    For 2x2 determinant-1 input the det(A - I) criterion is computed as
-    well and any disagreement with unipotence is a hard failure.
+    Theorem: with g the gcd of the coefficients of charpoly(A) - (x - 1)^n,
+    A is unipotent mod p iff p | g (g = 0: at every p).  Proof: if
+    charpoly(A) = (x - 1)^n mod p, then (A - I)^n = 0 mod p by
+    Cayley-Hamilton.  Conversely, if (A - I)^n = 0 mod p, every eigenvalue
+    of A over the algebraic closure of F_p is 1, so charpoly(A) mod p, monic
+    of degree n, is (x - 1)^n.  And the group is residually p iff A is
+    unipotent mod p.
+
+    So charpoly(A), g and, on SL_2, det(A - I) are computed once for all
+    primes.  At a p dividing g the power route ``is_unipotent_mod`` runs for
+    the nilpotency index the certificate reports, and must agree.  Elsewhere
+    the obstruction is charpoly(A) mod p, which differs from (x - 1)^n.
+
+    On SL_2 the det(A - I) criterion is a second cross-check at every
+    prime: charpoly(A) = x^2 - t x + 1 with t = tr A, so the gap is
+    (2 - t) x and g = |2 - t| = |charpoly(A)(1)| = |det(A - I)|.  Any
+    disagreement between routes is InternalInvariant.
     """
-    _require_automorphism(a)
-    unip = is_unipotent_mod(a, p)
-    if a.n == 2 and det_exact(a) == 1:
-        det_door = det_exact(a.minus_identity()) % p == 0
-        if det_door != unip.unipotent:
+    det = _require_automorphism(a)
+    for p in primes:
+        _require_prime(p)
+    charpoly, target, g = _charpoly_gap(a)
+    det_door = det_exact(a.minus_identity()) if a.n == 2 and det == 1 else None
+    verdicts = []
+    for p in primes:
+        unip = None if g % p else is_unipotent_mod(a, p)
+        unipotent = bool(unip)
+        if det_door is not None and (det_door % p == 0) != unipotent:
             raise InternalInvariant(
                 "unipotence and det(A-I) criteria disagree on an SL2 input"
             )
-    if unip:
-        return Verdict(
-            p,
-            RESIDUALLY_P,
-            certificate={
-                "criterion": "unipotent_mod_p",
-                "nilpotency_index": unip.index,
-            },
-        )
-    charpoly_mod = tuple(c % p for c in charpoly_exact(a))
-    return Verdict(
-        p,
-        NOT_RESIDUALLY_P,
-        obstruction={
-            "criterion": "not_unipotent_mod_p",
-            "charpoly_mod_p": list(charpoly_mod),
-            "target": list(c % p for c in poly_pow_x_minus_one(a.n)),
-        },
-    )
+        if unip is not None and not unipotent:
+            raise InternalInvariant(
+                "unipotence by charpoly and by powers of A - I disagree"
+            )
+        if unipotent:
+            verdicts.append(
+                Verdict(
+                    p,
+                    RESIDUALLY_P,
+                    certificate={
+                        "criterion": "unipotent_mod_p",
+                        "nilpotency_index": unip.index,
+                    },
+                )
+            )
+        else:
+            verdicts.append(
+                Verdict(
+                    p,
+                    NOT_RESIDUALLY_P,
+                    obstruction={
+                        "criterion": "not_unipotent_mod_p",
+                        "charpoly_mod_p": [c % p for c in charpoly],
+                        "target": [c % p for c in target],
+                    },
+                )
+            )
+    return verdicts
+
+
+def torus_residually_p(a: IntMatrix, p: int) -> Verdict:
+    """The verdict of ``torus_verdicts`` at the one prime p."""
+    return torus_verdicts(a, [p])[0]
 
 
 @dataclass(frozen=True)
@@ -153,11 +193,16 @@ class PrimeSet:
         }
 
 
+def _charpoly_gap(a: IntMatrix) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """charpoly(A), (x - 1)^n, and the gcd g of the coefficients of their
+    difference: A is unipotent mod p iff p | g (see ``torus_verdicts``)."""
+    charpoly = charpoly_exact(a)
+    target = poly_pow_x_minus_one(a.n)
+    return charpoly, target, math.gcd(*(c - t for c, t in zip(charpoly, target)))
+
+
 def _prime_set_from_charpoly_gap(a: IntMatrix) -> PrimeSet:
-    diff = [
-        c - t for c, t in zip(charpoly_exact(a), poly_pow_x_minus_one(a.n))
-    ]
-    g = math.gcd(*diff)
+    g = _charpoly_gap(a)[2]
     if g == 0:
         return PrimeSet(True, (), 0)
     return PrimeSet(False, prime_factors(g), g)

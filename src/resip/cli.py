@@ -43,7 +43,8 @@ from .classify import (
     residually_p_prime_set,
     sl2_power_divisibility,
     torus_residually_nilpotent,
-    torus_residually_p,
+    torus_residually_p,  # noqa: F401  perfbench's tracing tests wrap and restore this binding
+    torus_verdicts,
 )
 from .errors import CapExceeded, InvalidSpec, ResipError, SchemaError
 from .extension import (
@@ -186,7 +187,7 @@ def run_task(task: Task, caps: Caps) -> dict:
     payload = task.payload
     if task.kind == "torus":
         matrix = _coerce_matrix(payload["matrix"], "$.matrix")
-        verdicts = [torus_residually_p(matrix, p).to_dict() for p in _task_primes(payload)]
+        verdicts = [v.to_dict() for v in torus_verdicts(matrix, _task_primes(payload))]
         return {
             "matrix": [list(r) for r in matrix.entries],
             "verdicts": verdicts,

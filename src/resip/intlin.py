@@ -68,33 +68,41 @@ class IntMatrix:
     def rows(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
 
+    @classmethod
+    def _trusted(cls, entries: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """A matrix from entries already known to be a nonempty square of
+        ints, such as the sum, difference or product of valid matrices of
+        one size; skips the checks of __post_init__."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", entries)
+        return m
+
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._check_dim(other)
-        return IntMatrix.from_rows(
-            [
-                [a + b for a, b in zip(ra, rb)]
+        return IntMatrix._trusted(
+            tuple(
+                tuple(a + b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.entries, other.entries)
-            ]
+            )
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._check_dim(other)
-        return IntMatrix.from_rows(
-            [
-                [a - b for a, b in zip(ra, rb)]
+        return IntMatrix._trusted(
+            tuple(
+                tuple(a - b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.entries, other.entries)
-            ]
+            )
         )
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         self._check_dim(other)
-        n = self.n
         cols = list(zip(*other.entries))
-        return IntMatrix.from_rows(
-            [
-                [sum(a * b for a, b in zip(row, col)) for col in cols]
+        return IntMatrix._trusted(
+            tuple(
+                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
                 for row in self.entries
-            ]
+            )
         )
 
     def __pow__(self, k: int) -> "IntMatrix":
@@ -103,7 +111,12 @@ class IntMatrix:
         return _square_and_multiply(self, k, IntMatrix.identity(self.n))
 
     def minus_identity(self) -> "IntMatrix":
-        return self - IntMatrix.identity(self.n)
+        return IntMatrix._trusted(
+            tuple(
+                tuple(x - 1 if i == j else x for j, x in enumerate(row))
+                for i, row in enumerate(self.entries)
+            )
+        )
 
     def trace(self) -> int:
         return sum(self.entries[i][i] for i in range(self.n))
@@ -124,19 +137,29 @@ class ModMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.modulus < 2:
-            raise InvalidSpec("modulus must be >= 2")
-        if not _is_prime_power(self.modulus):
-            raise InvalidSpec(f"modulus {self.modulus} is not a prime power")
+        _check_modulus(self.modulus)
         n = len(self.entries)
         if n == 0 or any(len(row) != n for row in self.entries):
             raise InvalidSpec("matrix must be square and nonempty")
         if any(not (0 <= x < self.modulus) for row in self.entries for x in row):
             raise InvalidSpec("entries must be reduced mod the modulus")
 
+    @classmethod
+    def _trusted(cls, modulus: int, entries: tuple[tuple[int, ...], ...]) -> "ModMatrix":
+        """A matrix from entries already reduced mod a modulus already
+        validated, such as a product of valid matrices; skips the checks
+        of __post_init__."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "modulus", modulus)
+        object.__setattr__(m, "entries", entries)
+        return m
+
     @staticmethod
     def reduce(m: IntMatrix, modulus: int) -> "ModMatrix":
-        return ModMatrix(
+        """M mod modulus.  The modulus is checked here; the entries are a
+        valid IntMatrix's, reduced, so they need no check."""
+        _check_modulus(modulus)
+        return ModMatrix._trusted(
             modulus, tuple(tuple(x % modulus for x in row) for row in m.entries)
         )
 
@@ -153,7 +176,7 @@ class ModMatrix:
             raise InvalidSpec("modulus or dimension mismatch")
         m = self.modulus
         cols = list(zip(*other.entries))
-        return ModMatrix(
+        return ModMatrix._trusted(
             m,
             tuple(
                 tuple(sum(a * b for a, b in zip(row, col)) % m for col in cols)
@@ -181,9 +204,16 @@ def _square_and_multiply(base, k: int, one):
     return result
 
 
+def _check_modulus(modulus: int) -> None:
+    if modulus < 2:
+        raise InvalidSpec("modulus must be >= 2")
+    if not _is_prime_power(modulus):
+        raise InvalidSpec(f"modulus {modulus} is not a prime power")
+
+
 @lru_cache(maxsize=32)
 def _is_prime_power(m: int) -> bool:
-    # memoised: every ModMatrix product validates its modulus again
+    # memoised: every reduction validates its modulus again
     return len(prime_factors(m)) == 1
 
 

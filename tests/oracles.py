@@ -11,16 +11,32 @@ from fractions import Fraction
 from typing import Optional
 
 from resip import (
+    DEFAULT_CAPS,
     CapExceeded,
     CocycleCheck,
+    ExtensionElement,
+    FreeWord,
     IntMatrix,
     InternalInvariant,
     InvalidSpec,
     ModMatrix,
+    NOT_RESIDUALLY_P,
     NotInvertibleMod,
+    RESIDUALLY_P,
     SeriesSubstitution,
     TruncatedSeries,
+    Verdict,
+    apply_endo,
+    charpoly_exact,
+    conjugate,
     det_exact,
+    ext_commutator,
+    ext_identity,
+    ext_multiply,
+    is_unipotent_mod,
+    magnus_embed,
+    poly_pow_x_minus_one,
+    word_multiply,
 )
 from resip.intlin import _require_prime
 
@@ -172,3 +188,149 @@ def rank_exact(m: IntMatrix) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def kernel_samples(rank: int, d: int, seed: int, count: int = 20) -> list[FreeWord]:
+    """Random elements of gamma_{d+1}, hence of every level-(p, d) kernel:
+    conjugated left-nested commutators of weight d + 1."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        letters = [rng.randint(1, rank) for _ in range(d + 1)]
+        w = FreeWord.generator(rank, letters[-1])
+        for a in letters[-2::-1]:
+            x = FreeWord.generator(rank, a)
+            w = word_multiply(
+                word_multiply(x, w),
+                word_multiply(x.inverse(), w.inverse()),
+            )
+        conj_letters = [
+            rng.choice([1, -1]) * rng.randint(1, rank) for _ in range(rng.randint(0, 3))
+        ]
+        out.append(conjugate(w, FreeWord.from_letters(rank, conj_letters)))
+    return out
+
+
+def kernel_invariance_by_sampling(cert, caps=DEFAULT_CAPS) -> bool:
+    """A magnus certificate's kernel invariance on 20 sampled kernel
+    elements: each one and its monodromy image embed to 1, and so does
+    the substitution applied to its embedding."""
+    phi = cert.monodromy()
+    p, d = cert.p, cert.data["degree"]
+    sub = SeriesSubstitution(phi, d, p, caps)
+    invariant = True
+    for sample in kernel_samples(cert.rank, d, seed=p * 1009 + d):
+        image = apply_endo(phi, sample)
+        if not magnus_embed(image, d, p, caps).is_one():
+            invariant = False
+        if not sub(magnus_embed(sample, d, p, caps)).is_one():
+            invariant = False
+    return invariant
+
+
+def _powers(x: ExtensionElement, count: int, f):
+    """x^1, ..., x^count, each one product from the one before."""
+    acc = ext_identity(f)
+    for _ in range(count):
+        acc = ext_multiply(acc, x, f)
+        yield acc
+
+
+def _bilinear(pairing, u, v) -> int:
+    return sum(
+        u[i] * pairing[i][j] * v[j] for i in range(len(u)) for j in range(len(v))
+    )
+
+
+def gamma2_by_grid(f, pairing) -> bool:
+    """Every commutator of base elements (a, b), (c, d) of a rank-2
+    extension, with coordinates in [-3, 3], is (u^T P v, 0) for P the
+    given pairing; for Heisenberg's, u^T P v = a d - b c."""
+    gamma2_central = True
+    for a in range(-3, 4):
+        for b in range(-3, 4):
+            u = ExtensionElement(0, (a, b))
+            for c in range(-3, 4):
+                for d in range(-3, 4):
+                    v = ExtensionElement(0, (c, d))
+                    comm = ext_commutator(u, v, f)
+                    if comm.base != (0, 0) or comm.central != _bilinear(pairing, (a, b), (c, d)):
+                        gamma2_central = False
+    return gamma2_central
+
+
+def torsion_free_by_grid(f) -> bool:
+    """No element (a, (u1, u2)) of a rank-2 extension with coordinates in
+    [-5, 5], other than the identity, has a power up to 12 equal to it."""
+    ident = ext_identity(f)
+    torsion_free = True
+    for a in range(-5, 6):
+        for u1 in range(-5, 6):
+            for u2 in range(-5, 6):
+                g = ExtensionElement(a, (u1, u2))
+                if g != ident and any(gm == ident for gm in _powers(g, 12, f)):
+                    torsion_free = False
+    return torsion_free
+
+
+def class_two_and_torsion_free_by_sampling(f, pairing=None) -> tuple[bool, bool]:
+    """Class two and torsion-freeness on 100 seeded random pairs (u, v)
+    with coordinates in [-3, 3]: [u, v] is central, [[u, v], u] = 1 and
+    no power of u up to 12 is the identity.  With a pairing P, class two
+    also asks that [u, v] = (u^T P v, 0) on the base parts."""
+    r = f.r
+    ident = ext_identity(f)
+    rng = random.Random(11)
+    class_two = True
+    torsion_free = True
+    for _ in range(100):
+        u = ExtensionElement(rng.randint(-3, 3), tuple(rng.randint(-3, 3) for _ in range(r)))
+        v = ExtensionElement(rng.randint(-3, 3), tuple(rng.randint(-3, 3) for _ in range(r)))
+        comm = ext_commutator(u, v, f)
+        if comm.base != (0,) * r:
+            class_two = False
+        if ext_commutator(comm, u, f) != ident:
+            class_two = False
+        if pairing is not None and comm.central != _bilinear(pairing, u.base, v.base):
+            class_two = False
+        if u != ident and any(um == ident for um in _powers(u, 12, f)):
+            torsion_free = False
+    return class_two, torsion_free
+
+
+def torus_verdicts_per_prime(a: IntMatrix, primes) -> list[dict]:
+    """Torus-bundle verdict dicts with the powers of A - I taken at every
+    prime, and the det(A - I) criterion compared on SL_2 input."""
+    if det_exact(a) not in (1, -1):
+        raise InvalidSpec("matrix is not in GL_n(Z)")
+    out = []
+    for p in primes:
+        unip = is_unipotent_mod(a, p)
+        if a.n == 2 and det_exact(a) == 1:
+            det_door = det_exact(a.minus_identity()) % p == 0
+            if det_door != unip.unipotent:
+                raise InternalInvariant(
+                    "unipotence and det(A-I) criteria disagree on an SL2 input"
+                )
+        if unip:
+            verdict = Verdict(
+                p,
+                RESIDUALLY_P,
+                certificate={
+                    "criterion": "unipotent_mod_p",
+                    "nilpotency_index": unip.index,
+                },
+            )
+        else:
+            charpoly_mod = tuple(c % p for c in charpoly_exact(a))
+            verdict = Verdict(
+                p,
+                NOT_RESIDUALLY_P,
+                obstruction={
+                    "criterion": "not_unipotent_mod_p",
+                    "charpoly_mod_p": list(charpoly_mod),
+                    "target": list(c % p for c in poly_pow_x_minus_one(a.n)),
+                },
+            )
+        out.append(verdict.to_dict())
+    return out

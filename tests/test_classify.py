@@ -32,9 +32,10 @@ from resip import (
     sl2_power_divisibility,
     torus_residually_nilpotent,
     torus_residually_p,
+    torus_verdicts,
     FreeEndo,
 )
-from oracles import matrix_order_mod, sl2_power_by_search
+from oracles import matrix_order_mod, sl2_power_by_search, torus_verdicts_per_prime
 
 A_SOL = IntMatrix.from_rows([[2, 1], [1, 1]])
 A_SOL_CUBED = IntMatrix.from_rows([[13, 8], [8, 5]])
@@ -415,3 +416,54 @@ except InternalInvariant as exc:
 def test_lattice_index_cross_check_runs_under_python_O():
     out = _run_optimized(_BROKEN_LATTICE_INDEX)
     assert out.startswith("raised: lattice index disagrees")
+
+
+def test_torus_verdicts_match_the_per_prime_oracle():
+    # gap gcd g = 0 (every prime unipotent) for I and the transvections,
+    # g = 4 for -I in dimension 2, the rest drawn at random
+    fixed = [IntMatrix.identity(n) for n in (2, 3, 4)] + [
+        IntMatrix.from_rows([[1, 1], [0, 1]]),
+        IntMatrix.from_rows([[1, 2, 0], [0, 1, 5], [0, 0, 1]]),
+        IntMatrix.from_rows([[-1, 0], [0, -1]]),
+        A_SOL,
+    ]
+    rng = random.Random(2011)
+    mats = fixed + [_random_glnz(rng, rng.randint(2, 4)) for _ in range(300)]
+    primes = primes_up_to(200)
+    for a in mats:
+        assert [v.to_dict() for v in torus_verdicts(a, primes)] == torus_verdicts_per_prime(a, primes)
+    assert torus_residually_p(A_SOL, 5).to_dict() == torus_verdicts_per_prime(A_SOL, [5])[0]
+
+
+def test_torus_verdicts_run_the_power_route_only_where_the_gap_is_divisible(monkeypatch):
+    from resip import classify
+
+    seen = []
+    monkeypatch.setattr(classify, "is_unipotent_mod", lambda a, p: seen.append(p) or is_unipotent_mod(a, p))
+    primes = primes_up_to(50)
+    torus_verdicts(A_SOL, primes)  # g = |2 - tr A| = 1
+    assert seen == []
+    torus_verdicts(IntMatrix.from_rows([[-1, 0], [0, -1]]), primes)  # g = 4
+    assert seen == [2]
+    seen.clear()
+    torus_verdicts(IntMatrix.from_rows([[1, 1], [0, 1]]), primes)  # g = 0
+    assert seen == primes
+
+
+def test_torus_verdicts_raise_when_the_power_route_disagrees(monkeypatch):
+    from resip import InternalInvariant, UnipotenceResult, classify
+
+    monkeypatch.setattr(classify, "is_unipotent_mod", lambda a, p: UnipotenceResult(False, None))
+    with pytest.raises(InternalInvariant, match="by charpoly and by powers"):
+        torus_verdicts(IntMatrix.identity(3), [2, 3])
+    with pytest.raises(InternalInvariant, match="det\\(A-I\\) criteria disagree"):
+        torus_verdicts(IntMatrix.from_rows([[1, 1], [0, 1]]), [3])
+
+
+def test_torus_verdicts_reject_a_non_prime_before_any_verdict():
+    from resip import InvalidSpec
+
+    with pytest.raises(InvalidSpec, match="4 is not prime"):
+        torus_verdicts(A_SOL, [2, 3, 4])
+    with pytest.raises(NotInvertible):
+        torus_verdicts(IntMatrix.from_rows([[2, 0], [0, 1]]), [4])

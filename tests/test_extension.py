@@ -25,7 +25,14 @@ from resip import (
     pullback_equality_check,
     verify_cocycle,
 )
-from oracles import cocycle_by_sampling
+from oracles import (
+    class_two_and_torsion_free_by_sampling,
+    cocycle_by_sampling,
+    gamma2_by_grid,
+    torsion_free_by_grid,
+)
+from resip import extension
+from resip.extension import commutator_pairing, standard_pairing
 
 
 def test_heisenberg_full_report():
@@ -34,7 +41,7 @@ def test_heisenberg_full_report():
     names = [name for name, _ in report.checks]
     assert "commutator_xy_is_z" in names
     assert "gamma2_central_with_det_pairing" in names
-    assert "torsion_free_sampled" in names
+    assert "torsion_free" in names
 
 
 def test_heisenberg_group_law():
@@ -184,3 +191,71 @@ def test_bilinear_with_modulus():
     # central coordinate lives in Z/4
     assert ext_commutator(x, y, f).central == 2
     assert ext_power(ext_commutator(x, y, f), 2, f) == ext_identity(f)
+
+
+def _random_form(rng, r):
+    return tuple(tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(r))
+
+
+def _nudged(pairing, rng):
+    """The pairing with one entry moved by +-1."""
+    rows = [list(row) for row in pairing]
+    i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+    rows[i][j] += rng.choice((-1, 1))
+    return tuple(tuple(row) for row in rows)
+
+
+def test_commutator_pairing_agrees_with_sampling():
+    # [u, v] = (u^T (F - F^T) v, 0) and torsion-freeness over Z, against
+    # the sampled checks they replaced, for the true pairing and a wrong one
+    rng = random.Random(43)
+    for i in range(120):
+        f = BilinearCocycle(_random_form(rng, rng.randint(1, 4)))
+        true = commutator_pairing(f)
+        pairing = _nudged(true, rng) if i % 2 else true
+        class_two, torsion_free = class_two_and_torsion_free_by_sampling(f, pairing)
+        assert class_two == (pairing == true) and torsion_free
+
+
+def test_rank_two_grids_agree_with_the_exact_checks():
+    rng = random.Random(47)
+    for i in range(8):
+        modulus = rng.randint(2, 12) if i % 2 else None
+        f = BilinearCocycle(_random_form(rng, 2), modulus)
+        if modulus is None:
+            true = commutator_pairing(f)
+            assert gamma2_by_grid(f, true)
+            assert not gamma2_by_grid(f, _nudged(true, rng))
+        # (1, 0) has order m over Z/m; over Z nothing has finite order
+        assert torsion_free_by_grid(f) == (modulus is None)
+
+
+def test_heisenberg_pairing_is_the_determinant():
+    assert commutator_pairing(heisenberg_cocycle()) == standard_pairing(1, 1) == ((0, 1), (-1, 0))
+    assert gamma2_by_grid(heisenberg_cocycle(), standard_pairing(1, 1))
+
+
+def _failed(report):
+    return [name for name, passed in report.checks if not passed]
+
+
+def test_a_wrong_expected_pairing_fails_the_extension_checks(monkeypatch):
+    monkeypatch.setattr(extension, "standard_pairing", lambda g, e: standard_pairing(g, e + 1))
+    assert _failed(heisenberg_checks()) == ["gamma2_central_with_det_pairing"]
+    assert _failed(circle_bundle_central_witness(CircleBundleSpec(2, 3))) == ["class_two"]
+
+
+def test_a_form_with_a_coefficient_modulus_fails_the_extension_checks(monkeypatch):
+    monkeypatch.setattr(
+        extension, "heisenberg_cocycle", lambda: BilinearCocycle(((0, 1), (0, 0)), coeff_modulus=5)
+    )
+    assert _failed(heisenberg_checks()) == ["gamma2_central_with_det_pairing", "torsion_free"]
+    circle = extension.circle_bundle_cocycle
+    monkeypatch.setattr(
+        extension, "circle_bundle_cocycle", lambda spec: BilinearCocycle(circle(spec).form, coeff_modulus=7)
+    )
+    assert _failed(circle_bundle_central_witness(CircleBundleSpec(1, 2))) == [
+        "z_image_infinite_order",
+        "class_two",
+        "torsion_free",
+    ]

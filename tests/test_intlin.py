@@ -381,6 +381,32 @@ def test_mod_matrix_factors_each_modulus_once(monkeypatch):
     assert calls == [101, 12]
 
 
+
+def test_arithmetic_results_are_built_without_revalidation(monkeypatch):
+    from resip import InvalidSpec
+
+    a = IntMatrix.from_rows([[2, 1], [1, 1]])
+    b = IntMatrix.from_rows([[0, -1], [1, 3]])
+    m = ModMatrix.reduce(a, 7)
+    built = []
+    monkeypatch.setattr(IntMatrix, "__post_init__", lambda self: built.append(self))
+    monkeypatch.setattr(ModMatrix, "__post_init__", lambda self: built.append(self))
+    results = [a + b, a - b, a * b, a.minus_identity(), ModMatrix.reduce(b, 7), m * m]
+    assert built == []
+    monkeypatch.undo()
+    # each result is the matrix the validating constructors build
+    assert results == [
+        IntMatrix.from_rows([[2, 0], [2, 4]]),
+        IntMatrix.from_rows([[2, 2], [0, -2]]),
+        IntMatrix.from_rows([[1, 1], [1, 2]]),
+        IntMatrix.from_rows([[1, 1], [1, 0]]),
+        ModMatrix(7, ((0, 6), (1, 3))),
+        ModMatrix(7, ((5, 3), (3, 2))),
+    ]
+    with pytest.raises(InvalidSpec):  # a reduction still checks its modulus
+        ModMatrix.reduce(a, 12)
+
+
 # The in-tree integer arithmetic against sympy as the oracle.
 
 STRONG_PSEUDOPRIMES = (

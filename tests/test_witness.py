@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from oracles import induced_order_by_iteration
+from oracles import induced_order_by_iteration, kernel_invariance_by_sampling
 from resip import (
     CapExceeded,
     Caps,
@@ -19,10 +19,12 @@ from resip import (
     NonPPowerOrder,
     PGroupQuotient,
     SeriesSubstitution,
+    TruncatedSeries,
     abelianization_matrix,
     artin_endo,
     beta_braid,
     combine_witnesses,
+    commutator,
     compose_endos,
     endo_power,
     find_p_quotient_witness,
@@ -390,3 +392,63 @@ def test_beta_cube_has_unipotent_h1_everywhere():
     out = find_p_quotient_witness(beta3, _elem(0, "x1 X2"), 5)
     assert out.status == "certificate"
     assert verify_witness(out.certificate).ok
+
+
+def _left_nested(rng, rank, weight):
+    """[[..[x_a, x_b], x_c].., x_z] of the given weight with a != b, whose
+    Lie element is nonzero mod every p, so its Magnus depth is the weight."""
+    a, b = rng.sample(range(1, rank + 1), 2)
+    w = commutator(FreeWord.generator(rank, a), FreeWord.generator(rank, b))
+    for _ in range(weight - 2):
+        w = commutator(w, FreeWord.generator(rank, rng.randint(1, rank)))
+    return w
+
+
+def _magnus_certificates():
+    """Seeded magnus certificates: random monodromies unipotent on H_1 mod
+    p at ranks 2 and 3, and beta at p = 3 up to depth 4."""
+    rng = random.Random(1201)
+    cases = []
+    for _ in range(24):
+        rank, p = rng.randint(2, 3), rng.choice((2, 3, 5, 7))
+        weight = rng.randint(2, 4 if rank == 2 else 3)
+        cases.append((MappingTorusSpec(_random_unipotent(rng, rank, p)), p, _left_nested(rng, rank, weight)))
+    cases += [(_beta_spec(), 3, _left_nested(rng, 3, weight)) for weight in (2, 3, 4, 4)]
+    certs = []
+    for spec, p, w in cases:
+        cert = find_p_quotient_witness(spec, MappingTorusElement(0, w), p).certificate
+        assert cert.kind == "magnus"
+        certs.append(cert)
+    return certs
+
+
+def test_kernel_invariance_agrees_with_sampling():
+    certs = _magnus_certificates()
+    beta_images = _beta_spec().fiber.images
+    assert any(
+        c.p == 3 and c.data["degree"] == 4 and c.monodromy().images == beta_images
+        for c in certs
+    )
+    for cert in certs:
+        checks = dict(verify_witness(cert).checks)
+        assert checks["kernel_invariance"] is kernel_invariance_by_sampling(cert) is True
+
+
+def test_kernel_invariance_fails_for_a_substitution_off_embed_phi(monkeypatch):
+    # the bound is p = 7 here, so the order check applies the substitution
+    # once and cannot raise on a wrong one
+    spec = MappingTorusSpec(nielsen_transvection(2, 1, 2))
+    cert = find_p_quotient_witness(spec, _elem(0, "x1 x2 X1 X2", 2), 7).certificate
+    assert dict(verify_witness(cert).checks)["kernel_invariance"] is True
+
+    class Skewed(SeriesSubstitution):
+        """X_1 -> embed(phi(x_1)) - 1 + X_1 X_1: still a ring map, but no
+        longer U o embed = embed o phi."""
+
+        def __init__(self, phi, d, modulus, caps):
+            super().__init__(phi, d, modulus, caps)
+            self.images[0] = self.images[0] + TruncatedSeries(self.rank, d, modulus, {(1, 1): 1})
+
+    monkeypatch.setattr(witness, "SeriesSubstitution", Skewed)
+    checks = dict(verify_witness(cert).checks)
+    assert checks["kernel_invariance"] is False
