@@ -18,7 +18,6 @@ class Caps:
     max_rank: int = 6               # free-group rank accepted by classifiers
     layer_basis: int = 64           # largest Lyndon basis size per layer
     group_order: int = 10 ** 5      # finite p-group closure size
-    combine_witnesses: int = 16
 
     def with_overrides(self, **kwargs: int) -> "Caps":
         unknown = set(kwargs) - set(self.__dataclass_fields__)

@@ -56,6 +56,7 @@ from .intlin import (
     least_p_power_exponent,
     poly_pow_x_minus_one,
     prime_factors,
+    rref_mod,
 )
 from .magnus import unipotent_over_Z
 
@@ -276,26 +277,6 @@ def bs_classify(spec: BSSpec) -> BSReport:
 # Invariant-subspace obstruction for free fibers
 
 
-def _rref_key(rows: list[list[int]], p: int) -> tuple[tuple[int, ...], ...]:
-    """Reduced row echelon form over F_p as a canonical subspace key."""
-    mat = [row[:] for row in rows]
-    cols = len(mat[0]) if mat else 0
-    pivot_row = 0
-    for col in range(cols):
-        pivot = next((r for r in range(pivot_row, len(mat)) if mat[r][col] % p), None)
-        if pivot is None:
-            continue
-        mat[pivot_row], mat[pivot] = mat[pivot], mat[pivot_row]
-        inv = pow(mat[pivot_row][col], -1, p)
-        mat[pivot_row] = [(x * inv) % p for x in mat[pivot_row]]
-        for r in range(len(mat)):
-            if r != pivot_row and mat[r][col] % p:
-                f = mat[r][col] % p
-                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[pivot_row])]
-        pivot_row += 1
-    return tuple(tuple(row) for row in mat[:pivot_row])
-
-
 @dataclass(frozen=True)
 class ObstructionResult:
     exists: bool
@@ -344,7 +325,7 @@ def p_power_order_quotient_exists(m: ModMatrix, p: int) -> ObstructionResult:
 
 
 def _column_space(m: ModMatrix) -> tuple[tuple[int, ...], ...]:
-    return _rref_key([list(col) for col in zip(*m.entries)], m.modulus)
+    return rref_mod(list(zip(*m.entries)), m.modulus)[0]
 
 
 def _fitting_obstruction(a: IntMatrix, p: int) -> ObstructionResult:

@@ -6,6 +6,15 @@ was exceeded somewhere.  A task that fails for any other reason becomes an
 ``error`` entry and the batch goes on.  A reader that closes standard
 output early (``| head``) gets no more output and changes no exit code.
 
+A task file is ``{"version": 1, "tasks": [...]}``.  Its format is defined
+once, by ``TASK_FIELDS`` (each task key and the function that checks and
+converts its value) and ``REQUIRED_KEYS``/``CHECK_KEYS`` (the keys each
+kind and each extension check needs).  One pass over the parsed JSON
+validates it and turns bigints, integers or strings of decimal digits,
+into ints; the first violation is a SchemaError carrying its JSON path.
+The single-task subcommands build one task and pass it through the same
+validator.
+
 Tasks run one after another in file order.  JSON reports are
 deterministic: entries keep task order, keys are sorted, integers wider
 than 2^53 are emitted as strings, and timing is only shown in the text
@@ -20,10 +29,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass
-from importlib import resources
 from typing import Optional
 
 from .braid import (
@@ -65,17 +74,6 @@ from .intlin import (
 )
 from .witness import PGroupQuotient, find_p_quotient_witness, verify_witness
 
-TASK_KINDS = (
-    "torus",
-    "primes",
-    "fibered",
-    "bs",
-    "braid-cover",
-    "witness",
-    "extension",
-    "sl2-power",
-)
-
 
 @dataclass(frozen=True)
 class Task:
@@ -108,72 +106,166 @@ class ReportEntry:
         return out
 
 
-def _schema() -> dict:
-    text = resources.files("resip").joinpath("schema/taskfile.schema.json").read_text()
-    return json.loads(text)
+def _brief(value) -> str:
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
-def _coerce_int(v) -> int:
-    if isinstance(v, bool):
-        raise SchemaError("boolean where integer expected")
-    if isinstance(v, int):
-        return v
-    if isinstance(v, str):
+def _bigint(value, path: str) -> int:
+    """An integer, or a string of decimal digits with an optional minus
+    sign: integers wider than a double may be written either way."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str) and _DIGITS.fullmatch(value):
         try:
-            return int(v)
-        except ValueError as exc:
-            raise SchemaError(f"bad integer literal {v!r}") from exc
-    raise SchemaError(f"bad integer {v!r}")
+            return int(value)
+        except ValueError:  # more digits than int() converts
+            raise SchemaError(f"integer of {len(value)} characters is too long", path) from None
+    raise SchemaError(f"{_brief(value)} is not an integer or a string of digits", path)
 
 
-def _coerce_matrix(rows, path: str) -> IntMatrix:
-    coerced = [[_coerce_int(x) for x in row] for row in rows]
-    n = len(coerced)
-    if any(len(row) != n for row in coerced):
-        raise SchemaError("matrix must be square", path)
-    return IntMatrix.from_rows(coerced)
+def _integer(minimum: Optional[int] = None):
+    def check(value, path: str) -> int:
+        if type(value) is not int:
+            raise SchemaError(f"{_brief(value)} is not an integer", path)
+        if minimum is not None and value < minimum:
+            raise SchemaError(f"{value} is less than the minimum of {minimum}", path)
+        return value
+
+    return check
+
+
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(f"{_brief(value)} is not a string", path)
+    return value
+
+
+def _one_of(choices):
+    def check(value, path: str) -> str:
+        if value not in choices:
+            raise SchemaError(f"{_brief(value)} is not one of {list(choices)}", path)
+        return value
+
+    return check
+
+
+def _list_of(item, nonempty: bool = False):
+    def check(value, path: str) -> list:
+        if not isinstance(value, list):
+            raise SchemaError(f"{_brief(value)} is not a list", path)
+        if nonempty and not value:
+            raise SchemaError("list is empty", path)
+        return [item(x, f"{path}[{i}]") for i, x in enumerate(value)]
+
+    return check
+
+
+def _element(value, path: str) -> dict:
+    if not isinstance(value, dict) or set(value) != {"t", "w"}:
+        raise SchemaError(f"{_brief(value)} is not an object with exactly t and w", path)
+    return {"t": _bigint(value["t"], path + ".t"), "w": _string(value["w"], path + ".w")}
+
+
+# The task format.  A task is an object whose keys are those of
+# TASK_FIELDS; each maps to the function that checks its value and
+# converts it (bigints to int).  REQUIRED_KEYS lists the keys each kind
+# needs, "a|b" meaning a or b, and CHECK_KEYS those each extension check
+# adds.  Semantic checks (a square matrix, a prime p, a monic divisor) run
+# with the task and fail only its entry.
+REQUIRED_KEYS = {
+    "torus": ("matrix", "primes|primes_up_to"),
+    "primes": ("matrix",),
+    "fibered": ("rank", "images", "inverse", "primes|primes_up_to"),
+    "bs": ("q",),
+    "braid-cover": ("strands", "braid", "modulus", "assignments"),
+    "witness": ("rank", "images", "inverse", "p", "element"),
+    "extension": ("check",),
+    "sl2-power": ("matrix", "p"),
+}
+CHECK_KEYS = {"heisenberg": (), "circle-bundle": ("genus", "euler"), "cocycle": ("form",)}
+_DIGITS = re.compile(r"-?[0-9]+")
+_MATRIX = _list_of(_list_of(_bigint, nonempty=True), nonempty=True)
+_WORDS = _list_of(_string, nonempty=True)
+TASK_FIELDS = {
+    "id": _string,
+    "kind": _one_of(tuple(REQUIRED_KEYS)),
+    "matrix": _MATRIX,
+    "primes": _list_of(_bigint),
+    "primes_up_to": _bigint,
+    "rank": _integer(1),
+    "images": _WORDS,
+    "inverse": _WORDS,
+    "q": _bigint,
+    "strands": _integer(2),
+    "braid": _string,
+    "modulus": _integer(1),
+    "assignments": _list_of(_integer()),
+    "divisors": _list_of(_list_of(_integer(), nonempty=True)),
+    "p": _integer(2),
+    "element": _element,
+    "check": _one_of(tuple(CHECK_KEYS)),
+    "genus": _integer(1),
+    "euler": _integer(),
+    "form": _MATRIX,
+    "coeff_modulus": _integer(2),
+}
+
+
+def _task(raw, index: int) -> Task:
+    path = f"$.tasks[{index}]"
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{_brief(raw)} is not an object", path)
+    unknown = sorted(set(raw) - TASK_FIELDS.keys())
+    if unknown:
+        raise SchemaError(f"unknown task keys {unknown}", path)
+    fields = {key: TASK_FIELDS[key](value, f"{path}.{key}") for key, value in raw.items()}
+    kind = fields.pop("kind", None)
+    if kind is None:
+        raise SchemaError("missing kind", path)
+    required = REQUIRED_KEYS[kind]
+    if kind == "extension" and "check" in fields:
+        required += CHECK_KEYS[fields["check"]]
+    for keys in required:
+        if not any(k in fields for k in keys.split("|")):
+            raise SchemaError(f"missing {' or '.join(keys.split('|'))}", path)
+    return Task(fields.pop("id", str(index)), kind, fields)
+
+
+def _task_file(doc) -> TaskFile:
+    if not isinstance(doc, dict) or set(doc) != {"version", "tasks"}:
+        raise SchemaError("a task file is an object with exactly version and tasks")
+    if type(doc["version"]) is not int or doc["version"] != 1:
+        raise SchemaError(f"{_brief(doc['version'])} is not version 1", "$.version")
+    if not isinstance(doc["tasks"], list):
+        raise SchemaError(f"{_brief(doc['tasks'])} is not a list", "$.tasks")
+    return TaskFile(1, tuple(_task(raw, i) for i, raw in enumerate(doc["tasks"])))
+
+
+def _square_matrix(rows: list[list[int]]) -> IntMatrix:
+    if any(len(row) != len(rows) for row in rows):
+        raise SchemaError("matrix must be square", "$.matrix")
+    return IntMatrix.from_rows(rows)
 
 
 def parse_task_file(text: str) -> TaskFile:
-    """Validate against the shipped schema; SchemaError carries the JSON
-    path of the first offending field."""
+    """Parse and validate a task file, converting bigints to int; a
+    SchemaError carries the JSON path of the first offending field."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
         raise SchemaError(f"not valid JSON: {exc}") from exc
-    import jsonschema  # here, not at the top: verify-witness never needs it
-
-    validator = jsonschema.Draft202012Validator(_schema())
-    errors = sorted(
-        validator.iter_errors(doc),
-        key=lambda e: (list(e.absolute_path), e.message),
-    )
-    if errors:
-        err = errors[0]
-        path = "$" + "".join(
-            f"[{p}]" if isinstance(p, int) else f".{p}" for p in err.absolute_path
-        )
-        raise SchemaError(err.message, path)
-    tasks = []
-    for i, raw in enumerate(doc["tasks"]):
-        tasks.append(
-            Task(
-                id=raw.get("id", str(i)),
-                kind=raw["kind"],
-                payload={k: v for k, v in raw.items() if k not in ("id", "kind")},
-            )
-        )
-    return TaskFile(version=doc["version"], tasks=tuple(tasks))
+    return _task_file(doc)
 
 
 def _task_primes(payload: dict) -> list[int]:
     if "primes" in payload:
-        ps = [_coerce_int(p) for p in payload["primes"]]
+        ps = payload["primes"]
         for p in ps:
             if not is_prime(p):
                 raise SchemaError(f"{p} is not prime", "$.primes")
         return ps
-    return primes_up_to(_coerce_int(payload["primes_up_to"]))
+    return primes_up_to(payload["primes_up_to"])
 
 
 def _build_endo(payload: dict) -> FreeEndo:
@@ -186,7 +278,7 @@ def _build_endo(payload: dict) -> FreeEndo:
 def run_task(task: Task, caps: Caps) -> dict:
     payload = task.payload
     if task.kind == "torus":
-        matrix = _coerce_matrix(payload["matrix"], "$.matrix")
+        matrix = _square_matrix(payload["matrix"])
         verdicts = [v.to_dict() for v in torus_verdicts(matrix, _task_primes(payload))]
         return {
             "matrix": [list(r) for r in matrix.entries],
@@ -194,21 +286,21 @@ def run_task(task: Task, caps: Caps) -> dict:
             "residually_nilpotent": torus_residually_nilpotent(matrix),
         }
     if task.kind == "primes":
-        matrix = _coerce_matrix(payload["matrix"], "$.matrix")
+        matrix = _square_matrix(payload["matrix"])
         return {
             "matrix": [list(r) for r in matrix.entries],
             "prime_set": residually_p_prime_set(matrix).to_dict(),
         }
     if task.kind == "fibered":
         endo = _build_endo(payload)
-        spec = MappingTorusSpec(endo, payload.get("description", ""))
+        spec = MappingTorusSpec(endo)
         verdicts = [
             free_fiber_residually_p(spec, p).to_dict()
             for p in _task_primes(payload)
         ]
         return {"rank": endo.rank, "verdicts": verdicts}
     if task.kind == "bs":
-        return bs_classify(BSSpec(_coerce_int(payload["q"]))).to_dict()
+        return bs_classify(BSSpec(payload["q"])).to_dict()
     if task.kind == "braid-cover":
         strands = payload["strands"]
         braid = parse_braid(payload["braid"], strands)
@@ -245,9 +337,9 @@ def run_task(task: Task, caps: Caps) -> dict:
         }
     if task.kind == "witness":
         endo = _build_endo(payload)
-        spec = MappingTorusSpec(endo, payload.get("description", ""))
+        spec = MappingTorusSpec(endo)
         element = MappingTorusElement(
-            _coerce_int(payload["element"]["t"]),
+            payload["element"]["t"],
             parse_word(payload["element"]["w"], endo.rank),
         )
         outcome = find_p_quotient_witness(spec, element, payload["p"], caps)
@@ -266,7 +358,7 @@ def run_task(task: Task, caps: Caps) -> dict:
         if check == "circle-bundle":
             spec = CircleBundleSpec(payload["genus"], payload["euler"])
             return {"check": check, "report": circle_bundle_central_witness(spec).to_dict()}
-        form = tuple(tuple(_coerce_int(x) for x in row) for row in payload["form"])
+        form = tuple(tuple(row) for row in payload["form"])
         cocycle = BilinearCocycle(form, payload.get("coeff_modulus"))
         result = verify_cocycle(cocycle)
         return {
@@ -274,7 +366,7 @@ def run_task(task: Task, caps: Caps) -> dict:
             "report": {"ok": result.ok, "violation": result.violation},
         }
     if task.kind == "sl2-power":
-        matrix = _coerce_matrix(payload["matrix"], "$.matrix")
+        matrix = _square_matrix(payload["matrix"])
         k = sl2_power_divisibility(matrix, payload["p"])
         return {"p": payload["p"], "k": k}
     raise SchemaError(f"unknown task kind {task.kind}")
@@ -506,13 +598,9 @@ def _single_task(args) -> dict:
             "element": {"t": args.t, "w": args.w},
         }
     if args.command == "extension":
-        payload = {"kind": "extension", "check": args.check}
-        if args.check == "circle-bundle":
-            if args.genus is None or args.euler is None:
-                raise SchemaError("circle-bundle needs --genus and --euler")
-            payload["genus"] = args.genus
-            payload["euler"] = args.euler
-        return payload
+        flags = {"genus": args.genus, "euler": args.euler}
+        given = {key: value for key, value in flags.items() if value is not None}
+        return {"kind": "extension", "check": args.check, **given}
     if args.command == "sl2-power":
         return {
             "kind": "sl2-power",
@@ -561,9 +649,10 @@ def main(argv: Optional[list[str]] = None) -> int:
                 text = _read_input(args.tasks)
                 if text is None:
                     return 2
+                taskfile = parse_task_file(text)
             else:
-                text = json.dumps({"version": 1, "tasks": [_single_task(args)]})
-            entries = run_tasks(parse_task_file(text), caps)
+                taskfile = _task_file({"version": 1, "tasks": [_single_task(args)]})
+            entries = run_tasks(taskfile, caps)
             out = emit_report(entries, args.format)
             status = 3 if any(e.status == "cap" for e in entries) else 0
     except SchemaError as exc:
@@ -606,7 +695,7 @@ def _verify_certificate(text: str, caps: Caps):
         return verify_witness(PGroupQuotient.from_dict(json.loads(text)), caps)
     except CapExceeded:
         raise
-    except (LookupError, TypeError, ValueError, AttributeError, ResipError) as exc:
+    except (LookupError, TypeError, ValueError, AttributeError, RecursionError, ResipError) as exc:
         raise SchemaError(f"malformed certificate: {type(exc).__name__}: {exc}") from exc
 
 

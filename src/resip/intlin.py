@@ -469,6 +469,31 @@ def is_unipotent_mod(m: IntMatrix, p: int) -> UnipotenceResult:
     return UnipotenceResult(False, None)
 
 
+def rref_mod(
+    rows: Sequence[Sequence[int]], p: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Gauss-Jordan elimination over F_p, for a prime p: the nonzero rows
+    of the reduced row echelon form of ``rows`` (entries are taken mod p)
+    and their pivot columns.  The rows are a canonical basis of the row
+    space."""
+    mat = [[x % p for x in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = pow(mat[r][col], -1, p)
+        top = mat[r] = [x * inv % p for x in mat[r]]
+        for i, row in enumerate(mat):
+            f = row[col]
+            if f and i != r:
+                mat[i] = [(x - f * y) % p for x, y in zip(row, top)]
+        pivots.append(col)
+    return tuple(tuple(row) for row in mat[: len(pivots)]), tuple(pivots)
+
+
 def _gcdex(a: int, b: int) -> tuple[int, int, int]:
     """x, y, g with x a + y b = g = gcd(a, b), as sympy's igcdex gives them."""
     if not a or not b:

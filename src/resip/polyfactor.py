@@ -20,7 +20,7 @@ from itertools import combinations
 from math import gcd, isqrt
 from typing import Optional, Sequence
 
-from .intlin import is_prime, poly_divmod
+from .intlin import is_prime, poly_divmod, rref_mod
 
 _GOOD_PRIMES_TRIED = 5  # the fewest modular factors among these primes wins
 
@@ -116,27 +116,13 @@ def _derivative(f: list[int]) -> list[int]:
 def _nullspace(a: list[list[int]], p: int) -> list[list[int]]:
     """A basis of {v : a v = 0} over F_p."""
     n = len(a[0])
-    rows = [list(r) for r in a]
-    pivots: list[int] = []
-    for c in range(n):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
+    rows, pivots = rref_mod(a, p)
     basis = []
     for free in (c for c in range(n) if c not in pivots):
         v = [0] * n
         v[free] = 1
-        for i, c in enumerate(pivots):
-            v[c] = -rows[i][free] % p
+        for row, c in zip(rows, pivots):
+            v[c] = -row[free] % p
         basis.append(v)
     return basis
 

@@ -6,9 +6,9 @@ import pytest
 
 from resip import SchemaError
 from resip.cli import (
+    TASK_FIELDS,
     _json_safe,
     _matrix_from_text,
-    _schema,
     emit_report,
     main,
     parse_task_file,
@@ -209,7 +209,7 @@ def test_sl2_power_takes_no_cap(tmp_path, capsys):
     assert code == 2
     capsys.readouterr()
 
-    assert "cap" not in _schema()["$defs"]["task"]["properties"]
+    assert "cap" not in TASK_FIELDS
     capped = tmp_path / "capped.json"
     task = {"kind": "sl2-power", "matrix": [[2, 1], [1, 1]], "p": 5, "cap": 5}
     capped.write_text(json.dumps({"version": 1, "tasks": [task]}))
@@ -482,13 +482,13 @@ def test_flag_prefixes_are_refused(capsys, argv):
 def test_removed_witness_knobs_exit_2(tmp_path, capsys):
     assert _exit_code(BETA_WITNESS + ["--exploratory"]) == 2
     capsys.readouterr()
-    for cap in ("order_iterations=1", "max_layer=4"):
+    for cap in ("order_iterations=1", "max_layer=4", "combine_witnesses=4"):
         assert main(BETA_WITNESS + ["--caps", cap]) == 2
         assert "unknown caps" in capsys.readouterr().err
     assert set(DEFAULT_CAPS.__dataclass_fields__) == {
-        "magnus_degree", "max_rank", "layer_basis", "group_order", "combine_witnesses"
+        "magnus_degree", "max_rank", "layer_basis", "group_order"
     }
-    assert "exploratory" not in _schema()["$defs"]["task"]["properties"]
+    assert "exploratory" not in TASK_FIELDS
     task = {
         "kind": "witness",
         "rank": 2,
@@ -617,3 +617,174 @@ def test_input_that_is_not_utf8_exits_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("cannot read input: 'utf-8' codec can't decode byte 0xe9")
+
+
+# ---------------------------------------------------------------------------
+# the task format, one rule at a time: an accepted and a rejected value,
+# and the JSON path the rejection carries
+
+TORUS = {"kind": "torus", "matrix": [[2, 1], [1, 1]], "primes": [2]}
+FIBERED = {"kind": "fibered", "rank": 2, "images": ["x2", "x1"], "inverse": ["x2", "x1"],
+           "primes_up_to": 5}
+BS = {"kind": "bs", "q": 3}
+COVER = {"kind": "braid-cover", "strands": 3, "braid": "s1 S2", "modulus": 2,
+         "assignments": [1, 1, 1]}
+WITNESS = {"kind": "witness", "rank": 2, "images": ["x2", "x1"], "inverse": ["x2", "x1"],
+           "p": 3, "element": {"t": 0, "w": "x1"}}
+HEISENBERG = {"kind": "extension", "check": "heisenberg"}
+CIRCLE = {"kind": "extension", "check": "circle-bundle", "genus": 2, "euler": 3}
+COCYCLE = {"kind": "extension", "check": "cocycle", "form": [[0, 1], [0, 0]]}
+SL2 = {"kind": "sl2-power", "matrix": [[2, 1], [1, 1]], "p": 5}
+
+
+def _doc(*tasks, **top) -> str:
+    return json.dumps(dict({"version": 1, "tasks": list(tasks)}, **top))
+
+
+def _rejected_at(text: str) -> str:
+    with pytest.raises(SchemaError) as e:
+        parse_task_file(text)
+    return e.value.path
+
+
+@pytest.mark.parametrize(
+    "task, key, good, bad, where",
+    [
+        (TORUS, "matrix", [["-12", 1], [1, "0"]], [[1, 2], []], ".matrix[1]"),
+        (TORUS, "matrix", [[7]], [], ".matrix"),
+        (TORUS, "matrix", [[2, 1], [1, 1]], [[2, "1 "], [1, 1]], ".matrix[0][1]"),
+        (COCYCLE, "form", [["3", 1], [0, 0]], [[0, 1.5], [0, 0]], ".form[0][1]"),
+        (TORUS, "primes", ["2", 3], [2, 3.0], ".primes[1]"),
+        (TORUS, "primes_up_to", "30", "3O", ".primes_up_to"),
+        (BS, "q", "-" + "9" * 30, "12\n", ".q"),
+        (BS, "q", 10, True, ".q"),
+        (FIBERED, "images", ["x2", "x1"], [], ".images"),
+        (FIBERED, "inverse", ["x2", "x1"], ["x2", 1], ".inverse[1]"),
+        (BS, "id", "first", 1, ".id"),
+        (COVER, "braid", "s1", ["s1"], ".braid"),
+        (WITNESS, "element", {"t": "-4", "w": "x1"}, {"t": 0, "w": "x1", "u": 1}, ".element"),
+        (WITNESS, "element", {"t": 2, "w": ""}, {"t": 0.5, "w": "x1"}, ".element.t"),
+        (WITNESS, "element", {"t": 2, "w": "x2"}, {"t": 0, "w": 2}, ".element.w"),
+        (HEISENBERG, "check", "heisenberg", "Heisenberg", ".check"),
+        (FIBERED, "rank", 1, 0, ".rank"),
+        (COVER, "strands", 2, 1, ".strands"),
+        (COVER, "modulus", 1, 0, ".modulus"),
+        (SL2, "p", 2, 1, ".p"),
+        (SL2, "p", 5, 5.0, ".p"),
+        (SL2, "p", 5, "5", ".p"),
+        (CIRCLE, "genus", 1, 0, ".genus"),
+        (COCYCLE, "coeff_modulus", 2, 1, ".coeff_modulus"),
+        (CIRCLE, "euler", -3, "3", ".euler"),
+        (COVER, "assignments", [1, -1, 0], [1, "1"], ".assignments[1]"),
+        (COVER, "divisors", [[1, -3, 1], [5]], [[1], []], ".divisors[1]"),
+        (BS, "kind", "bs", "nonsense", ".kind"),
+    ],
+)
+def test_task_value_rules(task, key, good, bad, where):
+    parse_task_file(_doc(dict(task, **{key: good})))
+    assert _rejected_at(_doc(dict(task, **{key: bad}))) == "$.tasks[0]" + where
+
+
+@pytest.mark.parametrize(
+    "good, bad",
+    [
+        (TORUS, dict(TORUS, cap=5)),
+        (BS, ["bs", 3]),
+        (BS, {"q": 3}),
+        (dict(TORUS, primes_up_to=7), {"kind": "torus", "matrix": [[1]]}),
+        ({"kind": "torus", "matrix": [[1]], "primes_up_to": 7}, {"kind": "torus", "primes": [2]}),
+        ({"kind": "primes", "matrix": [[1]]}, {"kind": "primes"}),
+        (FIBERED, {k: v for k, v in FIBERED.items() if k != "primes_up_to"}),
+        (FIBERED, {k: v for k, v in FIBERED.items() if k != "inverse"}),
+        ({"kind": "bs", "q": 3, "p": 2}, {"kind": "bs", "p": 2}),
+        (COVER, {k: v for k, v in COVER.items() if k != "assignments"}),
+        (WITNESS, {k: v for k, v in WITNESS.items() if k != "element"}),
+        (HEISENBERG, {"kind": "extension", "genus": 2, "euler": 3}),
+        (dict(HEISENBERG, form=[[1]]), dict(CIRCLE, check="cocycle")),
+        (CIRCLE, {k: v for k, v in CIRCLE.items() if k != "euler"}),
+        (COCYCLE, {k: v for k, v in COCYCLE.items() if k != "form"}),
+        (SL2, {k: v for k, v in SL2.items() if k != "p"}),
+    ],
+)
+def test_task_key_rules(good, bad):
+    parse_task_file(_doc(good))
+    assert _rejected_at(_doc(BS, bad)) == "$.tasks[1]"
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (_doc(version=2), "$.version"),
+        (_doc(version="1"), "$.version"),
+        (_doc(version=1.0), "$.version"),
+        (_doc(version=True), "$.version"),
+        (_doc(BS, extra=1), "$"),
+        (json.dumps({"version": 1}), "$"),
+        (json.dumps([]), "$"),
+        (_doc(tasks={"0": BS}), "$.tasks"),
+    ],
+)
+def test_top_level_rules(text, where):
+    parse_task_file(_doc(BS))
+    assert _rejected_at(text) == where
+
+
+def test_bigints_become_ints():
+    torus = dict(TORUS, matrix=[["-12", 1], ["007", "9" * 30]], primes=["2", 3], id="t")
+    witness = dict(WITNESS, element={"t": "-4", "w": "x1"})
+    first, second, third = parse_task_file(
+        _doc(torus, witness, dict(FIBERED, primes_up_to="30"))
+    ).tasks
+    assert (first.id, first.kind) == ("t", "torus")
+    assert first.payload == {"matrix": [[-12, 1], [7, int("9" * 30)]], "primes": [2, 3]}
+    assert (second.id, second.payload["element"]) == ("1", {"t": -4, "w": "x1"})
+    assert third.payload["primes_up_to"] == 30
+
+
+def test_schema_errors_exit_2_with_their_path(tmp_path, capsys):
+    path = tmp_path / "float.json"
+    path.write_text(_doc(dict(SL2, p=5.0)))
+    assert main(["run", "--tasks", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("schema error at $.tasks[0].p: 5.0 is not an integer")
+    # the single-task subcommands pass through the same validator
+    assert main(["sl2-power", "--matrix", "2 1; 1 1", "--p", "1"]) == 2
+    assert capsys.readouterr().err.startswith("schema error at $.tasks[0].p:")
+    assert main(["braid-cover", "--strands", "1", "--braid", "", "--modulus", "2",
+                 "--assignments", "1"]) == 2
+    assert capsys.readouterr().err.startswith("schema error at $.tasks[0].strands:")
+    assert main(["extension", "--check", "circle-bundle", "--genus", "2"]) == 2
+    assert capsys.readouterr().err == "schema error at $.tasks[0]: missing euler\n"
+
+
+def test_non_square_matrix_is_an_error_entry():
+    (entry,) = run_tasks(parse_task_file(_doc(dict(SL2, matrix=[[1, 2], [3]]))))
+    assert (entry.status, entry.error) == (
+        "error", {"type": "SchemaError", "message": "$.matrix: matrix must be square"}
+    )
+
+
+def test_overlong_integers_are_schema_errors(tmp_path, capsys):
+    digits = "7" * 5000
+    path = tmp_path / "long.json"
+    path.write_text('{"version": 1, "tasks": [{"kind": "bs", "q": %s}]}' % digits)
+    assert main(["run", "--tasks", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("schema error at $: not valid JSON: Exceeds the limit")
+    path.write_text(_doc(dict(BS, q=digits)))
+    assert main(["run", "--tasks", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "schema error at $.tasks[0].q: integer of 5000 characters is too long\n"
+    assert main(["bs", "--q", digits]) == 2
+    assert capsys.readouterr().err.startswith("schema error at $.tasks[0].q:")
+
+
+def test_deeply_nested_input_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["run", "--tasks", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("schema error at $: not valid JSON:")
+    assert main(["verify-witness", "--certificate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("schema error at $: malformed certificate")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from resip import InvalidSpec, SchemaError
 from resip.braid import BraidWord, format_braid, parse_braid
-from resip.cli import TASK_KINDS, _matrix_from_text, _schema, main, parse_task_file
+from resip.cli import REQUIRED_KEYS, TASK_FIELDS, _matrix_from_text, main, parse_task_file
 from resip.freegrp import FreeWord, format_word, parse_word
 
 FUZZ = settings(max_examples=40, deadline=None, database=None)
@@ -105,10 +105,10 @@ JSON_VALUES = st.recursive(
     ),
     max_leaves=12,
 )
-# task objects whose keys are the schema's, with values of any JSON shape
+# task objects whose keys are the task format's, with values of any JSON shape
 TASKS = st.dictionaries(
-    st.sampled_from(sorted(_schema()["$defs"]["task"]["properties"])),
-    st.one_of(JSON_VALUES, st.sampled_from(TASK_KINDS)),
+    st.sampled_from(sorted(TASK_FIELDS)),
+    st.one_of(JSON_VALUES, st.sampled_from(sorted(REQUIRED_KEYS))),
     max_size=6,
 )
 TASK_FILES = st.fixed_dictionaries(

@@ -26,7 +26,7 @@ from resip import (
     p_power_order_quotient_exists,
     parse_word,
 )
-from resip.classify import _rref_key
+from resip.intlin import rref_mod
 from oracles import quotient_matrix, unipotent_order_by_iteration
 
 
@@ -50,13 +50,13 @@ def _span_contains(basis, v, p: int) -> bool:
 
 
 def _cyclic_subspace(m: ModMatrix, v):
-    key = _rref_key([list(v)], m.modulus)
+    key = rref_mod([list(v)], m.modulus)[0]
     while True:
         grew = False
         for row in key:
             image = _apply(m, row)
             if not _span_contains(key, image, m.modulus):
-                key = _rref_key([list(r) for r in key] + [list(image)], m.modulus)
+                key = rref_mod([list(r) for r in key] + [list(image)], m.modulus)[0]
                 grew = True
         if not grew:
             return key
@@ -91,7 +91,7 @@ def invariant_subspaces(m: ModMatrix) -> set:
             for b in seeds:
                 if all(_span_contains(a, v, p) for v in b):
                     continue
-                joined = _rref_key([list(r) for r in a + b], p)
+                joined = rref_mod([list(r) for r in a + b], p)[0]
                 if joined not in family:
                     family.add(joined)
                     new.append(joined)

@@ -8,8 +8,6 @@ import pytest
 
 from oracles import induced_order_by_iteration, kernel_invariance_by_sampling
 from resip import (
-    CapExceeded,
-    Caps,
     FreeEndo,
     FreeWord,
     InvalidSpec,
@@ -305,6 +303,14 @@ def test_combine_witnesses_product():
     assert combine_witnesses([w1]) is w1
 
 
+def test_product_of_many_parts_verifies_at_default_caps():
+    # no cap counts a product's parts: its validity depends on them alone
+    part = find_p_quotient_witness(_beta_spec(), _elem(1, "1"), 3).certificate
+    product = combine_witnesses([part] * 17)
+    assert product.data["count"] == 17
+    assert verify_witness(product).ok
+
+
 def test_combine_witnesses_guards():
     w1 = find_p_quotient_witness(_beta_spec(), _elem(0, "x1 X2"), 3).certificate
     w5 = find_p_quotient_witness(_beta_spec(), _elem(1, "1"), 5).certificate
@@ -317,8 +323,6 @@ def test_combine_witnesses_guards():
     ).certificate
     with pytest.raises(InvalidSpec):
         combine_witnesses([w1, other])
-    with pytest.raises(CapExceeded):
-        combine_witnesses([w1] * 5, Caps(combine_witnesses=4))
 
 
 def test_product_of_other_mapping_tori_fails_verification():
