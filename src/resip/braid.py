@@ -24,18 +24,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Optional
 
 from .errors import InternalInvariant, InvalidSpec, NotInvariant, NotTransitive, RankMismatch
-from .freegrp import (
-    FreeEndo,
-    FreeWord,
-    abelianization_matrix,
-    apply_endo,
-    compose_endos,
-)
+from .freegrp import FreeEndo, FreeWord, apply_endo, substitute
 from .intlin import IntMatrix, poly_divmod
 
 
@@ -91,6 +85,7 @@ def format_braid(b: BraidWord) -> str:
     return " ".join(f"s{a}" if a > 0 else f"S{-a}" for a in b.letters)
 
 
+@lru_cache(maxsize=None)
 def _elementary_endo(strands: int, letter: int) -> FreeEndo:
     n = strands
     i = abs(letter)
@@ -111,11 +106,18 @@ def _elementary_endo(strands: int, letter: int) -> FreeEndo:
 
 
 def artin_endo(b: BraidWord) -> FreeEndo:
-    """Automorphism of F_strands induced by the braid, with certified inverse."""
-    endo = FreeEndo.identity(b.strands)
+    """Automorphism of F_strands induced by the braid, with certified inverse.
+
+    Images and inverse are composed letter by letter as letter tuples, as
+    compose_endos would compose them, so the inverse is checked once, when
+    the result is built.
+    """
+    images = inverse = tuple((g,) for g in range(1, b.strands + 1))
     for a in b.letters:
-        endo = compose_endos(_elementary_endo(b.strands, a), endo)
-    return endo
+        step = _elementary_endo(b.strands, a)
+        images = tuple(substitute(step.letter_images, w) for w in images)
+        inverse = tuple(substitute(inverse, w.letters) for w in step.certified_inverse)
+    return FreeEndo.from_letters(b.strands, images, inverse)
 
 
 def braid_permutation(b: BraidWord) -> tuple[tuple[int, ...], bool]:
@@ -153,7 +155,8 @@ class CoverGraph:
     """Coset graph of ker(F_rank -> Z/m), generator g acting by +a_g.
 
     Vertices are 0..m-1 with base 0; the edge labelled g at vertex v goes to
-    v + a_g mod m.
+    v + a_g mod m.  The spanning tree, the Schreier edges and the basis
+    loops are computed once per cover, on first use.
     """
 
     rank: int
@@ -184,7 +187,8 @@ class CoverGraph:
             total += self.assignments[abs(a) - 1] if a > 0 else -self.assignments[abs(a) - 1]
         return total % self.modulus
 
-    def _spanning_tree(self) -> list[Optional[tuple[int, int]]]:
+    @cached_property
+    def _spanning_tree(self) -> tuple[Optional[tuple[int, int]], ...]:
         """parent[v] = (u, g) for the BFS tree edge u --g--> v; None at base."""
         m = self.modulus
         parent: list[Optional[tuple[int, int]]] = [None] * m
@@ -201,11 +205,12 @@ class CoverGraph:
                     queue.append(w)
         if not all(seen):
             raise NotTransitive("cover graph disconnected")
-        return parent
+        return tuple(parent)
 
-    def _tree_paths(self) -> list[tuple[int, ...]]:
+    @cached_property
+    def _tree_paths(self) -> tuple[tuple[int, ...], ...]:
         """Letter sequence of the tree path base -> v, for each vertex v."""
-        parent = self._spanning_tree()
+        parent = self._spanning_tree
         paths: list[Optional[tuple[int, ...]]] = [None] * self.modulus
         paths[0] = ()
 
@@ -217,37 +222,46 @@ class CoverGraph:
 
         for v in range(self.modulus):
             path(v)
-        return paths  # type: ignore[return-value]
+        return tuple(paths)  # type: ignore[arg-type]
 
-    def schreier_edges(self) -> list[tuple[int, int]]:
-        """Non-tree edges (v, g), the index set of the Schreier basis,
-        ordered by vertex then generator."""
-        parent = self._spanning_tree()
-        tree = {(pg[0], pg[1], v) for v, pg in enumerate(parent) if pg is not None}
+    @cached_property
+    def _edge_index(self) -> dict[tuple[int, int], int]:
+        """Non-tree edge (v, g) -> its 1-based index in the Schreier basis,
+        in order of vertex then generator."""
+        tree = {(pg[0], pg[1], v) for v, pg in enumerate(self._spanning_tree) if pg is not None}
         edges = []
         for v in range(self.modulus):
             for g in range(1, self.rank + 1):
                 w = (v + self.assignments[g - 1]) % self.modulus
                 if (v, g, w) not in tree:
                     edges.append((v, g))
-        return edges
+        return {edge: i for i, edge in enumerate(edges, start=1)}
 
-    def schreier_basis_words(self) -> list[FreeWord]:
-        """The basis loops: tree path to v, edge g, tree path back."""
-        paths = self._tree_paths()
+    @cached_property
+    def _basis(self) -> tuple[FreeWord, ...]:
+        paths = self._tree_paths
         words = []
-        for v, g in self.schreier_edges():
+        for v, g in self._edge_index:
             w = (v + self.assignments[g - 1]) % self.modulus
             letters = paths[v] + (g,) + tuple(-a for a in reversed(paths[w]))
             words.append(FreeWord.from_letters(self.rank, letters))
-        return words
+        return tuple(words)
+
+    def schreier_edges(self) -> list[tuple[int, int]]:
+        """Non-tree edges (v, g), the index set of the Schreier basis,
+        ordered by vertex then generator."""
+        return list(self._edge_index)
+
+    def schreier_basis_words(self) -> list[FreeWord]:
+        """The basis loops: tree path to v, edge g, tree path back."""
+        return list(self._basis)
 
     def trace_loop(self, w: FreeWord) -> tuple[int, ...]:
         """Read w as a loop at the base; return its letters in the Schreier
         basis (signed indices).  NotInvariant if w does not close up."""
         if w.rank != self.rank:
             raise RankMismatch("word rank differs from cover rank")
-        index = {edge: i + 1 for i, edge in enumerate(self.schreier_edges())}
+        index = self._edge_index
         out: list[int] = []
         v = 0
         for a in w.letters:
@@ -294,15 +308,17 @@ def induced_cover_homology(phi: FreeEndo, cover: CoverGraph) -> IntMatrix:
 
     Column j is the abelianized rewrite of phi(basis loop j).
     """
-    if not endo_preserves_cover(phi, cover):
+    if phi.rank != cover.rank:
+        raise RankMismatch("endo rank differs from cover rank")
+    images = [apply_endo(phi, s) for s in cover.schreier_basis_words()]
+    if any(cover.chi(w) != 0 for w in images):  # as endo_preserves_cover
         raise NotInvariant("endomorphism does not preserve the cover subgroup")
-    basis = cover.schreier_basis_words()
     r = cover.subgroup_rank
-    if len(basis) != r:
+    if len(images) != r:
         raise InternalInvariant("Schreier basis size differs from the subgroup rank")
     cols = []
-    for s in basis:
-        letters = cover.trace_loop(apply_endo(phi, s))
+    for image in images:
+        letters = cover.trace_loop(image)
         sums = [0] * r
         for a in letters:
             sums[abs(a) - 1] += 1 if a > 0 else -1

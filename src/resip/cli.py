@@ -16,9 +16,11 @@ The single-task subcommands build one task and pass it through the same
 validator.
 
 Tasks run one after another in file order.  JSON reports are
-deterministic: entries keep task order, keys are sorted, integers wider
-than 2^53 are emitted as strings, and timing is only shown in the text
-format, so two runs of the same file produce byte-identical output.
+deterministic: entries keep task order, keys are sorted, integers of
+absolute value 2^53 or more are emitted as strings, and timing is only
+shown in the text format, so two runs of the same file produce
+byte-identical output.  The text is that of ``json.dumps(indent=2,
+sort_keys=True)``, written in one pass by ``_json_text``.
 
 Caps are overridden by comma-separated ``KEY=VAL`` text, from the
 ``RESIP_CAPS`` environment variable and from repeated ``--caps`` flags,
@@ -394,29 +396,46 @@ def run_tasks(taskfile: TaskFile, caps: Caps = DEFAULT_CAPS) -> list[ReportEntry
     return [_run_one(t, caps) for t in taskfile.tasks]
 
 
-def _json_safe(value):
-    if isinstance(value, bool) or value is None:
-        return value
+_quote = json.encoder.encode_basestring_ascii  # the C encoder where there is one
+
+
+def _json_text(value, indent: str = "") -> str:
+    """The bytes ``json.dumps(value, indent=2, sort_keys=True)`` writes,
+    in one pass, with integers of absolute value 2^53 or more written as
+    strings and tuples as lists.  Dict keys must be strings; a value of
+    any other type is a TypeError.  ``indent`` is that of the line the
+    value starts on.  (CPython's C encoder does not take ``indent``, so
+    json.dumps would run its pure-Python encoder instead.)"""
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
     if isinstance(value, int):
-        return str(value) if abs(value) >= 2 ** 53 else value
-    if isinstance(value, float):
-        return value
+        return _quote(str(value)) if abs(value) >= 2 ** 53 else int.__repr__(value)
     if isinstance(value, str):
-        return value
+        return _quote(value)
+    if value is None:
+        return "null"
+    if isinstance(value, float):
+        return json.dumps(value)  # repr, or NaN / Infinity / -Infinity
+    inner = indent + "  "
     if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
+        if not value:
+            return "{}"
+        items = [_quote(k) + ": " + _json_text(value[k], inner) for k in sorted(value)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
     if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
+        if not value:
+            return "[]"
+        items = [_json_text(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
     raise TypeError(f"unserializable value {value!r}")
 
 
 def emit_report(entries: list[ReportEntry], fmt: str = "json") -> str:
     if fmt == "json":
-        doc = {
-            "version": "resip-report/1",
-            "entries": [_json_safe(e.to_dict()) for e in entries],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        doc = {"version": "resip-report/1", "entries": [e.to_dict() for e in entries]}
+        return _json_text(doc) + "\n"
     lines = []
     for e in entries:
         stamp = f"{e.elapsed_ms:8.1f} ms" if e.elapsed_ms is not None else ""
@@ -638,8 +657,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             report = _verify_certificate(text, caps)
             checks = report.to_dict()["checks"]
             if args.format == "json":
-                doc = _json_safe({"certificate_ok": report.ok, "checks": checks})
-                out = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+                out = _json_text({"certificate_ok": report.ok, "checks": checks}) + "\n"
             else:
                 out = f"certificate ok: {report.ok}\n"
                 out += "".join(f"  {name}: {passed}\n" for name, passed in checks)

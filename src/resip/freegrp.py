@@ -11,7 +11,8 @@ apply_endo(compose_endos(phi, rho), w) == apply_endo(phi, apply_endo(rho, w)).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import InvalidSpec, RankMismatch
@@ -136,6 +137,17 @@ def format_word(w: FreeWord) -> str:
     return " ".join(f"x{a}" if a > 0 else f"X{-a}" for a in w.letters)
 
 
+def substitute(images: tuple[tuple[int, ...], ...], letters: Iterable[int]) -> tuple[int, ...]:
+    """The reduced letters of a word with x_i replaced by images[i - 1],
+    each image a letter tuple: the image of the word under an
+    endomorphism, without building a FreeWord or a FreeEndo."""
+    out: list[int] = []
+    for a in letters:
+        img = images[abs(a) - 1]
+        out.extend(img if a > 0 else [-b for b in reversed(img)])
+    return _reduce(out)
+
+
 @dataclass(frozen=True)
 class FreeEndo:
     """Endomorphism of F_rank by generator images.
@@ -169,13 +181,24 @@ class FreeEndo:
         gens = tuple(FreeWord.generator(rank, i) for i in range(1, rank + 1))
         return FreeEndo(rank, gens, gens)
 
+    @staticmethod
+    def from_letters(rank: int, images, inverse=None) -> "FreeEndo":
+        """An endo whose images (and certified inverse) are given as letter
+        tuples already in range for rank and freely reduced, such as those
+        substitute returns.  The certified inverse is still checked."""
+        def words(tuples):
+            return tuple(FreeWord._trusted(rank, w) for w in tuples)
+
+        return FreeEndo(rank, words(images), None if inverse is None else words(inverse))
+
     def apply_raw(self, w: FreeWord) -> FreeWord:
         # the images are words of this rank, so their letters need no checks
-        letters: list[int] = []
-        for a in w.letters:
-            img = self.images[abs(a) - 1].letters
-            letters.extend(img if a > 0 else [-b for b in reversed(img)])
-        return FreeWord._trusted(self.rank, _reduce(letters))
+        return FreeWord._trusted(self.rank, substitute(self.letter_images, w.letters))
+
+    @cached_property
+    def letter_images(self) -> tuple[tuple[int, ...], ...]:
+        """The images as letter tuples, the map substitute takes."""
+        return tuple(w.letters for w in self.images)
 
     @property
     def is_certified(self) -> bool:
@@ -206,12 +229,18 @@ def compose_endos(phi: FreeEndo, rho: FreeEndo) -> FreeEndo:
 
 
 def endo_power(phi: FreeEndo, k: int) -> FreeEndo:
+    """phi^k.  The k compositions run on letter tuples, so a certified
+    inverse is checked once, when the result is built."""
     if k < 0:
         return endo_power(phi.inverse_endo(), -k)
-    result = FreeEndo.identity(phi.rank)
+    images = inverse = tuple((i,) for i in range(1, phi.rank + 1))
     for _ in range(k):
-        result = compose_endos(phi, result)
-    return result
+        images = tuple(substitute(phi.letter_images, w) for w in images)
+        if phi.is_certified:
+            inverse = tuple(substitute(inverse, w.letters) for w in phi.certified_inverse)
+    return FreeEndo.from_letters(
+        phi.rank, images, inverse if phi.is_certified or k == 0 else None
+    )
 
 
 def abelianization_matrix(phi: FreeEndo) -> IntMatrix:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InternalInvariant, InvalidSpec
@@ -390,8 +391,8 @@ def charpoly_exact(m: IntMatrix) -> tuple[int, ...]:
         t = [1, -a[k][k]]
         vec = col
         for _ in range(k):
-            t.append(-sum(r * v for r, v in zip(row, vec)))
-            vec = [sum(sub[i][j] * vec[j] for j in range(k)) for i in range(k)]
+            t.append(-sum(map(mul, row, vec)))
+            vec = [sum(map(mul, sub_row, vec)) for sub_row in sub]
         new = [0] * (k + 2)
         for i in range(k + 2):
             for j in range(len(coeffs)):

@@ -6,6 +6,7 @@ they only suit small inputs; the library computes the same answers
 without a search, or with a bound from a theorem.
 """
 
+import json
 import random
 from fractions import Fraction
 from typing import Optional
@@ -15,6 +16,7 @@ from resip import (
     CapExceeded,
     CocycleCheck,
     ExtensionElement,
+    FreeEndo,
     FreeWord,
     IntMatrix,
     InternalInvariant,
@@ -28,6 +30,7 @@ from resip import (
     Verdict,
     apply_endo,
     charpoly_exact,
+    compose_endos,
     conjugate,
     det_exact,
     ext_commutator,
@@ -38,6 +41,7 @@ from resip import (
     poly_pow_x_minus_one,
     word_multiply,
 )
+from resip.braid import _elementary_endo
 from resip.intlin import _require_prime
 
 
@@ -334,3 +338,44 @@ def torus_verdicts_per_prime(a: IntMatrix, primes) -> list[dict]:
             )
         out.append(verdict.to_dict())
     return out
+
+
+def json_safe(value):
+    """A copy of a report value that json.dumps takes: integers of absolute
+    value 2^53 or more become strings and tuples lists; any other type
+    than those of JSON is a TypeError."""
+    if isinstance(value, bool) or value is None:
+        return value
+    if isinstance(value, int):
+        return str(value) if abs(value) >= 2 ** 53 else value
+    if isinstance(value, float):
+        return value
+    if isinstance(value, str):
+        return value
+    if isinstance(value, dict):
+        return {k: json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_safe(v) for v in value]
+    raise TypeError(f"unserializable value {value!r}")
+
+
+def report_text_by_dumps(value) -> str:
+    """The report text by copying the value and running json.dumps on it."""
+    return json.dumps(json_safe(value), indent=2, sort_keys=True)
+
+
+def artin_endo_by_composition(b) -> FreeEndo:
+    """The braid's automorphism by compose_endos, one letter at a time,
+    each step building and checking a certified endo."""
+    endo = FreeEndo.identity(b.strands)
+    for a in b.letters:
+        endo = compose_endos(_elementary_endo(b.strands, a), endo)
+    return endo
+
+
+def endo_power_by_composition(phi: FreeEndo, k: int) -> FreeEndo:
+    """phi^k by k calls of compose_endos (k >= 0)."""
+    result = FreeEndo.identity(phi.rank)
+    for _ in range(k):
+        result = compose_endos(phi, result)
+    return result

@@ -4,9 +4,12 @@ import random
 
 import pytest
 
+from oracles import artin_endo_by_composition
+from resip import braid as braid_module
 from resip import (
     BraidWord,
     CoverGraph,
+    FreeEndo,
     FreeWord,
     InvalidSpec,
     NotInvariant,
@@ -106,6 +109,41 @@ def test_artin_endo_word_concatenation():
         assert combined.images == expected.images
 
 
+def test_artin_endo_matches_letter_by_letter_composition():
+    rng = random.Random(2024)
+    for _ in range(60):
+        strands = rng.randint(2, 5)
+        letters = tuple(
+            rng.choice([-1, 1]) * rng.randint(1, strands - 1) for _ in range(rng.randint(0, 10))
+        )
+        b = BraidWord(strands, letters)
+        endo, expected = artin_endo(b), artin_endo_by_composition(b)
+        assert endo.images == expected.images
+        assert endo.certified_inverse == expected.certified_inverse
+
+
+def _trusted_endo(rank, images, inverse):
+    """A FreeEndo whose claimed inverse was never checked."""
+    endo = object.__new__(FreeEndo)
+    for name, value in (("rank", rank), ("images", images), ("certified_inverse", inverse)):
+        object.__setattr__(endo, name, value)
+    return endo
+
+
+@pytest.mark.parametrize("text", ["s1", "s1 S2 s1", "S2 S1 s2 s2"])
+def test_artin_endo_checks_the_composed_inverse(monkeypatch, text):
+    genuine = braid_module._elementary_endo
+
+    def corrupted(strands, letter):
+        endo = genuine(strands, letter)
+        inverse = (FreeWord.from_letters(strands, (1, 1)),) + endo.certified_inverse[1:]
+        return _trusted_endo(strands, endo.images, inverse)
+
+    monkeypatch.setattr(braid_module, "_elementary_endo", corrupted)
+    with pytest.raises(InvalidSpec):
+        artin_endo(parse_braid(text, 3))
+
+
 def test_cover_graph_shapes():
     cover = cover_from_finite_quotient(3, (1, 1, 1), 2)
     assert cover.subgroup_rank == 5
@@ -189,6 +227,15 @@ def test_cyclotomic_product_detection():
     assert not is_cyclotomic_product((1, -3, 1))
     assert not is_cyclotomic_product((1, 0))  # x itself is not cyclotomic
     assert not is_cyclotomic_product((1, -2))
+
+
+def test_schreier_data_are_copies_of_one_computation():
+    cover = cover_from_finite_quotient(3, (1, 2, 0), 4)
+    edges, basis = cover.schreier_edges(), cover.schreier_basis_words()
+    edges.clear()
+    basis.clear()
+    assert len(cover.schreier_edges()) == len(cover.schreier_basis_words()) == cover.subgroup_rank
+    assert cover.schreier_basis_words()[0] is cover.schreier_basis_words()[0]
 
 
 def test_trace_loop_requires_closure():

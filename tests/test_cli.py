@@ -1,13 +1,18 @@
 """Task-file driving, report determinism, and exit codes."""
 
 import json
+import pathlib
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import report_text_by_dumps
 from resip import SchemaError
 from resip.cli import (
     TASK_FIELDS,
-    _json_safe,
+    _json_text,
     _matrix_from_text,
     emit_report,
     main,
@@ -116,10 +121,79 @@ def test_semantic_errors_embed_not_raise():
 
 
 def test_big_integers_become_strings():
-    assert _json_safe(2 ** 53) == str(2 ** 53)
-    assert _json_safe(-(2 ** 60)) == str(-(2 ** 60))
-    assert _json_safe(2 ** 53 - 1) == 2 ** 53 - 1
-    assert _json_safe({"a": [True, None, 7]}) == {"a": [True, None, 7]}
+    assert _json_text(2 ** 53) == f'"{2 ** 53}"'
+    assert _json_text(-(2 ** 60)) == f'"{-(2 ** 60)}"'
+    assert _json_text(2 ** 53 - 1) == str(2 ** 53 - 1)
+    assert _json_text({"a": [True, None, 7]}) == '{\n  "a": [\n    true,\n    null,\n    7\n  ]\n}'
+
+
+# Scalars of every type a report may hold.  Strings come from a fixed
+# alphabet with control characters, quotes, backslashes and non-ASCII
+# letters (drawing from all of Unicode would rebuild Hypothesis's
+# character tables on every run).
+_TEXT = st.text(alphabet='ab "\\/\x00\x1f\x7f\n\t\u00e9\u03bb\u2028\U0001f600', max_size=8)
+_EDGES = [2 ** 53 - 1, -(2 ** 53 - 1), 2 ** 53, -(2 ** 53), 2 ** 70]
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from(_EDGES),
+    st.floats(),
+    _TEXT,
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_VALUES)
+@example({"b": [], "a": {}, "c": ()})
+@example([2 ** 53 - 1, -(2 ** 53 - 1), 2 ** 53, -(2 ** 53), True, False, None])
+@example({"\u00e9\x00": "\u03bb\x1f\U0001f600", "": [float("nan"), float("inf"), -0.0, 1e300]})
+def test_json_text_matches_json_dumps(value):
+    assert _json_text(value) == report_text_by_dumps(value)
+
+
+@pytest.mark.parametrize(
+    "value", [Fraction(1, 2), {1, 2}, {"a": [1, Fraction(1, 3)]}, ({"x"},), {"k": frozenset()}]
+)
+def test_json_text_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
+    with pytest.raises(TypeError):  # as the oracle does
+        report_text_by_dumps(value)
+
+
+def test_verify_witness_json_output_is_pinned(tmp_path, capsys):
+    # the certificate the shipped beta-braid task file yields at p = 3
+    golden = pathlib.Path(__file__).parent / "golden" / "beta-braid.json"
+    entries = json.loads(golden.read_text())["entries"]
+    [cert] = [e["result"]["certificate"] for e in entries if e["result"].get("certificate")]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert main(["verify-witness", "--certificate", str(path), "--format", "json"]) == 0
+    checks = (
+        "monodromy_reconstructed",
+        "element_in_fiber",
+        "depth_minimal",
+        "survival_coefficient",
+        "h1_unipotent_mod_p",
+        "induced_order_matches",
+        "induced_order_p_power",
+        "order_exponent",
+        "kernel_invariance",
+        "fiber_order_bound",
+    )
+    rows = ",\n".join(f'    [\n      "{name}",\n      true\n    ]' for name in checks)
+    expected = '{\n  "certificate_ok": true,\n  "checks": [\n' + rows + "\n  ]\n}\n"
+    assert capsys.readouterr().out == expected
 
 
 def test_matrix_text_and_caps_parsing():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from oracles import endo_power_by_composition
 from resip import (
     FreeEndo,
     FreeWord,
@@ -128,6 +129,34 @@ def test_composition_matches_pointwise_application():
     for _ in range(30):
         w = _random_word(rng, 3, rng.randint(0, 8))
         assert apply_endo(comp, w) == apply_endo(phi, apply_endo(rho, w))
+
+
+def test_endo_power_matches_repeated_composition():
+    rng = random.Random(31)
+    for _ in range(20):
+        rank = rng.randint(2, 4)
+        i, j = rng.sample(range(1, rank + 1), 2)
+        u = _random_word(rng, rank, rng.randint(0, 4))
+        phi = compose_endos(inner_automorphism(u), nielsen_transvection(rank, i, j))
+        for k in range(5):
+            power, expected = endo_power(phi, k), endo_power_by_composition(phi, k)
+            assert power.images == expected.images
+            assert power.certified_inverse == expected.certified_inverse
+        assert endo_power(phi, -2).images == endo_power_by_composition(phi.inverse_endo(), 2).images
+    uncertified = FreeEndo(2, nielsen_transvection(2, 1, 2).images)
+    assert endo_power(uncertified, 3).certified_inverse is None
+    assert endo_power(uncertified, 0).is_certified
+
+
+def test_endo_power_checks_the_composed_inverse():
+    genuine = nielsen_transvection(3, 1, 2)
+    corrupted = object.__new__(FreeEndo)
+    inverse = (parse_word("x1 x2", 3),) + genuine.certified_inverse[1:]
+    for name, value in (("rank", 3), ("images", genuine.images), ("certified_inverse", inverse)):
+        object.__setattr__(corrupted, name, value)
+    for k in (1, 2, 3):
+        with pytest.raises(InvalidSpec):
+            endo_power(corrupted, k)
 
 
 def test_endo_power_and_negative_power():
