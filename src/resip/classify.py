@@ -97,12 +97,10 @@ class Verdict:
         return out
 
 
-def _require_automorphism(a: IntMatrix) -> int:
-    """det A, which must be +-1."""
-    det = det_exact(a)
-    if det not in (1, -1):
+def _require_automorphism(a: IntMatrix) -> None:
+    """Refuse A unless det A = +-1."""
+    if det_exact(a) not in (1, -1):
         raise NotInvertible("matrix is not in GL_n(Z)")
-    return det
 
 
 def torus_verdicts(a: IntMatrix, primes: Sequence[int]) -> list[Verdict]:
@@ -117,34 +115,28 @@ def torus_verdicts(a: IntMatrix, primes: Sequence[int]) -> list[Verdict]:
     of degree n, is (x - 1)^n.  And the group is residually p iff A is
     unipotent mod p.
 
-    So charpoly(A), g and, on SL_2, det(A - I) are computed once for all
-    primes.  At a p dividing g the power route ``is_unipotent_mod`` runs for
-    the nilpotency index the certificate reports, and must agree.  Elsewhere
-    the obstruction is charpoly(A) mod p, which differs from (x - 1)^n.
+    So charpoly(A) and g are computed once for all primes.  At a p
+    dividing g the power route ``is_unipotent_mod`` runs for the nilpotency
+    index the certificate reports, and must agree (InternalInvariant
+    otherwise).  Elsewhere the obstruction is charpoly(A) mod p, which
+    differs from (x - 1)^n.
 
-    On SL_2 the det(A - I) criterion is a second cross-check at every
-    prime: charpoly(A) = x^2 - t x + 1 with t = tr A, so the gap is
-    (2 - t) x and g = |2 - t| = |charpoly(A)(1)| = |det(A - I)|.  Any
-    disagreement between routes is InternalInvariant.
+    On SL_2 this is the det(A - I) criterion: charpoly(A) = x^2 - t x + 1
+    with t = tr A, so the gap is (2 - t) x and
+    g = |2 - t| = |charpoly(A)(1)| = |det(A - I)|.
     """
-    det = _require_automorphism(a)
+    _require_automorphism(a)
     for p in primes:
         _require_prime(p)
     charpoly, target, g = _charpoly_gap(a)
-    det_door = det_exact(a.minus_identity()) if a.n == 2 and det == 1 else None
     verdicts = []
     for p in primes:
         unip = None if g % p else is_unipotent_mod(a, p)
-        unipotent = bool(unip)
-        if det_door is not None and (det_door % p == 0) != unipotent:
-            raise InternalInvariant(
-                "unipotence and det(A-I) criteria disagree on an SL2 input"
-            )
-        if unip is not None and not unipotent:
+        if unip is not None and not unip:
             raise InternalInvariant(
                 "unipotence by charpoly and by powers of A - I disagree"
             )
-        if unipotent:
+        if unip:
             verdicts.append(
                 Verdict(
                     p,
@@ -183,6 +175,13 @@ class PrimeSet:
     primes: tuple[int, ...]
     gcd_value: int
 
+    @staticmethod
+    def dividing(g: int) -> "PrimeSet":
+        """The primes dividing g: all of them when g = 0."""
+        if g == 0:
+            return PrimeSet(True, (), 0)
+        return PrimeSet(False, prime_factors(g), g)
+
     def contains(self, p: int) -> bool:
         return self.all_primes or p in self.primes
 
@@ -202,13 +201,6 @@ def _charpoly_gap(a: IntMatrix) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     return charpoly, target, math.gcd(*(c - t for c, t in zip(charpoly, target)))
 
 
-def _prime_set_from_charpoly_gap(a: IntMatrix) -> PrimeSet:
-    g = _charpoly_gap(a)[2]
-    if g == 0:
-        return PrimeSet(True, (), 0)
-    return PrimeSet(False, prime_factors(g), g)
-
-
 def residually_p_prime_set(a: IntMatrix) -> PrimeSet:
     """Exact set of primes p for which Z^n x|_A Z is residually p.
 
@@ -216,7 +208,7 @@ def residually_p_prime_set(a: IntMatrix) -> PrimeSet:
     primes are the common prime divisors of the coefficient gap.
     """
     _require_automorphism(a)
-    return _prime_set_from_charpoly_gap(a)
+    return PrimeSet.dividing(_charpoly_gap(a)[2])
 
 
 def torus_residually_nilpotent(a: IntMatrix) -> bool:
@@ -259,18 +251,30 @@ class BSReport:
 
 
 def bs_classify(spec: BSSpec) -> BSReport:
-    """BS(1,q): residually p exactly at primes dividing q - 1; omega-
-    nilpotent iff q != 2.  Cross-validated against the 1x1 matrix logic."""
+    """BS(1,q): residually p exactly at the primes dividing q - 1 (every
+    prime at q = 1); omega-nilpotent iff q != 2.
+
+    Proof.  BS(1,q) = Z[1/q] x| Z, t acting by multiplication by q.  As
+    [t, a] = (q - 1) a, gamma_(k+1) = (q - 1)^k Z[1/q] for k >= 1.
+    * omega: at q = 1 the group is Z^2, and at q = 2 every gamma_k is
+      Z[1/2].  Otherwise a prime l | q - 1 does not divide q, so the l-adic
+      valuation is defined on Z[1/q]; it is >= k on gamma_(k+1), so the
+      gamma_k meet in 0.
+    * p, q >= 2: a finite p-group is nilpotent, so a map onto one kills
+      some gamma_(k+1), whose quotient of the fiber is Z/(q - 1)^k (q is 1
+      mod q - 1).  If p does not divide q - 1, that has no element of
+      p-power order, so the fiber dies in every p-group quotient.  If
+      p | q - 1, reduction mod p^k maps G onto Z/p^k x| Z/p^j for p^j a
+      multiple of the order of q mod p^k, a power of p as q = 1 mod p.  A
+      fiber element a != 0 survives there once k > v_p(a), and t^m a with
+      m != 0 survives in Z/p^j once p^j > |m|.
+
+    These are the matrix routes' answers on the 1x1 matrix A = [q]: the
+    gap gcd of charpoly(A) - (x - 1) is q - 1, and the lattice chain of
+    A - I = [q - 1] has a unimodular factor exactly at q = 2.
+    """
     q = spec.q
-    m = IntMatrix.from_rows([[q]])
-    primes = _prime_set_from_charpoly_gap(m)
-    # charpoly gap for [q] is |q - 1|, so this is the q-1 divisor set
-    if primes.gcd_value != abs(q - 1):
-        raise InternalInvariant("charpoly gap of [q] is not |q - 1|")
-    omega = endo_semidirect_omega_nilpotent(m)
-    if omega != (q != 2):
-        raise InternalInvariant("lattice-chain criterion disagrees on BS(1,q)")
-    return BSReport(q, primes, omega, trivial_case=q == 1)
+    return BSReport(q, PrimeSet.dividing(q - 1), q != 2, trivial_case=q == 1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,20 +2,20 @@
 under it.
 
 Everything here is bit-exact: Python integers only, no floating point.
-Determinants use fraction-free Bareiss elimination, characteristic
-polynomials the division-free Berkowitz scheme, and lattice indices go
-through Hermite/Smith normal forms, computed in-tree by the algorithms
-sympy uses, so the forms are the same matrices sympy returns.
+Determinants use fraction-free Bareiss elimination and characteristic
+polynomials the division-free Berkowitz scheme.  Hermite and Smith normal
+forms are computed in-tree by the algorithms sympy uses, so the forms are
+the same matrices sympy returns; no verdict needs them.
 
 Primality is trial division for small n and deterministic Miller-Rabin
 with the first 13 prime bases below 3.317 * 10^24, and sympy.isprime,
 imported only then, above.  Prime factors come from trial division, then
 Pollard-Brent rho on every composite cofactor.
 
-The stable rank and index of the lattice chain B^i Z^n need no
-factorisation: with g the characteristic polynomial of B stripped of its
-powers of x, the rank is deg g, and the product of |c_0|^mult over the
-irreducible factors with c_0 != 0 is |g(0)|.  Whether some factor other
+The stable rank and index of the lattice chain B^i Z^n need neither a
+normal form nor a factorisation: with g the characteristic polynomial of
+B stripped of its powers of x, the rank is deg g and the index |g(0)|
+(proved in ``lattice_chain_invariants``).  Whether some factor other
 than x has constant term +-1 does need one, by Zassenhaus
 (resip.polyfactor).
 """
@@ -23,7 +23,6 @@ than x has constant term +-1 does need one, by Zassenhaus
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 from operator import mul
@@ -49,8 +48,8 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        # int(x) admits exact types like sympy Integer; floats are refused
-        # rather than silently truncated
+        # int(x) turns other integer types, such as numpy's, into int;
+        # floats are refused rather than silently truncated
         materialized = [list(row) for row in rows]
         if any(isinstance(x, float) for row in materialized for x in row):
             raise InvalidSpec("matrix entries must be exact integers")
@@ -647,35 +646,6 @@ def smith_diagonal(m: IntMatrix) -> list[int]:
     return [abs(s[i][i]) for i in range(m.n)]
 
 
-def _solve_exact(columns: list[list[int]], targets: list[list[int]]) -> list[list[Fraction]]:
-    """Solve C x = t for each target t, C given by independent columns."""
-    n = len(columns[0])
-    r = len(columns)
-    aug = [[Fraction(columns[j][i]) for j in range(r)] for i in range(n)]
-    rhs = [[Fraction(t[i]) for t in targets] for i in range(n)]
-    pivots = []
-    row = 0
-    for col in range(r):
-        pivot = next((i for i in range(row, n) if aug[i][col] != 0), None)
-        if pivot is None:
-            raise InternalInvariant("columns not independent")
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        rhs[row], rhs[pivot] = rhs[pivot], rhs[row]
-        pv = aug[row][col]
-        for i in range(n):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col] / pv
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
-                rhs[i] = [x - f * y for x, y in zip(rhs[i], rhs[row])]
-        pivots.append((row, col, pv))
-        row += 1
-    solutions = [[Fraction(0)] * len(targets) for _ in range(r)]
-    for row, col, pv in pivots:
-        for t in range(len(targets)):
-            solutions[col][t] = rhs[row][t] / pv
-    return solutions
-
-
 @dataclass(frozen=True)
 class LatticeChainInvariants:
     """Invariants of the image chain B^i(Z^n).
@@ -693,27 +663,26 @@ class LatticeChainInvariants:
 def lattice_chain_invariants(b: IntMatrix) -> LatticeChainInvariants:
     """Invariants of the decreasing lattice chain Z^n > B Z^n > B^2 Z^n > ...
 
-    Let g be charpoly(B) with its powers of x removed.
+    Let g be charpoly(B) with its powers of x removed, r = deg g, and
+    L = B^n Z^n.  Q^n is the direct sum of K = ker B^n and W = im_Q B^n
+    (Fitting), both B-invariant, B nilpotent on K and invertible on W.
+    So charpoly(B) = charpoly(B|K) charpoly(B|W) with the first a power
+    of x and the second of nonzero constant term: charpoly(B|W) = g.
 
-    * The stable rank is deg g.  Proof: rank_Q B^n = n - dim ker B^n, and
-      ker B^n is the generalized 0-eigenspace of B, since B is nilpotent
-      on that space, of dimension <= n.  Its dimension is the algebraic
-      multiplicity of the eigenvalue 0, the power of x in charpoly(B),
-      and n minus that power is deg g.
+    * The stable rank is r: L spans W over Q, and dim W = deg g.
+    * The stable index [L : B L] is |g(0)|.  Proof: B L = B^(n+1) Z^n lies
+      in B^n Z^n = L, so in a basis of the lattice L, which spans W, B is
+      an integer r x r matrix T with characteristic polynomial g.  Then
+      [L : B L] = [Z^r : T Z^r] = |det T| (Smith normal form), and
+      |det T| = |g(0)|, the product of |c_0|^mult over the irreducible
+      factors of charpoly(B) other than x.
     * The intersection of the chain is trivial exactly when B has no
       invariant sublattice on which it acts unimodularly; equivalently, no
       irreducible factor of charpoly(B) other than x has constant term +-1
       (decided by factoring).
-    * The stable index is |g(0)|, the product of |c_0|^mult over the
-      factors other than x.
-
-    The index is computed again through the Smith normal form of B acting
-    on a Hermite basis of B^n Z^n, that basis must have deg g vectors, and
-    both routes are cross-checked.
     """
     from .polyfactor import factor_monic  # polyfactor imports intlin
 
-    n = b.n
     g = list(charpoly_exact(b))
     while g[-1] == 0:  # strip the powers of x; g stays monic
         g.pop()
@@ -721,30 +690,7 @@ def lattice_chain_invariants(b: IntMatrix) -> LatticeChainInvariants:
     if r == 0:
         return LatticeChainInvariants(0, None, True)
     unit_part = any(abs(f[-1]) == 1 for f, _ in factor_monic(g))
-    basis = column_lattice_basis(b ** n)
-    if len(basis) != r:
-        raise InternalInvariant("stable lattice basis size differs from the rank")
-    b_rows = b.rows()
-    images = [
-        [sum(b_rows[i][k] * vec[k] for k in range(n)) for i in range(n)]
-        for vec in basis
-    ]
-    coords = _solve_exact(basis, images)
-    t_rows = [[coords[i][j] for j in range(r)] for i in range(r)]
-    if any(c.denominator != 1 for row in t_rows for c in row):
-        raise InternalInvariant("stable lattice not preserved")
-    t = IntMatrix.from_rows([[int(c) for c in row] for row in t_rows])
-    diag = smith_diagonal(t)
-    if any(d == 0 for d in diag):
-        raise InternalInvariant("B not injective on stable lattice")
-    index = 1
-    for d in diag:
-        index *= d
-    if index != abs(g[-1]):
-        raise InternalInvariant(
-            "lattice index disagrees between the SNF and charpoly routes"
-        )
-    return LatticeChainInvariants(r, index, not unit_part)
+    return LatticeChainInvariants(r, abs(g[-1]), not unit_part)
 
 
 def _require_prime(p: int) -> None:

@@ -1,17 +1,19 @@
 """Brute-force routes the tests hold the closed forms against.
 
-They step through powers one at a time, build the quotients the library
-only reasons about, or sample where the library applies a theorem, so
-they only suit small inputs; the library computes the same answers
-without a search, or with a bound from a theorem.
+They step through powers one at a time, build the quotients and
+lattices the library only reasons about, or sample where the library
+applies a theorem, so they only suit small inputs; the library computes
+the same answers without a search, or with a bound from a theorem.
 """
 
 import json
+import math
 import random
 from fractions import Fraction
 from typing import Optional
 
 from resip import (
+    BSReport,
     DEFAULT_CAPS,
     CapExceeded,
     CocycleCheck,
@@ -21,28 +23,33 @@ from resip import (
     IntMatrix,
     InternalInvariant,
     InvalidSpec,
+    LatticeChainInvariants,
     ModMatrix,
     NOT_RESIDUALLY_P,
     NotInvertibleMod,
+    PrimeSet,
     RESIDUALLY_P,
     SeriesSubstitution,
     TruncatedSeries,
     Verdict,
     apply_endo,
     charpoly_exact,
+    column_lattice_basis,
     compose_endos,
     conjugate,
     det_exact,
+    endo_semidirect_omega_nilpotent,
     ext_commutator,
     ext_identity,
     ext_multiply,
     is_unipotent_mod,
     magnus_embed,
     poly_pow_x_minus_one,
+    smith_diagonal,
     word_multiply,
 )
 from resip.braid import _elementary_endo
-from resip.intlin import _require_prime
+from resip.intlin import _require_prime, prime_factors
 
 
 def matrix_order_mod(m: IntMatrix, p: int, k: int, cap: Optional[int] = None) -> int:
@@ -379,3 +386,73 @@ def endo_power_by_composition(phi: FreeEndo, k: int) -> FreeEndo:
     for _ in range(k):
         result = compose_endos(phi, result)
     return result
+
+
+def _solve_exact(columns: list[list[int]], targets: list[list[int]]) -> list[list[Fraction]]:
+    """Solve C x = t for each target t, C given by independent columns."""
+    n = len(columns[0])
+    r = len(columns)
+    aug = [[Fraction(columns[j][i]) for j in range(r)] for i in range(n)]
+    rhs = [[Fraction(t[i]) for t in targets] for i in range(n)]
+    pivots = []
+    row = 0
+    for col in range(r):
+        pivot = next((i for i in range(row, n) if aug[i][col] != 0), None)
+        if pivot is None:
+            raise InternalInvariant("columns not independent")
+        aug[row], aug[pivot] = aug[pivot], aug[row]
+        rhs[row], rhs[pivot] = rhs[pivot], rhs[row]
+        pv = aug[row][col]
+        for i in range(n):
+            if i != row and aug[i][col] != 0:
+                f = aug[i][col] / pv
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
+                rhs[i] = [x - f * y for x, y in zip(rhs[i], rhs[row])]
+        pivots.append((row, col, pv))
+        row += 1
+    solutions = [[Fraction(0)] * len(targets) for _ in range(r)]
+    for row, col, pv in pivots:
+        for t in range(len(targets)):
+            solutions[col][t] = rhs[row][t] / pv
+    return solutions
+
+
+def lattice_chain_by_normal_forms(b: IntMatrix) -> LatticeChainInvariants:
+    """The lattice chain's invariants from the lattices themselves.  A
+    Hermite basis of L = B^n Z^n gives the stable rank; B written in that
+    basis, by an exact rational solve that must come out integral, is a
+    matrix T whose Smith diagonal multiplies to [L : B L].  The chain meets
+    in {0} iff sympy's factorisation of charpoly(B) has no factor with
+    constant term +-1 (x itself has 0)."""
+    import sympy
+
+    n = b.n
+    basis = column_lattice_basis(b ** n)
+    r = len(basis)
+    if r == 0:
+        return LatticeChainInvariants(0, None, True)
+    images = [
+        [sum(b.entries[i][k] * vec[k] for k in range(n)) for i in range(n)]
+        for vec in basis
+    ]
+    coords = _solve_exact(basis, images)
+    if any(c.denominator != 1 for row in coords for c in row):
+        raise InternalInvariant("B does not preserve B^n Z^n")
+    t = IntMatrix.from_rows([[int(coords[i][j]) for j in range(r)] for i in range(r)])
+    index = math.prod(smith_diagonal(t))
+    if index == 0:
+        raise InternalInvariant("B is not injective on B^n Z^n")
+    x = sympy.Symbol("x")
+    factors = sympy.Poly(list(charpoly_exact(b)), x).factor_list()[1]
+    unit_part = any(abs(int(f.TC())) == 1 for f, _ in factors)
+    return LatticeChainInvariants(r, index, not unit_part)
+
+
+def bs_classify_by_matrix(q: int) -> BSReport:
+    """BS(1,q) through the 1x1 matrix A = [q]: the primes dividing the gcd
+    of the coefficients of charpoly(A) - (x - 1), and omega-nilpotence from
+    the lattice chain of A - I."""
+    a = IntMatrix.from_rows([[q]])
+    g = math.gcd(*(c - t for c, t in zip(charpoly_exact(a), poly_pow_x_minus_one(1))))
+    primes = PrimeSet(True, (), 0) if g == 0 else PrimeSet(False, prime_factors(g), g)
+    return BSReport(q, primes, endo_semidirect_omega_nilpotent(a), trivial_case=q == 1)

@@ -35,7 +35,12 @@ from resip import (
     torus_verdicts,
     FreeEndo,
 )
-from oracles import matrix_order_mod, sl2_power_by_search, torus_verdicts_per_prime
+from oracles import (
+    bs_classify_by_matrix,
+    matrix_order_mod,
+    sl2_power_by_search,
+    torus_verdicts_per_prime,
+)
 
 A_SOL = IntMatrix.from_rows([[2, 1], [1, 1]])
 A_SOL_CUBED = IntMatrix.from_rows([[13, 8], [8, 5]])
@@ -317,7 +322,7 @@ from resip import IntMatrix, InternalInvariant, classify
 from resip.intlin import UnipotenceResult
 
 assert sys.flags.optimize == 1
-# make the unipotence route disagree with the det(A - I) route
+# make the power route disagree with the charpoly route
 classify.is_unipotent_mod = lambda a, p: UnipotenceResult(False, None)
 try:
     classify.torus_residually_p(IntMatrix.from_rows([[1, 1], [0, 1]]), 3)
@@ -364,7 +369,7 @@ def _run_optimized(script: str) -> str:
 
 def test_cross_checks_run_under_python_O():
     out = _run_optimized(_BROKEN_UNIPOTENCE)
-    assert out.startswith("raised: unipotence and det(A-I) criteria disagree")
+    assert out.startswith("raised: unipotence by charpoly and by powers of A - I disagree")
 
 
 def test_pgrouplab_cross_check_runs_under_python_O():
@@ -372,12 +377,10 @@ def test_pgrouplab_cross_check_runs_under_python_O():
     assert out.startswith("raised: Frattini mismatch between definitions")
 
 
-def test_bs_cross_check_raises_internal_invariant(monkeypatch):
-    from resip import InternalInvariant, classify
-
-    monkeypatch.setattr(classify, "endo_semidirect_omega_nilpotent", lambda a: False)
-    with pytest.raises(InternalInvariant):
-        bs_classify(BSSpec(3))
+def test_bs_classify_matches_the_one_by_one_matrix_route():
+    # read off q - 1, against the charpoly gap and lattice chain of [q]
+    for q in range(1, 501):
+        assert bs_classify(BSSpec(q)) == bs_classify_by_matrix(q), q
 
 
 def test_quotient_matrix_rejects_a_non_invariant_subspace():
@@ -399,23 +402,15 @@ def test_sl2_power_rejects_non_prime():
         sl2_power_divisibility(A_SOL, 4)
 
 
-_BROKEN_LATTICE_INDEX = """
-import sys
-from resip import IntMatrix, InternalInvariant, intlin
+def test_sl2_det_door_is_the_gap_gcd():
+    # on SL_2 the gap gcd of charpoly(A) - (x - 1)^2 is |det(A - I)|, so
+    # the det(A - I) criterion is the charpoly one (torus_verdicts_per_prime
+    # compares the two at every prime)
+    from resip.classify import _charpoly_gap
 
-assert sys.flags.optimize == 1
-# the SNF route now reports index 2 against the charpoly route's 1
-intlin.smith_diagonal = lambda m: [2] + [1] * (m.n - 1)
-try:
-    intlin.lattice_chain_invariants(IntMatrix.from_rows([[1, 1], [1, 0]]))
-except InternalInvariant as exc:
-    print("raised:", exc)
-"""
-
-
-def test_lattice_index_cross_check_runs_under_python_O():
-    out = _run_optimized(_BROKEN_LATTICE_INDEX)
-    assert out.startswith("raised: lattice index disagrees")
+    rng = random.Random(2017)
+    for a in [A_SOL, IntMatrix.identity(2)] + [_random_sl2(rng) for _ in range(300)]:
+        assert _charpoly_gap(a)[2] == abs(det_exact(a.minus_identity())), a.entries
 
 
 def test_torus_verdicts_match_the_per_prime_oracle():
@@ -456,7 +451,8 @@ def test_torus_verdicts_raise_when_the_power_route_disagrees(monkeypatch):
     monkeypatch.setattr(classify, "is_unipotent_mod", lambda a, p: UnipotenceResult(False, None))
     with pytest.raises(InternalInvariant, match="by charpoly and by powers"):
         torus_verdicts(IntMatrix.identity(3), [2, 3])
-    with pytest.raises(InternalInvariant, match="det\\(A-I\\) criteria disagree"):
+    # on SL_2 too: the det(A - I) criterion is the charpoly one
+    with pytest.raises(InternalInvariant, match="by charpoly and by powers"):
         torus_verdicts(IntMatrix.from_rows([[1, 1], [0, 1]]), [3])
 
 

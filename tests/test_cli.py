@@ -519,6 +519,85 @@ def test_malformed_certificate_exits_2(tmp_path, capsys, cert):
     assert "schema error at $: malformed certificate" in captured.err
 
 
+def _beta_certificates() -> dict:
+    """The magnus, stable-letter and product certificates of beta at 3,
+    as the JSON objects verify-witness reads."""
+    from resip import MappingTorusElement, artin_endo, beta_braid, combine_witnesses
+    from resip import MappingTorusSpec, find_p_quotient_witness, parse_word
+
+    spec = MappingTorusSpec(artin_endo(beta_braid()))
+    magnus = find_p_quotient_witness(spec, MappingTorusElement(0, parse_word("x1 X2", 3)), 3)
+    letter = find_p_quotient_witness(spec, MappingTorusElement(1, parse_word("1", 3)), 3)
+    product = combine_witnesses([magnus.certificate, letter.certificate])
+    certs = {
+        "magnus": magnus.certificate,
+        "stable_letter": letter.certificate,
+        "product": product,
+    }
+    return {kind: json.loads(_json_text(c.to_dict())) for kind, c in certs.items()}
+
+
+# each integer field of each kind, as a path into the certificate
+_CERT_INT_FIELDS = [
+    ("magnus", ("p",)),
+    ("magnus", ("rank",)),
+    ("magnus", ("survivor_t",)),
+    *(
+        ("magnus", ("data", key))
+        for key in (
+            "degree",
+            "precision",
+            "order_exponent",
+            "induced_order",
+            "evidence_coefficient",
+            "fiber_order_bound",
+            "total_order_bound",
+        )
+    ),
+    ("magnus", ("data", "evidence_monomial", 0)),
+    ("stable_letter", ("survivor_t",)),
+    *(("stable_letter", ("data", key)) for key in ("j", "quotient_order", "residue")),
+    ("product", ("p",)),
+    ("product", ("data", "total_order_bound")),
+    ("product", ("data", "count")),
+    ("product", ("components", 0, "rank")),
+    ("product", ("components", 1, "data", "j")),
+]
+
+
+def _replace(doc, path, new):
+    for key in path[:-1]:
+        doc = doc[key]
+    old, doc[path[-1]] = doc[path[-1]], new
+    return old
+
+
+def _field_id(x) -> str:
+    return x if isinstance(x, str) else ".".join(map(str, x))
+
+
+@pytest.mark.parametrize("kind,path", _CERT_INT_FIELDS, ids=_field_id)
+def test_certificate_floats_and_booleans_exit_2(tmp_path, capsys, kind, path):
+    # 3.9 used to pass as 3, and 2.0 or true as the integer they equal
+    cert = _beta_certificates()[kind]
+    value = _replace(cert, path, None)
+    assert type(value) is int
+    for bad in (float(value), value + 0.5, value == 1):
+        _replace(cert, path, bad)
+        (tmp_path / "cert.json").write_text(json.dumps(cert))
+        assert main(["verify-witness", "--certificate", str(tmp_path / "cert.json")]) == 2, bad
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is not an integer" in captured.err
+    if isinstance(path[-1], int):  # a monomial's letters are never wide
+        return
+    # a string of digits stands for an integer, as wide ones are written
+    _replace(cert, path, str(value))
+    (tmp_path / "cert.json").write_text(json.dumps(cert))
+    assert main(["verify-witness", "--certificate", str(tmp_path / "cert.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["certificate_ok"] is True
+
+
 def test_unreadable_inputs_exit_2(tmp_path, capsys):
     assert main(["verify-witness", "--certificate", str(tmp_path / "missing.json")]) == 2
     assert "cannot read input" in capsys.readouterr().err

@@ -9,6 +9,7 @@ import sympy
 from resip import (
     CapExceeded,
     IntMatrix,
+    LatticeChainInvariants,
     ModMatrix,
     NotInvertibleMod,
     charpoly_exact,
@@ -20,7 +21,12 @@ from resip import (
     poly_pow_x_minus_one,
     smith_diagonal,
 )
-from oracles import matrix_order_mod, rank_exact, unipotent_order_by_iteration
+from oracles import (
+    lattice_chain_by_normal_forms,
+    matrix_order_mod,
+    rank_exact,
+    unipotent_order_by_iteration,
+)
 
 A_SOL = IntMatrix.from_rows([[2, 1], [1, 1]])
 A_SOL_CUBED = IntMatrix.from_rows([[13, 8], [8, 5]])
@@ -356,13 +362,35 @@ def test_rank_agrees_with_sympy():
         assert rank_exact(m) == sympy.Matrix(m.rows()).rank()
 
 
-def test_lattice_index_cross_check_raises_internal_invariant(monkeypatch):
-    from resip import InternalInvariant, intlin
+MIXED_BLOCKS = IntMatrix.from_rows(  # companion blocks of x^2-x-1 and x^2+3x+3
+    [[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, -3], [0, 0, 1, -3]]
+)
 
-    # the SNF route now reports index 2 against the charpoly route's 1
-    monkeypatch.setattr(intlin, "smith_diagonal", lambda m: [2] + [1] * (m.n - 1))
-    with pytest.raises(InternalInvariant):
-        lattice_chain_invariants(IntMatrix.from_rows([[1, 1], [1, 0]]))
+
+def test_lattice_chain_invariants_match_the_normal_form_oracle():
+    # rank, index |g(0)| and intersection against Hermite and Smith forms
+    # of the lattices B^n Z^n and B^(n+1) Z^n, on singular and regular B
+    rng = random.Random(59)
+    mats = [MIXED_BLOCKS, IntMatrix.from_rows([[0, 1], [0, 0]]), IntMatrix.from_rows([[3]])]
+    for i in range(200):
+        n = rng.randint(1, 5)
+        if i % 4 == 0:  # nilpotent plus a corner, so often singular
+            b = _random_unipotent(rng, n, 3).minus_identity()
+            b = b + IntMatrix.from_rows(
+                [[rng.randint(-2, 2) if j == k == 0 else 0 for k in range(n)] for j in range(n)]
+            )
+        else:
+            b = IntMatrix.from_rows(_random_rows(rng, n, -3, 3, rank_deficient=i % 4 == 1))
+        mats.append(b)
+    kinds = set()
+    for b in mats:
+        ours = lattice_chain_invariants(b)
+        assert ours == lattice_chain_by_normal_forms(b), b.entries
+        kinds.add((ours.stable_rank == 0, ours.stable_rank == b.n, ours.intersection_trivial))
+    assert lattice_chain_by_normal_forms(MIXED_BLOCKS) == LatticeChainInvariants(4, 3, False)
+    # the draw holds rank 0, full and partial rank, and both intersections
+    assert {(True, False, True), (False, True, True), (False, True, False)} <= kinds
+    assert any(not zero and not full for zero, full, _ in kinds)
 
 
 def test_mod_matrix_factors_each_modulus_once(monkeypatch):

@@ -303,6 +303,20 @@ def test_combine_witnesses_product():
     assert combine_witnesses([w1]) is w1
 
 
+def test_product_checks_name_components_by_position():
+    # t^1 and t^5 both have survivor word "1", which once named both checks
+    t1 = find_p_quotient_witness(_beta_spec(), _elem(1, "1"), 3).certificate
+    t5 = find_p_quotient_witness(_beta_spec(), _elem(5, "1"), 3).certificate
+    product = combine_witnesses([t1, t5])
+    names = [name for name, _ in verify_witness(product).checks]
+    assert [n for n in names if n.startswith("component_")] == ["component_0", "component_1"]
+    assert len(set(names)) == len(names)
+    d = product.to_dict()
+    d["components"][1]["data"]["residue"] += 1
+    report = verify_witness(PGroupQuotient.from_dict(d))
+    assert [name for name, passed in report.checks if not passed] == ["component_1"]
+
+
 def test_product_of_many_parts_verifies_at_default_caps():
     # no cap counts a product's parts: its validity depends on them alone
     part = find_p_quotient_witness(_beta_spec(), _elem(1, "1"), 3).certificate
