@@ -23,7 +23,6 @@ the proper divisors d of k, so no factorisation is needed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
 from typing import Optional
@@ -31,21 +30,22 @@ from typing import Optional
 from .errors import InternalInvariant, InvalidSpec, NotInvariant, NotTransitive, RankMismatch
 from .freegrp import FreeEndo, FreeWord, apply_endo, substitute
 from .intlin import IntMatrix, poly_divmod
+from .record import Record
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Record):
     """Word in B_strands; letters are signed generator indices in 1..strands-1."""
 
-    strands: int
-    letters: tuple[int, ...]
+    __slots__ = ("strands", "letters")
 
-    def __post_init__(self):
-        if self.strands < 2:
+    def __init__(self, strands: int, letters: tuple[int, ...]):
+        if strands < 2:
             raise InvalidSpec("braid group needs at least 2 strands")
-        for a in self.letters:
-            if a == 0 or abs(a) > self.strands - 1:
+        for a in letters:
+            if a == 0 or abs(a) > strands - 1:
                 raise InvalidSpec(f"braid letter {a} out of range")
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "letters", letters)
 
     def inverse(self) -> "BraidWord":
         return BraidWord(self.strands, tuple(-a for a in reversed(self.letters)))
@@ -150,8 +150,7 @@ def permutation_order(perm: tuple[int, ...]) -> int:
     return order
 
 
-@dataclass(frozen=True)
-class CoverGraph:
+class CoverGraph(Record):
     """Coset graph of ker(F_rank -> Z/m), generator g acting by +a_g.
 
     Vertices are 0..m-1 with base 0; the edge labelled g at vertex v goes to
@@ -159,21 +158,22 @@ class CoverGraph:
     loops are computed once per cover, on first use.
     """
 
-    rank: int
-    modulus: int
-    assignments: tuple[int, ...]
+    __slots__ = ("rank", "modulus", "assignments", "__dict__")  # __dict__: the cached properties
 
-    def __post_init__(self):
-        if self.modulus < 1:
+    def __init__(self, rank: int, modulus: int, assignments: tuple[int, ...]):
+        if modulus < 1:
             raise InvalidSpec("cover index must be >= 1")
-        if len(self.assignments) != self.rank:
+        if len(assignments) != rank:
             raise RankMismatch("one assignment per generator required")
-        if any(not 0 <= a < self.modulus for a in self.assignments):
+        if any(not 0 <= a < modulus for a in assignments):
             raise InvalidSpec("assignments must be reduced mod m")
-        if gcd(self.modulus, *self.assignments) != 1 and self.modulus > 1:
+        if gcd(modulus, *assignments) != 1 and modulus > 1:
             raise NotTransitive(
-                f"assignments {self.assignments} do not generate Z/{self.modulus}"
+                f"assignments {assignments} do not generate Z/{modulus}"
             )
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "assignments", assignments)
 
     @property
     def subgroup_rank(self) -> int:

@@ -9,21 +9,34 @@ order in :mod:`resip.witness`, takes no cap.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Caps:
-    magnus_degree: int = 8          # truncation degree d for Magnus searches
-    max_rank: int = 6               # free-group rank accepted by classifiers
-    layer_basis: int = 64           # largest Lyndon basis size per layer
-    group_order: int = 10 ** 5      # finite p-group closure size
+class Caps(Record):
+    """The search caps; every value is an int >= 1, else ValueError."""
+
+    __slots__ = ("magnus_degree", "max_rank", "layer_basis", "group_order")
+
+    def __init__(
+        self,
+        magnus_degree: int = 8,         # truncation degree d for Magnus searches
+        max_rank: int = 6,              # free-group rank accepted by classifiers
+        layer_basis: int = 64,          # largest Lyndon basis size per layer
+        group_order: int = 10 ** 5,     # finite p-group closure size
+    ):
+        values = (magnus_degree, max_rank, layer_basis, group_order)
+        for name, value in zip(self.__slots__, values):
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"cap {name} must be an integer >= 1, got {value!r}")
+            object.__setattr__(self, name, value)
 
     def with_overrides(self, **kwargs: int) -> "Caps":
-        unknown = set(kwargs) - set(self.__dataclass_fields__)
+        unknown = set(kwargs) - set(self._fields)
         if unknown:
             raise KeyError(f"unknown caps: {sorted(unknown)}")
-        return replace(self, **kwargs)
+        current = zip(self._fields, self._values())
+        return Caps(*(kwargs.get(name, value) for name, value in current))
 
 
 DEFAULT_CAPS = Caps()
@@ -33,7 +46,8 @@ def parse_caps(text: str, base: Caps = DEFAULT_CAPS) -> Caps:
     """Apply comma-separated ``KEY=VAL`` overrides to ``base``.
 
     Empty items are skipped and a later item wins over an earlier one.  A
-    malformed item or value raises ValueError, an unknown key KeyError.
+    malformed item or value, or a value below 1, raises ValueError, an
+    unknown key KeyError.
     """
     overrides = {}
     for item in text.split(","):

@@ -33,7 +33,6 @@ x^2-x-1 and x^2+3x+3 give r = 4, d = 3 and a nontrivial intersection.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .caps import Caps, DEFAULT_CAPS
@@ -59,32 +58,36 @@ from .intlin import (
     rref_mod,
 )
 from .magnus import unipotent_over_Z
+from .record import Record
 
 RESIDUALLY_P = "ResiduallyP"
 NOT_RESIDUALLY_P = "NotResiduallyP"
 UNDECIDED = "Undecided"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Per-prime classification with a re-checkable payload."""
 
-    p: int
-    outcome: str
-    certificate: Optional[dict] = None
-    obstruction: Optional[dict] = None
-    reason: Optional[str] = None
+    __slots__ = ("p", "outcome", "certificate", "obstruction", "reason")
 
-    def __post_init__(self):
-        if self.outcome not in (RESIDUALLY_P, NOT_RESIDUALLY_P, UNDECIDED):
-            raise ValueError(f"unknown outcome {self.outcome}")
-        populated = [
-            self.certificate is not None,
-            self.obstruction is not None,
-            self.reason is not None,
-        ]
+    def __init__(
+        self,
+        p: int,
+        outcome: str,
+        certificate: Optional[dict] = None,
+        obstruction: Optional[dict] = None,
+        reason: Optional[str] = None,
+    ):
+        if outcome not in (RESIDUALLY_P, NOT_RESIDUALLY_P, UNDECIDED):
+            raise ValueError(f"unknown outcome {outcome}")
+        populated = [certificate is not None, obstruction is not None, reason is not None]
         if sum(populated) != 1:
             raise ValueError("exactly one payload must be set")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "obstruction", obstruction)
+        object.__setattr__(self, "reason", reason)
 
     def to_dict(self) -> dict:
         out = {"p": self.p, "outcome": self.outcome}
@@ -167,13 +170,15 @@ def torus_residually_p(a: IntMatrix, p: int) -> Verdict:
     return torus_verdicts(a, [p])[0]
 
 
-@dataclass(frozen=True)
-class PrimeSet:
+class PrimeSet(Record):
     """Either all primes, or the finite set listed."""
 
-    all_primes: bool
-    primes: tuple[int, ...]
-    gcd_value: int
+    __slots__ = ("all_primes", "primes", "gcd_value")
+
+    def __init__(self, all_primes: bool, primes: tuple[int, ...], gcd_value: int):
+        object.__setattr__(self, "all_primes", all_primes)
+        object.__setattr__(self, "primes", primes)
+        object.__setattr__(self, "gcd_value", gcd_value)
 
     @staticmethod
     def dividing(g: int) -> "PrimeSet":
@@ -223,23 +228,28 @@ def endo_semidirect_omega_nilpotent(a: IntMatrix) -> bool:
     return lattice_chain_invariants(a.minus_identity()).intersection_trivial
 
 
-@dataclass(frozen=True)
-class BSSpec:
+class BSSpec(Record):
     """Baumslag-Solitar group BS(1,q) = <s,t | s t s^-1 = t^q>."""
 
-    q: int
+    __slots__ = ("q",)
 
-    def __post_init__(self):
-        if self.q <= 0:
-            raise InvalidQ(f"q must be >= 1, got {self.q}")
+    def __init__(self, q: int):
+        if q <= 0:
+            raise InvalidQ(f"q must be >= 1, got {q}")
+        object.__setattr__(self, "q", q)
 
 
-@dataclass(frozen=True)
-class BSReport:
-    q: int
-    residually_p_primes: PrimeSet
-    omega_nilpotent: bool
-    trivial_case: bool  # q = 1 is Z^2, flagged but still computed
+class BSReport(Record):
+    __slots__ = ("q", "residually_p_primes", "omega_nilpotent", "trivial_case")
+
+    # trivial_case: q = 1 is Z^2, flagged but still computed
+    def __init__(
+        self, q: int, residually_p_primes: PrimeSet, omega_nilpotent: bool, trivial_case: bool
+    ):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "residually_p_primes", residually_p_primes)
+        object.__setattr__(self, "omega_nilpotent", omega_nilpotent)
+        object.__setattr__(self, "trivial_case", trivial_case)
 
     def to_dict(self) -> dict:
         return {
@@ -281,11 +291,14 @@ def bs_classify(spec: BSSpec) -> BSReport:
 # Invariant-subspace obstruction for free fibers
 
 
-@dataclass(frozen=True)
-class ObstructionResult:
-    exists: bool
-    witness: Optional[dict]  # {"subspace": rows, "quotient_dim": d, "order": p^s}
-    examined: int
+class ObstructionResult(Record):
+    __slots__ = ("exists", "witness", "examined")
+
+    # witness: {"subspace": rows, "quotient_dim": d, "order": p^s}
+    def __init__(self, exists: bool, witness: Optional[dict], examined: int):
+        object.__setattr__(self, "exists", exists)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "examined", examined)
 
     def to_dict(self) -> dict:
         return {

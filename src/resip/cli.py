@@ -34,7 +34,6 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from .braid import (
@@ -74,30 +73,51 @@ from .intlin import (
     poly_divmod,
     primes_up_to,
 )
+from .record import Record
 from .witness import PGroupQuotient, find_p_quotient_witness, verify_witness
 
 
-@dataclass(frozen=True)
-class Task:
-    id: str
-    kind: str
-    payload: dict
+class Task(Record):
+    __slots__ = ("id", "kind", "payload")
+
+    def __init__(self, id: str, kind: str, payload: dict):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "payload", payload)
 
 
-@dataclass(frozen=True)
-class TaskFile:
-    version: int
-    tasks: tuple[Task, ...]
+class TaskFile(Record):
+    __slots__ = ("version", "tasks")
+
+    def __init__(self, version: int, tasks: tuple[Task, ...]):
+        object.__setattr__(self, "version", version)
+        object.__setattr__(self, "tasks", tasks)
 
 
-@dataclass
-class ReportEntry:
-    id: str
-    kind: str
-    status: str  # ok | error | cap
-    result: Optional[dict] = None
-    error: Optional[dict] = None
-    elapsed_ms: Optional[float] = None
+class ReportEntry(Record):
+    """One task's entry in a report; mutable, so unhashable."""
+
+    __slots__ = ("id", "kind", "status", "result", "error", "elapsed_ms")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
+
+    # status: ok | error | cap
+    def __init__(
+        self,
+        id: str,
+        kind: str,
+        status: str,
+        result: Optional[dict] = None,
+        error: Optional[dict] = None,
+        elapsed_ms: Optional[float] = None,
+    ):
+        self.id = id
+        self.kind = kind
+        self.status = status
+        self.result = result
+        self.error = error
+        self.elapsed_ms = elapsed_ms
 
     def to_dict(self) -> dict:
         out = {"id": self.id, "kind": self.kind, "status": self.status}

@@ -31,15 +31,14 @@ coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import InvalidSpec, NotHomomorphism
 from .intlin import IntMatrix
+from .record import Record
 
 
-@dataclass(frozen=True)
-class BilinearCocycle:
+class BilinearCocycle(Record):
     """f(u, v) = u^T F v on Z^r, values in Z or Z/m.
 
     Every such f is a normalized 2-cocycle, whatever the integer form F:
@@ -54,15 +53,16 @@ class BilinearCocycle:
     floats, rounding alone can break the identity.
     """
 
-    form: tuple[tuple[int, ...], ...]
-    coeff_modulus: Optional[int] = None
+    __slots__ = ("form", "coeff_modulus")
 
-    def __post_init__(self):
-        r = len(self.form)
-        if r == 0 or any(len(row) != r for row in self.form):
+    def __init__(self, form: tuple[tuple[int, ...], ...], coeff_modulus: Optional[int] = None):
+        r = len(form)
+        if r == 0 or any(len(row) != r for row in form):
             raise InvalidSpec("bilinear form must be square and nonempty")
-        if any(not isinstance(x, int) for row in self.form for x in row):
+        if any(not isinstance(x, int) for row in form for x in row):
             raise InvalidSpec("bilinear form entries must be exact integers")
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "coeff_modulus", coeff_modulus)
 
     @property
     def r(self) -> int:
@@ -88,20 +88,30 @@ class BilinearCocycle:
         return (0,) * self.r
 
 
-@dataclass(frozen=True)
-class TableCocycle:
+class TableCocycle(Record):
     """Explicit cocycle on a small additive group given by element list.
 
     elements: hashable labels; add/neg give the group structure; table maps
     (g, h) to the coefficient value.
     """
 
-    elements: tuple
-    add: dict
-    neg: dict
-    zero: object
-    table: dict
-    coeff_modulus: Optional[int] = None
+    __slots__ = ("elements", "add", "neg", "zero", "table", "coeff_modulus")
+
+    def __init__(
+        self,
+        elements: tuple,
+        add: dict,
+        neg: dict,
+        zero: object,
+        table: dict,
+        coeff_modulus: Optional[int] = None,
+    ):
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "add", add)
+        object.__setattr__(self, "neg", neg)
+        object.__setattr__(self, "zero", zero)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "coeff_modulus", coeff_modulus)
 
     def __call__(self, g, h):
         v = self.table[(g, h)]
@@ -117,10 +127,13 @@ class TableCocycle:
         return self.zero
 
 
-@dataclass(frozen=True)
-class CocycleCheck:
-    ok: bool
-    violation: Optional[tuple] = None  # (g, h, k) with the identity broken
+class CocycleCheck(Record):
+    __slots__ = ("ok", "violation")
+
+    # violation: (g, h, k) with the identity broken
+    def __init__(self, ok: bool, violation: Optional[tuple] = None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "violation", violation)
 
 
 def verify_cocycle(f) -> CocycleCheck:
@@ -149,10 +162,12 @@ def verify_cocycle(f) -> CocycleCheck:
     return CocycleCheck(True)
 
 
-@dataclass(frozen=True)
-class ExtensionElement:
-    central: int
-    base: tuple
+class ExtensionElement(Record):
+    __slots__ = ("central", "base")
+
+    def __init__(self, central: int, base: tuple):
+        object.__setattr__(self, "central", central)
+        object.__setattr__(self, "base", base)
 
 
 def _central_red(f, a: int) -> int:
@@ -194,9 +209,11 @@ def heisenberg_cocycle() -> BilinearCocycle:
     return BilinearCocycle(((0, 1), (0, 0)))
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    checks: tuple[tuple[str, bool], ...]
+class CheckReport(Record):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple[tuple[str, bool], ...]):
+        object.__setattr__(self, "checks", checks)
 
     @property
     def ok(self) -> bool:
@@ -311,18 +328,18 @@ def pullback_equality_check(f, k, phi) -> bool:
     raise InvalidSpec("mixed cocycle representations")
 
 
-@dataclass(frozen=True)
-class CircleBundleSpec:
+class CircleBundleSpec(Record):
     """Unit circle bundle over a genus-g surface with Euler number e."""
 
-    genus: int
-    euler: int
+    __slots__ = ("genus", "euler")
 
-    def __post_init__(self):
-        if self.genus < 1:
+    def __init__(self, genus: int, euler: int):
+        if genus < 1:
             raise InvalidSpec("genus must be >= 1")
-        if self.euler == 0:
+        if euler == 0:
             raise InvalidSpec("Euler number must be nonzero")
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "euler", euler)
 
 
 def circle_bundle_cocycle(spec: CircleBundleSpec) -> BilinearCocycle:

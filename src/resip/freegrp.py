@@ -11,12 +11,12 @@ apply_endo(compose_endos(phi, rho), w) == apply_endo(phi, apply_endo(rho, w)).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import InvalidSpec, RankMismatch
 from .intlin import IntMatrix
+from .record import Record
 
 # A letter is a nonzero int: i means x_i, -i means x_i^-1.
 Letter = int
@@ -32,21 +32,21 @@ def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class FreeWord:
+class FreeWord(Record):
     """Freely reduced word in F_rank; letters are signed generator indices."""
 
-    rank: int
-    letters: tuple[int, ...]
+    __slots__ = ("rank", "letters")
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int, letters: tuple[int, ...]):
+        if rank < 1:
             raise InvalidSpec("rank must be >= 1")
-        for a in self.letters:
-            if a == 0 or abs(a) > self.rank:
-                raise InvalidSpec(f"letter {a} out of range for rank {self.rank}")
-        if any(a == -b for a, b in zip(self.letters, self.letters[1:])):
+        for a in letters:
+            if a == 0 or abs(a) > rank:
+                raise InvalidSpec(f"letter {a} out of range for rank {rank}")
+        if any(a == -b for a, b in zip(letters, letters[1:])):
             raise InvalidSpec("word not freely reduced")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "letters", letters)
 
     @staticmethod
     def from_letters(rank: int, letters: Iterable[int]) -> "FreeWord":
@@ -56,7 +56,7 @@ class FreeWord:
     def _trusted(cls, rank: int, letters: tuple[int, ...]) -> "FreeWord":
         """A word from letters already known to be in range for rank and
         freely reduced, such as those of valid words of that rank; skips
-        the checks of __post_init__."""
+        the checks of __init__."""
         word = object.__new__(cls)
         object.__setattr__(word, "rank", rank)
         object.__setattr__(word, "letters", letters)
@@ -148,8 +148,7 @@ def substitute(images: tuple[tuple[int, ...], ...], letters: Iterable[int]) -> t
     return _reduce(out)
 
 
-@dataclass(frozen=True)
-class FreeEndo:
+class FreeEndo(Record):
     """Endomorphism of F_rank by generator images.
 
     certified_inverse, when given, is checked: both compositions must fix
@@ -157,23 +156,29 @@ class FreeEndo:
     automorphisms).
     """
 
-    rank: int
-    images: tuple[FreeWord, ...]
-    certified_inverse: Optional[tuple[FreeWord, ...]] = None
+    __slots__ = ("rank", "images", "certified_inverse", "__dict__")  # __dict__: letter_images
 
-    def __post_init__(self):
-        if len(self.images) != self.rank:
+    def __init__(
+        self,
+        rank: int,
+        images: tuple[FreeWord, ...],
+        certified_inverse: Optional[tuple[FreeWord, ...]] = None,
+    ):
+        if len(images) != rank:
             raise RankMismatch("need one image per generator")
-        for w in self.images:
-            if w.rank != self.rank:
+        for w in images:
+            if w.rank != rank:
                 raise RankMismatch("image rank differs from endo rank")
-        if self.certified_inverse is not None:
-            inv = FreeEndo(self.rank, self.certified_inverse)
-            for i in range(1, self.rank + 1):
-                g = FreeWord.generator(self.rank, i)
-                if apply_endo(inv, self.images[i - 1]) != g:
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "certified_inverse", certified_inverse)
+        if certified_inverse is not None:
+            inv = FreeEndo(rank, certified_inverse)
+            for i in range(1, rank + 1):
+                g = FreeWord.generator(rank, i)
+                if apply_endo(inv, images[i - 1]) != g:
                     raise InvalidSpec(f"claimed inverse fails on x{i} (left)")
-                if self.apply_raw(self.certified_inverse[i - 1]) != g:
+                if self.apply_raw(certified_inverse[i - 1]) != g:
                     raise InvalidSpec(f"claimed inverse fails on x{i} (right)")
 
     @staticmethod
@@ -290,29 +295,31 @@ def nielsen_transvection(rank: int, i: int, j: int) -> FreeEndo:
     return FreeEndo(rank, tuple(images), tuple(inverses))
 
 
-@dataclass(frozen=True)
-class MappingTorusSpec:
+class MappingTorusSpec(Record):
     """A mapping torus of a free group: fiber F_n, monodromy a certified
     automorphism, stable letter t acting by the monodromy."""
 
-    fiber: FreeEndo
-    description: str = ""
+    __slots__ = ("fiber", "description")
 
-    def __post_init__(self):
-        if not self.fiber.is_certified:
+    def __init__(self, fiber: FreeEndo, description: str = ""):
+        if not fiber.is_certified:
             raise InvalidSpec("mapping torus monodromy must carry a certified inverse")
+        object.__setattr__(self, "fiber", fiber)
+        object.__setattr__(self, "description", description)
 
     @property
     def rank(self) -> int:
         return self.fiber.rank
 
 
-@dataclass(frozen=True)
-class MappingTorusElement:
+class MappingTorusElement(Record):
     """Normal form t^m * w with w in the fiber."""
 
-    t_exponent: int
-    fiber_word: FreeWord
+    __slots__ = ("t_exponent", "fiber_word")
+
+    def __init__(self, t_exponent: int, fiber_word: FreeWord):
+        object.__setattr__(self, "t_exponent", t_exponent)
+        object.__setattr__(self, "fiber_word", fiber_word)
 
     def is_identity(self) -> bool:
         return self.t_exponent == 0 and self.fiber_word.is_identity()

@@ -22,38 +22,40 @@ than x has constant term +-1 does need one, by Zassenhaus
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InternalInvariant, InvalidSpec
+from .record import Record
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     """Immutable square matrix of arbitrary-precision integers."""
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        n = len(self.entries)
+    def __init__(self, entries: tuple[tuple[int, ...], ...]):
+        n = len(entries)
         if n == 0:
             raise InvalidSpec("dimension 0 matrix rejected")
-        if any(len(row) != n for row in self.entries):
+        if any(len(row) != n for row in entries):
             raise InvalidSpec("matrix must be square")
-        if any(not isinstance(x, int) for row in self.entries for x in row):
+        if any(not isinstance(x, int) for row in entries for x in row):
             raise InvalidSpec("entries must be exact integers")
+        object.__setattr__(self, "entries", entries)
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        # int(x) turns other integer types, such as numpy's, into int;
-        # floats are refused rather than silently truncated
-        materialized = [list(row) for row in rows]
-        if any(isinstance(x, float) for row in materialized for x in row):
-            raise InvalidSpec("matrix entries must be exact integers")
-        return IntMatrix(tuple(tuple(int(x) for x in row) for row in materialized))
+        # operator.index takes ints and other integer types, such as
+        # numpy's, and refuses what int() would round or parse: floats,
+        # Fractions, Decimals, strings
+        try:
+            entries = tuple(tuple(index(x) for x in row) for row in rows)
+        except TypeError:
+            raise InvalidSpec("matrix entries must be exact integers") from None
+        return IntMatrix(entries)
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -72,7 +74,7 @@ class IntMatrix:
     def _trusted(cls, entries: tuple[tuple[int, ...], ...]) -> "IntMatrix":
         """A matrix from entries already known to be a nonempty square of
         ints, such as the sum, difference or product of valid matrices of
-        one size; skips the checks of __post_init__."""
+        one size; skips the checks of __init__."""
         m = object.__new__(cls)
         object.__setattr__(m, "entries", entries)
         return m
@@ -129,26 +131,26 @@ class IntMatrix:
             raise InvalidSpec("matrix dimensions differ")
 
 
-@dataclass(frozen=True)
-class ModMatrix:
+class ModMatrix(Record):
     """Square matrix over Z/m with m a prime power >= 2; entries reduced."""
 
-    modulus: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("modulus", "entries")
 
-    def __post_init__(self):
-        _check_modulus(self.modulus)
-        n = len(self.entries)
-        if n == 0 or any(len(row) != n for row in self.entries):
+    def __init__(self, modulus: int, entries: tuple[tuple[int, ...], ...]):
+        _check_modulus(modulus)
+        n = len(entries)
+        if n == 0 or any(len(row) != n for row in entries):
             raise InvalidSpec("matrix must be square and nonempty")
-        if any(not (0 <= x < self.modulus) for row in self.entries for x in row):
+        if any(not (0 <= x < modulus) for row in entries for x in row):
             raise InvalidSpec("entries must be reduced mod the modulus")
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def _trusted(cls, modulus: int, entries: tuple[tuple[int, ...], ...]) -> "ModMatrix":
         """A matrix from entries already reduced mod a modulus already
         validated, such as a product of valid matrices; skips the checks
-        of __post_init__."""
+        of __init__."""
         m = object.__new__(cls)
         object.__setattr__(m, "modulus", modulus)
         object.__setattr__(m, "entries", entries)
@@ -442,10 +444,13 @@ def poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[tuple[int, ...]
     return tuple(quot), tuple(num)
 
 
-@dataclass(frozen=True)
-class UnipotenceResult:
-    unipotent: bool
-    index: Optional[int]  # least j with (M - I)^j = 0 mod p, when unipotent
+class UnipotenceResult(Record):
+    __slots__ = ("unipotent", "index")
+
+    # index: the least j with (M - I)^j = 0 mod p, when unipotent
+    def __init__(self, unipotent: bool, index: Optional[int]):
+        object.__setattr__(self, "unipotent", unipotent)
+        object.__setattr__(self, "index", index)
 
     def __bool__(self) -> bool:
         return self.unipotent
@@ -646,8 +651,7 @@ def smith_diagonal(m: IntMatrix) -> list[int]:
     return [abs(s[i][i]) for i in range(m.n)]
 
 
-@dataclass(frozen=True)
-class LatticeChainInvariants:
+class LatticeChainInvariants(Record):
     """Invariants of the image chain B^i(Z^n).
 
     stable_rank: rank of B^n over Q.
@@ -655,9 +659,12 @@ class LatticeChainInvariants:
     intersection_trivial: whether the chain intersects in {0}.
     """
 
-    stable_rank: int
-    stable_index: Optional[int]
-    intersection_trivial: bool
+    __slots__ = ("stable_rank", "stable_index", "intersection_trivial")
+
+    def __init__(self, stable_rank: int, stable_index: Optional[int], intersection_trivial: bool):
+        object.__setattr__(self, "stable_rank", stable_rank)
+        object.__setattr__(self, "stable_index", stable_index)
+        object.__setattr__(self, "intersection_trivial", intersection_trivial)
 
 
 def lattice_chain_invariants(b: IntMatrix) -> LatticeChainInvariants:

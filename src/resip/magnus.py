@@ -29,7 +29,6 @@ nonzero reduced coefficients only; there is no dense form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from typing import Callable, Optional
@@ -38,6 +37,7 @@ from .caps import Caps, DEFAULT_CAPS
 from .errors import CapExceeded, InternalInvariant, InvalidSpec
 from .freegrp import FreeEndo, FreeWord, apply_endo, commutator
 from .intlin import IntMatrix, charpoly_exact, is_unipotent_mod, poly_pow_x_minus_one
+from .record import Record
 
 Monomial = tuple[int, ...]  # sequence of generator indices, () = constant term
 
@@ -374,18 +374,22 @@ def _lyndon_polynomial(w: Monomial) -> dict:
     return poly
 
 
-@dataclass(frozen=True)
-class LieLayerMatrix:
+class LieLayerMatrix(Record):
     """Matrix of an induced action on layer i of the lower central series.
 
     Basis: Lyndon words of length i, ascending lex; column j is the image
     of basis word j.  Entries are reduced when modulus is set.
     """
 
-    layer: int
-    basis: tuple[Monomial, ...]
-    matrix: IntMatrix
-    modulus: Optional[int]
+    __slots__ = ("layer", "basis", "matrix", "modulus")
+
+    def __init__(
+        self, layer: int, basis: tuple[Monomial, ...], matrix: IntMatrix, modulus: Optional[int]
+    ):
+        object.__setattr__(self, "layer", layer)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "modulus", modulus)
 
 
 def lie_layer_matrix(

@@ -50,7 +50,6 @@ stored JSON alone.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .caps import Caps, DEFAULT_CAPS
@@ -66,10 +65,10 @@ from .freegrp import (
 )
 from .intlin import _require_prime, is_unipotent_mod, least_p_power_exponent, p_power_exponent
 from .magnus import SeriesSubstitution, TruncatedSeries, magnus_depth, magnus_embed
+from .record import Record
 
 
-@dataclass(frozen=True)
-class PGroupQuotient:
+class PGroupQuotient(Record):
     """A certified finite p-group quotient with a surviving element.
 
     kind "stable_letter": data has j, t_exponent, residue.
@@ -78,19 +77,34 @@ class PGroupQuotient:
     kind "product": components carry the actual certificates.
     """
 
-    p: int
-    kind: str
-    rank: int
-    monodromy_images: tuple[str, ...]
-    monodromy_inverse: tuple[str, ...]
-    survivor_t: int
-    survivor_word: str
-    data: dict = field(default_factory=dict)
-    components: tuple["PGroupQuotient", ...] = ()
+    __slots__ = (
+        "p", "kind", "rank", "monodromy_images", "monodromy_inverse",
+        "survivor_t", "survivor_word", "data", "components",
+    )
 
-    def __post_init__(self):
-        if self.kind not in ("stable_letter", "magnus", "product"):
-            raise InvalidSpec(f"unknown certificate kind {self.kind}")
+    def __init__(
+        self,
+        p: int,
+        kind: str,
+        rank: int,
+        monodromy_images: tuple[str, ...],
+        monodromy_inverse: tuple[str, ...],
+        survivor_t: int,
+        survivor_word: str,
+        data: Optional[dict] = None,  # None: a new empty dict
+        components: tuple["PGroupQuotient", ...] = (),
+    ):
+        if kind not in ("stable_letter", "magnus", "product"):
+            raise InvalidSpec(f"unknown certificate kind {kind}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "monodromy_images", monodromy_images)
+        object.__setattr__(self, "monodromy_inverse", monodromy_inverse)
+        object.__setattr__(self, "survivor_t", survivor_t)
+        object.__setattr__(self, "survivor_word", survivor_word)
+        object.__setattr__(self, "data", {} if data is None else data)
+        object.__setattr__(self, "components", components)
 
     def to_dict(self) -> dict:
         out = {
@@ -179,11 +193,19 @@ def _unjsonable(data: dict) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class WitnessOutcome:
-    status: str  # "certificate" | "undecided"
-    certificate: Optional[PGroupQuotient] = None
-    reason: Optional[str] = None
+class WitnessOutcome(Record):
+    __slots__ = ("status", "certificate", "reason")
+
+    # status: "certificate" | "undecided"
+    def __init__(
+        self,
+        status: str,
+        certificate: Optional[PGroupQuotient] = None,
+        reason: Optional[str] = None,
+    ):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "reason", reason)
 
     def to_dict(self) -> dict:
         out = {"status": self.status}
@@ -360,9 +382,11 @@ def _order_bound(w: PGroupQuotient) -> int:
     return w.data["total_order_bound"]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple[tuple[str, bool], ...]
+class VerificationReport(Record):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple[tuple[str, bool], ...]):
+        object.__setattr__(self, "checks", checks)
 
     @property
     def ok(self) -> bool:

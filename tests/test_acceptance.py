@@ -393,7 +393,7 @@ def test_c14_cli_contract_on_shipped_task_files(tmp_path, capsys):
                 "--tasks",
                 str(TASK_DIR / "beta-braid.json"),
                 "--caps",
-                "magnus_degree=0",
+                "max_rank=2",
             ]
         )
         == 3

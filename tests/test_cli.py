@@ -19,7 +19,7 @@ from resip.cli import (
     parse_task_file,
     run_tasks,
 )
-from resip.caps import DEFAULT_CAPS, parse_caps
+from resip.caps import DEFAULT_CAPS, Caps, parse_caps
 
 
 SOL_TASKS = json.dumps(
@@ -243,7 +243,7 @@ def test_exit_codes(tmp_path, capsys):
             }
         )
     )
-    assert main(["run", "--tasks", str(capped), "--caps", "magnus_degree=0"]) == 3
+    assert main(["run", "--tasks", str(capped), "--caps", "max_rank=2"]) == 3
     capsys.readouterr()
 
 
@@ -350,7 +350,7 @@ def test_env_caps_respected(tmp_path, monkeypatch, capsys):
             }
         )
     )
-    monkeypatch.setenv("RESIP_CAPS", "magnus_degree=0")
+    monkeypatch.setenv("RESIP_CAPS", "max_rank=2")
     assert main(["run", "--tasks", str(task)]) == 3
     capsys.readouterr()
     monkeypatch.setenv("RESIP_CAPS", "magnus_degree=banana")
@@ -381,6 +381,8 @@ def test_caps_flag_and_environment_accept_the_same_text(monkeypatch, capsys, tex
         ("magnus_degree=banana", "bad cap value 'banana' for magnus_degree"),
         ("magnus_degree", "bad cap override 'magnus_degree', expected KEY=VALUE"),
         ("flux_capacitor=1", "unknown caps: ['flux_capacitor']"),
+        ("magnus_degree=-3", "cap magnus_degree must be an integer >= 1, got -3"),
+        ("max_rank=6,max_rank=0", "cap max_rank must be an integer >= 1, got 0"),
     ],
 )
 def test_caps_flag_and_environment_reject_the_same_text(monkeypatch, capsys, text, message):
@@ -394,18 +396,35 @@ def test_caps_flag_and_environment_reject_the_same_text(monkeypatch, capsys, tex
     assert message in from_env.err
 
 
+def test_caps_below_one_exit_2_before_any_search(monkeypatch, capsys):
+    argv = ["witness", "--images", "x1;x2", "--inverse", "x1;x2", "--p", "3", "--w", "x1"]
+    assert main(argv + ["--caps", "magnus_degree=-3"]) == 2
+    from_flag = capsys.readouterr()
+    monkeypatch.setenv("RESIP_CAPS", "magnus_degree=-3")
+    assert main(argv) == 2
+    from_env = capsys.readouterr()
+    assert from_flag.out == from_env.out == ""
+    assert "cap magnus_degree must be an integer >= 1, got -3" in from_env.err
+    bad = ({"max_rank": 0}, {"group_order": -1}, {"layer_basis": True}, {"magnus_degree": 2.0})
+    for values in bad:
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            DEFAULT_CAPS.with_overrides(**values)
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
+        Caps(magnus_degree=0)
+
+
 def test_caps_flags_win_over_environment(monkeypatch, capsys):
-    monkeypatch.setenv("RESIP_CAPS", "magnus_degree=0")
-    assert main(BETA_WITNESS + ["--caps", "magnus_degree=8"]) == 0
+    monkeypatch.setenv("RESIP_CAPS", "max_rank=2")
+    assert main(BETA_WITNESS + ["--caps", "max_rank=6"]) == 0
     capsys.readouterr()
-    monkeypatch.setenv("RESIP_CAPS", "magnus_degree=8")
-    assert main(BETA_WITNESS + ["--caps", "max_rank=6", "--caps", "magnus_degree=0"]) == 3
+    monkeypatch.setenv("RESIP_CAPS", "max_rank=6")
+    assert main(BETA_WITNESS + ["--caps", "magnus_degree=8", "--caps", "max_rank=2"]) == 3
     entry = _entry(capsys)
     assert entry == {
         "id": "0",
         "kind": "witness",
         "status": "cap",
-        "error": {"type": "CapExceeded", "message": "magnus_depth: cap 0 exceeded"},
+        "error": {"type": "CapExceeded", "message": "max_rank: cap 2 exceeded"},
     }
 
 
@@ -638,7 +657,7 @@ def test_removed_witness_knobs_exit_2(tmp_path, capsys):
     for cap in ("order_iterations=1", "max_layer=4", "combine_witnesses=4"):
         assert main(BETA_WITNESS + ["--caps", cap]) == 2
         assert "unknown caps" in capsys.readouterr().err
-    assert set(DEFAULT_CAPS.__dataclass_fields__) == {
+    assert set(DEFAULT_CAPS._fields) == {
         "magnus_degree", "max_rank", "layer_basis", "group_order"
     }
     assert "exploratory" not in TASK_FIELDS
@@ -708,7 +727,7 @@ def test_closed_stdout_is_not_an_input_error(tmp_path, monkeypatch, capsys):
         (["bs", "--q", "3", "--format", "text"], 0),
         (["verify-witness", "--certificate", str(good)], 0),
         (["verify-witness", "--certificate", str(bad), "--format", "text"], 1),
-        (BETA_WITNESS + ["--caps", "magnus_degree=0"], 3),
+        (BETA_WITNESS + ["--caps", "max_rank=2"], 3),
     ):
         monkeypatch.setattr("sys.stdout", _ClosedPipe())
         assert main(args) == status, args

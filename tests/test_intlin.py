@@ -47,6 +47,27 @@ def test_matrix_construction_rejects_bad_shapes():
         IntMatrix.from_rows([[1.5]])
 
 
+class _Two:
+    """An integer type other than int: it defines __index__."""
+
+    def __index__(self):
+        return 2
+
+
+def test_from_rows_takes_only_exact_integers():
+    from decimal import Decimal
+    from fractions import Fraction
+
+    from resip import InvalidSpec
+
+    m = IntMatrix.from_rows([[True, _Two()], [-3, 10 ** 30]])
+    assert m.entries == ((1, 2), (-3, 10 ** 30))
+    assert all(type(x) is int for row in m.entries for x in row)
+    for bad in (1.0, 1.5, Fraction(3, 2), Fraction(2, 1), Decimal("1.9"), Decimal(2), "2"):
+        with pytest.raises(InvalidSpec, match="exact integers"):
+            IntMatrix.from_rows([[1, 0], [bad, 1]])
+
+
 def test_matrix_power_and_fixture_cube():
     assert (A_SOL ** 3).entries == A_SOL_CUBED.entries
     assert (A_SOL ** 0).entries == IntMatrix.identity(2).entries
@@ -417,8 +438,8 @@ def test_arithmetic_results_are_built_without_revalidation(monkeypatch):
     b = IntMatrix.from_rows([[0, -1], [1, 3]])
     m = ModMatrix.reduce(a, 7)
     built = []
-    monkeypatch.setattr(IntMatrix, "__post_init__", lambda self: built.append(self))
-    monkeypatch.setattr(ModMatrix, "__post_init__", lambda self: built.append(self))
+    monkeypatch.setattr(IntMatrix, "__init__", lambda self, *args: built.append(args))
+    monkeypatch.setattr(ModMatrix, "__init__", lambda self, *args: built.append(args))
     results = [a + b, a - b, a * b, a.minus_identity(), ModMatrix.reduce(b, 7), m * m]
     assert built == []
     monkeypatch.undo()

@@ -1,9 +1,11 @@
-"""No `resip` call imports sympy or jsonschema.
+"""No `resip` call imports sympy, jsonschema, dataclasses or inspect.
 
-Both are slow to import (sympy alone was most of the start-up of a call).
+All are slow to import (sympy alone was most of the start-up of a call).
 No default path needs sympy: it is imported only for integers beyond the
 in-tree primality and factoring bounds.  Task files are validated in-tree,
-by the field table in resip.cli, so jsonschema is needed nowhere.  One
+by the field table in resip.cli, so jsonschema is needed nowhere.  The
+records are resip.record.Record classes, not dataclasses, whose decorator
+compiles generated methods at import and whose module loads inspect.  One
 fresh interpreter runs verify-witness, every shipped task file, every
 other subcommand and the README's CLI examples, and reports what it has
 loaded.
@@ -36,7 +38,8 @@ def run(argv):
 
 for argv in [["verify-witness", "--certificate", sys.argv[1]]] + json.loads(sys.argv[2]):
     run(argv)
-print(json.dumps(sorted(m for m in ("sympy", "jsonschema") if m in sys.modules)))
+unwanted = ("sympy", "jsonschema", "dataclasses", "inspect")
+print(json.dumps(sorted(m for m in unwanted if m in sys.modules)))
 """
 
 
@@ -58,7 +61,7 @@ def _commands() -> list[list[str]]:
     return commands
 
 
-def test_cli_calls_import_neither_sympy_nor_jsonschema(tmp_path, capsys):
+def test_cli_calls_import_no_sympy_jsonschema_dataclasses_or_inspect(tmp_path, capsys):
     assert main(["witness", "--images", IMAGES, "--inverse", INVERSE, "--p", "3",
                  "--w", "x1 X2"]) == 0
     report = json.loads(capsys.readouterr().out)
