@@ -16,16 +16,16 @@ from .record import Record
 class Caps(Record):
     """The search caps; every value is an int >= 1, else ValueError."""
 
-    __slots__ = ("magnus_degree", "max_rank", "layer_basis", "group_order")
+    __slots__ = ("magnus_degree", "max_rank", "group_order")
 
     def __init__(
         self,
         magnus_degree: int = 8,         # truncation degree d for Magnus searches
-        max_rank: int = 6,              # free-group rank accepted by classifiers
-        layer_basis: int = 64,          # largest Lyndon basis size per layer
+        max_rank: int = 6,              # free-group rank of a Magnus embedding
+                                        # (witness search and verification)
         group_order: int = 10 ** 5,     # finite p-group closure size
     ):
-        values = (magnus_degree, max_rank, layer_basis, group_order)
+        values = (magnus_degree, max_rank, group_order)
         for name, value in zip(self.__slots__, values):
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"cap {name} must be an integer >= 1, got {value!r}")

@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .caps import Caps, DEFAULT_CAPS
 from .errors import (
     InternalInvariant,
     InvalidQ,
@@ -387,7 +386,10 @@ def free_fiber_residually_p(spec: MappingTorusSpec, p: int) -> Verdict:
     """Three-valued verdict for a mapping torus with free fiber of rank >= 2.
 
     Reads only the abelianization mod p, which is what makes the verdict
-    invariant under composition with mod-p Torelli automorphisms.
+    invariant under composition with mod-p Torelli automorphisms.  The
+    action M on H_1 is invertible mod every p: the spec carries a certified
+    inverse, and FreeEndo checks both compositions, so M lies in GL_n(Z)
+    and det M = +-1.
     """
     if spec.rank < 2:
         raise RankTooSmall("rank-1 fibers are torus/BS territory")
@@ -403,10 +405,6 @@ def free_fiber_residually_p(spec: MappingTorusSpec, p: int) -> Verdict:
                 "abelianization": [list(r) for r in a.entries],
             },
         )
-    if det_exact(a) % p == 0:
-        # H_1 action degenerate mod p; the obstruction argument needs an
-        # invertible action, so no decision either way
-        return Verdict(p, UNDECIDED, reason="H_1 action not invertible mod p")
     obstruction = _fitting_obstruction(a, p)
     if not obstruction.exists:
         return Verdict(
@@ -483,10 +481,10 @@ def sl2_power_divisibility(a: IntMatrix, p: int) -> int:
     return k
 
 
-def rtfn_sufficient(
-    spec: MappingTorusSpec, c: int, caps: Caps = DEFAULT_CAPS
-) -> bool:
+def rtfn_sufficient(spec: MappingTorusSpec, c: int) -> bool:
     """Sufficiency certificate for residual torsion-free nilpotence:
-    unipotence over Z on all lower-central layers up to c.  False means
-    "no certificate", not a refutation."""
-    return unipotent_over_Z(spec.fiber, c, caps)
+    unipotence over Z on all lower-central layers up to c, which for
+    c >= 1 is charpoly(M) = (x - 1)^n for the H_1 action M of rank n
+    (proved in ``magnus.unipotent_on_layers``).  False means "no
+    certificate", not a refutation."""
+    return unipotent_over_Z(spec.fiber, c)

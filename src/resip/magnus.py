@@ -1,4 +1,4 @@
-"""Truncated Magnus expansion and lower-central-series layer matrices.
+"""Truncated Magnus expansion, and the lower-central layers decided on H_1.
 
 The free group F_n embeds into the units of Z<<X_1..X_n>> by x_i -> 1 + X_i.
 Truncating at degree d (and optionally reducing coefficients mod a prime
@@ -6,13 +6,6 @@ power) yields finite nilpotent images; over F_p the kernels are the mod-p
 dimension subgroups, which are fully invariant and of p-power index.  These
 kernels, not the lower p-central series, are the quotient family used by
 the witness engine.
-
-Layer matrices: gamma_i/gamma_{i+1} of F_n is the degree-i component of the
-free Lie ring, with basis indexed by Lyndon words of length i.  An element
-g of gamma_i has magnus_embed(g) = 1 + (its Lie class) + higher degree, so
-the induced action of an automorphism on layer i is read off from the
-degree-i coefficient slice and rewritten in the Lyndon basis by triangular
-elimination (the Lyndon polynomial P_w is w plus lex-greater monomials).
 
 Kernels.  A series is one sparse table {monomial: coefficient} holding
 nonzero reduced coefficients only; there is no dense form.
@@ -29,15 +22,13 @@ nonzero reduced coefficients only; there is no dense form.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import islice
-from typing import Callable, Optional
+from typing import Optional
 
 from .caps import Caps, DEFAULT_CAPS
-from .errors import CapExceeded, InternalInvariant, InvalidSpec
-from .freegrp import FreeEndo, FreeWord, apply_endo, commutator
-from .intlin import IntMatrix, charpoly_exact, is_unipotent_mod, poly_pow_x_minus_one
-from .record import Record
+from .errors import CapExceeded, InvalidSpec
+from .freegrp import FreeEndo, FreeWord, abelianization_matrix
+from .intlin import charpoly_exact, is_unipotent_mod, poly_pow_x_minus_one
 
 Monomial = tuple[int, ...]  # sequence of generator indices, () = constant term
 
@@ -261,198 +252,56 @@ def magnus_depth(w: FreeWord, p: int, caps: Caps = DEFAULT_CAPS) -> Optional[int
 
 
 # ---------------------------------------------------------------------------
-# Lyndon words and the free Lie basis
+# Lower-central layers, decided on H_1
 
 
-@lru_cache(maxsize=None)
-def lyndon_words(rank: int, max_len: int) -> tuple[Monomial, ...]:
-    """All Lyndon words over 1..rank of length <= max_len (Duval), lex order."""
-    words: list[Monomial] = []
-    w = [1]
-    while w:
-        words.append(tuple(w))
-        last = len(w)
-        while len(w) < max_len:
-            w.append(w[len(w) % last])
-        while w and w[-1] == rank:
-            w.pop()
-        if w:
-            w[-1] += 1
-    return tuple(sorted(words))
+def unipotent_on_layers(phi: FreeEndo, p: int, c: int) -> bool:
+    """Is the induced action unipotent mod p on every layer i <= c?
 
+    For c >= 1 this holds iff M = abelianization_matrix(phi) is unipotent
+    mod p; c <= 0 names no layer and is True.  Proof, over K = F_p (or Q,
+    for ``unipotent_over_Z``):
 
-def lie_layer_basis(rank: int, i: int) -> tuple[Monomial, ...]:
-    return tuple(w for w in lyndon_words(rank, i) if len(w) == i)
+    * g -> (degree-i part of magnus_embed(g)) maps layer i,
+      gamma_i/gamma_(i+1), isomorphically onto Lie_i, the degree-i Lie
+      polynomials in T_i = (Z^n)^(tensor i).  The Lyndon polynomials
+      P_w = w + lex-greater monomials are a basis of Lie_i, so with the
+      non-Lyndon monomials they form a unitriangular basis of T_i: Lie_i
+      is a direct summand, and Lie_i tensor K embeds in T_i tensor K.
+    * phi substitutes X_j -> magnus_embed(phi(x_j)) - 1, whose degree-1
+      part is sum_k M_kj X_k, and g in gamma_i has magnus_embed(g) =
+      1 + (its Lie element) + higher degree.  So phi acts on layer i
+      tensor K as M^(tensor i) restricted to Lie_i tensor K.
+    * If M = I + N with N nilpotent, M^(tensor i) is the product of the i
+      commuting unipotent maps I x .. x M x .. x I, hence unipotent, and
+      so is its restriction to an invariant subspace.
+    * Layer 1 is H_1, acted on by M.  So all layers i <= c are unipotent
+      iff M is.
 
-
-def witt_dimension(rank: int, i: int) -> int:
-    """(1/i) * sum over e | i of mu(e) * rank^(i/e)"""
-    total = 0
-    for e in range(1, i + 1):
-        if i % e == 0:
-            total += _mobius(e) * rank ** (i // e)
-    if total % i:
-        raise InternalInvariant("necklace count not divisible by the length")
-    return total // i
-
-
-def _mobius(m: int) -> int:
-    if m == 1:
-        return 1
-    result = 1
-    for q in range(2, m + 1):
-        if m % q == 0:
-            if (m // q) % q == 0:
-                return 0
-            m //= q
-            result = -result
-    return result
-
-
-@lru_cache(maxsize=None)
-def standard_factorization(w: Monomial) -> tuple[Monomial, Monomial]:
-    """Chen-Fox-Lyndon factorization of a Lyndon word of length >= 2:
-    w = u v with v the lexicographically least proper suffix."""
-    if len(w) < 2:
-        raise InvalidSpec("factorization needs length >= 2")
-    v = min(w[i:] for i in range(1, len(w)))
-    return w[: len(w) - len(v)], v
-
-
-@lru_cache(maxsize=None)
-def lyndon_bracket_word(rank: int, w: Monomial) -> FreeWord:
-    """Group commutator realizing the Lyndon bracketing of w."""
-    if len(w) == 1:
-        return FreeWord.generator(rank, w[0])
-    u, v = standard_factorization(w)
-    return commutator(lyndon_bracket_word(rank, u), lyndon_bracket_word(rank, v))
-
-
-def _lie_coordinates(
-    component: dict, basis: tuple[Monomial, ...], modulus: Optional[int]
-) -> list[int]:
-    """Rewrite a degree-i Lie element (as a coefficient slice) in the Lyndon
-    basis.  P_w = w + lex-greater monomials, so ascending-lex elimination
-    terminates with remainder zero exactly for Lie elements."""
-    remaining = dict(component)
-    coords = []
-    for w in basis:
-        c = remaining.get(w, 0)
-        coords.append(c)
-        if c:
-            poly = _lyndon_polynomial(w)
-            for m, pc in poly.items():
-                v = remaining.get(m, 0) - c * pc
-                if modulus is not None:
-                    v %= modulus
-                if v:
-                    remaining[m] = v
-                else:
-                    remaining.pop(m, None)
-    if remaining:
-        raise InvalidSpec("coefficient slice is not a Lie element")
-    return coords
-
-
-@lru_cache(maxsize=None)
-def _lyndon_polynomial(w: Monomial) -> dict:
-    """Lie polynomial of the Lyndon bracketing, as monomial -> coefficient."""
-    if len(w) == 1:
-        return {w: 1}
-    u, v = standard_factorization(w)
-    pu, pv = _lyndon_polynomial(u), _lyndon_polynomial(v)
-    out: dict = {}
-    for m1, c1 in pu.items():
-        for m2, c2 in pv.items():
-            out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
-            out[m2 + m1] = out.get(m2 + m1, 0) - c1 * c2
-    poly = {m: c for m, c in out.items() if c}
-    if poly.get(w) != 1:
-        raise InternalInvariant("Lyndon triangularity violated: leading coefficient")
-    if any(m < w for m in poly):
-        raise InternalInvariant("Lyndon triangularity violated: smaller monomial")
-    return poly
-
-
-class LieLayerMatrix(Record):
-    """Matrix of an induced action on layer i of the lower central series.
-
-    Basis: Lyndon words of length i, ascending lex; column j is the image
-    of basis word j.  Entries are reduced when modulus is set.
+    A monodromy without a certified inverse, or a non-prime p, raises
+    InvalidSpec.
     """
-
-    __slots__ = ("layer", "basis", "matrix", "modulus")
-
-    def __init__(
-        self, layer: int, basis: tuple[Monomial, ...], matrix: IntMatrix, modulus: Optional[int]
-    ):
-        object.__setattr__(self, "layer", layer)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "modulus", modulus)
-
-
-def lie_layer_matrix(
-    phi: FreeEndo,
-    i: int,
-    modulus: Optional[int] = None,
-    caps: Caps = DEFAULT_CAPS,
-) -> LieLayerMatrix:
-    """Action induced by phi on gamma_i/gamma_{i+1} tensor the coefficients.
-
-    Requires a certified automorphism.  For i = 1 this is the
-    abelianization matrix over the ring.  The layer is read from an
-    embedding at degree i, so i above ``caps.magnus_degree`` is CapExceeded,
-    as is a Witt dimension above ``caps.layer_basis``, before any Lyndon
-    word is enumerated.
-    """
+    if c < 1:
+        return True
     if not phi.is_certified:
-        raise InvalidSpec("layer matrices need a certified automorphism")
-    if i < 1:
-        raise InvalidSpec("layer index must be >= 1")
-    if i > caps.magnus_degree:
-        raise CapExceeded("magnus_degree", caps.magnus_degree)
-    if phi.rank > caps.max_rank:
-        raise CapExceeded("max_rank", caps.max_rank)
-    size = witt_dimension(phi.rank, i)
-    if size > caps.layer_basis:
-        raise CapExceeded("layer_basis", caps.layer_basis)
-    basis = lie_layer_basis(phi.rank, i)
-    if len(basis) != size:
-        raise InternalInvariant("Lyndon basis size differs from the Witt dimension")
-    columns = []
-    for w in basis:
-        g = lyndon_bracket_word(phi.rank, w)
-        image = apply_endo(phi, g)
-        series = magnus_embed(image, i, modulus, caps)
-        columns.append(_lie_coordinates(series.homogeneous(i), basis, modulus))
-    rows = [[columns[j][r] for j in range(size)] for r in range(size)]
-    return LieLayerMatrix(i, basis, IntMatrix.from_rows(rows), modulus)
+        raise InvalidSpec("layer actions need a certified automorphism")
+    return bool(is_unipotent_mod(abelianization_matrix(phi), p))
 
 
-def unipotent_on_layers(
-    phi: FreeEndo, p: int, c: int, caps: Caps = DEFAULT_CAPS
-) -> bool:
-    """Is the induced action unipotent mod p on every layer i <= c?"""
-    for i in range(1, c + 1):
-        layer = lie_layer_matrix(phi, i, p, caps)
-        if not is_unipotent_mod(layer.matrix, p):
-            return False
-    return True
-
-
-def unipotent_over_Z(phi: FreeEndo, c: int, caps: Caps = DEFAULT_CAPS) -> bool:
+def unipotent_over_Z(phi: FreeEndo, c: int) -> bool:
     """Is the induced action unipotent over Z (hence Q) on layers i <= c?
 
-    Checked as charpoly = (x-1)^dim, i.e. layer matrix minus identity is
-    nilpotent over the rationals.
+    A layer matrix is unipotent over Q iff its charpoly is (x-1)^dim.  By
+    the theorem of ``unipotent_on_layers`` over K = Q, every layer i <= c
+    is unipotent iff layer 1 is, so for c >= 1 the answer is
+    charpoly(M) == (x-1)^n with M = abelianization_matrix(phi), n the
+    rank; c <= 0 is True.
     """
-    for i in range(1, c + 1):
-        layer = lie_layer_matrix(phi, i, None, caps)
-        size = layer.matrix.n
-        if charpoly_exact(layer.matrix) != poly_pow_x_minus_one(size):
-            return False
-    return True
+    if c < 1:
+        return True
+    if not phi.is_certified:
+        raise InvalidSpec("layer actions need a certified automorphism")
+    return charpoly_exact(abelianization_matrix(phi)) == poly_pow_x_minus_one(phi.rank)
 
 
 # ---------------------------------------------------------------------------

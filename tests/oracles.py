@@ -1,15 +1,17 @@
 """Brute-force routes the tests hold the closed forms against.
 
-They step through powers one at a time, build the quotients and
-lattices the library only reasons about, or sample where the library
-applies a theorem, so they only suit small inputs; the library computes
-the same answers without a search, or with a bound from a theorem.
+They step through powers one at a time, build the quotients, lattices
+and layer matrices the library only reasons about, or sample where the
+library applies a theorem, so they only suit small inputs; the library
+computes the same answers without a search, or with a bound from a
+theorem.
 """
 
 import json
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from resip import (
@@ -35,15 +37,18 @@ from resip import (
     apply_endo,
     charpoly_exact,
     column_lattice_basis,
+    commutator,
     compose_endos,
     conjugate,
     det_exact,
+    endo_power,
     endo_semidirect_omega_nilpotent,
     ext_commutator,
     ext_identity,
     ext_multiply,
     is_unipotent_mod,
     magnus_embed,
+    nielsen_transvection,
     poly_pow_x_minus_one,
     smith_diagonal,
     word_multiply,
@@ -220,6 +225,28 @@ def kernel_samples(rank: int, d: int, seed: int, count: int = 20) -> list[FreeWo
         ]
         out.append(conjugate(w, FreeWord.from_letters(rank, conj_letters)))
     return out
+
+
+def random_certified_automorphism(rng, rank):
+    """Random product of transvections and their inverses, permutations
+    and inversions of the generators, each with its certified inverse."""
+    gens = range(1, rank + 1)
+    phi = FreeEndo.identity(rank)
+    for _ in range(rng.randint(1, 5)):
+        pick = rng.random()
+        if pick < 0.5:
+            i, j = rng.sample(gens, 2)
+            step = endo_power(nielsen_transvection(rank, i, j), rng.choice((1, -1)))
+        elif pick < 0.75:
+            perm = rng.sample(gens, rank)
+            inverse = [perm.index(g) + 1 for g in gens]
+            step = FreeEndo.from_letters(rank, [(g,) for g in perm], [(g,) for g in inverse])
+        else:
+            k = rng.choice(gens)
+            images = [(-g,) if g == k else (g,) for g in gens]
+            step = FreeEndo.from_letters(rank, images, images)
+        phi = compose_endos(step, phi)
+    return phi
 
 
 def kernel_invariance_by_sampling(cert, caps=DEFAULT_CAPS) -> bool:
@@ -456,3 +483,131 @@ def bs_classify_by_matrix(q: int) -> BSReport:
     g = math.gcd(*(c - t for c, t in zip(charpoly_exact(a), poly_pow_x_minus_one(1))))
     primes = PrimeSet(True, (), 0) if g == 0 else PrimeSet(False, prime_factors(g), g)
     return BSReport(q, primes, endo_semidirect_omega_nilpotent(a), trivial_case=q == 1)
+
+
+# ---------------------------------------------------------------------------
+# Lower-central layers through Lyndon words.  The library decides
+# unipotence on every layer from H_1 by a theorem (unipotent_on_layers);
+# these build each layer matrix.
+
+
+@lru_cache(maxsize=None)
+def lyndon_words(rank: int, max_len: int) -> tuple[tuple[int, ...], ...]:
+    """All Lyndon words over 1..rank of length <= max_len (Duval), lex order."""
+    words = []
+    w = [1]
+    while w:
+        words.append(tuple(w))
+        last = len(w)
+        while len(w) < max_len:
+            w.append(w[len(w) % last])
+        while w and w[-1] == rank:
+            w.pop()
+        if w:
+            w[-1] += 1
+    return tuple(sorted(words))
+
+
+def lie_layer_basis(rank: int, i: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(w for w in lyndon_words(rank, i) if len(w) == i)
+
+
+def witt_dimension(rank: int, i: int) -> int:
+    """(1/i) * sum over e | i of mu(e) * rank^(i/e)"""
+    total = sum(_mobius(e) * rank ** (i // e) for e in range(1, i + 1) if i % e == 0)
+    if total % i:
+        raise InternalInvariant("necklace count not divisible by the length")
+    return total // i
+
+
+def _mobius(m: int) -> int:
+    result = 1
+    for q in range(2, m + 1):
+        if m % q == 0:
+            if (m // q) % q == 0:
+                return 0
+            m //= q
+            result = -result
+    return result
+
+
+@lru_cache(maxsize=None)
+def standard_factorization(w: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Chen-Fox-Lyndon factorization of a Lyndon word of length >= 2:
+    w = u v with v the lexicographically least proper suffix."""
+    if len(w) < 2:
+        raise InvalidSpec("factorization needs length >= 2")
+    v = min(w[i:] for i in range(1, len(w)))
+    return w[: len(w) - len(v)], v
+
+
+@lru_cache(maxsize=None)
+def lyndon_bracket_word(rank: int, w: tuple[int, ...]) -> FreeWord:
+    """Group commutator realizing the Lyndon bracketing of w."""
+    if len(w) == 1:
+        return FreeWord.generator(rank, w[0])
+    u, v = standard_factorization(w)
+    return commutator(lyndon_bracket_word(rank, u), lyndon_bracket_word(rank, v))
+
+
+@lru_cache(maxsize=None)
+def _lyndon_polynomial(w: tuple[int, ...]) -> dict:
+    """Lie polynomial of the Lyndon bracketing, as monomial -> coefficient:
+    w itself with coefficient 1 plus lex-greater monomials."""
+    if len(w) == 1:
+        return {w: 1}
+    u, v = standard_factorization(w)
+    out: dict = {}
+    for m1, c1 in _lyndon_polynomial(u).items():
+        for m2, c2 in _lyndon_polynomial(v).items():
+            out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
+            out[m2 + m1] = out.get(m2 + m1, 0) - c1 * c2
+    poly = {m: c for m, c in out.items() if c}
+    if poly.get(w) != 1 or any(m < w for m in poly):
+        raise InternalInvariant("Lyndon triangularity violated")
+    return poly
+
+
+def _lie_coordinates(component: dict, basis, modulus: Optional[int]) -> list[int]:
+    """Rewrite a degree-i Lie element (as a coefficient slice) in the Lyndon
+    basis.  P_w = w + lex-greater monomials, so ascending-lex elimination
+    terminates with remainder zero exactly for Lie elements."""
+    remaining = dict(component)
+    coords = []
+    for w in basis:
+        c = remaining.get(w, 0)
+        coords.append(c)
+        if not c:
+            continue
+        for m, pc in _lyndon_polynomial(w).items():
+            v = remaining.get(m, 0) - c * pc
+            if modulus is not None:
+                v %= modulus
+            if v:
+                remaining[m] = v
+            else:
+                remaining.pop(m, None)
+    if remaining:
+        raise InvalidSpec("coefficient slice is not a Lie element")
+    return coords
+
+
+def lie_layer_matrix(phi: FreeEndo, i: int, modulus: Optional[int] = None) -> IntMatrix:
+    """Action induced by a certified automorphism phi on gamma_i/gamma_(i+1)
+    tensor the coefficients, in the basis of Lyndon words of length i,
+    ascending lex: column j is the image of the bracket of basis word j,
+    read off the degree-i slice of its Magnus embedding.  Entries are
+    reduced when modulus is set; layer 1 is the abelianization matrix."""
+    if not phi.is_certified:
+        raise InvalidSpec("layer matrices need a certified automorphism")
+    if i < 1:
+        raise InvalidSpec("layer index must be >= 1")
+    basis = lie_layer_basis(phi.rank, i)
+    if len(basis) != witt_dimension(phi.rank, i):
+        raise InternalInvariant("Lyndon basis size differs from the Witt dimension")
+    columns = []
+    for w in basis:
+        image = apply_endo(phi, lyndon_bracket_word(phi.rank, w))
+        series = magnus_embed(image, i, modulus)
+        columns.append(_lie_coordinates(series.homogeneous(i), basis, modulus))
+    return IntMatrix.from_rows([[col[r] for col in columns] for r in range(len(basis))])

@@ -13,6 +13,7 @@ import random
 
 import sympy
 
+from oracles import lie_layer_basis, witt_dimension
 from resip import (
     BSSpec,
     BilinearCocycle,
@@ -47,7 +48,6 @@ from resip import (
     is_cyclotomic_product,
     is_mod_p_torelli,
     is_unipotent_mod,
-    lie_layer_basis,
     magnus_embed,
     nielsen_transvection,
     parse_word,
@@ -63,7 +63,6 @@ from resip import (
     ut3_group,
     verify_cocycle,
     verify_witness,
-    witt_dimension,
     word_multiply,
 )
 from resip.cli import emit_report, main, parse_task_file, run_tasks

@@ -1,5 +1,6 @@
 """Verdict logic: torus bundles, BS(1,q), and free-fiber mapping tori."""
 
+import pathlib
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from resip import (
     RESIDUALLY_P,
     RankTooSmall,
     UNDECIDED,
+    abelianization_matrix,
     artin_endo,
     beta_braid,
     bs_classify,
@@ -38,6 +40,7 @@ from resip import (
 from oracles import (
     bs_classify_by_matrix,
     matrix_order_mod,
+    random_certified_automorphism,
     sl2_power_by_search,
     torus_verdicts_per_prime,
 )
@@ -237,6 +240,25 @@ def test_free_fiber_undecided_is_possible():
     v = free_fiber_residually_p(MappingTorusSpec(phi), 3)
     assert v.outcome in (RESIDUALLY_P, NOT_RESIDUALLY_P, UNDECIDED)
     assert v.outcome != RESIDUALLY_P
+
+
+def test_certified_monodromies_act_on_h1_with_determinant_plus_or_minus_one():
+    """Why free_fiber_residually_p has no branch for an H_1 action that is
+    singular mod p: a certified inverse puts M in GL_n(Z)."""
+    from resip.cli import _build_endo, parse_task_file
+
+    rng = random.Random(1603)
+    endos = [random_certified_automorphism(rng, rng.randint(2, 4)) for _ in range(100)]
+    tasks = pathlib.Path(__file__).resolve().parent.parent / "tasks"
+    fibered = [
+        _build_endo(task.payload)
+        for path in sorted(tasks.glob("*.json"))
+        for task in parse_task_file(path.read_text()).tasks
+        if task.kind == "fibered"
+    ]
+    assert fibered
+    for phi in endos + fibered:
+        assert det_exact(abelianization_matrix(phi)) in (1, -1)
 
 
 def test_sl2_power_fixtures():

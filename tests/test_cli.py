@@ -405,7 +405,7 @@ def test_caps_below_one_exit_2_before_any_search(monkeypatch, capsys):
     from_env = capsys.readouterr()
     assert from_flag.out == from_env.out == ""
     assert "cap magnus_degree must be an integer >= 1, got -3" in from_env.err
-    bad = ({"max_rank": 0}, {"group_order": -1}, {"layer_basis": True}, {"magnus_degree": 2.0})
+    bad = ({"max_rank": 0}, {"group_order": -1}, {"group_order": True}, {"magnus_degree": 2.0})
     for values in bad:
         with pytest.raises(ValueError, match="must be an integer >= 1"):
             DEFAULT_CAPS.with_overrides(**values)
@@ -654,12 +654,10 @@ def test_flag_prefixes_are_refused(capsys, argv):
 def test_removed_witness_knobs_exit_2(tmp_path, capsys):
     assert _exit_code(BETA_WITNESS + ["--exploratory"]) == 2
     capsys.readouterr()
-    for cap in ("order_iterations=1", "max_layer=4", "combine_witnesses=4"):
+    for cap in ("order_iterations=1", "max_layer=4", "combine_witnesses=4", "layer_basis=64"):
         assert main(BETA_WITNESS + ["--caps", cap]) == 2
         assert "unknown caps" in capsys.readouterr().err
-    assert set(DEFAULT_CAPS._fields) == {
-        "magnus_degree", "max_rank", "layer_basis", "group_order"
-    }
+    assert set(DEFAULT_CAPS._fields) == {"magnus_degree", "max_rank", "group_order"}
     assert "exploratory" not in TASK_FIELDS
     task = {
         "kind": "witness",

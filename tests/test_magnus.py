@@ -1,35 +1,42 @@
-"""Truncated Magnus expansion, Lyndon layer bases, induced layer actions."""
+"""Truncated Magnus expansion; lower-central layers held against the Lyndon-basis oracle."""
 
 import random
 
 import pytest
 
+from oracles import (
+    lie_layer_basis,
+    lie_layer_matrix,
+    lyndon_words,
+    random_certified_automorphism,
+    standard_factorization,
+    witt_dimension,
+)
 from resip import (
     CapExceeded,
     Caps,
     FreeEndo,
     FreeWord,
+    InvalidSpec,
     SeriesSubstitution,
     TruncatedSeries,
     abelianization_matrix,
     apply_endo,
     artin_endo,
     beta_braid,
+    charpoly_exact,
     commutator,
     compose_endos,
     det_exact,
     inner_automorphism,
-    lie_layer_basis,
-    lie_layer_matrix,
-    lyndon_words,
+    is_unipotent_mod,
     magnus_depth,
     magnus_embed,
     nielsen_transvection,
     parse_word,
-    standard_factorization,
+    poly_pow_x_minus_one,
     unipotent_on_layers,
     unipotent_over_Z,
-    witt_dimension,
     word_multiply,
 )
 
@@ -287,11 +294,11 @@ def test_layer_one_is_abelianization():
     beta = artin_endo(beta_braid())
     m = lie_layer_matrix(beta, 1, 3)
     ab = abelianization_matrix(beta)
-    assert m.matrix.entries == tuple(
+    assert m.entries == tuple(
         tuple(x % 3 for x in row) for row in ab.entries
     )
     # 3-cycle permutation matrix
-    assert sorted(sum(row) for row in m.matrix.entries) == [1, 1, 1]
+    assert sorted(sum(row) for row in m.entries) == [1, 1, 1]
 
 
 def test_layer_two_rank2_is_determinant():
@@ -299,13 +306,13 @@ def test_layer_two_rank2_is_determinant():
     for _ in range(10):
         phi = _random_rank2_automorphism(rng)
         layer2 = lie_layer_matrix(phi, 2, None)
-        assert layer2.matrix.entries == ((det_exact(abelianization_matrix(phi)),),)
+        assert layer2.entries == ((det_exact(abelianization_matrix(phi)),),)
     swap = FreeEndo(
         2,
         (parse_word("x2", 2), parse_word("x1", 2)),
         (parse_word("x2", 2), parse_word("x1", 2)),
     )
-    assert lie_layer_matrix(swap, 2, None).matrix.entries == ((-1,),)
+    assert lie_layer_matrix(swap, 2, None).entries == ((-1,),)
 
 
 def _random_rank2_automorphism(rng):
@@ -323,7 +330,7 @@ def _random_rank2_automorphism(rng):
 def test_identity_layer_matrices():
     ident = FreeEndo.identity(3)
     for i in (1, 2, 3):
-        m = lie_layer_matrix(ident, i, None).matrix
+        m = lie_layer_matrix(ident, i, None)
         assert m.entries == tuple(
             tuple(1 if a == b else 0 for b in range(m.n)) for a in range(m.n)
         )
@@ -336,39 +343,9 @@ def test_layer_functoriality():
         rho = _random_rank2_automorphism(rng)
         comp = compose_endos(phi, rho)
         for i in (2, 3):
-            lhs = lie_layer_matrix(comp, i, None).matrix
-            rhs = lie_layer_matrix(phi, i, None).matrix * lie_layer_matrix(
-                rho, i, None
-            ).matrix
+            lhs = lie_layer_matrix(comp, i, None)
+            rhs = lie_layer_matrix(phi, i, None) * lie_layer_matrix(rho, i, None)
             assert lhs.entries == rhs.entries
-
-
-def test_layer_caps_fire_before_any_lyndon_word(monkeypatch):
-    from resip import magnus
-
-    assert lie_layer_matrix(FreeEndo.identity(2), 5, None).matrix.n == witt_dimension(2, 5) == 6
-
-    def refuse(rank, i):
-        raise AssertionError("Lyndon words enumerated")
-
-    monkeypatch.setattr(magnus, "lie_layer_basis", refuse)
-    # rank 6, layer 8: a Witt dimension of 209,790 against the cap of 64
-    with pytest.raises(CapExceeded, match="layer_basis: cap 64"):
-        lie_layer_matrix(FreeEndo.identity(6), 8, None)
-    with pytest.raises(CapExceeded, match="layer_basis: cap 5"):
-        lie_layer_matrix(FreeEndo.identity(2), 5, None, Caps(layer_basis=5))
-    # the degree cap is checked first
-    with pytest.raises(CapExceeded, match="magnus_degree"):
-        lie_layer_matrix(FreeEndo.identity(2), 5, None, Caps(magnus_degree=4, layer_basis=1))
-
-
-def test_layers_respect_the_degree_cap():
-    beta = artin_endo(beta_braid())
-    with pytest.raises(CapExceeded, match="magnus_degree"):
-        unipotent_on_layers(beta, 3, 3, Caps(magnus_degree=1))
-    with pytest.raises(CapExceeded, match="magnus_degree"):
-        lie_layer_matrix(beta, 3, 3, Caps(magnus_degree=2))
-    assert lie_layer_matrix(beta, 3, 3, Caps(magnus_degree=3)).layer == 3
 
 
 def test_unipotence_on_layers_beta():
@@ -381,6 +358,63 @@ def test_unipotent_over_Z_fixtures():
     assert unipotent_over_Z(FreeEndo.identity(2), 3)
     assert unipotent_over_Z(nielsen_transvection(2, 1, 2), 4)
     assert not unipotent_over_Z(artin_endo(beta_braid()), 1)
+
+
+def test_layers_by_theorem_match_the_lyndon_oracle():
+    """Unipotence on layers 1..c, read off H_1, against the layer matrices
+    the oracle builds in the Lyndon basis.  The oracle stops at the first
+    layer that is not unipotent, so the unipotent cases carry the check."""
+    rng = random.Random(1601)
+    unipotent = 0
+    for trial in range(180):
+        rank, top = ((2, 4), (3, 3))[trial % 2]
+        phi = random_certified_automorphism(rng, rank)
+        for p in (2, 3, 5):
+            expected = all(
+                is_unipotent_mod(lie_layer_matrix(phi, i, p), p) for i in range(1, top + 1)
+            )
+            assert unipotent_on_layers(phi, p, top) == expected
+            unipotent += expected
+        layers = (lie_layer_matrix(phi, i) for i in range(1, 4))
+        expected = all(charpoly_exact(m) == poly_pow_x_minus_one(m.n) for m in layers)
+        assert unipotent_over_Z(phi, 3) == expected
+    assert unipotent >= 100
+
+
+def test_layers_by_theorem_edge_cases():
+    beta = artin_endo(beta_braid())
+    assert unipotent_on_layers(beta, 2, 0) and unipotent_over_Z(beta, 0)
+    # rank 7 and layer 12 are past every cap, and no cap applies
+    x = [FreeWord.generator(7, i) for i in range(1, 8)]
+    rotate = FreeEndo(7, tuple(x[1:] + x[:1]), tuple(x[-1:] + x[:-1]))
+    assert unipotent_on_layers(rotate, 7, 12)  # x^7 - 1 = (x - 1)^7 mod 7
+    assert not unipotent_on_layers(rotate, 2, 12)
+    assert not unipotent_over_Z(rotate, 12)
+    uncertified = FreeEndo(2, (parse_word("x1 x2", 2), parse_word("x2", 2)))
+    with pytest.raises(InvalidSpec, match="certified"):
+        unipotent_on_layers(uncertified, 3, 1)
+    with pytest.raises(InvalidSpec, match="certified"):
+        unipotent_over_Z(uncertified, 1)
+    with pytest.raises(InvalidSpec, match="4 is not prime"):
+        unipotent_on_layers(FreeEndo.identity(2), 4, 2)
+
+
+def test_layer_matrices_are_no_longer_library_api():
+    import resip
+    from resip import magnus
+
+    moved = (
+        "LieLayerMatrix",
+        "lie_layer_basis",
+        "lie_layer_matrix",
+        "lyndon_words",
+        "standard_factorization",
+        "witt_dimension",
+    )
+    for name in moved:
+        assert not hasattr(resip, name)
+        assert name not in resip.__all__
+        assert not hasattr(magnus, name)
 
 
 def test_substitution_matches_endo_application():

@@ -27,7 +27,6 @@ from resip.extension import (
 )
 from resip.freegrp import FreeEndo, FreeWord, MappingTorusElement, MappingTorusSpec
 from resip.intlin import IntMatrix, LatticeChainInvariants, ModMatrix, UnipotenceResult
-from resip.magnus import LieLayerMatrix
 from resip.record import Record
 from resip.witness import PGroupQuotient, VerificationReport, WitnessOutcome
 
@@ -64,7 +63,6 @@ FACTORIES = [
     lambda: ModMatrix(5, ((1, 2), (3, 4))),
     lambda: UnipotenceResult(True, 2),
     lambda: LatticeChainInvariants(2, 5, True),
-    lambda: LieLayerMatrix(1, ((1,), (2,)), IntMatrix(((1, 0), (0, 1))), None),
     lambda: PGroupQuotient(3, "stable_letter", 2, ("x2", "x1"), ("x2", "x1"), 1, "1"),
     lambda: WitnessOutcome("undecided", reason="no survivor"),
     lambda: VerificationReport((("ok", True),)),
@@ -81,7 +79,7 @@ def _hash_or_error(value):
 
 def test_every_record_class_is_covered():
     assert {type(f()) for f in FACTORIES} == set(Record.__subclasses__())
-    assert len(FACTORIES) == 29
+    assert len(FACTORIES) == 28
 
 
 @pytest.mark.parametrize("make", RECORDS)
@@ -140,7 +138,7 @@ def test_copies_and_pickles_are_equal(make):
 
 
 def test_reprs_and_fields_in_declaration_order():
-    assert repr(Caps()) == "Caps(magnus_degree=8, max_rank=6, layer_basis=64, group_order=100000)"
+    assert repr(Caps()) == "Caps(magnus_degree=8, max_rank=6, group_order=100000)"
     assert repr(FreeWord(2, (1, -2))) == "FreeWord(rank=2, letters=(1, -2))"
     assert repr(ReportEntry("t", "bs", "ok")) == (
         "ReportEntry(id='t', kind='bs', status='ok', result=None, error=None, elapsed_ms=None)"
