@@ -10,15 +10,14 @@ Free fibers (rank >= 2): unipotence of the H_1 action M mod p is
 sufficient.  For necessity we use the finite-quotient obstruction: a
 residually-p mapping torus must admit an M-invariant subspace W of F_p^n
 with dim(F_p^n / W) >= 2 on which the induced action has p-power order
-(equivalently, is unipotent).  By the Fitting decomposition the action on
-F_p^n / W is unipotent iff (M - I)^n F_p^n is contained in W, so such a W
-exists iff dim ker (M - I)^n >= 2, with W = im (M - I)^n as the witness:
-one rank computation, no enumeration.  No qualifying quotient =
+(equivalently, is unipotent).  Such a W exists iff 1 is a root of
+f = charpoly(M) mod p of multiplicity >= 2, that is iff p divides both
+f(1) and f'(1) (proved in ``fibered_verdicts``, which reads a whole sweep
+of primes off f, as ``torus_verdicts`` does).  No qualifying quotient =
 NotResiduallyP; a qualifying quotient without unipotence on the full
-space = Undecided.  The witness's order is not found by taking powers
-either: a unipotent action whose M - I has nilpotency index nu has order
-p^s for the least p^s >= nu, and on F_p^n / W that index is the first j
-at which rank (M - I)^j stops falling.
+space = Undecided.  ``p_power_order_quotient_exists`` builds the largest
+witness, W = im (M - I)^n, and its order from the ranks of the powers of
+M - I: one rank computation per power, no enumeration.
 
 Residual nilpotence for semidirect products with Z^n fiber reduces to
 triviality of the intersection of the chain B^i(Z^n), B = A - I.  That
@@ -133,35 +132,28 @@ def torus_verdicts(a: IntMatrix, primes: Sequence[int]) -> list[Verdict]:
     charpoly, target, g = _charpoly_gap(a)
     verdicts = []
     for p in primes:
-        unip = None if g % p else is_unipotent_mod(a, p)
-        if unip is not None and not unip:
-            raise InternalInvariant(
-                "unipotence by charpoly and by powers of A - I disagree"
-            )
-        if unip:
-            verdicts.append(
-                Verdict(
-                    p,
-                    RESIDUALLY_P,
-                    certificate={
-                        "criterion": "unipotent_mod_p",
-                        "nilpotency_index": unip.index,
-                    },
-                )
-            )
+        if g % p == 0:
+            certificate = {"criterion": "unipotent_mod_p", "nilpotency_index": _nilpotency_index(a, p)}
+            verdicts.append(Verdict(p, RESIDUALLY_P, certificate=certificate))
         else:
-            verdicts.append(
-                Verdict(
-                    p,
-                    NOT_RESIDUALLY_P,
-                    obstruction={
-                        "criterion": "not_unipotent_mod_p",
-                        "charpoly_mod_p": [c % p for c in charpoly],
-                        "target": [c % p for c in target],
-                    },
-                )
-            )
+            obstruction = {
+                "criterion": "not_unipotent_mod_p",
+                "charpoly_mod_p": [c % p for c in charpoly],
+                "target": [c % p for c in target],
+            }
+            verdicts.append(Verdict(p, NOT_RESIDUALLY_P, obstruction=obstruction))
     return verdicts
+
+
+def _nilpotency_index(a: IntMatrix, p: int) -> int:
+    """The nilpotency index of A - I mod p, at a p dividing the gap gcd g,
+    by the power route, which must agree that A is unipotent mod p."""
+    unip = is_unipotent_mod(a, p)
+    if not unip:
+        raise InternalInvariant(
+            "unipotence by charpoly and by powers of A - I disagree"
+        )
+    return unip.index
 
 
 def torus_residually_p(a: IntMatrix, p: int) -> Verdict:
@@ -325,10 +317,20 @@ def p_power_order_quotient_exists(m: ModMatrix, p: int) -> ObstructionResult:
     im N.  The largest quotient among them is V/im N, of dimension
     n - rank N = dim ker N.  One rank computation decides the question;
     ``examined`` counts that one canonical candidate, and no cap applies.
-    The order of the action on V/im N is read off the ranks of the powers
-    of M - I (see ``_fitting_obstruction``); a unipotent M is the case
-    W = 0.
+    A unipotent M is the case W = 0.
+
+    The order of M on V/W, without building the quotient.  With
+    N1 = M - I, the images im N1^j shrink as j grows and are all
+    M-invariant.  Once rank N1^j = rank N1^(j+1), N1 maps im N1^j onto
+    itself, so every later image is im N1^j; before that the rank drops at
+    each step.  So the least j with rank N1^j = rank N1^(j+1) has
+    im N1^j = im N = W, and it is nu_W, the nilpotency index of N1 on V/W:
+    N1^i V lies in W iff it equals W (it contains W for i <= n), iff
+    rank N1^i = rank N.  The order of M on V/W is p^s for the least
+    p^s >= nu_W (``least_p_power_exponent``).  The powers stop at
+    nu_W + 1, and never pass N.
     """
+    _require_prime(p)
     if m.modulus != p:
         raise ValueError("matrix must be over F_p")
     n = m.n
@@ -337,29 +339,6 @@ def p_power_order_quotient_exists(m: ModMatrix, p: int) -> ObstructionResult:
     a = IntMatrix.from_rows([list(r) for r in m.entries])
     if det_exact(a) % p == 0:
         raise NotInvertibleMod("matrix not invertible mod p")
-    return _fitting_obstruction(a, p)
-
-
-def _column_space(m: ModMatrix) -> tuple[tuple[int, ...], ...]:
-    return rref_mod(list(zip(*m.entries)), m.modulus)[0]
-
-
-def _fitting_obstruction(a: IntMatrix, p: int) -> ObstructionResult:
-    """The obstruction for an A invertible mod p: W = im (A - I)^n,
-    qualifying iff its quotient has dimension >= 2.
-
-    The order of A on V/W, without building the quotient.  With
-    N = A - I mod p, the images im N^j shrink as j grows and are all
-    A-invariant.  Once rank N^j = rank N^(j+1), N maps im N^j onto itself,
-    so every later image is im N^j; before that the rank drops at each
-    step.  So the least j with rank N^j = rank N^(j+1) has
-    im N^j = im N^n = W, and it is nu_W, the nilpotency index of N on V/W:
-    N^i V lies in W iff it equals W (it contains W for i <= n), iff
-    rank N^i = rank N^n.  The order of A on V/W is p^s for the least
-    p^s >= nu_W (``least_p_power_exponent``).  The powers stop at nu_W + 1,
-    and never pass N^n.
-    """
-    n = a.n
     nil = ModMatrix.reduce(a.minus_identity(), p)
     power, image, nu = nil, _column_space(nil), 1
     while nu < n:
@@ -382,48 +361,78 @@ def _fitting_obstruction(a: IntMatrix, p: int) -> ObstructionResult:
     )
 
 
-def free_fiber_residually_p(spec: MappingTorusSpec, p: int) -> Verdict:
-    """Three-valued verdict for a mapping torus with free fiber of rank >= 2.
+def _column_space(m: ModMatrix) -> tuple[tuple[int, ...], ...]:
+    return rref_mod(list(zip(*m.entries)), m.modulus)[0]
 
-    Reads only the abelianization mod p, which is what makes the verdict
-    invariant under composition with mod-p Torelli automorphisms.  The
-    action M on H_1 is invertible mod every p: the spec carries a certified
-    inverse, and FreeEndo checks both compositions, so M lies in GL_n(Z)
-    and det M = +-1.
+
+def fibered_verdicts(spec: MappingTorusSpec, primes: Sequence[int]) -> list[Verdict]:
+    """Is the mapping torus F_n x|_phi Z, n >= 2, residually p?  One
+    three-valued verdict per prime, in the order given, from one
+    characteristic polynomial f of the action M of phi on H_1.
+
+    The verdict reads only the abelianization mod p, which is what makes
+    it invariant under composition with mod-p Torelli automorphisms.
+    Unipotence of M mod p is sufficient; for necessity the obstruction is
+    the one of ``p_power_order_quotient_exists``: a residually-p mapping
+    torus needs an M-invariant W in F_p^n with dim(F_p^n / W) >= 2 on which
+    M acts with p-power order.  With g the gap gcd of ``torus_verdicts``
+    and h = gcd(f(1), f'(1)):
+
+    * p | g: M is unipotent mod p (proved in ``torus_verdicts``), so
+      ResiduallyP.  The power route runs here alone, for the nilpotency
+      index the certificate reports, and must agree.
+    * p does not divide g, p | h: a qualifying quotient exists but M is not
+      unipotent, so Undecided.
+    * otherwise no qualifying quotient exists, so NotResiduallyP.
+
+    Proof that a qualifying quotient exists iff p | h.  The spec carries
+    a certified inverse and FreeEndo checks both compositions, so M lies
+    in GL_n(Z), det M = +-1, and M is invertible mod every p.  Such a
+    quotient exists iff dim ker (M - I)^n >= 2 over F_p
+    (``p_power_order_quotient_exists``).  ker (M - I)^n is the generalised
+    eigenspace of the eigenvalue 1, whose dimension is the multiplicity of
+    1 as a root of fbar = f mod p.  That multiplicity is >= 2 iff
+    fbar(1) = fbar'(1) = 0: if fbar = (x - 1) q, then
+    fbar' = q + (x - 1) q' and fbar'(1) = q(1).  Reduction mod p commutes
+    with evaluation at 1 and with the derivative, so this is p | f(1) and
+    p | f'(1), that is p | h.  A NotResiduallyP verdict reports the one
+    canonical candidate W = im (M - I)^n as ``examined_subspaces``.
     """
     if spec.rank < 2:
         raise RankTooSmall("rank-1 fibers are torus/BS territory")
+    for p in primes:
+        _require_prime(p)
     a = abelianization_matrix(spec.fiber)
-    unip = is_unipotent_mod(a, p)
-    if unip:
-        return Verdict(
-            p,
-            RESIDUALLY_P,
-            certificate={
+    charpoly, _, g = _charpoly_gap(a)
+    h = math.gcd(sum(charpoly), sum(c * (a.n - k) for k, c in enumerate(charpoly)))
+    verdicts = []
+    for p in primes:
+        if g % p == 0:
+            certificate = {
                 "criterion": "unipotent_on_H1_mod_p",
-                "nilpotency_index": unip.index,
+                "nilpotency_index": _nilpotency_index(a, p),
                 "abelianization": [list(r) for r in a.entries],
-            },
-        )
-    obstruction = _fitting_obstruction(a, p)
-    if not obstruction.exists:
-        return Verdict(
-            p,
-            NOT_RESIDUALLY_P,
-            obstruction={
+            }
+            verdicts.append(Verdict(p, RESIDUALLY_P, certificate=certificate))
+        elif h % p == 0:
+            reason = (
+                "not unipotent mod p, but an invariant quotient with p-power "
+                "order exists; no criterion applies"
+            )
+            verdicts.append(Verdict(p, UNDECIDED, reason=reason))
+        else:
+            obstruction = {
                 "criterion": "no_p_power_invariant_quotient",
-                "examined_subspaces": obstruction.examined,
+                "examined_subspaces": 1,
                 "abelianization": [list(r) for r in a.entries],
-            },
-        )
-    return Verdict(
-        p,
-        UNDECIDED,
-        reason=(
-            "not unipotent mod p, but an invariant quotient with p-power "
-            "order exists; no criterion applies"
-        ),
-    )
+            }
+            verdicts.append(Verdict(p, NOT_RESIDUALLY_P, obstruction=obstruction))
+    return verdicts
+
+
+def free_fiber_residually_p(spec: MappingTorusSpec, p: int) -> Verdict:
+    """The verdict of ``fibered_verdicts`` at the one prime p."""
+    return fibered_verdicts(spec, [p])[0]
 
 
 def _lucas_v(t: int, m: int, p: int) -> int:

@@ -49,7 +49,7 @@ from .caps import Caps, DEFAULT_CAPS, caps_from_env, parse_caps
 from .classify import (
     BSSpec,
     bs_classify,
-    free_fiber_residually_p,
+    fibered_verdicts,
     residually_p_prime_set,
     sl2_power_divisibility,
     torus_residually_nilpotent,
@@ -316,10 +316,7 @@ def run_task(task: Task, caps: Caps) -> dict:
     if task.kind == "fibered":
         endo = _build_endo(payload)
         spec = MappingTorusSpec(endo)
-        verdicts = [
-            free_fiber_residually_p(spec, p).to_dict()
-            for p in _task_primes(payload)
-        ]
+        verdicts = [v.to_dict() for v in fibered_verdicts(spec, _task_primes(payload))]
         return {"rank": endo.rank, "verdicts": verdicts}
     if task.kind == "bs":
         return bs_classify(BSSpec(payload["q"])).to_dict()

@@ -31,9 +31,12 @@ from resip import (
     NotInvertibleMod,
     PrimeSet,
     RESIDUALLY_P,
+    RankTooSmall,
     SeriesSubstitution,
     TruncatedSeries,
+    UNDECIDED,
     Verdict,
+    abelianization_matrix,
     apply_endo,
     charpoly_exact,
     column_lattice_basis,
@@ -49,6 +52,7 @@ from resip import (
     is_unipotent_mod,
     magnus_embed,
     nielsen_transvection,
+    p_power_order_quotient_exists,
     poly_pow_x_minus_one,
     smith_diagonal,
     word_multiply,
@@ -369,6 +373,51 @@ def torus_verdicts_per_prime(a: IntMatrix, primes) -> list[dict]:
                     "charpoly_mod_p": list(charpoly_mod),
                     "target": list(c % p for c in poly_pow_x_minus_one(a.n)),
                 },
+            )
+        out.append(verdict.to_dict())
+    return out
+
+
+def fibered_verdicts_per_prime(spec, primes) -> list[dict]:
+    """Free-fiber verdict dicts with the H_1 action rebuilt at every prime:
+    the powers of M - I decide unipotence, and the ranks of those powers
+    (``p_power_order_quotient_exists``) decide whether an invariant
+    quotient of dimension >= 2 and p-power order exists."""
+    if spec.rank < 2:
+        raise RankTooSmall("rank-1 fibers are torus/BS territory")
+    out = []
+    for p in primes:
+        a = abelianization_matrix(spec.fiber)
+        abelianization = [list(r) for r in a.entries]
+        unip = is_unipotent_mod(a, p)
+        if unip:
+            verdict = Verdict(
+                p,
+                RESIDUALLY_P,
+                certificate={
+                    "criterion": "unipotent_on_H1_mod_p",
+                    "nilpotency_index": unip.index,
+                    "abelianization": abelianization,
+                },
+            )
+        elif not p_power_order_quotient_exists(ModMatrix.reduce(a, p), p).exists:
+            verdict = Verdict(
+                p,
+                NOT_RESIDUALLY_P,
+                obstruction={
+                    "criterion": "no_p_power_invariant_quotient",
+                    "examined_subspaces": 1,
+                    "abelianization": abelianization,
+                },
+            )
+        else:
+            verdict = Verdict(
+                p,
+                UNDECIDED,
+                reason=(
+                    "not unipotent mod p, but an invariant quotient with p-power "
+                    "order exists; no criterion applies"
+                ),
             )
         out.append(verdict.to_dict())
     return out

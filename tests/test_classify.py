@@ -23,6 +23,7 @@ from resip import (
     bs_classify,
     det_exact,
     endo_semidirect_omega_nilpotent,
+    fibered_verdicts,
     free_fiber_residually_p,
     is_unipotent_mod,
     nielsen_transvection,
@@ -39,6 +40,7 @@ from resip import (
 )
 from oracles import (
     bs_classify_by_matrix,
+    fibered_verdicts_per_prime,
     matrix_order_mod,
     random_certified_automorphism,
     sl2_power_by_search,
@@ -228,18 +230,24 @@ def test_free_fiber_rank_one_rejected():
 
 
 def test_free_fiber_undecided_is_possible():
-    # abelianization [[0,-1],[1,0]] has order 4: not unipotent mod 3, but
-    # its mod-3 reduction still admits an order-dividing-p-power quotient
-    # nowhere, while dim-0/1 quotients do not count; outcome depends on the
-    # enumeration, so just require a definite three-valued answer
+    # x1 -> x1, x2 -> x2, x3 -> X3 acts on H_1 with f = (x - 1)^2 (x + 1):
+    # f(1) = f'(1) = 0, so an invariant quotient of dimension 2 with p-power
+    # order exists at every p, while the gap gcd is 2
     phi = FreeEndo(
+        3,
+        (parse_word("x1", 3), parse_word("x2", 3), parse_word("X3", 3)),
+        (parse_word("x1", 3), parse_word("x2", 3), parse_word("X3", 3)),
+    )
+    outcomes = [v.outcome for v in fibered_verdicts(MappingTorusSpec(phi), [2, 3, 5, 7])]
+    assert outcomes == [RESIDUALLY_P, UNDECIDED, UNDECIDED, UNDECIDED]
+    # the rotation [[0,-1],[1,0]] has f = x^2 + 1 and h = gcd(2, 2) = 2: no
+    # qualifying quotient at an odd p
+    rot = FreeEndo(
         2,
         (parse_word("X2", 2), parse_word("x1", 2)),
         (parse_word("x2", 2), parse_word("X1", 2)),
     )
-    v = free_fiber_residually_p(MappingTorusSpec(phi), 3)
-    assert v.outcome in (RESIDUALLY_P, NOT_RESIDUALLY_P, UNDECIDED)
-    assert v.outcome != RESIDUALLY_P
+    assert free_fiber_residually_p(MappingTorusSpec(rot), 3).outcome == NOT_RESIDUALLY_P
 
 
 def test_certified_monodromies_act_on_h1_with_determinant_plus_or_minus_one():
@@ -389,9 +397,44 @@ def _run_optimized(script: str) -> str:
     return out.stdout
 
 
+_BROKEN_FIBERED_ROUTES = """
+import sys
+from resip import FreeEndo, InternalInvariant, MappingTorusSpec, classify, parse_word
+from resip.intlin import UnipotenceResult
+
+assert sys.flags.optimize == 1
+alpha = FreeEndo(
+    2,
+    (parse_word("x1 x1 x2", 2), parse_word("x1 x2", 2)),
+    (parse_word("x1 X2", 2), parse_word("x2 X1 x2", 2)),
+)
+for label, attr, fake, phi in (
+    # the powers deny a unipotence the gap gcd gives
+    ("powers", "is_unipotent_mod", lambda a, p: UnipotenceResult(False, None), FreeEndo.identity(2)),
+    # the gap gcd claims a unipotence the powers deny
+    ("charpoly", "charpoly_exact", lambda a: classify.poly_pow_x_minus_one(a.n), alpha),
+):
+    saved = getattr(classify, attr)
+    setattr(classify, attr, fake)
+    try:
+        classify.fibered_verdicts(MappingTorusSpec(phi), [3])
+    except InternalInvariant as exc:
+        print(label, "raised:", exc)
+    setattr(classify, attr, saved)
+"""
+
+
 def test_cross_checks_run_under_python_O():
     out = _run_optimized(_BROKEN_UNIPOTENCE)
     assert out.startswith("raised: unipotence by charpoly and by powers of A - I disagree")
+
+
+def test_fibered_cross_checks_run_under_python_O():
+    message = "raised: unipotence by charpoly and by powers of A - I disagree"
+    assert _run_optimized(_BROKEN_FIBERED_ROUTES).splitlines() == [
+        f"powers {message}",
+        f"charpoly {message}",
+    ]
 
 
 def test_pgrouplab_cross_check_runs_under_python_O():
@@ -485,3 +528,115 @@ def test_torus_verdicts_reject_a_non_prime_before_any_verdict():
         torus_verdicts(A_SOL, [2, 3, 4])
     with pytest.raises(NotInvertible):
         torus_verdicts(IntMatrix.from_rows([[2, 0], [0, 1]]), [4])
+
+
+def _alpha_spec() -> MappingTorusSpec:
+    # an automorphism of F_2 acting on H_1 by [[2,1],[1,1]]: g = 1, h = 1
+    return MappingTorusSpec(
+        FreeEndo(
+            2,
+            (parse_word("x1 x1 x2", 2), parse_word("x1 x2", 2)),
+            (parse_word("x1 X2", 2), parse_word("x2 X1 x2", 2)),
+        )
+    )
+
+
+def test_fibered_verdicts_match_the_per_prime_oracle():
+    from collections import Counter
+
+    rng = random.Random(1701)
+    primes = primes_up_to(31)
+    outcomes = Counter()
+    for _ in range(300):
+        spec = MappingTorusSpec(random_certified_automorphism(rng, rng.randint(2, 4)))
+        verdicts = [v.to_dict() for v in fibered_verdicts(spec, primes)]
+        assert verdicts == fibered_verdicts_per_prime(spec, primes)
+        outcomes.update(v["outcome"] for v in verdicts)
+    assert min(outcomes[o] for o in (RESIDUALLY_P, NOT_RESIDUALLY_P, UNDECIDED)) >= 100, outcomes
+    spec = _alpha_spec()
+    assert free_fiber_residually_p(spec, 5).to_dict() == fibered_verdicts_per_prime(spec, [5])[0]
+
+
+def _fibered_task_specs():
+    from resip.cli import _build_endo, _task_primes, parse_task_file
+
+    tasks = pathlib.Path(__file__).resolve().parent.parent / "tasks"
+    return [
+        (MappingTorusSpec(_build_endo(task.payload)), _task_primes(task.payload))
+        for path in sorted(tasks.glob("*.json"))
+        for task in parse_task_file(path.read_text()).tasks
+        if task.kind == "fibered"
+    ]
+
+
+def test_fibered_verdicts_match_the_oracle_on_every_shipped_task():
+    specs = _fibered_task_specs()
+    assert specs
+    for spec, primes in specs:
+        assert [v.to_dict() for v in fibered_verdicts(spec, primes)] == fibered_verdicts_per_prime(spec, primes)
+
+
+def test_undecided_is_exactly_a_qualifying_quotient_where_the_gap_is_prime_to_p():
+    from resip.classify import _charpoly_gap
+
+    rng = random.Random(1702)
+    primes = primes_up_to(31)
+    specs = [MappingTorusSpec(random_certified_automorphism(rng, rng.randint(2, 4))) for _ in range(150)]
+    checked = 0
+    for spec in specs + [s for s, _ in _fibered_task_specs()]:
+        m = abelianization_matrix(spec.fiber)
+        g = _charpoly_gap(m)[2]
+        for v in fibered_verdicts(spec, primes):
+            if g % v.p:
+                exists = p_power_order_quotient_exists(ModMatrix.reduce(m, v.p), v.p).exists
+                assert (v.outcome == UNDECIDED) == exists, (m.entries, v.p)
+                checked += 1
+    assert checked >= 1000
+
+
+def test_fibered_verdicts_run_the_power_route_only_where_the_gap_is_divisible(monkeypatch):
+    from resip import classify
+
+    seen = []
+    monkeypatch.setattr(classify, "is_unipotent_mod", lambda a, p: seen.append(p) or is_unipotent_mod(a, p))
+    primes = primes_up_to(50)
+    fibered_verdicts(_alpha_spec(), primes)  # g = 1
+    assert seen == []
+    fibered_verdicts(MappingTorusSpec(FreeEndo.identity(3)), primes)  # g = 0
+    assert seen == primes
+
+
+def test_fibered_verdicts_raise_when_the_power_route_disagrees(monkeypatch):
+    from resip import InternalInvariant, UnipotenceResult, classify
+
+    # the powers deny a unipotence the gap gcd gives
+    with monkeypatch.context() as m:
+        m.setattr(classify, "is_unipotent_mod", lambda a, p: UnipotenceResult(False, None))
+        with pytest.raises(InternalInvariant, match="by charpoly and by powers"):
+            fibered_verdicts(MappingTorusSpec(FreeEndo.identity(2)), [2, 3])
+    # the gap gcd claims a unipotence the powers deny
+    monkeypatch.setattr(classify, "charpoly_exact", lambda a: classify.poly_pow_x_minus_one(a.n))
+    with pytest.raises(InternalInvariant, match="by charpoly and by powers"):
+        fibered_verdicts(_alpha_spec(), [3])
+
+
+def test_fibered_verdicts_reject_a_non_prime_before_any_matrix(monkeypatch):
+    from resip import InvalidSpec, classify
+
+    def refuse(*args):
+        raise AssertionError("a matrix was built before the primes were checked")
+
+    monkeypatch.setattr(classify, "is_unipotent_mod", refuse)
+    monkeypatch.setattr(classify, "abelianization_matrix", refuse)
+    with pytest.raises(InvalidSpec, match="4 is not prime"):
+        fibered_verdicts(MappingTorusSpec(FreeEndo.identity(2)), [2, 4])
+    with pytest.raises(RankTooSmall):
+        fibered_verdicts(MappingTorusSpec(FreeEndo.identity(1)), [4])
+
+
+def test_obstruction_rejects_a_prime_power_modulus():
+    from resip import InvalidSpec
+
+    for rows in ([[1, 1], [0, 1]], [[1, 2], [0, 1]]):
+        with pytest.raises(InvalidSpec, match="4 is not prime"):
+            p_power_order_quotient_exists(ModMatrix.reduce(IntMatrix.from_rows(rows), 4), 4)

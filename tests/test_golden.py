@@ -42,3 +42,40 @@ def test_report_needs_no_normal_form(path, capsys, monkeypatch):
     assert main(["run", "--tasks", str(path)]) == 0
     expected = (ROOT / "tests" / "golden" / path.name).read_text()
     assert capsys.readouterr().out == expected
+
+
+def _fibered_task_count(path) -> int:
+    from resip.cli import parse_task_file
+
+    return sum(task.kind == "fibered" for task in parse_task_file(path.read_text()).tasks)
+
+
+FIBERED = [p for p in TASKS if _fibered_task_count(p)]
+
+
+@pytest.mark.parametrize("path", FIBERED, ids=[p.stem for p in FIBERED])
+def test_fibered_reports_need_no_rank_loop(path, capsys, monkeypatch):
+    # the free-fiber obstruction is read off charpoly(M) at 1, so no
+    # fibered verdict row-reduces a power of M - I
+    from resip import classify
+
+    def refuse(*args):
+        raise AssertionError("a rank was computed")
+
+    monkeypatch.setattr(classify, "_column_space", refuse)
+    monkeypatch.setattr(classify, "rref_mod", refuse)
+    assert main(["run", "--tasks", str(path)]) == 0
+    expected = (ROOT / "tests" / "golden" / path.name).read_text()
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("path", FIBERED, ids=[p.stem for p in FIBERED])
+def test_fibered_tasks_build_the_h1_action_once(path, capsys, monkeypatch):
+    from resip import classify
+
+    calls = []
+    real = classify.abelianization_matrix
+    monkeypatch.setattr(classify, "abelianization_matrix", lambda phi: calls.append(phi) or real(phi))
+    assert main(["run", "--tasks", str(path)]) == 0
+    capsys.readouterr()
+    assert len(calls) == _fibered_task_count(path)

@@ -49,4 +49,10 @@ def test_readme_library_block_gives_its_commented_values():
             expected = ast.literal_eval(literal.group(1))
             assert eval(code, namespace) == expected, line
             checked.append(expected)
-    assert checked == ["NotResiduallyP", (2,), "ResiduallyP", True]
+    assert checked == [
+        "NotResiduallyP",
+        (2,),
+        "ResiduallyP",
+        ("NotResiduallyP", "ResiduallyP"),
+        True,
+    ]
