@@ -16,13 +16,14 @@ nonzero reduced coefficients only; there is no dense form.
 * SeriesSubstitution is linear, so it memoises the image of each monomial
   it meets, one product from the image of its prefix, and a call sums
   c * image(m) into one table that is reduced once.
-* TruncatedSeries.__mul__ walks, for each left monomial, only the right
-  monomials whose degree still fits under the truncation.
+* One product kernel, _product, serves TruncatedSeries.__mul__ and the
+  memo: its right factor is sorted by degree, so each left monomial walks
+  only the right monomials whose degree still fits under the truncation.
+  The memo's right factors are the rank fixed images, sorted once.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Optional
 
 from .caps import Caps, DEFAULT_CAPS
@@ -83,18 +84,22 @@ class TruncatedSeries:
         return hash((self.rank, self.degree, self.modulus, frozenset(self.table.items())))
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
+        """self + sign * other, in one pass over other's terms."""
         self._compatible(other)
         table = dict(self.table)
         for m, c in other.table.items():
-            v = self._red(table.get(m, 0) + c)
+            v = self._red(table.get(m, 0) + sign * c)
             if v:
                 table[m] = v
             else:
                 table.pop(m, None)
         return TruncatedSeries(self.rank, self.degree, self.modulus, table)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + other.scale(-1)
 
     def scale(self, k: int) -> "TruncatedSeries":
         k = self._red(k)
@@ -106,45 +111,17 @@ class TruncatedSeries:
         return TruncatedSeries(self.rank, self.degree, self.modulus, table)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Truncated product.  The right factor is sorted by degree once, so
-        a left monomial of degree k walks only the prefix of degree <= d - k
-        and no pair past the truncation is visited."""
+        """Truncated product, by the kernel of ``_product``."""
         self._compatible(other)
         d = self.degree
-        items = sorted(other.table.items(), key=lambda mc: len(mc[0]))
-        ends = [0] * (d + 1)  # ends[k] = number of right monomials of degree <= k
-        for m, _ in items:
-            ends[len(m)] += 1
-        for k in range(1, d + 1):
-            ends[k] += ends[k - 1]
-        table: dict = {}
-        get = table.get
-        for m1, c1 in self.table.items():
-            for m2, c2 in islice(items, ends[d - len(m1)]):
-                m = m1 + m2
-                table[m] = get(m, 0) + c1 * c2
-        return TruncatedSeries(self.rank, d, self.modulus, _reduced(table, self.modulus))
+        table = _product(self.table, _by_degree(other.table, d), d, self.modulus)
+        return TruncatedSeries(self.rank, d, self.modulus, table)
 
     def is_one(self) -> bool:
         return self.table == {(): 1}
 
     def coefficient(self, m: Monomial) -> int:
         return self.table.get(tuple(m), 0)
-
-    def homogeneous(self, i: int) -> dict:
-        """Degree-i coefficient slice."""
-        return {m: c for m, c in self.table.items() if len(m) == i}
-
-    def unit_inverse(self) -> "TruncatedSeries":
-        """Inverse of a series with constant term 1 (geometric expansion)."""
-        if self.table.get((), 0) != 1:
-            raise InvalidSpec("unit_inverse needs constant term 1")
-        one = TruncatedSeries.one(self.rank, self.degree, self.modulus)
-        y = self - one
-        inv = one
-        for _ in range(self.degree):
-            inv = one - y * inv
-        return inv
 
     def __repr__(self):
         if not self.table:
@@ -162,6 +139,31 @@ def _reduced(table: dict, modulus: Optional[int]) -> dict:
     if modulus is None:
         return {m: c for m, c in table.items() if c}
     return {m: v for m, c in table.items() if (v := c % modulus)}
+
+
+def _by_degree(table: dict, d: int) -> list[list]:
+    """The right factor of a product, sorted by degree once: entry k holds
+    its terms of degree <= k, so a left monomial of degree k walks entry
+    d - k and no pair past the truncation is visited."""
+    items = sorted(table.items(), key=lambda mc: len(mc[0]))
+    ends = [0] * (d + 1)  # ends[k] = number of terms of degree <= k
+    for m, _ in items:
+        ends[len(m)] += 1
+    for k in range(1, d + 1):
+        ends[k] += ends[k - 1]
+    return [items[:end] for end in ends]
+
+
+def _product(left: dict, right: list[list], d: int, modulus: Optional[int]) -> dict:
+    """Table of left * right truncated at degree d, right given by
+    ``_by_degree``; reduced once at the end."""
+    table: dict = {}
+    get = table.get
+    for m1, c1 in left.items():
+        for m2, c2 in right[d - len(m1)]:
+            m = m1 + m2
+            table[m] = get(m, 0) + c1 * c2
+    return _reduced(table, modulus)
 
 
 def _times_generator(table: dict, i: int, d: int, modulus: Optional[int]) -> None:
@@ -243,11 +245,23 @@ def magnus_depth(w: FreeWord, p: int, caps: Caps = DEFAULT_CAPS) -> Optional[int
     The search stops at ``caps.magnus_degree``; CapExceeded means "raise
     the cap", never "w is trivial".
     """
+    found = _depth_and_embedding(w, p, caps)
+    return None if found is None else found[0]
+
+
+def _depth_and_embedding(
+    w: FreeWord, p: int, caps: Caps = DEFAULT_CAPS
+) -> Optional[tuple[int, TruncatedSeries]]:
+    """(magnus_depth(w, p), embed(w) at that depth over F_p): the last rung
+    of the depth ladder is the embedding a certificate reads its evidence
+    from, so it is returned, not built again.  None when w is the
+    identity."""
     if w.is_identity():
         return None
     for d in range(1, caps.magnus_degree + 1):
-        if not magnus_embed(w, d, p, caps).is_one():
-            return d
+        series = magnus_embed(w, d, p, caps)
+        if not series.is_one():
+            return d, series
     raise CapExceeded("magnus_depth", caps.magnus_degree)
 
 
@@ -314,10 +328,11 @@ class SeriesSubstitution:
     series ring.  Satisfies sub(embed(w)) = embed(phi(w)).
 
     The map is linear, so a call is the sum of c * image(m) over the terms
-    of its argument.  Monomial images are memoised on the instance, each
-    one product away from its prefix's: image(m) = image(m[:-1]) *
-    images[m[-1] - 1].  Repeated calls, as in the induced-order iteration,
-    only ever multiply for monomials they have not met before."""
+    of its argument.  Monomial images are memoised on the instance as
+    tables, each one product away from its prefix's: image(m) =
+    image(m[:-1]) * images[m[-1] - 1], the right factor sorted by degree
+    once per instance; a monomial of degree 1 is its image.  Repeated
+    calls only ever multiply for monomials they have not met before."""
 
     def __init__(self, phi: FreeEndo, d: int, modulus: Optional[int], caps: Caps = DEFAULT_CAPS):
         self.rank = phi.rank
@@ -328,21 +343,28 @@ class SeriesSubstitution:
             magnus_embed(phi.images[i], d, modulus, caps) - one
             for i in range(phi.rank)
         ]
-        self._monomial_images: dict[Monomial, TruncatedSeries] = {(): one}
+        self._monomial_images: dict[Monomial, dict] = {(): one.table}
+        self._factors: Optional[list[list[list]]] = None  # images by degree
 
-    def _image(self, m: Monomial) -> TruncatedSeries:
+    def _image(self, m: Monomial) -> dict:
         image = self._monomial_images.get(m)
         if image is None:
-            image = self._image(m[:-1]) * self.images[m[-1] - 1]
+            if len(m) == 1:
+                image = self.images[m[0] - 1].table
+            else:
+                factor = self._factors[m[-1] - 1]
+                image = _product(self._image(m[:-1]), factor, self.degree, self.modulus)
             self._monomial_images[m] = image
         return image
 
     def __call__(self, s: TruncatedSeries) -> TruncatedSeries:
         if (s.rank, s.degree, s.modulus) != (self.rank, self.degree, self.modulus):
             raise InvalidSpec("series parameters differ from substitution")
+        if self._factors is None:  # images are final once the first call runs
+            self._factors = [_by_degree(image.table, self.degree) for image in self.images]
         acc: dict = {}
         get = acc.get
         for m, c in s.table.items():
-            for n, v in self._image(m).table.items():
+            for n, v in self._image(m).items():
                 acc[n] = get(n, 0) + c * v
         return TruncatedSeries(self.rank, self.degree, self.modulus, _reduced(acc, self.modulus))

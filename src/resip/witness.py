@@ -15,15 +15,23 @@ t^m w of a mapping torus:
 
 The induced order.  Let U be the substitution X_i -> embed(phi(x_i)) - 1
 on F_p<X_1..X_r>/(deg > d), and M = I + N the action of phi on H_1 mod p.
-* If N^nu1 = 0, ord(U) divides B, the least p^S >= nu with
-  nu = 1 + d + (nu1 - 1) d (d + 1) / 2.  Proof: U keeps F_k = (deg >= k),
-  and on F_k / F_(k+1) it is 1 for k = 0 and prod_j (I + N_j) for k >= 1,
-  N_j being N on the j-th tensor factor.  The N_j commute, so
-  (prod_j (I + N_j) - I)^e sums monomials of degree >= e in k of them,
-  each with a factor N_j^nu1 = 0 once e = e_k = k (nu1 - 1) + 1.  So
-  (U - I)^(e_k) maps F_k into F_(k+1), and (U - I)^nu = 0 for
-  nu = e_0 + ... + e_d.  Over F_p, U^(p^S) - I = (U - I)^(p^S).  If
-  p >= nu, B = p: ord(U) is 1 or p, and one application decides.
+* If N^nu1 = 0, (U - I)^nu = 0 with nu = 1 + d + (nu1 - 1) d (d + 1) / 2.
+  Proof: U keeps F_k = (deg >= k), and on F_k / F_(k+1) it is 1 for
+  k = 0 and prod_j (I + N_j) for k >= 1, N_j being N on the j-th tensor
+  factor.  The N_j commute, so (prod_j (I + N_j) - I)^e sums monomials of
+  degree >= e in k of them, each with a factor N_j^nu1 = 0 once
+  e = e_k = k (nu1 - 1) + 1.  So (U - I)^(e_k) maps F_k into F_(k+1),
+  and (U - I)^nu = 0 for nu = e_0 + ... + e_d.
+* The order is the least p^s >= l, where l is the length of the longest
+  chain X_i, (U - I) X_i, (U - I)^2 X_i, ... before it vanishes.  Proof:
+  U and I commute, and p divides binom(p^s, k) for 0 < k < p^s, so over
+  F_p, U^(p^s) - I = (U - I)^(p^s).  U^(p^s) is a ring map, so it is the
+  identity iff it fixes every X_i, that is iff (U - I)^(p^s) X_i = 0 for
+  every i, that is iff p^s >= l.  And U has p-power order, since
+  U^(p^S) - I = (U - I)^(p^S) = 0 once p^S >= nu.
+* l <= e_1 + ... + e_d = nu - 1, since X_i lies in F_1.  A chain that
+  outlives nu - 1 is InternalInvariant.  If p >= nu, then l < p, so the
+  order is 1 or p, and one application of U decides.
 * If M is not unipotent mod p, no level has a p-power order.  Proof: U
   acts on F_1 / F_2 as M, so ord(M mod p) divides ord(U), and it is no
   p-power, since M^(p^s) = I would give (M - I)^(p^s) = 0.
@@ -64,7 +72,7 @@ from .freegrp import (
     parse_word,
 )
 from .intlin import _require_prime, is_unipotent_mod, least_p_power_exponent, p_power_exponent
-from .magnus import SeriesSubstitution, TruncatedSeries, magnus_depth, magnus_embed
+from .magnus import SeriesSubstitution, TruncatedSeries, _depth_and_embedding, magnus_embed
 from .record import Record
 
 
@@ -216,29 +224,36 @@ class WitnessOutcome(Record):
         return out
 
 
-def _induced_order_bound(p: int, d: int, nu1: int) -> int:
-    """B of the module docstring, for (M - I)^nu1 = 0 on H_1 mod p; d >= 1
-    makes nu >= 2, so B >= p."""
-    return p ** least_p_power_exponent(1 + d + (nu1 - 1) * d * (d + 1) // 2, p)
+def _nilpotency_bound(d: int, nu1: int) -> int:
+    """nu of the module docstring, for (M - I)^nu1 = 0 on H_1 mod p: the
+    order's chains vanish within nu - 1 steps; d >= 1 makes nu >= 2."""
+    return 1 + d + (nu1 - 1) * d * (d + 1) // 2
 
 
-def _raw_induced_order(sub: SeriesSubstitution, p: int, bound: int) -> int:
-    """Order of the substitution on its level-(p, d) Magnus quotient, by
-    iteration on the generator images, given that it divides ``bound``."""
-    start = [
-        TruncatedSeries.generator_term(sub.rank, sub.degree, i, p)
+def _raw_induced_order(sub: SeriesSubstitution, p: int, nu: int) -> int:
+    """Order of the substitution on its level-(p, d) Magnus quotient: the
+    least p^s >= l, l the longest (U - I)-chain of an X_i, given
+    (U - I)^nu = 0 (proof in the module docstring)."""
+    gens = [
+        TruncatedSeries(sub.rank, sub.degree, p, {(i,): 1})
         for i in range(1, sub.rank + 1)
     ]
-    current = start
-    for order in range(1, bound + 1):
-        current = [sub(s) for s in current]
-        if current == start:
-            if bound % order:
-                raise InternalInvariant(f"induced order {order} does not divide {bound}")
-            return order
-        if bound == p:  # the order divides p and is not 1
-            return p
-    raise InternalInvariant(f"induced order exceeds its bound {bound}")
+    if p >= nu:  # l < p: the order is 1 or p
+        return 1 if all(sub(x) == x for x in gens) else p
+    longest = 1
+    for term in gens:
+        length = 1
+        while True:
+            term = sub(term) - term
+            if not term.table:
+                break
+            length += 1
+            if length >= nu:
+                raise InternalInvariant(
+                    f"a (U - I)-chain outlives its bound nu - 1 = {nu - 1}"
+                )
+        longest = max(longest, length)
+    return p ** least_p_power_exponent(longest, p)
 
 
 def induced_automorphism_order(
@@ -251,7 +266,7 @@ def induced_automorphism_order(
     if not unip:
         raise NonPPowerOrder(f"H_1 action not unipotent mod {p}")
     sub = SeriesSubstitution(spec.fiber, d, p, caps)
-    return _raw_induced_order(sub, p, _induced_order_bound(p, d, unip.index))
+    return _raw_induced_order(sub, p, _nilpotency_bound(d, unip.index))
 
 
 def _stable_letter_exponent(p: int, m: int) -> int:
@@ -315,10 +330,8 @@ def find_p_quotient_witness(
             reason=f"H_1 action not unipotent mod {p}; the certificate route requires it",
         )
     w = g.fiber_word
-    d = magnus_depth(w, p, caps)
-    evidence_mon, evidence_coeff = _least_nonzero_evidence(
-        magnus_embed(w, d, p, caps), d
-    )
+    d, series = _depth_and_embedding(w, p, caps)
+    evidence_mon, evidence_coeff = _least_nonzero_evidence(series, d)
     order = induced_automorphism_order(spec, p, d, caps)
     fiber_bound = p ** _monomial_count(spec.rank, d)
     cert = PGroupQuotient(
@@ -442,9 +455,10 @@ def verify_witness(cert: PGroupQuotient, caps: Caps = DEFAULT_CAPS) -> Verificat
     d = cert.data["degree"]
     w = parse_word(cert.survivor_word, cert.rank)
     checks.append(("element_in_fiber", cert.survivor_t == 0 and not w.is_identity()))
-    depth = magnus_depth(w, p, caps)
+    depth, series = _depth_and_embedding(w, p, caps) or (None, None)
     checks.append(("depth_minimal", depth == d))
-    series = magnus_embed(w, d, p, caps)
+    if depth != d:
+        series = magnus_embed(w, d, p, caps)
     mon = tuple(cert.data["evidence_monomial"])
     checks.append(
         (
@@ -455,9 +469,9 @@ def verify_witness(cert: PGroupQuotient, caps: Caps = DEFAULT_CAPS) -> Verificat
     unip = is_unipotent_mod(abelianization_matrix(phi), p)
     checks.append(("h1_unipotent_mod_p", bool(unip)))
     sub = SeriesSubstitution(phi, d, p, caps)
-    order = 0  # no level has a p-power order: nothing to iterate
+    order = 0  # no level has a p-power order: nothing to compute
     if unip:
-        order = _raw_induced_order(sub, p, _induced_order_bound(p, d, unip.index))
+        order = _raw_induced_order(sub, p, _nilpotency_bound(d, unip.index))
     checks.append(("induced_order_matches", bool(unip) and order == cert.data["induced_order"]))
     checks.append(("induced_order_p_power", p_power_exponent(order, p) is not None))
     # the stored order's exponent is compared, so no p ** exponent is built

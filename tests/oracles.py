@@ -118,6 +118,39 @@ def induced_order_by_iteration(sub: SeriesSubstitution) -> int:
     return order
 
 
+def chain_lengths(sub: SeriesSubstitution) -> list[int]:
+    """For each X_i, the number of nonzero terms of X_i, (U - I) X_i,
+    (U - I)^2 X_i, ..., with U = sub and no bound on the length."""
+    lengths = []
+    for i in range(1, sub.rank + 1):
+        term = TruncatedSeries(sub.rank, sub.degree, sub.modulus, {(i,): 1})
+        length = 0
+        while term.table:
+            term = sub(term) - term
+            length += 1
+        lengths.append(length)
+    return lengths
+
+
+def unit_inverse(s: TruncatedSeries) -> TruncatedSeries:
+    """Inverse of a series with constant term 1, by the geometric
+    expansion 1 - y + y^2 - ... with y = s - 1, which stops at the
+    truncation degree; magnus_embed inverts a letter in place instead."""
+    if s.table.get((), 0) != 1:
+        raise InvalidSpec("unit_inverse needs constant term 1")
+    one = TruncatedSeries.one(s.rank, s.degree, s.modulus)
+    y = s - one
+    inv = one
+    for _ in range(s.degree):
+        inv = one - y * inv
+    return inv
+
+
+def homogeneous(s: TruncatedSeries, i: int) -> dict:
+    """Degree-i coefficient slice of a series."""
+    return {m: c for m, c in s.table.items() if len(m) == i}
+
+
 def _apply(m: ModMatrix, v: tuple[int, ...]) -> tuple[int, ...]:
     p = m.modulus
     return tuple(
@@ -658,5 +691,5 @@ def lie_layer_matrix(phi: FreeEndo, i: int, modulus: Optional[int] = None) -> In
     for w in basis:
         image = apply_endo(phi, lyndon_bracket_word(phi.rank, w))
         series = magnus_embed(image, i, modulus)
-        columns.append(_lie_coordinates(series.homogeneous(i), basis, modulus))
+        columns.append(_lie_coordinates(homogeneous(series, i), basis, modulus))
     return IntMatrix.from_rows([[col[r] for col in columns] for r in range(len(basis))])

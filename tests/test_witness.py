@@ -6,10 +6,11 @@ import time
 
 import pytest
 
-from oracles import induced_order_by_iteration, kernel_invariance_by_sampling
+from oracles import chain_lengths, induced_order_by_iteration, kernel_invariance_by_sampling
 from resip import (
     FreeEndo,
     FreeWord,
+    InternalInvariant,
     InvalidSpec,
     MappingTorusElement,
     MappingTorusSpec,
@@ -34,7 +35,8 @@ from resip import (
     verify_witness,
 )
 from resip import witness
-from resip.witness import _induced_order_bound
+from resip.intlin import least_p_power_exponent
+from resip.witness import _nilpotency_bound
 
 
 def _beta_spec():
@@ -221,10 +223,112 @@ def test_induced_order_matches_iteration_and_divides_the_bound():
         assert unip
         order = induced_automorphism_order(MappingTorusSpec(phi), p, d)
         assert order == induced_order_by_iteration(SeriesSubstitution(phi, d, p))
-        assert _induced_order_bound(p, d, unip.index) % order == 0
+        nu = _nilpotency_bound(d, unip.index)
+        assert p ** least_p_power_exponent(nu, p) % order == 0
+        # the chains of the X_i vanish within nu - 1 steps, and the order
+        # is the least p-power reaching the longest
+        longest = max(chain_lengths(SeriesSubstitution(phi, d, p)))
+        assert longest <= nu - 1
+        assert order == p ** least_p_power_exponent(longest, p)
         orders.add((order > 1, order > p))
     # the draw reaches orders 1, p and above p
     assert orders == {(False, False), (True, False), (True, True)}
+
+
+def _count_substitution_calls(monkeypatch, compute) -> tuple[int, object]:
+    calls = []
+    real_call = SeriesSubstitution.__call__
+
+    def counted(self, s):
+        calls.append(1)
+        return real_call(self, s)
+
+    with monkeypatch.context() as m:
+        m.setattr(SeriesSubstitution, "__call__", counted)
+        result = compute()
+    return len(calls), result
+
+
+@pytest.mark.parametrize(
+    "phi, p, d, order",
+    [
+        (artin_endo(beta_braid()), 3, 4, 9),
+        (nielsen_transvection(2, 1, 2), 5, 5, 25),
+    ],
+)
+def test_induced_order_follows_the_chains_not_the_powers(monkeypatch, phi, p, d, order):
+    spec = MappingTorusSpec(phi)
+    calls, found = _count_substitution_calls(
+        monkeypatch, lambda: induced_automorphism_order(spec, p, d)
+    )
+    assert found == order
+    longest = max(chain_lengths(SeriesSubstitution(phi, d, p)))
+    # each chain costs one call per step, at most rank * l in all
+    assert calls <= phi.rank * longest
+    iterated, by_iteration = _count_substitution_calls(
+        monkeypatch, lambda: induced_order_by_iteration(SeriesSubstitution(phi, d, p))
+    )
+    assert by_iteration == order
+    assert calls < iterated
+    # the bound is sharp: a chain of length l passes nu = l + 1 and fails
+    # nu = l (both above p, so the chains are followed)
+    sub = SeriesSubstitution(phi, d, p)
+    assert witness._raw_induced_order(sub, p, longest + 1) == order
+    with pytest.raises(InternalInvariant, match=f"outlives its bound nu - 1 = {longest - 1}"):
+        witness._raw_induced_order(sub, p, longest)
+
+
+_CHAIN_OUTLIVES_ITS_BOUND = """
+import json, os, sys, tempfile
+from resip import TruncatedSeries, cli, witness
+
+assert sys.flags.optimize == 1
+
+
+class Doubled(witness.SeriesSubstitution):
+    # X_1 -> embed(phi(x_1)) - 1 + X_1: a ring map acting on H_1 as M + E_11,
+    # which is not unipotent, so U - I is not nilpotent and a chain
+    # outlives nu - 1
+    def __init__(self, phi, d, modulus, caps):
+        super().__init__(phi, d, modulus, caps)
+        self.images[0] = self.images[0] + TruncatedSeries(self.rank, d, modulus, {(1,): 1})
+
+
+witness.SeriesSubstitution = Doubled
+beta = {
+    "rank": 3,
+    "images": ["x1 x3 X1", "x1", "X3 x2 x3"],
+    "inverse": ["x2", "X2 x1 x2 x3 X2 X1 x2", "X2 x1 x2"],
+}
+doc = {
+    "version": 1,
+    "tasks": [
+        dict(beta, id="witness", kind="witness", p=3, element={"t": 0, "w": "x1 X2"}),
+        dict(beta, id="stable", kind="witness", p=3, element={"t": 1, "w": "1"}),
+    ],
+}
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "tasks.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    status = cli.main(["run", "--tasks", path, "--format", "json"])
+print("exit", status)
+"""
+
+
+def test_a_chain_past_its_bound_raises_under_python_O():
+    # x1 X2 has depth 1, and beta at p = 3 and depth 1 has nu = 4 > p, so
+    # the chains are followed
+    from test_classify import _run_optimized
+
+    out = _run_optimized(_CHAIN_OUTLIVES_ITS_BOUND)
+    report, status = out.rsplit("\n", 2)[:2]
+    assert status == "exit 0"
+    entries = json.loads(report)["entries"]
+    errors = [e for e in entries if e["status"] == "error"]
+    assert [(e["id"], e["error"]["type"]) for e in errors] == [("witness", "InternalInvariant")]
+    assert errors[0]["error"]["message"] == "a (U - I)-chain outlives its bound nu - 1 = 3"
+    assert [e["status"] for e in entries] == ["error", "ok"]
 
 
 @pytest.mark.parametrize("p", [7919, 1000003])
