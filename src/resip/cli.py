@@ -7,13 +7,13 @@ was exceeded somewhere.  A task that fails for any other reason becomes an
 output early (``| head``) gets no more output and changes no exit code.
 
 A task file is ``{"version": 1, "tasks": [...]}``.  Its format is defined
-once, by ``TASK_FIELDS`` (each task key and the function that checks and
+once, by ``TASK_FIELDS`` (each task key and the rule that checks and
 converts its value) and ``REQUIRED_KEYS``/``CHECK_KEYS`` (the keys each
 kind and each extension check needs).  One pass over the parsed JSON
 validates it and turns bigints, integers or strings of decimal digits,
 into ints; the first violation is a SchemaError carrying its JSON path.
 The single-task subcommands build one task and pass it through the same
-validator.
+validator.  Certificates share the value rules, from :mod:`resip.fields`.
 
 Tasks run one after another in file order.  JSON reports are
 deterministic: entries keep task order, keys are sorted, integers of
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import time
 from typing import Optional
@@ -64,12 +63,12 @@ from .extension import (
     heisenberg_checks,
     verify_cocycle,
 )
+from .fields import bigint, brief, fields, integer, list_of, one_of, require, string
 from .freegrp import FreeEndo, MappingTorusElement, MappingTorusSpec, parse_word
 from .intlin import (
     IntMatrix,
     charpoly_exact,
     det_exact,
-    is_prime,
     poly_divmod,
     primes_up_to,
 )
@@ -128,70 +127,15 @@ class ReportEntry(Record):
         return out
 
 
-def _brief(value) -> str:
-    text = repr(value)
-    return text if len(text) <= 40 else text[:37] + "..."
-
-
-def _bigint(value, path: str) -> int:
-    """An integer, or a string of decimal digits with an optional minus
-    sign: integers wider than a double may be written either way."""
-    if type(value) is int:
-        return value
-    if isinstance(value, str) and _DIGITS.fullmatch(value):
-        try:
-            return int(value)
-        except ValueError:  # more digits than int() converts
-            raise SchemaError(f"integer of {len(value)} characters is too long", path) from None
-    raise SchemaError(f"{_brief(value)} is not an integer or a string of digits", path)
-
-
-def _integer(minimum: Optional[int] = None):
-    def check(value, path: str) -> int:
-        if type(value) is not int:
-            raise SchemaError(f"{_brief(value)} is not an integer", path)
-        if minimum is not None and value < minimum:
-            raise SchemaError(f"{value} is less than the minimum of {minimum}", path)
-        return value
-
-    return check
-
-
-def _string(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise SchemaError(f"{_brief(value)} is not a string", path)
-    return value
-
-
-def _one_of(choices):
-    def check(value, path: str) -> str:
-        if value not in choices:
-            raise SchemaError(f"{_brief(value)} is not one of {list(choices)}", path)
-        return value
-
-    return check
-
-
-def _list_of(item, nonempty: bool = False):
-    def check(value, path: str) -> list:
-        if not isinstance(value, list):
-            raise SchemaError(f"{_brief(value)} is not a list", path)
-        if nonempty and not value:
-            raise SchemaError("list is empty", path)
-        return [item(x, f"{path}[{i}]") for i, x in enumerate(value)]
-
-    return check
-
-
 def _element(value, path: str) -> dict:
     if not isinstance(value, dict) or set(value) != {"t", "w"}:
-        raise SchemaError(f"{_brief(value)} is not an object with exactly t and w", path)
-    return {"t": _bigint(value["t"], path + ".t"), "w": _string(value["w"], path + ".w")}
+        raise SchemaError(f"{brief(value)} is not an object with exactly t and w", path)
+    return {"t": bigint(value["t"], path + ".t"), "w": string(value["w"], path + ".w")}
 
 
 # The task format.  A task is an object whose keys are those of
-# TASK_FIELDS; each maps to the function that checks its value and
-# converts it (bigints to int).  REQUIRED_KEYS lists the keys each kind
+# TASK_FIELDS; each maps to the rule that checks its value and converts
+# it (bigints to int).  REQUIRED_KEYS lists the keys each kind
 # needs, "a|b" meaning a or b, and CHECK_KEYS those each extension check
 # adds.  Semantic checks (a square matrix, a prime p, a monic divisor) run
 # with the task and fail only its entry.
@@ -206,61 +150,52 @@ REQUIRED_KEYS = {
     "sl2-power": ("matrix", "p"),
 }
 CHECK_KEYS = {"heisenberg": (), "circle-bundle": ("genus", "euler"), "cocycle": ("form",)}
-_DIGITS = re.compile(r"-?[0-9]+")
-_MATRIX = _list_of(_list_of(_bigint, nonempty=True), nonempty=True)
-_WORDS = _list_of(_string, nonempty=True)
+_MATRIX = list_of(list_of(bigint, nonempty=True), nonempty=True)
+_WORDS = list_of(string, nonempty=True)
 TASK_FIELDS = {
-    "id": _string,
-    "kind": _one_of(tuple(REQUIRED_KEYS)),
+    "id": string,
+    "kind": one_of(tuple(REQUIRED_KEYS)),
     "matrix": _MATRIX,
-    "primes": _list_of(_bigint),
-    "primes_up_to": _bigint,
-    "rank": _integer(1),
+    "primes": list_of(bigint),
+    "primes_up_to": bigint,
+    "rank": integer(1),
     "images": _WORDS,
     "inverse": _WORDS,
-    "q": _bigint,
-    "strands": _integer(2),
-    "braid": _string,
-    "modulus": _integer(1),
-    "assignments": _list_of(_integer()),
-    "divisors": _list_of(_list_of(_integer(), nonempty=True)),
-    "p": _integer(2),
+    "q": bigint,
+    "strands": integer(2),
+    "braid": string,
+    "modulus": integer(1),
+    "assignments": list_of(integer()),
+    "divisors": list_of(list_of(integer(), nonempty=True)),
+    "p": integer(2),
     "element": _element,
-    "check": _one_of(tuple(CHECK_KEYS)),
-    "genus": _integer(1),
-    "euler": _integer(),
+    "check": one_of(tuple(CHECK_KEYS)),
+    "genus": integer(1),
+    "euler": integer(),
     "form": _MATRIX,
-    "coeff_modulus": _integer(2),
+    "coeff_modulus": integer(2),
 }
 
 
 def _task(raw, index: int) -> Task:
     path = f"$.tasks[{index}]"
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{_brief(raw)} is not an object", path)
-    unknown = sorted(set(raw) - TASK_FIELDS.keys())
-    if unknown:
-        raise SchemaError(f"unknown task keys {unknown}", path)
-    fields = {key: TASK_FIELDS[key](value, f"{path}.{key}") for key, value in raw.items()}
-    kind = fields.pop("kind", None)
-    if kind is None:
-        raise SchemaError("missing kind", path)
+    payload = fields(TASK_FIELDS, raw, path)
+    require(payload, ("kind",), path)
+    kind = payload.pop("kind")
     required = REQUIRED_KEYS[kind]
-    if kind == "extension" and "check" in fields:
-        required += CHECK_KEYS[fields["check"]]
-    for keys in required:
-        if not any(k in fields for k in keys.split("|")):
-            raise SchemaError(f"missing {' or '.join(keys.split('|'))}", path)
-    return Task(fields.pop("id", str(index)), kind, fields)
+    if kind == "extension" and "check" in payload:
+        required += CHECK_KEYS[payload["check"]]
+    require(payload, required, path)
+    return Task(payload.pop("id", str(index)), kind, payload)
 
 
 def _task_file(doc) -> TaskFile:
     if not isinstance(doc, dict) or set(doc) != {"version", "tasks"}:
         raise SchemaError("a task file is an object with exactly version and tasks")
     if type(doc["version"]) is not int or doc["version"] != 1:
-        raise SchemaError(f"{_brief(doc['version'])} is not version 1", "$.version")
+        raise SchemaError(f"{brief(doc['version'])} is not version 1", "$.version")
     if not isinstance(doc["tasks"], list):
-        raise SchemaError(f"{_brief(doc['tasks'])} is not a list", "$.tasks")
+        raise SchemaError(f"{brief(doc['tasks'])} is not a list", "$.tasks")
     return TaskFile(1, tuple(_task(raw, i) for i, raw in enumerate(doc["tasks"])))
 
 
@@ -273,20 +208,19 @@ def _square_matrix(rows: list[list[int]]) -> IntMatrix:
 def parse_task_file(text: str) -> TaskFile:
     """Parse and validate a task file, converting bigints to int; a
     SchemaError carries the JSON path of the first offending field."""
+    return _task_file(_json(text))
+
+
+def _json(text: str):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
         raise SchemaError(f"not valid JSON: {exc}") from exc
-    return _task_file(doc)
 
 
-def _task_primes(payload: dict) -> list[int]:
+def _task_primes(payload: dict) -> list[int]:  # the verdicts reject a non-prime
     if "primes" in payload:
-        ps = payload["primes"]
-        for p in ps:
-            if not is_prime(p):
-                raise SchemaError(f"{p} is not prime", "$.primes")
-        return ps
+        return payload["primes"]
     return primes_up_to(payload["primes_up_to"])
 
 
@@ -723,14 +657,16 @@ def _write_stdout(text: str) -> None:
 
 
 def _verify_certificate(text: str, caps: Caps):
-    """Re-check a stored certificate.  A certificate that is not JSON,
-    lacks a field or holds a value of the wrong shape is a schema error; a
-    well-formed one that fails a check is a report with ok False."""
+    """Re-check a stored certificate.  Text that is not JSON, a value the
+    certificate table refuses and a p that is not prime are schema errors;
+    a well-formed one that fails a check is a report with ok False."""
     try:
-        return verify_witness(PGroupQuotient.from_dict(json.loads(text)), caps)
+        return verify_witness(PGroupQuotient.from_dict(_json(text)), caps)
     except CapExceeded:
         raise
-    except (LookupError, TypeError, ValueError, AttributeError, RecursionError, ResipError) as exc:
+    except SchemaError as exc:
+        raise SchemaError(f"malformed certificate: {exc.reason}", exc.path) from exc
+    except (RecursionError, ResipError) as exc:  # RecursionError: deeply nested parts
         raise SchemaError(f"malformed certificate: {type(exc).__name__}: {exc}") from exc
 
 

@@ -124,7 +124,10 @@ def parse_word(text: str, rank: int) -> FreeWord:
         m = _TOKEN.match(tok)
         if not m:
             raise InvalidSpec(f"bad word token {tok!r}")
-        idx = int(m.group(2))
+        try:
+            idx = int(m.group(2))
+        except ValueError:  # more digits than int() converts
+            raise InvalidSpec(f"generator index of {len(m.group(2))} digits out of range 1..{rank}") from None
         if not 1 <= idx <= rank:
             raise InvalidSpec(f"generator index {idx} out of range 1..{rank}")
         letters.append(idx if m.group(1).islower() else -idx)

@@ -52,16 +52,18 @@ the certificate's own data: U(embed(w)) = embed(phi(w)) for the survivor
 w, and U(embed(phi^-1(x_i))) = 1 + X_i for each i.
 
 Certificates embed the monodromy and element, so they re-verify from the
-stored JSON alone.
+stored JSON alone.  Their format is the table CERTIFICATE_FIELDS, with
+the DATA_FIELDS of each kind; the verifier checks every stored field.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Optional
 
 from .caps import Caps, DEFAULT_CAPS
-from .errors import InternalInvariant, InvalidSpec, MixedPrimes, NonPPowerOrder
+from .errors import InternalInvariant, InvalidSpec, MixedPrimes, NonPPowerOrder, SchemaError
+from .extension import CheckReport
+from .fields import bigint, brief, fields, integer, list_of, one_of, require, string
 from .freegrp import (
     FreeEndo,
     MappingTorusElement,
@@ -77,13 +79,8 @@ from .record import Record
 
 
 class PGroupQuotient(Record):
-    """A certified finite p-group quotient with a surviving element.
-
-    kind "stable_letter": data has j, t_exponent, residue.
-    kind "magnus": data has degree, precision, order_exponent, survivor
-        word, surviving monomial and coefficient, fiber order bound.
-    kind "product": components carry the actual certificates.
-    """
+    """A certified finite p-group quotient with a surviving element; its
+    fields are those of CERTIFICATE_FIELDS, its data that of DATA_FIELDS."""
 
     __slots__ = (
         "p", "kind", "rank", "monodromy_images", "monodromy_inverse",
@@ -102,7 +99,7 @@ class PGroupQuotient(Record):
         data: Optional[dict] = None,  # None: a new empty dict
         components: tuple["PGroupQuotient", ...] = (),
     ):
-        if kind not in ("stable_letter", "magnus", "product"):
+        if kind not in DATA_FIELDS:
             raise InvalidSpec(f"unknown certificate kind {kind}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "kind", kind)
@@ -123,32 +120,27 @@ class PGroupQuotient(Record):
             "monodromy_inverse": list(self.monodromy_inverse),
             "survivor_t": self.survivor_t,
             "survivor_word": self.survivor_word,
-            "data": _jsonable(self.data),
+            "data": dict(self.data),
         }
         if self.components:
             out["components"] = [c.to_dict() for c in self.components]
         return out
 
     @staticmethod
-    def from_dict(d: dict) -> "PGroupQuotient":
-        """The certificate ``to_dict`` wrote.  An integer is a JSON integer
-        or a string of decimal digits, as wide ones are written; a float or
-        a boolean anywhere is InvalidSpec, for 3.9 would pass as 3 and
-        2.0 or true compare equal to 2 or 1."""
-        _refuse_inexact(d)
-        return PGroupQuotient(
-            p=_exact_int(d["p"]),
-            kind=d["kind"],
-            rank=_exact_int(d["rank"]),
-            monodromy_images=tuple(d["monodromy_images"]),
-            monodromy_inverse=tuple(d["monodromy_inverse"]),
-            survivor_t=_exact_int(d["survivor_t"]),
-            survivor_word=d["survivor_word"],
-            data=_unjsonable(d.get("data", {})),
-            components=tuple(
-                PGroupQuotient.from_dict(c) for c in d.get("components", ())
-            ),
-        )
+    def from_dict(d, path: str = "$") -> "PGroupQuotient":
+        """The certificate ``to_dict`` wrote, checked against
+        CERTIFICATE_FIELDS and the DATA_FIELDS of its kind; the first
+        violation is a SchemaError carrying its JSON path."""
+        cert = fields(CERTIFICATE_FIELDS, d, path)
+        require(cert, _REQUIRED, path)
+        kind = cert["kind"]
+        if kind != "product" and "components" in cert:
+            raise SchemaError(f"a {kind} certificate has no components", path + ".components")
+        data = cert["data"] = fields(DATA_FIELDS[kind], cert["data"], path + ".data")
+        require(data, DATA_FIELDS[kind], path + ".data")
+        for key in ("monodromy_images", "monodromy_inverse", "components"):
+            cert[key] = tuple(cert.get(key, ()))
+        return PGroupQuotient(**cert)
 
     def monodromy(self) -> FreeEndo:
         images = tuple(parse_word(t, self.rank) for t in self.monodromy_images)
@@ -156,49 +148,41 @@ class PGroupQuotient(Record):
         return FreeEndo(self.rank, images, inverse)
 
 
-def _jsonable(data: dict) -> dict:
-    out = {}
-    for k, v in data.items():
-        if isinstance(v, int) and abs(v) >= 2 ** 53:
-            out[k] = str(v)
-        elif isinstance(v, tuple):
-            out[k] = list(v)
-        else:
-            out[k] = v
-    return out
+def _precision(value, path: str) -> int:
+    if bigint(value, path) != 1:
+        raise SchemaError(f"{brief(value)} is not 1: the series are taken mod p", path)
+    return 1
 
 
-_DIGITS = re.compile(r"-?[0-9]+")
-
-
-def _refuse_inexact(value) -> None:
-    if isinstance(value, (bool, float)):
-        raise InvalidSpec(f"{value!r} in a certificate is not an integer")
-    if isinstance(value, dict):
-        value = list(value.values())
-    if isinstance(value, list):
-        for v in value:
-            _refuse_inexact(v)
-
-
-def _exact_int(value) -> int:
-    if type(value) is int:
-        return value
-    if isinstance(value, str) and _DIGITS.fullmatch(value):
-        return int(value)
-    raise InvalidSpec(f"{value!r} is not an integer or a string of digits")
-
-
-def _unjsonable(data: dict) -> dict:
-    out = {}
-    for k, v in data.items():
-        if isinstance(v, str) and _DIGITS.fullmatch(v):
-            out[k] = int(v)
-        elif isinstance(v, list):
-            out[k] = tuple(v)
-        else:
-            out[k] = v
-    return out
+# The certificate format.  Every key of a certificate and of its data is
+# required, except components, which only a product has and a product of
+# no parts leaves out.  The integer rule is the task files' (resip.fields).
+DATA_FIELDS = {
+    "stable_letter": {"j": bigint, "quotient_order": bigint, "residue": bigint},
+    "magnus": {
+        "degree": bigint,
+        "precision": _precision,
+        "order_exponent": bigint,
+        "induced_order": bigint,
+        "evidence_monomial": list_of(integer()),
+        "evidence_coefficient": bigint,
+        "fiber_order_bound": bigint,
+        "total_order_bound": bigint,
+    },
+    "product": {"total_order_bound": bigint, "count": bigint},
+}
+CERTIFICATE_FIELDS = {
+    "p": bigint,
+    "kind": one_of(tuple(DATA_FIELDS)),
+    "rank": bigint,
+    "monodromy_images": list_of(string),
+    "monodromy_inverse": list_of(string),
+    "survivor_t": bigint,
+    "survivor_word": string,
+    "data": lambda value, path: value,  # checked against the DATA_FIELDS of its kind
+    "components": list_of(PGroupQuotient.from_dict),
+}
+_REQUIRED = tuple(key for key in CERTIFICATE_FIELDS if key != "components")
 
 
 class WitnessOutcome(Record):
@@ -341,7 +325,7 @@ def find_p_quotient_witness(
             "precision": 1,
             "order_exponent": p_power_exponent(order, p),
             "induced_order": order,
-            "evidence_monomial": evidence_mon,
+            "evidence_monomial": list(evidence_mon),
             "evidence_coefficient": evidence_coeff,
             "fiber_order_bound": fiber_bound,
             "total_order_bound": fiber_bound * order,
@@ -395,21 +379,10 @@ def _order_bound(w: PGroupQuotient) -> int:
     return w.data["total_order_bound"]
 
 
-class VerificationReport(Record):
-    __slots__ = ("checks",)
-
-    def __init__(self, checks: tuple[tuple[str, bool], ...]):
-        object.__setattr__(self, "checks", checks)
-
-    @property
-    def ok(self) -> bool:
-        return all(passed for _, passed in self.checks)
-
-    def to_dict(self) -> dict:
-        return {"ok": self.ok, "checks": [list(c) for c in self.checks]}
+VerificationReport = CheckReport  # the name the witness API gives it
 
 
-def verify_witness(cert: PGroupQuotient, caps: Caps = DEFAULT_CAPS) -> VerificationReport:
+def verify_witness(cert: PGroupQuotient, caps: Caps = DEFAULT_CAPS) -> CheckReport:
     """Re-check a stored certificate from its own data.
 
     Survival, p-power order, and monodromy-invariance of the kernel are
@@ -422,11 +395,13 @@ def verify_witness(cert: PGroupQuotient, caps: Caps = DEFAULT_CAPS) -> Verificat
     checks: list[tuple[str, bool]] = []
     if cert.kind == "product":
         checks.append(("same_prime", all(c.p == cert.p for c in cert.components)))
+        # its own survivor is none, as combine_witnesses writes it
         checks.append(
             (
                 "same_mapping_torus",
                 bool(cert.components)
-                and all(_same_torus(c, cert) for c in cert.components),
+                and all(_same_torus(c, cert) for c in cert.components)
+                and (cert.survivor_t, cert.survivor_word) == (0, "1"),
             )
         )
         bound = 1
@@ -434,14 +409,16 @@ def verify_witness(cert: PGroupQuotient, caps: Caps = DEFAULT_CAPS) -> Verificat
             sub = verify_witness(c, caps)
             checks.append((f"component_{i}", sub.ok))
             bound *= _order_bound(c)
-        checks.append(("order_bound_product", bound == cert.data["total_order_bound"]))
-        return VerificationReport(tuple(checks))
+        count_ok = cert.data["count"] == len(cert.components)
+        checks.append(("order_bound_product", bound == cert.data["total_order_bound"] and count_ok))
+        return CheckReport(tuple(checks))
     phi = cert.monodromy()  # certified-inverse check happens on reconstruction
     checks.append(("monodromy_reconstructed", True))
     p = cert.p
     if cert.kind == "stable_letter":
         # p ** j is taken only for the j derived from the survivor: nothing
         # bounds the stored j, so one that differs fails every check
+        parse_word(cert.survivor_word, cert.rank)  # any fiber word: the quotient kills it
         m = cert.survivor_t
         j = _stable_letter_exponent(p, m)
         stored = cert.data["j"] == j
@@ -450,7 +427,7 @@ def verify_witness(cert: PGroupQuotient, caps: Caps = DEFAULT_CAPS) -> Verificat
         checks.append(("residue_nonzero", stored and m % q != 0))
         checks.append(("residue_stored", stored and cert.data["residue"] == m % q))
         checks.append(("quotient_order", stored and cert.data["quotient_order"] == q))
-        return VerificationReport(tuple(checks))
+        return CheckReport(tuple(checks))
     # magnus kind
     d = cert.data["degree"]
     w = parse_word(cert.survivor_word, cert.rank)
@@ -463,7 +440,7 @@ def verify_witness(cert: PGroupQuotient, caps: Caps = DEFAULT_CAPS) -> Verificat
     checks.append(
         (
             "survival_coefficient",
-            series.coefficient(mon) == cert.data["evidence_coefficient"] != 0,
+            len(mon) == d and series.coefficient(mon) == cert.data["evidence_coefficient"] != 0,
         )
     )
     unip = is_unipotent_mod(abelianization_matrix(phi), p)
@@ -494,10 +471,7 @@ def verify_witness(cert: PGroupQuotient, caps: Caps = DEFAULT_CAPS) -> Verificat
             ),
         )
     )
-    checks.append(
-        (
-            "fiber_order_bound",
-            cert.data["fiber_order_bound"] == p ** _monomial_count(cert.rank, d),
-        )
-    )
-    return VerificationReport(tuple(checks))
+    fiber = cert.data["fiber_order_bound"]
+    total_ok = cert.data["total_order_bound"] == fiber * cert.data["induced_order"]
+    checks.append(("fiber_order_bound", fiber == p ** _monomial_count(cert.rank, d) and total_ok))
+    return CheckReport(tuple(checks))

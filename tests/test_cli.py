@@ -476,6 +476,39 @@ def test_non_prime_p_is_an_error_entry(capsys):
     assert entry["error"]["type"] == "InvalidSpec"
 
 
+def test_non_prime_in_a_prime_list_is_one_invalid_spec_entry(capsys):
+    for argv in (
+        ["torus", "--matrix", "2 1; 1 1", "--primes", "3,4"],
+        ["fibered", "--images", "x1 x2; x2", "--inverse", "x1 X2; x2", "--primes", "2,4"],
+    ):
+        assert main(argv) == 0
+        entry = _entry(capsys)
+        assert entry["status"] == "error" and "result" not in entry
+        assert entry["error"] == {"type": "InvalidSpec", "message": "4 is not prime"}
+
+
+def test_text_reports_summarize_witness_and_extension_results(capsys):
+    assert main(BETA_WITNESS + ["--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("task 0 [witness] ok")
+    assert lines[1].startswith("  certificate kind magnus, data {'degree': 1, ")
+    assert "'evidence_monomial': [1]" in lines[1]
+    assert lines[2:] == ["  re-verification: True"]
+    assert main(["extension", "--check", "heisenberg", "--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("task 0 [extension] ok")
+    assert lines[1:] == ["  heisenberg: ok=True"]
+
+
+def test_witness_without_unipotence_reports_undecided(capsys):
+    # beta's H_1 action is not unipotent mod 5, and t^0 w needs the Magnus route
+    reason = "H_1 action not unipotent mod 5; the certificate route requires it"
+    assert main(BETA_WITNESS + ["--p", "5"]) == 0
+    assert _entry(capsys)["result"] == {"status": "undecided", "reason": reason}
+    assert main(BETA_WITNESS + ["--p", "5", "--format", "text"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [f"  undecided: {reason}"]
+
+
 def test_bad_tasks_do_not_abort_the_batch(monkeypatch):
     from resip import cli
 
@@ -535,7 +568,8 @@ def test_malformed_certificate_exits_2(tmp_path, capsys, cert):
     assert main(["verify-witness", "--certificate", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "schema error at $: malformed certificate" in captured.err
+    where = "$.kind" if "cube" in cert else "$"  # the table names the bad value's path
+    assert f"schema error at {where}: malformed certificate" in captured.err
 
 
 def _beta_certificates() -> dict:
@@ -615,6 +649,76 @@ def test_certificate_floats_and_booleans_exit_2(tmp_path, capsys, kind, path):
     (tmp_path / "cert.json").write_text(json.dumps(cert))
     assert main(["verify-witness", "--certificate", str(tmp_path / "cert.json")]) == 0
     assert json.loads(capsys.readouterr().out)["certificate_ok"] is True
+
+
+def _forged(kind: str, path: tuple, value) -> dict:
+    """The beta certificate of the kind with the value at path set."""
+    cert = doc = _beta_certificates()[kind]
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+    return cert
+
+
+def _verify(tmp_path, capsys, cert: dict) -> tuple:
+    (tmp_path / "cert.json").write_text(json.dumps(cert))
+    status = main(["verify-witness", "--certificate", str(tmp_path / "cert.json")])
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err
+
+
+# every value has the right shape, but one stored claim is false: exit 1,
+# with the check of that claim failing and no other
+@pytest.mark.parametrize(
+    "kind, path, value, check",
+    [
+        ("magnus", ("data", "total_order_bound"), 7, "fiber_order_bound"),
+        ("magnus", ("data", "evidence_monomial"), [], "survival_coefficient"),
+        ("product", ("data", "count"), 99, "order_bound_product"),
+        ("product", ("survivor_t",), 5, "same_mapping_torus"),
+        ("product", ("survivor_word",), "x1", "same_mapping_torus"),
+    ],
+    ids=lambda x: _field_id(x) if isinstance(x, tuple) else None,
+)
+def test_false_stored_claims_exit_1(tmp_path, capsys, kind, path, value, check):
+    status, out, err = _verify(tmp_path, capsys, _forged(kind, path, value))
+    assert (status, err) == (1, "")
+    assert [name for name, ok in json.loads(out)["checks"] if not ok] == [check]
+
+
+# what the certificate table refuses, at the JSON path it names
+@pytest.mark.parametrize(
+    "kind, path, value, where",
+    [
+        ("magnus", ("data", "evidence_coefficient"), "x", "$.data.evidence_coefficient"),
+        ("magnus", ("data", "evidence_monomial"), ["1"], "$.data.evidence_monomial[0]"),
+        ("stable_letter", ("data", "j"), [2], "$.data.j"),
+        ("product", ("components", 1, "p"), "three", "$.components[1].p"),
+        ("product", ("components", 0, "data"), [], "$.components[0].data"),
+        ("magnus", ("data", "precision"), 5, "$.data.precision"),
+        ("magnus", ("extra",), 1, "$"),
+        ("magnus", ("data", "j"), 1, "$.data"),
+        ("stable_letter", ("components",), [], "$.components"),
+        ("stable_letter", ("survivor_word",), "x9", "$"),
+    ],
+    ids=lambda x: _field_id(x) if isinstance(x, tuple) else None,
+)
+def test_certificate_table_refusals_exit_2(tmp_path, capsys, kind, path, value, where):
+    status, out, err = _verify(tmp_path, capsys, _forged(kind, path, value))
+    assert (status, out) == (2, "")
+    assert err.startswith(f"schema error at {where}: malformed certificate: ")
+
+
+def test_missing_certificate_keys_exit_2(tmp_path, capsys):
+    cert = _beta_certificates()["magnus"]
+    del cert["data"]["induced_order"]
+    assert _verify(tmp_path, capsys, cert)[2] == (
+        "schema error at $.data: malformed certificate: missing induced_order\n"
+    )
+    del cert["survivor_t"]
+    assert _verify(tmp_path, capsys, cert)[2] == (
+        "schema error at $: malformed certificate: missing survivor_t\n"
+    )
 
 
 def test_unreadable_inputs_exit_2(tmp_path, capsys):
@@ -958,3 +1062,14 @@ def test_deeply_nested_input_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("schema error at $: not valid JSON:")
     assert main(["verify-witness", "--certificate", str(path)]) == 2
     assert capsys.readouterr().err.startswith("schema error at $: malformed certificate")
+
+
+def test_deeply_nested_components_exit_2(tmp_path, capsys):
+    # JSON nests 600 deep, within the parser's reach; the table's does not
+    product = _beta_certificates()["product"]
+    cert = product
+    for _ in range(300):
+        cert = dict(product, components=[cert, product["components"][1]])
+    status, out, err = _verify(tmp_path, capsys, cert)
+    assert (status, out) == (2, "")
+    assert err.startswith("schema error at $: malformed certificate: RecursionError: ")

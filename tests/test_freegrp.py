@@ -52,6 +52,12 @@ def test_parse_and_format_round_trip():
         parse_word("y1z", 2)
 
 
+def test_generator_index_beyond_int_conversion_is_invalid_spec():
+    # int() converts at most 4300 digits; a longer index is out of range
+    with pytest.raises(InvalidSpec, match="generator index of 5000 digits"):
+        parse_word("x" + "1" * 5000, 2)
+
+
 def test_word_group_axioms_random():
     rng = random.Random(3)
     for _ in range(80):

@@ -13,6 +13,7 @@ from resip import InvalidSpec, SchemaError
 from resip.braid import BraidWord, format_braid, parse_braid
 from resip.cli import REQUIRED_KEYS, TASK_FIELDS, _matrix_from_text, main, parse_task_file
 from resip.freegrp import FreeWord, format_word, parse_word
+from test_cli import _beta_certificates, _forged
 
 FUZZ = settings(max_examples=40, deadline=None, database=None)
 
@@ -207,4 +208,41 @@ def test_cli_on_fuzzed_flags_ends_in_an_exit_code(argv, caps, fmt):
             code = None
             assert exc.code == 2, argv
     assert code in (None, 0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue()
+
+
+def _paths(node, path=()):
+    """The path of every value inside a parsed JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+CERTIFICATE_PATHS = [
+    (kind, path) for kind, cert in _beta_certificates().items() for path in _paths(cert)
+]
+CERTIFICATE_JUNK = st.one_of(
+    st.text(string.printable, max_size=8),
+    st.floats(),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(string.ascii_letters, max_size=3), st.integers(-3, 3), max_size=2),
+    st.integers(2 ** 64, 2 ** 256).flatmap(lambda n: st.sampled_from((n, -n))),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.sampled_from(CERTIFICATE_PATHS), CERTIFICATE_JUNK)
+def test_certificate_with_a_junk_value_ends_in_an_exit_code(tmp_path_factory, where, junk):
+    file = tmp_path_factory.getbasetemp() / "junk-certificate.json"
+    file.write_text(json.dumps(_forged(*where, junk)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify-witness", "--certificate", str(file)])
+    assert code in (0, 1, 2, 3), (where, junk)
     assert "Traceback" not in err.getvalue()

@@ -487,11 +487,10 @@ def test_non_prime_certificate_is_rejected():
     with pytest.raises(InvalidSpec, match="4 is not prime"):
         verify_witness(cert)
     good = find_p_quotient_witness(_beta_spec(), _elem(1, "1"), 3).certificate
-    product = PGroupQuotient.from_dict(
-        dict(good.to_dict(), kind="product", components=[good.to_dict(), dict(good.to_dict(), p=9)])
-    )
+    product = combine_witnesses([good, good]).to_dict()
+    product["components"][1]["p"] = 9
     with pytest.raises(InvalidSpec, match="9 is not prime"):
-        verify_witness(product)
+        verify_witness(PGroupQuotient.from_dict(product))
 
 
 def test_survival_is_monotone_in_depth():
