@@ -61,7 +61,7 @@ class BraidWord(Record):
         return BraidWord(self.strands, self.letters * k)
 
 
-_TOKEN = re.compile(r"^([sS])(\d+)$")
+_TOKEN = re.compile(r"([sS])([0-9]+)")  # ASCII digits only: \d takes any Unicode digit
 
 
 def parse_braid(text: str, strands: int) -> BraidWord:
@@ -71,10 +71,13 @@ def parse_braid(text: str, strands: int) -> BraidWord:
         return BraidWord(strands, ())
     letters = []
     for tok in tokens:
-        m = _TOKEN.match(tok)
+        m = _TOKEN.fullmatch(tok)
         if not m:
             raise InvalidSpec(f"bad braid token {tok!r}")
-        idx = int(m.group(2))
+        try:
+            idx = int(m.group(2))
+        except ValueError:  # more digits than int() converts
+            raise InvalidSpec(f"braid letter of {len(m.group(2))} digits out of range") from None
         letters.append(idx if m.group(1) == "s" else -idx)
     return BraidWord(strands, tuple(letters))
 

@@ -32,6 +32,7 @@ x^2-x-1 and x^2+3x+3 give r = 4, d = 3 and a nontrivial intersection.)
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import (
@@ -48,7 +49,7 @@ from .intlin import (
     _require_prime,
     charpoly_exact,
     det_exact,
-    is_unipotent_mod,
+    is_unipotent_mod,  # noqa: F401  perfbench's tracing tests wrap and restore this binding
     lattice_chain_invariants,
     least_p_power_exponent,
     poly_pow_x_minus_one,
@@ -116,11 +117,11 @@ def torus_verdicts(a: IntMatrix, primes: Sequence[int]) -> list[Verdict]:
     of degree n, is (x - 1)^n.  And the group is residually p iff A is
     unipotent mod p.
 
-    So charpoly(A) and g are computed once for all primes.  At a p
-    dividing g the power route ``is_unipotent_mod`` runs for the nilpotency
-    index the certificate reports, and must agree (InternalInvariant
-    otherwise).  Elsewhere the obstruction is charpoly(A) mod p, which
-    differs from (x - 1)^n.
+    So charpoly(A) and g are computed once for all primes.  The primes
+    dividing g share one chain of powers of A - I (``_nilpotency_indices``),
+    which gives the nilpotency index each certificate reports and must
+    agree (InternalInvariant otherwise).  Elsewhere the obstruction is
+    charpoly(A) mod p, which differs from (x - 1)^n.
 
     On SL_2 this is the det(A - I) criterion: charpoly(A) = x^2 - t x + 1
     with t = tr A, so the gap is (2 - t) x and
@@ -130,10 +131,11 @@ def torus_verdicts(a: IntMatrix, primes: Sequence[int]) -> list[Verdict]:
     for p in primes:
         _require_prime(p)
     charpoly, target, g = _charpoly_gap(a)
+    index = _nilpotency_indices(a, primes, g)
     verdicts = []
     for p in primes:
         if g % p == 0:
-            certificate = {"criterion": "unipotent_mod_p", "nilpotency_index": _nilpotency_index(a, p)}
+            certificate = {"criterion": "unipotent_mod_p", "nilpotency_index": index[p]}
             verdicts.append(Verdict(p, RESIDUALLY_P, certificate=certificate))
         else:
             obstruction = {
@@ -145,15 +147,45 @@ def torus_verdicts(a: IntMatrix, primes: Sequence[int]) -> list[Verdict]:
     return verdicts
 
 
-def _nilpotency_index(a: IntMatrix, p: int) -> int:
-    """The nilpotency index of A - I mod p, at a p dividing the gap gcd g,
-    by the power route, which must agree that A is unipotent mod p."""
-    unip = is_unipotent_mod(a, p)
-    if not unip:
-        raise InternalInvariant(
-            "unipotence by charpoly and by powers of A - I disagree"
-        )
-    return unip.index
+def _nilpotency_indices(a: IntMatrix, primes: Sequence[int], g: int) -> dict[int, int]:
+    """The nilpotency index of A - I mod p at each listed p dividing the
+    gap gcd g, from one chain of powers for all of them.
+
+    Let N = A - I, P the product of the distinct listed primes dividing g,
+    and d_j the gcd of P and the entries of N^j mod P (``_power_chain``).
+    For p | P, reduction mod p factors through Z/P, so N^j = 0 mod p iff p
+    divides every entry of N^j mod P, iff p | d_j.  The index at p is the
+    least such j.  As p | g, (N mod p)^n = 0 (``torus_verdicts``), so that
+    j is at most n; if no j qualifies, the two routes disagree.  The chain
+    may stop at the first d_j = P: every later power is N^j times a matrix,
+    so no prime meets its index after it.
+    """
+    unipotent = {p for p in primes if g % p == 0}
+    if not unipotent:
+        return {}
+    chain = _power_chain(a, math.prod(unipotent))
+    index = {}
+    for p in unipotent:
+        j = next((j for j, d in enumerate(chain, 1) if d % p == 0), None)
+        if j is None:
+            raise InternalInvariant(
+                "unipotence by charpoly and by powers of A - I disagree"
+            )
+        index[p] = j
+    return index
+
+
+def _power_chain(a: IntMatrix, modulus: int) -> list[int]:
+    """d_j = gcd(modulus, entries of (A - I)^j mod modulus) for
+    j = 1, 2, ..., up to n or to the first d_j equal to the modulus."""
+    nil = [[x % modulus for x in row] for row in a.minus_identity().entries]
+    cols = list(zip(*nil))
+    power, chain = nil, []
+    while True:
+        chain.append(math.gcd(modulus, *(x for row in power for x in row)))
+        if len(chain) == a.n or chain[-1] == modulus:
+            return chain
+        power = [[sum(map(mul, row, col)) % modulus for col in cols] for row in power]
 
 
 def torus_residually_p(a: IntMatrix, p: int) -> Verdict:
@@ -379,8 +411,9 @@ def fibered_verdicts(spec: MappingTorusSpec, primes: Sequence[int]) -> list[Verd
     and h = gcd(f(1), f'(1)):
 
     * p | g: M is unipotent mod p (proved in ``torus_verdicts``), so
-      ResiduallyP.  The power route runs here alone, for the nilpotency
-      index the certificate reports, and must agree.
+      ResiduallyP.  These primes share one chain of powers of M - I
+      (``_nilpotency_indices``), for the nilpotency index each certificate
+      reports, and it must agree.
     * p does not divide g, p | h: a qualifying quotient exists but M is not
       unipotent, so Undecided.
     * otherwise no qualifying quotient exists, so NotResiduallyP.
@@ -405,12 +438,13 @@ def fibered_verdicts(spec: MappingTorusSpec, primes: Sequence[int]) -> list[Verd
     a = abelianization_matrix(spec.fiber)
     charpoly, _, g = _charpoly_gap(a)
     h = math.gcd(sum(charpoly), sum(c * (a.n - k) for k, c in enumerate(charpoly)))
+    index = _nilpotency_indices(a, primes, g)
     verdicts = []
     for p in primes:
         if g % p == 0:
             certificate = {
                 "criterion": "unipotent_on_H1_mod_p",
-                "nilpotency_index": _nilpotency_index(a, p),
+                "nilpotency_index": index[p],
                 "abelianization": [list(r) for r in a.entries],
             }
             verdicts.append(Verdict(p, RESIDUALLY_P, certificate=certificate))

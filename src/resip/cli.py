@@ -348,6 +348,7 @@ def run_tasks(taskfile: TaskFile, caps: Caps = DEFAULT_CAPS) -> list[ReportEntry
 
 
 _quote = json.encoder.encode_basestring_ascii  # the C encoder where there is one
+_WIDE = 2 ** 53
 
 
 def _json_text(value, indent: str = "") -> str:
@@ -356,37 +357,95 @@ def _json_text(value, indent: str = "") -> str:
     strings and tuples as lists.  Dict keys must be strings; a value of
     any other type is a TypeError.  ``indent`` is that of the line the
     value starts on.  (CPython's C encoder does not take ``indent``, so
-    json.dumps would run its pure-Python encoder instead.)"""
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return _quote(str(value)) if abs(value) >= 2 ** 53 else int.__repr__(value)
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if isinstance(value, float):
-        return json.dumps(value)  # repr, or NaN / Infinity / -Infinity
+    json.dumps would run its pure-Python encoder instead.)
+
+    The text goes to one list of parts, joined once.  The exact type of a
+    value picks its branch; a subclass of a JSON type (an IntEnum, say)
+    falls through to ``isinstance``."""
+    parts: list[str] = []
+    _write_json(value, indent, parts.append)
+    return "".join(parts)
+
+
+def _int_text(value: int) -> str:
+    return int.__repr__(value) if -_WIDE < value < _WIDE else _quote(str(value))
+
+
+def _write_json(value, indent: str, out) -> None:
+    kind = type(value)
+    if kind is str:
+        out(_quote(value))
+    elif kind is int:
+        out(_int_text(value))
+    elif kind is dict:
+        _write_dict(value, indent, out)
+    elif kind is list or kind is tuple:
+        _write_list(value, indent, out)
+    elif value is None:
+        out("null")
+    elif kind is bool:
+        out("true" if value else "false")
+    elif isinstance(value, int):
+        out(_int_text(value))
+    elif isinstance(value, str):
+        out(_quote(value))
+    elif isinstance(value, float):
+        out(json.dumps(value))  # repr, or NaN / Infinity / -Infinity
+    elif isinstance(value, dict):
+        _write_dict(value, indent, out)
+    elif isinstance(value, (list, tuple)):
+        _write_list(value, indent, out)
+    else:
+        raise TypeError(f"unserializable value {value!r}")
+
+
+def _write_dict(value: dict, indent: str, out) -> None:
+    if not value:
+        out("{}")
+        return
     inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [_quote(k) + ": " + _json_text(value[k], inner) for k in sorted(value)]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [_json_text(v, inner) for v in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    raise TypeError(f"unserializable value {value!r}")
+    head = "{\n" + inner
+    for k in sorted(value):
+        v = value[k]
+        kind = type(v)
+        # a string or an exact int joins its key, without a further call
+        if kind is str:
+            out(head + _quote(k) + ": " + _quote(v))
+        elif kind is int and -_WIDE < v < _WIDE:
+            out(head + _quote(k) + ": " + int.__repr__(v))
+        else:
+            out(head + _quote(k) + ": ")
+            _write_json(v, inner, out)
+        head = ",\n" + inner
+    out("\n" + indent + "}")
+
+
+def _write_list(value, indent: str, out) -> None:
+    if not value:
+        out("[]")
+        return
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if all(type(v) is int for v in value) and -_WIDE < min(value) and max(value) < _WIDE:
+        # exact ints, the bulk of a report, in one join
+        out("[\n" + inner + sep.join(map(int.__repr__, value)) + "\n" + indent + "]")
+        return
+    head = "[\n" + inner
+    for v in value:
+        out(head)
+        _write_json(v, inner, out)
+        head = sep
+    out("\n" + indent + "]")
 
 
 def emit_report(entries: list[ReportEntry], fmt: str = "json") -> str:
     if fmt == "json":
-        doc = {"version": "resip-report/1", "entries": [e.to_dict() for e in entries]}
-        return _json_text(doc) + "\n"
+        # {"entries": [...], "version": ...} as _json_text writes it, each
+        # entry joined on its own, so that no list of parts spans the report
+        if not entries:
+            return '{\n  "entries": [],\n  "version": "resip-report/1"\n}\n'
+        body = ",\n    ".join(_json_text(e.to_dict(), "    ") for e in entries)
+        return '{\n  "entries": [\n    ' + body + '\n  ],\n  "version": "resip-report/1"\n}\n'
     lines = []
     for e in entries:
         stamp = f"{e.elapsed_ms:8.1f} ms" if e.elapsed_ms is not None else ""

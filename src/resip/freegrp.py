@@ -111,7 +111,7 @@ def commutator(u: FreeWord, v: FreeWord) -> FreeWord:
     )
 
 
-_TOKEN = re.compile(r"^([a-zA-Z])(\d+)$")
+_TOKEN = re.compile(r"([xX])([0-9]+)")  # ASCII digits only: \d takes any Unicode digit
 
 
 def parse_word(text: str, rank: int) -> FreeWord:
@@ -121,7 +121,7 @@ def parse_word(text: str, rank: int) -> FreeWord:
         return FreeWord.identity(rank)
     letters = []
     for tok in tokens:
-        m = _TOKEN.match(tok)
+        m = _TOKEN.fullmatch(tok)
         if not m:
             raise InvalidSpec(f"bad word token {tok!r}")
         try:
@@ -130,7 +130,7 @@ def parse_word(text: str, rank: int) -> FreeWord:
             raise InvalidSpec(f"generator index of {len(m.group(2))} digits out of range 1..{rank}") from None
         if not 1 <= idx <= rank:
             raise InvalidSpec(f"generator index {idx} out of range 1..{rank}")
-        letters.append(idx if m.group(1).islower() else -idx)
+        letters.append(idx if m.group(1) == "x" else -idx)
     return FreeWord.from_letters(rank, letters)
 
 

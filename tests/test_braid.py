@@ -47,6 +47,18 @@ def test_parse_format_round_trip():
         parse_braid("t1", 3)
 
 
+@pytest.mark.parametrize("text", ["s\u0662", "S\uff11", "t1", "x1"])
+def test_braid_tokens_are_s_or_S_and_ascii_digits(text):
+    with pytest.raises(InvalidSpec, match="bad braid token"):
+        parse_braid(text, 3)
+
+
+def test_braid_index_beyond_int_conversion_is_invalid_spec():
+    # int() converts at most 4300 digits; a longer index is out of range
+    with pytest.raises(InvalidSpec, match="out of range"):
+        parse_braid("s" + "1" * 5000, 3)
+
+
 def test_beta_images():
     beta = artin_endo(beta_braid())
     assert format_word(beta.images[0]) == "x1 x3 X1"

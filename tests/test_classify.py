@@ -1,5 +1,6 @@
 """Verdict logic: torus bundles, BS(1,q), and free-fiber mapping tori."""
 
+import math
 import pathlib
 import random
 
@@ -349,11 +350,11 @@ def test_verdict_serialization_shape():
 _BROKEN_UNIPOTENCE = """
 import sys
 from resip import IntMatrix, InternalInvariant, classify
-from resip.intlin import UnipotenceResult
 
 assert sys.flags.optimize == 1
-# make the power route disagree with the charpoly route
-classify.is_unipotent_mod = lambda a, p: UnipotenceResult(False, None)
+# make the power route disagree with the charpoly route: no power of
+# A - I is zero mod any prime
+classify._power_chain = lambda a, modulus: [1] * a.n
 try:
     classify.torus_residually_p(IntMatrix.from_rows([[1, 1], [0, 1]]), 3)
 except InternalInvariant as exc:
@@ -400,7 +401,6 @@ def _run_optimized(script: str) -> str:
 _BROKEN_FIBERED_ROUTES = """
 import sys
 from resip import FreeEndo, InternalInvariant, MappingTorusSpec, classify, parse_word
-from resip.intlin import UnipotenceResult
 
 assert sys.flags.optimize == 1
 alpha = FreeEndo(
@@ -410,7 +410,7 @@ alpha = FreeEndo(
 )
 for label, attr, fake, phi in (
     # the powers deny a unipotence the gap gcd gives
-    ("powers", "is_unipotent_mod", lambda a, p: UnipotenceResult(False, None), FreeEndo.identity(2)),
+    ("powers", "_power_chain", lambda a, modulus: [1] * a.n, FreeEndo.identity(2)),
     # the gap gcd claims a unipotence the powers deny
     ("charpoly", "charpoly_exact", lambda a: classify.poly_pow_x_minus_one(a.n), alpha),
 ):
@@ -498,22 +498,26 @@ def test_torus_verdicts_match_the_per_prime_oracle():
 def test_torus_verdicts_run_the_power_route_only_where_the_gap_is_divisible(monkeypatch):
     from resip import classify
 
+    # one chain per matrix, modulo the product of the listed primes
+    # dividing g, and none when no listed prime divides g
     seen = []
-    monkeypatch.setattr(classify, "is_unipotent_mod", lambda a, p: seen.append(p) or is_unipotent_mod(a, p))
+    chain = classify._power_chain
+    monkeypatch.setattr(classify, "_power_chain", lambda a, modulus: seen.append(modulus) or chain(a, modulus))
     primes = primes_up_to(50)
     torus_verdicts(A_SOL, primes)  # g = |2 - tr A| = 1
     assert seen == []
     torus_verdicts(IntMatrix.from_rows([[-1, 0], [0, -1]]), primes)  # g = 4
     assert seen == [2]
     seen.clear()
-    torus_verdicts(IntMatrix.from_rows([[1, 1], [0, 1]]), primes)  # g = 0
-    assert seen == primes
+    torus_verdicts(IntMatrix.from_rows([[1, 1], [0, 1]]), primes + primes)  # g = 0
+    assert seen == [math.prod(primes)]
 
 
 def test_torus_verdicts_raise_when_the_power_route_disagrees(monkeypatch):
-    from resip import InternalInvariant, UnipotenceResult, classify
+    from resip import InternalInvariant, classify
 
-    monkeypatch.setattr(classify, "is_unipotent_mod", lambda a, p: UnipotenceResult(False, None))
+    # no power of A - I is zero mod any prime
+    monkeypatch.setattr(classify, "_power_chain", lambda a, modulus: [1] * a.n)
     with pytest.raises(InternalInvariant, match="by charpoly and by powers"):
         torus_verdicts(IntMatrix.identity(3), [2, 3])
     # on SL_2 too: the det(A - I) criterion is the charpoly one
@@ -576,6 +580,74 @@ def test_fibered_verdicts_match_the_oracle_on_every_shipped_task():
         assert [v.to_dict() for v in fibered_verdicts(spec, primes)] == fibered_verdicts_per_prime(spec, primes)
 
 
+def test_torus_verdicts_match_the_oracle_at_g_0_with_wide_entries():
+    # unipotent over Z, so g = 0, with entries of 10^6 and more; the
+    # factors 2, 6 and 30 make the index at 2, 3 and 5 differ from the rest
+    from resip.classify import _charpoly_gap
+
+    rng = random.Random(2013)
+    primes = primes_up_to(200)
+    for n in (2, 3, 4):
+        for _ in range(6):
+            u = IntMatrix.from_rows(
+                [
+                    [int(i == j) if i >= j else rng.choice((1, 2, 6, 30)) * rng.randint(10**6, 10**9) for j in range(n)]
+                    for i in range(n)
+                ]
+            )
+            c = rng.randint(10**6, 10**9)
+            e, e_inv = IntMatrix.identity(n).rows(), IntMatrix.identity(n).rows()
+            e[n - 1][0], e_inv[n - 1][0] = c, -c
+            a = IntMatrix.from_rows(e) * u * IntMatrix.from_rows(e_inv)
+            assert _charpoly_gap(a)[2] == 0
+            assert max(abs(x) for row in a.entries for x in row) >= 10**6
+            assert [v.to_dict() for v in torus_verdicts(a, primes)] == torus_verdicts_per_prime(a, primes)
+
+
+def _gap_30_automorphism() -> FreeEndo:
+    """An automorphism of F_4 acting on H_1 by
+    [[31, 30, 0, 0], [1, 1, 1, 0], [0, 0, 1, 3], [0, 0, 0, 1]]: g = 30,
+    and the nilpotency index of M - I is 3 mod 2 and mod 5, 2 mod 3."""
+    def inv(w):
+        return tuple(-a for a in reversed(w))
+
+    images = [(1,) * 31 + (2,), (1,) * 30 + (2,), (2, 3), (3, 3, 3, 4)]
+    w1 = (1, -2)
+    w2 = (2, -1) * 30 + (2,)
+    w3 = inv(w2) + (3,)
+    w4 = inv(w3) * 3 + (4,)
+    return FreeEndo.from_letters(4, images, [w1, w2, w3, w4])
+
+
+def test_verdicts_match_the_oracle_where_g_has_several_listed_primes():
+    from resip.classify import _charpoly_gap
+
+    primes = primes_up_to(200)
+    b = IntMatrix.from_rows([[31, 30], [1, 1]])  # g = |2 - tr A| = 30
+    flip = IntMatrix.from_rows([[0, 1], [1, 0]])
+    block = IntMatrix.from_rows([[31, 30, 0], [1, 1, 7], [0, 0, 1]])
+    for a in (b, flip * b * flip, block):
+        assert _charpoly_gap(a)[2] == 30
+        verdicts = [v.to_dict() for v in torus_verdicts(a, primes)]
+        assert verdicts == torus_verdicts_per_prime(a, primes)
+        assert [v["p"] for v in verdicts if v["outcome"] == RESIDUALLY_P] == [2, 3, 5]
+    # the same H_1 action as a free-group monodromy: x1 -> x1^31 x2, x2 -> x1^30 x2
+    spec = MappingTorusSpec(
+        FreeEndo.from_letters(2, [(1,) * 31 + (2,), (1,) * 30 + (2,)], [(1, -2), (2, -1) * 30 + (2,)])
+    )
+    assert abelianization_matrix(spec.fiber) == b
+    assert [v.to_dict() for v in fibered_verdicts(spec, primes)] == fibered_verdicts_per_prime(spec, primes)
+
+
+def test_fibered_verdicts_match_the_oracle_where_the_index_differs_between_primes():
+    spec = MappingTorusSpec(_gap_30_automorphism())
+    primes = primes_up_to(200)
+    verdicts = [v.to_dict() for v in fibered_verdicts(spec, primes)]
+    assert verdicts == fibered_verdicts_per_prime(spec, primes)
+    index = {v["p"]: v["certificate"]["nilpotency_index"] for v in verdicts if v["outcome"] == RESIDUALLY_P}
+    assert index == {2: 3, 3: 2, 5: 3}
+
+
 def test_undecided_is_exactly_a_qualifying_quotient_where_the_gap_is_prime_to_p():
     from resip.classify import _charpoly_gap
 
@@ -598,20 +670,21 @@ def test_fibered_verdicts_run_the_power_route_only_where_the_gap_is_divisible(mo
     from resip import classify
 
     seen = []
-    monkeypatch.setattr(classify, "is_unipotent_mod", lambda a, p: seen.append(p) or is_unipotent_mod(a, p))
+    chain = classify._power_chain
+    monkeypatch.setattr(classify, "_power_chain", lambda a, modulus: seen.append(modulus) or chain(a, modulus))
     primes = primes_up_to(50)
     fibered_verdicts(_alpha_spec(), primes)  # g = 1
     assert seen == []
-    fibered_verdicts(MappingTorusSpec(FreeEndo.identity(3)), primes)  # g = 0
-    assert seen == primes
+    fibered_verdicts(MappingTorusSpec(FreeEndo.identity(3)), primes + primes)  # g = 0
+    assert seen == [math.prod(primes)]
 
 
 def test_fibered_verdicts_raise_when_the_power_route_disagrees(monkeypatch):
-    from resip import InternalInvariant, UnipotenceResult, classify
+    from resip import InternalInvariant, classify
 
     # the powers deny a unipotence the gap gcd gives
     with monkeypatch.context() as m:
-        m.setattr(classify, "is_unipotent_mod", lambda a, p: UnipotenceResult(False, None))
+        m.setattr(classify, "_power_chain", lambda a, modulus: [1] * a.n)
         with pytest.raises(InternalInvariant, match="by charpoly and by powers"):
             fibered_verdicts(MappingTorusSpec(FreeEndo.identity(2)), [2, 3])
     # the gap gcd claims a unipotence the powers deny
@@ -626,7 +699,7 @@ def test_fibered_verdicts_reject_a_non_prime_before_any_matrix(monkeypatch):
     def refuse(*args):
         raise AssertionError("a matrix was built before the primes were checked")
 
-    monkeypatch.setattr(classify, "is_unipotent_mod", refuse)
+    monkeypatch.setattr(classify, "_power_chain", refuse)
     monkeypatch.setattr(classify, "abelianization_matrix", refuse)
     with pytest.raises(InvalidSpec, match="4 is not prime"):
         fibered_verdicts(MappingTorusSpec(FreeEndo.identity(2)), [2, 4])

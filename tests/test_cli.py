@@ -1,5 +1,6 @@
 """Task-file driving, report determinism, and exit codes."""
 
+import enum
 import json
 import pathlib
 from fractions import Fraction
@@ -152,13 +153,29 @@ _VALUES = st.recursive(
 )
 
 
+class _Level(enum.IntEnum):
+    LOW = 3
+    HIGH = 7
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(_VALUES)
 @example({"b": [], "a": {}, "c": ()})
 @example([2 ** 53 - 1, -(2 ** 53 - 1), 2 ** 53, -(2 ** 53), True, False, None])
 @example({"\u00e9\x00": "\u03bb\x1f\U0001f600", "": [float("nan"), float("inf"), -0.0, 1e300]})
+# the one-join path for lists of exact ints, and what must stay off it
+@example([1, True, 0])
+@example([2 ** 53 - 1, 2 ** 53])
+@example((3, -4))
+@example([[1, 2], [], [True]])
+@example([1, _Level.HIGH, 2])
+@example({"level": _Level.LOW, "n": 5})
 def test_json_text_matches_json_dumps(value):
     assert _json_text(value) == report_text_by_dumps(value)
+
+
+def test_empty_report_is_pinned():
+    assert emit_report([]) == '{\n  "entries": [],\n  "version": "resip-report/1"\n}\n'
 
 
 @pytest.mark.parametrize(
@@ -487,6 +504,17 @@ def test_non_prime_in_a_prime_list_is_one_invalid_spec_entry(capsys):
         assert entry["error"] == {"type": "InvalidSpec", "message": "4 is not prime"}
 
 
+@pytest.mark.parametrize("braid", ["s" + "1" * 5000, "s1 S\u0662"], ids=["5000-digit-index", "arabic-indic-digit"])
+def test_bad_braid_in_a_task_file_is_one_invalid_spec_entry(tmp_path, capsys, braid):
+    task = {"kind": "braid-cover", "strands": 3, "braid": braid, "modulus": 2, "assignments": [1, 1, 1]}
+    path = tmp_path / "tasks.json"
+    path.write_text(json.dumps({"version": 1, "tasks": [task]}))
+    assert main(["run", "--tasks", str(path)]) == 0
+    entry = _entry(capsys)
+    assert entry["status"] == "error" and "result" not in entry
+    assert entry["error"]["type"] == "InvalidSpec"
+
+
 def test_text_reports_summarize_witness_and_extension_results(capsys):
     assert main(BETA_WITNESS + ["--format", "text"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -553,9 +581,9 @@ def test_bad_tasks_do_not_abort_the_batch(monkeypatch):
 
 def test_internal_invariant_reaches_the_report(monkeypatch):
     from resip import classify
-    from resip.intlin import UnipotenceResult
 
-    monkeypatch.setattr(classify, "is_unipotent_mod", lambda a, p: UnipotenceResult(False, None))
+    # no power of A - I is zero mod any prime
+    monkeypatch.setattr(classify, "_power_chain", lambda a, modulus: [1] * a.n)
     doc = {"version": 1, "tasks": [{"kind": "torus", "matrix": [[1, 1], [0, 1]], "primes": [3]}]}
     (entry,) = run_tasks(parse_task_file(json.dumps(doc)))
     assert (entry.status, entry.error["type"]) == ("error", "InternalInvariant")

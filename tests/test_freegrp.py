@@ -52,6 +52,13 @@ def test_parse_and_format_round_trip():
         parse_word("y1z", 2)
 
 
+@pytest.mark.parametrize("text", ["y1 Q2", "a1", "x\u0662", "X\uff11"])
+def test_word_tokens_are_x_or_X_and_ascii_digits(text):
+    # other letters and non-ASCII digits once parsed as x and as digits
+    with pytest.raises(InvalidSpec, match="bad word token"):
+        parse_word(text, 2)
+
+
 def test_generator_index_beyond_int_conversion_is_invalid_spec():
     # int() converts at most 4300 digits; a longer index is out of range
     with pytest.raises(InvalidSpec, match="generator index of 5000 digits"):
