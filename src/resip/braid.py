@@ -9,10 +9,76 @@ first, so the endomorphism of "s1 S2" is (action of S2) after (action of s1).
 
 Braid text syntax mirrors word syntax: "s1 S2" with uppercase = inverse.
 
-Covers here are coset graphs of kernels of F_n -> Z/m (generator g sent to
-assignment a_g).  The Schreier basis is fixed by a breadth-first spanning
-tree from the base vertex with generators tried in index order, so induced
-homology matrices are reproducible bit for bit.
+Covers.  A cover is the coset graph of K = ker(chi), chi: F_n -> Z/m onto,
+x_k -> a_k.  Its vertices are Z/m with base 0; the edge labelled k at
+vertex v, written t^v e_k, runs from v to v + a_k.  So the 1-chains are
+Z[Z/m]^n, and H_1(K) is the group of 1-cycles (a graph has no 2-cells).
+The Schreier basis is fixed by a breadth-first spanning tree from the base
+with generators tried in index order: the loop of the non-tree edge
+(v, g) -> w is path(v) x_g path(w)^-1, and the loops are ordered by vertex
+then generator, so induced homology matrices are reproducible bit for bit.
+
+Cover homology from colored Fox Jacobians (Fox, "Free differential
+calculus I", Ann. of Math. 1953; the Burau matrix as the action on H_1 of a
+cyclic cover, Birman, "Braids, Links, and Mapping Class Groups", 1974).
+For a homomorphism c: F_n -> Z/m, write (dw/dx_l)^c for the Fox derivative
+of w with each group element g sent to t^c(g) in Z[Z/m], and J^c(phi) for
+the n x n matrix with entries J_kl = (d phi(x_k) / dx_l)^c: row k holds the
+derivatives of phi(x_k).  Write c0 = chi o phi.
+
+(1) Lift formula.  The path that reads w from vertex 0 has the 1-chain
+    sum_l (dw/dx_l)^chi e_l.  By induction on the length, with
+    d(uv) = du + u dv: after u the path stands at chi(u), so v's chain is
+    multiplied by t^chi(u); the letter x_l read at vertex s crosses t^s e_l
+    (dx_l/dx_l = 1), and x_l^-1 read at s crosses t^(s - a_l) e_l
+    backwards (dx_l^-1/dx_l = -x_l^-1).  A cancelling pair crosses one edge
+    both ways, so the chain depends only on the group element.  Read from
+    vertex e instead of 0, the chain is multiplied by t^e.
+
+(2) Image of a basis loop.  phi(u x_g) = phi(u) phi(x_g), so by (1) the
+    chain of phi(u x_g) read from 0 is that of phi(u) plus t^c0(u) times
+    row g of J^chi(phi): each edge a path crosses maps to row g shifted by
+    the c0-level of the path up to it.  Let P[v] be the chain of
+    phi(path(v)) and L[v] = c0(path(v)).  Along the tree edge u --g--> v,
+    P[v] = P[u] + t^L[u] J_g and L[v] = L[u] + c0(x_g), prefix sums in
+    breadth-first order from P[0] = 0, L[0] = 0.  The image of the loop
+    of the non-tree edge (v, g) -> w lies in K iff its c0-value
+    L[v] + c0(x_g) - L[w] is 0 mod m; then the way back, phi(path(w))^-1,
+    is read from level L[w], and the image's chain is
+    P[v] + t^L[v] J_g - P[w].  The basis loops generate K, so phi(K) lies
+    in K iff every basis loop passes; otherwise NotInvariant is raised.
+
+(3) Schreier coordinates are non-tree edge coefficients.  The loop of the
+    non-tree edge e crosses e once, forwards, and no other non-tree edge.
+    If z is a cycle with coefficient z_e on e, then z - sum_e z_e loop_e is
+    a cycle carried by the tree, and a tree carries no cycle but 0.  So
+    column j of the matrix is the image of loop j read at the non-tree
+    edges in basis order: what rewriting phi(loop j) in the Schreier basis
+    and abelianizing gives, without rewriting a word.
+
+(4) Chain rule with suffix colorings.  Fox's chain rule
+    d psi(w)/dx_l = sum_j psi(dw/dx_j) d psi(x_j)/dx_l, evaluated by c,
+    reads J^c(psi o rho) = J^(c o psi)(rho) J^c(psi).  For a braid
+    phi = phi_L o ... o phi_1 (letter 1 acts first) induction gives
+        J^chi(phi) = J^chi_1(phi_1) J^chi_2(phi_2) ... J^chi_L(phi_L),
+    chi_k = chi o phi_L o ... o phi_(k+1).  sigma_i^(+-1) sends x_i and
+    x_(i+1) to conjugates of x_(i+1) and x_i, so chi o sigma_i^(+-1) is chi
+    with a_i and a_(i+1) swapped: chi_k is chi with the assignments
+    permuted by the letters after k, and chi_0 = c0.  With colors b, the
+    factor is the identity except in rows i and i + 1:
+        sigma_i:     row i = (1 - t^b_(i+1)) e_i + t^b_i e_(i+1),
+                     row i+1 = e_i;
+        sigma_i^-1:  row i = e_(i+1),
+                     row i+1 = t^-b_(i+1) e_i
+                               + (t^(b_i - b_(i+1)) - t^-b_(i+1)) e_(i+1).
+    braid_cover_homology multiplies the factors in from the left, last
+    letter first, swapping two colors after each, so the colors end as c0.
+    Each letter rewrites two rows of n entries of Z[Z/m]; no image word is
+    formed, and the cost is linear in the braid's length.
+
+A row of J is stored vertex-major: entry v*n + l - 1 is the coefficient of
+t^v e_l, so multiplying by t^s rotates the list by s*n places, and a chain
+of the cover is a list of the same shape.
 
 Cyclotomic test: the roots of a monic integer polynomial are all roots of
 unity iff dividing out each Phi_k with phi(k) <= deg, as often as it
@@ -25,10 +91,10 @@ from __future__ import annotations
 import re
 from functools import cached_property, lru_cache
 from math import gcd
-from typing import Optional
+from operator import mul
 
 from .errors import InternalInvariant, InvalidSpec, NotInvariant, NotTransitive, RankMismatch
-from .freegrp import FreeEndo, FreeWord, apply_endo, substitute
+from .freegrp import FreeEndo, FreeWord, substitute
 from .intlin import IntMatrix, poly_divmod
 from .record import Record
 
@@ -191,60 +257,43 @@ class CoverGraph(Record):
         return total % self.modulus
 
     @cached_property
-    def _spanning_tree(self) -> tuple[Optional[tuple[int, int]], ...]:
-        """parent[v] = (u, g) for the BFS tree edge u --g--> v; None at base."""
+    def _tree_edges(self) -> tuple[tuple[int, int, int], ...]:
+        """The BFS tree edges u --g--> v, in the order the BFS finds them,
+        so each u is the base or an earlier edge's v."""
         m = self.modulus
-        parent: list[Optional[tuple[int, int]]] = [None] * m
+        edges = []
         seen = [False] * m
         seen[0] = True
         queue = [0]
-        while queue:
-            v = queue.pop(0)
+        for u in queue:
             for g in range(1, self.rank + 1):
-                w = (v + self.assignments[g - 1]) % m
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = (v, g)
-                    queue.append(w)
+                v = (u + self.assignments[g - 1]) % m
+                if not seen[v]:
+                    seen[v] = True
+                    edges.append((u, g, v))
+                    queue.append(v)
         if not all(seen):
             raise NotTransitive("cover graph disconnected")
-        return tuple(parent)
+        return tuple(edges)
 
     @cached_property
-    def _tree_paths(self) -> tuple[tuple[int, ...], ...]:
-        """Letter sequence of the tree path base -> v, for each vertex v."""
-        parent = self._spanning_tree
-        paths: list[Optional[tuple[int, ...]]] = [None] * self.modulus
-        paths[0] = ()
-
-        def path(v: int) -> tuple[int, ...]:
-            if paths[v] is None:
-                u, g = parent[v]
-                paths[v] = path(u) + (g,)
-            return paths[v]
-
-        for v in range(self.modulus):
-            path(v)
-        return tuple(paths)  # type: ignore[arg-type]
-
-    @cached_property
-    def _edge_index(self) -> dict[tuple[int, int], int]:
-        """Non-tree edge (v, g) -> its 1-based index in the Schreier basis,
-        in order of vertex then generator."""
-        tree = {(pg[0], pg[1], v) for v, pg in enumerate(self._spanning_tree) if pg is not None}
-        edges = []
-        for v in range(self.modulus):
-            for g in range(1, self.rank + 1):
-                w = (v + self.assignments[g - 1]) % self.modulus
-                if (v, g, w) not in tree:
-                    edges.append((v, g))
-        return {edge: i for i, edge in enumerate(edges, start=1)}
+    def _schreier_edges(self) -> tuple[tuple[int, int], ...]:
+        """The non-tree edges (v, g), in order of vertex then generator."""
+        tree = {(u, g) for u, g, _ in self._tree_edges}
+        return tuple(
+            (v, g)
+            for v in range(self.modulus)
+            for g in range(1, self.rank + 1)
+            if (v, g) not in tree
+        )
 
     @cached_property
     def _basis(self) -> tuple[FreeWord, ...]:
-        paths = self._tree_paths
+        paths: list[tuple[int, ...]] = [()] * self.modulus
+        for u, g, v in self._tree_edges:
+            paths[v] = paths[u] + (g,)
         words = []
-        for v, g in self._edge_index:
+        for v, g in self._schreier_edges:
             w = (v + self.assignments[g - 1]) % self.modulus
             letters = paths[v] + (g,) + tuple(-a for a in reversed(paths[w]))
             words.append(FreeWord.from_letters(self.rank, letters))
@@ -253,36 +302,11 @@ class CoverGraph(Record):
     def schreier_edges(self) -> list[tuple[int, int]]:
         """Non-tree edges (v, g), the index set of the Schreier basis,
         ordered by vertex then generator."""
-        return list(self._edge_index)
+        return list(self._schreier_edges)
 
     def schreier_basis_words(self) -> list[FreeWord]:
         """The basis loops: tree path to v, edge g, tree path back."""
         return list(self._basis)
-
-    def trace_loop(self, w: FreeWord) -> tuple[int, ...]:
-        """Read w as a loop at the base; return its letters in the Schreier
-        basis (signed indices).  NotInvariant if w does not close up."""
-        if w.rank != self.rank:
-            raise RankMismatch("word rank differs from cover rank")
-        index = self._edge_index
-        out: list[int] = []
-        v = 0
-        for a in w.letters:
-            g = abs(a)
-            step = self.assignments[g - 1]
-            if a > 0:
-                edge = (v, g)
-                v = (v + step) % self.modulus
-                if edge in index:
-                    out.append(index[edge])
-            else:
-                v = (v - step) % self.modulus
-                edge = (v, g)
-                if edge in index:
-                    out.append(-index[edge])
-        if v != 0:
-            raise NotInvariant("word is not a loop at the base vertex")
-        return tuple(out)
 
 
 def cover_from_finite_quotient(rank: int, assignments, modulus: int) -> CoverGraph:
@@ -291,42 +315,142 @@ def cover_from_finite_quotient(rank: int, assignments, modulus: int) -> CoverGra
     return CoverGraph(rank, modulus, reduced)
 
 
-def endo_preserves_cover(phi: FreeEndo, cover: CoverGraph) -> bool:
-    """Does phi map the cover subgroup into itself?
+def _unit_combination(modulus: int, assignments: tuple[int, ...]) -> list[int]:
+    """lambda with sum_k lambda_k a_k = gcd(m, a_1, ..., a_n) mod m.
 
-    Checked on the Schreier generators: each basis loop's image must again
-    be readable as a loop, i.e. die under chi.  (Checking chi(phi(x_i)) =
-    chi(x_i) for all i is sufficient but not necessary; the subgroup only
-    needs chi(phi(w)) = 0 whenever chi(w) = 0.)
+    Extended Euclid folded over the a_k keeps g = sum_k lambda_k a_k mod m,
+    from g = m and lambda = 0: if s g + t a_k = gcd(g, a_k), the new lambda
+    is s lambda + t e_k."""
+    g, lam = modulus, [0] * len(assignments)
+    for k, a in enumerate(assignments):
+        # both triples keep r = s g + t a
+        r0, s0, t0, r1, s1, t1 = g, 1, 0, a, 0, 1
+        while r1:
+            q = r0 // r1
+            r0, s0, t0, r1, s1, t1 = r1, s1, t1, r0 - q * r1, s0 - q * s1, t0 - q * t1
+        g = r0
+        lam = [s0 * x for x in lam]
+        lam[k] = t0
+    return lam
+
+
+def endo_preserves_cover(phi: FreeEndo, cover: CoverGraph) -> bool:
+    """Does phi map the cover subgroup K = ker(chi) into itself?
+
+    Criterion: phi(K) <= K iff chi o phi = u chi for some u in Z/m, and
+    then u = sum_k lambda_k chi(phi(x_k)) for any lambda with
+    sum_k lambda_k a_k = 1 mod m.  So it suffices to compute that u and
+    check chi(phi(x_k)) = u a_k for every k.
+
+    Proof.  If chi o phi = u chi, then chi(phi(w)) = u chi(w) = 0 for w in
+    K.  Conversely, if phi(K) <= K then chi o phi kills K, so it factors
+    through F/K, which chi maps onto Z/m (CoverGraph requires chi onto):
+    chi o phi = f o chi for an endomorphism f of Z/m, that is, multiplication
+    by some u.  Such lambda exist since the a_k generate Z/m, and then
+    sum_k lambda_k chi(phi(x_k)) = u sum_k lambda_k a_k = u.  Two
+    homomorphisms that agree on the generators x_k are equal.
     """
     if phi.rank != cover.rank:
         raise RankMismatch("endo rank differs from cover rank")
-    return all(
-        cover.chi(apply_endo(phi, s)) == 0 for s in cover.schreier_basis_words()
-    )
+    m = cover.modulus
+    values = [cover.chi(w) for w in phi.images]
+    u = sum(map(mul, _unit_combination(m, cover.assignments), values))
+    return all((c - u * a) % m == 0 for c, a in zip(values, cover.assignments))
+
+
+def _shift(row: list[int], s: int, n: int, m: int) -> list[int]:
+    """t^s times a vertex-major row or chain: entry v*n + l - 1 moves to
+    (v + s)*n + l - 1."""
+    cut = s % m * n
+    return row[-cut:] + row[:-cut]  # cut = 0 gives a copy of row
+
+
+def _cover_matrix(cover: CoverGraph, rows: list[list[int]], c0: list[int]) -> IntMatrix:
+    """The matrix of phi on H_1 of the cover, from the rows of J^chi(phi)
+    and c0[k] = chi(phi(x_(k+1))), by (2) and (3) of the module docstring.
+    NotInvariant unless every basis loop maps into the cover subgroup."""
+    n, m = cover.rank, cover.modulus
+    chains: list[list[int]] = [[0] * (n * m)] * m  # P[v]; every v is set below
+    levels = [0] * m  # L[v]
+    for u, g, v in cover._tree_edges:
+        step = _shift(rows[g - 1], levels[u], n, m)
+        chains[v] = [x + y for x, y in zip(chains[u], step)]
+        levels[v] = (levels[u] + c0[g - 1]) % m
+    edges = cover._schreier_edges
+    if len(edges) != cover.subgroup_rank:
+        raise InternalInvariant("Schreier basis size differs from the subgroup rank")
+    positions = [v * n + g - 1 for v, g in edges]
+    columns = []
+    for v, g in edges:
+        w = (v + cover.assignments[g - 1]) % m
+        if (levels[v] + c0[g - 1] - levels[w]) % m:
+            raise NotInvariant("endomorphism does not preserve the cover subgroup")
+        step = _shift(rows[g - 1], levels[v], n, m)
+        image = [x + y - z for x, y, z in zip(chains[v], step, chains[w])]
+        columns.append([image[p] for p in positions])
+    return IntMatrix._trusted(tuple(zip(*columns)))
 
 
 def induced_cover_homology(phi: FreeEndo, cover: CoverGraph) -> IntMatrix:
     """Matrix of phi on H_1 of the cover in the fixed Schreier basis.
 
-    Column j is the abelianized rewrite of phi(basis loop j).
+    Row k of J^chi(phi) is the chain of phi(x_k) read from the base, (1) of
+    the module docstring, so one pass over the image words builds J and c0;
+    the matrix is then read off J as the braid path reads it.
     """
     if phi.rank != cover.rank:
         raise RankMismatch("endo rank differs from cover rank")
-    images = [apply_endo(phi, s) for s in cover.schreier_basis_words()]
-    if any(cover.chi(w) != 0 for w in images):  # as endo_preserves_cover
-        raise NotInvariant("endomorphism does not preserve the cover subgroup")
-    r = cover.subgroup_rank
-    if len(images) != r:
-        raise InternalInvariant("Schreier basis size differs from the subgroup rank")
-    cols = []
-    for image in images:
-        letters = cover.trace_loop(image)
-        sums = [0] * r
-        for a in letters:
-            sums[abs(a) - 1] += 1 if a > 0 else -1
-        cols.append(sums)
-    return IntMatrix.from_rows([[cols[j][i] for j in range(r)] for i in range(r)])
+    n, m, a = cover.rank, cover.modulus, cover.assignments
+    rows, c0 = [], []
+    for word in phi.images:
+        row = [0] * (n * m)
+        s = 0
+        for x in word.letters:
+            if x > 0:
+                row[s * n + x - 1] += 1
+                s = (s + a[x - 1]) % m
+            else:
+                s = (s - a[-x - 1]) % m
+                row[s * n - x - 1] -= 1
+        rows.append(row)
+        c0.append(s)
+    return _cover_matrix(cover, rows, c0)
+
+
+def braid_cover_homology(b: BraidWord, cover: CoverGraph) -> IntMatrix:
+    """Matrix of the braid's automorphism on H_1 of the cover, equal to
+    induced_cover_homology(artin_endo(b), cover) but built letter by letter
+    from colored Burau factors, (4) of the module docstring, without the
+    automorphism or any image word."""
+    n, m = b.strands, cover.modulus
+    if cover.rank != n:
+        raise RankMismatch("braid strand count differs from cover rank")
+    rows = [[0] * (n * m) for _ in range(n)]
+    for k in range(n):
+        rows[k][k] = 1  # J of the identity: e_k at vertex 0
+    colors = list(cover.assignments)
+    for a in reversed(b.letters):
+        i = abs(a)  # rows i - 1 and i hold rows i and i + 1 of J
+        first, second = rows[i - 1], rows[i]
+        bi, bj = colors[i - 1], colors[i]
+        if a > 0:
+            rows[i - 1] = [
+                x - y + z
+                for x, y, z in zip(first, _shift(first, bj, n, m), _shift(second, bi, n, m))
+            ]
+            rows[i] = first
+        else:
+            rows[i - 1] = second
+            rows[i] = [
+                x + y - z
+                for x, y, z in zip(
+                    _shift(first, -bj, n, m),
+                    _shift(second, bi - bj, n, m),
+                    _shift(second, -bj, n, m),
+                )
+            ]
+        colors[i - 1], colors[i] = bj, bi
+    return _cover_matrix(cover, rows, colors)
 
 
 def _totients(limit: int) -> list[int]:

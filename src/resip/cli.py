@@ -36,10 +36,9 @@ import time
 from typing import Optional
 
 from .braid import (
-    artin_endo,
+    braid_cover_homology,
     braid_permutation,
     cover_from_finite_quotient,
-    induced_cover_homology,
     is_cyclotomic_product,
     parse_braid,
     permutation_order,
@@ -55,7 +54,7 @@ from .classify import (
     torus_residually_p,  # noqa: F401  perfbench's tracing tests wrap and restore this binding
     torus_verdicts,
 )
-from .errors import CapExceeded, InvalidSpec, ResipError, SchemaError
+from .errors import CapExceeded, InternalInvariant, InvalidSpec, ResipError, SchemaError
 from .extension import (
     BilinearCocycle,
     CircleBundleSpec,
@@ -68,7 +67,6 @@ from .freegrp import FreeEndo, MappingTorusElement, MappingTorusSpec, parse_word
 from .intlin import (
     IntMatrix,
     charpoly_exact,
-    det_exact,
     poly_divmod,
     primes_up_to,
 )
@@ -258,12 +256,17 @@ def run_task(task: Task, caps: Caps) -> dict:
         strands = payload["strands"]
         braid = parse_braid(payload["braid"], strands)
         perm, pure = braid_permutation(braid)
-        endo = artin_endo(braid)
         cover = cover_from_finite_quotient(
             strands, payload["assignments"], payload["modulus"]
         )
-        matrix = induced_cover_homology(endo, cover)
+        matrix = braid_cover_homology(braid, cover)
         cp = charpoly_exact(matrix)
+        # det M = (-1)^r cp(0).  A braid is an automorphism phi, and one
+        # that preserves K = ker chi has chi o phi = u chi with u a unit, so
+        # phi(K) = K and its action on H_1(K) is invertible: det = +-1.
+        det = cp[-1] if matrix.n % 2 == 0 else -cp[-1]
+        if det not in (1, -1):
+            raise InternalInvariant(f"cover homology has determinant {det}, not +-1")
         divisor_reports = []
         for div in payload.get("divisors", []):
             if next((c for c in div if c), 0) != 1:
@@ -285,7 +288,7 @@ def run_task(task: Task, caps: Caps) -> dict:
             "cover_rank": cover.subgroup_rank,
             "matrix": [list(r) for r in matrix.entries],
             "charpoly": list(cp),
-            "det": det_exact(matrix),
+            "det": det,
             "divisors": divisor_reports,
         }
     if task.kind == "witness":

@@ -28,9 +28,11 @@ from resip import (
     LatticeChainInvariants,
     ModMatrix,
     NOT_RESIDUALLY_P,
+    NotInvariant,
     NotInvertibleMod,
     PrimeSet,
     RESIDUALLY_P,
+    RankMismatch,
     RankTooSmall,
     SeriesSubstitution,
     TruncatedSeries,
@@ -487,6 +489,54 @@ def artin_endo_by_composition(b) -> FreeEndo:
     for a in b.letters:
         endo = compose_endos(_elementary_endo(b.strands, a), endo)
     return endo
+
+
+def trace_loop(cover, w: FreeWord) -> tuple[int, ...]:
+    """Read w as a loop at the cover's base; its letters in the Schreier
+    basis (signed 1-based indices).  NotInvariant if w does not close up."""
+    if w.rank != cover.rank:
+        raise RankMismatch("word rank differs from cover rank")
+    index = {edge: i for i, edge in enumerate(cover.schreier_edges(), start=1)}
+    out: list[int] = []
+    v = 0
+    for a in w.letters:
+        g = abs(a)
+        step = cover.assignments[g - 1]
+        if a > 0:
+            edge = (v, g)
+            v = (v + step) % cover.modulus
+            if edge in index:
+                out.append(index[edge])
+        else:
+            v = (v - step) % cover.modulus
+            edge = (v, g)
+            if edge in index:
+                out.append(-index[edge])
+    if v != 0:
+        raise NotInvariant("word is not a loop at the base vertex")
+    return tuple(out)
+
+
+def endo_preserves_cover_by_rewriting(phi: FreeEndo, cover) -> bool:
+    """Does every Schreier basis loop's image die under chi?"""
+    return all(cover.chi(apply_endo(phi, s)) == 0 for s in cover.schreier_basis_words())
+
+
+def induced_cover_homology_by_rewriting(phi: FreeEndo, cover) -> IntMatrix:
+    """phi on H_1 of the cover: apply phi to each Schreier basis loop,
+    rewrite the image in the basis by trace_loop and abelianize it; the
+    image of loop j is column j."""
+    images = [apply_endo(phi, s) for s in cover.schreier_basis_words()]
+    if any(cover.chi(w) != 0 for w in images):
+        raise NotInvariant("endomorphism does not preserve the cover subgroup")
+    r = cover.subgroup_rank
+    cols = []
+    for image in images:
+        sums = [0] * r
+        for a in trace_loop(cover, image):
+            sums[abs(a) - 1] += 1 if a > 0 else -1
+        cols.append(sums)
+    return IntMatrix.from_rows([[cols[j][i] for j in range(r)] for i in range(r)])
 
 
 def endo_power_by_composition(phi: FreeEndo, k: int) -> FreeEndo:

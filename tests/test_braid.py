@@ -1,16 +1,27 @@
 """Artin action, braid permutations, cyclic covers, induced homology."""
 
+import json
+import math
 import random
+import time
 
 import pytest
 
-from oracles import artin_endo_by_composition
+from oracles import (
+    artin_endo_by_composition,
+    endo_preserves_cover_by_rewriting,
+    induced_cover_homology_by_rewriting,
+    random_certified_automorphism,
+    trace_loop,
+)
 from resip import braid as braid_module
+from resip import cli
 from resip import (
     BraidWord,
     CoverGraph,
     FreeEndo,
     FreeWord,
+    IntMatrix,
     InvalidSpec,
     NotInvariant,
     NotTransitive,
@@ -18,6 +29,7 @@ from resip import (
     apply_endo,
     artin_endo,
     beta_braid,
+    braid_cover_homology,
     braid_permutation,
     charpoly_exact,
     compose_endos,
@@ -29,6 +41,7 @@ from resip import (
     format_word,
     induced_cover_homology,
     is_cyclotomic_product,
+    nielsen_transvection,
     parse_braid,
     parse_word,
     permutation_order,
@@ -252,15 +265,133 @@ def test_schreier_data_are_copies_of_one_computation():
 
 def test_trace_loop_requires_closure():
     cover = cover_from_finite_quotient(2, (1, 0), 2)
-    assert cover.trace_loop(parse_word("x1 x1", 2))  # closes at the base
+    assert trace_loop(cover, parse_word("x1 x1", 2))  # closes at the base
     with pytest.raises(NotInvariant):
-        cover.trace_loop(parse_word("x1", 2))
+        trace_loop(cover, parse_word("x1", 2))
 
 
 def test_trace_loop_rewrites_basis_words_to_single_letters():
     cover = cover_from_finite_quotient(3, (1, 1, 1), 2)
     for i, w in enumerate(cover.schreier_basis_words(), start=1):
-        assert cover.trace_loop(w) == (i,)
+        assert trace_loop(cover, w) == (i,)
+
+
+def _random_cover(rng, rank, mixed):
+    """A cover of F_rank of index at most 7; constant assignments (a unit)
+    unless mixed, so every braid preserves it."""
+    m = rng.randint(1, 7)
+    if not mixed:
+        unit = rng.choice([a for a in range(m) if math.gcd(a, m) == 1])
+        return cover_from_finite_quotient(rank, [unit] * rank, m)
+    while True:
+        assignments = [rng.randrange(m) for _ in range(rank)]
+        if math.gcd(m, *assignments) == 1:
+            return cover_from_finite_quotient(rank, assignments, m)
+
+
+def _homology_or_refusal(route, *args):
+    try:
+        return route(*args).entries
+    except NotInvariant:
+        return "NotInvariant"
+
+
+def test_braid_cover_homology_matches_schreier_rewriting():
+    # the Fox-Jacobian kernel against apply_endo on the basis loops and
+    # trace_loop, refusals included
+    rng = random.Random(4111)
+    outcomes = {"matrix": 0, "NotInvariant": 0}
+    for _ in range(1200):
+        strands = rng.randint(2, 5)
+        letters = tuple(
+            rng.choice([-1, 1]) * rng.randint(1, strands - 1) for _ in range(rng.randint(0, 12))
+        )
+        b = BraidWord(strands, letters)
+        cover = _random_cover(rng, strands, mixed=rng.random() < 0.4)
+        expected = _homology_or_refusal(induced_cover_homology_by_rewriting, artin_endo(b), cover)
+        assert _homology_or_refusal(braid_cover_homology, b, cover) == expected, (b, cover)
+        outcomes["NotInvariant" if expected == "NotInvariant" else "matrix"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_induced_cover_homology_matches_schreier_rewriting():
+    beta = artin_endo(beta_braid())
+    cases = [(endo_power(beta, k), cover_from_finite_quotient(3, (1, 1, 1), m)) for k in (1, 3) for m in (2, 3, 5)]
+    cases += [
+        (nielsen_transvection(rank, i, j), cover_from_finite_quotient(rank, assignments, m))
+        for rank, i, j, assignments, m in [
+            (3, 1, 2, (1, 1, 1), 2),  # x1 -> x1 x2 moves chi(x1) from 1 to 0: refused
+            (3, 1, 2, (1, 0, 1), 2),
+            (3, 2, 3, (1, 2, 0), 4),
+            (2, 1, 2, (1, 0), 5),
+            (2, 2, 1, (3, 0), 4),
+            (4, 4, 1, (2, 1, 3, 0), 6),
+        ]
+    ]
+    refused = 0
+    for phi, cover in cases:
+        expected = _homology_or_refusal(induced_cover_homology_by_rewriting, phi, cover)
+        assert _homology_or_refusal(induced_cover_homology, phi, cover) == expected
+        refused += expected == "NotInvariant"
+    assert 0 < refused < len(cases)
+
+
+def _random_endo(rng, rank):
+    """A certified automorphism (rank >= 2), or an endo with random images."""
+    if rank >= 2 and rng.random() < 0.5:
+        return random_certified_automorphism(rng, rank)
+    images = [
+        FreeWord.from_letters(rank, [rng.choice([-1, 1]) * rng.randint(1, rank) for _ in range(rng.randint(0, 6))])
+        for _ in range(rank)
+    ]
+    return FreeEndo(rank, tuple(images))
+
+
+def test_endo_preserves_cover_closed_form_matches_rewriting():
+    rng = random.Random(4127)
+    outcomes = {True: 0, False: 0}
+    for _ in range(600):
+        rank = rng.randint(1, 4)
+        phi = _random_endo(rng, rank)
+        cover = _random_cover(rng, rank, mixed=True)
+        preserved = endo_preserves_cover(phi, cover)
+        assert preserved == endo_preserves_cover_by_rewriting(phi, cover), (phi, cover)
+        homology = _homology_or_refusal(induced_cover_homology, phi, cover)
+        assert homology == _homology_or_refusal(induced_cover_homology_by_rewriting, phi, cover)
+        assert (homology == "NotInvariant") == (not preserved)
+        outcomes[preserved] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_long_braid_cover_answers_quickly(capsys):
+    start = time.perf_counter()
+    argv = ["braid-cover", "--strands", "3", "--braid", "s1 S2 " * 20, "--modulus", "5",
+            "--assignments", "1,1,1", "--format", "json"]
+    assert cli.main(argv) == 0
+    assert time.perf_counter() - start < 5.0
+    assert '"status": "ok"' in capsys.readouterr().out
+
+
+def test_singular_cover_homology_is_one_error_entry(tmp_path, capsys, monkeypatch):
+    # det = +-1 is checked by an explicit raise, so it also runs under -O
+    genuine = cli.braid_cover_homology
+
+    def singular(b, cover):
+        if b.letters == (1,):
+            return IntMatrix.from_rows([[0] * cover.subgroup_rank] * cover.subgroup_rank)
+        return genuine(b, cover)
+
+    monkeypatch.setattr(cli, "braid_cover_homology", singular)
+    cover = {"kind": "braid-cover", "strands": 3, "modulus": 2, "assignments": [1, 1, 1]}
+    tasks = [dict(cover, id="ok-before", braid="s1 S2"), dict(cover, id="singular", braid="s1"),
+             dict(cover, id="ok-after", braid="S2")]
+    path = tmp_path / "tasks.json"
+    path.write_text(json.dumps({"version": 1, "tasks": tasks}))
+    assert cli.main(["run", "--tasks", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [e["status"] for e in report["entries"]] == ["ok", "error", "ok"]
+    assert report["entries"][1]["error"]["type"] == "InternalInvariant"
+    assert [e["result"]["det"] for e in report["entries"][::2]] == [1, -1]
 
 
 def test_cover_graph_validation():

@@ -79,3 +79,34 @@ def test_fibered_tasks_build_the_h1_action_once(path, capsys, monkeypatch):
     assert main(["run", "--tasks", str(path)]) == 0
     capsys.readouterr()
     assert len(calls) == _fibered_task_count(path)
+
+
+def test_braid_cover_reports_build_no_automorphism(capsys, monkeypatch):
+    # braid-cover tasks read the cover homology off colored Fox Jacobians:
+    # while one runs, building the Artin automorphism, a FreeEndo or an
+    # image word, or applying an endo, raises
+    from resip import braid, cli, freegrp
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the braid-cover path expanded the braid")
+
+    patches = [
+        (braid, "artin_endo"), (braid, "substitute"), (freegrp, "substitute"),
+        (freegrp, "apply_endo"), (freegrp.FreeEndo, "__init__"), (freegrp.FreeWord, "__init__"),
+        (freegrp.FreeWord, "_trusted"),
+    ]
+    genuine = cli.run_task
+
+    def run_task(task, caps):
+        if task.kind != "braid-cover":
+            return genuine(task, caps)
+        with pytest.MonkeyPatch.context() as mp:
+            for owner, name in patches:
+                mp.setattr(owner, name, refuse)
+            return genuine(task, caps)
+
+    monkeypatch.setattr(cli, "run_task", run_task)
+    path = ROOT / "tasks" / "beta-braid.json"
+    assert main(["run", "--tasks", str(path)]) == 0
+    expected = (ROOT / "tests" / "golden" / path.name).read_text()
+    assert capsys.readouterr().out == expected
