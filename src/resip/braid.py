@@ -80,22 +80,45 @@ A row of J is stored vertex-major: entry v*n + l - 1 is the coefficient of
 t^v e_l, so multiplying by t^s rotates the list by s*n places, and a chain
 of the cover is a list of the same shape.
 
-Cyclotomic test: the roots of a monic integer polynomial are all roots of
-unity iff dividing out each Phi_k with phi(k) <= deg, as often as it
-divides exactly, leaves 1.  Phi_k itself is x^k - 1 divided by Phi_d for
-the proper divisors d of k, so no factorisation is needed.
+Cyclotomic test, by Dandelin-Graeffe root squaring (Bradford and
+Davenport, "Effective tests for cyclotomic polynomials", ISSAC '88, LNCS
+358).  For f of degree d, G(f)(x^2) = (-1)^d f(x) f(-x) defines G(f): its
+roots are the squares of those of f, and it is monic if f is.  Claim: for
+f monic over Z with f(0) != 0 and S = d.bit_length(), every root of f is
+a root of unity iff G^(S+1)(f) = G^S(f).
+
+(a) G is multiplicative.  Squaring permutes the primitive k-th roots of
+    unity for odd k, maps them one to one onto the primitive (k/2)-th
+    roots for k = 2 mod 4, and two to one for 4 | k; by degree, G(Phi_k)
+    is Phi_k, Phi_(k/2) and Phi_(k/2)^2 in these cases.
+(b) If every root of f is a root of unity, f is the product of their
+    minimal polynomials Phi_k, with phi(k) <= d.  As
+    phi(k) >= 2^(v_2(k) - 1) and d < 2^S, v_2(k) <= S.  By (a) each step
+    halves every even k and keeps every odd one, so G fixes G^S(f).
+(c) If G(g) = g for g = G^s(f), squaring maps the roots of g, none 0,
+    onto themselves, so it permutes them and some power of it, the t-th
+    with t >= 1, is the identity: beta^(2^t - 1) = 1 for each root beta.
+    Each root alpha of f has alpha^(2^s) among them, so it is a root of
+    unity.
+
+is_cyclotomic_product applies G at most S + 1 times and answers True at
+the first fixed point, by (c).  It answers False once an iterate has a
+coefficient of x^(d-i) above C(d, i) in absolute value, the bound on the
+i-th elementary symmetric function of d roots on the unit circle: by (a)
+every iterate of a product of Phi_k is one.  This keeps the integers
+small.
 """
 
 from __future__ import annotations
 
 import re
 from functools import cached_property, lru_cache
-from math import gcd
+from math import comb, gcd
 from operator import mul
 
 from .errors import InternalInvariant, InvalidSpec, NotInvariant, NotTransitive, RankMismatch
 from .freegrp import FreeEndo, FreeWord, substitute
-from .intlin import IntMatrix, poly_divmod
+from .intlin import IntMatrix
 from .record import Record
 
 
@@ -453,36 +476,20 @@ def braid_cover_homology(b: BraidWord, cover: CoverGraph) -> IntMatrix:
     return _cover_matrix(cover, rows, colors)
 
 
-def _totients(limit: int) -> list[int]:
-    """phi(k) for 0 <= k <= limit, by a sieve over the primes."""
-    phi = list(range(limit + 1))
-    for q in range(2, limit + 1):
-        if phi[q] == q:  # untouched so far: q is prime
-            for k in range(q, limit + 1, q):
-                phi[k] -= phi[k] // q
-    return phi
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic(k: int) -> tuple[int, ...]:
-    """Phi_k: x^k - 1 divided by Phi_d for each proper divisor d of k."""
-    poly = (1,) + (0,) * (k - 1) + (-1,)
-    for d in range(1, k):
-        if k % d == 0:
-            poly = poly_divmod(poly, _cyclotomic(d))[0]
-    return poly
+def _graeffe(f: list[int]) -> list[int]:
+    """G(f) of the module docstring, in descending coefficients."""
+    twisted = [-c if i % 2 else c for i, c in enumerate(f)]  # (-1)^d f(-x)
+    product = [0] * (2 * len(f) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(twisted, i):
+            product[j] += a * b
+    return product[::2]  # the odd coefficients of an even polynomial are 0
 
 
 def is_cyclotomic_product(coeffs: tuple[int, ...]) -> bool:
-    """Does the integer polynomial, up to its content, divide a product of
-    cyclotomics, i.e. are all its roots roots of unity?
-
-    Criterion: divide out each Phi_k with phi(k) <= deg, as often as it
-    divides exactly; the polynomial is a product of cyclotomics iff what
-    is left is 1.  Since phi(k) >= sqrt(k/2), every such k is at most
-    2 deg^2 + 1.  A constant is an empty product; x is not one, because
-    the root 0 is not a root of unity.
-    """
+    """Is the integer polynomial, up to its content, a product of
+    cyclotomics?  Decided by root squaring (module docstring).  A constant
+    is an empty product; x is not one, since 0 is not a root of unity."""
     poly = list(coeffs)
     while len(poly) > 1 and poly[0] == 0:
         poly.pop(0)
@@ -491,16 +498,17 @@ def is_cyclotomic_product(coeffs: tuple[int, ...]) -> bool:
         return True
     content = gcd(*poly) if poly[0] > 0 else -gcd(*poly)
     poly = [c // content for c in poly]
-    phi = _totients(2 * deg * deg + 1)
-    for k in range(1, len(phi)):
-        if phi[k] > len(poly) - 1:
-            continue
-        while True:
-            quotient, rest = poly_divmod(poly, _cyclotomic(k))
-            if any(rest):
-                break
-            poly = list(quotient)
-    return poly == [1]
+    if poly[0] != 1 or poly[-1] == 0:
+        return False
+    bounds = [comb(deg, i) for i in range(deg + 1)]
+    for _ in range(deg.bit_length() + 1):
+        if any(abs(c) > b for c, b in zip(poly, bounds)):
+            return False
+        image = _graeffe(poly)
+        if image == poly:
+            return True
+        poly = image
+    return False
 
 
 def beta_braid() -> BraidWord:

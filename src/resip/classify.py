@@ -32,7 +32,6 @@ x^2-x-1 and x^2+3x+3 give r = 4, d = 3 and a nontrivial intersection.)
 from __future__ import annotations
 
 import math
-from operator import mul
 from typing import Optional, Sequence
 
 from .errors import (
@@ -46,6 +45,7 @@ from .freegrp import MappingTorusSpec, abelianization_matrix
 from .intlin import (
     IntMatrix,
     ModMatrix,
+    _power_chain,
     _require_prime,
     charpoly_exact,
     det_exact,
@@ -173,19 +173,6 @@ def _nilpotency_indices(a: IntMatrix, primes: Sequence[int], g: int) -> dict[int
             )
         index[p] = j
     return index
-
-
-def _power_chain(a: IntMatrix, modulus: int) -> list[int]:
-    """d_j = gcd(modulus, entries of (A - I)^j mod modulus) for
-    j = 1, 2, ..., up to n or to the first d_j equal to the modulus."""
-    nil = [[x % modulus for x in row] for row in a.minus_identity().entries]
-    cols = list(zip(*nil))
-    power, chain = nil, []
-    while True:
-        chain.append(math.gcd(modulus, *(x for row in power for x in row)))
-        if len(chain) == a.n or chain[-1] == modulus:
-            return chain
-        power = [[sum(map(mul, row, col)) % modulus for col in cols] for row in power]
 
 
 def torus_residually_p(a: IntMatrix, p: int) -> Verdict:

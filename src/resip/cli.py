@@ -487,7 +487,10 @@ def _summarize(kind: str, result: dict) -> list[str]:
             f"charpoly {result['charpoly']}",
         ]
         for d in result["divisors"]:
-            out.append(f"divisible by {d['divisor']}: {d['divides']}")
+            line = f"divisible by {d['divisor']}: {d['divides']}"
+            if d["divides"]:
+                line += f", quotient cyclotomic product: {d['quotient_cyclotomic_product']}"
+            out.append(line)
         return out
     if kind == "witness":
         if result["status"] == "certificate":

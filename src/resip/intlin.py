@@ -123,9 +123,6 @@ class IntMatrix(Record):
     def trace(self) -> int:
         return sum(self.entries[i][i] for i in range(self.n))
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
-
     def _check_dim(self, other: "IntMatrix") -> None:
         if self.n != other.n:
             raise InvalidSpec("matrix dimensions differ")
@@ -190,9 +187,6 @@ class ModMatrix(Record):
         if k < 0:
             raise InvalidSpec("negative powers not supported, invert explicitly")
         return _square_and_multiply(self, k, ModMatrix.identity(self.n, self.modulus))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
 
 
 def _square_and_multiply(base, k: int, one):
@@ -456,21 +450,27 @@ class UnipotenceResult(Record):
         return self.unipotent
 
 
-def is_unipotent_mod(m: IntMatrix, p: int) -> UnipotenceResult:
-    """Is M unipotent mod p, i.e. (M - I)^n = 0 over F_p?
+def _power_chain(a: IntMatrix, modulus: int) -> list[int]:
+    """d_j = gcd(modulus, entries of (A - I)^j mod modulus) for
+    j = 1, 2, ..., up to n or to the first d_j equal to the modulus."""
+    nil = [[x % modulus for x in row] for row in a.minus_identity().entries]
+    cols = list(zip(*nil))
+    power, chain = nil, []
+    while True:
+        chain.append(gcd(modulus, *(x for row in power for x in row)))
+        if len(chain) == a.n or chain[-1] == modulus:
+            return chain
+        power = [[sum(map(mul, row, col)) % modulus for col in cols] for row in power]
 
-    Returns the nilpotency index of M - I when true.  The powers start
-    at N = M - I, and none is formed past N^n.
-    """
+
+def is_unipotent_mod(m: IntMatrix, p: int) -> UnipotenceResult:
+    """Is M unipotent mod p, i.e. (M - I)^n = 0 over F_p?  With the
+    nilpotency index of M - I when true: the length of
+    ``_power_chain(m, p)``, which stops at the first (M - I)^j = 0 mod p."""
     _require_prime(p)
-    n = m.n
-    nil = ModMatrix.reduce(m.minus_identity(), p)
-    power = nil
-    for j in range(1, n + 1):
-        if power.is_zero():
-            return UnipotenceResult(True, j)
-        if j < n:
-            power = power * nil
+    chain = _power_chain(m, p)
+    if chain[-1] == p:
+        return UnipotenceResult(True, len(chain))
     return UnipotenceResult(False, None)
 
 

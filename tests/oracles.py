@@ -37,6 +37,7 @@ from resip import (
     SeriesSubstitution,
     TruncatedSeries,
     UNDECIDED,
+    UnipotenceResult,
     Verdict,
     abelianization_matrix,
     apply_endo,
@@ -55,6 +56,7 @@ from resip import (
     magnus_embed,
     nielsen_transvection,
     p_power_order_quotient_exists,
+    poly_divmod,
     poly_pow_x_minus_one,
     smith_diagonal,
     word_multiply,
@@ -188,6 +190,18 @@ def quotient_matrix(m: ModMatrix, w_basis: tuple[tuple[int, ...], ...]) -> IntMa
         cols.append([image[i] % p for i in free])
     d = len(free)
     return IntMatrix.from_rows([[cols[j][i] for j in range(d)] for i in range(d)])
+
+
+def unipotence_by_powers(m: IntMatrix, p: int) -> UnipotenceResult:
+    """Unipotence of M mod p and the nilpotency index of M - I, by forming
+    (M - I)^j over F_p for j = 1, ..., n until one is zero."""
+    nil = ModMatrix.reduce(m.minus_identity(), p)
+    power = nil
+    for j in range(1, m.n + 1):
+        if not any(map(any, power.entries)):
+            return UnipotenceResult(True, j)
+        power = power * nil
+    return UnipotenceResult(False, None)
 
 
 def unipotent_order_by_iteration(q: IntMatrix, p: int) -> int:
@@ -537,6 +551,50 @@ def induced_cover_homology_by_rewriting(phi: FreeEndo, cover) -> IntMatrix:
             sums[abs(a) - 1] += 1 if a > 0 else -1
         cols.append(sums)
     return IntMatrix.from_rows([[cols[j][i] for j in range(r)] for i in range(r)])
+
+
+def totients(limit: int) -> list[int]:
+    """phi(k) for 0 <= k <= limit, by a sieve over the primes."""
+    phi = list(range(limit + 1))
+    for q in range(2, limit + 1):
+        if phi[q] == q:  # untouched so far: q is prime
+            for k in range(q, limit + 1, q):
+                phi[k] -= phi[k] // q
+    return phi
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(k: int) -> tuple[int, ...]:
+    """Phi_k: x^k - 1 divided by Phi_d for each proper divisor d of k."""
+    poly = (1,) + (0,) * (k - 1) + (-1,)
+    for d in range(1, k):
+        if k % d == 0:
+            poly = poly_divmod(poly, cyclotomic(d))[0]
+    return poly
+
+
+def is_cyclotomic_product_by_division(coeffs) -> bool:
+    """Divide out each Phi_k with phi(k) <= deg, as often as it divides
+    exactly; a product of cyclotomics up to its content leaves 1.  Since
+    phi(k) >= sqrt(k/2), every such k is at most 2 deg^2 + 1."""
+    poly = list(coeffs)
+    while len(poly) > 1 and poly[0] == 0:
+        poly.pop(0)
+    deg = len(poly) - 1
+    if deg <= 0:
+        return True
+    content = math.gcd(*poly) if poly[0] > 0 else -math.gcd(*poly)
+    poly = [c // content for c in poly]
+    phi = totients(2 * deg * deg + 1)
+    for k in range(1, len(phi)):
+        if phi[k] > len(poly) - 1:
+            continue
+        while True:
+            quotient, rest = poly_divmod(poly, cyclotomic(k))
+            if any(rest):
+                break
+            poly = list(quotient)
+    return poly == [1]
 
 
 def endo_power_by_composition(phi: FreeEndo, k: int) -> FreeEndo:

@@ -9,9 +9,12 @@ import pytest
 
 from oracles import (
     artin_endo_by_composition,
+    cyclotomic,
     endo_preserves_cover_by_rewriting,
     induced_cover_homology_by_rewriting,
+    is_cyclotomic_product_by_division,
     random_certified_automorphism,
+    totients,
     trace_loop,
 )
 from resip import braid as braid_module
@@ -422,9 +425,7 @@ def _cyclotomic_brute_force(coeffs) -> bool:
 def test_cyclotomic_product_matches_brute_force():
     import sympy
 
-    from resip.braid import _totients
-
-    assert _totients(300)[1:] == [int(sympy.totient(k)) for k in range(1, 301)]
+    assert totients(300)[1:] == [int(sympy.totient(k)) for k in range(1, 301)]
     x = sympy.Symbol("x")
     others = [x**2 - 3 * x + 1, x**4 + x + 1, x, x - 2, x**3 - x - 1, x**6 + x**2 + 1]
     rng = random.Random(3011)
@@ -442,13 +443,11 @@ def test_cyclotomic_product_matches_brute_force():
 def test_cyclotomic_division_matches_brute_force_on_edge_cases():
     import sympy
 
-    from resip.braid import _cyclotomic
-
     x = sympy.Symbol("x")
     for k in range(1, 106):
-        assert list(_cyclotomic(k)) == sympy.Poly(sympy.cyclotomic_poly(k, x), x).all_coeffs()
+        assert list(cyclotomic(k)) == sympy.Poly(sympy.cyclotomic_poly(k, x), x).all_coeffs()
     others = [x, x**2, x - 2, 2 * x + 1, x**2 - 3 * x + 1, -1, 2, -3]
-    fixed = [(1,), (5,), (0,), (1, 0), (1, 1, 0), (-1, 1), (2, 2), (2, 1), (0, 0, 1, -1)]
+    fixed = [(1,), (5,), (0,), (), (0, 0), (1, 0), (1, 1, 0), (-1, 1), (2, 2), (2, 1), (0, 0, 1, -1)]
     rng = random.Random(3019)
     cases = list(fixed)
     for trial in range(40):
@@ -460,3 +459,106 @@ def test_cyclotomic_division_matches_brute_force_on_edge_cases():
         cases.append(tuple(int(c) for c in sympy.Poly(poly, x).all_coeffs()))
     for coeffs in cases:
         assert is_cyclotomic_product(coeffs) == _cyclotomic_brute_force(coeffs), coeffs
+        assert is_cyclotomic_product(coeffs) == is_cyclotomic_product_by_division(coeffs), coeffs
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# Lehmer's polynomial: Mahler measure 1.176..., the least known above 1, so
+# its roots are close to the unit circle without all being on it
+LEHMER = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
+
+
+def _cyclotomic_cases(rng, count):
+    """(coefficients, cofactor) pairs: a product of up to six Phi_k with
+    k <= 64, repeats allowed, times a cofactor that is 1, Lehmer's
+    polynomial or one of a pool of random small polynomials (monic or not,
+    some with root 0), times a content of either sign; degree <= 69."""
+    pool = [(1,), LEHMER, (1, 0), (2, 1), (3, 0, -1), (1, 0, 0)]
+    pool += [(1,) + tuple(rng.randint(-2, 2) for _ in range(rng.randint(1, 8))) for _ in range(40)]
+    cases = []
+    for _ in range(count):
+        cofactor = (1,) if rng.random() < 0.5 else rng.choice([LEHMER] * 10 + pool)
+        cap = rng.randint(len(cofactor) - 1, 69)
+        poly = list(cofactor)
+        for _ in range(rng.randint(0, 6)):
+            phi = cyclotomic(rng.randint(1, 64))
+            for _ in range(rng.choice((1, 1, 1, 2, 3))):
+                if len(poly) + len(phi) - 2 <= cap:
+                    poly = _poly_mul(poly, phi)
+        content = rng.choice((1, 1, 1, -1, 2, -3, 6))
+        cases.append((tuple(c * content for c in poly), cofactor))
+    return cases
+
+
+def test_graeffe_test_matches_division_and_sympy():
+    # the root-squaring test against the Phi_k division route it replaced,
+    # and against sympy's factorisation: a product of Phi_k times a cofactor
+    # is a product of cyclotomics iff every irreducible factor of the
+    # cofactor is one
+    import sympy
+
+    x = sympy.Symbol("x")
+
+    def by_sympy(coeffs):
+        poly = sympy.Poly(list(coeffs), x)
+        return poly.degree() <= 0 or all(f.is_cyclotomic for f, _ in poly.factor_list()[1])
+
+    verdicts = {}
+    answers = []
+    for i, (coeffs, cofactor) in enumerate(_cyclotomic_cases(random.Random(3023), 2000)):
+        answer = is_cyclotomic_product(coeffs)
+        assert answer == is_cyclotomic_product_by_division(coeffs), coeffs
+        if cofactor not in verdicts:
+            verdicts[cofactor] = by_sympy(cofactor)
+        assert answer == verdicts[cofactor], coeffs
+        if i % 40 == 0:  # the whole polynomial, on a sample: sympy is slow at degree 69
+            assert answer == by_sympy(coeffs), coeffs
+        answers.append((answer, len(coeffs) - 1))
+    assert 600 <= sum(a for a, _ in answers) <= 1400
+    assert min(max(d for a, d in answers if a), max(d for a, d in answers if not a)) >= 64
+    assert verdicts[LEHMER] is False and verdicts[(1,)] is True
+
+
+def test_graeffe_test_on_the_tight_two_adic_cyclotomics():
+    # Phi_(2^v) has degree d = 2^(v-1), so v_2(2^v) = v = d.bit_length() = S:
+    # it takes all S steps to reach Phi_1^d, and one more to see the fixed
+    # point, so a test that stopped a step early would answer False
+    for v in range(1, 7):
+        # Phi_(2^v) alone, and Phi_(2^v) Phi_(2^(v-1)) ... Phi_2 = (x^(2^v) - 1) / (x - 1)
+        for ks in ((2**v,), tuple(2**w for w in range(v, 0, -1))):
+            f = [1]
+            for k in ks:
+                f = _poly_mul(f, cyclotomic(k))
+            assert (len(f) - 1).bit_length() == v
+            assert is_cyclotomic_product(tuple(f))
+            assert is_cyclotomic_product(tuple(-3 * c for c in f))
+            g = f
+            for _ in range(v - 1):
+                g = braid_module._graeffe(g)
+            assert braid_module._graeffe(g) != g
+    # (x + 1)^32 meets every coefficient bound C(32, i) with equality
+    assert is_cyclotomic_product(tuple(math.comb(32, i) for i in range(33)))
+
+
+def test_graeffe_steps_are_at_most_bit_length_plus_one(monkeypatch):
+    calls = []
+    graeffe = braid_module._graeffe
+    monkeypatch.setattr(braid_module, "_graeffe", lambda f: calls.append(1) or graeffe(f))
+    seen = set()
+    for coeffs, _ in _cyclotomic_cases(random.Random(3037), 400):
+        calls.clear()
+        answer = is_cyclotomic_product(coeffs)
+        d = len(coeffs) - 1
+        assert len(calls) <= d.bit_length() + 1, coeffs
+        seen.add(answer)
+    assert seen == {True, False}
+    calls.clear()
+    assert is_cyclotomic_product(cyclotomic(64))
+    assert len(calls) == 7  # S = 6 steps to Phi_1^32, one more to see it fixed

@@ -528,6 +528,21 @@ def test_text_reports_summarize_witness_and_extension_results(capsys):
     assert lines[1:] == ["  heisenberg: ok=True"]
 
 
+def test_braid_cover_text_report_shows_the_cyclotomic_test(capsys):
+    # the quotient's cyclotomic test is reported for each divisor that divides
+    args = ["braid-cover", "--strands", "3", "--braid", "s1 S2", "--modulus", "2",
+            "--assignments", "1,1,1", "--divisor", "1 -3 1", "--divisor", "1 1", "--divisor", "1 -1"]
+    assert main(args) == 0
+    divisors = _entry(capsys)["result"]["divisors"]
+    assert [d.get("quotient_cyclotomic_product") for d in divisors] == [True, None, False]
+    assert main(args + ["--format", "text"]) == 0
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "  divisible by [1, -3, 1]: True, quotient cyclotomic product: True",
+        "  divisible by [1, 1]: False",
+        "  divisible by [1, -1]: True, quotient cyclotomic product: False",
+    ]
+
+
 def test_witness_without_unipotence_reports_undecided(capsys):
     # beta's H_1 action is not unipotent mod 5, and t^0 w needs the Magnus route
     reason = "H_1 action not unipotent mod 5; the certificate route requires it"

@@ -25,6 +25,7 @@ from oracles import (
     lattice_chain_by_normal_forms,
     matrix_order_mod,
     rank_exact,
+    unipotence_by_powers,
     unipotent_order_by_iteration,
 )
 
@@ -141,23 +142,61 @@ def test_unipotence_agrees_with_direct_power():
         assert bool(is_unipotent_mod(m, p)) == direct
 
 
-def test_unipotence_index_stops_at_the_nth_power(monkeypatch):
-    # the powers start at N = M - I, so N^j costs j - 1 products, and
-    # none is formed past N^n
-    products = []
-    mul = ModMatrix.__mul__
-    monkeypatch.setattr(ModMatrix, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+def test_unipotence_index_stops_at_the_nth_power():
+    # the chain holds one d_j per power of N = M - I formed, so N^j costs
+    # j - 1 products, and none is formed past N^n
     rng = random.Random(23)
     for _ in range(300):
         n = rng.randint(1, 5)
         p = rng.choice([2, 3, 5, 7])
         m = _random_unipotent(rng, n, p) if rng.random() < 0.5 else _random_matrix(rng, n, -4, 4)
-        products.clear()
         res = is_unipotent_mod(m, p)
         b = m.minus_identity()
         zero = [j for j in range(1, n + 1) if all(x % p == 0 for row in (b ** j).entries for x in row)]
         assert res.index == (zero[0] if zero else None)
-        assert len(products) == (res.index - 1 if res else n - 1)
+        assert len(intlin._power_chain(m, p)) == (res.index if res else n)
+
+
+def test_unipotence_matches_the_power_loop_at_every_index():
+    # the power chain against the ModMatrix power loop it replaced, on
+    # random matrices and on g (I + N) g^-1 mod p with N a strictly upper
+    # triangular matrix of every nilpotency index
+    rng = random.Random(31)
+    indices = {}
+    for trial in range(2400):
+        n = rng.randint(1, 4)
+        p = rng.choice([2, 3, 5, 7])
+        if trial % 2:
+            m = _random_matrix(rng, n, -6, 6)
+        else:
+            m = _conjugated_unipotent(rng, n, p, rng.randint(1, n))
+        res, oracle = is_unipotent_mod(m, p), unipotence_by_powers(m, p)
+        assert (res.unipotent, res.index) == (oracle.unipotent, oracle.index)
+        if trial % 2 == 0:
+            assert res
+            indices.setdefault(n, set()).add(res.index)
+    assert all(indices[n] == set(range(1, n + 1)) for n in range(1, 5))
+
+
+def _conjugated_unipotent(rng, n: int, p: int, index: int) -> IntMatrix:
+    """g (I + N) g^-1 + p K, with g a product of random elementary matrices
+    over Z, K random, and N strictly upper triangular of nilpotency index
+    ``index`` over every field: ones on the first index - 1 places of the
+    superdiagonal and random entries above them in those rows."""
+    nil = [[0] * n for _ in range(n)]
+    for i in range(index - 1):
+        nil[i][i + 1] = 1
+        for j in range(i + 2, index):
+            nil[i][j] = rng.randint(-3, 3)
+    m = (IntMatrix.identity(n) + IntMatrix.from_rows(nil)).rows()
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        # conjugate by E = I + c e_ij: row i += c row j, then column j -= c column i
+        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+        for row in m:
+            row[j] -= c * row[i]
+    return IntMatrix.from_rows([[x + p * rng.randint(-1, 1) for x in row] for row in m])
 
 
 def _random_unipotent(rng, n: int, p: int) -> IntMatrix:
