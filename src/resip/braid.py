@@ -35,18 +35,17 @@ derivatives of phi(x_k).  Write c0 = chi o phi.
     both ways, so the chain depends only on the group element.  Read from
     vertex e instead of 0, the chain is multiplied by t^e.
 
-(2) Image of a basis loop.  phi(u x_g) = phi(u) phi(x_g), so by (1) the
-    chain of phi(u x_g) read from 0 is that of phi(u) plus t^c0(u) times
+(2) Image of a basis loop.  phi(y x_g) = phi(y) phi(x_g), so by (1) the
+    chain of phi(y x_g) read from 0 is that of phi(y) plus t^c0(y) times
     row g of J^chi(phi): each edge a path crosses maps to row g shifted by
-    the c0-level of the path up to it.  Let P[v] be the chain of
-    phi(path(v)) and L[v] = c0(path(v)).  Along the tree edge u --g--> v,
-    P[v] = P[u] + t^L[u] J_g and L[v] = L[u] + c0(x_g), prefix sums in
-    breadth-first order from P[0] = 0, L[0] = 0.  The image of the loop
-    of the non-tree edge (v, g) -> w lies in K iff its c0-value
-    L[v] + c0(x_g) - L[w] is 0 mod m; then the way back, phi(path(w))^-1,
-    is read from level L[w], and the image's chain is
-    P[v] + t^L[v] J_g - P[w].  The basis loops generate K, so phi(K) lies
-    in K iff every basis loop passes; otherwise NotInvariant is raised.
+    the c0-level of the path up to it.  phi(K) lies in K iff c0 = u chi
+    for some u in Z/m (``endo_preserves_cover``); otherwise NotInvariant
+    is raised.  Then the level of path(v) is L[v] = c0(path(v)) = u v.
+    Let P[v] be the chain of phi(path(v)).  Along the tree edge
+    v' --g--> v, P[v] = P[v'] + t^L[v'] J_g, prefix sums in breadth-first
+    order from P[0] = 0.  The image of the loop of the non-tree edge
+    (v, g) -> w is phi(path(v)) phi(x_g) phi(path(w))^-1, whose way back
+    is read from level L[w], so its chain is P[v] + t^L[v] J_g - P[w].
 
 (3) Schreier coordinates are non-tree edge coefficients.  The loop of the
     non-tree edge e crosses e once, forwards, and no other non-tree edge.
@@ -114,10 +113,10 @@ from __future__ import annotations
 import re
 from functools import cached_property, lru_cache
 from math import comb, gcd
-from operator import mul
+from typing import Optional
 
 from .errors import InternalInvariant, InvalidSpec, NotInvariant, NotTransitive, RankMismatch
-from .freegrp import FreeEndo, FreeWord, substitute
+from .freegrp import FreeEndo, FreeWord, _compose
 from .intlin import IntMatrix
 from .record import Record
 
@@ -179,37 +178,20 @@ def format_braid(b: BraidWord) -> str:
 
 @lru_cache(maxsize=None)
 def _elementary_endo(strands: int, letter: int) -> FreeEndo:
-    n = strands
     i = abs(letter)
-    images = []
-    inverses = []
-    for g in range(1, n + 1):
-        if g == i:
-            images.append(FreeWord.from_letters(n, (i, i + 1, -i)))
-            inverses.append(FreeWord.generator(n, i + 1))
-        elif g == i + 1:
-            images.append(FreeWord.generator(n, i))
-            inverses.append(FreeWord.from_letters(n, (-(i + 1), i, i + 1)))
-        else:
-            images.append(FreeWord.generator(n, g))
-            inverses.append(FreeWord.generator(n, g))
-    endo = FreeEndo(n, tuple(images), tuple(inverses))
+    images = [(g,) for g in range(1, strands + 1)]
+    inverses = list(images)
+    images[i - 1 : i + 1] = (i, i + 1, -i), (i,)
+    inverses[i - 1 : i + 1] = (i + 1,), (-(i + 1), i, i + 1)
+    endo = FreeEndo.from_letters(strands, images, inverses)
     return endo if letter > 0 else endo.inverse_endo()
 
 
 def artin_endo(b: BraidWord) -> FreeEndo:
-    """Automorphism of F_strands induced by the braid, with certified inverse.
-
-    Images and inverse are composed letter by letter as letter tuples, as
-    compose_endos would compose them, so the inverse is checked once, when
-    the result is built.
-    """
-    images = inverse = tuple((g,) for g in range(1, b.strands + 1))
-    for a in b.letters:
-        step = _elementary_endo(b.strands, a)
-        images = tuple(substitute(step.letter_images, w) for w in images)
-        inverse = tuple(substitute(inverse, w.letters) for w in step.certified_inverse)
-    return FreeEndo.from_letters(b.strands, images, inverse)
+    """Automorphism of F_strands induced by the braid, with certified
+    inverse: the composite of its letters' automorphisms, the first letter
+    acting first."""
+    return _compose(b.strands, (_elementary_endo(b.strands, a) for a in b.letters))
 
 
 def braid_permutation(b: BraidWord) -> tuple[tuple[int, ...], bool]:
@@ -338,47 +320,38 @@ def cover_from_finite_quotient(rank: int, assignments, modulus: int) -> CoverGra
     return CoverGraph(rank, modulus, reduced)
 
 
-def _unit_combination(modulus: int, assignments: tuple[int, ...]) -> list[int]:
-    """lambda with sum_k lambda_k a_k = gcd(m, a_1, ..., a_n) mod m.
-
-    Extended Euclid folded over the a_k keeps g = sum_k lambda_k a_k mod m,
-    from g = m and lambda = 0: if s g + t a_k = gcd(g, a_k), the new lambda
-    is s lambda + t e_k."""
-    g, lam = modulus, [0] * len(assignments)
-    for k, a in enumerate(assignments):
-        # both triples keep r = s g + t a
-        r0, s0, t0, r1, s1, t1 = g, 1, 0, a, 0, 1
-        while r1:
-            q = r0 // r1
-            r0, s0, t0, r1, s1, t1 = r1, s1, t1, r0 - q * r1, s0 - q * s1, t0 - q * t1
-        g = r0
-        lam = [s0 * x for x in lam]
-        lam[k] = t0
-    return lam
-
-
 def endo_preserves_cover(phi: FreeEndo, cover: CoverGraph) -> bool:
     """Does phi map the cover subgroup K = ker(chi) into itself?
 
     Criterion: phi(K) <= K iff chi o phi = u chi for some u in Z/m, and
-    then u = sum_k lambda_k chi(phi(x_k)) for any lambda with
-    sum_k lambda_k a_k = 1 mod m.  So it suffices to compute that u and
-    check chi(phi(x_k)) = u a_k for every k.
+    then u = chi(phi(path(1))), with path(1) the tree path to the vertex
+    1 mod m.  So it suffices to compute that u and check
+    chi(phi(x_k)) = u a_k for every k.
 
     Proof.  If chi o phi = u chi, then chi(phi(w)) = u chi(w) = 0 for w in
     K.  Conversely, if phi(K) <= K then chi o phi kills K, so it factors
     through F/K, which chi maps onto Z/m (CoverGraph requires chi onto):
     chi o phi = f o chi for an endomorphism f of Z/m, that is, multiplication
-    by some u.  Such lambda exist since the a_k generate Z/m, and then
-    sum_k lambda_k chi(phi(x_k)) = u sum_k lambda_k a_k = u.  Two
+    by some u.  As chi(path(1)) = 1 mod m, chi(phi(path(1))) = u.  Two
     homomorphisms that agree on the generators x_k are equal.
     """
     if phi.rank != cover.rank:
         raise RankMismatch("endo rank differs from cover rank")
+    return _cover_unit(cover, [cover.chi(w) for w in phi.images]) is not None
+
+
+def _cover_unit(cover: CoverGraph, c0: list[int]) -> Optional[int]:
+    """The u with chi o phi = u chi, from c0[k] = chi(phi(x_(k+1))), or
+    None if phi does not preserve the cover subgroup: the criterion of
+    ``endo_preserves_cover``, with levels[v] = chi(phi(path(v)))."""
     m = cover.modulus
-    values = [cover.chi(w) for w in phi.images]
-    u = sum(map(mul, _unit_combination(m, cover.assignments), values))
-    return all((c - u * a) % m == 0 for c, a in zip(values, cover.assignments))
+    levels = [0] * m
+    for u, g, v in cover._tree_edges:
+        levels[v] = (levels[u] + c0[g - 1]) % m
+    unit = levels[1 % m]
+    if any((c - unit * a) % m for c, a in zip(c0, cover.assignments)):
+        return None
+    return unit
 
 
 def _shift(row: list[int], s: int, n: int, m: int) -> list[int]:
@@ -391,14 +364,14 @@ def _shift(row: list[int], s: int, n: int, m: int) -> list[int]:
 def _cover_matrix(cover: CoverGraph, rows: list[list[int]], c0: list[int]) -> IntMatrix:
     """The matrix of phi on H_1 of the cover, from the rows of J^chi(phi)
     and c0[k] = chi(phi(x_(k+1))), by (2) and (3) of the module docstring.
-    NotInvariant unless every basis loop maps into the cover subgroup."""
+    NotInvariant unless phi preserves the cover subgroup."""
     n, m = cover.rank, cover.modulus
+    unit = _cover_unit(cover, c0)
+    if unit is None:
+        raise NotInvariant("endomorphism does not preserve the cover subgroup")
     chains: list[list[int]] = [[0] * (n * m)] * m  # P[v]; every v is set below
-    levels = [0] * m  # L[v]
     for u, g, v in cover._tree_edges:
-        step = _shift(rows[g - 1], levels[u], n, m)
-        chains[v] = [x + y for x, y in zip(chains[u], step)]
-        levels[v] = (levels[u] + c0[g - 1]) % m
+        chains[v] = [x + y for x, y in zip(chains[u], _shift(rows[g - 1], unit * u, n, m))]
     edges = cover._schreier_edges
     if len(edges) != cover.subgroup_rank:
         raise InternalInvariant("Schreier basis size differs from the subgroup rank")
@@ -406,9 +379,7 @@ def _cover_matrix(cover: CoverGraph, rows: list[list[int]], c0: list[int]) -> In
     columns = []
     for v, g in edges:
         w = (v + cover.assignments[g - 1]) % m
-        if (levels[v] + c0[g - 1] - levels[w]) % m:
-            raise NotInvariant("endomorphism does not preserve the cover subgroup")
-        step = _shift(rows[g - 1], levels[v], n, m)
+        step = _shift(rows[g - 1], unit * v, n, m)
         image = [x + y - z for x, y, z in zip(chains[v], step, chains[w])]
         columns.append([image[p] for p in positions])
     return IntMatrix._trusted(tuple(zip(*columns)))

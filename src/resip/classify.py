@@ -406,8 +406,10 @@ def fibered_verdicts(spec: MappingTorusSpec, primes: Sequence[int]) -> list[Verd
     * otherwise no qualifying quotient exists, so NotResiduallyP.
 
     Proof that a qualifying quotient exists iff p | h.  The spec carries
-    a certified inverse and FreeEndo checks both compositions, so M lies
-    in GL_n(Z), det M = +-1, and M is invertible mod every p.  Such a
+    a certified inverse psi, and FreeEndo checks psi o phi = id, which
+    makes phi an automorphism with inverse psi (a free group of finite
+    rank is Hopfian; proof in ``FreeEndo``).  So M lies in GL_n(Z),
+    det M = +-1, and M is invertible mod every p.  Such a
     quotient exists iff dim ker (M - I)^n >= 2 over F_p
     (``p_power_order_quotient_exists``).  ker (M - I)^n is the generalised
     eigenspace of the eigenvalue 1, whose dimension is the multiplicity of

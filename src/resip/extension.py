@@ -195,11 +195,17 @@ def ext_commutator(x: ExtensionElement, y: ExtensionElement, f) -> ExtensionElem
 
 
 def ext_power(x: ExtensionElement, m: int, f) -> ExtensionElement:
+    """x^m by repeated squaring, in about 2 log2 |m| products.  The law is
+    associative because f is a cocycle, so the grouping of the factors
+    does not matter."""
     if m < 0:
         return ext_power(ext_inverse(x, f), -m, f)
     acc = ext_identity(f)
-    for _ in range(m):
-        acc = ext_multiply(acc, x, f)
+    while m:
+        if m & 1:
+            acc = ext_multiply(acc, x, f)
+        x = ext_multiply(x, x, f)
+        m >>= 1
     return acc
 
 

@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Optional
 
 from .errors import InvalidSpec, RankMismatch
 from .intlin import IntMatrix
 from .record import Record
-
-# A letter is a nonzero int: i means x_i, -i means x_i^-1.
-Letter = int
 
 
 def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
@@ -33,7 +31,7 @@ def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
 
 
 class FreeWord(Record):
-    """Freely reduced word in F_rank; letters are signed generator indices."""
+    """Freely reduced word in F_rank; a letter i means x_i, -i x_i^-1."""
 
     __slots__ = ("rank", "letters")
 
@@ -140,26 +138,58 @@ def format_word(w: FreeWord) -> str:
     return " ".join(f"x{a}" if a > 0 else f"X{-a}" for a in w.letters)
 
 
-def substitute(images: tuple[tuple[int, ...], ...], letters: Iterable[int]) -> tuple[int, ...]:
-    """The reduced letters of a word with x_i replaced by images[i - 1],
-    each image a letter tuple: the image of the word under an
-    endomorphism, without building a FreeWord or a FreeEndo."""
+def image_table(images) -> list[list[int]]:
+    """The image of every letter, indexed by the letter: t[i] = images[i - 1]
+    and t[-i], at index 2n + 1 - i, its inverse; t[0] is unused."""
+    inverses = [[-b for b in reversed(w)] for w in reversed(images)]
+    return [[]] + [list(w) for w in images] + inverses
+
+
+def substitute(table: list[list[int]], letters: Iterable[int]) -> tuple[int, ...]:
+    """The reduced letters of a word with each letter a replaced by its
+    image table[a] (``image_table`` of reduced images): the image of the
+    word under an endomorphism, without building a FreeWord or a FreeEndo.
+
+    It reduces as it writes, so it never holds an unreduced word.  An image
+    cancels only against the end of what is written, and img[:k] cancels
+    iff that ends in its inverse, table[-a][-k:]; if it does for some k, it
+    does for every smaller k, so the longest k is found by bisection."""
     out: list[int] = []
     for a in letters:
-        img = images[abs(a) - 1]
-        out.extend(img if a > 0 else [-b for b in reversed(img)])
-    return _reduce(out)
+        img = table[a]
+        if out and img and out[-1] == -img[0]:
+            inv, k, hi = table[-a], 1, min(len(out), len(img))
+            while k < hi:
+                mid = (k + hi + 1) // 2
+                if out[-mid:] == inv[-mid:]:
+                    k = mid
+                else:
+                    hi = mid - 1
+            del out[-k:]
+            img = img[k:]
+        out.extend(img)
+    return tuple(out)
 
 
 class FreeEndo(Record):
-    """Endomorphism of F_rank by generator images.
+    """Endomorphism phi of F_rank by generator images.
 
-    certified_inverse, when given, is checked: both compositions must fix
-    every generator.  Classifiers require it (they only accept genuine
-    automorphisms).
+    certified_inverse, when given, is a claimed inverse psi, checked by one
+    composition: psi(phi(x_i)) = x_i for every i, on letter tuples.
+    Classifiers require it (they only accept genuine automorphisms).
+
+    Claim: if psi o phi fixes every generator, then psi and phi are
+    automorphisms and phi = psi^-1, so phi o psi = id needs no check.
+
+    Proof.  psi o phi = id, as two endomorphisms that agree on the
+    generators are equal.  So every w = psi(phi(w)) lies in the image of
+    psi: psi is onto.  A finitely generated free group is Hopfian, that
+    is, every onto endomorphism of it is one to one (Nielsen 1921; Malcev
+    1940, for every finitely generated residually finite group).  So psi
+    is an automorphism, and phi = psi^-1 o (psi o phi) = psi^-1.
     """
 
-    __slots__ = ("rank", "images", "certified_inverse", "__dict__")  # __dict__: letter_images
+    __slots__ = ("rank", "images", "certified_inverse", "__dict__")  # __dict__: letter_table
 
     def __init__(
         self,
@@ -167,22 +197,19 @@ class FreeEndo(Record):
         images: tuple[FreeWord, ...],
         certified_inverse: Optional[tuple[FreeWord, ...]] = None,
     ):
-        if len(images) != rank:
-            raise RankMismatch("need one image per generator")
-        for w in images:
-            if w.rank != rank:
+        for words in (images,) if certified_inverse is None else (images, certified_inverse):
+            if len(words) != rank:
+                raise RankMismatch("need one image per generator")
+            if any(w.rank != rank for w in words):
                 raise RankMismatch("image rank differs from endo rank")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "certified_inverse", certified_inverse)
         if certified_inverse is not None:
-            inv = FreeEndo(rank, certified_inverse)
-            for i in range(1, rank + 1):
-                g = FreeWord.generator(rank, i)
-                if apply_endo(inv, images[i - 1]) != g:
+            inverse = image_table([w.letters for w in certified_inverse])
+            for i, w in enumerate(images, start=1):
+                if substitute(inverse, w.letters) != (i,):
                     raise InvalidSpec(f"claimed inverse fails on x{i} (left)")
-                if self.apply_raw(certified_inverse[i - 1]) != g:
-                    raise InvalidSpec(f"claimed inverse fails on x{i} (right)")
 
     @staticmethod
     def identity(rank: int) -> "FreeEndo":
@@ -199,14 +226,10 @@ class FreeEndo(Record):
 
         return FreeEndo(rank, words(images), None if inverse is None else words(inverse))
 
-    def apply_raw(self, w: FreeWord) -> FreeWord:
-        # the images are words of this rank, so their letters need no checks
-        return FreeWord._trusted(self.rank, substitute(self.letter_images, w.letters))
-
     @cached_property
-    def letter_images(self) -> tuple[tuple[int, ...], ...]:
-        """The images as letter tuples, the map substitute takes."""
-        return tuple(w.letters for w in self.images)
+    def letter_table(self) -> list[list[int]]:
+        """The images as the table substitute takes."""
+        return image_table([w.letters for w in self.images])
 
     @property
     def is_certified(self) -> bool:
@@ -221,34 +244,38 @@ class FreeEndo(Record):
 def apply_endo(phi: FreeEndo, w: FreeWord) -> FreeWord:
     if phi.rank != w.rank:
         raise RankMismatch(f"endo rank {phi.rank} vs word rank {w.rank}")
-    return phi.apply_raw(w)
+    # the images are words of this rank, so their letters need no checks
+    return FreeWord._trusted(phi.rank, substitute(phi.letter_table, w.letters))
+
+
+def _compose(rank: int, steps: Iterable[FreeEndo]) -> FreeEndo:
+    """phi_L o ... o phi_1 for the steps phi_1, ..., phi_L (the first acts
+    first), with the inverse psi_1 o ... o psi_L when every step phi_k
+    carries an inverse psi_k.  Both are composed on letter tuples, so the
+    inverse is checked once, when the result is built."""
+    images = inverse = tuple((i,) for i in range(1, rank + 1))
+    for step in steps:
+        images = tuple(substitute(step.letter_table, w) for w in images)
+        if inverse is not None and step.certified_inverse is not None:
+            table = image_table(inverse)
+            inverse = tuple(substitute(table, w.letters) for w in step.certified_inverse)
+        else:
+            inverse = None
+    return FreeEndo.from_letters(rank, images, inverse)
 
 
 def compose_endos(phi: FreeEndo, rho: FreeEndo) -> FreeEndo:
     """phi after rho (rho acts first)."""
     if phi.rank != rho.rank:
         raise RankMismatch(f"ranks {phi.rank} and {rho.rank}")
-    images = tuple(phi.apply_raw(w) for w in rho.images)
-    inverse = None
-    if phi.certified_inverse is not None and rho.certified_inverse is not None:
-        rho_inv = FreeEndo(rho.rank, rho.certified_inverse)
-        inverse = tuple(rho_inv.apply_raw(w) for w in phi.certified_inverse)
-    return FreeEndo(phi.rank, images, inverse)
+    return _compose(phi.rank, (rho, phi))
 
 
 def endo_power(phi: FreeEndo, k: int) -> FreeEndo:
-    """phi^k.  The k compositions run on letter tuples, so a certified
-    inverse is checked once, when the result is built."""
+    """phi^k, composed as one product of k steps."""
     if k < 0:
         return endo_power(phi.inverse_endo(), -k)
-    images = inverse = tuple((i,) for i in range(1, phi.rank + 1))
-    for _ in range(k):
-        images = tuple(substitute(phi.letter_images, w) for w in images)
-        if phi.is_certified:
-            inverse = tuple(substitute(inverse, w.letters) for w in phi.certified_inverse)
-    return FreeEndo.from_letters(
-        phi.rank, images, inverse if phi.is_certified or k == 0 else None
-    )
+    return _compose(phi.rank, repeat(phi, k))
 
 
 def abelianization_matrix(phi: FreeEndo) -> IntMatrix:
@@ -271,31 +298,20 @@ def is_mod_p_torelli(phi: FreeEndo, p: int) -> bool:
 
 def inner_automorphism(u: FreeWord) -> FreeEndo:
     """Conjugation w -> u w u^-1, with its obvious inverse."""
-    rank = u.rank
-    images = tuple(
-        conjugate(FreeWord.generator(rank, i), u) for i in range(1, rank + 1)
-    )
-    inv = tuple(
-        conjugate(FreeWord.generator(rank, i), word_inverse(u))
-        for i in range(1, rank + 1)
-    )
-    return FreeEndo(rank, images, inv)
+    gens = [FreeWord.generator(u.rank, i) for i in range(1, u.rank + 1)]
+    images = tuple(conjugate(g, u) for g in gens)
+    return FreeEndo(u.rank, images, tuple(conjugate(g, word_inverse(u)) for g in gens))
 
 
 def nielsen_transvection(rank: int, i: int, j: int) -> FreeEndo:
     """x_i -> x_i x_j, other generators fixed.  Requires i != j."""
     if i == j:
         raise InvalidSpec("transvection needs distinct indices")
-    images = []
-    inverses = []
-    for g in range(1, rank + 1):
-        if g == i:
-            images.append(FreeWord.from_letters(rank, (i, j)))
-            inverses.append(FreeWord.from_letters(rank, (i, -j)))
-        else:
-            images.append(FreeWord.generator(rank, g))
-            inverses.append(FreeWord.generator(rank, g))
-    return FreeEndo(rank, tuple(images), tuple(inverses))
+    def moved(x_j: int) -> tuple[FreeWord, ...]:  # x_i -> x_i x_j
+        letters = [(g, x_j) if g == i else (g,) for g in range(1, rank + 1)]
+        return tuple(FreeWord.from_letters(rank, w) for w in letters)
+
+    return FreeEndo(rank, moved(j), moved(-j))
 
 
 class MappingTorusSpec(Record):

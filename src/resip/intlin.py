@@ -8,8 +8,8 @@ forms are computed in-tree by the algorithms sympy uses, so the forms are
 the same matrices sympy returns; no verdict needs them.
 
 Primality is trial division for small n and deterministic Miller-Rabin
-with the first 13 prime bases below 3.317 * 10^24, and sympy.isprime,
-imported only then, above.  Prime factors come from trial division, then
+with the first 13 prime bases below 3.317 * 10^24, and above it
+sympy.isprime, imported only then, a BPSW probable-prime test.  Prime factors come from trial division, then
 Pollard-Brent rho on every composite cofactor.
 
 The stable rank and index of the lattice chain B^i Z^n need neither a
@@ -232,8 +232,10 @@ _MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality: trial division, then deterministic Miller-Rabin;
-    sympy.isprime only for n >= 3.317 * 10^24."""
+    """Primality: trial division, then Miller-Rabin with bases that make
+    it exact below 3.317 * 10^24.  From there on sympy.isprime answers,
+    a BPSW probable-prime test: no composite is known to pass it, but
+    none is proved not to."""
     if n < 2:
         return False
     for q in _TRIAL_PRIMES:

@@ -62,6 +62,7 @@ from resip import (
     word_multiply,
 )
 from resip.braid import _elementary_endo
+from resip.freegrp import _reduce
 from resip.intlin import _require_prime, prime_factors
 
 
@@ -300,6 +301,26 @@ def random_certified_automorphism(rng, rank):
             step = FreeEndo.from_letters(rank, images, images)
         phi = compose_endos(step, phi)
     return phi
+
+
+def substitute_then_reduce(images, letters) -> tuple[int, ...]:
+    """x_i replaced by images[i - 1] in the letters, written out whole and
+    only then freely reduced."""
+    out = []
+    for a in letters:
+        img = images[abs(a) - 1]
+        out.extend(img if a > 0 else [-b for b in reversed(img)])
+    return _reduce(out)
+
+
+def inverse_holds_both_ways(images, inverse) -> bool:
+    """Does the claimed inverse psi of phi pass both compositions,
+    psi(phi(x_i)) = x_i and phi(psi(x_i)) = x_i for every i?  Images are
+    letter tuples."""
+    return all(
+        substitute_then_reduce(inverse, phi_x) == (i,) == substitute_then_reduce(images, psi_x)
+        for i, (phi_x, psi_x) in enumerate(zip(images, inverse), start=1)
+    )
 
 
 def kernel_invariance_by_sampling(cert, caps=DEFAULT_CAPS) -> bool:

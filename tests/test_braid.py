@@ -4,6 +4,7 @@ import json
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -170,6 +171,21 @@ def test_artin_endo_checks_the_composed_inverse(monkeypatch, text):
     monkeypatch.setattr(braid_module, "_elementary_endo", corrupted)
     with pytest.raises(InvalidSpec):
         artin_endo(parse_braid(text, 3))
+
+
+def test_artin_endo_holds_no_unreduced_word():
+    # substitute reduces as it writes, so composing (s1 S2)^7 and checking
+    # its inverse stays small; written out whole before reducing, the
+    # check's words took 19 MB
+    b = parse_braid(" ".join(["s1 S2"] * 7), 3)
+    artin_endo(parse_braid("s1 S2", 3))  # the letters' automorphisms are cached
+    tracemalloc.start()
+    try:
+        artin_endo(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10**6
 
 
 def test_cover_graph_shapes():

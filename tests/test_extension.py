@@ -259,3 +259,37 @@ def test_a_form_with_a_coefficient_modulus_fails_the_extension_checks(monkeypatc
         "class_two",
         "torsion_free",
     ]
+
+
+def test_ext_power_matches_the_power_formula():
+    # (a, u)^m = (m a + C(m, 2) B(u, u), m u), for every integer m, since
+    # C(m, 2) = m (m - 1) / 2 also gives the powers of the inverse
+    rng = random.Random(19)
+    for _ in range(200):
+        r = rng.randint(1, 4)
+        modulus = rng.choice((None, rng.randint(2, 30)))
+        f = BilinearCocycle(
+            tuple(tuple(rng.randint(-5, 5) for _ in range(r)) for _ in range(r)), modulus
+        )
+        x = ExtensionElement(rng.randint(-9, 9), tuple(rng.randint(-4, 4) for _ in range(r)))
+        for m in list(range(-12, 13)) + [rng.randint(-10**15, 10**15) for _ in range(3)]:
+            central = m * x.central + m * (m - 1) // 2 * f(x.base, x.base)
+            expected = ExtensionElement(
+                central % modulus if modulus else central, tuple(m * c for c in x.base)
+            )
+            assert ext_power(x, m, f) == expected
+
+
+def test_circle_bundle_at_euler_ten_to_the_twelve_takes_few_products(monkeypatch):
+    calls = []
+    genuine = extension.ext_multiply
+
+    def counted(*args):
+        calls.append(1)
+        return genuine(*args)
+
+    monkeypatch.setattr(extension, "ext_multiply", counted)
+    for e in (10**12, -10**12):
+        del calls[:]
+        assert circle_bundle_central_witness(CircleBundleSpec(2, e)).ok
+        assert len(calls) < 200

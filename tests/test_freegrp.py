@@ -4,7 +4,12 @@ import random
 
 import pytest
 
-from oracles import endo_power_by_composition
+from oracles import (
+    endo_power_by_composition,
+    inverse_holds_both_ways,
+    random_certified_automorphism,
+    substitute_then_reduce,
+)
 from resip import (
     FreeEndo,
     FreeWord,
@@ -25,6 +30,7 @@ from resip import (
     word_inverse,
     word_multiply,
 )
+from resip.freegrp import image_table, substitute
 
 
 def _random_word(rng, rank, length):
@@ -104,6 +110,65 @@ def test_endo_inverse_certificate_is_verified():
             (parse_word("x1 x2", 2), parse_word("x2", 2)),
             (parse_word("x1", 2), parse_word("x2", 2)),
         )
+
+
+def _change_one_letter(rng, rank, words):
+    """The letter tuples with one letter of one nonempty tuple replaced by
+    another letter, then freely reduced."""
+    words = [list(w) for w in words]
+    word = rng.choice([w for w in words if w])
+    j = rng.randrange(len(word))
+    word[j] = rng.choice([a for a in range(-rank, rank + 1) if a not in (0, word[j])])
+    return [FreeWord.from_letters(rank, w).letters for w in words]
+
+
+def test_one_composition_decides_as_the_two_sided_oracle():
+    # FreeEndo checks psi(phi(x_i)) = x_i alone; by the Hopfian argument in
+    # its docstring, that accepts exactly when both compositions fix every
+    # generator
+    rng = random.Random(23)
+    verdicts = {True: 0, False: 0}
+    for _ in range(300):
+        rank = rng.randint(2, 4)
+        phi = random_certified_automorphism(rng, rank)
+        images = [w.letters for w in phi.images]
+        inverse = [w.letters for w in phi.certified_inverse]
+        other = [w.letters for w in random_certified_automorphism(rng, rank).images]
+        candidates = [
+            (images, inverse),
+            (images, _change_one_letter(rng, rank, inverse)),
+            (_change_one_letter(rng, rank, images), inverse),
+            (images, other),
+            (other, inverse),
+        ]
+        for imgs, inv in candidates:
+            expected = inverse_holds_both_ways(imgs, inv)
+            try:
+                FreeEndo.from_letters(rank, imgs, inv)
+            except InvalidSpec as exc:
+                assert str(exc).endswith("(left)")
+                accepted = False
+            else:
+                accepted = True
+            assert accepted == expected, (imgs, inv)
+            verdicts[accepted] += 1
+    assert verdicts[True] >= 300 and verdicts[False] >= 600
+
+
+def test_substitute_matches_writing_out_then_reducing():
+    rng = random.Random(41)
+    for _ in range(3000):
+        rank = rng.randint(1, 4)
+        images = tuple(_random_word(rng, rank, rng.randint(0, 6)).letters for _ in range(rank))
+        letters = [rng.choice([-1, 1]) * rng.randint(1, rank) for _ in range(rng.randint(0, 12))]
+        assert substitute(image_table(images), letters) == substitute_then_reduce(images, letters)
+    # an automorphism's inverse cancels the images back to single letters
+    for _ in range(100):
+        phi = random_certified_automorphism(rng, 3)
+        inverse = tuple(w.letters for w in phi.certified_inverse)
+        for i, w in enumerate(phi.images, start=1):
+            assert substitute(image_table(inverse), w.letters) == (i,)
+            assert substitute_then_reduce(inverse, w.letters) == (i,)
 
 
 def test_endo_application_is_homomorphic():

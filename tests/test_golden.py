@@ -91,9 +91,9 @@ def test_braid_cover_reports_build_no_automorphism(capsys, monkeypatch):
         raise AssertionError("the braid-cover path expanded the braid")
 
     patches = [
-        (braid, "artin_endo"), (braid, "substitute"), (freegrp, "substitute"),
-        (freegrp, "apply_endo"), (freegrp.FreeEndo, "__init__"), (freegrp.FreeWord, "__init__"),
-        (freegrp.FreeWord, "_trusted"),
+        (braid, "artin_endo"), (braid, "_compose"), (freegrp, "_compose"),
+        (freegrp, "substitute"), (freegrp, "apply_endo"), (freegrp.FreeEndo, "__init__"),
+        (freegrp.FreeWord, "__init__"), (freegrp.FreeWord, "_trusted"),
     ]
     genuine = cli.run_task
 
