@@ -16,7 +16,7 @@ from .record import Record
 class Caps(Record):
     """The search caps; every value is an int >= 1, else ValueError."""
 
-    __slots__ = ("magnus_degree", "max_rank", "group_order")
+    __slots__ = ("magnus_degree", "max_rank", "group_order", "sieve_bound")
 
     def __init__(
         self,
@@ -24,8 +24,9 @@ class Caps(Record):
         max_rank: int = 6,              # free-group rank of a Magnus embedding
                                         # (witness search and verification)
         group_order: int = 10 ** 5,     # finite p-group closure size
+        sieve_bound: int = 10 ** 5,     # largest primes_up_to of a task
     ):
-        values = (magnus_degree, max_rank, group_order)
+        values = (magnus_degree, max_rank, group_order, sieve_bound)
         for name, value in zip(self.__slots__, values):
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"cap {name} must be an integer >= 1, got {value!r}")

@@ -216,10 +216,15 @@ def _json(text: str):
         raise SchemaError(f"not valid JSON: {exc}") from exc
 
 
-def _task_primes(payload: dict) -> list[int]:  # the verdicts reject a non-prime
+def _task_primes(payload: dict, caps: Caps = DEFAULT_CAPS) -> list[int]:
+    """The primes a task lists, or those up to its bound, sieved only
+    within caps.sieve_bound; the verdicts reject a non-prime."""
     if "primes" in payload:
         return payload["primes"]
-    return primes_up_to(payload["primes_up_to"])
+    bound = payload["primes_up_to"]
+    if bound > caps.sieve_bound:  # before the sieve allocates anything
+        raise CapExceeded("sieve_bound", caps.sieve_bound)
+    return primes_up_to(bound)
 
 
 def _build_endo(payload: dict) -> FreeEndo:
@@ -233,7 +238,7 @@ def run_task(task: Task, caps: Caps) -> dict:
     payload = task.payload
     if task.kind == "torus":
         matrix = _square_matrix(payload["matrix"])
-        verdicts = [v.to_dict() for v in torus_verdicts(matrix, _task_primes(payload))]
+        verdicts = [v.to_dict() for v in torus_verdicts(matrix, _task_primes(payload, caps))]
         return {
             "matrix": [list(r) for r in matrix.entries],
             "verdicts": verdicts,
@@ -248,7 +253,7 @@ def run_task(task: Task, caps: Caps) -> dict:
     if task.kind == "fibered":
         endo = _build_endo(payload)
         spec = MappingTorusSpec(endo)
-        verdicts = [v.to_dict() for v in fibered_verdicts(spec, _task_primes(payload))]
+        verdicts = [v.to_dict() for v in fibered_verdicts(spec, _task_primes(payload, caps))]
         return {"rank": endo.rank, "verdicts": verdicts}
     if task.kind == "bs":
         return bs_classify(BSSpec(payload["q"])).to_dict()

@@ -10,7 +10,6 @@ apply_endo(compose_endos(phi, rho), w) == apply_endo(phi, apply_endo(rho, w)).
 
 from __future__ import annotations
 
-import re
 from functools import cached_property
 from itertools import repeat
 from typing import Iterable, Optional
@@ -109,27 +108,26 @@ def commutator(u: FreeWord, v: FreeWord) -> FreeWord:
     )
 
 
-_TOKEN = re.compile(r"([xX])([0-9]+)")  # ASCII digits only: \d takes any Unicode digit
-
-
 def parse_word(text: str, rank: int) -> FreeWord:
-    """Parse "x1 X2 x1" style input; "1" or empty means the identity."""
+    """Parse "x1 X2 x1" style input; "1" or empty means the identity.  A
+    token is x or X and then ASCII digits: str.isdigit alone also takes
+    other Unicode digits."""
     tokens = text.split()
     if not tokens or tokens == ["1"]:
         return FreeWord.identity(rank)
     letters = []
     for tok in tokens:
-        m = _TOKEN.fullmatch(tok)
-        if not m:
+        head, digits = tok[0], tok[1:]
+        if head not in "xX" or not (digits.isascii() and digits.isdigit()):
             raise InvalidSpec(f"bad word token {tok!r}")
         try:
-            idx = int(m.group(2))
+            idx = int(digits)
         except ValueError:  # more digits than int() converts
-            raise InvalidSpec(f"generator index of {len(m.group(2))} digits out of range 1..{rank}") from None
+            raise InvalidSpec(f"generator index of {len(digits)} digits out of range 1..{rank}") from None
         if not 1 <= idx <= rank:
             raise InvalidSpec(f"generator index {idx} out of range 1..{rank}")
-        letters.append(idx if m.group(1) == "x" else -idx)
-    return FreeWord.from_letters(rank, letters)
+        letters.append(idx if head == "x" else -idx)
+    return FreeWord._trusted(rank, _reduce(letters))
 
 
 def format_word(w: FreeWord) -> str:

@@ -14,8 +14,11 @@ nonzero reduced coefficients only; there is no dense form.
   m + (i,); by (1 + X_i)^-1, the result y solves y = x - y X_i, filled in
   ascending degree.  No series product is formed.
 * SeriesSubstitution is linear, so it memoises the image of each monomial
-  it meets, one product from the image of its prefix, and a call sums
-  c * image(m) into one table that is reduced once.
+  it meets, one product from the image of its prefix.  One accumulation
+  kernel sums c * image(m) into one table that is reduced once; it serves
+  both a call, U(t), and a step of a (U - I)-chain, U(t) - t, which starts
+  the sum from -t and so works on raw tables, with no series built and no
+  difference taken per step.
 * One product kernel, _product, serves TruncatedSeries.__mul__ and the
   memo: its right factor is sorted by degree, so each left monomial walks
   only the right monomials whose degree still fits under the truncation.
@@ -328,22 +331,25 @@ class SeriesSubstitution:
     series ring.  Satisfies sub(embed(w)) = embed(phi(w)).
 
     The map is linear, so a call is the sum of c * image(m) over the terms
-    of its argument.  Monomial images are memoised on the instance as
-    tables, each one product away from its prefix's: image(m) =
-    image(m[:-1]) * images[m[-1] - 1], the right factor sorted by degree
-    once per instance; a monomial of degree 1 is its image.  Repeated
-    calls only ever multiply for monomials they have not met before."""
+    of its argument, and chain_step(t), the table of (U - I) t, is that sum
+    minus t; one kernel sums both on raw tables.  The images are read from
+    ``self.images`` when the first sum runs.  Monomial images are memoised
+    on the instance as tables, each one product away from its prefix's:
+    image(m) = image(m[:-1]) * images[m[-1] - 1], the right factor sorted
+    by degree once per instance; a monomial of degree 1 is its image.
+    Repeated sums only ever multiply for monomials they have not met
+    before."""
 
     def __init__(self, phi: FreeEndo, d: int, modulus: Optional[int], caps: Caps = DEFAULT_CAPS):
         self.rank = phi.rank
         self.degree = d
         self.modulus = modulus
-        one = TruncatedSeries.one(phi.rank, d, modulus)
-        self.images = [
-            magnus_embed(phi.images[i], d, modulus, caps) - one
-            for i in range(phi.rank)
-        ]
-        self._monomial_images: dict[Monomial, dict] = {(): one.table}
+        self.images = []
+        for word in phi.images:
+            image = magnus_embed(word, d, modulus, caps)
+            del image.table[()]  # the constant term of an embedding is 1
+            self.images.append(image)
+        self._monomial_images: dict[Monomial, dict] = {(): {(): 1}}
         self._factors: Optional[list[list[list]]] = None  # images by degree
 
     def _image(self, m: Monomial) -> dict:
@@ -357,14 +363,24 @@ class SeriesSubstitution:
             self._monomial_images[m] = image
         return image
 
+    def _accumulate(self, table: dict, acc: dict) -> dict:
+        """acc + the sum of c * image(m) over the terms of table, in acc
+        itself, reduced once: the kernel of a call and of a chain step."""
+        if self._factors is None:  # images are final once the first sum runs
+            self._factors = [_by_degree(image.table, self.degree) for image in self.images]
+        get = acc.get
+        for m, c in table.items():
+            for n, v in self._image(m).items():
+                acc[n] = get(n, 0) + c * v
+        return _reduced(acc, self.modulus)
+
     def __call__(self, s: TruncatedSeries) -> TruncatedSeries:
         if (s.rank, s.degree, s.modulus) != (self.rank, self.degree, self.modulus):
             raise InvalidSpec("series parameters differ from substitution")
-        if self._factors is None:  # images are final once the first call runs
-            self._factors = [_by_degree(image.table, self.degree) for image in self.images]
-        acc: dict = {}
-        get = acc.get
-        for m, c in s.table.items():
-            for n, v in self._image(m).items():
-                acc[n] = get(n, 0) + c * v
-        return TruncatedSeries(self.rank, self.degree, self.modulus, _reduced(acc, self.modulus))
+        return TruncatedSeries(self.rank, self.degree, self.modulus, self._accumulate(s.table, {}))
+
+    def chain_step(self, table: dict) -> dict:
+        """The table of (U - I) t, U this substitution and t the series of
+        the given table, one step of a (U - I)-chain: the sum of c *
+        image(m) - t, accumulated in one dict and reduced once."""
+        return self._accumulate(table, {m: -c for m, c in table.items()})

@@ -51,6 +51,19 @@ So phi(K_d) = K_d.  The verifier checks the identities this rests on with
 the certificate's own data: U(embed(w)) = embed(phi(w)) for the survivor
 w, and U(embed(phi^-1(x_i))) = 1 + X_i for each i.
 
+Depth from one embedding.  magnus_depth(w) is the least d with
+embed(w, d) != 1 over F_p.  For k < d, truncation to degree k (dropping
+the terms of degree > k) is a ring map of F_p<X_1..X_r>/(deg > d) onto
+F_p<X_1..X_r>/(deg > k).  It fixes each 1 + X_i, hence each inverse
+(1 + X_i)^-1, so it commutes with the embedding: embed(w, k) is the
+degree-<= k part of embed(w, d).  The constant term of an embedding is 1,
+so embed(w, k) = 1 for every k < d iff embed(w, d) has no nonconstant
+term of degree < d, and embed(w, d) != 1 iff it has one at all.  Hence
+magnus_depth(w) = d iff the least degree of a nonconstant term of
+embed(w, d) is d.  The verifier checks a stored depth from that one
+embedding, which the survival check reads too; the search alone climbs
+the degrees.
+
 Certificates embed the monodromy and element, so they re-verify from the
 stored JSON alone.  Their format is the table CERTIFICATE_FIELDS, with
 the DATA_FIELDS of each kind; the verifier checks every stored field.
@@ -61,7 +74,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .caps import Caps, DEFAULT_CAPS
-from .errors import InternalInvariant, InvalidSpec, MixedPrimes, NonPPowerOrder, SchemaError
+from .errors import CapExceeded, InternalInvariant, InvalidSpec, MixedPrimes, NonPPowerOrder, SchemaError
 from .extension import CheckReport
 from .fields import bigint, brief, fields, integer, list_of, one_of, require, string
 from .freegrp import (
@@ -217,20 +230,16 @@ def _nilpotency_bound(d: int, nu1: int) -> int:
 def _raw_induced_order(sub: SeriesSubstitution, p: int, nu: int) -> int:
     """Order of the substitution on its level-(p, d) Magnus quotient: the
     least p^s >= l, l the longest (U - I)-chain of an X_i, given
-    (U - I)^nu = 0 (proof in the module docstring)."""
-    gens = [
-        TruncatedSeries(sub.rank, sub.degree, p, {(i,): 1})
-        for i in range(1, sub.rank + 1)
-    ]
+    (U - I)^nu = 0 (proof in the module docstring).  The chains run on
+    raw tables, by SeriesSubstitution.chain_step."""
+    step = sub.chain_step
+    gens = [{(i,): 1} for i in range(1, sub.rank + 1)]
     if p >= nu:  # l < p: the order is 1 or p
-        return 1 if all(sub(x) == x for x in gens) else p
+        return p if any(step(x) for x in gens) else 1
     longest = 1
     for term in gens:
         length = 1
-        while True:
-            term = sub(term) - term
-            if not term.table:
-                break
+        while term := step(term):
             length += 1
             if length >= nu:
                 raise InternalInvariant(
@@ -238,6 +247,13 @@ def _raw_induced_order(sub: SeriesSubstitution, p: int, nu: int) -> int:
                 )
         longest = max(longest, length)
     return p ** least_p_power_exponent(longest, p)
+
+
+def _unipotent_order(phi: FreeEndo, p: int, d: int, nu1: int, caps: Caps) -> int:
+    """Order of phi on the level-(p, d) quotient, given (M - I)^nu1 = 0 on
+    H_1 mod p, nu1 the index is_unipotent_mod reports."""
+    sub = SeriesSubstitution(phi, d, p, caps)
+    return _raw_induced_order(sub, p, _nilpotency_bound(d, nu1))
 
 
 def induced_automorphism_order(
@@ -249,8 +265,7 @@ def induced_automorphism_order(
     unip = is_unipotent_mod(abelianization_matrix(spec.fiber), p)
     if not unip:
         raise NonPPowerOrder(f"H_1 action not unipotent mod {p}")
-    sub = SeriesSubstitution(spec.fiber, d, p, caps)
-    return _raw_induced_order(sub, p, _nilpotency_bound(d, unip.index))
+    return _unipotent_order(spec.fiber, p, d, unip.index, caps)
 
 
 def _stable_letter_exponent(p: int, m: int) -> int:
@@ -281,7 +296,9 @@ def find_p_quotient_witness(
 
     The stable-letter route kills the fiber and needs nothing more.  The
     Magnus route needs the H_1 action unipotent mod p: without it no level
-    has a p-power induced order, and the outcome is undecided.
+    has a p-power induced order, and the outcome is undecided.  With it,
+    the nilpotency index of that one unipotence test bounds the chains of
+    the induced order.
     """
     _require_prime(p)
     if g.is_identity():
@@ -308,7 +325,8 @@ def find_p_quotient_witness(
             **base,
         )
         return WitnessOutcome("certificate", certificate=cert)
-    if not is_unipotent_mod(abelianization_matrix(phi), p):
+    unip = is_unipotent_mod(abelianization_matrix(phi), p)
+    if not unip:
         return WitnessOutcome(
             "undecided",
             reason=f"H_1 action not unipotent mod {p}; the certificate route requires it",
@@ -316,7 +334,7 @@ def find_p_quotient_witness(
     w = g.fiber_word
     d, series = _depth_and_embedding(w, p, caps)
     evidence_mon, evidence_coeff = _least_nonzero_evidence(series, d)
-    order = induced_automorphism_order(spec, p, d, caps)
+    order = _unipotent_order(phi, p, d, unip.index, caps)
     fiber_bound = p ** _monomial_count(spec.rank, d)
     cert = PGroupQuotient(
         kind="magnus",
@@ -386,7 +404,10 @@ def verify_witness(cert: PGroupQuotient, caps: Caps = DEFAULT_CAPS) -> CheckRepo
     """Re-check a stored certificate from its own data.
 
     Survival, p-power order, and monodromy-invariance of the kernel are
-    all recomputed; nothing is trusted from the original run.  Kernel
+    all recomputed; nothing is trusted from the original run.  The depth
+    is checked on the one embedding at the stored degree (module
+    docstring); a stored degree above caps.magnus_degree is CapExceeded
+    before anything is embedded.  Kernel
     invariance is the theorem of the module docstring: its check is
     U(embed(w)) = embed(phi(w)) on the survivor w and
     U(embed(phi^-1(x_i))) = 1 + X_i for each i.  A p that is
@@ -432,10 +453,13 @@ def verify_witness(cert: PGroupQuotient, caps: Caps = DEFAULT_CAPS) -> CheckRepo
     d = cert.data["degree"]
     w = parse_word(cert.survivor_word, cert.rank)
     checks.append(("element_in_fiber", cert.survivor_t == 0 and not w.is_identity()))
-    depth, series = _depth_and_embedding(w, p, caps) or (None, None)
-    checks.append(("depth_minimal", depth == d))
-    if depth != d:
-        series = magnus_embed(w, d, p, caps)
+    if d > caps.magnus_degree:  # beyond any depth the search could find
+        raise CapExceeded("magnus_depth", caps.magnus_degree)
+    series = magnus_embed(w, d, p, caps)
+    # the depth is d iff the least degree of a nonconstant term is d
+    # (module docstring)
+    least = min((len(m) for m in series.table if m), default=None)
+    checks.append(("depth_minimal", least == d))
     mon = tuple(cert.data["evidence_monomial"])
     checks.append(
         (

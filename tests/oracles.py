@@ -10,6 +10,7 @@ theorem.
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -135,6 +136,42 @@ def chain_lengths(sub: SeriesSubstitution) -> list[int]:
             length += 1
         lengths.append(length)
     return lengths
+
+
+def depth_minimal_by_ladder(w: FreeWord, d: int, p: int, caps=DEFAULT_CAPS) -> bool:
+    """Is magnus_depth(w) = d over F_p?  Embeds w at degree 1, 2, ... up
+    to the cap and stops at the first embedding that is not 1; the
+    identity has no depth, and a depth beyond the cap is CapExceeded."""
+    if w.is_identity():
+        return False
+    for k in range(1, caps.magnus_degree + 1):
+        if not magnus_embed(w, k, p, caps).is_one():
+            return k == d
+    raise CapExceeded("magnus_depth", caps.magnus_degree)
+
+
+_WORD_TOKEN = re.compile(r"([xX])([0-9]+)")  # ASCII digits only: \d takes any Unicode digit
+
+
+def parse_word_by_regex(text: str, rank: int) -> FreeWord:
+    """parse_word with each token matched by a regular expression, its
+    letters reduced by the checked constructor."""
+    tokens = text.split()
+    if not tokens or tokens == ["1"]:
+        return FreeWord.identity(rank)
+    letters = []
+    for tok in tokens:
+        m = _WORD_TOKEN.fullmatch(tok)
+        if not m:
+            raise InvalidSpec(f"bad word token {tok!r}")
+        try:
+            idx = int(m.group(2))
+        except ValueError:  # more digits than int() converts
+            raise InvalidSpec(f"generator index of {len(m.group(2))} digits out of range 1..{rank}") from None
+        if not 1 <= idx <= rank:
+            raise InvalidSpec(f"generator index {idx} out of range 1..{rank}")
+        letters.append(idx if m.group(1) == "x" else -idx)
+    return FreeWord.from_letters(rank, letters)
 
 
 def unit_inverse(s: TruncatedSeries) -> TruncatedSeries:

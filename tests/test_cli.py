@@ -455,6 +455,46 @@ def test_verify_witness_depth_beyond_the_cap_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err == "cap exceeded: magnus_depth: cap 1 exceeded\n"
 
 
+def test_primes_up_to_beyond_the_sieve_cap_exits_3_without_sieving(tmp_path, capsys, monkeypatch):
+    from resip import cli
+
+    sieved = []
+    genuine = cli.primes_up_to
+
+    def counted(bound):
+        sieved.append(bound)
+        return genuine(bound)
+
+    monkeypatch.setattr(cli, "primes_up_to", counted)
+    assert main(["torus", "--matrix", "2 1; 1 1", "--primes-up-to", str(10**12)]) == 3
+    assert _entry(capsys) == {
+        "id": "0",
+        "kind": "torus",
+        "status": "cap",
+        "error": {"type": "CapExceeded", "message": "sieve_bound: cap 100000 exceeded"},
+    }
+    assert sieved == []
+    # one task past the cap is one cap entry; the others still run
+    beta = {
+        "kind": "fibered",
+        "rank": 3,
+        "images": ["x1 x3 X1", "x1", "X3 x2 x3"],
+        "inverse": ["x2", "X2 x1 x2 x3 X2 X1 x2", "X2 x1 x2"],
+    }
+    tasks = [
+        {"id": "small", "kind": "torus", "matrix": [[2, 1], [1, 1]], "primes_up_to": 30},
+        dict(beta, id="huge", primes_up_to=10**6),
+        dict(beta, id="at-cap", primes_up_to=1000),
+    ]
+    path = tmp_path / "tasks.json"
+    path.write_text(json.dumps({"version": 1, "tasks": tasks}))
+    assert main(["run", "--tasks", str(path), "--caps", "sieve_bound=1000"]) == 3
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert [e["status"] for e in entries] == ["ok", "cap", "ok"]
+    assert entries[1]["error"]["message"] == "sieve_bound: cap 1000 exceeded"
+    assert sieved == [30, 1000]
+
+
 def test_non_prime_certificate_exits_2(tmp_path, capsys):
     cert = {
         "p": 4,
@@ -804,7 +844,7 @@ def test_removed_witness_knobs_exit_2(tmp_path, capsys):
     for cap in ("order_iterations=1", "max_layer=4", "combine_witnesses=4", "layer_basis=64"):
         assert main(BETA_WITNESS + ["--caps", cap]) == 2
         assert "unknown caps" in capsys.readouterr().err
-    assert set(DEFAULT_CAPS._fields) == {"magnus_degree", "max_rank", "group_order"}
+    assert set(DEFAULT_CAPS._fields) == {"magnus_degree", "max_rank", "group_order", "sieve_bound"}
     assert "exploratory" not in TASK_FIELDS
     task = {
         "kind": "witness",

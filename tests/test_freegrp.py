@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     endo_power_by_composition,
     inverse_holds_both_ways,
+    parse_word_by_regex,
     random_certified_automorphism,
     substitute_then_reduce,
 )
@@ -69,6 +70,30 @@ def test_generator_index_beyond_int_conversion_is_invalid_spec():
     # int() converts at most 4300 digits; a longer index is out of range
     with pytest.raises(InvalidSpec, match="generator index of 5000 digits"):
         parse_word("x" + "1" * 5000, 2)
+
+
+def _parsed(parse, text, rank):
+    """The word parse gives, or the type and message of its refusal."""
+    try:
+        return parse(text, rank)
+    except InvalidSpec as exc:
+        return ("InvalidSpec", str(exc))
+
+
+def test_parser_matches_the_regex_oracle():
+    rng = random.Random(29)
+    corpus = [
+        "", "1", " 1 ", "1 1", "x1 1", "x0", "x", "X", "xx1", "x+1", "x-1", "x1_0",
+        "x1.0", "x\u00b2", "x\u0661", "X\uff11", "\uff581", "\u0445", "x01 X002",
+        "x1\u2003X2", "x1\u00a0x2", "x1\u3000X1", "\u2028x2\x1cx1\x85", "x1\tX2\n",
+        "x" + "1" * 5000, "X" + "9" * 4300, "x3", "X12", "x1 x1 X1", "x2 X2",
+    ]
+    for _ in range(200):
+        rank = rng.randint(1, 5)
+        corpus.append(format_word(_random_word(rng, rank, rng.randint(0, 12))))
+    for text in corpus:
+        for rank in (0, 1, 2, 3, 5):
+            assert _parsed(parse_word, text, rank) == _parsed(parse_word_by_regex, text, rank)
 
 
 def test_word_group_axioms_random():

@@ -6,8 +6,14 @@ import time
 
 import pytest
 
-from oracles import chain_lengths, induced_order_by_iteration, kernel_invariance_by_sampling
+from oracles import (
+    chain_lengths,
+    depth_minimal_by_ladder,
+    induced_order_by_iteration,
+    kernel_invariance_by_sampling,
+)
 from resip import (
+    CapExceeded,
     FreeEndo,
     FreeWord,
     InternalInvariant,
@@ -235,16 +241,18 @@ def test_induced_order_matches_iteration_and_divides_the_bound():
     assert orders == {(False, False), (True, False), (True, True)}
 
 
-def _count_substitution_calls(monkeypatch, compute) -> tuple[int, object]:
+def _count_calls(monkeypatch, method, compute) -> tuple[int, object]:
+    """Calls of the SeriesSubstitution method while compute runs, and its
+    result."""
     calls = []
-    real_call = SeriesSubstitution.__call__
+    real = getattr(SeriesSubstitution, method)
 
-    def counted(self, s):
+    def counted(self, arg):
         calls.append(1)
-        return real_call(self, s)
+        return real(self, arg)
 
     with monkeypatch.context() as m:
-        m.setattr(SeriesSubstitution, "__call__", counted)
+        m.setattr(SeriesSubstitution, method, counted)
         result = compute()
     return len(calls), result
 
@@ -258,24 +266,54 @@ def _count_substitution_calls(monkeypatch, compute) -> tuple[int, object]:
 )
 def test_induced_order_follows_the_chains_not_the_powers(monkeypatch, phi, p, d, order):
     spec = MappingTorusSpec(phi)
-    calls, found = _count_substitution_calls(
-        monkeypatch, lambda: induced_automorphism_order(spec, p, d)
+    steps, found = _count_calls(
+        monkeypatch, "chain_step", lambda: induced_automorphism_order(spec, p, d)
     )
     assert found == order
     longest = max(chain_lengths(SeriesSubstitution(phi, d, p)))
-    # each chain costs one call per step, at most rank * l in all
-    assert calls <= phi.rank * longest
-    iterated, by_iteration = _count_substitution_calls(
-        monkeypatch, lambda: induced_order_by_iteration(SeriesSubstitution(phi, d, p))
+    # each chain costs one step per link, at most rank * l in all, and
+    # builds no series: the substitution is never called
+    assert steps <= phi.rank * longest
+    calls, _ = _count_calls(monkeypatch, "__call__", lambda: induced_automorphism_order(spec, p, d))
+    assert calls == 0
+    iterated, by_iteration = _count_calls(
+        monkeypatch, "__call__", lambda: induced_order_by_iteration(SeriesSubstitution(phi, d, p))
     )
     assert by_iteration == order
-    assert calls < iterated
+    assert steps < iterated
     # the bound is sharp: a chain of length l passes nu = l + 1 and fails
     # nu = l (both above p, so the chains are followed)
     sub = SeriesSubstitution(phi, d, p)
     assert witness._raw_induced_order(sub, p, longest + 1) == order
     with pytest.raises(InternalInvariant, match=f"outlives its bound nu - 1 = {longest - 1}"):
         witness._raw_induced_order(sub, p, longest)
+
+
+def test_chain_steps_are_u_minus_i_and_give_the_oracle_chains():
+    rng = random.Random(4077)
+    for _ in range(80):
+        rank, p, d = rng.randint(2, 3), rng.choice((2, 3, 5, 7)), rng.randint(1, 4)
+        phi = _random_unipotent(rng, rank, p)
+        sub = SeriesSubstitution(phi, d, p)
+        # a step on any table, constant term included, is U(t) - t
+        monomials = [()] + [
+            tuple(rng.randint(1, rank) for _ in range(rng.randint(1, d))) for _ in range(6)
+        ]
+        t = TruncatedSeries(rank, d, p, {m: rng.randint(1, p - 1) for m in monomials})
+        table = dict(t.table)
+        assert sub.chain_step(table) == (sub(t) - t).table
+        assert table == t.table  # the step leaves its argument alone
+        lengths = []
+        for i in range(1, rank + 1):
+            term, length = {(i,): 1}, 0
+            while term:
+                term = sub.chain_step(term)
+                length += 1
+            lengths.append(length)
+        assert lengths == chain_lengths(SeriesSubstitution(phi, d, p))
+        unip = is_unipotent_mod(abelianization_matrix(phi), p)
+        order = witness._raw_induced_order(sub, p, _nilpotency_bound(d, unip.index))
+        assert order == p ** least_p_power_exponent(max(lengths), p)
 
 
 _CHAIN_OUTLIVES_ITS_BOUND = """
@@ -573,3 +611,61 @@ def test_kernel_invariance_fails_for_a_substitution_off_embed_phi(monkeypatch):
     monkeypatch.setattr(witness, "SeriesSubstitution", Skewed)
     checks = dict(verify_witness(cert).checks)
     assert checks["kernel_invariance"] is False
+
+
+def _with_degree(cert, degree, survivor_word=None):
+    """A copy of a magnus certificate storing another degree, and
+    optionally another survivor."""
+    d = cert.to_dict()
+    d["data"] = dict(d["data"], degree=degree)
+    if survivor_word is not None:
+        d["survivor_word"] = survivor_word
+    return PGroupQuotient.from_dict(d)
+
+
+def test_depth_from_one_embedding_agrees_with_the_ladder():
+    certs = _magnus_certificates()
+    # depth 1 words, and x1^p, whose series is 1 + X_1^p over F_p: depth p
+    rng = random.Random(2203)
+    for p in (2, 3, 5, 7):
+        spec = MappingTorusSpec(_random_unipotent(rng, 2, p))
+        for w in ("x1 X2 x1", "x2", " ".join(["x1"] * p)):
+            certs.append(find_p_quotient_witness(spec, _elem(0, w, 2), p).certificate)
+    degrees = set()
+    for cert in certs:
+        d = cert.data["degree"]
+        degrees.add(d)
+        w = parse_word(cert.survivor_word, cert.rank)
+        for stored in (d - 1, d, d + 1):
+            if stored < 1:
+                continue
+            checks = dict(verify_witness(_with_degree(cert, stored)).checks)
+            assert checks["depth_minimal"] is depth_minimal_by_ladder(w, stored, cert.p)
+            assert checks["depth_minimal"] is (stored == d)
+        # the identity has no depth at any degree
+        checks = dict(verify_witness(_with_degree(cert, d, survivor_word="1")).checks)
+        one = FreeWord.identity(cert.rank)
+        assert checks["depth_minimal"] is depth_minimal_by_ladder(one, d, cert.p) is False
+    assert degrees == {1, 2, 3, 4, 5, 7}
+
+
+def test_a_stored_degree_below_the_true_depth_fails_without_the_cap(monkeypatch):
+    # x1^9 has depth 9 over F_3 (its series is 1 + X_1^9), beyond the
+    # default cap of 8: a certificate claiming degree 4 fails depth_minimal,
+    # where the ladder hits the cap
+    cert = find_p_quotient_witness(
+        MappingTorusSpec(nielsen_transvection(2, 1, 2)), _elem(0, "x1 x2 X1 X2", 2), 3
+    ).certificate
+    forged = _with_degree(cert, 4, survivor_word=" ".join(["x1"] * 9))
+    report = verify_witness(forged)
+    assert dict(report.checks)["depth_minimal"] is False and not report.ok
+    with pytest.raises(CapExceeded, match="magnus_depth: cap 8 exceeded"):
+        depth_minimal_by_ladder(parse_word(forged.survivor_word, 2), 4, 3)
+
+    # a stored degree above the cap is refused before anything is embedded
+    def refuse(*args):
+        raise AssertionError("a word was embedded")
+
+    monkeypatch.setattr(witness, "magnus_embed", refuse)
+    with pytest.raises(CapExceeded, match="magnus_depth: cap 8 exceeded"):
+        verify_witness(_with_degree(cert, 9))
