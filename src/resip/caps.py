@@ -16,7 +16,14 @@ from .record import Record
 class Caps(Record):
     """The search caps; every value is an int >= 1, else ValueError."""
 
-    __slots__ = ("magnus_degree", "max_rank", "group_order", "sieve_bound")
+    __slots__ = (
+        "magnus_degree",
+        "max_rank",
+        "group_order",
+        "sieve_bound",
+        "subgroup_count",
+        "generating_set_size",
+    )
 
     def __init__(
         self,
@@ -25,8 +32,14 @@ class Caps(Record):
                                         # (witness search and verification)
         group_order: int = 10 ** 5,     # finite p-group closure size
         sieve_bound: int = 10 ** 5,     # largest primes_up_to of a task
+        subgroup_count: int = 10_000,   # subgroups in a p-group lattice
+        generating_set_size: int = 4,   # largest generating set tried by
+                                        # minimal_generating_size
     ):
-        values = (magnus_degree, max_rank, group_order, sieve_bound)
+        values = (
+            magnus_degree, max_rank, group_order, sieve_bound,
+            subgroup_count, generating_set_size,
+        )
         for name, value in zip(self.__slots__, values):
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"cap {name} must be an integer >= 1, got {value!r}")

@@ -5,23 +5,33 @@ exists to validate the p-group lemmas the classifiers lean on (Frattini
 quotients, the Burnside basis theorem, cyclic abelianization) on concrete
 instances.
 
-The group is closed once, breadth-first from the identity, with matrix
-products; that search fixes the order of ``elements``.  It records, for
-every element j but the identity, the element it was reached from and the
-generator it was reached by, elements[j] = elements[parent[j]] * gen[via[j]],
-and the right action of each generator as a list of indices.  Everything
-after that runs on element indices, with no matrix product:
+The group is closed once, breadth-first from the identity; that search
+fixes the order of ``elements``.  It multiplies by a memoised row action,
+not by matrix products: row i of g * s is (row i of g) * s, and the
+elements share few distinct rows (a unitriangular row is (0,...,0,1,*,...,*)),
+so each generator s keeps a dict from a row to that row times s mod the
+modulus, and g * s is the tuple of g's rows looked up there.  A row product
+is computed only the first time a row meets a generator, so the closure
+forms at most (distinct rows) x (generators) of them, and the elements
+share their row tuples.  The search records, for every element j but the
+identity, the element it was reached from and the generator it was
+reached by, elements[j] = elements[parent[j]] * gen[via[j]], and the right
+action of each generator as a list of indices.  Everything after that runs
+on element indices, with no matrix product:
 
 * Row i of the Cayley table, row_i[j] = index of elements[i] * elements[j],
   follows from row_i[j] = right[via[j]][row_i[parent[j]]].  Rows are built
   on first use, so a large group never allocates the whole n x n table.
 * A subgroup is an int bitmask over the indices.  Closure, the subgroup
   lattice, the centre, the derived subgroup and the Frattini checks are
-  searches and set operations on bitmasks.
+  searches and set operations on bitmasks.  The lattice keeps, for each
+  subgroup, the generators it was reached by.
 
 Matrices appear only at the public boundary: methods take group elements
 and return matrices and frozensets of matrices, in the same order as a
-matrix-level computation would.
+matrix-level computation would.  The searches are bounded by the ``Caps``
+the group is built with: ``group_order``, ``subgroup_count`` and
+``generating_set_size``.
 """
 
 from __future__ import annotations
@@ -36,12 +46,30 @@ from .intlin import IntMatrix, det_exact, p_power_exponent, prime_factors
 Element = tuple[tuple[int, ...], ...]  # matrix mod modulus
 
 
+def _row_times(row: tuple[int, ...], cols, mod: int) -> tuple[int, ...]:
+    """The row vector times the matrix with these columns, mod mod."""
+    return tuple(sum(x * y for x, y in zip(row, col)) % mod for col in cols)
+
+
 def _mmul(a: Element, b: Element, mod: int) -> Element:
-    cols = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % mod for col in cols)
-        for row in a
-    )
+    cols = tuple(zip(*b))
+    return tuple(_row_times(row, cols, mod) for row in a)
+
+
+class _RowAction(dict):
+    """Right multiplication by one matrix s mod m, on row vectors:
+    self[row] is row * s mod m, computed on first use and kept."""
+
+    __slots__ = ("cols", "mod")
+
+    def __init__(self, s: Element, mod: int):
+        super().__init__()
+        self.cols = tuple(zip(*s))
+        self.mod = mod
+
+    def __missing__(self, row: tuple[int, ...]) -> tuple[int, ...]:
+        value = self[row] = _row_times(row, self.cols, self.mod)
+        return value
 
 
 def _identity(n: int) -> Element:
@@ -76,22 +104,31 @@ def _bits(mask: int) -> list[int]:
 class FinitePGroup:
     """Explicitly closed group of matrices over Z/p^k."""
 
-    def __init__(self, modulus: int, generators: list[Element], cap: int):
+    def __init__(
+        self, modulus: int, generators: list[Element], caps: Caps = DEFAULT_CAPS
+    ):
         self.p = _prime_base(modulus)
+        self.dim = len(generators[0]) if generators else 1
         for g in generators:
+            if len(g) != self.dim:
+                raise InvalidSpec(
+                    f"generators of dimensions {self.dim} and {len(g)}: one dimension needed"
+                )
             if det_exact(IntMatrix.from_rows(g)) % self.p == 0:
                 raise InvalidSpec("generator not invertible mod the modulus")
         self.modulus = modulus
-        self.dim = len(generators[0]) if generators else 1
+        self.caps = caps
         self.generators = tuple(generators)
         ident = _identity(self.dim)
         elements = [ident]
         index = {ident: 0}
         parent, via = [0], [0]
+        cap = caps.group_order
+        actions = [_RowAction(s, modulus).__getitem__ for s in self.generators]
         right: list[list[int]] = [[] for _ in self.generators]
         for i, g in enumerate(elements):  # breadth-first: the list is the queue
-            for v, s in enumerate(self.generators):
-                h = _mmul(g, s, modulus)
+            for v, times_s in enumerate(actions):
+                h = tuple(map(times_s, g))  # row by row: g * s
                 j = index.get(h)
                 if j is None:
                     if len(elements) >= cap:
@@ -115,6 +152,7 @@ class FinitePGroup:
         self._inverses: Optional[list[int]] = None
         self._center: Optional[frozenset] = None
         self._derived: Optional[frozenset] = None
+        self._lattice: Optional[list[tuple[int, tuple[int, ...]]]] = None
         self._subgroups: Optional[tuple[frozenset, ...]] = None
 
     @property
@@ -306,28 +344,36 @@ class FinitePGroup:
             self._derived = self._as_set(self._normal_closure(comms))
         return self._derived
 
-    def all_subgroups(self, count_cap: int = 10_000) -> tuple[frozenset, ...]:
-        """Every subgroup, by joining upward from the trivial one, sorted by
-        order and then by the sorted list of member matrices."""
-        if self._subgroups is not None:
-            return self._subgroups
-        found: dict[int, tuple[int, ...]] = {1: ()}  # bitmask -> generators
-        queue = [1]
-        for h in queue:  # breadth-first: the list is the queue
-            gens = found[h]
-            for g, k in self._joins(h, gens):
-                if k not in found:
-                    if len(found) >= count_cap:
-                        raise CapExceeded("subgroup_count", count_cap)
-                    found[k] = gens + (g,)
-                    queue.append(k)
-        rank = [0] * self.order  # position of each element in matrix order
-        for r, i in enumerate(sorted(range(self.order), key=self.elements.__getitem__)):
-            rank[i] = r
-        masks = sorted(
-            found, key=lambda m: (m.bit_count(), sorted(rank[i] for i in _bits(m)))
-        )
-        self._subgroups = tuple(self._as_set(m) for m in masks)
+    def _subgroup_lattice(self) -> list[tuple[int, tuple[int, ...]]]:
+        """(bitmask, generators) of every subgroup, by joining upward from
+        the trivial one, sorted by order and then by the sorted list of
+        member matrices; at most caps.subgroup_count of them."""
+        if self._lattice is None:
+            cap = self.caps.subgroup_count
+            found: dict[int, tuple[int, ...]] = {1: ()}  # bitmask -> generators
+            queue = [1]
+            for h in queue:  # breadth-first: the list is the queue
+                gens = found[h]
+                for g, k in self._joins(h, gens):
+                    if k not in found:
+                        if len(found) >= cap:
+                            raise CapExceeded("subgroup_count", cap)
+                        found[k] = gens + (g,)
+                        queue.append(k)
+            rank = [0] * self.order  # position of each element in matrix order
+            for r, i in enumerate(sorted(range(self.order), key=self.elements.__getitem__)):
+                rank[i] = r
+            masks = sorted(
+                found, key=lambda m: (m.bit_count(), sorted(rank[i] for i in _bits(m)))
+            )
+            self._lattice = [(m, found[m]) for m in masks]
+        return self._lattice
+
+    def all_subgroups(self) -> tuple[frozenset, ...]:
+        """Every subgroup, sorted by order and then by the sorted list of
+        member matrices."""
+        if self._subgroups is None:
+            self._subgroups = tuple(self._as_set(m) for m, _ in self._subgroup_lattice())
         return self._subgroups
 
     def maximal_subgroups(self) -> list[frozenset]:
@@ -345,13 +391,17 @@ class FinitePGroup:
         return True
 
     def is_cyclic_subgroup(self, h: frozenset) -> bool:
-        return any(self.element_order(g) == len(h) for g in h)
+        return self._is_cyclic(self._mask_of(h))
+
+    def _is_cyclic(self, mask: int) -> bool:
+        order = mask.bit_count()
+        return any(self._order_mod(g, 1) == order for g in _bits(mask))
 
 
 def generate_group(
     generators: list[Element], modulus: int, caps: Caps = DEFAULT_CAPS
 ) -> FinitePGroup:
-    return FinitePGroup(modulus, generators, caps.group_order)
+    return FinitePGroup(modulus, generators, caps)
 
 
 def ut3_group(p: int, caps: Caps = DEFAULT_CAPS) -> FinitePGroup:
@@ -407,17 +457,37 @@ def _quotient_is_cyclic(group: FinitePGroup, h: int, d: int) -> bool:
     return target == 1
 
 
+def _derived_of(group: FinitePGroup, gens: tuple[int, ...], members: list[int]) -> int:
+    """[H, H] for H = <S>, S = gens: the subgroup N generated by the
+    commutators [s, h] = s h s^-1 h^-1 with s in S and h in H.
+
+    N <= [H, H] is clear.  N is normal in H: [s, ab] = [s, a] a[s, b]a^-1,
+    so a[s, b]a^-1 = [s, a]^-1 [s, ab] lies in N for all a, b in H, and
+    conjugation by a maps N's generators, hence N, into N.  In H/N every
+    image of an s in S commutes with every element, so it is central; H/N
+    is generated by them and so abelian, which gives [H, H] <= N.
+
+    A commutator already in the subgroup built so far adds nothing, so the
+    closure is retaken only when the subgroup grows, at most log_p |N|
+    times."""
+    comms: list[int] = []
+    mask = 1
+    for s in gens:
+        for h in members:
+            c = group._commutator(s, h)
+            if not mask >> c & 1:
+                comms.append(c)
+                mask = group._closure(comms)
+    return mask
+
+
 def check_cyclic_abelianization(group: FinitePGroup) -> bool:
     """Instance check of: a finite p-group with cyclic abelianization is
     cyclic.  Runs over every subgroup; any violation returns False."""
-    for h in group.all_subgroups():
-        mask = group._mask_of(h)
+    for mask, gens in group._subgroup_lattice():
         members = _bits(mask)
-        derived = group._closure(
-            {group._commutator(a, b) for a in members for b in members}
-        )
-        if _quotient_is_cyclic(group, mask, derived):
-            if not group.is_cyclic_subgroup(h):
+        if _quotient_is_cyclic(group, mask, _derived_of(group, gens, members)):
+            if not group._is_cyclic(mask):
                 return False
     return True
 
@@ -439,14 +509,16 @@ def inner_automorphism_orders(group: FinitePGroup) -> list[int]:
     return [group._order_mod(g, center) for g in range(group.order)]
 
 
-def minimal_generating_size(group: FinitePGroup, size_cap: int = 4) -> int:
-    """Exhaustive smallest generating set size (Burnside basis check)."""
+def minimal_generating_size(group: FinitePGroup) -> int:
+    """Exhaustive smallest generating set size (Burnside basis check), up
+    to caps.generating_set_size elements."""
     if group.order == 1:
         return 0
+    cap = group.caps.generating_set_size
     whole = (1 << group.order) - 1
     candidates = range(1, group.order)  # every element but the identity
-    for size in range(1, size_cap + 1):
+    for size in range(1, cap + 1):
         for subset in combinations(candidates, size):
             if group._closure(subset) == whole:
                 return size
-    raise CapExceeded("generating_set_size", size_cap)
+    raise CapExceeded("generating_set_size", cap)

@@ -844,7 +844,10 @@ def test_removed_witness_knobs_exit_2(tmp_path, capsys):
     for cap in ("order_iterations=1", "max_layer=4", "combine_witnesses=4", "layer_basis=64"):
         assert main(BETA_WITNESS + ["--caps", cap]) == 2
         assert "unknown caps" in capsys.readouterr().err
-    assert set(DEFAULT_CAPS._fields) == {"magnus_degree", "max_rank", "group_order", "sieve_bound"}
+    assert set(DEFAULT_CAPS._fields) == {
+        "magnus_degree", "max_rank", "group_order", "sieve_bound",
+        "subgroup_count", "generating_set_size",
+    }
     assert "exploratory" not in TASK_FIELDS
     task = {
         "kind": "witness",

@@ -24,6 +24,7 @@ from resip import (
     tower_lemma_check,
     ut3_group,
 )
+from resip import pgrouplab
 
 
 def test_ut3_orders():
@@ -66,12 +67,37 @@ def test_direct_construction_rejects_singular_generator():
     # the zero matrix mod 2 closes to a monoid of order 2, whose inverses
     # were once searched for without end
     with pytest.raises(InvalidSpec):
-        FinitePGroup(2, [((0, 0), (0, 0))], 100)
+        FinitePGroup(2, [((0, 0), (0, 0))], Caps(group_order=100))
+
+
+def test_generators_of_different_dimensions_are_rejected(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a row product was formed")
+
+    monkeypatch.setattr(pgrouplab, "_row_times", refuse)
+    identity3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    with pytest.raises(InvalidSpec, match="dimensions 2 and 3"):
+        generate_group([((1, 1), (0, 1)), identity3], 2)
+    with pytest.raises(InvalidSpec, match="dimensions 3 and 2"):
+        FinitePGroup(2, [identity3, ((1, 1), (0, 1))])
 
 
 def test_group_order_cap():
     with pytest.raises(CapExceeded):
         ut3_group(5, Caps(group_order=100))
+
+
+def test_each_lattice_cap_is_read_from_the_group_caps():
+    count = len(ut3_group(3).all_subgroups())
+    assert len(ut3_group(3, Caps(subgroup_count=count)).all_subgroups()) == count
+    group = ut3_group(3, Caps(subgroup_count=count - 1))
+    for call in (group.all_subgroups, group.maximal_subgroups,
+                 lambda: check_cyclic_abelianization(group)):
+        with pytest.raises(CapExceeded, match=f"subgroup_count: cap {count - 1} exceeded"):
+            call()
+    assert minimal_generating_size(elementary_abelian_p2(3, Caps(generating_set_size=2))) == 2
+    with pytest.raises(CapExceeded, match="generating_set_size: cap 1 exceeded"):
+        minimal_generating_size(elementary_abelian_p2(3, Caps(generating_set_size=1)))
 
 
 def test_frattini_fixture():
@@ -309,6 +335,14 @@ def _unitriangular(a, b, c):
     return ((1, a, c), (0, 1, b), (0, 0, 1))
 
 
+def _ut_generators(n):
+    """I + E_{i,i+1} for i < n: the standard generators of UT(n, p)."""
+    return [
+        tuple(tuple(int(r == c or (r, c) == (i, i + 1)) for c in range(n)) for r in range(n))
+        for i in range(n - 1)
+    ]
+
+
 def _oracle_groups():
     """(name, generators, modulus, p): the standard generating sets, for
     each seed a random one of each kind, and for seed 0 a redundant one
@@ -319,6 +353,13 @@ def _oracle_groups():
     for p in (2, 3, 5):
         specs.append((f"ea-{p}", [_unitriangular(1, 0, 0), _unitriangular(0, 0, 1)], p, p))
         specs.append((f"cyc-{p}", [((1, 1), (0, 1))], p * p, p))
+    # non-abelian over Z/p^2 in dimension 3: I + E12 of order p^2 with
+    # diag(1, 1 + p, 1), which conjugates it to its (1 + p)^-1-th power
+    # (order p^3), and with I + pE23 over Z/4 (order 16)
+    for p in (2, 3):
+        specs.append((f"zp2-{p}", [_unitriangular(1, 0, 0), ((1, 0, 0), (0, 1 + p, 0), (0, 0, 1))],
+                      p * p, p))
+    specs.append(("zp2-2-ut", [_unitriangular(1, 0, 0), _unitriangular(0, 2, 0)], 4, 2))
     for seed in range(3):
         rng = random.Random(seed)
         for p in (2, 3, 5):
@@ -370,10 +411,7 @@ def test_derived_subgroup_of_a_class_three_group():
     """UT(4,2): the commutators of the generators I+E12, I+E23, I+E34
     generate a subgroup that is not normal, so [G, G] is reached only
     through the normal closure."""
-    gens = [
-        tuple(tuple(int(r == c or (r, c) == (i, i + 1)) for c in range(4)) for r in range(4))
-        for i in range(3)
-    ]
+    gens = _ut_generators(4)
     group = generate_group(gens, 2)
     oracle = MatrixOracle(gens, 2, 2)
     els = oracle.elements
@@ -388,6 +426,44 @@ def test_derived_subgroup_of_a_class_three_group():
         "rank": 3,
         "elementary_abelian_quotient": True,
     }
+
+
+@pytest.mark.parametrize(
+    "name,generators,modulus,p",
+    _oracle_groups() + [("ut4-2", _ut_generators(4), 2, 2)],
+    ids=[s[0] for s in _oracle_groups()] + ["ut4-2"],
+)
+def test_lattice_generators_give_each_derived_subgroup(name, generators, modulus, p):
+    """[H, H] from the commutators [s, h], s in H's recorded generators,
+    equals the oracle's closure of all |H|^2 commutators."""
+    group = generate_group(generators, modulus)
+    oracle = MatrixOracle(generators, modulus, p)
+    lattice = group._subgroup_lattice()
+    assert [group._as_set(mask) for mask, _ in lattice] == list(group.all_subgroups())
+    for mask, gens in lattice:
+        assert group._closure(gens) == mask
+        h = group._as_set(mask)
+        derived = pgrouplab._derived_of(group, gens, pgrouplab._bits(mask))
+        assert group._as_set(derived) == oracle.derived(h)
+
+
+def test_closure_forms_each_row_product_once(monkeypatch):
+    """UT(4,3), order 3^6: each distinct row meets each generator in at
+    most one row product, not once per (element, generator) pair."""
+    products = []
+    row_times = pgrouplab._row_times
+
+    def counted(row, cols, mod):
+        products.append((row, cols))
+        return row_times(row, cols, mod)
+
+    monkeypatch.setattr(pgrouplab, "_row_times", counted)
+    gens = _ut_generators(4)
+    group = generate_group(gens, 3)
+    assert group.order == 3 ** 6
+    rows = {row for g in group.elements for row in g}
+    assert len(set(products)) == len(products) <= len(rows) * len(gens)
+    assert group.elements == MatrixOracle(gens, 3, 3).elements
 
 
 def test_is_normal_on_sets_that_are_not_subgroups():

@@ -141,7 +141,10 @@ def test_copies_and_pickles_are_equal(make):
 
 
 def test_reprs_and_fields_in_declaration_order():
-    assert repr(Caps()) == "Caps(magnus_degree=8, max_rank=6, group_order=100000, sieve_bound=100000)"
+    assert repr(Caps()) == (
+        "Caps(magnus_degree=8, max_rank=6, group_order=100000, sieve_bound=100000, "
+        "subgroup_count=10000, generating_set_size=4)"
+    )
     assert repr(FreeWord(2, (1, -2))) == "FreeWord(rank=2, letters=(1, -2))"
     assert repr(ReportEntry("t", "bs", "ok")) == (
         "ReportEntry(id='t', kind='bs', status='ok', result=None, error=None, elapsed_ms=None)"
