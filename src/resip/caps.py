@@ -22,7 +22,6 @@ class Caps(Record):
         "group_order",
         "sieve_bound",
         "subgroup_count",
-        "generating_set_size",
     )
 
     def __init__(
@@ -33,13 +32,8 @@ class Caps(Record):
         group_order: int = 10 ** 5,     # finite p-group closure size
         sieve_bound: int = 10 ** 5,     # largest primes_up_to of a task
         subgroup_count: int = 10_000,   # subgroups in a p-group lattice
-        generating_set_size: int = 4,   # largest generating set tried by
-                                        # minimal_generating_size
     ):
-        values = (
-            magnus_degree, max_rank, group_order, sieve_bound,
-            subgroup_count, generating_set_size,
-        )
+        values = (magnus_degree, max_rank, group_order, sieve_bound, subgroup_count)
         for name, value in zip(self.__slots__, values):
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"cap {name} must be an integer >= 1, got {value!r}")

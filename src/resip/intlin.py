@@ -7,9 +7,12 @@ polynomials the division-free Berkowitz scheme.  Hermite and Smith normal
 forms are computed in-tree by the algorithms sympy uses, so the forms are
 the same matrices sympy returns; no verdict needs them.
 
-Primality is trial division for small n and deterministic Miller-Rabin
-with the first 13 prime bases below 3.317 * 10^24, and above it
-sympy.isprime, imported only then, a BPSW probable-prime test.  Prime factors come from trial division, then
+Primality is trial division for small n, then Miller-Rabin with the
+first 13 prime bases, which is exact below 3.317 * 10^24; from there on a
+strong Lucas test with Selfridge's parameters joins it, so the test is the
+strong Baillie-PSW test, the one sympy.isprime runs there.  Above that
+bound the answer is a probable-prime answer: no composite is known to pass,
+but none is proved not to.  Prime factors come from trial division, then
 Pollard-Brent rho on every composite cofactor.
 
 The stable rank and index of the lattice chain B^i Z^n need neither a
@@ -233,9 +236,11 @@ _MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 def is_prime(n: int) -> bool:
     """Primality: trial division, then Miller-Rabin with bases that make
-    it exact below 3.317 * 10^24.  From there on sympy.isprime answers,
-    a BPSW probable-prime test: no composite is known to pass it, but
-    none is proved not to."""
+    it exact below 3.317 * 10^24.  From there on a strong Lucas test
+    follows, and with the base 2 among the bases that is the strong
+    Baillie-PSW test (Baillie-Wagstaff, Math. Comp. 35, 1980): a
+    probable-prime answer, since no composite is known to pass it, but
+    none is proved not to.  Every prime passes both tests."""
     if n < 2:
         return False
     for q in _TRIAL_PRIMES:
@@ -243,10 +248,6 @@ def is_prime(n: int) -> bool:
             return True
         if n % q == 0:
             return n == q
-    if n >= _MR_BOUND:
-        import sympy
-
-        return bool(sympy.isprime(n))
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -260,7 +261,58 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_BOUND or _is_strong_lucas_prp(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n >= 1, by quadratic reciprocity."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _is_strong_lucas_prp(n: int) -> bool:
+    """The strong Lucas probable-prime test of odd n >= 1 with Selfridge's
+    parameters: D is the first of 5, -7, 9, -11, ... with (D/n) = -1,
+    P = 1 and Q = (1 - D) / 4.  With n + 1 = d 2^s, d odd, n passes iff
+    U_d = 0 or V_(d 2^r) = 0 mod n for some 0 <= r < s.  Every odd prime
+    passes; so do a few composites (5459, 5777, 10877, ...)."""
+    if isqrt(n) ** 2 == n:  # (D/n) is never -1: no D exists
+        return False
+    d = 5
+    while (j := _jacobi(d, n)) != -1:
+        if j == 0 and d % n:  # gcd(D, n) is a proper factor of n
+            return False
+        d = -d - 2 if d > 0 else 2 - d
+    q = (1 - d) // 4
+    k, s = n + 1, 0
+    while k % 2 == 0:
+        k, s = k // 2, s + 1
+
+    def half(x: int) -> int:  # x / 2 mod n, n odd
+        return (x + n if x & 1 else x) // 2 % n
+
+    u, v, qk = 1, 1, q % n  # U_1, V_1 and Q^1 with P = 1
+    for bit in bin(k)[3:]:  # the ladder: index j -> 2j, then 2j + 1
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = half(u + v), half(d * u + v), qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 def prime_factors(n: int) -> tuple[int, ...]:

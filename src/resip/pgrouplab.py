@@ -30,13 +30,13 @@ on element indices, with no matrix product:
 Matrices appear only at the public boundary: methods take group elements
 and return matrices and frozensets of matrices, in the same order as a
 matrix-level computation would.  The searches are bounded by the ``Caps``
-the group is built with: ``group_order``, ``subgroup_count`` and
-``generating_set_size``.
+the group is built with: ``group_order`` and ``subgroup_count``.
+``minimal_generating_size`` needs no search: by the Burnside basis theorem
+it is the rank of P/Phi(P), and Phi(P) is one normal closure.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 from .caps import Caps, DEFAULT_CAPS
@@ -510,15 +510,26 @@ def inner_automorphism_orders(group: FinitePGroup) -> list[int]:
 
 
 def minimal_generating_size(group: FinitePGroup) -> int:
-    """Exhaustive smallest generating set size (Burnside basis check), up
-    to caps.generating_set_size elements."""
-    if group.order == 1:
-        return 0
-    cap = group.caps.generating_set_size
-    whole = (1 << group.order) - 1
-    candidates = range(1, group.order)  # every element but the identity
-    for size in range(1, cap + 1):
-        for subset in combinations(candidates, size):
-            if group._closure(subset) == whole:
-                return size
-    raise CapExceeded("generating_set_size", cap)
+    """d(P), the least size of a generating set, by the Burnside basis
+    theorem: d(P) = log_p [P : Phi(P)], with Phi(P) = P^p [P, P].
+
+    Phi(P) is the normal closure N of {s^p, [s, t] : s, t generators}.
+    N <= P^p [P, P], which is normal and holds every s^p and [s, t].  In
+    P/N the images of the generators commute and have order dividing p,
+    and they generate it, so P/N is elementary abelian; hence every g^p
+    and every commutator lies in N, and P^p [P, P] <= N.  Phi(P) is the
+    set of non-generators, so a set generates P iff its image spans the
+    F_p-vector space P/Phi(P), and d(P) is the dimension of that space."""
+    gens = group._gens
+    powers = []
+    for act in group._right:  # s^p: p steps of s's right action from 1
+        x = 0
+        for _ in range(group.p):
+            x = act[x]
+        powers.append(x)
+    comms = [group._commutator(a, b) for a in gens for b in gens]
+    phi = group._normal_closure(powers + comms)
+    rank = p_power_exponent(group.order // phi.bit_count(), group.p)
+    if rank is None:
+        raise InternalInvariant("Frattini quotient order is not a power of p")
+    return rank

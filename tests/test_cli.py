@@ -841,12 +841,13 @@ def test_flag_prefixes_are_refused(capsys, argv):
 def test_removed_witness_knobs_exit_2(tmp_path, capsys):
     assert _exit_code(BETA_WITNESS + ["--exploratory"]) == 2
     capsys.readouterr()
-    for cap in ("order_iterations=1", "max_layer=4", "combine_witnesses=4", "layer_basis=64"):
+    for cap in ("order_iterations=1", "max_layer=4", "combine_witnesses=4", "layer_basis=64",
+                "generating_set_size=4"):
         assert main(BETA_WITNESS + ["--caps", cap]) == 2
         assert "unknown caps" in capsys.readouterr().err
     assert set(DEFAULT_CAPS._fields) == {
         "magnus_degree", "max_rank", "group_order", "sieve_bound",
-        "subgroup_count", "generating_set_size",
+        "subgroup_count",
     }
     assert "exploratory" not in TASK_FIELDS
     task = {

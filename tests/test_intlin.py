@@ -503,6 +503,7 @@ STRONG_PSEUDOPRIMES = (
     318665857834031151167461,  # to the first twelve prime bases
 )
 CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185, 5394826801)
+CHERNICK_K = (14000240, 14000461, 14000720, 1000000001121, 1000000008310)
 
 
 def test_is_prime_matches_sympy():
@@ -516,8 +517,47 @@ def test_is_prime_matches_sympy():
     near += [sympy.nextprime(10**9) * sympy.nextprime(10**9 + 100)]
     near += [rng.randrange(10**6, 10**25) | 1 for _ in range(300)]
     near += [int(sympy.prevprime(intlin._MR_BOUND)), intlin._MR_BOUND]
+    # above the bound, where the strong Lucas test joins Miller-Rabin
+    near += [m + d for e in (89, 107, 127, 521) for m in (2**e - 1,) for d in (-2, 0, 2, 4)]
+    near += [m + d for e in (89, 127) for m in (2**e + 1,) for d in (-2, 0)]
+    near += [
+        int(sympy.nextprime(rng.randrange(10**12, 10**15)))
+        * int(sympy.nextprime(rng.randrange(10**12, 10**15)))
+        for _ in range(50)
+    ]
+    near += [rng.randrange(intlin._MR_BOUND, 10**60) | 1 for _ in range(300)]
+    near += [int(sympy.nextprime(rng.randrange(intlin._MR_BOUND, 10**60))) for _ in range(20)]
+    # Chernick's Carmichael numbers (6k + 1)(12k + 1)(18k + 1), k making
+    # all three factors prime, above the bound
+    chernick = [(6 * k + 1) * (12 * k + 1) * (18 * k + 1) for k in CHERNICK_K]
+    assert all(n > intlin._MR_BOUND and pow(2, n - 1, n) == 1 for n in chernick)
+    near += chernick
     for n in near:
         assert intlin.is_prime(n) == sympy.isprime(n), n
+
+
+def test_strong_lucas_test_matches_sympy_on_small_odd_numbers():
+    from sympy.ntheory.primetest import is_strong_lucas_prp
+
+    passed = [n for n in range(1, 200_000, 2) if intlin._is_strong_lucas_prp(n)]
+    assert passed == [n for n in range(1, 200_000, 2) if is_strong_lucas_prp(n)]
+    # the strong Lucas pseudoprimes below 2 * 10^5 start so (OEIS A217255)
+    assert [n for n in passed if not sympy.isprime(n)][:5] == [5459, 5777, 10877, 16109, 18971]
+
+
+def test_the_lucas_test_rejects_the_bound_which_passes_miller_rabin():
+    """3.317 * 10^24 is a strong pseudoprime to all 13 bases: below the
+    bound Miller-Rabin alone is exact, and at it the Lucas test is what
+    rejects it."""
+    n = intlin._MR_BOUND
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in intlin._MR_BASES:
+        x = pow(a, d, n)
+        assert x in (1, n - 1) or n - 1 in [pow(x, 2**r, n) for r in range(1, s)]
+    assert not intlin._is_strong_lucas_prp(n)
+    assert not intlin.is_prime(n)
 
 
 def test_sieve_matches_primerange():

@@ -95,9 +95,11 @@ def test_each_lattice_cap_is_read_from_the_group_caps():
                  lambda: check_cyclic_abelianization(group)):
         with pytest.raises(CapExceeded, match=f"subgroup_count: cap {count - 1} exceeded"):
             call()
-    assert minimal_generating_size(elementary_abelian_p2(3, Caps(generating_set_size=2))) == 2
-    with pytest.raises(CapExceeded, match="generating_set_size: cap 1 exceeded"):
-        minimal_generating_size(elementary_abelian_p2(3, Caps(generating_set_size=1)))
+    # minimal_generating_size reads no cap and searches no subsets:
+    # (Z/2)^5, as I + E_1j for j = 2..6, has rank 5
+    gens = [tuple(tuple(int(r == c or (r, c) == (0, j)) for c in range(6)) for r in range(6))
+            for j in range(1, 6)]
+    assert minimal_generating_size(generate_group(gens, 2)) == 5
 
 
 def test_frattini_fixture():
@@ -426,6 +428,8 @@ def test_derived_subgroup_of_a_class_three_group():
         "rank": 3,
         "elementary_abelian_quotient": True,
     }
+    # Phi(G) is reached only through the normal closure as well
+    assert minimal_generating_size(group) == 3
 
 
 @pytest.mark.parametrize(
