@@ -22,6 +22,8 @@ class Caps(Record):
         "group_order",
         "sieve_bound",
         "subgroup_count",
+        "genus",
+        "cover_rank",
     )
 
     def __init__(
@@ -32,8 +34,11 @@ class Caps(Record):
         group_order: int = 10 ** 5,     # finite p-group closure size
         sieve_bound: int = 10 ** 5,     # largest primes_up_to of a task
         subgroup_count: int = 10_000,   # subgroups in a p-group lattice
+        genus: int = 500,               # genus of a circle-bundle task
+        cover_rank: int = 101,          # rank m(n - 1) + 1 of a braid-cover task
     ):
-        values = (magnus_degree, max_rank, group_order, sieve_bound, subgroup_count)
+        values = (magnus_degree, max_rank, group_order, sieve_bound, subgroup_count,
+                  genus, cover_rank)
         for name, value in zip(self.__slots__, values):
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"cap {name} must be an integer >= 1, got {value!r}")

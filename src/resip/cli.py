@@ -264,6 +264,8 @@ def run_task(task: Task, caps: Caps) -> dict:
         cover = cover_from_finite_quotient(
             strands, payload["assignments"], payload["modulus"]
         )
+        if cover.subgroup_rank > caps.cover_rank:  # before any row or chain is built
+            raise CapExceeded("cover_rank", caps.cover_rank)
         matrix = braid_cover_homology(braid, cover)
         cp = charpoly_exact(matrix)
         # det M = (-1)^r cp(0).  A braid is an automorphism phi, and one
@@ -317,6 +319,8 @@ def run_task(task: Task, caps: Caps) -> dict:
         if check == "heisenberg":
             return {"check": check, "report": heisenberg_checks().to_dict()}
         if check == "circle-bundle":
+            if payload["genus"] > caps.genus:  # before the 2g x 2g form is built
+                raise CapExceeded("genus", caps.genus)
             spec = CircleBundleSpec(payload["genus"], payload["euler"])
             return {"check": check, "report": circle_bundle_central_witness(spec).to_dict()}
         form = tuple(tuple(row) for row in payload["form"])

@@ -22,10 +22,15 @@ on element indices, with no matrix product:
 * Row i of the Cayley table, row_i[j] = index of elements[i] * elements[j],
   follows from row_i[j] = right[via[j]][row_i[parent[j]]].  Rows are built
   on first use, so a large group never allocates the whole n x n table.
-* A subgroup is an int bitmask over the indices.  Closure, the subgroup
-  lattice, the centre, the derived subgroup and the Frattini checks are
-  searches and set operations on bitmasks.  The lattice keeps, for each
-  subgroup, the generators it was reached by.
+* A subgroup is an int bitmask over the indices.  Closure, the centre,
+  the derived subgroup and the Frattini checks are searches and set
+  operations on bitmasks.
+* The subgroup lattice is a breadth-first search by index-p steps: from
+  each subgroup H found it tries one element g per right coset Hg outside
+  H, and adds H<g> when g normalizes H and g^p lies in H.  In a finite
+  p-group that reaches every subgroup (proof at ``_subgroup_lattice``).
+  The lattice keeps, for each subgroup, the generators it was reached
+  by, one per step.
 
 Matrices appear only at the public boundary: methods take group elements
 and return matrices and frozensets of matrices, in the same order as a
@@ -37,7 +42,8 @@ it is the rank of P/Phi(P), and Phi(P) is one normal closure.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from operator import mul
+from typing import Iterable, Optional
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import CapExceeded, InternalInvariant, InvalidSpec, NotAPGroup, NotNormal
@@ -48,7 +54,7 @@ Element = tuple[tuple[int, ...], ...]  # matrix mod modulus
 
 def _row_times(row: tuple[int, ...], cols, mod: int) -> tuple[int, ...]:
     """The row vector times the matrix with these columns, mod mod."""
-    return tuple(sum(x * y for x, y in zip(row, col)) % mod for col in cols)
+    return tuple(sum(map(mul, row, col)) % mod for col in cols)
 
 
 def _mmul(a: Element, b: Element, mod: int) -> Element:
@@ -279,36 +285,6 @@ class FinitePGroup:
                     coset[z] = mask
         return coset
 
-    def _joins(self, h: int, gens: tuple[int, ...]) -> Iterator[tuple[int, int]]:
-        """(g, <H, g>) for one g outside H from each double coset HgH.
-
-        Every x in HgH gives <H, x> = <H, g>.  <H, g> is grown from H by
-        whole right cosets (Dimino's algorithm): a union of right cosets of
-        H that holds r*s for each coset representative r and each
-        generator s of <H, g> is that subgroup."""
-        todo = ((1 << self.order) - 1) & ~h
-        if not todo:
-            return
-        members = _bits(h)
-        coset = self._right_cosets(h)
-        while todo:
-            g = (todo & -todo).bit_length() - 1
-            g_row = self._row(g)
-            double = 0
-            for y in members:
-                double |= coset[g_row[y]]
-            todo &= ~double
-            joined = h | coset[g]
-            reps = [g]
-            for r in reps:  # grows as cosets are added
-                row = self._row(r)
-                for s in gens + (g,):
-                    x = row[s]
-                    if not joined >> x & 1:
-                        joined |= coset[x]
-                        reps.append(x)
-            yield g, joined
-
     # -- public, on matrices ------------------------------------------------
 
     def inv(self, g: Element) -> Element:
@@ -345,16 +321,59 @@ class FinitePGroup:
         return self._derived
 
     def _subgroup_lattice(self) -> list[tuple[int, tuple[int, ...]]]:
-        """(bitmask, generators) of every subgroup, by joining upward from
-        the trivial one, sorted by order and then by the sorted list of
-        member matrices; at most caps.subgroup_count of them."""
+        """(bitmask, generators) of every subgroup, sorted by order and then
+        by the sorted list of member matrices; at most caps.subgroup_count
+        of them.
+
+        The search steps up by index p, breadth-first from the trivial
+        subgroup.  For a subgroup H found with generators S it takes one
+        candidate g from each right coset Hg outside H, and keeps g iff
+        g^p is in H and g s is in Hg for every s in S.  The second test says
+        g S g^-1 <= H, so g normalizes H, and then gH has order p in
+        N(H)/H: K = H u Hg u ... u Hg^(p-1) = H<g> is a subgroup of index p
+        over H, recorded with generators S + (g,).  The cosets in K hold no
+        further candidate.
+
+        Every subgroup K is found.  Normalizers grow in a finite p-group:
+        for a found H < K, N_K(H) > H, so the p-group N_K(H)/H has an
+        element gH of order p, and H<g> <= K has index p over H.  Steps of
+        that kind lead from the trivial subgroup up to K.  One candidate per
+        coset suffices: for h in H, hg normalizes H iff g does, and then
+        (hg)^p is in H iff g^p is, since hgH = gH in N(H)/H, and
+        H<hg> = H<g>.  Nor is anything lost when a coset Hx inside a K'
+        found from H is dropped: if x passes, H<x> <= K', and both have
+        index p over H, so they are equal.
+
+        Rows of the Cayley table are built only for H's members, which
+        the cosets need, and for the candidates tested."""
         if self._lattice is None:
             cap = self.caps.subgroup_count
+            p = self.p
+            everything = (1 << self.order) - 1
             found: dict[int, tuple[int, ...]] = {1: ()}  # bitmask -> generators
             queue = [1]
             for h in queue:  # breadth-first: the list is the queue
+                todo = everything & ~h
+                if not todo:
+                    continue
                 gens = found[h]
-                for g, k in self._joins(h, gens):
+                coset = self._right_cosets(h)
+                while todo:
+                    g = (todo & -todo).bit_length() - 1
+                    hg = coset[g]
+                    todo &= ~hg
+                    row = self._row(g)
+                    powers = [g]  # g, g^2, ..., g^p
+                    for _ in range(p - 1):
+                        powers.append(row[powers[-1]])
+                    if not h >> powers.pop() & 1:
+                        continue
+                    if not all(hg >> row[s] & 1 for s in gens):
+                        continue
+                    k = h
+                    for x in powers:
+                        k |= coset[x]
+                    todo &= ~k
                     if k not in found:
                         if len(found) >= cap:
                             raise CapExceeded("subgroup_count", cap)

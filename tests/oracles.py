@@ -65,6 +65,7 @@ from resip import (
 from resip.braid import _elementary_endo
 from resip.freegrp import _reduce
 from resip.intlin import _require_prime, prime_factors
+from resip.pgrouplab import _bits
 
 
 def matrix_order_mod(m: IntMatrix, p: int, k: int, cap: Optional[int] = None) -> int:
@@ -859,3 +860,52 @@ def lie_layer_matrix(phi: FreeEndo, i: int, modulus: Optional[int] = None) -> In
         series = magnus_embed(image, i, modulus)
         columns.append(_lie_coordinates(homogeneous(series, i), basis, modulus))
     return IntMatrix.from_rows([[col[r] for col in columns] for r in range(len(basis))])
+
+
+def _joins(group, h: int, gens: tuple[int, ...]):
+    """(g, <H, g>) for one g outside H from each double coset HgH.
+
+    Every x in HgH gives <H, x> = <H, g>.  <H, g> is grown from H by whole
+    right cosets (Dimino's algorithm): a union of right cosets of H that
+    holds r*s for each coset representative r and each generator s of
+    <H, g> is that subgroup."""
+    todo = ((1 << group.order) - 1) & ~h
+    if not todo:
+        return
+    members = _bits(h)
+    coset = group._right_cosets(h)
+    while todo:
+        g = (todo & -todo).bit_length() - 1
+        g_row = group._row(g)
+        double = 0
+        for y in members:
+            double |= coset[g_row[y]]
+        todo &= ~double
+        joined = h | coset[g]
+        reps = [g]
+        for r in reps:  # grows as cosets are added
+            row = group._row(r)
+            for s in gens + (g,):
+                x = row[s]
+                if not joined >> x & 1:
+                    joined |= coset[x]
+                    reps.append(x)
+        yield g, joined
+
+
+def subgroup_lattice_by_joins(group) -> list[tuple[int, tuple[int, ...]]]:
+    """(bitmask, generators) of every subgroup of a FinitePGroup, by joining
+    each subgroup found with one element of every double coset, the way of
+    any finite group; sorted as FinitePGroup._subgroup_lattice sorts."""
+    found = {1: ()}  # bitmask -> generators
+    queue = [1]
+    for h in queue:  # breadth-first: the list is the queue
+        for g, k in _joins(group, h, found[h]):
+            if k not in found:
+                found[k] = found[h] + (g,)
+                queue.append(k)
+    rank = [0] * group.order  # position of each element in matrix order
+    for r, i in enumerate(sorted(range(group.order), key=group.elements.__getitem__)):
+        rank[i] = r
+    masks = sorted(found, key=lambda m: (m.bit_count(), sorted(rank[i] for i in _bits(m))))
+    return [(m, found[m]) for m in masks]

@@ -3,6 +3,7 @@
 import enum
 import json
 import pathlib
+import time
 from fractions import Fraction
 
 import pytest
@@ -495,6 +496,42 @@ def test_primes_up_to_beyond_the_sieve_cap_exits_3_without_sieving(tmp_path, cap
     assert sieved == [30, 1000]
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["extension", "--check", "circle-bundle", "--genus", str(10**12), "--euler", "3"],
+     "genus: cap 500 exceeded"),
+    (["braid-cover", "--strands", "3", "--braid", "s1 S2", "--modulus", str(10**12),
+      "--assignments", "1,1,1"], "cover_rank: cap 101 exceeded"),
+])
+def test_genus_and_cover_rank_past_their_caps_exit_3_at_once(argv, message, capsys):
+    # 10^12 would ask for a 2g x 2g form or rows of n * m entries; the
+    # caps refuse it before either is built
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    entry = _entry(capsys)
+    assert (entry["status"], entry["error"]) == (
+        "cap", {"type": "CapExceeded", "message": message})
+
+
+def test_a_task_past_the_genus_or_cover_rank_cap_leaves_the_others_running(tmp_path, capsys):
+    circle = {"kind": "extension", "check": "circle-bundle", "euler": 3}
+    cover = {"kind": "braid-cover", "strands": 3, "braid": "s1 S2", "assignments": [1, 1, 1]}
+    tasks = [
+        dict(circle, id="genus-at-cap", genus=4),
+        dict(circle, id="genus-huge", genus=10**12),
+        dict(cover, id="rank-at-cap", modulus=2),  # rank 2 * (3 - 1) + 1 = 5
+        dict(cover, id="rank-huge", modulus=10**12),
+        {"id": "after", "kind": "bs", "q": 3},
+    ]
+    path = tmp_path / "tasks.json"
+    path.write_text(json.dumps({"version": 1, "tasks": tasks}))
+    assert main(["run", "--tasks", str(path), "--caps", "genus=4,cover_rank=5"]) == 3
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert [e["status"] for e in entries] == ["ok", "cap", "ok", "cap", "ok"]
+    assert [entries[i]["error"]["message"] for i in (1, 3)] == [
+        "genus: cap 4 exceeded", "cover_rank: cap 5 exceeded"]
+
+
 def test_non_prime_certificate_exits_2(tmp_path, capsys):
     cert = {
         "p": 4,
@@ -847,7 +884,7 @@ def test_removed_witness_knobs_exit_2(tmp_path, capsys):
         assert "unknown caps" in capsys.readouterr().err
     assert set(DEFAULT_CAPS._fields) == {
         "magnus_degree", "max_rank", "group_order", "sieve_bound",
-        "subgroup_count",
+        "subgroup_count", "genus", "cover_rank",
     }
     assert "exploratory" not in TASK_FIELDS
     task = {

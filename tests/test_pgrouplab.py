@@ -26,6 +26,8 @@ from resip import (
 )
 from resip import pgrouplab
 
+from oracles import subgroup_lattice_by_joins
+
 
 def test_ut3_orders():
     for p in (2, 3, 5):
@@ -97,9 +99,7 @@ def test_each_lattice_cap_is_read_from_the_group_caps():
             call()
     # minimal_generating_size reads no cap and searches no subsets:
     # (Z/2)^5, as I + E_1j for j = 2..6, has rank 5
-    gens = [tuple(tuple(int(r == c or (r, c) == (0, j)) for c in range(6)) for r in range(6))
-            for j in range(1, 6)]
-    assert minimal_generating_size(generate_group(gens, 2)) == 5
+    assert minimal_generating_size(generate_group(_e1j_generators(6), 2)) == 5
 
 
 def test_frattini_fixture():
@@ -345,6 +345,14 @@ def _ut_generators(n):
     ]
 
 
+def _e1j_generators(n):
+    """I + E_1j for 1 < j <= n: commuting generators of (Z/p)^(n-1)."""
+    return [
+        tuple(tuple(int(r == c or (r, c) == (0, j)) for c in range(n)) for r in range(n))
+        for j in range(1, n)
+    ]
+
+
 def _oracle_groups():
     """(name, generators, modulus, p): the standard generating sets, for
     each seed a random one of each kind, and for seed 0 a redundant one
@@ -449,6 +457,25 @@ def test_lattice_generators_give_each_derived_subgroup(name, generators, modulus
         h = group._as_set(mask)
         derived = pgrouplab._derived_of(group, gens, pgrouplab._bits(mask))
         assert group._as_set(derived) == oracle.derived(h)
+
+
+@pytest.mark.parametrize("name,generators,modulus,count", [
+    ("ut4-2", _ut_generators(4), 2, 225),
+    ("ut3-7", _ut_generators(3), 7, 67),
+    ("ea-2^5", _e1j_generators(6), 2, 374),
+    ("ea-3^4", _e1j_generators(5), 3, 212),
+    ("cyc-125", [((1, 1), (0, 1))], 125, 4),
+])
+def test_lattice_by_index_p_steps_matches_dimino_joins(name, generators, modulus, count):
+    """On groups past the reach of MatrixOracle's subgroup search, the
+    index-p search gives the masks of Dimino's joins in the same order,
+    and each recorded generator tuple closes to its subgroup."""
+    group = generate_group(generators, modulus)
+    lattice = group._subgroup_lattice()
+    assert [mask for mask, _ in lattice] == [mask for mask, _ in subgroup_lattice_by_joins(group)]
+    assert len(lattice) == count
+    for mask, gens in lattice:
+        assert group._closure(gens) == mask
 
 
 def test_closure_forms_each_row_product_once(monkeypatch):

@@ -143,7 +143,7 @@ def test_copies_and_pickles_are_equal(make):
 def test_reprs_and_fields_in_declaration_order():
     assert repr(Caps()) == (
         "Caps(magnus_degree=8, max_rank=6, group_order=100000, sieve_bound=100000, "
-        "subgroup_count=10000)"
+        "subgroup_count=10000, genus=500, cover_rank=101)"
     )
     assert repr(FreeWord(2, (1, -2))) == "FreeWord(rank=2, letters=(1, -2))"
     assert repr(ReportEntry("t", "bs", "ok")) == (
