@@ -65,7 +65,7 @@ from resip import (
 from resip.braid import _elementary_endo
 from resip.freegrp import _reduce
 from resip.intlin import _require_prime, prime_factors
-from resip.pgrouplab import _bits
+from resip.pgrouplab import _bits, _mask
 
 
 def matrix_order_mod(m: IntMatrix, p: int, k: int, cap: Optional[int] = None) -> int:
@@ -873,7 +873,14 @@ def _joins(group, h: int, gens: tuple[int, ...]):
     if not todo:
         return
     members = _bits(h)
-    coset = group._right_cosets(h)
+    rows = [group._row(y) for y in members]
+    coset = [0] * group.order  # the bitmask of the right coset Hx, for every x
+    for x in range(group.order):
+        if not coset[x]:
+            hx = [row[x] for row in rows]
+            mask = _mask(hx)
+            for z in hx:
+                coset[z] = mask
     while todo:
         g = (todo & -todo).bit_length() - 1
         g_row = group._row(g)

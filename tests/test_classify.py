@@ -362,18 +362,18 @@ except InternalInvariant as exc:
 """
 
 
-_BROKEN_LATTICE = """
+_BROKEN_FRATTINI = """
 import sys
 from resip import InternalInvariant, pgrouplab
 
 assert sys.flags.optimize == 1
-# hide the maximal subgroups: their intersection becomes the whole group,
-# which disagrees with P^p [P, P]
-pgrouplab.FinitePGroup.maximal_subgroups = lambda self: []
-try:
-    pgrouplab.frattini_data(pgrouplab.ut3_group(3))
-except InternalInvariant as exc:
-    print("raised:", exc)
+# a "normal closure" of two elements of UT(3,3): its index is no power of 3
+pgrouplab.FinitePGroup._normal_closure = lambda self, gens: 0b11
+for call in (pgrouplab.frattini_data, pgrouplab.minimal_generating_size):
+    try:
+        call(pgrouplab.ut3_group(3))
+    except InternalInvariant as exc:
+        print(call.__name__, "raised:", exc)
 """
 
 
@@ -438,8 +438,11 @@ def test_fibered_cross_checks_run_under_python_O():
 
 
 def test_pgrouplab_cross_check_runs_under_python_O():
-    out = _run_optimized(_BROKEN_LATTICE)
-    assert out.startswith("raised: Frattini mismatch between definitions")
+    message = "raised: Frattini quotient order is not a power of p"
+    assert _run_optimized(_BROKEN_FRATTINI).splitlines() == [
+        f"frattini_data {message}",
+        f"minimal_generating_size {message}",
+    ]
 
 
 def test_bs_classify_matches_the_one_by_one_matrix_route():

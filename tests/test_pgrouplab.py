@@ -459,13 +459,18 @@ def test_lattice_generators_give_each_derived_subgroup(name, generators, modulus
         assert group._as_set(derived) == oracle.derived(h)
 
 
-@pytest.mark.parametrize("name,generators,modulus,count", [
+# (name, generators, modulus, subgroup count): past the reach of
+# MatrixOracle's subgroup search
+_LARGER_GROUPS = [
     ("ut4-2", _ut_generators(4), 2, 225),
     ("ut3-7", _ut_generators(3), 7, 67),
     ("ea-2^5", _e1j_generators(6), 2, 374),
     ("ea-3^4", _e1j_generators(5), 3, 212),
     ("cyc-125", [((1, 1), (0, 1))], 125, 4),
-])
+]
+
+
+@pytest.mark.parametrize("name,generators,modulus,count", _LARGER_GROUPS)
 def test_lattice_by_index_p_steps_matches_dimino_joins(name, generators, modulus, count):
     """On groups past the reach of MatrixOracle's subgroup search, the
     index-p search gives the masks of Dimino's joins in the same order,
@@ -476,6 +481,38 @@ def test_lattice_by_index_p_steps_matches_dimino_joins(name, generators, modulus
     assert len(lattice) == count
     for mask, gens in lattice:
         assert group._closure(gens) == mask
+
+
+@pytest.mark.parametrize("name,generators,modulus,count", _LARGER_GROUPS)
+def test_frattini_closure_matches_both_definitions(name, generators, modulus, count):
+    """Phi(P) from one normal closure has the order of the intersection of
+    the maximal subgroups and of the subgroup generated by every g^p and
+    [P, P]."""
+    group = generate_group(generators, modulus)
+    data = frattini_data(group)
+    intersection = frozenset.intersection(*group.maximal_subgroups())
+    powers = set()
+    for g in group.elements:
+        power = g
+        for _ in range(group.p - 1):
+            power = group.mul(power, g)
+        powers.add(power)
+    generated = group.closure(powers | group.derived_subgroup())
+    assert data["frattini_order"] == len(intersection) == len(generated)
+
+
+def test_frattini_of_ut5_3_needs_no_lattice():
+    """UT(5,3), order 3^10: its subgroup lattice is out of reach, and Phi
+    is the normal closure alone."""
+    group = generate_group(_ut_generators(5), 3)
+    assert group.order == 3 ** 10
+    assert frattini_data(group) == {
+        "frattini_order": 729,
+        "rank": 4,
+        "elementary_abelian_quotient": True,
+    }
+    assert minimal_generating_size(group) == 4
+    assert group._lattice is None
 
 
 def test_closure_forms_each_row_product_once(monkeypatch):
