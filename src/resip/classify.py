@@ -56,7 +56,6 @@ from .intlin import (
     prime_factors,
     rref_mod,
 )
-from .magnus import unipotent_over_Z
 from .record import Record
 
 RESIDUALLY_P = "ResiduallyP"
@@ -229,12 +228,6 @@ def residually_p_prime_set(a: IntMatrix) -> PrimeSet:
 def torus_residually_nilpotent(a: IntMatrix) -> bool:
     """Is Z^n x|_A Z residually nilpotent (= omega-nilpotent here)?"""
     _require_automorphism(a)
-    return lattice_chain_invariants(a.minus_identity()).intersection_trivial
-
-
-def endo_semidirect_omega_nilpotent(a: IntMatrix) -> bool:
-    """omega-nilpotence of Z^n x|_A Z for an endomorphism action; A need
-    not be invertible (ascending HNN case, e.g. BS(1,q) at A = [q])."""
     return lattice_chain_invariants(a.minus_identity()).intersection_trivial
 
 
@@ -453,11 +446,6 @@ def fibered_verdicts(spec: MappingTorusSpec, primes: Sequence[int]) -> list[Verd
     return verdicts
 
 
-def free_fiber_residually_p(spec: MappingTorusSpec, p: int) -> Verdict:
-    """The verdict of ``fibered_verdicts`` at the one prime p."""
-    return fibered_verdicts(spec, [p])[0]
-
-
 def _lucas_v(t: int, m: int, p: int) -> int:
     """V_m(t) mod p, where V_0 = 2, V_1 = t, V_(j+1) = t V_j - V_(j-1):
     the trace of A^m for any A in SL_2 with trace t.  Binary ladder on
@@ -512,11 +500,3 @@ def sl2_power_divisibility(a: IntMatrix, p: int) -> int:
             k //= q
     return k
 
-
-def rtfn_sufficient(spec: MappingTorusSpec, c: int) -> bool:
-    """Sufficiency certificate for residual torsion-free nilpotence:
-    unipotence over Z on all lower-central layers up to c, which for
-    c >= 1 is charpoly(M) = (x - 1)^n for the H_1 action M of rank n
-    (proved in ``magnus.unipotent_on_layers``).  False means "no
-    certificate", not a refutation."""
-    return unipotent_over_Z(spec.fiber, c)

@@ -133,10 +133,10 @@ def _element(value, path: str) -> dict:
 
 # The task format.  A task is an object whose keys are those of
 # TASK_FIELDS; each maps to the rule that checks its value and converts
-# it (bigints to int).  REQUIRED_KEYS lists the keys each kind
-# needs, "a|b" meaning a or b, and CHECK_KEYS those each extension check
-# adds.  Semantic checks (a square matrix, a prime p, a monic divisor) run
-# with the task and fail only its entry.
+# it (bigints to int).  REQUIRED_KEYS lists the keys each kind needs,
+# "a|b" meaning exactly one of a and b, and CHECK_KEYS those each
+# extension check adds.  Semantic checks (a square matrix, a prime p, a
+# monic divisor) run with the task and fail only its entry.
 REQUIRED_KEYS = {
     "torus": ("matrix", "primes|primes_up_to"),
     "primes": ("matrix",),
@@ -539,14 +539,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--caps", action="append", default=[], metavar="KEY=VAL")
 
+    def prime_flags(p):
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--primes-up-to", type=int, default=None)
+        group.add_argument("--primes", default=None, help="comma-separated primes")
+
     run = sub.add_parser("run", help="run a JSON task file", allow_abbrev=False)
     run.add_argument("--tasks", required=True, metavar="FILE")
     common(run)
 
     torus = sub.add_parser("torus", help="torus-bundle verdicts per prime", allow_abbrev=False)
     torus.add_argument("--matrix", required=True, help='rows separated by ";", e.g. "2 1; 1 1"')
-    torus.add_argument("--primes-up-to", type=int, default=None)
-    torus.add_argument("--primes", default=None, help="comma-separated primes")
+    prime_flags(torus)
     common(torus)
 
     primes = sub.add_parser("primes", help="exact residually-p prime set", allow_abbrev=False)
@@ -560,8 +564,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fibered = sub.add_parser("fibered", help="free-fiber mapping torus verdicts", allow_abbrev=False)
     fibered.add_argument("--images", required=True, help='generator images separated by ";"')
     fibered.add_argument("--inverse", required=True)
-    fibered.add_argument("--primes-up-to", type=int, default=None)
-    fibered.add_argument("--primes", default=None)
+    prime_flags(fibered)
     common(fibered)
 
     bc = sub.add_parser("braid-cover", help="induced homology on a cyclic cover", allow_abbrev=False)
@@ -655,7 +658,7 @@ def _single_task(args) -> dict:
 
 
 def _append_primes(payload: dict, args) -> None:
-    if args.primes:
+    if args.primes is not None:  # "" is a bad list, not an absent one
         payload["primes"] = _int_list(args.primes.split(","), "--primes")
     elif args.primes_up_to is not None:
         payload["primes_up_to"] = args.primes_up_to

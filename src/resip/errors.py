@@ -45,10 +45,6 @@ class NotAPGroup(ResipError):
     """Generated finite group order is not a prime power."""
 
 
-class NotNormal(ResipError):
-    """Subgroup fails the required normality check."""
-
-
 class NotHomomorphism(ResipError):
     """Claimed homomorphism table violates multiplicativity."""
 

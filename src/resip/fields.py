@@ -80,7 +80,11 @@ def fields(table: dict, value, path: str) -> dict:
 
 
 def require(found: dict, keys, path: str) -> None:
-    """Each of keys, "a" or "a|b" for a or b, names a key of found."""
+    """Each of keys, "a" or "a|b" for exactly one of a and b, names a key
+    of found."""
     for entry in keys:
-        if not any(name in found for name in entry.split("|")):
+        given = [name for name in entry.split("|") if name in found]
+        if not given:
             raise SchemaError(f"missing {' or '.join(entry.split('|'))}", path)
+        if len(given) > 1:
+            raise SchemaError(f"{' and '.join(given)} exclude each other", path)

@@ -690,21 +690,6 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return out
 
 
-def column_lattice_basis(m: IntMatrix) -> list[list[int]]:
-    """Basis (as columns) of the lattice spanned by the columns of m.
-
-    Computed by Hermite normal form; returns r = rank columns.
-    """
-    h = hermite_normal_form(m.rows())
-    return [[row[j] for row in h] for j in range(len(h[0]))]
-
-
-def smith_diagonal(m: IntMatrix) -> list[int]:
-    """Nonnegative diagonal of the Smith normal form."""
-    s = smith_normal_form(m.rows())
-    return [abs(s[i][i]) for i in range(m.n)]
-
-
 class LatticeChainInvariants(Record):
     """Invariants of the image chain B^i(Z^n).
 

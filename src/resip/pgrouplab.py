@@ -46,7 +46,7 @@ from operator import mul
 from typing import Iterable, Optional
 
 from .caps import Caps, DEFAULT_CAPS
-from .errors import CapExceeded, InternalInvariant, InvalidSpec, NotAPGroup, NotNormal
+from .errors import CapExceeded, InternalInvariant, InvalidSpec, NotAPGroup
 from .intlin import IntMatrix, det_exact, p_power_exponent, prime_factors
 
 Element = tuple[tuple[int, ...], ...]  # matrix mod modulus
@@ -386,9 +386,6 @@ class FinitePGroup:
                 return False
         return True
 
-    def is_cyclic_subgroup(self, h: frozenset) -> bool:
-        return self._is_cyclic(self._mask_of(h))
-
     def _is_cyclic(self, mask: int) -> bool:
         order = mask.bit_count()
         return any(self._order_mod(g, 1) == order for g in _bits(mask))
@@ -503,17 +500,6 @@ def check_cyclic_abelianization(group: FinitePGroup) -> bool:
             if not group._is_cyclic(mask):
                 return False
     return True
-
-
-def tower_lemma_check(group: FinitePGroup, k1: frozenset, k2: frozenset) -> bool:
-    """Index of K1 n K2 must be a p-power for normal K1, K2 of p-power
-    index.  In an ambient p-group this is automatic; the check validates
-    the bookkeeping (normality verified, intersection computed)."""
-    for name, k in (("K1", k1), ("K2", k2)):
-        if not group.is_normal(k):
-            raise NotNormal(f"{name} is not normal")
-    index = group.order // len(k1 & k2)
-    return p_power_exponent(index, group.p) is not None
 
 
 def inner_automorphism_orders(group: FinitePGroup) -> list[int]:

@@ -397,9 +397,6 @@ def _order_bound(w: PGroupQuotient) -> int:
     return w.data["total_order_bound"]
 
 
-VerificationReport = CheckReport  # the name the witness API gives it
-
-
 def verify_witness(cert: PGroupQuotient, caps: Caps = DEFAULT_CAPS) -> CheckReport:
     """Re-check a stored certificate from its own data.
 

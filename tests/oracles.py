@@ -15,56 +15,63 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from resip import (
+from resip.braid import _elementary_endo
+from resip.caps import DEFAULT_CAPS
+from resip.classify import (
     BSReport,
-    DEFAULT_CAPS,
-    CapExceeded,
-    CocycleCheck,
-    ExtensionElement,
-    FreeEndo,
-    FreeWord,
-    IntMatrix,
-    InternalInvariant,
-    InvalidSpec,
-    LatticeChainInvariants,
-    ModMatrix,
     NOT_RESIDUALLY_P,
-    NotInvariant,
-    NotInvertibleMod,
     PrimeSet,
     RESIDUALLY_P,
+    UNDECIDED,
+    Verdict,
+    p_power_order_quotient_exists,
+)
+from resip.errors import (
+    CapExceeded,
+    InternalInvariant,
+    InvalidSpec,
+    NotInvariant,
+    NotInvertibleMod,
     RankMismatch,
     RankTooSmall,
-    SeriesSubstitution,
-    TruncatedSeries,
-    UNDECIDED,
-    UnipotenceResult,
-    Verdict,
-    abelianization_matrix,
-    apply_endo,
-    charpoly_exact,
-    column_lattice_basis,
-    commutator,
-    compose_endos,
-    conjugate,
-    det_exact,
-    endo_power,
-    endo_semidirect_omega_nilpotent,
+)
+from resip.extension import (
+    CocycleCheck,
+    ExtensionElement,
     ext_commutator,
     ext_identity,
     ext_multiply,
-    is_unipotent_mod,
-    magnus_embed,
+)
+from resip.freegrp import (
+    FreeEndo,
+    FreeWord,
+    _reduce,
+    abelianization_matrix,
+    apply_endo,
+    commutator,
+    compose_endos,
+    conjugate,
+    endo_power,
     nielsen_transvection,
-    p_power_order_quotient_exists,
-    poly_divmod,
-    poly_pow_x_minus_one,
-    smith_diagonal,
     word_multiply,
 )
-from resip.braid import _elementary_endo
-from resip.freegrp import _reduce
-from resip.intlin import _require_prime, prime_factors
+from resip.intlin import (
+    IntMatrix,
+    LatticeChainInvariants,
+    ModMatrix,
+    UnipotenceResult,
+    _require_prime,
+    charpoly_exact,
+    det_exact,
+    hermite_normal_form,
+    is_unipotent_mod,
+    lattice_chain_invariants,
+    poly_divmod,
+    poly_pow_x_minus_one,
+    prime_factors,
+    smith_normal_form,
+)
+from resip.magnus import SeriesSubstitution, TruncatedSeries, magnus_embed
 from resip.pgrouplab import _bits, _mask
 
 
@@ -703,7 +710,8 @@ def lattice_chain_by_normal_forms(b: IntMatrix) -> LatticeChainInvariants:
     import sympy
 
     n = b.n
-    basis = column_lattice_basis(b ** n)
+    h = hermite_normal_form((b ** n).rows())
+    basis = [[row[j] for row in h] for j in range(len(h[0]))]
     r = len(basis)
     if r == 0:
         return LatticeChainInvariants(0, None, True)
@@ -715,7 +723,8 @@ def lattice_chain_by_normal_forms(b: IntMatrix) -> LatticeChainInvariants:
     if any(c.denominator != 1 for row in coords for c in row):
         raise InternalInvariant("B does not preserve B^n Z^n")
     t = IntMatrix.from_rows([[int(coords[i][j]) for j in range(r)] for i in range(r)])
-    index = math.prod(smith_diagonal(t))
+    s = smith_normal_form(t.rows())
+    index = math.prod(abs(s[i][i]) for i in range(r))
     if index == 0:
         raise InternalInvariant("B is not injective on B^n Z^n")
     x = sympy.Symbol("x")
@@ -731,7 +740,8 @@ def bs_classify_by_matrix(q: int) -> BSReport:
     a = IntMatrix.from_rows([[q]])
     g = math.gcd(*(c - t for c, t in zip(charpoly_exact(a), poly_pow_x_minus_one(1))))
     primes = PrimeSet(True, (), 0) if g == 0 else PrimeSet(False, prime_factors(g), g)
-    return BSReport(q, primes, endo_semidirect_omega_nilpotent(a), trivial_case=q == 1)
+    omega = lattice_chain_invariants(a.minus_identity()).intersection_trivial
+    return BSReport(q, primes, omega, trivial_case=q == 1)
 
 
 # ---------------------------------------------------------------------------

@@ -14,58 +14,61 @@ import random
 import sympy
 
 from oracles import lie_layer_basis, witt_dimension
-from resip import (
-    BSSpec,
-    BilinearCocycle,
-    Caps,
-    CircleBundleSpec,
-    FreeEndo,
-    IntMatrix,
-    MappingTorusElement,
-    MappingTorusSpec,
-    NOT_RESIDUALLY_P,
-    RESIDUALLY_P,
+from resip.braid import (
     artin_endo,
     beta_braid,
     braid_permutation,
-    bs_classify,
-    charpoly_exact,
-    circle_bundle_central_witness,
-    check_cyclic_abelianization,
-    combine_witnesses,
-    commutator,
-    compose_endos,
     cover_from_finite_quotient,
-    det_exact,
-    endo_power,
-    endo_semidirect_omega_nilpotent,
-    find_p_quotient_witness,
-    frattini_data,
-    free_fiber_residually_p,
-    heisenberg_checks,
     induced_cover_homology,
-    inner_automorphism,
     is_cyclotomic_product,
-    is_mod_p_torelli,
-    is_unipotent_mod,
-    magnus_embed,
-    nielsen_transvection,
-    parse_word,
     permutation_order,
-    poly_divmod,
-    primes_up_to,
+)
+from resip.caps import Caps
+from resip.cli import emit_report, main, parse_task_file, run_tasks
+from resip.classify import (
+    BSSpec,
+    NOT_RESIDUALLY_P,
+    RESIDUALLY_P,
+    bs_classify,
+    fibered_verdicts,
     residually_p_prime_set,
     sl2_power_divisibility,
     torus_residually_nilpotent,
     torus_residually_p,
-    tower_lemma_check,
-    unipotent_on_layers,
-    ut3_group,
+)
+from resip.extension import (
+    BilinearCocycle,
+    CircleBundleSpec,
+    circle_bundle_central_witness,
+    heisenberg_checks,
     verify_cocycle,
-    verify_witness,
+)
+from resip.freegrp import (
+    FreeEndo,
+    MappingTorusElement,
+    MappingTorusSpec,
+    commutator,
+    compose_endos,
+    endo_power,
+    inner_automorphism,
+    is_mod_p_torelli,
+    nielsen_transvection,
+    parse_word,
     word_multiply,
 )
-from resip.cli import emit_report, main, parse_task_file, run_tasks
+from resip.intlin import (
+    IntMatrix,
+    charpoly_exact,
+    det_exact,
+    is_unipotent_mod,
+    lattice_chain_invariants,
+    p_power_exponent,
+    poly_divmod,
+    primes_up_to,
+)
+from resip.magnus import magnus_embed, unipotent_on_layers
+from resip.pgrouplab import check_cyclic_abelianization, frattini_data, ut3_group
+from resip.witness import combine_witnesses, find_p_quotient_witness, verify_witness
 
 TASK_DIR = pathlib.Path(__file__).resolve().parent.parent / "tasks"
 
@@ -133,9 +136,8 @@ def test_c04_bs_sweep_matches_prime_divisors_of_q_minus_one():
         assert report.omega_nilpotent == (q != 2)
         # the ascending HNN extension of Z by multiplication-by-q is the
         # 1x1 case of the semidirect-product criterion
-        assert report.omega_nilpotent == endo_semidirect_omega_nilpotent(
-            IntMatrix.from_rows([[q]])
-        )
+        chain = lattice_chain_invariants(IntMatrix.from_rows([[q]]).minus_identity())
+        assert report.omega_nilpotent == chain.intersection_trivial
 
 
 def test_c05_power_determinant_divisibility_within_group_order():
@@ -158,9 +160,9 @@ def test_c06_beta_fibered_verdicts_exactly_at_three():
     _, pure3 = braid_permutation(beta * beta * beta)
     assert pure3
     spec = MappingTorusSpec(BETA_ENDO)
-    assert free_fiber_residually_p(spec, 3).outcome == RESIDUALLY_P
+    assert fibered_verdicts(spec, [3])[0].outcome == RESIDUALLY_P
     for p in (2, 5, 7, 11, 13):
-        assert free_fiber_residually_p(spec, p).outcome == NOT_RESIDUALLY_P
+        assert fibered_verdicts(spec, [p])[0].outcome == NOT_RESIDUALLY_P
 
 
 def test_c07_double_cover_homology_and_cyclotomic_residual():
@@ -177,12 +179,12 @@ def test_c07_double_cover_homology_and_cyclotomic_residual():
 
 
 def test_c08_alpha_fails_via_invariant_quotient_obstruction():
-    from resip import abelianization_matrix
+    from resip.freegrp import abelianization_matrix
 
     assert abelianization_matrix(ALPHA_ENDO).entries == ((2, 1), (1, 1))
     spec = MappingTorusSpec(ALPHA_ENDO)
     for p in (2, 3, 5, 7):
-        v = free_fiber_residually_p(spec, p)
+        v = fibered_verdicts(spec, [p])[0]
         assert v.outcome == NOT_RESIDUALLY_P
         assert v.obstruction["criterion"] == "no_p_power_invariant_quotient"
         assert v.obstruction["examined_subspaces"] >= 1
@@ -264,8 +266,8 @@ def test_c11_unitriangular_groups_frattini_and_subgroup_lemmas():
     assert check_cyclic_abelianization(ut3_group(3))
     group = ut3_group(3)
     normals = [h for h in group.all_subgroups() if group.is_normal(h)]
-    for k1, k2 in itertools.combinations(normals, 2):
-        assert tower_lemma_check(group, k1, k2)
+    for k1, k2 in itertools.combinations(normals, 2):  # the tower lemma
+        assert p_power_exponent(group.order // len(k1 & k2), 3) is not None
 
 
 def test_c12_central_extensions_heisenberg_and_circle_bundles():
@@ -276,7 +278,7 @@ def test_c12_central_extensions_heisenberg_and_circle_bundles():
             assert circle_bundle_central_witness(CircleBundleSpec(g, e)).ok
     good = BilinearCocycle(((0, 1), (0, 0)), None)
     assert verify_cocycle(good).ok
-    from resip import TableCocycle
+    from resip.extension import TableCocycle
 
     elements = tuple(range(3))
     carry = TableCocycle(
@@ -306,7 +308,7 @@ def test_c12_central_extensions_heisenberg_and_circle_bundles():
 
 
 def test_c13_verdict_stable_under_mod_three_torelli_twists():
-    baseline = free_fiber_residually_p(MappingTorusSpec(BETA_ENDO), 3).outcome
+    baseline = fibered_verdicts(MappingTorusSpec(BETA_ENDO), [3])[0].outcome
     assert baseline == RESIDUALLY_P
     cubes = [
         endo_power(nielsen_transvection(3, i, j), 3)
@@ -324,7 +326,7 @@ def test_c13_verdict_stable_under_mod_three_torelli_twists():
                 tau = compose_endos(tau, inner_automorphism(_random_word(rng, 3, 4)))
         assert is_mod_p_torelli(tau, 3)
         twisted = MappingTorusSpec(compose_endos(BETA_ENDO, tau))
-        assert free_fiber_residually_p(twisted, 3).outcome == baseline
+        assert fibered_verdicts(twisted, [3])[0].outcome == baseline
 
 
 def test_c14_cli_contract_on_shipped_task_files(tmp_path, capsys):

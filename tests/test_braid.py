@@ -20,37 +20,34 @@ from oracles import (
 )
 from resip import braid as braid_module
 from resip import cli
-from resip import (
+from resip.braid import (
     BraidWord,
     CoverGraph,
-    FreeEndo,
-    FreeWord,
-    IntMatrix,
-    InvalidSpec,
-    NotInvariant,
-    NotTransitive,
-    abelianization_matrix,
-    apply_endo,
     artin_endo,
     beta_braid,
     braid_cover_homology,
     braid_permutation,
-    charpoly_exact,
-    compose_endos,
     cover_from_finite_quotient,
-    det_exact,
     endo_preserves_cover,
-    endo_power,
     format_braid,
-    format_word,
     induced_cover_homology,
     is_cyclotomic_product,
-    nielsen_transvection,
     parse_braid,
-    parse_word,
     permutation_order,
-    poly_divmod,
 )
+from resip.errors import InvalidSpec, NotInvariant, NotTransitive
+from resip.freegrp import (
+    FreeEndo,
+    FreeWord,
+    abelianization_matrix,
+    apply_endo,
+    compose_endos,
+    endo_power,
+    format_word,
+    nielsen_transvection,
+    parse_word,
+)
+from resip.intlin import IntMatrix, charpoly_exact, det_exact, poly_divmod
 
 
 def test_parse_format_round_trip():
@@ -210,7 +207,7 @@ def test_cover_invariance_gate():
     beta = artin_endo(beta_braid())
     assert endo_preserves_cover(beta, cover)
     # x1 -> x1 x2 does not preserve the all-ones mod-2 assignment
-    from resip import nielsen_transvection
+    from resip.freegrp import nielsen_transvection
 
     assert not endo_preserves_cover(nielsen_transvection(3, 1, 2), cover)
     with pytest.raises(NotInvariant):
@@ -414,7 +411,7 @@ def test_singular_cover_homology_is_one_error_entry(tmp_path, capsys, monkeypatc
 
 
 def test_cover_graph_validation():
-    from resip import RankMismatch
+    from resip.errors import RankMismatch
 
     with pytest.raises(InvalidSpec):
         CoverGraph(2, 2, (1, 3))  # assignment not reduced mod m

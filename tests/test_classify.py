@@ -7,38 +7,38 @@ import random
 import pytest
 import sympy
 
-from resip import (
+from resip.braid import artin_endo, beta_braid
+from resip.classify import (
     BSSpec,
-    IntMatrix,
-    InvalidQ,
-    MappingTorusSpec,
-    ModMatrix,
     NOT_RESIDUALLY_P,
-    NotInvertible,
     RESIDUALLY_P,
-    RankTooSmall,
     UNDECIDED,
-    abelianization_matrix,
-    artin_endo,
-    beta_braid,
     bs_classify,
-    det_exact,
-    endo_semidirect_omega_nilpotent,
     fibered_verdicts,
-    free_fiber_residually_p,
-    is_unipotent_mod,
-    nielsen_transvection,
     p_power_order_quotient_exists,
-    parse_word,
-    primes_up_to,
     residually_p_prime_set,
-    rtfn_sufficient,
     sl2_power_divisibility,
     torus_residually_nilpotent,
     torus_residually_p,
     torus_verdicts,
-    FreeEndo,
 )
+from resip.errors import InvalidQ, NotInvertible, RankTooSmall
+from resip.freegrp import (
+    FreeEndo,
+    MappingTorusSpec,
+    abelianization_matrix,
+    nielsen_transvection,
+    parse_word,
+)
+from resip.intlin import (
+    IntMatrix,
+    ModMatrix,
+    det_exact,
+    is_unipotent_mod,
+    lattice_chain_invariants,
+    primes_up_to,
+)
+from resip.magnus import unipotent_over_Z
 from oracles import (
     bs_classify_by_matrix,
     fibered_verdicts_per_prime,
@@ -135,9 +135,10 @@ def test_residually_p_somewhere_implies_residually_nilpotent():
 
 
 def test_endo_omega_nilpotence_fixtures():
-    assert not endo_semidirect_omega_nilpotent(IntMatrix.from_rows([[2]]))
-    assert endo_semidirect_omega_nilpotent(IntMatrix.from_rows([[4]]))
-    assert endo_semidirect_omega_nilpotent(IntMatrix.from_rows([[1]]))
+    # Z x|_[q] Z is omega-nilpotent iff the lattice chain of [q] - I meets in 0
+    for q, expected in ((2, False), (4, True), (1, True)):
+        a = IntMatrix.from_rows([[q]])
+        assert lattice_chain_invariants(a.minus_identity()).intersection_trivial is expected
 
 
 def test_bs_fixtures():
@@ -203,11 +204,11 @@ def test_obstruction_consistent_with_unipotence():
 
 def test_beta_verdicts_exactly_at_three():
     beta = MappingTorusSpec(artin_endo(beta_braid()))
-    v3 = free_fiber_residually_p(beta, 3)
+    v3 = fibered_verdicts(beta, [3])[0]
     assert v3.outcome == RESIDUALLY_P
     assert v3.certificate["criterion"] == "unipotent_on_H1_mod_p"
     for p in (2, 5, 7, 11, 13):
-        v = free_fiber_residually_p(beta, p)
+        v = fibered_verdicts(beta, [p])[0]
         assert v.outcome == NOT_RESIDUALLY_P, p
         assert v.obstruction["examined_subspaces"] >= 1
 
@@ -221,13 +222,13 @@ def test_alpha_fixture_not_residually_p():
     )
     spec = MappingTorusSpec(alpha)
     for p in (2, 3, 5, 7):
-        assert free_fiber_residually_p(spec, p).outcome == NOT_RESIDUALLY_P
+        assert fibered_verdicts(spec, [p])[0].outcome == NOT_RESIDUALLY_P
 
 
 def test_free_fiber_rank_one_rejected():
     phi = FreeEndo(1, (parse_word("x1", 1),), (parse_word("x1", 1),))
     with pytest.raises(RankTooSmall):
-        free_fiber_residually_p(MappingTorusSpec(phi), 2)
+        fibered_verdicts(MappingTorusSpec(phi), [2])
 
 
 def test_free_fiber_undecided_is_possible():
@@ -248,11 +249,11 @@ def test_free_fiber_undecided_is_possible():
         (parse_word("X2", 2), parse_word("x1", 2)),
         (parse_word("x2", 2), parse_word("X1", 2)),
     )
-    assert free_fiber_residually_p(MappingTorusSpec(rot), 3).outcome == NOT_RESIDUALLY_P
+    assert fibered_verdicts(MappingTorusSpec(rot), [3])[0].outcome == NOT_RESIDUALLY_P
 
 
 def test_certified_monodromies_act_on_h1_with_determinant_plus_or_minus_one():
-    """Why free_fiber_residually_p has no branch for an H_1 action that is
+    """Why fibered_verdicts has no branch for an H_1 action that is
     singular mod p: a certified inverse puts M in GL_n(Z)."""
     from resip.cli import _build_endo, parse_task_file
 
@@ -335,9 +336,9 @@ def _random_sl2(rng):
 
 def test_rtfn_sufficiency():
     ident = FreeEndo.identity(2)
-    assert rtfn_sufficient(MappingTorusSpec(ident), 3)
-    assert rtfn_sufficient(MappingTorusSpec(nielsen_transvection(2, 1, 2)), 4)
-    assert not rtfn_sufficient(MappingTorusSpec(artin_endo(beta_braid())), 1)
+    assert unipotent_over_Z(MappingTorusSpec(ident).fiber, 3)
+    assert unipotent_over_Z(MappingTorusSpec(nielsen_transvection(2, 1, 2)).fiber, 4)
+    assert not unipotent_over_Z(MappingTorusSpec(artin_endo(beta_braid())).fiber, 1)
 
 
 def test_verdict_serialization_shape():
@@ -349,7 +350,9 @@ def test_verdict_serialization_shape():
 
 _BROKEN_UNIPOTENCE = """
 import sys
-from resip import IntMatrix, InternalInvariant, classify
+from resip import classify
+from resip.errors import InternalInvariant
+from resip.intlin import IntMatrix
 
 assert sys.flags.optimize == 1
 # make the power route disagree with the charpoly route: no power of
@@ -364,7 +367,8 @@ except InternalInvariant as exc:
 
 _BROKEN_FRATTINI = """
 import sys
-from resip import InternalInvariant, pgrouplab
+from resip import pgrouplab
+from resip.errors import InternalInvariant
 
 assert sys.flags.optimize == 1
 # a "normal closure" of two elements of UT(3,3): its index is no power of 3
@@ -400,7 +404,9 @@ def _run_optimized(script: str) -> str:
 
 _BROKEN_FIBERED_ROUTES = """
 import sys
-from resip import FreeEndo, InternalInvariant, MappingTorusSpec, classify, parse_word
+from resip import classify
+from resip.errors import InternalInvariant
+from resip.freegrp import FreeEndo, MappingTorusSpec, parse_word
 
 assert sys.flags.optimize == 1
 alpha = FreeEndo(
@@ -455,7 +461,7 @@ def test_quotient_matrix_rejects_a_non_invariant_subspace():
     # the quotient matrix is a test oracle now; the library reads the
     # obstruction's order off ranks and builds no quotient
     from oracles import quotient_matrix
-    from resip import InternalInvariant
+    from resip.errors import InternalInvariant
 
     # the 3-cycle moves the line spanned by e1
     cyc = ModMatrix.reduce(IntMatrix.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]]), 5)
@@ -464,7 +470,7 @@ def test_quotient_matrix_rejects_a_non_invariant_subspace():
 
 
 def test_sl2_power_rejects_non_prime():
-    from resip import InvalidSpec
+    from resip.errors import InvalidSpec
 
     with pytest.raises(InvalidSpec):
         sl2_power_divisibility(A_SOL, 4)
@@ -517,7 +523,8 @@ def test_torus_verdicts_run_the_power_route_only_where_the_gap_is_divisible(monk
 
 
 def test_torus_verdicts_raise_when_the_power_route_disagrees(monkeypatch):
-    from resip import InternalInvariant, classify
+    from resip import classify
+    from resip.errors import InternalInvariant
 
     # no power of A - I is zero mod any prime
     monkeypatch.setattr(classify, "_power_chain", lambda a, modulus: [1] * a.n)
@@ -529,7 +536,7 @@ def test_torus_verdicts_raise_when_the_power_route_disagrees(monkeypatch):
 
 
 def test_torus_verdicts_reject_a_non_prime_before_any_verdict():
-    from resip import InvalidSpec
+    from resip.errors import InvalidSpec
 
     with pytest.raises(InvalidSpec, match="4 is not prime"):
         torus_verdicts(A_SOL, [2, 3, 4])
@@ -561,7 +568,7 @@ def test_fibered_verdicts_match_the_per_prime_oracle():
         outcomes.update(v["outcome"] for v in verdicts)
     assert min(outcomes[o] for o in (RESIDUALLY_P, NOT_RESIDUALLY_P, UNDECIDED)) >= 100, outcomes
     spec = _alpha_spec()
-    assert free_fiber_residually_p(spec, 5).to_dict() == fibered_verdicts_per_prime(spec, [5])[0]
+    assert fibered_verdicts(spec, [5])[0].to_dict() == fibered_verdicts_per_prime(spec, [5])[0]
 
 
 def _fibered_task_specs():
@@ -683,7 +690,8 @@ def test_fibered_verdicts_run_the_power_route_only_where_the_gap_is_divisible(mo
 
 
 def test_fibered_verdicts_raise_when_the_power_route_disagrees(monkeypatch):
-    from resip import InternalInvariant, classify
+    from resip import classify
+    from resip.errors import InternalInvariant
 
     # the powers deny a unipotence the gap gcd gives
     with monkeypatch.context() as m:
@@ -697,7 +705,8 @@ def test_fibered_verdicts_raise_when_the_power_route_disagrees(monkeypatch):
 
 
 def test_fibered_verdicts_reject_a_non_prime_before_any_matrix(monkeypatch):
-    from resip import InvalidSpec, classify
+    from resip import classify
+    from resip.errors import InvalidSpec
 
     def refuse(*args):
         raise AssertionError("a matrix was built before the primes were checked")
@@ -711,7 +720,7 @@ def test_fibered_verdicts_reject_a_non_prime_before_any_matrix(monkeypatch):
 
 
 def test_obstruction_rejects_a_prime_power_modulus():
-    from resip import InvalidSpec
+    from resip.errors import InvalidSpec
 
     for rows in ([[1, 1], [0, 1]], [[1, 2], [0, 1]]):
         with pytest.raises(InvalidSpec, match="4 is not prime"):

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import report_text_by_dumps
-from resip import SchemaError
 from resip.cli import (
     TASK_FIELDS,
     _json_text,
@@ -22,6 +21,7 @@ from resip.cli import (
     run_tasks,
 )
 from resip.caps import DEFAULT_CAPS, Caps, parse_caps
+from resip.errors import SchemaError
 
 
 SOL_TASKS = json.dumps(
@@ -695,8 +695,9 @@ def test_malformed_certificate_exits_2(tmp_path, capsys, cert):
 def _beta_certificates() -> dict:
     """The magnus, stable-letter and product certificates of beta at 3,
     as the JSON objects verify-witness reads."""
-    from resip import MappingTorusElement, artin_endo, beta_braid, combine_witnesses
-    from resip import MappingTorusSpec, find_p_quotient_witness, parse_word
+    from resip.braid import artin_endo, beta_braid
+    from resip.freegrp import MappingTorusElement, MappingTorusSpec, parse_word
+    from resip.witness import combine_witnesses, find_p_quotient_witness
 
     spec = MappingTorusSpec(artin_endo(beta_braid()))
     magnus = find_p_quotient_witness(spec, MappingTorusElement(0, parse_word("x1 X2", 3)), 3)
@@ -1053,7 +1054,7 @@ def _rejected_at(text: str) -> str:
         (TORUS, "matrix", [[2, 1], [1, 1]], [[2, "1 "], [1, 1]], ".matrix[0][1]"),
         (COCYCLE, "form", [["3", 1], [0, 0]], [[0, 1.5], [0, 0]], ".form[0][1]"),
         (TORUS, "primes", ["2", 3], [2, 3.0], ".primes[1]"),
-        (TORUS, "primes_up_to", "30", "3O", ".primes_up_to"),
+        (FIBERED, "primes_up_to", "30", "3O", ".primes_up_to"),
         (BS, "q", "-" + "9" * 30, "12\n", ".q"),
         (BS, "q", 10, True, ".q"),
         (FIBERED, "images", ["x2", "x1"], [], ".images"),
@@ -1089,7 +1090,7 @@ def test_task_value_rules(task, key, good, bad, where):
         (TORUS, dict(TORUS, cap=5)),
         (BS, ["bs", 3]),
         (BS, {"q": 3}),
-        (dict(TORUS, primes_up_to=7), {"kind": "torus", "matrix": [[1]]}),
+        (TORUS, {"kind": "torus", "matrix": [[1]]}),
         ({"kind": "torus", "matrix": [[1]], "primes_up_to": 7}, {"kind": "torus", "primes": [2]}),
         ({"kind": "primes", "matrix": [[1]]}, {"kind": "primes"}),
         (FIBERED, {k: v for k, v in FIBERED.items() if k != "primes_up_to"}),
@@ -1102,11 +1103,35 @@ def test_task_value_rules(task, key, good, bad, where):
         (CIRCLE, {k: v for k, v in CIRCLE.items() if k != "euler"}),
         (COCYCLE, {k: v for k, v in COCYCLE.items() if k != "form"}),
         (SL2, {k: v for k, v in SL2.items() if k != "p"}),
+        (TORUS, dict(TORUS, primes_up_to=7)),
+        (FIBERED, dict(FIBERED, primes=[2])),
     ],
 )
 def test_task_key_rules(good, bad):
     parse_task_file(_doc(good))
     assert _rejected_at(_doc(BS, bad)) == "$.tasks[1]"
+
+
+PRIME_COMMANDS = [
+    ["torus", "--matrix", "2 1; 1 1"],
+    ["fibered", "--images", "x2; x1", "--inverse", "x2; x1"],
+]
+
+
+@pytest.mark.parametrize("argv", PRIME_COMMANDS, ids=["torus", "fibered"])
+def test_an_empty_primes_flag_exits_2_and_names_it(argv, capsys):
+    assert main(argv + ["--primes", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("schema error at --primes: bad integer literal")
+
+
+@pytest.mark.parametrize("argv", PRIME_COMMANDS, ids=["torus", "fibered"])
+def test_primes_and_primes_up_to_flags_exclude_each_other(argv, capsys):
+    assert _exit_code(argv + ["--primes", "3", "--primes-up-to", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --primes-up-to: not allowed with argument --primes" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -5,13 +5,12 @@ import random
 
 import pytest
 
-from resip import (
+from resip.errors import InvalidSpec, NotHomomorphism
+from resip.extension import (
     BilinearCocycle,
     CircleBundleSpec,
     CocycleCheck,
     ExtensionElement,
-    InvalidSpec,
-    NotHomomorphism,
     TableCocycle,
     circle_bundle_central_witness,
     circle_bundle_cocycle,

@@ -11,12 +11,11 @@ from oracles import (
     random_certified_automorphism,
     substitute_then_reduce,
 )
-from resip import (
+from resip.errors import InvalidSpec, RankMismatch
+from resip.freegrp import (
     FreeEndo,
     FreeWord,
-    InvalidSpec,
     MappingTorusSpec,
-    RankMismatch,
     abelianization_matrix,
     apply_endo,
     commutator,

@@ -9,9 +9,9 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resip import InvalidSpec, SchemaError
 from resip.braid import BraidWord, format_braid, parse_braid
 from resip.cli import REQUIRED_KEYS, TASK_FIELDS, _matrix_from_text, main, parse_task_file
+from resip.errors import InvalidSpec, SchemaError
 from resip.freegrp import FreeWord, format_word, parse_word
 from test_cli import _beta_certificates, _forged
 

@@ -13,32 +13,29 @@ from oracles import (
     unit_inverse,
     witt_dimension,
 )
-from resip import (
-    CapExceeded,
-    Caps,
+from resip.braid import artin_endo, beta_braid
+from resip.caps import Caps
+from resip.errors import CapExceeded, InvalidSpec
+from resip.freegrp import (
     FreeEndo,
     FreeWord,
-    InvalidSpec,
-    SeriesSubstitution,
-    TruncatedSeries,
     abelianization_matrix,
     apply_endo,
-    artin_endo,
-    beta_braid,
-    charpoly_exact,
     commutator,
     compose_endos,
-    det_exact,
     inner_automorphism,
-    is_unipotent_mod,
-    magnus_depth,
-    magnus_embed,
     nielsen_transvection,
     parse_word,
-    poly_pow_x_minus_one,
+    word_multiply,
+)
+from resip.intlin import charpoly_exact, det_exact, is_unipotent_mod, poly_pow_x_minus_one
+from resip.magnus import (
+    SeriesSubstitution,
+    TruncatedSeries,
+    magnus_depth,
+    magnus_embed,
     unipotent_on_layers,
     unipotent_over_Z,
-    word_multiply,
 )
 
 

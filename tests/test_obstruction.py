@@ -13,20 +13,10 @@ import time
 
 import pytest
 
-from resip import (
-    FreeEndo,
-    IntMatrix,
-    MappingTorusSpec,
-    ModMatrix,
-    NOT_RESIDUALLY_P,
-    NotInvertibleMod,
-    RankTooSmall,
-    free_fiber_residually_p,
-    is_unipotent_mod,
-    p_power_order_quotient_exists,
-    parse_word,
-)
-from resip.intlin import rref_mod
+from resip.classify import NOT_RESIDUALLY_P, fibered_verdicts, p_power_order_quotient_exists
+from resip.errors import NotInvertibleMod, RankTooSmall
+from resip.freegrp import FreeEndo, MappingTorusSpec, parse_word
+from resip.intlin import IntMatrix, ModMatrix, is_unipotent_mod, rref_mod
 from oracles import quotient_matrix, unipotent_order_by_iteration
 
 
@@ -350,7 +340,7 @@ def test_inversion_beyond_the_old_search_is_decided(rank, p):
     # mod odd p, so no quotient qualifies.  The exhaustive search refused
     # these inputs (p^n > 10^6) and answered Undecided.
     start = time.perf_counter()
-    v = free_fiber_residually_p(MappingTorusSpec(_inversion(rank)), p)
+    v = fibered_verdicts(MappingTorusSpec(_inversion(rank)), [p])[0]
     elapsed = time.perf_counter() - start
     assert v.outcome == NOT_RESIDUALLY_P
     assert v.obstruction["examined_subspaces"] == 1

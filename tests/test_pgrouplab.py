@@ -7,13 +7,12 @@ import time
 
 import pytest
 
-from resip import (
-    CapExceeded,
-    Caps,
+from resip import pgrouplab
+from resip.caps import Caps
+from resip.errors import CapExceeded, InvalidSpec, NotAPGroup
+from resip.intlin import p_power_exponent
+from resip.pgrouplab import (
     FinitePGroup,
-    InvalidSpec,
-    NotAPGroup,
-    NotNormal,
     check_cyclic_abelianization,
     cyclic_group_p2,
     elementary_abelian_p2,
@@ -21,10 +20,8 @@ from resip import (
     generate_group,
     inner_automorphism_orders,
     minimal_generating_size,
-    tower_lemma_check,
     ut3_group,
 )
-from resip import pgrouplab
 
 from oracles import subgroup_lattice_by_joins
 
@@ -145,19 +142,11 @@ def test_cyclic_abelianization_lemma_exhaustive():
 
 
 def test_tower_lemma_on_all_normal_pairs():
+    # K1 n K2 has p-power index for normal K1, K2: automatic in a p-group
     group = ut3_group(3)
     normals = [h for h in group.all_subgroups() if group.is_normal(h)]
     for k1, k2 in itertools.combinations(normals, 2):
-        assert tower_lemma_check(group, k1, k2)
-
-
-def test_tower_lemma_rejects_non_normal_input():
-    group = ut3_group(2)
-    non_normal = next(
-        h for h in group.all_subgroups() if not group.is_normal(h)
-    )
-    with pytest.raises(NotNormal):
-        tower_lemma_check(group, non_normal, frozenset(group.elements))
+        assert p_power_exponent(group.order // len(k1 & k2), 3) is not None
 
 
 def test_inner_automorphism_orders():

@@ -56,3 +56,16 @@ def test_readme_library_block_gives_its_commented_values():
         ("NotResiduallyP", "ResiduallyP"),
         True,
     ]
+
+
+def test_the_top_level_is_the_library_block():
+    # resip's own names are those the block loads but neither binds nor
+    # takes from builtins; every other name is imported from its module
+    import builtins
+
+    import resip
+
+    names = [n for n in ast.walk(ast.parse(_library_block())) if isinstance(n, ast.Name)]
+    loaded = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+    bound = {n.id for n in names if isinstance(n.ctx, ast.Store)}
+    assert sorted(loaded - bound - set(dir(builtins))) == sorted(resip.__all__)

@@ -28,7 +28,7 @@ from resip.extension import (
 from resip.freegrp import FreeEndo, FreeWord, MappingTorusElement, MappingTorusSpec
 from resip.intlin import IntMatrix, LatticeChainInvariants, ModMatrix, UnipotenceResult
 from resip.record import Record
-from resip.witness import PGroupQuotient, VerificationReport, WitnessOutcome
+from resip.witness import PGroupQuotient, WitnessOutcome
 
 
 def _z2_table():
@@ -37,8 +37,7 @@ def _z2_table():
 
 
 # each factory builds a new object with the same fields on every call; its
-# key is the name it builds by (VerificationReport is CheckReport by its
-# witness name)
+# key is the name of the class it builds
 FACTORIES = {
     "BraidWord": lambda: BraidWord(3, (1, -2)),
     "CoverGraph": lambda: CoverGraph(2, 2, (1, 0)),
@@ -67,7 +66,6 @@ FACTORIES = {
     "LatticeChainInvariants": lambda: LatticeChainInvariants(2, 5, True),
     "PGroupQuotient": lambda: PGroupQuotient(3, "stable_letter", 2, ("x2", "x1"), ("x2", "x1"), 1, "1"),
     "WitnessOutcome": lambda: WitnessOutcome("undecided", reason="no survivor"),
-    "VerificationReport": lambda: VerificationReport((("ok", True),)),
 }
 RECORDS = [pytest.param(f, id=name) for name, f in FACTORIES.items()]
 
@@ -81,8 +79,7 @@ def _hash_or_error(value):
 
 def test_every_record_class_is_covered():
     assert {type(f()) for f in FACTORIES.values()} == set(Record.__subclasses__())
-    assert len(FACTORIES) == 28
-    assert VerificationReport is CheckReport  # one check-report record, two names
+    assert len(FACTORIES) == 27
 
 
 @pytest.mark.parametrize("make", RECORDS)

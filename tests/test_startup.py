@@ -83,6 +83,22 @@ def test_cli_calls_import_no_sympy_jsonschema_dataclasses_or_inspect(tmp_path, c
     assert loaded == []
 
 
+def test_import_cli_leaves_the_polynomial_factoriser_out():
+    # polyfactor loads with the first lattice chain a task asks for.
+    # pgrouplab loads with the package: the benchmark's tracer looks it up
+    # in sys.modules after its worker has imported only resip.cli
+    src = str(pathlib.Path(resip.__file__).resolve().parent.parent)
+    script = "import json, sys, resip.cli; print(json.dumps(sorted(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert "resip.polyfactor" not in json.loads(out.stdout)
+
+
 BLOCKED = """
 import contextlib, io, json, sys
 sys.modules["sympy"] = None  # every import of sympy raises ImportError

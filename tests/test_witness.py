@@ -12,37 +12,32 @@ from oracles import (
     induced_order_by_iteration,
     kernel_invariance_by_sampling,
 )
-from resip import (
-    CapExceeded,
+from resip import witness
+from resip.braid import artin_endo, beta_braid
+from resip.errors import CapExceeded, InternalInvariant, InvalidSpec, MixedPrimes, NonPPowerOrder
+from resip.freegrp import (
     FreeEndo,
     FreeWord,
-    InternalInvariant,
-    InvalidSpec,
     MappingTorusElement,
     MappingTorusSpec,
-    MixedPrimes,
-    NonPPowerOrder,
-    PGroupQuotient,
-    SeriesSubstitution,
-    TruncatedSeries,
     abelianization_matrix,
-    artin_endo,
-    beta_braid,
-    combine_witnesses,
     commutator,
     compose_endos,
     endo_power,
-    find_p_quotient_witness,
-    induced_automorphism_order,
     inner_automorphism,
-    is_unipotent_mod,
     nielsen_transvection,
     parse_word,
+)
+from resip.intlin import is_unipotent_mod, least_p_power_exponent
+from resip.magnus import SeriesSubstitution, TruncatedSeries
+from resip.witness import (
+    PGroupQuotient,
+    _nilpotency_bound,
+    combine_witnesses,
+    find_p_quotient_witness,
+    induced_automorphism_order,
     verify_witness,
 )
-from resip import witness
-from resip.intlin import least_p_power_exponent
-from resip.witness import _nilpotency_bound
 
 
 def _beta_spec():
@@ -318,7 +313,8 @@ def test_chain_steps_are_u_minus_i_and_give_the_oracle_chains():
 
 _CHAIN_OUTLIVES_ITS_BOUND = """
 import json, os, sys, tempfile
-from resip import TruncatedSeries, cli, witness
+from resip import cli, witness
+from resip.magnus import TruncatedSeries
 
 assert sys.flags.optimize == 1
 
@@ -536,7 +532,7 @@ def test_survival_is_monotone_in_depth():
     spec = _identity_spec()
     x1 = parse_word("x1", 2)
     x2 = parse_word("x2", 2)
-    from resip import commutator
+    from resip.freegrp import commutator
 
     c2 = commutator(x1, x2)
     c3 = commutator(x1, c2)
