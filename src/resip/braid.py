@@ -39,7 +39,7 @@ derivatives of phi(x_k).  Write c0 = chi o phi.
     chain of phi(y x_g) read from 0 is that of phi(y) plus t^c0(y) times
     row g of J^chi(phi): each edge a path crosses maps to row g shifted by
     the c0-level of the path up to it.  phi(K) lies in K iff c0 = u chi
-    for some u in Z/m (``endo_preserves_cover``); otherwise NotInvariant
+    for some u in Z/m (``endo_preserves_cover``); otherwise InvalidSpec
     is raised.  Then the level of path(v) is L[v] = c0(path(v)) = u v.
     Let P[v] be the chain of phi(path(v)).  Along the tree edge
     v' --g--> v, P[v] = P[v'] + t^L[v'] J_g, prefix sums in breadth-first
@@ -115,7 +115,7 @@ from functools import cached_property, lru_cache
 from math import comb, gcd
 from typing import Optional
 
-from .errors import InternalInvariant, InvalidSpec, NotInvariant, NotTransitive, RankMismatch
+from .errors import InternalInvariant, InvalidSpec
 from .freegrp import FreeEndo, FreeWord, _compose
 from .intlin import IntMatrix
 from .record import Record
@@ -140,7 +140,7 @@ class BraidWord(Record):
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.strands != other.strands:
-            raise RankMismatch("strand counts differ")
+            raise InvalidSpec("strand counts differ")
         return BraidWord(self.strands, self.letters + other.letters)
 
     def __pow__(self, k: int) -> "BraidWord":
@@ -238,13 +238,11 @@ class CoverGraph(Record):
         if modulus < 1:
             raise InvalidSpec("cover index must be >= 1")
         if len(assignments) != rank:
-            raise RankMismatch("one assignment per generator required")
+            raise InvalidSpec("one assignment per generator required")
         if any(not 0 <= a < modulus for a in assignments):
             raise InvalidSpec("assignments must be reduced mod m")
         if gcd(modulus, *assignments) != 1 and modulus > 1:
-            raise NotTransitive(
-                f"assignments {assignments} do not generate Z/{modulus}"
-            )
+            raise InvalidSpec(f"assignments {assignments} do not generate Z/{modulus}")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "assignments", assignments)
@@ -277,8 +275,8 @@ class CoverGraph(Record):
                     seen[v] = True
                     edges.append((u, g, v))
                     queue.append(v)
-        if not all(seen):
-            raise NotTransitive("cover graph disconnected")
+        if not all(seen):  # __init__ requires the assignments to generate Z/m
+            raise InternalInvariant("cover graph disconnected")
         return tuple(edges)
 
     @cached_property
@@ -336,7 +334,7 @@ def endo_preserves_cover(phi: FreeEndo, cover: CoverGraph) -> bool:
     homomorphisms that agree on the generators x_k are equal.
     """
     if phi.rank != cover.rank:
-        raise RankMismatch("endo rank differs from cover rank")
+        raise InvalidSpec("endo rank differs from cover rank")
     return _cover_unit(cover, [cover.chi(w) for w in phi.images]) is not None
 
 
@@ -364,11 +362,11 @@ def _shift(row: list[int], s: int, n: int, m: int) -> list[int]:
 def _cover_matrix(cover: CoverGraph, rows: list[list[int]], c0: list[int]) -> IntMatrix:
     """The matrix of phi on H_1 of the cover, from the rows of J^chi(phi)
     and c0[k] = chi(phi(x_(k+1))), by (2) and (3) of the module docstring.
-    NotInvariant unless phi preserves the cover subgroup."""
+    InvalidSpec unless phi preserves the cover subgroup."""
     n, m = cover.rank, cover.modulus
     unit = _cover_unit(cover, c0)
     if unit is None:
-        raise NotInvariant("endomorphism does not preserve the cover subgroup")
+        raise InvalidSpec("endomorphism does not preserve the cover subgroup")
     chains: list[list[int]] = [[0] * (n * m)] * m  # P[v]; every v is set below
     for u, g, v in cover._tree_edges:
         chains[v] = [x + y for x, y in zip(chains[u], _shift(rows[g - 1], unit * u, n, m))]
@@ -393,7 +391,7 @@ def induced_cover_homology(phi: FreeEndo, cover: CoverGraph) -> IntMatrix:
     the matrix is then read off J as the braid path reads it.
     """
     if phi.rank != cover.rank:
-        raise RankMismatch("endo rank differs from cover rank")
+        raise InvalidSpec("endo rank differs from cover rank")
     n, m, a = cover.rank, cover.modulus, cover.assignments
     rows, c0 = [], []
     for word in phi.images:
@@ -418,7 +416,7 @@ def braid_cover_homology(b: BraidWord, cover: CoverGraph) -> IntMatrix:
     automorphism or any image word."""
     n, m = b.strands, cover.modulus
     if cover.rank != n:
-        raise RankMismatch("braid strand count differs from cover rank")
+        raise InvalidSpec("braid strand count differs from cover rank")
     rows = [[0] * (n * m) for _ in range(n)]
     for k in range(n):
         rows[k][k] = 1  # J of the identity: e_k at vertex 0

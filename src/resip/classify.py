@@ -34,13 +34,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .errors import (
-    InternalInvariant,
-    InvalidQ,
-    NotInvertible,
-    NotInvertibleMod,
-    RankTooSmall,
-)
+from .errors import InternalInvariant, InvalidSpec
 from .freegrp import MappingTorusSpec, abelianization_matrix
 from .intlin import (
     IntMatrix,
@@ -101,7 +95,7 @@ class Verdict(Record):
 def _require_automorphism(a: IntMatrix) -> None:
     """Refuse A unless det A = +-1."""
     if det_exact(a) not in (1, -1):
-        raise NotInvertible("matrix is not in GL_n(Z)")
+        raise InvalidSpec("matrix is not in GL_n(Z)")
 
 
 def torus_verdicts(a: IntMatrix, primes: Sequence[int]) -> list[Verdict]:
@@ -238,7 +232,7 @@ class BSSpec(Record):
 
     def __init__(self, q: int):
         if q <= 0:
-            raise InvalidQ(f"q must be >= 1, got {q}")
+            raise InvalidSpec(f"q must be >= 1, got {q}")
         object.__setattr__(self, "q", q)
 
 
@@ -347,10 +341,10 @@ def p_power_order_quotient_exists(m: ModMatrix, p: int) -> ObstructionResult:
         raise ValueError("matrix must be over F_p")
     n = m.n
     if n < 2:
-        raise RankTooSmall("obstruction needs dimension >= 2")
+        raise InvalidSpec("obstruction needs dimension >= 2")
     a = IntMatrix.from_rows([list(r) for r in m.entries])
     if det_exact(a) % p == 0:
-        raise NotInvertibleMod("matrix not invertible mod p")
+        raise InvalidSpec("matrix not invertible mod p")
     nil = ModMatrix.reduce(a.minus_identity(), p)
     power, image, nu = nil, _column_space(nil), 1
     while nu < n:
@@ -414,7 +408,7 @@ def fibered_verdicts(spec: MappingTorusSpec, primes: Sequence[int]) -> list[Verd
     canonical candidate W = im (M - I)^n as ``examined_subspaces``.
     """
     if spec.rank < 2:
-        raise RankTooSmall("rank-1 fibers are torus/BS territory")
+        raise InvalidSpec("rank-1 fibers are torus/BS territory")
     for p in primes:
         _require_prime(p)
     a = abelianization_matrix(spec.fiber)
@@ -489,7 +483,7 @@ def sl2_power_divisibility(a: IntMatrix, p: int) -> int:
     """
     _require_prime(p)
     if a.n != 2 or det_exact(a) != 1:
-        raise NotInvertible("need a 2x2 integer matrix of determinant 1")
+        raise InvalidSpec("need a 2x2 integer matrix of determinant 1")
     t = a.trace() % p
     two = 2 % p
     k = p * p - 1

@@ -197,12 +197,6 @@ def _task_file(doc) -> TaskFile:
     return TaskFile(1, tuple(_task(raw, i) for i, raw in enumerate(doc["tasks"])))
 
 
-def _square_matrix(rows: list[list[int]]) -> IntMatrix:
-    if any(len(row) != len(rows) for row in rows):
-        raise SchemaError("matrix must be square", "$.matrix")
-    return IntMatrix.from_rows(rows)
-
-
 def parse_task_file(text: str) -> TaskFile:
     """Parse and validate a task file, converting bigints to int; a
     SchemaError carries the JSON path of the first offending field."""
@@ -237,7 +231,7 @@ def _build_endo(payload: dict) -> FreeEndo:
 def run_task(task: Task, caps: Caps) -> dict:
     payload = task.payload
     if task.kind == "torus":
-        matrix = _square_matrix(payload["matrix"])
+        matrix = IntMatrix.from_rows(payload["matrix"])
         verdicts = [v.to_dict() for v in torus_verdicts(matrix, _task_primes(payload, caps))]
         return {
             "matrix": [list(r) for r in matrix.entries],
@@ -245,7 +239,7 @@ def run_task(task: Task, caps: Caps) -> dict:
             "residually_nilpotent": torus_residually_nilpotent(matrix),
         }
     if task.kind == "primes":
-        matrix = _square_matrix(payload["matrix"])
+        matrix = IntMatrix.from_rows(payload["matrix"])
         return {
             "matrix": [list(r) for r in matrix.entries],
             "prime_set": residually_p_prime_set(matrix).to_dict(),
@@ -259,13 +253,15 @@ def run_task(task: Task, caps: Caps) -> dict:
         return bs_classify(BSSpec(payload["q"])).to_dict()
     if task.kind == "braid-cover":
         strands = payload["strands"]
+        # the cover's rank by Schreier's formula, before anything is sized
+        # by the strand count
+        if payload["modulus"] * (strands - 1) + 1 > caps.cover_rank:
+            raise CapExceeded("cover_rank", caps.cover_rank)
         braid = parse_braid(payload["braid"], strands)
         perm, pure = braid_permutation(braid)
         cover = cover_from_finite_quotient(
             strands, payload["assignments"], payload["modulus"]
         )
-        if cover.subgroup_rank > caps.cover_rank:  # before any row or chain is built
-            raise CapExceeded("cover_rank", caps.cover_rank)
         matrix = braid_cover_homology(braid, cover)
         cp = charpoly_exact(matrix)
         # det M = (-1)^r cp(0).  A braid is an automorphism phi, and one
@@ -331,10 +327,10 @@ def run_task(task: Task, caps: Caps) -> dict:
             "report": {"ok": result.ok, "violation": result.violation},
         }
     if task.kind == "sl2-power":
-        matrix = _square_matrix(payload["matrix"])
+        matrix = IntMatrix.from_rows(payload["matrix"])
         k = sl2_power_divisibility(matrix, payload["p"])
         return {"p": payload["p"], "k": k}
-    raise SchemaError(f"unknown task kind {task.kind}")
+    raise InvalidSpec(f"unknown task kind {task.kind}")
 
 
 def _run_one(task: Task, caps: Caps) -> ReportEntry:

@@ -1,7 +1,16 @@
-"""Shared exception types.
+"""Shared exception types: one per outcome a caller tells apart.
 
-Every cap violation is a distinct, catchable outcome; nothing is ever
-silently treated as "infinite" or "trivial".
+* InvalidSpec: a value a task or a library caller gave cannot be used
+  (a bad genus, a rank mismatch, a braid that does not preserve the
+  cover, ...).  In a report it is one ``error`` entry.
+* SchemaError: a task file, a flag or a certificate the readers refuse,
+  with the JSON path of the offending field.  The CLI exits 2.
+* CapExceeded: a configured cap was hit before an answer was found, never
+  a verdict; nothing is silently treated as "infinite" or "trivial".  In
+  a report it is a ``cap`` entry, and the CLI exits 3.
+* InternalInvariant: two routes to one answer disagree, a bug.
+
+All derive from ResipError.
 """
 
 
@@ -9,16 +18,17 @@ class ResipError(Exception):
     """Base class for all library errors."""
 
 
-class RankMismatch(ResipError):
-    """Words or endomorphisms over free groups of different ranks."""
+class InvalidSpec(ResipError):
+    """A value a task or a library caller gave cannot be used."""
 
 
-class NotInvertible(ResipError):
-    """Integer matrix is not an automorphism of Z^n (det != +-1)."""
+class SchemaError(ResipError):
+    """Input the readers refuse; carries the offending field path."""
 
-
-class NotInvertibleMod(ResipError):
-    """Matrix is not invertible modulo the requested prime power."""
+    def __init__(self, message: str, path: str = "$"):
+        super().__init__(f"{path}: {message}")
+        self.path = path
+        self.reason = message
 
 
 class CapExceeded(ResipError):
@@ -33,52 +43,6 @@ class CapExceeded(ResipError):
         self.cap = cap
 
 
-class NotTransitive(ResipError):
-    """Cover assignments do not generate the deck group (graph disconnected)."""
-
-
-class NotInvariant(ResipError):
-    """Endomorphism does not preserve the cover subgroup."""
-
-
-class NotAPGroup(ResipError):
-    """Generated finite group order is not a prime power."""
-
-
-class NotHomomorphism(ResipError):
-    """Claimed homomorphism table violates multiplicativity."""
-
-
-class MixedPrimes(ResipError):
-    """Witness combination across different primes."""
-
-
 class InternalInvariant(ResipError):
     """An internal cross-check between two routes to the same answer
     failed.  Raised explicitly, so it also runs under ``python -O``."""
-
-
-class NonPPowerOrder(ResipError):
-    """The monodromy is not unipotent on H_1 mod p, so its induced order on
-    no level-(p, d) Magnus quotient is a power of p."""
-
-
-class InvalidQ(ResipError):
-    """Baumslag-Solitar parameter q must be a positive integer."""
-
-
-class InvalidSpec(ResipError):
-    """Malformed domain object (bad genus, Euler number, dimension, ...)."""
-
-
-class SchemaError(ResipError):
-    """Task file fails schema validation; carries the offending field path."""
-
-    def __init__(self, message: str, path: str = "$"):
-        super().__init__(f"{path}: {message}")
-        self.path = path
-        self.reason = message
-
-
-class RankTooSmall(ResipError):
-    """Free-fiber classifier needs a nonabelian fiber (rank >= 2)."""

@@ -34,7 +34,7 @@ from __future__ import annotations
 from operator import mul
 from typing import Optional, Sequence
 
-from .errors import InvalidSpec, NotHomomorphism
+from .errors import InvalidSpec
 from .intlin import IntMatrix
 from .record import Record
 
@@ -304,7 +304,7 @@ def pullback_equality_check(f, k, phi) -> bool:
         # rectangular; IntMatrix (square-only) is deliberately not used
         rows = [list(r) for r in (phi.entries if isinstance(phi, IntMatrix) else phi)]
         if len(rows) != k.r or any(len(r) != f.r for r in rows):
-            raise NotHomomorphism("matrix shape does not match the two bases")
+            raise InvalidSpec("matrix shape does not match the two bases")
         pulled = [
             [
                 sum(
@@ -325,7 +325,7 @@ def pullback_equality_check(f, k, phi) -> bool:
         for g in f.elements:
             for h in f.elements:
                 if phi[f.base_add(g, h)] != k.base_add(phi[g], phi[h]):
-                    raise NotHomomorphism(f"phi breaks addition at ({g}, {h})")
+                    raise InvalidSpec(f"phi breaks addition at ({g}, {h})")
         return all(
             f(g, h) == k(phi[g], phi[h]) for g in f.elements for h in f.elements
         )

@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import repeat
 from typing import Iterable, Optional
 
-from .errors import InvalidSpec, RankMismatch
+from .errors import InvalidSpec
 from .intlin import IntMatrix
 from .record import Record
 
@@ -88,7 +88,7 @@ class FreeWord(Record):
 
 def word_multiply(u: FreeWord, v: FreeWord) -> FreeWord:
     if u.rank != v.rank:
-        raise RankMismatch(f"ranks {u.rank} and {v.rank}")
+        raise InvalidSpec(f"ranks {u.rank} and {v.rank}")
     return FreeWord._trusted(u.rank, _reduce(u.letters + v.letters))
 
 
@@ -197,9 +197,9 @@ class FreeEndo(Record):
     ):
         for words in (images,) if certified_inverse is None else (images, certified_inverse):
             if len(words) != rank:
-                raise RankMismatch("need one image per generator")
+                raise InvalidSpec("need one image per generator")
             if any(w.rank != rank for w in words):
-                raise RankMismatch("image rank differs from endo rank")
+                raise InvalidSpec("image rank differs from endo rank")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "certified_inverse", certified_inverse)
@@ -241,7 +241,7 @@ class FreeEndo(Record):
 
 def apply_endo(phi: FreeEndo, w: FreeWord) -> FreeWord:
     if phi.rank != w.rank:
-        raise RankMismatch(f"endo rank {phi.rank} vs word rank {w.rank}")
+        raise InvalidSpec(f"endo rank {phi.rank} vs word rank {w.rank}")
     # the images are words of this rank, so their letters need no checks
     return FreeWord._trusted(phi.rank, substitute(phi.letter_table, w.letters))
 
@@ -265,7 +265,7 @@ def _compose(rank: int, steps: Iterable[FreeEndo]) -> FreeEndo:
 def compose_endos(phi: FreeEndo, rho: FreeEndo) -> FreeEndo:
     """phi after rho (rho acts first)."""
     if phi.rank != rho.rank:
-        raise RankMismatch(f"ranks {phi.rank} and {rho.rank}")
+        raise InvalidSpec(f"ranks {phi.rank} and {rho.rank}")
     return _compose(phi.rank, (rho, phi))
 
 

@@ -46,7 +46,7 @@ from operator import mul
 from typing import Iterable, Optional
 
 from .caps import Caps, DEFAULT_CAPS
-from .errors import CapExceeded, InternalInvariant, InvalidSpec, NotAPGroup
+from .errors import CapExceeded, InternalInvariant, InvalidSpec
 from .intlin import IntMatrix, det_exact, p_power_exponent, prime_factors
 
 Element = tuple[tuple[int, ...], ...]  # matrix mod modulus
@@ -148,7 +148,7 @@ class FinitePGroup:
         self.index = index
         order = len(elements)
         if p_power_exponent(order, self.p) is None:
-            raise NotAPGroup(f"order {order} is not a power of {self.p}")
+            raise InvalidSpec(f"order {order} is not a power of {self.p}")
         self._right = right
         self._gens = [act[0] for act in right]  # generator indices
         self._steps = [(parent[j], right[via[j]]) for j in range(1, order)]

@@ -71,10 +71,11 @@ the DATA_FIELDS of each kind; the verifier checks every stored field.
 
 from __future__ import annotations
 
+import sys
 from typing import Optional
 
 from .caps import Caps, DEFAULT_CAPS
-from .errors import CapExceeded, InternalInvariant, InvalidSpec, MixedPrimes, NonPPowerOrder, SchemaError
+from .errors import CapExceeded, InternalInvariant, InvalidSpec, SchemaError
 from .extension import CheckReport
 from .fields import bigint, brief, fields, integer, list_of, one_of, require, string
 from .freegrp import (
@@ -260,11 +261,11 @@ def induced_automorphism_order(
     spec: MappingTorusSpec, p: int, d: int, caps: Caps = DEFAULT_CAPS
 ) -> int:
     """Order p^s of the monodromy on the level-(p, d) quotient.  A
-    non-unipotent H_1 action mod p has none at any level: NonPPowerOrder,
+    non-unipotent H_1 action mod p has none at any level: InvalidSpec,
     raised before any substitution is built."""
     unip = is_unipotent_mod(abelianization_matrix(spec.fiber), p)
     if not unip:
-        raise NonPPowerOrder(f"H_1 action not unipotent mod {p}")
+        raise InvalidSpec(f"H_1 action not unipotent mod {p}")
     return _unipotent_order(spec.fiber, p, d, unip.index, caps)
 
 
@@ -276,6 +277,37 @@ def _stable_letter_exponent(p: int, m: int) -> int:
 
 def _monomial_count(rank: int, d: int) -> int:
     return sum(rank ** i for i in range(1, d + 1))
+
+
+# sys.get_int_max_str_digits, 0 for no limit; Pythons before 3.10.7 have none
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _too_wide(p: int, e: int) -> bool:
+    """Has p^e more decimal digits than int-to-str conversion allows?
+    Such a value can be neither written into a report nor read back by
+    ``fields.bigint``.  With b the bit length of p, 2^(e (b - 1)) <= p^e
+    < 2^(e b), and 2^(3 limit) < 10^limit < 2^(4 limit), so the bit
+    lengths decide all but a narrow band, where p^e has at most 8 limit
+    bits and is built."""
+    limit = _max_str_digits()
+    b = p.bit_length()
+    if not limit or e * b <= 3 * limit:
+        return False
+    if e * (b - 1) >= 4 * limit:
+        return True
+    return p ** e >= 10 ** limit
+
+
+def _too_wide_outcome(name: str, p: int, e: int) -> WitnessOutcome:
+    return WitnessOutcome(
+        "undecided",
+        reason=(
+            f"{name} {p}^{e} has more than {_max_str_digits()} digits, "
+            "the limit of sys.get_int_max_str_digits(), so no certificate could be "
+            "written or read back"
+        ),
+    )
 
 
 def _least_nonzero_evidence(series: TruncatedSeries, d: int) -> tuple[tuple[int, ...], int]:
@@ -315,6 +347,8 @@ def find_p_quotient_witness(
     m = g.t_exponent
     if m != 0:
         j = _stable_letter_exponent(p, m)
+        if _too_wide(p, j):
+            return _too_wide_outcome("quotient_order", p, j)
         cert = PGroupQuotient(
             kind="stable_letter",
             data={
@@ -335,13 +369,16 @@ def find_p_quotient_witness(
     d, series = _depth_and_embedding(w, p, caps)
     evidence_mon, evidence_coeff = _least_nonzero_evidence(series, d)
     order = _unipotent_order(phi, p, d, unip.index, caps)
-    fiber_bound = p ** _monomial_count(spec.rank, d)
+    count, s = _monomial_count(spec.rank, d), p_power_exponent(order, p)
+    if _too_wide(p, count + s):  # the total is the wider of the two bounds
+        return _too_wide_outcome("total_order_bound", p, count + s)
+    fiber_bound = p ** count
     cert = PGroupQuotient(
         kind="magnus",
         data={
             "degree": d,
             "precision": 1,
-            "order_exponent": p_power_exponent(order, p),
+            "order_exponent": s,
             "induced_order": order,
             "evidence_monomial": list(evidence_mon),
             "evidence_coefficient": evidence_coeff,
@@ -363,7 +400,7 @@ def combine_witnesses(witnesses: list[PGroupQuotient]) -> PGroupQuotient:
         return witnesses[0]
     p = witnesses[0].p
     if any(w.p != p for w in witnesses):
-        raise MixedPrimes("all witnesses must share the prime")
+        raise InvalidSpec("all witnesses must share the prime")
     first = witnesses[0]
     if not all(_same_torus(w, first) for w in witnesses):
         raise InvalidSpec("witnesses belong to different mapping tori")
@@ -494,5 +531,8 @@ def verify_witness(cert: PGroupQuotient, caps: Caps = DEFAULT_CAPS) -> CheckRepo
     )
     fiber = cert.data["fiber_order_bound"]
     total_ok = cert.data["total_order_bound"] == fiber * cert.data["induced_order"]
-    checks.append(("fiber_order_bound", fiber == p ** _monomial_count(cert.rank, d) and total_ok))
+    # as for order_exponent, the stored bound's exponent is compared, so
+    # no p ** count is built before any size is checked
+    count = _monomial_count(cert.rank, d)
+    checks.append(("fiber_order_bound", p_power_exponent(fiber, p) == count and total_ok))
     return CheckReport(tuple(checks))

@@ -26,15 +26,7 @@ from resip.classify import (
     Verdict,
     p_power_order_quotient_exists,
 )
-from resip.errors import (
-    CapExceeded,
-    InternalInvariant,
-    InvalidSpec,
-    NotInvariant,
-    NotInvertibleMod,
-    RankMismatch,
-    RankTooSmall,
-)
+from resip.errors import CapExceeded, InternalInvariant, InvalidSpec
 from resip.extension import (
     CocycleCheck,
     ExtensionElement,
@@ -85,7 +77,7 @@ def matrix_order_mod(m: IntMatrix, p: int, k: int, cap: Optional[int] = None) ->
     if k < 1:
         raise InvalidSpec("precision k must be >= 1")
     if det_exact(m) % p == 0:
-        raise NotInvertibleMod(f"det divisible by {p}")
+        raise InvalidSpec(f"det divisible by {p}")
     modulus = p ** k
     if cap is None:
         cap = p ** (k * m.n * m.n)
@@ -499,7 +491,7 @@ def fibered_verdicts_per_prime(spec, primes) -> list[dict]:
     (``p_power_order_quotient_exists``) decide whether an invariant
     quotient of dimension >= 2 and p-power order exists."""
     if spec.rank < 2:
-        raise RankTooSmall("rank-1 fibers are torus/BS territory")
+        raise InvalidSpec("rank-1 fibers are torus/BS territory")
     out = []
     for p in primes:
         a = abelianization_matrix(spec.fiber)
@@ -573,9 +565,9 @@ def artin_endo_by_composition(b) -> FreeEndo:
 
 def trace_loop(cover, w: FreeWord) -> tuple[int, ...]:
     """Read w as a loop at the cover's base; its letters in the Schreier
-    basis (signed 1-based indices).  NotInvariant if w does not close up."""
+    basis (signed 1-based indices).  InvalidSpec if w does not close up."""
     if w.rank != cover.rank:
-        raise RankMismatch("word rank differs from cover rank")
+        raise InvalidSpec("word rank differs from cover rank")
     index = {edge: i for i, edge in enumerate(cover.schreier_edges(), start=1)}
     out: list[int] = []
     v = 0
@@ -593,7 +585,7 @@ def trace_loop(cover, w: FreeWord) -> tuple[int, ...]:
             if edge in index:
                 out.append(-index[edge])
     if v != 0:
-        raise NotInvariant("word is not a loop at the base vertex")
+        raise InvalidSpec("word is not a loop at the base vertex")
     return tuple(out)
 
 
@@ -608,7 +600,7 @@ def induced_cover_homology_by_rewriting(phi: FreeEndo, cover) -> IntMatrix:
     image of loop j is column j."""
     images = [apply_endo(phi, s) for s in cover.schreier_basis_words()]
     if any(cover.chi(w) != 0 for w in images):
-        raise NotInvariant("endomorphism does not preserve the cover subgroup")
+        raise InvalidSpec("endomorphism does not preserve the cover subgroup")
     r = cover.subgroup_rank
     cols = []
     for image in images:

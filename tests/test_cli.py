@@ -119,7 +119,7 @@ def test_semantic_errors_embed_not_raise():
     )
     entries = run_tasks(tf)
     assert entries[0].status == "error"
-    assert entries[0].error["type"] == "InvalidQ"
+    assert entries[0].error["type"] == "InvalidSpec"
 
 
 def test_big_integers_become_strings():
@@ -530,6 +530,51 @@ def test_a_task_past_the_genus_or_cover_rank_cap_leaves_the_others_running(tmp_p
     assert [e["status"] for e in entries] == ["ok", "cap", "ok", "cap", "ok"]
     assert [entries[i]["error"]["message"] for i in (1, 3)] == [
         "genus: cap 4 exceeded", "cover_rank: cap 5 exceeded"]
+
+
+def test_strand_count_past_the_cover_rank_cap_is_refused_before_the_braid(tmp_path, capsys, monkeypatch):
+    # rank 2 * (10^6 - 1) + 1: refused from the payload's integers, before
+    # the braid's permutation (one entry per strand) is built
+    from resip import cli
+
+    def refuse(*args):
+        raise AssertionError("the braid was read")
+
+    monkeypatch.setattr(cli, "parse_braid", refuse)
+    cover = {"kind": "braid-cover", "braid": "s1", "modulus": 2}
+    tasks = [
+        dict(cover, id="strands-huge", strands=10**6, assignments=[1, 1]),
+        {"id": "after", "kind": "bs", "q": 3},
+    ]
+    path = tmp_path / "tasks.json"
+    path.write_text(json.dumps({"version": 1, "tasks": tasks}))
+    start = time.perf_counter()
+    assert main(["run", "--tasks", str(path)]) == 3
+    assert time.perf_counter() - start < 1.0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert [e["status"] for e in entries] == ["cap", "ok"]
+    assert entries[0]["error"] == {"type": "CapExceeded", "message": "cover_rank: cap 101 exceeded"}
+
+
+def test_errors_module_defines_the_five_outcomes():
+    from resip import errors
+
+    classes = {name for name, value in vars(errors).items() if isinstance(value, type)}
+    assert classes == {"ResipError", "InvalidSpec", "SchemaError", "CapExceeded", "InternalInvariant"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bs", "--q", "0"], "q must be >= 1, got 0"),
+    (["fibered", "--images", "x1", "--inverse", "x1"], "rank-1 fibers are torus/BS territory"),
+    (["torus", "--matrix", "1 2; 3"], "matrix must be square"),
+    # s1 sends chi = (1, 0, 0) mod 2 to (0, 1, 0), no multiple of chi
+    (["braid-cover", "--strands", "3", "--braid", "s1", "--modulus", "2", "--assignments", "1,0,0"],
+     "endomorphism does not preserve the cover subgroup"),
+], ids=["bs", "fibered", "torus", "braid-cover"])
+def test_unusable_values_are_invalid_spec_entries(capsys, argv, message):
+    assert main(argv) == 0
+    entry = _entry(capsys)
+    assert (entry["status"], entry["error"]) == ("error", {"type": "InvalidSpec", "message": message})
 
 
 def test_non_prime_certificate_exits_2(tmp_path, capsys):
@@ -1184,7 +1229,7 @@ def test_schema_errors_exit_2_with_their_path(tmp_path, capsys):
 def test_non_square_matrix_is_an_error_entry():
     (entry,) = run_tasks(parse_task_file(_doc(dict(SL2, matrix=[[1, 2], [3]]))))
     assert (entry.status, entry.error) == (
-        "error", {"type": "SchemaError", "message": "$.matrix: matrix must be square"}
+        "error", {"type": "InvalidSpec", "message": "matrix must be square"}
     )
 
 

@@ -11,7 +11,7 @@ from oracles import (
     random_certified_automorphism,
     substitute_then_reduce,
 )
-from resip.errors import InvalidSpec, RankMismatch
+from resip.errors import InvalidSpec
 from resip.freegrp import (
     FreeEndo,
     FreeWord,
@@ -117,7 +117,7 @@ def test_conjugate_and_commutator_shapes():
 
 
 def test_rank_mismatch_rejected():
-    with pytest.raises(RankMismatch):
+    with pytest.raises(InvalidSpec, match="ranks 2 and 3"):
         word_multiply(FreeWord.generator(2, 1), FreeWord.generator(3, 1))
 
 

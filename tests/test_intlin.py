@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from resip import intlin
-from resip.errors import CapExceeded, NotInvertibleMod
+from resip.errors import CapExceeded, InvalidSpec
 from resip.intlin import (
     IntMatrix,
     LatticeChainInvariants,
@@ -253,7 +253,7 @@ def test_matrix_order_fixtures():
 
 
 def test_matrix_order_errors():
-    with pytest.raises(NotInvertibleMod):
+    with pytest.raises(InvalidSpec, match="det divisible by 2"):
         matrix_order_mod(IntMatrix.from_rows([[2, 0], [0, 1]]), 2, 1, 10)
     with pytest.raises(CapExceeded):
         matrix_order_mod(A_SOL, 5, 3, 2)

@@ -9,7 +9,7 @@ import pytest
 
 from resip import pgrouplab
 from resip.caps import Caps
-from resip.errors import CapExceeded, InvalidSpec, NotAPGroup
+from resip.errors import CapExceeded, InvalidSpec
 from resip.intlin import p_power_exponent
 from resip.pgrouplab import (
     FinitePGroup,
@@ -53,7 +53,7 @@ def test_generate_group_rejects_non_p_power_order():
     # the full symmetric group on 3 points has order 6
     perm1 = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
     perm2 = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
-    with pytest.raises(NotAPGroup):
+    with pytest.raises(InvalidSpec, match="order 6 is not a power of 5"):
         generate_group([perm1, perm2], 5)
 
 

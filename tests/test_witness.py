@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 import time
 
 import pytest
@@ -12,9 +13,9 @@ from oracles import (
     induced_order_by_iteration,
     kernel_invariance_by_sampling,
 )
-from resip import witness
+from resip import cli, witness
 from resip.braid import artin_endo, beta_braid
-from resip.errors import CapExceeded, InternalInvariant, InvalidSpec, MixedPrimes, NonPPowerOrder
+from resip.errors import CapExceeded, InternalInvariant, InvalidSpec
 from resip.freegrp import (
     FreeEndo,
     FreeWord,
@@ -171,7 +172,7 @@ def test_induced_order_fixture():
     # at p = 2 divides 2^k and is exactly 4 here
     spec = MappingTorusSpec(nielsen_transvection(2, 1, 2))
     assert induced_automorphism_order(spec, 2, 3) == 4
-    with pytest.raises(NonPPowerOrder):
+    with pytest.raises(InvalidSpec, match="H_1 action not unipotent mod 3"):
         induced_automorphism_order(MappingTorusSpec(_SWAP), 3, 2)
 
 
@@ -180,9 +181,9 @@ def test_non_unipotent_order_builds_no_substitution(monkeypatch):
         raise AssertionError("a series substitution was built")
 
     monkeypatch.setattr(witness, "SeriesSubstitution", refuse)
-    with pytest.raises(NonPPowerOrder, match="not unipotent mod 3"):
+    with pytest.raises(InvalidSpec, match="not unipotent mod 3"):
         induced_automorphism_order(MappingTorusSpec(_SWAP), 3, 4)
-    with pytest.raises(NonPPowerOrder, match="not unipotent mod 5"):
+    with pytest.raises(InvalidSpec, match="not unipotent mod 5"):
         induced_automorphism_order(_beta_spec(), 5, 2)
 
 
@@ -466,7 +467,7 @@ def test_product_of_many_parts_verifies_at_default_caps():
 def test_combine_witnesses_guards():
     w1 = find_p_quotient_witness(_beta_spec(), _elem(0, "x1 X2"), 3).certificate
     w5 = find_p_quotient_witness(_beta_spec(), _elem(1, "1"), 5).certificate
-    with pytest.raises(MixedPrimes):
+    with pytest.raises(InvalidSpec, match="all witnesses must share the prime"):
         combine_witnesses([w1, w5])
     with pytest.raises(InvalidSpec):
         combine_witnesses([])
@@ -665,3 +666,66 @@ def test_a_stored_degree_below_the_true_depth_fails_without_the_cap(monkeypatch)
     monkeypatch.setattr(witness, "magnus_embed", refuse)
     with pytest.raises(CapExceeded, match="magnus_depth: cap 8 exceeded"):
         verify_witness(_with_degree(cert, 9))
+
+
+@pytest.mark.parametrize("argv, reason", [
+    # fiber_order_bound 2^87380 has 26,304 digits
+    (["--images", "x1;x2;x3;x4", "--inverse", "x1;x2;x3;x4", "--p", "2", "--w", " ".join(["x1"] * 8)],
+     "total_order_bound 2^87380 has more than 4300"),
+    # quotient_order 2^14285 has 4,301 digits
+    (["--images", "x1;x2", "--inverse", "x1;x2", "--p", "2", "--t", str(9 * 10 ** 4299)],
+     "quotient_order 2^14285 has more than 4300"),
+], ids=["magnus", "stable-letter"])
+def test_a_certificate_too_wide_to_write_is_undecided(capsys, argv, reason):
+    assert cli.main(["witness", *argv]) == 0
+    (entry,) = json.loads(capsys.readouterr().out)["entries"]
+    assert entry["status"] == "ok" and entry["result"]["status"] == "undecided"
+    assert entry["result"]["reason"].startswith(f"{reason} digits, the limit of sys.get_int_max_str_digits()")
+
+
+def test_a_too_wide_witness_leaves_the_batch_running(tmp_path, capsys):
+    identity = {"rank": 4, "images": ["x1", "x2", "x3", "x4"], "inverse": ["x1", "x2", "x3", "x4"]}
+    tasks = [
+        dict(identity, id="wide", kind="witness", p=2, element={"t": 0, "w": " ".join(["x1"] * 8)}),
+        {"id": "torus", "kind": "torus", "matrix": [[2, 1], [1, 1]], "primes": [2, 3]},
+    ]
+    path = tmp_path / "tasks.json"
+    path.write_text(json.dumps({"version": 1, "tasks": tasks}))
+    assert cli.main(["run", "--tasks", str(path)]) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert [(e["id"], e["status"]) for e in entries] == [("wide", "ok"), ("torus", "ok")]
+    assert entries[0]["result"]["status"] == "undecided"
+    assert len(entries[1]["result"]["verdicts"]) == 2
+
+
+def test_too_wide_is_decided_at_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    # 2^14281 and 2^14284 have 4300 digits, 2^14285 has 4301
+    for p in (2, 3, 7, 2 ** 61 - 1):
+        e = least_p_power_exponent(10 ** limit, p)  # the least e with more than limit digits
+        for k in (e - 2, e - 1, e, e + 1, 10 ** 12):
+            assert witness._too_wide(p, k) is (k >= e), (p, k)
+        assert len(str(p ** (e - 1))) <= limit
+    # no limit: every value can be written
+    sys.set_int_max_str_digits(0)
+    try:
+        assert witness._too_wide(2, 10 ** 12) is False
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_a_forged_bound_fails_without_raising_p_to_the_monomial_count():
+    # p = 2^61 - 1, rank 6, degree 8: p ** (6 + 6^2 + ... + 6^8) would be
+    # a 15 MB integer; the stored bound's exponent is compared instead
+    ids = [f"x{i}" for i in range(1, 7)]
+    forged = PGroupQuotient.from_dict({
+        "p": 2 ** 61 - 1, "kind": "magnus", "rank": 6, "monodromy_images": ids,
+        "monodromy_inverse": ids, "survivor_t": 0, "survivor_word": "x1",
+        "data": {"degree": 8, "precision": 1, "order_exponent": 0, "induced_order": 1,
+                 "evidence_monomial": [1] * 8, "evidence_coefficient": 1,
+                 "fiber_order_bound": 2, "total_order_bound": 2},
+    })
+    start = time.perf_counter()
+    report = verify_witness(forged)
+    assert time.perf_counter() - start < 2.0
+    assert not report.ok and dict(report.checks)["fiber_order_bound"] is False
