@@ -63,7 +63,7 @@ from .extension import (
     verify_cocycle,
 )
 from .fields import bigint, brief, fields, integer, list_of, one_of, require, string
-from .freegrp import FreeEndo, MappingTorusElement, MappingTorusSpec, parse_word
+from .freegrp import MappingTorusElement, MappingTorusSpec, parse_endo, parse_word
 from .intlin import (
     IntMatrix,
     charpoly_exact,
@@ -221,13 +221,6 @@ def _task_primes(payload: dict, caps: Caps = DEFAULT_CAPS) -> list[int]:
     return primes_up_to(bound)
 
 
-def _build_endo(payload: dict) -> FreeEndo:
-    rank = payload["rank"]
-    images = tuple(parse_word(t, rank) for t in payload["images"])
-    inverse = tuple(parse_word(t, rank) for t in payload["inverse"])
-    return FreeEndo(rank, images, inverse)
-
-
 def run_task(task: Task, caps: Caps) -> dict:
     payload = task.payload
     if task.kind == "torus":
@@ -245,7 +238,7 @@ def run_task(task: Task, caps: Caps) -> dict:
             "prime_set": residually_p_prime_set(matrix).to_dict(),
         }
     if task.kind == "fibered":
-        endo = _build_endo(payload)
+        endo = parse_endo(payload["rank"], payload["images"], payload["inverse"])
         spec = MappingTorusSpec(endo)
         verdicts = [v.to_dict() for v in fibered_verdicts(spec, _task_primes(payload, caps))]
         return {"rank": endo.rank, "verdicts": verdicts}
@@ -295,7 +288,7 @@ def run_task(task: Task, caps: Caps) -> dict:
             "divisors": divisor_reports,
         }
     if task.kind == "witness":
-        endo = _build_endo(payload)
+        endo = parse_endo(payload["rank"], payload["images"], payload["inverse"])
         spec = MappingTorusSpec(endo)
         element = MappingTorusElement(
             payload["element"]["t"],
@@ -447,22 +440,50 @@ def _write_list(value, indent: str, out) -> None:
 
 
 def emit_report(entries: list[ReportEntry], fmt: str = "json") -> str:
+    """The report of the entries, as JSON or text.  An entry whose result
+    holds an integer with more digits than int-to-str conversion allows
+    (``sys.get_int_max_str_digits()``) becomes one ``error`` entry, in
+    both formats, and the other entries are written as they are."""
     if fmt == "json":
         # {"entries": [...], "version": ...} as _json_text writes it, each
         # entry joined on its own, so that no list of parts spans the report
         if not entries:
             return '{\n  "entries": [],\n  "version": "resip-report/1"\n}\n'
-        body = ",\n    ".join(_json_text(e.to_dict(), "    ") for e in entries)
+        body = ",\n    ".join(_written(_entry_json, e) for e in entries)
         return '{\n  "entries": [\n    ' + body + '\n  ],\n  "version": "resip-report/1"\n}\n'
-    lines = []
-    for e in entries:
-        stamp = f"{e.elapsed_ms:8.1f} ms" if e.elapsed_ms is not None else ""
-        lines.append(f"task {e.id} [{e.kind}] {e.status} {stamp}".rstrip())
-        if e.status == "ok":
-            lines.extend("  " + line for line in _summarize(e.kind, e.result))
-        else:
-            lines.append(f"  {e.error['type']}: {e.error['message']}")
-    return "\n".join(lines) + "\n"
+    return "".join(_written(_entry_text, e) for e in entries) or "\n"
+
+
+def _entry_json(e: ReportEntry) -> str:
+    return _json_text(e.to_dict(), "    ")
+
+
+def _entry_text(e: ReportEntry) -> str:
+    stamp = f"{e.elapsed_ms:8.1f} ms" if e.elapsed_ms is not None else ""
+    lines = [f"task {e.id} [{e.kind}] {e.status} {stamp}".rstrip()]
+    if e.status == "ok":
+        lines.extend("  " + line for line in _summarize(e.kind, e.result))
+    else:
+        lines.append(f"  {e.error['type']}: {e.error['message']}")
+    return "".join(line + "\n" for line in lines)
+
+
+def _written(write, e: ReportEntry) -> str:
+    """write(e); or, if e holds an integer too long to convert to text
+    (the ValueError of int-to-str conversion), write e made an error entry."""
+    try:
+        return write(e)
+    except ValueError:
+        e.status, e.result = "error", None
+        e.error = {
+            "type": "InvalidSpec",
+            "message": (
+                "the result holds an integer of more than "
+                f"{sys.get_int_max_str_digits()} digits, the limit of "
+                "sys.get_int_max_str_digits(), so it cannot be written"
+            ),
+        }
+        return write(e)
 
 
 def _summarize(kind: str, result: dict) -> list[str]:

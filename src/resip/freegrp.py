@@ -6,12 +6,24 @@ uppercase for its inverse ("X1"); "1" alone is the empty word.
 
 CONVENTION: compose_endos(phi, rho) applies rho first, so
 apply_endo(compose_endos(phi, rho), w) == apply_endo(phi, apply_endo(rho, w)).
+
+Reading words.  ``parse_word`` looks each token up in ``_TOKENS``, a
+table from token text to signed letter.  Only ``_parse_letters``, the loop
+that reads and checks one token at a time, fills it, with tokens it
+accepted, and it stops at _TOKEN_BOUND (1024) entries, so text of ever new
+spellings (x01, x001, ...) cannot grow it without end.  A word with a token
+not in the table, or with a letter out of range for its rank, is read again
+by that loop, which raises: every error, and the token it names, is the
+same whether the table is empty or full.  A word already freely reduced,
+as most are, is kept as it is.  ``parse_endo`` reads an automorphism and
+its claimed inverse this way, for task files and certificates alike.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import repeat
+from operator import add, neg
 from typing import Iterable, Optional
 
 from .errors import InvalidSpec
@@ -108,6 +120,11 @@ def commutator(u: FreeWord, v: FreeWord) -> FreeWord:
     )
 
 
+# token -> signed letter; see "Reading words" above
+_TOKENS: dict[str, int] = {}
+_TOKEN_BOUND = 1024
+
+
 def parse_word(text: str, rank: int) -> FreeWord:
     """Parse "x1 X2 x1" style input; "1" or empty means the identity.  A
     token is x or X and then ASCII digits: str.isdigit alone also takes
@@ -115,6 +132,21 @@ def parse_word(text: str, rank: int) -> FreeWord:
     tokens = text.split()
     if not tokens or tokens == ["1"]:
         return FreeWord.identity(rank)
+    try:
+        letters = list(map(_TOKENS.__getitem__, tokens))
+    except KeyError:
+        letters = _parse_letters(tokens, rank)
+    else:
+        if max(letters) > rank or -min(letters) > rank:
+            letters = _parse_letters(tokens, rank)  # raises out of range
+    if 0 in map(add, letters, letters[1:]):  # some a followed by -a
+        return FreeWord._trusted(rank, _reduce(letters))
+    return FreeWord._trusted(rank, tuple(letters))
+
+
+def _parse_letters(tokens: list[str], rank: int) -> list[int]:
+    """The signed letters of the tokens, each read and checked in turn, so
+    that an error names the first bad token."""
     letters = []
     for tok in tokens:
         head, digits = tok[0], tok[1:]
@@ -126,8 +158,11 @@ def parse_word(text: str, rank: int) -> FreeWord:
             raise InvalidSpec(f"generator index of {len(digits)} digits out of range 1..{rank}") from None
         if not 1 <= idx <= rank:
             raise InvalidSpec(f"generator index {idx} out of range 1..{rank}")
-        letters.append(idx if head == "x" else -idx)
-    return FreeWord._trusted(rank, _reduce(letters))
+        letter = idx if head == "x" else -idx
+        if len(_TOKENS) < _TOKEN_BOUND:
+            _TOKENS[tok] = letter
+        letters.append(letter)
+    return letters
 
 
 def format_word(w: FreeWord) -> str:
@@ -139,8 +174,12 @@ def format_word(w: FreeWord) -> str:
 def image_table(images) -> list[list[int]]:
     """The image of every letter, indexed by the letter: t[i] = images[i - 1]
     and t[-i], at index 2n + 1 - i, its inverse; t[0] is unused."""
-    inverses = [[-b for b in reversed(w)] for w in reversed(images)]
+    inverses = [list(map(neg, reversed(w))) for w in reversed(images)]
     return [[]] + [list(w) for w in images] + inverses
+
+
+# an image longer than this makes substitute hold image rests back
+_LONG = 128
 
 
 def substitute(table: list[list[int]], letters: Iterable[int]) -> tuple[int, ...]:
@@ -151,7 +190,10 @@ def substitute(table: list[list[int]], letters: Iterable[int]) -> tuple[int, ...
     It reduces as it writes, so it never holds an unreduced word.  An image
     cancels only against the end of what is written, and img[:k] cancels
     iff that ends in its inverse, table[-a][-k:]; if it does for some k, it
-    does for every smaller k, so the longest k is found by bisection."""
+    does for every smaller k, so the longest k is found by bisection.  A
+    table with an image longer than _LONG goes to ``_substitute_long``."""
+    if max(map(len, table)) > _LONG:
+        return _substitute_long(table, letters)
     out: list[int] = []
     for a in letters:
         img = table[a]
@@ -167,6 +209,67 @@ def substitute(table: list[list[int]], letters: Iterable[int]) -> tuple[int, ...
             img = img[k:]
         out.extend(img)
     return tuple(out)
+
+
+def _substitute_long(table: list[list[int]], letters: Iterable[int]) -> tuple[int, ...]:
+    """substitute, at a cost set by the letters each image cancels or
+    leaves, not by its length: under conjugation by a word u, x -> u x u^-1,
+    writing each image out whole would cost |u| a letter.
+
+    The rest of the last image, table[last][start:], is held back, not
+    written, while it is longer than _LONG.  It ends where table[last]
+    ends, so img[:k] cancels against it iff k is at most its length and
+    the common tail of table[last] and table[-a], which depends only on
+    the pair: ``tails`` keeps it.  Only the held letters left over are
+    copied to out, and a cancellation that goes on into out costs the
+    letters it compares (``_common_tail``)."""
+    out: list[int] = []
+    last = start = 0  # table[0] is unused: no rest is held
+    tails: dict[tuple[int, int], int] = {}
+    for a in letters:
+        img = table[a]
+        k = 0  # the letters of img cancelled so far
+        if last:
+            held = table[last]
+            if img and held[-1] == -img[0]:
+                cut = tails.get((last, a))
+                if cut is None:
+                    cut = tails[last, a] = _common_tail(held, table[-a], len(img))
+                k = min(cut, len(held) - start)
+            out.extend(held[start:len(held) - k])
+        if out and k < len(img) and out[-1] == -img[k]:
+            j = _common_tail(out, table[-a], len(img) - k)
+            del out[-j:]
+            k += j
+        if len(img) - k > _LONG:
+            last, start = a, k
+        else:
+            out.extend(img[k:])
+            last = start = 0
+    if last:
+        out.extend(table[last][start:])
+    return tuple(out)
+
+
+def _common_tail(x: list[int], y: list[int], end: int) -> int:
+    """The largest t with x[-t:] == y[end - t:end], given that t = 1 holds.
+    If t holds, so does every smaller t: double t while the next t letters
+    agree, then bisect, each test comparing only the letters past the t
+    already found.  The cost is that of the letters compared, O(t)."""
+    t, hi = 1, min(len(x), end)
+    while t < hi:
+        mid = min(2 * t, hi)
+        if x[-mid:-t] != y[end - mid:end - t]:
+            hi = mid - 1
+            break
+        t = mid
+    while t < hi:
+        mid = (t + hi + 1) // 2
+        if x[-mid:-t] == y[end - mid:end - t]:
+            t = mid
+        else:
+            hi = mid - 1
+    return t
 
 
 class FreeEndo(Record):
@@ -195,6 +298,8 @@ class FreeEndo(Record):
         images: tuple[FreeWord, ...],
         certified_inverse: Optional[tuple[FreeWord, ...]] = None,
     ):
+        if rank < 1:  # as for FreeWord; abelianization_matrix relies on it
+            raise InvalidSpec("rank must be >= 1")
         for words in (images,) if certified_inverse is None else (images, certified_inverse):
             if len(words) != rank:
                 raise InvalidSpec("need one image per generator")
@@ -239,6 +344,17 @@ class FreeEndo(Record):
         return FreeEndo(self.rank, self.certified_inverse, self.images)
 
 
+def parse_endo(rank: int, images: Iterable[str], inverse: Iterable[str]) -> FreeEndo:
+    """The endomorphism with the image texts, and the claimed inverse with
+    the texts of its images, checked by FreeEndo: the one reader of task
+    files and certificates.  The images are read first, then the inverse."""
+    return FreeEndo(
+        rank,
+        tuple(parse_word(t, rank) for t in images),
+        tuple(parse_word(t, rank) for t in inverse),
+    )
+
+
 def apply_endo(phi: FreeEndo, w: FreeWord) -> FreeWord:
     if phi.rank != w.rank:
         raise InvalidSpec(f"endo rank {phi.rank} vs word rank {w.rank}")
@@ -278,9 +394,7 @@ def endo_power(phi: FreeEndo, k: int) -> FreeEndo:
 
 def abelianization_matrix(phi: FreeEndo) -> IntMatrix:
     """Entry (i,j) = exponent sum of x_i in phi(x_j); columns are images."""
-    n = phi.rank
-    cols = [w.exponent_sums() for w in phi.images]
-    return IntMatrix.from_rows([[cols[j][i] for j in range(n)] for i in range(n)])
+    return IntMatrix._trusted(tuple(zip(*(w.exponent_sums() for w in phi.images))))
 
 
 def is_mod_p_torelli(phi: FreeEndo, p: int) -> bool:

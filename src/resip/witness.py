@@ -85,6 +85,7 @@ from .freegrp import (
     abelianization_matrix,
     apply_endo,
     format_word,
+    parse_endo,
     parse_word,
 )
 from .intlin import _require_prime, is_unipotent_mod, least_p_power_exponent, p_power_exponent
@@ -157,9 +158,7 @@ class PGroupQuotient(Record):
         return PGroupQuotient(**cert)
 
     def monodromy(self) -> FreeEndo:
-        images = tuple(parse_word(t, self.rank) for t in self.monodromy_images)
-        inverse = tuple(parse_word(t, self.rank) for t in self.monodromy_inverse)
-        return FreeEndo(self.rank, images, inverse)
+        return parse_endo(self.rank, self.monodromy_images, self.monodromy_inverse)
 
 
 def _precision(value, path: str) -> int:

@@ -28,6 +28,7 @@ from resip.freegrp import (
     MappingTorusSpec,
     abelianization_matrix,
     nielsen_transvection,
+    parse_endo,
     parse_word,
 )
 from resip.intlin import (
@@ -255,13 +256,13 @@ def test_free_fiber_undecided_is_possible():
 def test_certified_monodromies_act_on_h1_with_determinant_plus_or_minus_one():
     """Why fibered_verdicts has no branch for an H_1 action that is
     singular mod p: a certified inverse puts M in GL_n(Z)."""
-    from resip.cli import _build_endo, parse_task_file
+    from resip.cli import parse_task_file
 
     rng = random.Random(1603)
     endos = [random_certified_automorphism(rng, rng.randint(2, 4)) for _ in range(100)]
     tasks = pathlib.Path(__file__).resolve().parent.parent / "tasks"
     fibered = [
-        _build_endo(task.payload)
+        parse_endo(task.payload["rank"], task.payload["images"], task.payload["inverse"])
         for path in sorted(tasks.glob("*.json"))
         for task in parse_task_file(path.read_text()).tasks
         if task.kind == "fibered"
@@ -572,11 +573,14 @@ def test_fibered_verdicts_match_the_per_prime_oracle():
 
 
 def _fibered_task_specs():
-    from resip.cli import _build_endo, _task_primes, parse_task_file
+    from resip.cli import _task_primes, parse_task_file
 
     tasks = pathlib.Path(__file__).resolve().parent.parent / "tasks"
     return [
-        (MappingTorusSpec(_build_endo(task.payload)), _task_primes(task.payload))
+        (
+            MappingTorusSpec(parse_endo(task.payload["rank"], task.payload["images"], task.payload["inverse"])),
+            _task_primes(task.payload),
+        )
         for path in sorted(tasks.glob("*.json"))
         for task in parse_task_file(path.read_text()).tasks
         if task.kind == "fibered"

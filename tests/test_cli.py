@@ -177,6 +177,7 @@ def test_json_text_matches_json_dumps(value):
 
 def test_empty_report_is_pinned():
     assert emit_report([]) == '{\n  "entries": [],\n  "version": "resip-report/1"\n}\n'
+    assert emit_report([], "text") == "\n"
 
 
 @pytest.mark.parametrize(
@@ -1267,3 +1268,52 @@ def test_deeply_nested_components_exit_2(tmp_path, capsys):
     status, out, err = _verify(tmp_path, capsys, cert)
     assert (status, out) == (2, "")
     assert err.startswith("schema error at $: malformed certificate: RecursionError: ")
+
+
+def _wide_gcd_tasks() -> str:
+    # every entry has 4300 digits, so the reader accepts it, and det = 1;
+    # the gcd it reports, 2^14285, has 4301: more than str() converts
+    a = 1 + 2 ** 14284
+    return json.dumps({"version": 1, "tasks": [
+        {"id": "wide", "kind": "primes", "matrix": [[a, a - 1], [a + 1, a]]},
+        {"id": "torus", "kind": "torus", "matrix": [[2, 1], [1, 1]], "primes": [2, 3]},
+    ]})
+
+
+_WIDE_MESSAGE = (
+    "the result holds an integer of more than 4300 digits, the limit of "
+    "sys.get_int_max_str_digits(), so it cannot be written"
+)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_an_unwritable_integer_is_one_error_entry(tmp_path, capsys, fmt):
+    path = tmp_path / "tasks.json"
+    path.write_text(_wide_gcd_tasks())
+    assert main(["run", "--tasks", str(path), "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        wide, torus = json.loads(out)["entries"]
+        assert wide == {
+            "id": "wide", "kind": "primes", "status": "error",
+            "error": {"type": "InvalidSpec", "message": _WIDE_MESSAGE},
+        }
+        assert torus["status"] == "ok" and len(torus["result"]["verdicts"]) == 2
+    else:
+        lines = out.splitlines()
+        assert lines[0].startswith("task wide [primes] error")
+        assert lines[1] == f"  InvalidSpec: {_WIDE_MESSAGE}"
+        assert lines[2].startswith("task torus [torus] ok")
+        assert lines[3:] == ["  p=2: NotResiduallyP", "  p=3: NotResiduallyP", "  residually nilpotent: False"]
+
+
+def test_the_writer_turns_the_entry_itself_into_an_error():
+    entries = run_tasks(parse_task_file(_wide_gcd_tasks()))
+    assert [e.status for e in entries] == ["ok", "ok"]
+    json_report = emit_report(entries)
+    wide = entries[0]
+    assert (wide.status, wide.result) == ("error", None)
+    assert wide.error == {"type": "InvalidSpec", "message": _WIDE_MESSAGE}
+    # written again, the error entry gives the same report
+    assert emit_report(entries) == json_report
+    assert json.loads(json_report)["entries"][0]["status"] == "error"

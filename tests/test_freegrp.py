@@ -1,6 +1,7 @@
 """Free group words and certified automorphisms."""
 
 import random
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from oracles import (
     random_certified_automorphism,
     substitute_then_reduce,
 )
+from resip import freegrp
 from resip.errors import InvalidSpec
 from resip.freegrp import (
     FreeEndo,
@@ -26,6 +28,7 @@ from resip.freegrp import (
     inner_automorphism,
     is_mod_p_torelli,
     nielsen_transvection,
+    parse_endo,
     parse_word,
     word_inverse,
     word_multiply,
@@ -93,6 +96,86 @@ def test_parser_matches_the_regex_oracle():
     for text in corpus:
         for rank in (0, 1, 2, 3, 5):
             assert _parsed(parse_word, text, rank) == _parsed(parse_word_by_regex, text, rank)
+
+
+def _random_text(rng, rank: int, length: int) -> str:
+    """Tokens of indices up to rank, some spelled with leading zeros, some
+    followed at once by their inverse."""
+    tokens = []
+    for _ in range(length):
+        head, idx = rng.choice("xX"), "0" * rng.choice((0, 0, 0, 1, 2)) + str(rng.randint(1, rank))
+        tokens.append(head + idx)
+        if rng.random() < 0.2:
+            tokens.append(head.swapcase() + idx)
+    return " ".join(tokens)
+
+
+@pytest.mark.parametrize("table", ["empty", "filled"])
+def test_parser_matches_the_token_oracle_on_random_words(monkeypatch, table):
+    monkeypatch.setattr(freegrp, "_TOKENS", {})
+    rng = random.Random(31)
+    texts = ["", " ", "1", " 1 "]
+    texts += [_random_text(rng, rng.randint(1, 6), rng.randint(0, 15)) for _ in range(400)]
+    if table == "filled":
+        for text in texts:
+            parse_word(text, 6)
+        assert len(freegrp._TOKENS) > 30
+    for text in texts:
+        for rank in range(1, 7):
+            assert _parsed(parse_word, text, rank) == _parsed(parse_word_by_regex, text, rank)
+
+
+# (text, rank, the message of the loop that read one token at a time)
+_MALFORMED = [
+    ("x1 y2 z3", 3, "bad word token 'y2'"),
+    ("x1 x4 x5", 3, "generator index 4 out of range 1..3"),
+    ("x1 x9 y2", 3, "generator index 9 out of range 1..3"),
+    ("x1 y2 x9", 3, "bad word token 'y2'"),
+    ("X2 x02 x1 1", 2, "bad word token '1'"),
+    ("x0 X0", 2, "generator index 0 out of range 1..2"),
+    ("x1 X01 x", 2, "bad word token 'x'"),
+    ("X1 x\u0662 x3", 2, "bad word token 'x\u0662'"),
+    ("x2 x" + "1" * 5000, 2, "generator index of 5000 digits out of range 1..2"),
+    ("x1", 0, "generator index 1 out of range 1..0"),
+]
+
+
+@pytest.mark.parametrize("table", ["empty", "filled"])
+def test_malformed_words_raise_as_the_token_loop_did(monkeypatch, table):
+    # with the table filled, every well-formed token above is in it, so a
+    # word with a bad token second or third still names that token
+    monkeypatch.setattr(freegrp, "_TOKENS", {})
+    if table == "filled":
+        parse_word("x1 x2 x3 x4 x5 x9 X1 X2 x01 X01 x02", 9)
+    for text, rank, message in _MALFORMED:
+        assert _parsed(parse_word, text, rank) == ("InvalidSpec", message)
+        assert _parsed(parse_word_by_regex, text, rank) == ("InvalidSpec", message)
+
+
+def test_a_token_read_at_a_higher_rank_stays_out_of_range_at_a_lower(monkeypatch):
+    monkeypatch.setattr(freegrp, "_TOKENS", {})
+    assert parse_word("x6 X5", 6).letters == (6, -5)
+    assert freegrp._TOKENS == {"x6": 6, "X5": -5}
+    with pytest.raises(InvalidSpec, match=r"^generator index 6 out of range 1\.\.3$"):
+        parse_word("x1 x6", 3)
+    with pytest.raises(InvalidSpec, match=r"^generator index 5 out of range 1\.\.3$"):
+        parse_word("X5", 3)
+
+
+def test_the_token_table_stops_at_its_bound(monkeypatch):
+    monkeypatch.setattr(freegrp, "_TOKENS", {})
+    rank = freegrp._TOKEN_BOUND + 200
+    text = " ".join(f"x{i}" for i in range(1, rank + 1))
+    word = parse_word(text, rank)
+    assert word.letters == tuple(range(1, rank + 1))
+    assert len(freegrp._TOKENS) == freegrp._TOKEN_BOUND
+    assert f"x{rank}" not in freegrp._TOKENS
+    # read again, part from the table and part by the loop: the same word
+    assert parse_word(text, rank) == word == parse_word_by_regex(text, rank)
+    assert parse_word(f"X{rank} x{rank} x1", rank).letters == (1,)
+    with pytest.raises(InvalidSpec, match=f"^generator index {rank} out of range 1..{rank - 1}$"):
+        parse_word(f"x1 x{rank}", rank - 1)
+    assert len(freegrp._TOKENS) == freegrp._TOKEN_BOUND
 
 
 def test_word_group_axioms_random():
@@ -193,6 +276,88 @@ def test_substitute_matches_writing_out_then_reducing():
         for i, w in enumerate(phi.images, start=1):
             assert substitute(image_table(inverse), w.letters) == (i,)
             assert substitute_then_reduce(inverse, w.letters) == (i,)
+
+
+def _long_images(rng, rank):
+    """Images of up to a few hundred letters, most of them u v u^-1 for one
+    long u and short v, so that consecutive images cancel far into each
+    other; the rest random, of lengths on both sides of the bounds at
+    which substitute holds an image back."""
+    u = _random_word(rng, rank, rng.randint(20, 150))
+    images = []
+    for _ in range(rank):
+        v = _random_word(rng, rank, rng.randint(0, 4))
+        if rng.random() < 0.7:
+            images.append(conjugate(v, u).letters)
+        else:
+            images.append(_random_word(rng, rank, rng.choice((0, 2, 5, 33, 200))).letters)
+    return tuple(images)
+
+
+# substitute holds image rests back above freegrp._LONG; smaller bounds
+# send more tables, and shorter rests, down that path
+_LONG_BOUNDS = [0, 3, 32, freegrp._LONG]
+
+
+@pytest.mark.parametrize("bound", _LONG_BOUNDS)
+def test_substitute_matches_writing_out_then_reducing_on_long_images(monkeypatch, bound):
+    monkeypatch.setattr(freegrp, "_LONG", bound)
+    rng = random.Random(43)
+    for _ in range(400):
+        rank = rng.randint(1, 4)
+        images = _long_images(rng, rank)
+        letters = _random_word(rng, rank, rng.randint(0, 40)).letters
+        if rng.random() < 0.3:  # not reduced: a letter then its inverse
+            j, x = rng.randrange(len(letters) + 1), rng.randint(1, rank)
+            letters = letters[:j] + (x, -x) + letters[j:]
+        assert substitute(image_table(images), letters) == substitute_then_reduce(images, letters)
+
+
+@pytest.mark.parametrize("bound", [0, freegrp._LONG])
+def test_long_conjugations_check_as_the_two_sided_oracle(monkeypatch, bound):
+    monkeypatch.setattr(freegrp, "_LONG", bound)
+    # x_i -> u x_i u^-1 with its inverse x_i -> u^-1 x_i u, for u of a few
+    # hundred letters: accepted, and refused once one letter changes
+    rng = random.Random(47)
+    for _ in range(20):
+        rank = rng.randint(2, 4)
+        u = _random_word(rng, rank, rng.randint(100, 400))
+        gens = [FreeWord.generator(rank, i) for i in range(1, rank + 1)]
+        images = [conjugate(g, u).letters for g in gens]
+        inverse = [conjugate(g, word_inverse(u)).letters for g in gens]
+        for imgs, inv in ((images, inverse), (images, _change_one_letter(rng, rank, inverse))):
+            expected = inverse_holds_both_ways(imgs, inv)
+            try:
+                FreeEndo.from_letters(rank, imgs, inv)
+            except InvalidSpec:
+                accepted = False
+            else:
+                accepted = True
+            assert accepted == expected
+
+
+def test_endo_of_rank_zero_is_refused():
+    # abelianization_matrix builds its matrix unchecked, from one column
+    # per image, so an endo has at least one generator
+    with pytest.raises(InvalidSpec, match=r"^rank must be >= 1$"):
+        FreeEndo(0, (), ())
+
+
+def test_conjugation_by_a_long_word_reads_in_time_linear_in_its_length():
+    # x_i -> u x_i u^-1 with inverse x_i -> u^-1 x_i u, |u| = 10^4: writing
+    # each image of the check out whole costs |u| a letter (about 40 s),
+    # holding the rests back costs well under one
+    u = _random_word(random.Random(53), 3, 10 ** 4)
+    assert len(u) > 6000
+    gens = [FreeWord.generator(3, i) for i in (1, 2, 3)]
+    images = [format_word(conjugate(g, u)) for g in gens]
+    inverse = [format_word(conjugate(g, word_inverse(u))) for g in gens]
+    start = time.perf_counter()
+    phi = parse_endo(3, images, inverse)
+    assert time.perf_counter() - start < 5.0
+    assert phi.images == tuple(conjugate(g, u) for g in gens)
+    with pytest.raises(InvalidSpec, match=r"^claimed inverse fails on x1 \(left\)$"):
+        parse_endo(3, images, [inverse[1], inverse[0], inverse[2]])
 
 
 def test_endo_application_is_homomorphic():
