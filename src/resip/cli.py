@@ -470,10 +470,14 @@ def _entry_text(e: ReportEntry) -> str:
 
 def _written(write, e: ReportEntry) -> str:
     """write(e); or, if e holds an integer too long to convert to text
-    (the ValueError of int-to-str conversion), write e made an error entry."""
+    (the ValueError of int-to-str conversion), write e made an error entry.
+    Only that failure walks the result; any other ValueError is raised."""
     try:
         return write(e)
     except ValueError:
+        limit = sys.get_int_max_str_digits()
+        if not (limit and _holds_int_beyond(e.result, 10 ** limit)):
+            raise
         e.status, e.result = "error", None
         e.error = {
             "type": "InvalidSpec",
@@ -484,6 +488,18 @@ def _written(write, e: ReportEntry) -> str:
             ),
         }
         return write(e)
+
+
+def _holds_int_beyond(value, bound: int) -> bool:
+    """Whether value, or a value of a dict, list or tuple in it, is an int
+    outside -bound < v < bound."""
+    if isinstance(value, int):
+        return not -bound < value < bound
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return False
+    return any(_holds_int_beyond(v, bound) for v in value)
 
 
 def _summarize(kind: str, result: dict) -> list[str]:

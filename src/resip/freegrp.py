@@ -9,21 +9,22 @@ apply_endo(compose_endos(phi, rho), w) == apply_endo(phi, apply_endo(rho, w)).
 
 Reading words.  ``parse_word`` looks each token up in ``_TOKENS``, a
 table from token text to signed letter.  Only ``_parse_letters``, the loop
-that reads and checks one token at a time, fills it, with tokens it
-accepted, and it stops at _TOKEN_BOUND (1024) entries, so text of ever new
-spellings (x01, x001, ...) cannot grow it without end.  A word with a token
-not in the table, or with a letter out of range for its rank, is read again
-by that loop, which raises: every error, and the token it names, is the
-same whether the table is empty or full.  A word already freely reduced,
-as most are, is kept as it is.  ``parse_endo`` reads an automorphism and
-its claimed inverse this way, for task files and certificates alike.
+that reads and checks one token at a time, fills it, with the tokens it
+accepted in their plain spelling (x12, not x012), and it stops at
+_TOKEN_BOUND (1024) entries: a process that reads words of ever higher
+rank, or long leading-zero spellings, holds a bounded table.  A word with
+a token not in the table, or with a letter out of range for its rank, is
+read again by that loop, which raises: every error, and the token it
+names, is the same whether the table is empty or full.  ``parse_endo``
+reads an automorphism and its claimed inverse this way, for task files
+and certificates alike.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import repeat
-from operator import add, neg
+from operator import neg
 from typing import Iterable, Optional
 
 from .errors import InvalidSpec
@@ -139,9 +140,7 @@ def parse_word(text: str, rank: int) -> FreeWord:
     else:
         if max(letters) > rank or -min(letters) > rank:
             letters = _parse_letters(tokens, rank)  # raises out of range
-    if 0 in map(add, letters, letters[1:]):  # some a followed by -a
-        return FreeWord._trusted(rank, _reduce(letters))
-    return FreeWord._trusted(rank, tuple(letters))
+    return FreeWord._trusted(rank, _reduce(letters))
 
 
 def _parse_letters(tokens: list[str], rank: int) -> list[int]:
@@ -159,7 +158,7 @@ def _parse_letters(tokens: list[str], rank: int) -> list[int]:
         if not 1 <= idx <= rank:
             raise InvalidSpec(f"generator index {idx} out of range 1..{rank}")
         letter = idx if head == "x" else -idx
-        if len(_TOKENS) < _TOKEN_BOUND:
+        if digits[0] != "0" and len(_TOKENS) < _TOKEN_BOUND:
             _TOKENS[tok] = letter
         letters.append(letter)
     return letters
@@ -178,51 +177,21 @@ def image_table(images) -> list[list[int]]:
     return [[]] + [list(w) for w in images] + inverses
 
 
-# an image longer than this makes substitute hold image rests back
-_LONG = 128
-
-
 def substitute(table: list[list[int]], letters: Iterable[int]) -> tuple[int, ...]:
     """The reduced letters of a word with each letter a replaced by its
     image table[a] (``image_table`` of reduced images): the image of the
     word under an endomorphism, without building a FreeWord or a FreeEndo.
 
-    It reduces as it writes, so it never holds an unreduced word.  An image
-    cancels only against the end of what is written, and img[:k] cancels
-    iff that ends in its inverse, table[-a][-k:]; if it does for some k, it
-    does for every smaller k, so the longest k is found by bisection.  A
-    table with an image longer than _LONG goes to ``_substitute_long``."""
-    if max(map(len, table)) > _LONG:
-        return _substitute_long(table, letters)
-    out: list[int] = []
-    for a in letters:
-        img = table[a]
-        if out and img and out[-1] == -img[0]:
-            inv, k, hi = table[-a], 1, min(len(out), len(img))
-            while k < hi:
-                mid = (k + hi + 1) // 2
-                if out[-mid:] == inv[-mid:]:
-                    k = mid
-                else:
-                    hi = mid - 1
-            del out[-k:]
-            img = img[k:]
-        out.extend(img)
-    return tuple(out)
-
-
-def _substitute_long(table: list[list[int]], letters: Iterable[int]) -> tuple[int, ...]:
-    """substitute, at a cost set by the letters each image cancels or
-    leaves, not by its length: under conjugation by a word u, x -> u x u^-1,
-    writing each image out whole would cost |u| a letter.
-
-    The rest of the last image, table[last][start:], is held back, not
-    written, while it is longer than _LONG.  It ends where table[last]
-    ends, so img[:k] cancels against it iff k is at most its length and
-    the common tail of table[last] and table[-a], which depends only on
-    the pair: ``tails`` keeps it.  Only the held letters left over are
-    copied to out, and a cancellation that goes on into out costs the
-    letters it compares (``_common_tail``)."""
+    It costs the letters each image cancels or leaves, not the length of
+    the images: under conjugation by a word u, x -> u x u^-1, writing each
+    image out whole would cost |u| a letter.  So the rest of the last
+    image, table[last][start:], is held back, not written, until the next
+    image has cancelled into it.  That rest ends where table[last] ends,
+    so img = table[a] cancels img[:k] against it iff k is at most its
+    length and the common tail of table[last] and table[-a], the inverse
+    of img: that tail depends only on the pair, and ``tails`` keeps it.
+    Once the whole rest is cancelled, img cancels on into the letters
+    written, at the cost of the letters it deletes."""
     out: list[int] = []
     last = start = 0  # table[0] is unused: no rest is held
     tails: dict[tuple[int, int], int] = {}
@@ -235,40 +204,33 @@ def _substitute_long(table: list[list[int]], letters: Iterable[int]) -> tuple[in
                 cut = tails.get((last, a))
                 if cut is None:
                     cut = tails[last, a] = _common_tail(held, table[-a], len(img))
-                k = min(cut, len(held) - start)
-            out.extend(held[start:len(held) - k])
+                k = len(held) - start
+                if cut < k:  # img stops inside the rest
+                    out.extend(held[start:len(held) - cut])
+                    last, start = a, cut
+                    continue
+            else:
+                out.extend(held[start:])
         if out and k < len(img) and out[-1] == -img[k]:
             j = _common_tail(out, table[-a], len(img) - k)
             del out[-j:]
             k += j
-        if len(img) - k > _LONG:
+        if k < len(img):
             last, start = a, k
         else:
-            out.extend(img[k:])
-            last = start = 0
+            last = 0
     if last:
         out.extend(table[last][start:])
     return tuple(out)
 
 
 def _common_tail(x: list[int], y: list[int], end: int) -> int:
-    """The largest t with x[-t:] == y[end - t:end], given that t = 1 holds.
-    If t holds, so does every smaller t: double t while the next t letters
-    agree, then bisect, each test comparing only the letters past the t
-    already found.  The cost is that of the letters compared, O(t)."""
+    """The largest t with x[-t:] == y[end - t:end], given that t = 1 holds,
+    found by comparing one letter at a time: most cancellations are a few
+    letters long, and every letter compared but one is cancelled."""
     t, hi = 1, min(len(x), end)
-    while t < hi:
-        mid = min(2 * t, hi)
-        if x[-mid:-t] != y[end - mid:end - t]:
-            hi = mid - 1
-            break
-        t = mid
-    while t < hi:
-        mid = (t + hi + 1) // 2
-        if x[-mid:-t] == y[end - mid:end - t]:
-            t = mid
-        else:
-            hi = mid - 1
+    while t < hi and x[-1 - t] == y[end - 1 - t]:
+        t += 1
     return t
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import report_text_by_dumps
 from resip.cli import (
     TASK_FIELDS,
+    ReportEntry,
     _json_text,
     _matrix_from_text,
     emit_report,
@@ -1317,3 +1318,21 @@ def test_the_writer_turns_the_entry_itself_into_an_error():
     # written again, the error entry gives the same report
     assert emit_report(entries) == json_report
     assert json.loads(json_report)["entries"][0]["status"] == "error"
+
+
+
+@pytest.mark.parametrize("fmt, writer", [("json", "_json_text"), ("text", "_summarize")])
+def test_a_writer_fault_of_another_kind_is_not_relabelled(monkeypatch, fmt, writer):
+    # a ValueError from an entry that holds no integer too long to write is
+    # a fault of the writer: it is raised, and the entry is left as it was
+    from resip import cli
+
+    def refuse(*args):
+        raise ValueError("a writer fault")
+
+    monkeypatch.setattr(cli, writer, refuse)
+    result = {"gcd": 10 ** 4299, "rows": [[-(10 ** 4299) + 1]]}  # 4300 digits
+    entry = ReportEntry("wide", "primes", "ok", result=result)
+    with pytest.raises(ValueError, match="a writer fault"):
+        emit_report([entry], fmt)
+    assert (entry.status, entry.result, entry.error) == ("ok", result, None)
