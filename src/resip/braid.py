@@ -113,7 +113,6 @@ from __future__ import annotations
 import re
 from functools import cached_property, lru_cache
 from math import comb, gcd
-from typing import Optional
 
 from .errors import InternalInvariant, InvalidSpec
 from .freegrp import FreeEndo, FreeWord, _compose
@@ -338,7 +337,7 @@ def endo_preserves_cover(phi: FreeEndo, cover: CoverGraph) -> bool:
     return _cover_unit(cover, [cover.chi(w) for w in phi.images]) is not None
 
 
-def _cover_unit(cover: CoverGraph, c0: list[int]) -> Optional[int]:
+def _cover_unit(cover: CoverGraph, c0: list[int]) -> int | None:
     """The u with chi o phi = u chi, from c0[k] = chi(phi(x_(k+1))), or
     None if phi does not preserve the cover subgroup: the criterion of
     ``endo_preserves_cover``, with levels[v] = chi(phi(path(v)))."""

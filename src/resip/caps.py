@@ -77,6 +77,6 @@ def parse_caps(text: str, base: Caps = DEFAULT_CAPS) -> Caps:
     return base.with_overrides(**overrides)
 
 
-def caps_from_env(base: Caps | None = None, env: str = "RESIP_CAPS") -> Caps:
-    """Apply the overrides in the environment variable, by :func:`parse_caps`."""
-    return parse_caps(os.environ.get(env, ""), base or DEFAULT_CAPS)
+def caps_from_env() -> Caps:
+    """DEFAULT_CAPS with the overrides in ``RESIP_CAPS``, by :func:`parse_caps`."""
+    return parse_caps(os.environ.get("RESIP_CAPS", ""))

@@ -1,10 +1,13 @@
 """Verdict logic for residual properties of mapping-torus groups.
 
-Torus bundles G_A = Z^n x| Z: residually p iff A is unipotent mod p;
-the set of good primes is exactly the prime divisors of
-gcd(coefficients of charpoly(A) - (x-1)^n), with gcd 0 meaning all primes
-(proved in ``torus_verdicts``, which reads a whole sweep of primes off that
-one gcd).
+Torus bundles G_A = Z^n x| Z: A is unipotent mod p iff p divides g, the
+gcd of the coefficients of charpoly(A) - (x-1)^n (g = 0: every p), and
+unipotence mod p makes G_A residually p.  On SL_2(Z) the converse holds
+too, since there g = |2 - tr A| = |det(A - I)| (proved in
+``torus_verdicts``, which reads a whole sweep of primes off that one gcd).
+Beyond SL_2(Z) it can fail: A = [[3, 1], [1, 0]] is not unipotent mod 3,
+yet G_A is residually 3, so its NotResiduallyP verdict at p = 3 is wrong
+(ROADMAP item 14).
 
 Free fibers (rank >= 2): unipotence of the H_1 action M mod p is
 sufficient.  For necessity we use the finite-quotient obstruction: a
@@ -32,7 +35,7 @@ x^2-x-1 and x^2+3x+3 give r = 4, d = 3 and a nontrivial intersection.)
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .errors import InternalInvariant, InvalidSpec
 from .freegrp import MappingTorusSpec, abelianization_matrix
@@ -66,9 +69,9 @@ class Verdict(Record):
         self,
         p: int,
         outcome: str,
-        certificate: Optional[dict] = None,
-        obstruction: Optional[dict] = None,
-        reason: Optional[str] = None,
+        certificate: dict | None = None,
+        obstruction: dict | None = None,
+        reason: str | None = None,
     ):
         if outcome not in (RESIDUALLY_P, NOT_RESIDUALLY_P, UNDECIDED):
             raise ValueError(f"unknown outcome {outcome}")
@@ -107,8 +110,14 @@ def torus_verdicts(a: IntMatrix, primes: Sequence[int]) -> list[Verdict]:
     charpoly(A) = (x - 1)^n mod p, then (A - I)^n = 0 mod p by
     Cayley-Hamilton.  Conversely, if (A - I)^n = 0 mod p, every eigenvalue
     of A over the algebraic closure of F_p is 1, so charpoly(A) mod p, monic
-    of degree n, is (x - 1)^n.  And the group is residually p iff A is
-    unipotent mod p.
+    of degree n, is (x - 1)^n.  And if A is unipotent mod p, the group is
+    residually p: A then lies in the preimage in GL_n(Z/p^j) of a unipotent
+    subgroup of GL_n(F_p), a p-group, so (Z/p^j)^n x|_A Z/p^s is a finite
+    p-group once p^s is a multiple of A's order there, and a nonidentity
+    element survives in it for j and s large enough.  The converse is
+    proved only on SL_2 (below): beyond it,
+    A = [[3, 1], [1, 0]] at p = 3 is residually 3 but not unipotent, and
+    gets NotResiduallyP (ROADMAP item 14).
 
     So charpoly(A) and g are computed once for all primes.  The primes
     dividing g share one chain of powers of A - I (``_nilpotency_indices``),
@@ -118,7 +127,12 @@ def torus_verdicts(a: IntMatrix, primes: Sequence[int]) -> list[Verdict]:
 
     On SL_2 this is the det(A - I) criterion: charpoly(A) = x^2 - t x + 1
     with t = tr A, so the gap is (2 - t) x and
-    g = |2 - t| = |charpoly(A)(1)| = |det(A - I)|.
+    g = |2 - t| = |charpoly(A)(1)| = |det(A - I)|.  There the converse
+    holds: if p does not divide det(A - I), A - I is invertible on
+    (Z/p^k)^2 for every k.  In a finite p-quotient, A acts on the image U of
+    Z^2, a finite abelian p-group, by an automorphism of p-power order,
+    which is unipotent; so U = (A - I)U forces U = 0, and Z^2 dies in every
+    finite p-quotient.
     """
     _require_automorphism(a)
     for p in primes:
@@ -210,10 +224,14 @@ def _charpoly_gap(a: IntMatrix) -> tuple[tuple[int, ...], tuple[int, ...], int]:
 
 
 def residually_p_prime_set(a: IntMatrix) -> PrimeSet:
-    """Exact set of primes p for which Z^n x|_A Z is residually p.
+    """The primes p at which A is unipotent mod p, each of which makes
+    Z^n x|_A Z residually p.
 
-    A is unipotent mod p iff charpoly(A) = (x-1)^n mod p, so the good
-    primes are the common prime divisors of the coefficient gap.
+    A is unipotent mod p iff charpoly(A) = (x-1)^n mod p, so these are the
+    common prime divisors of the coefficient gap.  On SL_2(Z) they are all
+    the primes at which the group is residually p (``torus_verdicts``);
+    beyond it the set can miss some: A = [[3, 1], [1, 0]] is residually 3
+    and 3 is not in it (ROADMAP item 14).
     """
     _require_automorphism(a)
     return PrimeSet.dividing(_charpoly_gap(a)[2])
@@ -292,7 +310,7 @@ class ObstructionResult(Record):
     __slots__ = ("exists", "witness", "examined")
 
     # witness: {"subspace": rows, "quotient_dim": d, "order": p^s}
-    def __init__(self, exists: bool, witness: Optional[dict], examined: int):
+    def __init__(self, exists: bool, witness: dict | None, examined: int):
         object.__setattr__(self, "exists", exists)
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "examined", examined)

@@ -13,7 +13,9 @@ kind and each extension check needs).  One pass over the parsed JSON
 validates it and turns bigints, integers or strings of decimal digits,
 into ints; the first violation is a SchemaError carrying its JSON path.
 The single-task subcommands build one task and pass it through the same
-validator.  Certificates share the value rules, from :mod:`resip.fields`.
+validator; each of their flags is named after the task key it fills
+(``--primes-up-to`` fills ``primes_up_to``, each ``--divisor`` one of
+``divisors``).  Certificates share the value rules, from :mod:`resip.fields`.
 
 Tasks run one after another in file order.  JSON reports are
 deterministic: entries keep task order, keys are sorted, integers of
@@ -33,7 +35,6 @@ import argparse
 import json
 import sys
 import time
-from typing import Optional
 
 from .braid import (
     braid_cover_homology,
@@ -62,7 +63,7 @@ from .extension import (
     heisenberg_checks,
     verify_cocycle,
 )
-from .fields import bigint, brief, fields, integer, list_of, one_of, require, string
+from .fields import bigint, brief, fields, integer, list_of, max_str_digits, one_of, require, string
 from .freegrp import MappingTorusElement, MappingTorusSpec, parse_endo, parse_word
 from .intlin import (
     IntMatrix,
@@ -105,9 +106,9 @@ class ReportEntry(Record):
         id: str,
         kind: str,
         status: str,
-        result: Optional[dict] = None,
-        error: Optional[dict] = None,
-        elapsed_ms: Optional[float] = None,
+        result: dict | None = None,
+        error: dict | None = None,
+        elapsed_ms: float | None = None,
     ):
         self.id = id
         self.kind = kind
@@ -475,7 +476,7 @@ def _written(write, e: ReportEntry) -> str:
     try:
         return write(e)
     except ValueError:
-        limit = sys.get_int_max_str_digits()
+        limit = max_str_digits()
         if not (limit and _holds_int_beyond(e.result, 10 ** limit)):
             raise
         e.status, e.result = "error", None
@@ -483,7 +484,7 @@ def _written(write, e: ReportEntry) -> str:
             "type": "InvalidSpec",
             "message": (
                 "the result holds an integer of more than "
-                f"{sys.get_int_max_str_digits()} digits, the limit of "
+                f"{limit} digits, the limit of "
                 "sys.get_int_max_str_digits(), so it cannot be written"
             ),
         }
@@ -605,7 +606,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bc.add_argument("--braid", required=True)
     bc.add_argument("--modulus", type=int, required=True)
     bc.add_argument("--assignments", required=True, help="comma-separated values in Z/m")
-    bc.add_argument("--divisor", action="append", default=[], help='charpoly divisor "1 -3 1"')
+    bc.add_argument("--divisor", action="append", dest="divisors", metavar="DIVISOR",
+                    help='charpoly divisor "1 -3 1"')
     common(bc)
 
     wit = sub.add_parser("witness", help="search a finite p-group witness", allow_abbrev=False)
@@ -637,69 +639,36 @@ def _words_arg(text: str) -> list[str]:
     return [w.strip() for w in text.split(";")]
 
 
+# The single-task flags given as text, and how each becomes its task value;
+# a flag that cannot be read is a SchemaError naming it.
+_FROM_TEXT = {
+    "matrix": _matrix_from_text,
+    "primes": lambda text: _int_list(text.split(","), "--primes"),
+    "images": _words_arg,
+    "inverse": _words_arg,
+    "assignments": lambda text: _int_list(text.split(","), "--assignments"),
+    "divisors": lambda texts: [_int_list(d.split(), "--divisor") for d in texts],
+}
+
+
 def _single_task(args) -> dict:
-    if args.command == "torus":
-        payload = {"kind": "torus", "matrix": _matrix_from_text(args.matrix)}
-        _append_primes(payload, args)
-        return payload
-    if args.command == "primes":
-        return {"kind": "primes", "matrix": _matrix_from_text(args.matrix)}
-    if args.command == "bs":
-        return {"kind": "bs", "q": args.q}
-    if args.command == "fibered":
-        images = _words_arg(args.images)
-        payload = {
-            "kind": "fibered",
-            "rank": len(images),
-            "images": images,
-            "inverse": _words_arg(args.inverse),
-        }
-        _append_primes(payload, args)
-        return payload
-    if args.command == "braid-cover":
-        payload = {
-            "kind": "braid-cover",
-            "strands": args.strands,
-            "braid": args.braid,
-            "modulus": args.modulus,
-            "assignments": _int_list(args.assignments.split(","), "--assignments"),
-        }
-        if args.divisor:
-            payload["divisors"] = [_int_list(d.split(), "--divisor") for d in args.divisor]
-        return payload
+    """The task of a single-task subcommand.  Each flag that is set fills
+    the task key it is named after, in flag order, so the first malformed
+    flag is the one reported."""
+    payload = {"kind": args.command}
+    for key, value in vars(args).items():
+        if key in TASK_FIELDS and value is not None:
+            payload[key] = _FROM_TEXT[key](value) if key in _FROM_TEXT else value
+    if "images" in payload:
+        payload["rank"] = len(payload["images"])
     if args.command == "witness":
-        images = _words_arg(args.images)
-        return {
-            "kind": "witness",
-            "rank": len(images),
-            "images": images,
-            "inverse": _words_arg(args.inverse),
-            "p": args.p,
-            "element": {"t": args.t, "w": args.w},
-        }
-    if args.command == "extension":
-        flags = {"genus": args.genus, "euler": args.euler}
-        given = {key: value for key, value in flags.items() if value is not None}
-        return {"kind": "extension", "check": args.check, **given}
-    if args.command == "sl2-power":
-        return {
-            "kind": "sl2-power",
-            "matrix": _matrix_from_text(args.matrix),
-            "p": args.p,
-        }
-    raise SchemaError(f"no task for command {args.command}")
+        payload["element"] = {"t": args.t, "w": args.w}
+    if args.command in ("torus", "fibered") and "primes" not in payload:
+        payload.setdefault("primes_up_to", 100)
+    return payload
 
 
-def _append_primes(payload: dict, args) -> None:
-    if args.primes is not None:  # "" is a bad list, not an absent one
-        payload["primes"] = _int_list(args.primes.split(","), "--primes")
-    elif args.primes_up_to is not None:
-        payload["primes_up_to"] = args.primes_up_to
-    else:
-        payload["primes_up_to"] = 100
-
-
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # allow the documented flag style "resip --tasks FILE ..." as shorthand
     if argv and argv[0].startswith("--"):
@@ -744,7 +713,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     return status
 
 
-def _read_input(path: str) -> Optional[str]:
+def _read_input(path: str) -> str | None:
     """The text of a task or certificate file, or None once the reason it
     cannot be read (missing, unreadable, not UTF-8) is on standard error."""
     try:

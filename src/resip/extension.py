@@ -31,8 +31,8 @@ coefficients.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from operator import mul
-from typing import Optional, Sequence
 
 from .errors import InvalidSpec
 from .intlin import IntMatrix
@@ -56,7 +56,7 @@ class BilinearCocycle(Record):
 
     __slots__ = ("form", "coeff_modulus")
 
-    def __init__(self, form: tuple[tuple[int, ...], ...], coeff_modulus: Optional[int] = None):
+    def __init__(self, form: tuple[tuple[int, ...], ...], coeff_modulus: int | None = None):
         r = len(form)
         if r == 0 or any(len(row) != r for row in form):
             raise InvalidSpec("bilinear form must be square and nonempty")
@@ -102,7 +102,7 @@ class TableCocycle(Record):
         neg: dict,
         zero: object,
         table: dict,
-        coeff_modulus: Optional[int] = None,
+        coeff_modulus: int | None = None,
     ):
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "add", add)
@@ -129,7 +129,7 @@ class CocycleCheck(Record):
     __slots__ = ("ok", "violation")
 
     # violation: (g, h, k) with the identity broken
-    def __init__(self, ok: bool, violation: Optional[tuple] = None):
+    def __init__(self, ok: bool, violation: tuple | None = None):
         object.__setattr__(self, "ok", ok)
         object.__setattr__(self, "violation", violation)
 

@@ -9,11 +9,19 @@ or a boolean never is, for 3.9 would pass as 3 and true equals 1.
 from __future__ import annotations
 
 import re
-from typing import Optional
+import sys
 
 from .errors import SchemaError
 
 _DIGITS = re.compile(r"-?[0-9]+")
+
+
+def max_str_digits() -> int:
+    """The most digits int and str convert between, by
+    ``sys.get_int_max_str_digits()``, or 0 for no limit, as on Pythons
+    before 3.10.7, which have no such call."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else 0
 
 
 def brief(value) -> str:
@@ -32,7 +40,7 @@ def bigint(value, path: str) -> int:
     raise SchemaError(f"{brief(value)} is not an integer or a string of digits", path)
 
 
-def integer(minimum: Optional[int] = None):
+def integer(minimum: int | None = None):
     def check(value, path: str) -> int:
         if type(value) is not int:
             raise SchemaError(f"{brief(value)} is not an integer", path)

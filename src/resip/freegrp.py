@@ -22,10 +22,10 @@ and certificates alike.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import cached_property
 from itertools import repeat
 from operator import neg
-from typing import Iterable, Optional
 
 from .errors import InvalidSpec
 from .intlin import IntMatrix
@@ -258,7 +258,7 @@ class FreeEndo(Record):
         self,
         rank: int,
         images: tuple[FreeWord, ...],
-        certified_inverse: Optional[tuple[FreeWord, ...]] = None,
+        certified_inverse: tuple[FreeWord, ...] | None = None,
     ):
         if rank < 1:  # as for FreeWord; abelianization_matrix relies on it
             raise InvalidSpec("rank must be >= 1")

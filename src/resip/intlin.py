@@ -25,10 +25,10 @@ than x has constant term +-1 does need one, by Zassenhaus
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from math import gcd, isqrt
 from operator import index, mul
-from typing import Iterable, Optional, Sequence
 
 from .errors import InternalInvariant, InvalidSpec
 from .record import Record
@@ -343,7 +343,7 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(sorted(set(found)))
 
 
-def p_power_exponent(n: int, p: int) -> Optional[int]:
+def p_power_exponent(n: int, p: int) -> int | None:
     """s when n = p^s with s >= 0, None when n is not a power of p >= 2."""
     if n < 1:
         return None
@@ -496,7 +496,7 @@ class UnipotenceResult(Record):
     __slots__ = ("unipotent", "index")
 
     # index: the least j with (M - I)^j = 0 mod p, when unipotent
-    def __init__(self, unipotent: bool, index: Optional[int]):
+    def __init__(self, unipotent: bool, index: int | None):
         object.__setattr__(self, "unipotent", unipotent)
         object.__setattr__(self, "index", index)
 
@@ -700,7 +700,7 @@ class LatticeChainInvariants(Record):
 
     __slots__ = ("stable_rank", "stable_index", "intersection_trivial")
 
-    def __init__(self, stable_rank: int, stable_index: Optional[int], intersection_trivial: bool):
+    def __init__(self, stable_rank: int, stable_index: int | None, intersection_trivial: bool):
         object.__setattr__(self, "stable_rank", stable_rank)
         object.__setattr__(self, "stable_index", stable_index)
         object.__setattr__(self, "intersection_trivial", intersection_trivial)

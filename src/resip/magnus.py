@@ -27,8 +27,6 @@ nonzero reduced coefficients only; there is no dense form.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .caps import Caps, DEFAULT_CAPS
 from .errors import CapExceeded, InvalidSpec
 from .freegrp import FreeEndo, FreeWord, abelianization_matrix
@@ -46,7 +44,7 @@ class TruncatedSeries:
 
     __slots__ = ("rank", "degree", "modulus", "table")
 
-    def __init__(self, rank: int, degree: int, modulus: Optional[int], table: dict):
+    def __init__(self, rank: int, degree: int, modulus: int | None, table: dict):
         if rank < 1 or degree < 1:
             raise InvalidSpec("rank and degree must be >= 1")
         if modulus is not None and modulus < 2:
@@ -57,11 +55,11 @@ class TruncatedSeries:
         self.table = table
 
     @staticmethod
-    def one(rank: int, degree: int, modulus: Optional[int] = None) -> "TruncatedSeries":
+    def one(rank: int, degree: int, modulus: int | None = None) -> "TruncatedSeries":
         return TruncatedSeries(rank, degree, modulus, {(): 1})
 
     @staticmethod
-    def generator_term(rank: int, degree: int, i: int, modulus: Optional[int] = None) -> "TruncatedSeries":
+    def generator_term(rank: int, degree: int, i: int, modulus: int | None = None) -> "TruncatedSeries":
         """1 + X_i"""
         return TruncatedSeries(rank, degree, modulus, {(): 1, (i,): 1})
 
@@ -137,7 +135,7 @@ class TruncatedSeries:
         return " + ".join(parts)
 
 
-def _reduced(table: dict, modulus: Optional[int]) -> dict:
+def _reduced(table: dict, modulus: int | None) -> dict:
     """The table with coefficients reduced and zero entries dropped."""
     if modulus is None:
         return {m: c for m, c in table.items() if c}
@@ -157,7 +155,7 @@ def _by_degree(table: dict, d: int) -> list[list]:
     return [items[:end] for end in ends]
 
 
-def _product(left: dict, right: list[list], d: int, modulus: Optional[int]) -> dict:
+def _product(left: dict, right: list[list], d: int, modulus: int | None) -> dict:
     """Table of left * right truncated at degree d, right given by
     ``_by_degree``; reduced once at the end."""
     table: dict = {}
@@ -169,7 +167,7 @@ def _product(left: dict, right: list[list], d: int, modulus: Optional[int]) -> d
     return _reduced(table, modulus)
 
 
-def _times_generator(table: dict, i: int, d: int, modulus: Optional[int]) -> None:
+def _times_generator(table: dict, i: int, d: int, modulus: int | None) -> None:
     """table <- table * (1 + X_i), in place: every m of degree < d adds its
     coefficient at m + (i,), read from a snapshot of the table."""
     step = (i,)
@@ -184,7 +182,7 @@ def _times_generator(table: dict, i: int, d: int, modulus: Optional[int]) -> Non
             del table[n]
 
 
-def _times_generator_inverse(table: dict, i: int, d: int, modulus: Optional[int]) -> None:
+def _times_generator_inverse(table: dict, i: int, d: int, modulus: int | None) -> None:
     """table <- table * (1 + X_i)^-1, in place.
 
     The result y of x * (1 + X_i)^-1 solves y = x - y X_i.  The coefficient
@@ -217,7 +215,7 @@ def _times_generator_inverse(table: dict, i: int, d: int, modulus: Optional[int]
 def magnus_embed(
     w: FreeWord,
     d: int,
-    modulus: Optional[int] = None,
+    modulus: int | None = None,
     caps: Caps = DEFAULT_CAPS,
 ) -> TruncatedSeries:
     """Image of w under x_i -> 1 + X_i, truncated at degree d.
@@ -242,7 +240,7 @@ def magnus_embed(
     return TruncatedSeries(w.rank, d, modulus, table)
 
 
-def magnus_depth(w: FreeWord, p: int, caps: Caps = DEFAULT_CAPS) -> Optional[int]:
+def magnus_depth(w: FreeWord, p: int, caps: Caps = DEFAULT_CAPS) -> int | None:
     """Least d with embed(w, d, F_p) != 1; None when w is the identity.
 
     The search stops at ``caps.magnus_degree``; CapExceeded means "raise
@@ -254,7 +252,7 @@ def magnus_depth(w: FreeWord, p: int, caps: Caps = DEFAULT_CAPS) -> Optional[int
 
 def _depth_and_embedding(
     w: FreeWord, p: int, caps: Caps = DEFAULT_CAPS
-) -> Optional[tuple[int, TruncatedSeries]]:
+) -> tuple[int, TruncatedSeries] | None:
     """(magnus_depth(w, p), embed(w) at that depth over F_p): the last rung
     of the depth ladder is the embedding a certificate reads its evidence
     from, so it is returned, not built again.  None when w is the
@@ -340,7 +338,7 @@ class SeriesSubstitution:
     Repeated sums only ever multiply for monomials they have not met
     before."""
 
-    def __init__(self, phi: FreeEndo, d: int, modulus: Optional[int], caps: Caps = DEFAULT_CAPS):
+    def __init__(self, phi: FreeEndo, d: int, modulus: int | None, caps: Caps = DEFAULT_CAPS):
         self.rank = phi.rank
         self.degree = d
         self.modulus = modulus
@@ -350,7 +348,7 @@ class SeriesSubstitution:
             del image.table[()]  # the constant term of an embedding is 1
             self.images.append(image)
         self._monomial_images: dict[Monomial, dict] = {(): {(): 1}}
-        self._factors: Optional[list[list[list]]] = None  # images by degree
+        self._factors: list[list[list]] | None = None  # images by degree
 
     def _image(self, m: Monomial) -> dict:
         image = self._monomial_images.get(m)

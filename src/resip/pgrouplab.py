@@ -42,8 +42,8 @@ of P/Phi(P).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from operator import mul
-from typing import Iterable, Optional
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import CapExceeded, InternalInvariant, InvalidSpec
@@ -154,12 +154,12 @@ class FinitePGroup:
         self._steps = [(parent[j], right[via[j]]) for j in range(1, order)]
         self._parent = parent
         self._via = via
-        self._rows: list[Optional[list[int]]] = [None] * order
-        self._inverses: Optional[list[int]] = None
-        self._center: Optional[frozenset] = None
-        self._derived: Optional[frozenset] = None
-        self._lattice: Optional[list[tuple[int, tuple[int, ...]]]] = None
-        self._subgroups: Optional[tuple[frozenset, ...]] = None
+        self._rows: list[list[int] | None] = [None] * order
+        self._inverses: list[int] | None = None
+        self._center: frozenset | None = None
+        self._derived: frozenset | None = None
+        self._lattice: list[tuple[int, tuple[int, ...]]] | None = None
+        self._subgroups: tuple[frozenset, ...] | None = None
 
     @property
     def order(self) -> int:

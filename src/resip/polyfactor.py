@@ -16,9 +16,9 @@ which is irreducible over Z, costs a recombination over subsets.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import combinations
 from math import gcd, isqrt
-from typing import Optional, Sequence
 
 from .intlin import is_prime, poly_divmod, rref_mod
 
@@ -77,7 +77,7 @@ def _divmod(f: list[int], g: list[int], m: int) -> tuple[list[int], list[int]]:
     return _trim(q), _trim([c % m for c in r[len(q):]])
 
 
-def _exact_quotient(f: list[int], g: list[int]) -> Optional[list[int]]:
+def _exact_quotient(f: list[int], g: list[int]) -> list[int] | None:
     """f / g over Z for g with leading coefficient +-1, or None when g does
     not divide f."""
     q, r = poly_divmod(f, g)
@@ -176,7 +176,7 @@ def _good_prime(f: list[int]) -> tuple[int, list[list[int]]]:
     """A prime p keeping f squarefree, and f's factors mod p: the fewest
     factors among the first few such primes.  Only primes dividing the
     discriminant of f are skipped, so the search ends."""
-    best: Optional[tuple[int, list[int], list[list[int]]]] = None
+    best: tuple[int, list[int], list[list[int]]] | None = None
     tried, p = 0, 2
     df = _derivative(f)
     while tried < _GOOD_PRIMES_TRIED:

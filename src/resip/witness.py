@@ -71,13 +71,10 @@ the DATA_FIELDS of each kind; the verifier checks every stored field.
 
 from __future__ import annotations
 
-import sys
-from typing import Optional
-
 from .caps import Caps, DEFAULT_CAPS
 from .errors import CapExceeded, InternalInvariant, InvalidSpec, SchemaError
 from .extension import CheckReport
-from .fields import bigint, brief, fields, integer, list_of, one_of, require, string
+from .fields import bigint, brief, fields, integer, list_of, max_str_digits, one_of, require, string
 from .freegrp import (
     FreeEndo,
     MappingTorusElement,
@@ -111,7 +108,7 @@ class PGroupQuotient(Record):
         monodromy_inverse: tuple[str, ...],
         survivor_t: int,
         survivor_word: str,
-        data: Optional[dict] = None,  # None: a new empty dict
+        data: dict | None = None,  # None: a new empty dict
         components: tuple["PGroupQuotient", ...] = (),
     ):
         if kind not in DATA_FIELDS:
@@ -205,8 +202,8 @@ class WitnessOutcome(Record):
     def __init__(
         self,
         status: str,
-        certificate: Optional[PGroupQuotient] = None,
-        reason: Optional[str] = None,
+        certificate: PGroupQuotient | None = None,
+        reason: str | None = None,
     ):
         object.__setattr__(self, "status", status)
         object.__setattr__(self, "certificate", certificate)
@@ -278,10 +275,6 @@ def _monomial_count(rank: int, d: int) -> int:
     return sum(rank ** i for i in range(1, d + 1))
 
 
-# sys.get_int_max_str_digits, 0 for no limit; Pythons before 3.10.7 have none
-_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
-
-
 def _too_wide(p: int, e: int) -> bool:
     """Has p^e more decimal digits than int-to-str conversion allows?
     Such a value can be neither written into a report nor read back by
@@ -289,7 +282,7 @@ def _too_wide(p: int, e: int) -> bool:
     < 2^(e b), and 2^(3 limit) < 10^limit < 2^(4 limit), so the bit
     lengths decide all but a narrow band, where p^e has at most 8 limit
     bits and is built."""
-    limit = _max_str_digits()
+    limit = max_str_digits()
     b = p.bit_length()
     if not limit or e * b <= 3 * limit:
         return False
@@ -302,7 +295,7 @@ def _too_wide_outcome(name: str, p: int, e: int) -> WitnessOutcome:
     return WitnessOutcome(
         "undecided",
         reason=(
-            f"{name} {p}^{e} has more than {_max_str_digits()} digits, "
+            f"{name} {p}^{e} has more than {max_str_digits()} digits, "
             "the limit of sys.get_int_max_str_digits(), so no certificate could be "
             "written or read back"
         ),

@@ -12,6 +12,8 @@ interpreter runs verify-witness, every shipped task file, every other
 subcommand and the README's CLI examples, and reports what it has loaded;
 another, with sympy blocked, runs every shipped task file and two
 commands on primes above that bound, and gives the same report bytes.
+A third, started without site (``python -S``), runs a task file and
+``bs`` and loads no typing: the annotations import nothing from it.
 """
 
 import json
@@ -175,3 +177,31 @@ def test_reports_are_unchanged_with_sympy_blocked():
         check=True,
     )
     assert json.loads(out.stdout) == [[0, report] for report in expected]
+
+
+NO_SITE = """
+import contextlib, io, json, sys
+from resip.cli import main
+
+codes = []
+for argv in (["run", "--tasks", sys.argv[1]], ["bs", "--q", "10"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps([codes, "typing" in sys.modules]))
+"""
+
+
+def test_cli_calls_without_site_import_no_typing():
+    # Under python -S only resip and the standard library can load typing;
+    # with site, a .pth file in site-packages may load it before resip runs.
+    # The torus task file also loads the lazily imported polyfactor.
+    src = str(pathlib.Path(resip.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", NO_SITE, str(ROOT / "tasks" / "torus-bundles.json")],
+        env=dict(os.environ, PYTHONPATH=src),
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(out.stdout) == [[0, 0], False]
