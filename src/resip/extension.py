@@ -1,12 +1,12 @@
 """Central extensions from 2-cocycles (factor functions).
 
 Group law on A x Q: (a, g)(b, h) = (a + b + f(g, h), g + h), with f a
-normalized 2-cocycle Q x Q -> A.  Two cocycle representations are
-supported: a bilinear integer form on Q = Z^r (enough for the Heisenberg
-group and all circle-bundle witnesses) and an explicit table on a small
-finite group.  A bilinear form is a cocycle by a theorem (see
-``BilinearCocycle``); a table is checked exhaustively.  Everything is
-abelian-base here, written additively.
+normalized 2-cocycle Q x Q -> A.  The one cocycle representation is a
+bilinear integer form on Q = Z^r, enough for the Heisenberg group and all
+circle-bundle witnesses.  It is a cocycle by a theorem (see
+``BilinearCocycle``), so nothing is checked by enumeration; a form with
+non-integer entries, or a coefficient modulus below 2, is refused.
+Everything is abelian-base here, written additively.
 
 Central extensions by a bilinear form.  Let B(u, v) = u^T F v with F an
 integer matrix, and G = Z x Z^r with (a, u)(b, v) = (a + b + B(u, v),
@@ -32,10 +32,9 @@ coefficients.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from operator import mul
+from operator import add, mul, neg
 
 from .errors import InvalidSpec
-from .intlin import IntMatrix
 from .record import Record
 
 
@@ -51,7 +50,10 @@ class BilinearCocycle(Record):
       after reduction mod m too.
 
     The proof holds over Z, so the entries of F must be integers: with
-    floats, rounding alone can break the identity.
+    floats, rounding alone can break the identity.  A modulus m below 2
+    gives no Z/m to reduce into: 0 would be Z under another name, 1 kills
+    every central coordinate, and a negative m yields residues outside
+    [0, |m|).
     """
 
     __slots__ = ("form", "coeff_modulus")
@@ -62,6 +64,8 @@ class BilinearCocycle(Record):
             raise InvalidSpec("bilinear form must be square and nonempty")
         if any(not isinstance(x, int) for row in form for x in row):
             raise InvalidSpec("bilinear form entries must be exact integers")
+        if coeff_modulus is not None and (type(coeff_modulus) is not int or coeff_modulus < 2):
+            raise InvalidSpec("coefficient modulus must be an integer >= 2")
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "coeff_modulus", coeff_modulus)
 
@@ -75,89 +79,6 @@ class BilinearCocycle(Record):
         # by the nonzero coordinates of u, each row taken against v at once
         total = sum(a * sum(map(mul, row, v)) for a, row in zip(u, self.form) if a)
         return total % self.coeff_modulus if self.coeff_modulus else total
-
-    def base_add(self, u, v):
-        return tuple(a + b for a, b in zip(u, v))
-
-    def base_neg(self, u):
-        return tuple(-a for a in u)
-
-    def base_zero(self):
-        return (0,) * self.r
-
-
-class TableCocycle(Record):
-    """Explicit cocycle on a small additive group given by element list.
-
-    elements: hashable labels; add/neg give the group structure; table maps
-    (g, h) to the coefficient value.
-    """
-
-    __slots__ = ("elements", "add", "neg", "zero", "table", "coeff_modulus")
-
-    def __init__(
-        self,
-        elements: tuple,
-        add: dict,
-        neg: dict,
-        zero: object,
-        table: dict,
-        coeff_modulus: int | None = None,
-    ):
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "add", add)
-        object.__setattr__(self, "neg", neg)
-        object.__setattr__(self, "zero", zero)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "coeff_modulus", coeff_modulus)
-
-    def __call__(self, g, h):
-        v = self.table[(g, h)]
-        return v % self.coeff_modulus if self.coeff_modulus else v
-
-    def base_add(self, g, h):
-        return self.add[(g, h)]
-
-    def base_neg(self, g):
-        return self.neg[g]
-
-    def base_zero(self):
-        return self.zero
-
-
-class CocycleCheck(Record):
-    __slots__ = ("ok", "violation")
-
-    # violation: (g, h, k) with the identity broken
-    def __init__(self, ok: bool, violation: tuple | None = None):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "violation", violation)
-
-
-def verify_cocycle(f) -> CocycleCheck:
-    """Check normalization and the cocycle identity.
-
-    A bilinear form is a normalized 2-cocycle by the theorem in the
-    ``BilinearCocycle`` docstring, so it is ok without a check.  A table
-    is checked exhaustively, on every element and every triple.
-    """
-    if isinstance(f, BilinearCocycle):
-        return CocycleCheck(True)
-    zero = f.base_zero()
-    for g in f.elements:
-        if f(zero, g) != 0 or f(g, zero) != 0:
-            return CocycleCheck(False, (zero, g, zero))
-    for g in f.elements:
-        for h in f.elements:
-            for k in f.elements:
-                lhs = f(g, h) + f(f.base_add(g, h), k)
-                rhs = f(h, k) + f(g, f.base_add(h, k))
-                if f.coeff_modulus:
-                    lhs %= f.coeff_modulus
-                    rhs %= f.coeff_modulus
-                if lhs != rhs:
-                    return CocycleCheck(False, (g, h, k))
-    return CocycleCheck(True)
 
 
 class ExtensionElement(Record):
@@ -173,16 +94,16 @@ def _central_red(f, a: int) -> int:
 
 
 def ext_identity(f) -> ExtensionElement:
-    return ExtensionElement(0, f.base_zero())
+    return ExtensionElement(0, (0,) * f.r)
 
 
 def ext_multiply(x: ExtensionElement, y: ExtensionElement, f) -> ExtensionElement:
     a = _central_red(f, x.central + y.central + f(x.base, y.base))
-    return ExtensionElement(a, f.base_add(x.base, y.base))
+    return ExtensionElement(a, tuple(map(add, x.base, y.base)))
 
 
 def ext_inverse(x: ExtensionElement, f) -> ExtensionElement:
-    nb = f.base_neg(x.base)
+    nb = tuple(map(neg, x.base))
     a = _central_red(f, -x.central - f(x.base, nb))
     return ExtensionElement(a, nb)
 
@@ -247,10 +168,10 @@ def standard_pairing(genus: int, e: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in rows)
 
 
-def _integral(f) -> bool:
-    """A bilinear form with coefficients in Z, as the theorems of the module
+def _integral(f: BilinearCocycle) -> bool:
+    """A form with coefficients in Z, as the theorems of the module
     docstring need."""
-    return isinstance(f, BilinearCocycle) and f.coeff_modulus is None
+    return f.coeff_modulus is None
 
 
 def _pairing_is(f, pairing) -> bool:
@@ -273,8 +194,8 @@ def heisenberg_checks() -> CheckReport:
     y = ExtensionElement(0, (0, 1))
     z = ExtensionElement(1, (0, 0))
     ident = ext_identity(f)
-    checks = []
-    checks.append(("cocycle_verified", verify_cocycle(f).ok))
+    # every bilinear form is a cocycle, by the theorem in BilinearCocycle
+    checks = [("cocycle_verified", True)]
     checks.append(("commutator_xy_is_z", ext_commutator(x, y, f) == z))
     checks.append(("z_commutes_with_x", ext_commutator(x, z, f) == ident))
     checks.append(("z_commutes_with_y", ext_commutator(y, z, f) == ident))
@@ -289,47 +210,6 @@ def heisenberg_checks() -> CheckReport:
     )
     checks.append(("torsion_free", _integral(f)))
     return CheckReport(tuple(checks))
-
-
-def pullback_equality_check(f, k, phi) -> bool:
-    """Does f equal the pullback of k along phi?
-
-    Bilinear case: phi is an integer matrix (rows x cols = rank of k's base
-    x rank of f's base); pullback form is phi^T K phi and the comparison is
-    exact matrix equality.  Table case: phi is a dict, verified to be a
-    homomorphism, and pointwise equality is checked on all pairs.
-    """
-    if isinstance(f, BilinearCocycle) and isinstance(k, BilinearCocycle):
-        # phi maps f's base into k's base, so it is k.r x f.r and may be
-        # rectangular; IntMatrix (square-only) is deliberately not used
-        rows = [list(r) for r in (phi.entries if isinstance(phi, IntMatrix) else phi)]
-        if len(rows) != k.r or any(len(r) != f.r for r in rows):
-            raise InvalidSpec("matrix shape does not match the two bases")
-        pulled = [
-            [
-                sum(
-                    rows[i][a] * k.form[i][j] * rows[j][b]
-                    for i in range(k.r)
-                    for j in range(k.r)
-                )
-                for b in range(f.r)
-            ]
-            for a in range(f.r)
-        ]
-        if f.coeff_modulus:
-            pulled = [[x % f.coeff_modulus for x in row] for row in pulled]
-            target = [[x % f.coeff_modulus for x in row] for row in f.form]
-            return pulled == target
-        return pulled == [list(r) for r in f.form]
-    if isinstance(f, TableCocycle) and isinstance(k, TableCocycle):
-        for g in f.elements:
-            for h in f.elements:
-                if phi[f.base_add(g, h)] != k.base_add(phi[g], phi[h]):
-                    raise InvalidSpec(f"phi breaks addition at ({g}, {h})")
-        return all(
-            f(g, h) == k(phi[g], phi[h]) for g in f.elements for h in f.elements
-        )
-    raise InvalidSpec("mixed cocycle representations")
 
 
 class CircleBundleSpec(Record):
@@ -379,7 +259,8 @@ def circle_bundle_central_witness(spec: CircleBundleSpec) -> CheckReport:
     a = [basis(2 * i) for i in range(g)]
     b = [basis(2 * i + 1) for i in range(g)]
     z = ExtensionElement(g, (0,) * r)
-    checks = [("cocycle_verified", verify_cocycle(f).ok)]
+    # every bilinear form is a cocycle, by the theorem in BilinearCocycle
+    checks = [("cocycle_verified", True)]
     for i in range(g):
         checks.append(
             (

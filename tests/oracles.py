@@ -28,7 +28,6 @@ from resip.classify import (
 )
 from resip.errors import CapExceeded, InternalInvariant, InvalidSpec
 from resip.extension import (
-    CocycleCheck,
     ExtensionElement,
     ext_commutator,
     ext_identity,
@@ -254,25 +253,30 @@ def unipotent_order_by_iteration(q: IntMatrix, p: int) -> int:
     return order
 
 
-def cocycle_by_sampling(f, samples: int = 200, seed: int = 0) -> CocycleCheck:
+def cocycle_by_sampling(f, samples: int = 200, seed: int = 0) -> Optional[tuple]:
     """Normalization and the cocycle identity of a bilinear cocycle on
-    seeded sampled triples with entries in [-5, 5]."""
+    seeded sampled triples with entries in [-5, 5]: None, or the first
+    triple (g, h, k) that breaks one of them."""
     rng = random.Random(seed)
-    zero = f.base_zero()
+    zero = (0,) * f.r
+
+    def plus(u, v):
+        return tuple(a + b for a, b in zip(u, v))
+
     for _ in range(samples):
         g, h, k = (
             tuple(rng.randint(-5, 5) for _ in range(f.r)) for _ in range(3)
         )
         if f(zero, g) != 0 or f(g, zero) != 0:
-            return CocycleCheck(False, (zero, g, zero))
-        lhs = f(g, h) + f(f.base_add(g, h), k)
-        rhs = f(h, k) + f(g, f.base_add(h, k))
+            return (zero, g, zero)
+        lhs = f(g, h) + f(plus(g, h), k)
+        rhs = f(h, k) + f(g, plus(h, k))
         if f.coeff_modulus:
             lhs %= f.coeff_modulus
             rhs %= f.coeff_modulus
         if lhs != rhs:
-            return CocycleCheck(False, (g, h, k))
-    return CocycleCheck(True)
+            return (g, h, k)
+    return None
 
 
 def rank_exact(m: IntMatrix) -> int:

@@ -535,6 +535,26 @@ def test_a_task_past_the_genus_or_cover_rank_cap_leaves_the_others_running(tmp_p
         "genus: cap 4 exceeded", "cover_rank: cap 5 exceeded"]
 
 
+def test_a_cocycle_task_refuses_only_what_the_form_constructor_refuses(tmp_path, capsys):
+    # every square integer form is a cocycle, modulus or not, so the one
+    # failing task is the form that is not square
+    cocycle = {"kind": "extension", "check": "cocycle"}
+    tasks = [
+        dict(cocycle, id="ragged", form=[[0, 1], [0]]),
+        dict(cocycle, id="mod-3", form=[[0, 1], [0, 0]], coeff_modulus=3),
+        dict(cocycle, id="over-z", form=[[0, 1], [0, 0]]),
+    ]
+    path = tmp_path / "tasks.json"
+    path.write_text(json.dumps({"version": 1, "tasks": tasks}))
+    assert main(["run", "--tasks", str(path)]) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert [e["status"] for e in entries] == ["error", "ok", "ok"]
+    assert entries[0]["error"] == {"type": "InvalidSpec", "message": "bilinear form must be square and nonempty"}
+    assert "result" not in entries[0]
+    for entry in entries[1:]:
+        assert entry["result"] == {"check": "cocycle", "report": {"ok": True, "violation": None}}
+
+
 def test_strand_count_past_the_cover_rank_cap_is_refused_before_the_braid(tmp_path, capsys, monkeypatch):
     # rank 2 * (10^6 - 1) + 1: refused from the payload's integers, before
     # the braid's permutation (one entry per strand) is built

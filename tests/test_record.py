@@ -21,19 +21,12 @@ from resip.extension import (
     BilinearCocycle,
     CheckReport,
     CircleBundleSpec,
-    CocycleCheck,
     ExtensionElement,
-    TableCocycle,
 )
 from resip.freegrp import FreeEndo, FreeWord, MappingTorusElement, MappingTorusSpec
 from resip.intlin import IntMatrix, LatticeChainInvariants, ModMatrix, UnipotenceResult
 from resip.record import Record
 from resip.witness import PGroupQuotient, WitnessOutcome
-
-
-def _z2_table():
-    add = {(g, h): (g + h) % 2 for g in (0, 1) for h in (0, 1)}
-    return TableCocycle((0, 1), add, {0: 0, 1: 1}, 0, {k: 0 for k in add}, 2)
 
 
 # each factory builds a new object with the same fields on every call; its
@@ -51,8 +44,6 @@ FACTORIES = {
     "TaskFile": lambda: TaskFile(1, (Task("t", "bs", {"q": 3}),)),
     "ReportEntry": lambda: ReportEntry("t", "bs", "ok", {"q": 3}),
     "BilinearCocycle": lambda: BilinearCocycle(((0, 1), (0, 0))),
-    "TableCocycle": _z2_table,
-    "CocycleCheck": lambda: CocycleCheck(False, (0, 1, 1)),
     "ExtensionElement": lambda: ExtensionElement(1, (0, 1)),
     "CheckReport": lambda: CheckReport((("ok", True),)),
     "CircleBundleSpec": lambda: CircleBundleSpec(2, 3),
@@ -79,7 +70,7 @@ def _hash_or_error(value):
 
 def test_every_record_class_is_covered():
     assert {type(f()) for f in FACTORIES.values()} == set(Record.__subclasses__())
-    assert len(FACTORIES) == 27
+    assert len(FACTORIES) == 25
 
 
 @pytest.mark.parametrize("make", RECORDS)
