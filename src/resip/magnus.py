@@ -9,10 +9,14 @@ the witness engine.
 
 Kernels.  A series is one sparse table {monomial: coefficient} holding
 nonzero reduced coefficients only; there is no dense form.
-* magnus_embed multiplies the running table by one letter at a time, in
-  place: by 1 + X_i, every m of degree < d adds its coefficient at
-  m + (i,); by (1 + X_i)^-1, the result y solves y = x - y X_i, filled in
-  ascending degree.  No series product is formed.
+* magnus_embed holds the running series as one dict per degree and
+  multiplies it by one letter at a time, in place, in one pass over the
+  levels below the top; the top level is only written.  By 1 + X_i, each
+  term c m of level k adds c at m + (i,) in level k + 1, for k = d - 1
+  .. 0: level k + 1 has already been read in this pass.  By
+  (1 + X_i)^-1, the result y solves y_(k+1) = x_(k+1) - y_k X_i, for
+  k = 0 .. d - 1: y_k is already final.  No series product is formed,
+  and the levels are merged into one table at the end.
 * SeriesSubstitution is linear, so it memoises the image of each monomial
   it meets, one product from the image of its prefix.  One accumulation
   kernel sums c * image(m) into one table that is reduced once; it serves
@@ -167,51 +171,6 @@ def _product(left: dict, right: list[list], d: int, modulus: int | None) -> dict
     return _reduced(table, modulus)
 
 
-def _times_generator(table: dict, i: int, d: int, modulus: int | None) -> None:
-    """table <- table * (1 + X_i), in place: every m of degree < d adds its
-    coefficient at m + (i,), read from a snapshot of the table."""
-    step = (i,)
-    for m, c in [(m, c) for m, c in table.items() if len(m) < d]:
-        n = m + step
-        v = table.get(n, 0) + c
-        if modulus is not None:
-            v %= modulus
-        if v:
-            table[n] = v
-        else:
-            del table[n]
-
-
-def _times_generator_inverse(table: dict, i: int, d: int, modulus: int | None) -> None:
-    """table <- table * (1 + X_i)^-1, in place.
-
-    The result y of x * (1 + X_i)^-1 solves y = x - y X_i.  The coefficient
-    of m + (i,) in y X_i is the coefficient of m in y, one degree lower, so
-    ascending degree order finishes every y[m] before it is used."""
-    step = (i,)
-    levels: list[list] = [[] for _ in range(d + 1)]
-    for m in table:
-        levels[len(m)].append(m)
-    for k in range(d):
-        above = levels[k + 1]
-        for m in levels[k]:
-            c = table.get(m)
-            if c is None:  # cancelled earlier in this pass
-                continue
-            n = m + step
-            old = table.get(n)
-            if old is None:
-                above.append(n)
-                old = 0
-            v = old - c
-            if modulus is not None:
-                v %= modulus
-            if v:
-                table[n] = v
-            else:
-                del table[n]
-
-
 def magnus_embed(
     w: FreeWord,
     d: int,
@@ -222,21 +181,44 @@ def magnus_embed(
 
     Inverse letters map to the truncated geometric series of (1 + X_i)^-1,
     so the map is multiplicative on the nose: embed(uv) = embed(u) *
-    embed(v).  The running table is multiplied by one letter at a time, in
-    place and reduced after each letter; no series product is formed.
+    embed(v).  The running series is held as one dict per degree, levels[k]
+    the terms of degree k, and each letter is one pass over the levels
+    below the top; no series product is formed.  Multiplying x by 1 + X_i
+    adds x_k X_i to level k + 1, so the pass runs k = d - 1 .. 0 and reads
+    each level before the level below writes into it.  Multiplying by
+    (1 + X_i)^-1 gives the y with y_(k+1) = x_(k+1) - y_k X_i, so the pass
+    runs k = 0 .. d - 1 and reads each level once it is final.  The levels
+    are merged into one table at the end.
     """
     if d < 1:
         raise InvalidSpec("degree must be >= 1")
+    if modulus is not None and modulus < 2:
+        raise InvalidSpec("modulus must be >= 2")
     if d > caps.magnus_degree:
         raise CapExceeded("magnus_degree", caps.magnus_degree)
     if w.rank > caps.max_rank:
         raise CapExceeded("max_rank", caps.max_rank)
-    table: dict = {(): 1}
+    levels: list[dict] = [{(): 1}] + [{} for _ in range(d)]
+    up, down = range(d), range(d - 1, -1, -1)
     for a in w.letters:
-        if a > 0:
-            _times_generator(table, a, d, modulus)
-        else:
-            _times_generator_inverse(table, -a, d, modulus)
+        step, sign, order = (a,), 1, down
+        if a < 0:
+            step, sign, order = (-a,), -1, up
+        for k in order:
+            above = levels[k + 1]
+            get = above.get
+            for m, c in levels[k].items():
+                n = m + step
+                v = get(n, 0) + sign * c
+                if modulus is not None:
+                    v %= modulus
+                if v:
+                    above[n] = v
+                else:  # stored coefficients are nonzero, so n is present
+                    del above[n]
+    table = levels[0]
+    for level in levels[1:]:
+        table.update(level)
     return TruncatedSeries(w.rank, d, modulus, table)
 
 

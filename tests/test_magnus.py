@@ -1,6 +1,7 @@
 """Truncated Magnus expansion; lower-central layers held against the Lyndon-basis oracle."""
 
 import random
+from math import comb
 
 import pytest
 
@@ -137,6 +138,62 @@ def test_embed_matches_oracle():
             for modulus in MODULI:
                 for w in _oracle_words(rng, rank):
                     assert magnus_embed(w, d, modulus).table == _oracle_embed(w, d, modulus)
+
+
+def _generator_power(i, e, d, modulus):
+    """(1 + X_i)^e truncated at d, from the binomial series alone:
+    C(e, j) X_i^j for e >= 0, and (-1)^j C(-e + j - 1, j) X_i^j for e < 0."""
+    table = {}
+    for j in range(d + 1):
+        c = comb(e, j) if e >= 0 else (-1) ** j * comb(-e + j - 1, j)
+        if modulus is not None:
+            c %= modulus
+        if c:
+            table[(i,) * j] = c
+    return table
+
+
+def test_embed_of_generator_powers_matches_closed_forms():
+    """x_i^e for |e| <= 12: the descending pass of a letter and the
+    ascending pass of an inverse letter, against formulas that share no
+    code with the kernel or the oracle."""
+    for rank in range(1, 4):
+        for i in range(1, rank + 1):
+            for e in range(-12, 13):
+                w = FreeWord.from_letters(rank, [i if e > 0 else -i] * abs(e))
+                for d in range(1, 7):
+                    for modulus in MODULI:
+                        expected = _generator_power(i, e, d, modulus)
+                        assert magnus_embed(w, d, modulus).table == expected, (i, e, d, modulus)
+
+
+def test_embed_of_runs_matches_oracle():
+    """Words of runs x_a^e, |e| <= 4: mod 2, 3 and 9 terms cancel to zero
+    in the middle of a pass and are written again later.  No stored
+    coefficient is 0 and no monomial has degree above d."""
+    rng = random.Random(73)
+    for rank in range(1, 5):
+        for d in range(1, 7):
+            for modulus in (2, 3, 9):
+                for _ in range(6):
+                    letters = []
+                    for _ in range(rng.randint(1, 6)):
+                        a = rng.randint(1, rank)
+                        letters += [rng.choice((a, -a))] * rng.randint(1, 4)
+                    w = FreeWord.from_letters(rank, letters)
+                    table = magnus_embed(w, d, modulus).table
+                    assert table == _oracle_embed(w, d, modulus)
+                    assert 0 not in table.values()
+                    assert all(len(m) <= d for m in table)
+
+
+@pytest.mark.parametrize("modulus", [0, 1, -3])
+def test_modulus_below_two_is_refused(modulus):
+    w = parse_word("x1 X2 x1", 2)
+    phi = FreeEndo(2, (w, FreeWord.generator(2, 2)))
+    for build in (lambda: magnus_embed(w, 3, modulus), lambda: SeriesSubstitution(phi, 3, modulus)):
+        with pytest.raises(InvalidSpec, match="modulus must be >= 2"):
+            build()
 
 
 def test_product_matches_oracle():
