@@ -397,24 +397,38 @@ def _write_json(value, indent: str, out) -> None:
         raise TypeError(f"unserializable value {value!r}")
 
 
+# (keys in insertion order, indent) -> the sorted keys, each with the text
+# that opens its entry; filled by _write_dict up to _LAYOUT_BOUND entries,
+# so a process that writes ever new dict shapes holds a bounded table
+_LAYOUTS: dict[tuple, list[tuple]] = {}
+_LAYOUT_BOUND = 1024
+
+
 def _write_dict(value: dict, indent: str, out) -> None:
     if not value:
         out("{}")
         return
     inner = indent + "  "
-    head = "{\n" + inner
-    for k in sorted(value):
+    shape = (tuple(value), indent)
+    layout = _LAYOUTS.get(shape)
+    if layout is None:
+        layout, head = [], "{\n" + inner
+        for k in sorted(value):
+            layout.append((k, head + _quote(k) + ": "))  # a key that is no str is a TypeError
+            head = ",\n" + inner
+        if len(_LAYOUTS) < _LAYOUT_BOUND:
+            _LAYOUTS[shape] = layout
+    for k, head in layout:
         v = value[k]
         kind = type(v)
         # a string or an exact int joins its key, without a further call
         if kind is str:
-            out(head + _quote(k) + ": " + _quote(v))
+            out(head + _quote(v))
         elif kind is int and -_WIDE < v < _WIDE:
-            out(head + _quote(k) + ": " + int.__repr__(v))
+            out(head + int.__repr__(v))
         else:
-            out(head + _quote(k) + ": ")
+            out(head)
             _write_json(v, inner, out)
-        head = ",\n" + inner
     out("\n" + indent + "}")
 
 
@@ -424,7 +438,7 @@ def _write_list(value, indent: str, out) -> None:
         return
     inner = indent + "  "
     sep = ",\n" + inner
-    if all(type(v) is int for v in value) and -_WIDE < min(value) and max(value) < _WIDE:
+    if set(map(type, value)) == {int} and -_WIDE < min(value) and max(value) < _WIDE:
         # exact ints, the bulk of a report, in one join
         out("[\n" + inner + sep.join(map(int.__repr__, value)) + "\n" + indent + "]")
         return

@@ -86,7 +86,14 @@ from .freegrp import (
     parse_word,
 )
 from .intlin import _require_prime, is_unipotent_mod, least_p_power_exponent, p_power_exponent
-from .magnus import SeriesSubstitution, TruncatedSeries, _depth_and_embedding, magnus_embed
+from .magnus import (
+    SeriesSubstitution,
+    TruncatedSeries,
+    _depth_and_embedding,
+    code_range,
+    magnus_embed,
+    monomial_of,
+)
 from .record import Record
 
 
@@ -230,7 +237,7 @@ def _raw_induced_order(sub: SeriesSubstitution, p: int, nu: int) -> int:
     (U - I)^nu = 0 (proof in the module docstring).  The chains run on
     raw tables, by SeriesSubstitution.chain_step."""
     step = sub.chain_step
-    gens = [{(i,): 1} for i in range(1, sub.rank + 1)]
+    gens = [{i: 1} for i in range(1, sub.rank + 1)]  # the code of X_i is i
     if p >= nu:  # l < p: the order is 1 or p
         return p if any(step(x) for x in gens) else 1
     longest = 1
@@ -303,10 +310,15 @@ def _too_wide_outcome(name: str, p: int, e: int) -> WitnessOutcome:
 
 
 def _least_nonzero_evidence(series: TruncatedSeries, d: int) -> tuple[tuple[int, ...], int]:
-    candidates = [(m, c) for m, c in series.table.items() if len(m) == d]
-    if not candidates:
-        raise InvalidSpec("no evidence at the claimed depth")
-    return min(candidates)
+    """The least monomial of the series past its constant term, and its
+    coefficient: the least nonzero code, decoded.  At Magnus depth d it
+    has degree d, and it is the lexicographically least monomial there
+    (the theorem of ``monomial_code``).  The caller has found depth d, so
+    a least code of another degree is an internal fault."""
+    least = min((m for m in series.table if m), default=0)
+    if least not in code_range(series.rank, d):
+        raise InternalInvariant(f"the series at Magnus depth {d} has no least term of degree {d}")
+    return monomial_of(least, series.rank), series.table[least]
 
 
 def find_p_quotient_witness(
@@ -483,9 +495,9 @@ def verify_witness(cert: PGroupQuotient, caps: Caps = DEFAULT_CAPS) -> CheckRepo
         raise CapExceeded("magnus_depth", caps.magnus_degree)
     series = magnus_embed(w, d, p, caps)
     # the depth is d iff the least degree of a nonconstant term is d
-    # (module docstring)
-    least = min((len(m) for m in series.table if m), default=None)
-    checks.append(("depth_minimal", least == d))
+    # (module docstring), the degree of the least nonzero code
+    least = min((m for m in series.table if m), default=0)
+    checks.append(("depth_minimal", least in code_range(cert.rank, d)))
     mon = tuple(cert.data["evidence_monomial"])
     checks.append(
         (

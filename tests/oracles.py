@@ -62,7 +62,7 @@ from resip.intlin import (
     prime_factors,
     smith_normal_form,
 )
-from resip.magnus import SeriesSubstitution, TruncatedSeries, magnus_embed
+from resip.magnus import SeriesSubstitution, TruncatedSeries, magnus_embed, monomial_code, monomial_of
 from resip.pgrouplab import _bits, _mask
 
 
@@ -128,7 +128,7 @@ def chain_lengths(sub: SeriesSubstitution) -> list[int]:
     (U - I)^2 X_i, ..., with U = sub and no bound on the length."""
     lengths = []
     for i in range(1, sub.rank + 1):
-        term = TruncatedSeries(sub.rank, sub.degree, sub.modulus, {(i,): 1})
+        term = TruncatedSeries(sub.rank, sub.degree, sub.modulus, encoded({(i,): 1}, sub.rank))
         length = 0
         while term.table:
             term = sub(term) - term
@@ -177,7 +177,7 @@ def unit_inverse(s: TruncatedSeries) -> TruncatedSeries:
     """Inverse of a series with constant term 1, by the geometric
     expansion 1 - y + y^2 - ... with y = s - 1, which stops at the
     truncation degree; magnus_embed inverts a letter in place instead."""
-    if s.table.get((), 0) != 1:
+    if s.coefficient(()) != 1:
         raise InvalidSpec("unit_inverse needs constant term 1")
     one = TruncatedSeries.one(s.rank, s.degree, s.modulus)
     y = s - one
@@ -188,8 +188,19 @@ def unit_inverse(s: TruncatedSeries) -> TruncatedSeries:
 
 
 def homogeneous(s: TruncatedSeries, i: int) -> dict:
-    """Degree-i coefficient slice of a series."""
-    return {m: c for m, c in s.table.items() if len(m) == i}
+    """Degree-i coefficient slice of a series, keyed by monomial."""
+    return {m: c for m, c in decoded(s).items() if len(m) == i}
+
+
+def decoded(s: TruncatedSeries) -> dict:
+    """The table of a series keyed by monomial tuples, the form the
+    straightforward oracles work in."""
+    return {monomial_of(code, s.rank): c for code, c in s.table.items()}
+
+
+def encoded(table: dict, rank: int) -> dict:
+    """A monomial-keyed table keyed by codes, as a series holds it."""
+    return {monomial_code(m, rank): c for m, c in table.items()}
 
 
 def _apply(m: ModMatrix, v: tuple[int, ...]) -> tuple[int, ...]:

@@ -192,6 +192,26 @@ def test_json_text_rejects_other_types(value):
         report_text_by_dumps(value)
 
 
+@pytest.mark.parametrize("value", [{1: "a"}, {"a": 1, 2: "b"}, {"a": {(1,): 0}}])
+def test_json_text_refuses_a_key_that_is_no_string_each_time(value):
+    for _ in range(2):  # a refused shape leaves no layout behind
+        with pytest.raises(TypeError):
+            _json_text(value)
+
+
+def test_json_text_holds_a_bounded_table_of_dict_layouts(monkeypatch):
+    from resip import cli
+
+    monkeypatch.setattr(cli, "_LAYOUTS", {})
+    values = [{f"k{i}": i, "a": [i], "z": None} for i in range(cli._LAYOUT_BOUND + 50)]
+    for indent in ("", "    "):
+        for value in values:
+            assert _json_text(value, indent) == _json_text(dict(reversed(value.items())), indent)
+    assert len(cli._LAYOUTS) == cli._LAYOUT_BOUND
+    for value in values[-3:]:  # shapes past the bound are written without a layout entry
+        assert _json_text(value) == report_text_by_dumps(value)
+
+
 def test_verify_witness_json_output_is_pinned(tmp_path, capsys):
     # the certificate the shipped beta-braid task file yields at p = 3
     golden = pathlib.Path(__file__).parent / "golden" / "beta-braid.json"

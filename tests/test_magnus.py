@@ -1,11 +1,14 @@
 """Truncated Magnus expansion; lower-central layers held against the Lyndon-basis oracle."""
 
 import random
+from itertools import product
 from math import comb
 
 import pytest
 
 from oracles import (
+    decoded,
+    encoded,
     lie_layer_basis,
     lie_layer_matrix,
     lyndon_words,
@@ -33,8 +36,11 @@ from resip.intlin import charpoly_exact, det_exact, is_unipotent_mod, poly_pow_x
 from resip.magnus import (
     SeriesSubstitution,
     TruncatedSeries,
+    code_range,
     magnus_depth,
     magnus_embed,
+    monomial_code,
+    monomial_of,
     unipotent_on_layers,
     unipotent_over_Z,
 )
@@ -131,13 +137,51 @@ def _random_table(rng, rank, d, modulus):
     return _oracle_reduce(table, modulus)
 
 
+def test_monomial_codes_number_each_degree_in_lexicographic_order():
+    """The theorem of monomial_code, for every monomial of rank <= 4 and
+    degree <= 5 (rank 1 included): the codes decode back, the degree-k
+    codes fill [S_k, S_(k+1)) in lexicographic order, and concatenation
+    is m1 r^|m2| + m2."""
+    for rank in range(1, 5):
+        start = 0  # S_k
+        by_degree = []
+        for k in range(6):
+            monomials = list(product(range(1, rank + 1), repeat=k))  # lexicographic
+            codes = [monomial_code(m, rank) for m in monomials]
+            assert [monomial_of(c, rank) for c in codes] == monomials
+            assert codes == list(range(start, start + rank ** k))
+            assert code_range(rank, k) == range(start, start + rank ** k)
+            start += rank ** k
+            by_degree.append(monomials)
+        for k1, k2 in product(range(6), repeat=2):
+            if k1 + k2 > 5:
+                continue
+            for m1 in by_degree[k1]:
+                for m2 in by_degree[k2]:
+                    expected = monomial_code(m1, rank) * rank ** k2 + monomial_code(m2, rank)
+                    assert monomial_code(m1 + m2, rank) == expected
+
+
+@pytest.mark.parametrize("m", [(0,), (3,), (-1,), (1, 3)])
+def test_a_letter_outside_the_rank_has_no_code_and_no_coefficient(m):
+    with pytest.raises(InvalidSpec, match="out of range 1..2"):
+        monomial_code(m, 2)
+    s = magnus_embed(parse_word("x1 x1 x2 x2 x1 x2 X1 X2", 2), 2, 2)
+    assert s.coefficient(m) == 0
+
+
+def test_a_monomial_past_the_degree_has_coefficient_zero():
+    s = magnus_embed(parse_word("x1 x2", 2), 2)
+    assert s.coefficient((1, 2)) == 1 and s.coefficient((1, 2, 1)) == 0
+
+
 def test_embed_matches_oracle():
     rng = random.Random(71)
     for rank in range(1, 5):
         for d in range(1, 7):
             for modulus in MODULI:
                 for w in _oracle_words(rng, rank):
-                    assert magnus_embed(w, d, modulus).table == _oracle_embed(w, d, modulus)
+                    assert decoded(magnus_embed(w, d, modulus)) == _oracle_embed(w, d, modulus)
 
 
 def _generator_power(i, e, d, modulus):
@@ -164,7 +208,7 @@ def test_embed_of_generator_powers_matches_closed_forms():
                 for d in range(1, 7):
                     for modulus in MODULI:
                         expected = _generator_power(i, e, d, modulus)
-                        assert magnus_embed(w, d, modulus).table == expected, (i, e, d, modulus)
+                        assert decoded(magnus_embed(w, d, modulus)) == expected, (i, e, d, modulus)
 
 
 def test_embed_of_runs_matches_oracle():
@@ -181,7 +225,7 @@ def test_embed_of_runs_matches_oracle():
                         a = rng.randint(1, rank)
                         letters += [rng.choice((a, -a))] * rng.randint(1, 4)
                     w = FreeWord.from_letters(rank, letters)
-                    table = magnus_embed(w, d, modulus).table
+                    table = decoded(magnus_embed(w, d, modulus))
                     assert table == _oracle_embed(w, d, modulus)
                     assert 0 not in table.values()
                     assert all(len(m) <= d for m in table)
@@ -203,8 +247,8 @@ def test_product_matches_oracle():
             for modulus in MODULI:
                 a = _random_table(rng, rank, d, modulus)
                 b = _random_table(rng, rank, d, modulus)
-                prod = TruncatedSeries(rank, d, modulus, a) * TruncatedSeries(rank, d, modulus, b)
-                assert prod.table == _oracle_product(a, b, d, modulus)
+                ta, tb = (TruncatedSeries(rank, d, modulus, encoded(t, rank)) for t in (a, b))
+                assert decoded(ta * tb) == _oracle_product(a, b, d, modulus)
 
 
 def test_substitution_matches_oracle():
@@ -217,11 +261,11 @@ def test_substitution_matches_oracle():
                 # repeated calls on one instance reuse its memoised images
                 for _ in range(3):
                     s = _random_table(rng, rank, d, modulus)
-                    out = sub(TruncatedSeries(rank, d, modulus, s))
-                    assert out.table == _oracle_substitute(phi, s, d, modulus)
+                    out = sub(TruncatedSeries(rank, d, modulus, encoded(s, rank)))
+                    assert decoded(out) == _oracle_substitute(phi, s, d, modulus)
                 for w in _oracle_words(rng, rank)[:2]:
                     s = magnus_embed(w, d, modulus)
-                    assert sub(s).table == _oracle_substitute(phi, s.table, d, modulus)
+                    assert decoded(sub(s)) == _oracle_substitute(phi, decoded(s), d, modulus)
 
 
 def test_substitution_commutes_with_embedding():
@@ -494,7 +538,7 @@ def test_series_ring_arithmetic():
     # truncation at the degree bound: (1+X)^4 keeps C(4,k) only for k <= 3
     quad = gx * gx * gx * gx
     assert quad.coefficient((1, 1, 1)) == 4
-    assert all(len(m) <= 3 for m in quad.table)
+    assert all(len(m) <= 3 for m in decoded(quad))
     one = TruncatedSeries.one(2, 3, None)
     assert (gx - gx.scale(1)).table == {}
     assert (one.scale(3) - one - one - one).table == {}

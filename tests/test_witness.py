@@ -10,6 +10,7 @@ import pytest
 from oracles import (
     chain_lengths,
     depth_minimal_by_ladder,
+    encoded,
     induced_order_by_iteration,
     kernel_invariance_by_sampling,
 )
@@ -295,13 +296,13 @@ def test_chain_steps_are_u_minus_i_and_give_the_oracle_chains():
         monomials = [()] + [
             tuple(rng.randint(1, rank) for _ in range(rng.randint(1, d))) for _ in range(6)
         ]
-        t = TruncatedSeries(rank, d, p, {m: rng.randint(1, p - 1) for m in monomials})
+        t = TruncatedSeries(rank, d, p, encoded({m: rng.randint(1, p - 1) for m in monomials}, rank))
         table = dict(t.table)
         assert sub.chain_step(table) == (sub(t) - t).table
         assert table == t.table  # the step leaves its argument alone
         lengths = []
         for i in range(1, rank + 1):
-            term, length = {(i,): 1}, 0
+            term, length = {i: 1}, 0  # the code of X_i is i
             while term:
                 term = sub.chain_step(term)
                 length += 1
@@ -326,7 +327,7 @@ class Doubled(witness.SeriesSubstitution):
     # outlives nu - 1
     def __init__(self, phi, d, modulus, caps):
         super().__init__(phi, d, modulus, caps)
-        self.images[0] = self.images[0] + TruncatedSeries(self.rank, d, modulus, {(1,): 1})
+        self.images[0] = self.images[0] + TruncatedSeries(self.rank, d, modulus, {1: 1})  # X_1
 
 
 witness.SeriesSubstitution = Doubled
@@ -423,6 +424,34 @@ def test_tampered_certificate_fails_verification():
     d3 = out.certificate.to_dict()
     d3["data"]["induced_order"] = 9
     assert not verify_witness(PGroupQuotient.from_dict(d3)).ok
+
+
+@pytest.mark.parametrize("forged", [(2, 0), (2, -1), (3, 3), (1, 3)],
+                         ids=["letter-0", "negative-letter", "rank-plus-one", "aliases-x2x1"])
+def test_a_monomial_outside_the_rank_fails_survival(tmp_path, capsys, forged):
+    # x1^2 x2^2 [x1, x2] has depth 2 mod 2 and every degree-2 coefficient 1;
+    # at rank 2 the codes of (2, 0), (2, -1) and (1, 3) are those of (1, 2),
+    # (1, 1) and (2, 1), and (3, 3) has no code of degree 2
+    cert = find_p_quotient_witness(_identity_spec(), _elem(0, "x1 x1 x2 x2 x1 x2 X1 X2", 2), 2).certificate
+    assert (cert.data["degree"], cert.data["evidence_monomial"]) == (2, [1, 1])
+    d = cert.to_dict()
+    d["data"]["evidence_monomial"] = list(forged)
+    report = verify_witness(PGroupQuotient.from_dict(d))
+    assert [name for name, passed in report.checks if not passed] == ["survival_coefficient"]
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(d))
+    assert cli.main(["verify-witness", "--certificate", str(path)]) == 1
+    capsys.readouterr()
+
+
+def test_no_term_at_the_found_depth_is_an_internal_fault():
+    series = TruncatedSeries(2, 3, 3, {0: 1, 7: 1})  # 1 + X1 X1 X1
+    for d in (2, 1):
+        with pytest.raises(InternalInvariant, match=f"no least term of degree {d}"):
+            witness._least_nonzero_evidence(series, d)
+    assert witness._least_nonzero_evidence(series, 3) == ((1, 1, 1), 1)
+    with pytest.raises(InternalInvariant):
+        witness._least_nonzero_evidence(TruncatedSeries.one(2, 3, 3), 3)
 
 
 def test_combine_witnesses_product():
@@ -603,7 +632,8 @@ def test_kernel_invariance_fails_for_a_substitution_off_embed_phi(monkeypatch):
 
         def __init__(self, phi, d, modulus, caps):
             super().__init__(phi, d, modulus, caps)
-            self.images[0] = self.images[0] + TruncatedSeries(self.rank, d, modulus, {(1, 1): 1})
+            x1x1 = encoded({(1, 1): 1}, self.rank)
+            self.images[0] = self.images[0] + TruncatedSeries(self.rank, d, modulus, x1x1)
 
     monkeypatch.setattr(witness, "SeriesSubstitution", Skewed)
     checks = dict(verify_witness(cert).checks)
