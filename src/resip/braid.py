@@ -169,12 +169,6 @@ def parse_braid(text: str, strands: int) -> BraidWord:
     return BraidWord(strands, tuple(letters))
 
 
-def format_braid(b: BraidWord) -> str:
-    if not b.letters:
-        return "1"
-    return " ".join(f"s{a}" if a > 0 else f"S{-a}" for a in b.letters)
-
-
 @lru_cache(maxsize=None)
 def _elementary_endo(strands: int, letter: int) -> FreeEndo:
     i = abs(letter)
@@ -279,8 +273,9 @@ class CoverGraph(Record):
         return tuple(edges)
 
     @cached_property
-    def _schreier_edges(self) -> tuple[tuple[int, int], ...]:
-        """The non-tree edges (v, g), in order of vertex then generator."""
+    def schreier_edges(self) -> tuple[tuple[int, int], ...]:
+        """The non-tree edges (v, g), the index set of the Schreier basis,
+        in order of vertex then generator."""
         tree = {(u, g) for u, g, _ in self._tree_edges}
         return tuple(
             (v, g)
@@ -290,25 +285,17 @@ class CoverGraph(Record):
         )
 
     @cached_property
-    def _basis(self) -> tuple[FreeWord, ...]:
+    def schreier_basis_words(self) -> tuple[FreeWord, ...]:
+        """The basis loops: tree path to v, edge g, tree path back."""
         paths: list[tuple[int, ...]] = [()] * self.modulus
         for u, g, v in self._tree_edges:
             paths[v] = paths[u] + (g,)
         words = []
-        for v, g in self._schreier_edges:
+        for v, g in self.schreier_edges:
             w = (v + self.assignments[g - 1]) % self.modulus
             letters = paths[v] + (g,) + tuple(-a for a in reversed(paths[w]))
             words.append(FreeWord.from_letters(self.rank, letters))
         return tuple(words)
-
-    def schreier_edges(self) -> list[tuple[int, int]]:
-        """Non-tree edges (v, g), the index set of the Schreier basis,
-        ordered by vertex then generator."""
-        return list(self._schreier_edges)
-
-    def schreier_basis_words(self) -> list[FreeWord]:
-        """The basis loops: tree path to v, edge g, tree path back."""
-        return list(self._basis)
 
 
 def cover_from_finite_quotient(rank: int, assignments, modulus: int) -> CoverGraph:
@@ -369,7 +356,7 @@ def _cover_matrix(cover: CoverGraph, rows: list[list[int]], c0: list[int]) -> In
     chains: list[list[int]] = [[0] * (n * m)] * m  # P[v]; every v is set below
     for u, g, v in cover._tree_edges:
         chains[v] = [x + y for x, y in zip(chains[u], _shift(rows[g - 1], unit * u, n, m))]
-    edges = cover._schreier_edges
+    edges = cover.schreier_edges
     if len(edges) != cover.subgroup_rank:
         raise InternalInvariant("Schreier basis size differs from the subgroup rank")
     positions = [v * n + g - 1 for v, g in edges]

@@ -1,9 +1,12 @@
-"""Search caps used across the library.
+"""The caps a command can be run under.
 
-All exhaustive searches are bounded; hitting a bound raises
-:class:`resip.errors.CapExceeded` rather than looping or guessing.  Callers
-may override any cap.  A search that a theorem bounds, such as the induced
-order in :mod:`resip.witness`, takes no cap.
+Each key bounds work that some command reaches, and going past it raises
+:class:`resip.errors.CapExceeded` named after the key, rather than looping
+or guessing.  Callers may override any cap, from ``--caps`` or
+``RESIP_CAPS``.  A search that a theorem bounds, such as the induced order
+in :mod:`resip.witness`, takes no cap.  The p-group laboratory, which no
+command reaches, bounds its closures by module constants of
+:mod:`resip.pgrouplab` instead.
 """
 
 from __future__ import annotations
@@ -19,9 +22,7 @@ class Caps(Record):
     __slots__ = (
         "magnus_degree",
         "max_rank",
-        "group_order",
         "sieve_bound",
-        "subgroup_count",
         "genus",
         "cover_rank",
     )
@@ -31,14 +32,11 @@ class Caps(Record):
         magnus_degree: int = 8,         # truncation degree d for Magnus searches
         max_rank: int = 6,              # free-group rank of a Magnus embedding
                                         # (witness search and verification)
-        group_order: int = 10 ** 5,     # finite p-group closure size
         sieve_bound: int = 10 ** 5,     # largest primes_up_to of a task
-        subgroup_count: int = 10_000,   # subgroups in a p-group lattice
         genus: int = 500,               # genus of a circle-bundle task
         cover_rank: int = 101,          # rank m(n - 1) + 1 of a braid-cover task
     ):
-        values = (magnus_degree, max_rank, group_order, sieve_bound, subgroup_count,
-                  genus, cover_rank)
+        values = (magnus_degree, max_rank, sieve_bound, genus, cover_rank)
         for name, value in zip(self.__slots__, values):
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"cap {name} must be an integer >= 1, got {value!r}")

@@ -204,9 +204,6 @@ class PrimeSet(Record):
             return PrimeSet(True, (), 0)
         return PrimeSet(False, prime_factors(g), g)
 
-    def contains(self, p: int) -> bool:
-        return self.all_primes or p in self.primes
-
     def to_dict(self) -> dict:
         return {
             "all_primes": self.all_primes,
@@ -314,13 +311,6 @@ class ObstructionResult(Record):
         object.__setattr__(self, "exists", exists)
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "examined", examined)
-
-    def to_dict(self) -> dict:
-        return {
-            "exists": self.exists,
-            "witness": self.witness,
-            "examined": self.examined,
-        }
 
 
 def p_power_order_quotient_exists(m: ModMatrix, p: int) -> ObstructionResult:

@@ -680,8 +680,9 @@ def _single_task(args) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # allow the documented flag style "resip --tasks FILE ..." as shorthand
-    if argv and argv[0].startswith("--"):
+    # allow the documented flag style "resip --tasks FILE ..." as shorthand;
+    # --help, like -h, lists the subcommands
+    if argv and argv[0].startswith("--") and argv[0] != "--help":
         argv = ["run"] + argv
     parser = _build_parser()
     args = parser.parse_args(argv)

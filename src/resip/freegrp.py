@@ -87,10 +87,12 @@ class FreeWord(Record):
         return len(self.letters)
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
-        return word_multiply(self, other)
+        if self.rank != other.rank:
+            raise InvalidSpec(f"ranks {self.rank} and {other.rank}")
+        return FreeWord._trusted(self.rank, _reduce(self.letters + other.letters))
 
     def inverse(self) -> "FreeWord":
-        return word_inverse(self)
+        return FreeWord._trusted(self.rank, tuple(-a for a in reversed(self.letters)))
 
     def exponent_sums(self) -> list[int]:
         sums = [0] * self.rank
@@ -99,26 +101,14 @@ class FreeWord(Record):
         return sums
 
 
-def word_multiply(u: FreeWord, v: FreeWord) -> FreeWord:
-    if u.rank != v.rank:
-        raise InvalidSpec(f"ranks {u.rank} and {v.rank}")
-    return FreeWord._trusted(u.rank, _reduce(u.letters + v.letters))
-
-
-def word_inverse(u: FreeWord) -> FreeWord:
-    return FreeWord._trusted(u.rank, tuple(-a for a in reversed(u.letters)))
-
-
 def conjugate(u: FreeWord, by: FreeWord) -> FreeWord:
     """by * u * by^-1"""
-    return word_multiply(word_multiply(by, u), word_inverse(by))
+    return by * u * by.inverse()
 
 
 def commutator(u: FreeWord, v: FreeWord) -> FreeWord:
     """[u, v] = u v u^-1 v^-1"""
-    return word_multiply(
-        word_multiply(u, v), word_multiply(word_inverse(u), word_inverse(v))
-    )
+    return u * v * u.inverse() * v.inverse()
 
 
 # token -> signed letter; see "Reading words" above
@@ -374,7 +364,7 @@ def inner_automorphism(u: FreeWord) -> FreeEndo:
     """Conjugation w -> u w u^-1, with its obvious inverse."""
     gens = [FreeWord.generator(u.rank, i) for i in range(1, u.rank + 1)]
     images = tuple(conjugate(g, u) for g in gens)
-    return FreeEndo(u.rank, images, tuple(conjugate(g, word_inverse(u)) for g in gens))
+    return FreeEndo(u.rank, images, tuple(conjugate(g, u.inverse()) for g in gens))
 
 
 def nielsen_transvection(rank: int, i: int, j: int) -> FreeEndo:
@@ -392,13 +382,12 @@ class MappingTorusSpec(Record):
     """A mapping torus of a free group: fiber F_n, monodromy a certified
     automorphism, stable letter t acting by the monodromy."""
 
-    __slots__ = ("fiber", "description")
+    __slots__ = ("fiber",)
 
-    def __init__(self, fiber: FreeEndo, description: str = ""):
+    def __init__(self, fiber: FreeEndo):
         if not fiber.is_certified:
             raise InvalidSpec("mapping torus monodromy must carry a certified inverse")
         object.__setattr__(self, "fiber", fiber)
-        object.__setattr__(self, "description", description)
 
     @property
     def rank(self) -> int:

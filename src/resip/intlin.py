@@ -113,7 +113,13 @@ class IntMatrix(Record):
     def __pow__(self, k: int) -> "IntMatrix":
         if k < 0:
             raise InvalidSpec("negative powers of IntMatrix are not defined")
-        return _square_and_multiply(self, k, IntMatrix.identity(self.n))
+        result, base = IntMatrix.identity(self.n), self  # binary powering
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base if k > 1 else base
+            k >>= 1
+        return result
 
     def minus_identity(self) -> "IntMatrix":
         return IntMatrix._trusted(
@@ -185,22 +191,6 @@ class ModMatrix(Record):
                 for row in self.entries
             ),
         )
-
-    def __pow__(self, k: int) -> "ModMatrix":
-        if k < 0:
-            raise InvalidSpec("negative powers not supported, invert explicitly")
-        return _square_and_multiply(self, k, ModMatrix.identity(self.n, self.modulus))
-
-
-def _square_and_multiply(base, k: int, one):
-    """base^k for k >= 0 by binary powering, with ``one`` the identity."""
-    result = one
-    while k:
-        if k & 1:
-            result = result * base
-        base = base * base if k > 1 else base
-        k >>= 1
-    return result
 
 
 def _check_modulus(modulus: int) -> None:

@@ -7,6 +7,30 @@ dimension subgroups, which are fully invariant and of p-power index.  These
 kernels, not the lower p-central series, are the quotient family used by
 the witness engine.
 
+Lower-central layers, decided on H_1.  Theorem: let phi be an
+automorphism of F_n with M = abelianization_matrix(phi), and let K = F_p
+or Q.  For every c >= 1, phi acts unipotently on each layer
+gamma_i/gamma_(i+1) tensor K with i <= c iff M is unipotent over K.  So
+unipotence mod p on every layer is ``is_unipotent_mod(M, p)``, and over Z
+(hence Q) it is charpoly(M) == (x - 1)^n (``charpoly_exact`` against
+``poly_pow_x_minus_one``), at any depth and under no cap; no layer basis
+is built.  Proof:
+* g -> (degree-i part of magnus_embed(g)) maps layer i isomorphically
+  onto Lie_i, the degree-i Lie polynomials in T_i = (Z^n)^(tensor i).
+  The Lyndon polynomials P_w = w + lex-greater monomials are a basis of
+  Lie_i, so with the non-Lyndon monomials they form a unitriangular basis
+  of T_i: Lie_i is a direct summand, and Lie_i tensor K embeds in
+  T_i tensor K.
+* phi substitutes X_j -> magnus_embed(phi(x_j)) - 1, whose degree-1 part
+  is sum_k M_kj X_k, and g in gamma_i has magnus_embed(g) = 1 + (its Lie
+  element) + higher degree.  So phi acts on layer i tensor K as
+  M^(tensor i) restricted to Lie_i tensor K.
+* If M = I + N with N nilpotent, M^(tensor i) is the product of the i
+  commuting unipotent maps I x .. x M x .. x I, hence unipotent, and so
+  is its restriction to an invariant subspace.
+* Layer 1 is H_1, acted on by M.  So all layers i <= c are unipotent iff
+  M is.
+
 Monomial codes.  Every table is keyed by the integer code of each
 monomial, its bijective base-r numeral (r the rank): code(()) = 0 and
 code(m X_i) = r code(m) + i.  ``monomial_code`` and ``monomial_of``
@@ -46,8 +70,7 @@ from __future__ import annotations
 
 from .caps import Caps, DEFAULT_CAPS
 from .errors import CapExceeded, InvalidSpec
-from .freegrp import FreeEndo, FreeWord, abelianization_matrix
-from .intlin import charpoly_exact, is_unipotent_mod, poly_pow_x_minus_one
+from .freegrp import FreeEndo, FreeWord
 
 Monomial = tuple[int, ...]  # sequence of generator indices, () = constant term
 
@@ -139,9 +162,6 @@ class TruncatedSeries:
         """1 + X_i"""
         return TruncatedSeries(rank, degree, modulus, {0: 1, i: 1})
 
-    def _red(self, c: int) -> int:
-        return c % self.modulus if self.modulus is not None else c
-
     def _compatible(self, other: "TruncatedSeries") -> None:
         if (self.rank, self.degree, self.modulus) != (
             other.rank,
@@ -169,22 +189,15 @@ class TruncatedSeries:
     def _plus(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
         """self + sign * other, in one pass over other's terms."""
         self._compatible(other)
-        table = dict(self.table)
+        table, mod = dict(self.table), self.modulus
         for m, c in other.table.items():
-            v = self._red(table.get(m, 0) + sign * c)
+            v = table.get(m, 0) + sign * c
+            if mod is not None:
+                v %= mod
             if v:
                 table[m] = v
             else:
                 table.pop(m, None)
-        return TruncatedSeries(self.rank, self.degree, self.modulus, table)
-
-    def scale(self, k: int) -> "TruncatedSeries":
-        k = self._red(k)
-        table = {}
-        for m, c in self.table.items():
-            v = self._red(c * k)
-            if v:
-                table[m] = v
         return TruncatedSeries(self.rank, self.degree, self.modulus, table)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -348,60 +361,7 @@ def _depth_and_embedding(
         series = magnus_embed(w, d, p, caps)
         if not series.is_one():
             return d, series
-    raise CapExceeded("magnus_depth", caps.magnus_degree)
-
-
-# ---------------------------------------------------------------------------
-# Lower-central layers, decided on H_1
-
-
-def unipotent_on_layers(phi: FreeEndo, p: int, c: int) -> bool:
-    """Is the induced action unipotent mod p on every layer i <= c?
-
-    For c >= 1 this holds iff M = abelianization_matrix(phi) is unipotent
-    mod p; c <= 0 names no layer and is True.  Proof, over K = F_p (or Q,
-    for ``unipotent_over_Z``):
-
-    * g -> (degree-i part of magnus_embed(g)) maps layer i,
-      gamma_i/gamma_(i+1), isomorphically onto Lie_i, the degree-i Lie
-      polynomials in T_i = (Z^n)^(tensor i).  The Lyndon polynomials
-      P_w = w + lex-greater monomials are a basis of Lie_i, so with the
-      non-Lyndon monomials they form a unitriangular basis of T_i: Lie_i
-      is a direct summand, and Lie_i tensor K embeds in T_i tensor K.
-    * phi substitutes X_j -> magnus_embed(phi(x_j)) - 1, whose degree-1
-      part is sum_k M_kj X_k, and g in gamma_i has magnus_embed(g) =
-      1 + (its Lie element) + higher degree.  So phi acts on layer i
-      tensor K as M^(tensor i) restricted to Lie_i tensor K.
-    * If M = I + N with N nilpotent, M^(tensor i) is the product of the i
-      commuting unipotent maps I x .. x M x .. x I, hence unipotent, and
-      so is its restriction to an invariant subspace.
-    * Layer 1 is H_1, acted on by M.  So all layers i <= c are unipotent
-      iff M is.
-
-    A monodromy without a certified inverse, or a non-prime p, raises
-    InvalidSpec.
-    """
-    if c < 1:
-        return True
-    if not phi.is_certified:
-        raise InvalidSpec("layer actions need a certified automorphism")
-    return bool(is_unipotent_mod(abelianization_matrix(phi), p))
-
-
-def unipotent_over_Z(phi: FreeEndo, c: int) -> bool:
-    """Is the induced action unipotent over Z (hence Q) on layers i <= c?
-
-    A layer matrix is unipotent over Q iff its charpoly is (x-1)^dim.  By
-    the theorem of ``unipotent_on_layers`` over K = Q, every layer i <= c
-    is unipotent iff layer 1 is, so for c >= 1 the answer is
-    charpoly(M) == (x-1)^n with M = abelianization_matrix(phi), n the
-    rank; c <= 0 is True.
-    """
-    if c < 1:
-        return True
-    if not phi.is_certified:
-        raise InvalidSpec("layer actions need a certified automorphism")
-    return charpoly_exact(abelianization_matrix(phi)) == poly_pow_x_minus_one(phi.rank)
+    raise CapExceeded("magnus_degree", caps.magnus_degree)
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,12 @@ on element indices, with no matrix product:
 
 Matrices appear only at the public boundary: methods take group elements
 and return matrices and frozensets of matrices, in the same order as a
-matrix-level computation would.  The searches are bounded by the ``Caps``
-the group is built with: ``group_order`` and ``subgroup_count``.
+matrix-level computation would.  The searches are bounded by two module
+constants, read when a search runs: ``GROUP_ORDER`` elements in a closure
+and ``SUBGROUP_COUNT`` subgroups in a lattice; going past one raises
+``CapExceeded`` with the constant's name in lower case.  No command
+reaches this module, so they are no ``Caps`` keys.
+
 ``frattini_data`` and ``minimal_generating_size`` need no lattice: Phi(P)
 is one normal closure, and by the Burnside basis theorem d(P) is the rank
 of P/Phi(P).
@@ -45,11 +49,13 @@ from __future__ import annotations
 from collections.abc import Iterable
 from operator import mul
 
-from .caps import Caps, DEFAULT_CAPS
 from .errors import CapExceeded, InternalInvariant, InvalidSpec
 from .intlin import IntMatrix, det_exact, p_power_exponent, prime_factors
 
 Element = tuple[tuple[int, ...], ...]  # matrix mod modulus
+
+GROUP_ORDER = 10 ** 5  # elements in a group's closure
+SUBGROUP_COUNT = 10_000  # subgroups in a lattice
 
 
 def _row_times(row: tuple[int, ...], cols, mod: int) -> tuple[int, ...]:
@@ -110,9 +116,7 @@ def _bits(mask: int) -> list[int]:
 class FinitePGroup:
     """Explicitly closed group of matrices over Z/p^k."""
 
-    def __init__(
-        self, modulus: int, generators: list[Element], caps: Caps = DEFAULT_CAPS
-    ):
+    def __init__(self, modulus: int, generators: list[Element]):
         self.p = _prime_base(modulus)
         self.dim = len(generators[0]) if generators else 1
         for g in generators:
@@ -123,13 +127,12 @@ class FinitePGroup:
             if det_exact(IntMatrix.from_rows(g)) % self.p == 0:
                 raise InvalidSpec("generator not invertible mod the modulus")
         self.modulus = modulus
-        self.caps = caps
         self.generators = tuple(generators)
         ident = _identity(self.dim)
         elements = [ident]
         index = {ident: 0}
         parent, via = [0], [0]
-        cap = caps.group_order
+        cap = GROUP_ORDER
         actions = [_RowAction(s, modulus).__getitem__ for s in self.generators]
         right: list[list[int]] = [[] for _ in self.generators]
         for i, g in enumerate(elements):  # breadth-first: the list is the queue
@@ -297,8 +300,8 @@ class FinitePGroup:
 
     def _subgroup_lattice(self) -> list[tuple[int, tuple[int, ...]]]:
         """(bitmask, generators) of every subgroup, sorted by order and then
-        by the sorted list of member matrices; at most caps.subgroup_count
-        of them.
+        by the sorted list of member matrices; at most SUBGROUP_COUNT of
+        them.
 
         The search steps up by index p, breadth-first from the trivial
         subgroup.  For a subgroup H found with generators S it takes one
@@ -323,7 +326,7 @@ class FinitePGroup:
         Rows of the Cayley table are built only for the candidates tested
         and for the recorded generators."""
         if self._lattice is None:
-            cap = self.caps.subgroup_count
+            cap = SUBGROUP_COUNT
             p = self.p
             everything = (1 << self.order) - 1
             found: dict[int, tuple[int, ...]] = {1: ()}  # bitmask -> generators
@@ -391,30 +394,28 @@ class FinitePGroup:
         return any(self._order_mod(g, 1) == order for g in _bits(mask))
 
 
-def generate_group(
-    generators: list[Element], modulus: int, caps: Caps = DEFAULT_CAPS
-) -> FinitePGroup:
-    return FinitePGroup(modulus, generators, caps)
+def generate_group(generators: list[Element], modulus: int) -> FinitePGroup:
+    return FinitePGroup(modulus, generators)
 
 
-def ut3_group(p: int, caps: Caps = DEFAULT_CAPS) -> FinitePGroup:
+def ut3_group(p: int) -> FinitePGroup:
     """Upper unitriangular 3x3 matrices over F_p, order p^3."""
     e12 = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
     e23 = ((1, 0, 0), (0, 1, 1), (0, 0, 1))
-    return generate_group([e12, e23], p, caps)
+    return generate_group([e12, e23], p)
 
 
-def cyclic_group_p2(p: int, caps: Caps = DEFAULT_CAPS) -> FinitePGroup:
+def cyclic_group_p2(p: int) -> FinitePGroup:
     """Cyclic of order p^2, as the unipotent 2x2 matrix [[1,1],[0,1]] mod p^2."""
     gen = ((1, 1), (0, 1))
-    return generate_group([gen], p * p, caps)
+    return generate_group([gen], p * p)
 
 
-def elementary_abelian_p2(p: int, caps: Caps = DEFAULT_CAPS) -> FinitePGroup:
+def elementary_abelian_p2(p: int) -> FinitePGroup:
     """(Z/p)^2 realized by the commuting elementary matrices I+E12, I+E13."""
     a = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
     b = ((1, 0, 1), (0, 1, 0), (0, 0, 1))
-    return generate_group([a, b], p, caps)
+    return generate_group([a, b], p)
 
 
 def _frattini(group: FinitePGroup) -> int:

@@ -492,7 +492,7 @@ def verify_witness(cert: PGroupQuotient, caps: Caps = DEFAULT_CAPS) -> CheckRepo
     w = parse_word(cert.survivor_word, cert.rank)
     checks.append(("element_in_fiber", cert.survivor_t == 0 and not w.is_identity()))
     if d > caps.magnus_degree:  # beyond any depth the search could find
-        raise CapExceeded("magnus_depth", caps.magnus_degree)
+        raise CapExceeded("magnus_degree", caps.magnus_degree)
     series = magnus_embed(w, d, p, caps)
     # the depth is d iff the least degree of a nonconstant term is d
     # (module docstring), the degree of the least nonzero code

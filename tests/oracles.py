@@ -44,7 +44,6 @@ from resip.freegrp import (
     conjugate,
     endo_power,
     nielsen_transvection,
-    word_multiply,
 )
 from resip.intlin import (
     IntMatrix,
@@ -146,7 +145,7 @@ def depth_minimal_by_ladder(w: FreeWord, d: int, p: int, caps=DEFAULT_CAPS) -> b
     for k in range(1, caps.magnus_degree + 1):
         if not magnus_embed(w, k, p, caps).is_one():
             return k == d
-    raise CapExceeded("magnus_depth", caps.magnus_degree)
+    raise CapExceeded("magnus_degree", caps.magnus_degree)
 
 
 _WORD_TOKEN = re.compile(r"([xX])([0-9]+)")  # ASCII digits only: \d takes any Unicode digit
@@ -252,6 +251,16 @@ def unipotence_by_powers(m: IntMatrix, p: int) -> UnipotenceResult:
     return UnipotenceResult(False, None)
 
 
+def mod_matrix_power(m: ModMatrix, k: int) -> ModMatrix:
+    """m^k for k >= 0, by binary powering on ModMatrix products."""
+    power = ModMatrix.identity(m.n, m.modulus)
+    while k:
+        if k & 1:
+            power = power * m
+        m, k = m * m, k >> 1
+    return power
+
+
 def unipotent_order_by_iteration(q: IntMatrix, p: int) -> int:
     """Order of a unipotent matrix mod p, by taking p-th powers until the
     identity comes up: the least p^s with q^(p^s) = I."""
@@ -259,7 +268,7 @@ def unipotent_order_by_iteration(q: IntMatrix, p: int) -> int:
     ident = ModMatrix.identity(q.n, p)
     order = 1
     while power != ident:
-        power = power ** p
+        power = mod_matrix_power(power, p)
         order *= p
     return order
 
@@ -322,10 +331,7 @@ def kernel_samples(rank: int, d: int, seed: int, count: int = 20) -> list[FreeWo
         w = FreeWord.generator(rank, letters[-1])
         for a in letters[-2::-1]:
             x = FreeWord.generator(rank, a)
-            w = word_multiply(
-                word_multiply(x, w),
-                word_multiply(x.inverse(), w.inverse()),
-            )
+            w = commutator(x, w)
         conj_letters = [
             rng.choice([1, -1]) * rng.randint(1, rank) for _ in range(rng.randint(0, 3))
         ]
@@ -583,7 +589,7 @@ def trace_loop(cover, w: FreeWord) -> tuple[int, ...]:
     basis (signed 1-based indices).  InvalidSpec if w does not close up."""
     if w.rank != cover.rank:
         raise InvalidSpec("word rank differs from cover rank")
-    index = {edge: i for i, edge in enumerate(cover.schreier_edges(), start=1)}
+    index = {edge: i for i, edge in enumerate(cover.schreier_edges, start=1)}
     out: list[int] = []
     v = 0
     for a in w.letters:
@@ -606,14 +612,14 @@ def trace_loop(cover, w: FreeWord) -> tuple[int, ...]:
 
 def endo_preserves_cover_by_rewriting(phi: FreeEndo, cover) -> bool:
     """Does every Schreier basis loop's image die under chi?"""
-    return all(cover.chi(apply_endo(phi, s)) == 0 for s in cover.schreier_basis_words())
+    return all(cover.chi(apply_endo(phi, s)) == 0 for s in cover.schreier_basis_words)
 
 
 def induced_cover_homology_by_rewriting(phi: FreeEndo, cover) -> IntMatrix:
     """phi on H_1 of the cover: apply phi to each Schreier basis loop,
     rewrite the image in the basis by trace_loop and abelianize it; the
     image of loop j is column j."""
-    images = [apply_endo(phi, s) for s in cover.schreier_basis_words()]
+    images = [apply_endo(phi, s) for s in cover.schreier_basis_words]
     if any(cover.chi(w) != 0 for w in images):
         raise InvalidSpec("endomorphism does not preserve the cover subgroup")
     r = cover.subgroup_rank
@@ -753,8 +759,9 @@ def bs_classify_by_matrix(q: int) -> BSReport:
 
 # ---------------------------------------------------------------------------
 # Lower-central layers through Lyndon words.  The library decides
-# unipotence on every layer from H_1 by a theorem (unipotent_on_layers);
-# these build each layer matrix.
+# unipotence on every layer from H_1 by a theorem (the magnus module
+# docstring): is_unipotent_mod of the H_1 action; these build each layer
+# matrix.
 
 
 @lru_cache(maxsize=None)

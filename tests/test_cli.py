@@ -297,6 +297,21 @@ def test_flag_shorthand_maps_to_run(tmp_path, capsys):
     assert "ms" in out  # text format keeps timings; json never does
 
 
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_the_subcommands(flag, capsys):
+    # --help starts with "--" but is not run's shorthand: it prints the
+    # top-level usage, as -h does
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: resip [-h]")
+    for command in ("run", "torus", "primes", "bs", "fibered", "braid-cover", "witness",
+                    "extension", "sl2-power", "verify-witness"):
+        assert command in out
+    assert "--tasks" not in out
+
+
 def test_single_task_subcommands(capsys):
     assert main(["primes", "--matrix", "13 8; 8 5"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -446,7 +461,7 @@ def test_caps_below_one_exit_2_before_any_search(monkeypatch, capsys):
     from_env = capsys.readouterr()
     assert from_flag.out == from_env.out == ""
     assert "cap magnus_degree must be an integer >= 1, got -3" in from_env.err
-    bad = ({"max_rank": 0}, {"group_order": -1}, {"group_order": True}, {"magnus_degree": 2.0})
+    bad = ({"max_rank": 0}, {"sieve_bound": -1}, {"genus": True}, {"magnus_degree": 2.0})
     for values in bad:
         with pytest.raises(ValueError, match="must be an integer >= 1"):
             DEFAULT_CAPS.with_overrides(**values)
@@ -476,7 +491,7 @@ def test_verify_witness_depth_beyond_the_cap_exits_3(tmp_path, capsys):
     cert.write_text(json.dumps(_entry(capsys)["result"]["certificate"]))
     args = ["verify-witness", "--certificate", str(cert)]
     assert main(args + ["--caps", "magnus_degree=1"]) == 3
-    assert capsys.readouterr().err == "cap exceeded: magnus_depth: cap 1 exceeded\n"
+    assert capsys.readouterr().err == "cap exceeded: magnus_degree: cap 1 exceeded\n"
 
 
 def test_primes_up_to_beyond_the_sieve_cap_exits_3_without_sieving(tmp_path, capsys, monkeypatch):
@@ -945,6 +960,48 @@ def test_removed_subspace_caps_are_unknown(monkeypatch, capsys):
     assert "unknown caps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cap", ["group_order=1", "subgroup_count=1", "magnus_depth=9"])
+def test_caps_no_command_reads_are_unknown(cap, monkeypatch, capsys):
+    # the p-group lab's bounds are pgrouplab constants, and the Magnus depth
+    # ladder is bounded by magnus_degree
+    key = cap.partition("=")[0]
+    assert main(["bs", "--q", "6", "--caps", cap]) == 2
+    assert capsys.readouterr().err == (
+        f"schema error at $: unknown caps: ['{key}'] (--caps or RESIP_CAPS)\n"
+    )
+    monkeypatch.setenv("RESIP_CAPS", cap)
+    assert main(["bs", "--q", "6"]) == 2
+    assert f"unknown caps: ['{key}']" in capsys.readouterr().err
+
+
+# For each Caps key: a command, the override that it goes past, and the
+# override one step higher, under which it answers.
+_CAP_CASES = {
+    "magnus_degree": (
+        ["witness", "--images", "x1;x2", "--inverse", "x1;x2", "--p", "3", "--w", "x1 x1 x1"],
+        "magnus_degree=2", "magnus_degree=3"),
+    "max_rank": (BETA_WITNESS, "max_rank=2", "max_rank=3"),
+    "sieve_bound": (
+        ["torus", "--matrix", "2 1; 1 1", "--primes-up-to", "101"], "sieve_bound=100", "sieve_bound=101"),
+    "genus": (
+        ["extension", "--check", "circle-bundle", "--genus", "3", "--euler", "1"], "genus=2", "genus=3"),
+    "cover_rank": (  # rank m(n - 1) + 1 = 5
+        ["braid-cover", "--strands", "3", "--braid", "s1 S2", "--modulus", "2",
+         "--assignments", "1,1,1"], "cover_rank=4", "cover_rank=5"),
+}
+
+
+@pytest.mark.parametrize("key", Caps._fields)
+def test_each_cap_key_names_the_cap_it_raises(key, capsys):
+    argv, past, raised = _CAP_CASES[key]  # a new key needs a case
+    assert main(argv + ["--caps", past]) == 3
+    entry = _entry(capsys)
+    assert entry["status"] == "cap" and entry["error"]["type"] == "CapExceeded"
+    assert entry["error"]["message"].startswith(f"{key}: cap ")
+    assert main(argv + ["--caps", raised]) == 0
+    assert _entry(capsys)["status"] == "ok"
+
+
 def _exit_code(argv) -> int:
     try:
         return main(argv)
@@ -972,8 +1029,7 @@ def test_removed_witness_knobs_exit_2(tmp_path, capsys):
         assert main(BETA_WITNESS + ["--caps", cap]) == 2
         assert "unknown caps" in capsys.readouterr().err
     assert set(DEFAULT_CAPS._fields) == {
-        "magnus_degree", "max_rank", "group_order", "sieve_bound",
-        "subgroup_count", "genus", "cover_rank",
+        "magnus_degree", "max_rank", "sieve_bound", "genus", "cover_rank",
     }
     assert "exploratory" not in TASK_FIELDS
     task = {

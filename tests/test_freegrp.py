@@ -30,8 +30,6 @@ from resip.freegrp import (
     nielsen_transvection,
     parse_endo,
     parse_word,
-    word_inverse,
-    word_multiply,
 )
 from resip.freegrp import image_table, substitute
 
@@ -194,11 +192,9 @@ def test_word_group_axioms_random():
         u = _random_word(rng, 3, rng.randint(0, 12))
         v = _random_word(rng, 3, rng.randint(0, 12))
         w = _random_word(rng, 3, rng.randint(0, 12))
-        assert word_multiply(word_multiply(u, v), w) == word_multiply(
-            u, word_multiply(v, w)
-        )
-        assert word_multiply(u, word_inverse(u)).is_identity()
-        assert word_inverse(word_inverse(u)) == u
+        assert (u * v) * w == u * (v * w)
+        assert (u * u.inverse()).is_identity()
+        assert u.inverse().inverse() == u
 
 
 def test_conjugate_and_commutator_shapes():
@@ -211,7 +207,7 @@ def test_conjugate_and_commutator_shapes():
 
 def test_rank_mismatch_rejected():
     with pytest.raises(InvalidSpec, match="ranks 2 and 3"):
-        word_multiply(FreeWord.generator(2, 1), FreeWord.generator(3, 1))
+        FreeWord.generator(2, 1) * FreeWord.generator(3, 1)
 
 
 def test_endo_inverse_certificate_is_verified():
@@ -324,7 +320,7 @@ def test_long_conjugations_check_as_the_two_sided_oracle():
         u = _random_word(rng, rank, rng.randint(100, 400))
         gens = [FreeWord.generator(rank, i) for i in range(1, rank + 1)]
         images = [conjugate(g, u).letters for g in gens]
-        inverse = [conjugate(g, word_inverse(u)).letters for g in gens]
+        inverse = [conjugate(g, u.inverse()).letters for g in gens]
         for imgs, inv in ((images, inverse), (images, _change_one_letter(rng, rank, inverse))):
             expected = inverse_holds_both_ways(imgs, inv)
             try:
@@ -351,7 +347,7 @@ def test_conjugation_by_a_long_word_reads_in_time_linear_in_its_length():
     assert len(u) > 6000
     gens = [FreeWord.generator(3, i) for i in (1, 2, 3)]
     images = [format_word(conjugate(g, u)) for g in gens]
-    inverse = [format_word(conjugate(g, word_inverse(u))) for g in gens]
+    inverse = [format_word(conjugate(g, u.inverse())) for g in gens]
     start = time.perf_counter()
     phi = parse_endo(3, images, inverse)
     assert time.perf_counter() - start < 5.0
@@ -366,10 +362,8 @@ def test_endo_application_is_homomorphic():
     for _ in range(50):
         u = _random_word(rng, 3, rng.randint(0, 10))
         v = _random_word(rng, 3, rng.randint(0, 10))
-        assert apply_endo(phi, word_multiply(u, v)) == word_multiply(
-            apply_endo(phi, u), apply_endo(phi, v)
-        )
-        assert apply_endo(phi, word_inverse(u)) == word_inverse(apply_endo(phi, u))
+        assert apply_endo(phi, u * v) == apply_endo(phi, u) * apply_endo(phi, v)
+        assert apply_endo(phi, u.inverse()) == apply_endo(phi, u).inverse()
 
 
 def test_composition_convention_rho_first():
@@ -496,7 +490,7 @@ def test_derived_words_skip_checks_but_public_input_is_still_checked():
     phi = nielsen_transvection(3, 1, 2)
     for _ in range(50):
         u, v = _random_word(rng, 3, 8), _random_word(rng, 3, 8)
-        for w in (word_multiply(u, v), word_inverse(u), apply_endo(phi, u)):
+        for w in (u * v, u.inverse(), apply_endo(phi, u)):
             # a derived word equals the checked construction of its letters
             assert w == FreeWord(w.rank, w.letters)
             assert hash(w) == hash(FreeWord(w.rank, w.letters))

@@ -30,7 +30,6 @@ from resip.freegrp import (
     inner_automorphism,
     nielsen_transvection,
     parse_word,
-    word_multiply,
 )
 from resip.intlin import charpoly_exact, det_exact, is_unipotent_mod, poly_pow_x_minus_one
 from resip.magnus import (
@@ -41,8 +40,6 @@ from resip.magnus import (
     magnus_embed,
     monomial_code,
     monomial_of,
-    unipotent_on_layers,
-    unipotent_over_Z,
 )
 
 
@@ -116,7 +113,7 @@ def _oracle_words(rng, rank):
         FreeWord.identity(rank),
         _random_word(rng, rank, rng.randint(1, 12)),
         _random_word(rng, rank, 60),
-        word_multiply(word_multiply(u, v), u.inverse()),
+        u * v * u.inverse(),
         commutator(u, v),
         commutator(commutator(u, v), x),
         FreeWord.from_letters(rank, list(u.letters) * rng.choice((2, 3, 5, 9))),
@@ -314,7 +311,7 @@ def test_embed_multiplicative_random_pairs():
         mod = rng.choice([None, 2, 3, 5])
         u = _random_word(rng, rank, rng.randint(0, 8))
         v = _random_word(rng, rank, rng.randint(0, 8))
-        lhs = magnus_embed(word_multiply(u, v), d, mod)
+        lhs = magnus_embed(u * v, d, mod)
         rhs = magnus_embed(u, d, mod) * magnus_embed(v, d, mod)
         assert lhs == rhs
 
@@ -448,54 +445,63 @@ def test_layer_functoriality():
 
 
 def test_unipotence_on_layers_beta():
+    # by the theorem of the magnus module docstring, the H_1 action
+    # decides every layer: unipotent mod 3, not mod 2
     beta = artin_endo(beta_braid())
-    assert unipotent_on_layers(beta, 3, 3)
-    assert not unipotent_on_layers(beta, 2, 1)
+    m = abelianization_matrix(beta)
+    assert is_unipotent_mod(m, 3)
+    assert all(is_unipotent_mod(lie_layer_matrix(beta, i, 3), 3) for i in (1, 2, 3))
+    assert not is_unipotent_mod(m, 2)
+    assert not is_unipotent_mod(lie_layer_matrix(beta, 1, 2), 2)
 
 
 def test_unipotent_over_Z_fixtures():
-    assert unipotent_over_Z(FreeEndo.identity(2), 3)
-    assert unipotent_over_Z(nielsen_transvection(2, 1, 2), 4)
-    assert not unipotent_over_Z(artin_endo(beta_braid()), 1)
+    # unipotent over Z on every layer iff charpoly(M) = (x - 1)^n
+    cases = (
+        (FreeEndo.identity(2), True),
+        (nielsen_transvection(2, 1, 2), True),
+        (artin_endo(beta_braid()), False),
+    )
+    for phi, expected in cases:
+        m = abelianization_matrix(phi)
+        assert (charpoly_exact(m) == poly_pow_x_minus_one(phi.rank)) == expected
+        layers = (lie_layer_matrix(phi, i) for i in (1, 2, 3))
+        assert all(charpoly_exact(a) == poly_pow_x_minus_one(a.n) for a in layers) == expected
 
 
 def test_layers_by_theorem_match_the_lyndon_oracle():
-    """Unipotence on layers 1..c, read off H_1, against the layer matrices
-    the oracle builds in the Lyndon basis.  The oracle stops at the first
-    layer that is not unipotent, so the unipotent cases carry the check."""
+    """Unipotence on layers 1..c, read off H_1 as the magnus module
+    docstring proves, against the layer matrices the oracle builds in the
+    Lyndon basis.  The oracle stops at the first layer that is not
+    unipotent, so the unipotent cases carry the check."""
     rng = random.Random(1601)
     unipotent = 0
     for trial in range(180):
         rank, top = ((2, 4), (3, 3))[trial % 2]
         phi = random_certified_automorphism(rng, rank)
+        m = abelianization_matrix(phi)
         for p in (2, 3, 5):
             expected = all(
                 is_unipotent_mod(lie_layer_matrix(phi, i, p), p) for i in range(1, top + 1)
             )
-            assert unipotent_on_layers(phi, p, top) == expected
+            assert bool(is_unipotent_mod(m, p)) == expected
             unipotent += expected
         layers = (lie_layer_matrix(phi, i) for i in range(1, 4))
-        expected = all(charpoly_exact(m) == poly_pow_x_minus_one(m.n) for m in layers)
-        assert unipotent_over_Z(phi, 3) == expected
+        expected = all(charpoly_exact(a) == poly_pow_x_minus_one(a.n) for a in layers)
+        assert (charpoly_exact(m) == poly_pow_x_minus_one(rank)) == expected
     assert unipotent >= 100
 
 
 def test_layers_by_theorem_edge_cases():
-    beta = artin_endo(beta_braid())
-    assert unipotent_on_layers(beta, 2, 0) and unipotent_over_Z(beta, 0)
-    # rank 7 and layer 12 are past every cap, and no cap applies
+    # rank 7 and layer 12 are past every cap, and the theorem needs none:
+    # the H_1 action decides every layer
     x = [FreeWord.generator(7, i) for i in range(1, 8)]
-    rotate = FreeEndo(7, tuple(x[1:] + x[:1]), tuple(x[-1:] + x[:-1]))
-    assert unipotent_on_layers(rotate, 7, 12)  # x^7 - 1 = (x - 1)^7 mod 7
-    assert not unipotent_on_layers(rotate, 2, 12)
-    assert not unipotent_over_Z(rotate, 12)
-    uncertified = FreeEndo(2, (parse_word("x1 x2", 2), parse_word("x2", 2)))
-    with pytest.raises(InvalidSpec, match="certified"):
-        unipotent_on_layers(uncertified, 3, 1)
-    with pytest.raises(InvalidSpec, match="certified"):
-        unipotent_over_Z(uncertified, 1)
+    rotate = abelianization_matrix(FreeEndo(7, tuple(x[1:] + x[:1]), tuple(x[-1:] + x[:-1])))
+    assert is_unipotent_mod(rotate, 7)  # x^7 - 1 = (x - 1)^7 mod 7
+    assert not is_unipotent_mod(rotate, 2)
+    assert charpoly_exact(rotate) != poly_pow_x_minus_one(7)
     with pytest.raises(InvalidSpec, match="4 is not prime"):
-        unipotent_on_layers(FreeEndo.identity(2), 4, 2)
+        is_unipotent_mod(abelianization_matrix(FreeEndo.identity(2)), 4)
 
 
 def test_layer_matrices_are_no_longer_library_api():
@@ -540,5 +546,5 @@ def test_series_ring_arithmetic():
     assert quad.coefficient((1, 1, 1)) == 4
     assert all(len(m) <= 3 for m in decoded(quad))
     one = TruncatedSeries.one(2, 3, None)
-    assert (gx - gx.scale(1)).table == {}
-    assert (one.scale(3) - one - one - one).table == {}
+    assert (gx - gx).table == {}
+    assert (one + one + one - one - one - one).table == {}

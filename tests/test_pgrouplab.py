@@ -8,7 +8,6 @@ import time
 import pytest
 
 from resip import pgrouplab
-from resip.caps import Caps
 from resip.errors import CapExceeded, InvalidSpec
 from resip.intlin import p_power_exponent
 from resip.pgrouplab import (
@@ -62,11 +61,12 @@ def test_generate_group_rejects_singular_generator():
         generate_group([((0, 0), (0, 0))], 3)
 
 
-def test_direct_construction_rejects_singular_generator():
+def test_direct_construction_rejects_singular_generator(monkeypatch):
     # the zero matrix mod 2 closes to a monoid of order 2, whose inverses
     # were once searched for without end
+    monkeypatch.setattr(pgrouplab, "GROUP_ORDER", 100)
     with pytest.raises(InvalidSpec):
-        FinitePGroup(2, [((0, 0), (0, 0))], Caps(group_order=100))
+        FinitePGroup(2, [((0, 0), (0, 0))])
 
 
 def test_generators_of_different_dimensions_are_rejected(monkeypatch):
@@ -81,15 +81,21 @@ def test_generators_of_different_dimensions_are_rejected(monkeypatch):
         FinitePGroup(2, [identity3, ((1, 1), (0, 1))])
 
 
-def test_group_order_cap():
-    with pytest.raises(CapExceeded):
-        ut3_group(5, Caps(group_order=100))
+def test_group_order_cap(monkeypatch):
+    # UT(3,5) has 125 elements: the closure may hold GROUP_ORDER of them
+    monkeypatch.setattr(pgrouplab, "GROUP_ORDER", 125)
+    assert ut3_group(5).order == 125
+    monkeypatch.setattr(pgrouplab, "GROUP_ORDER", 124)
+    with pytest.raises(CapExceeded, match="group_order: cap 124 exceeded"):
+        ut3_group(5)
 
 
-def test_each_lattice_cap_is_read_from_the_group_caps():
+def test_each_lattice_call_stops_at_the_subgroup_count_bound(monkeypatch):
     count = len(ut3_group(3).all_subgroups())
-    assert len(ut3_group(3, Caps(subgroup_count=count)).all_subgroups()) == count
-    group = ut3_group(3, Caps(subgroup_count=count - 1))
+    monkeypatch.setattr(pgrouplab, "SUBGROUP_COUNT", count)
+    assert len(ut3_group(3).all_subgroups()) == count
+    monkeypatch.setattr(pgrouplab, "SUBGROUP_COUNT", count - 1)
+    group = ut3_group(3)
     for call in (group.all_subgroups, group.maximal_subgroups,
                  lambda: check_cyclic_abelianization(group)):
         with pytest.raises(CapExceeded, match=f"subgroup_count: cap {count - 1} exceeded"):

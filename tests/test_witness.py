@@ -686,7 +686,7 @@ def test_a_stored_degree_below_the_true_depth_fails_without_the_cap(monkeypatch)
     forged = _with_degree(cert, 4, survivor_word=" ".join(["x1"] * 9))
     report = verify_witness(forged)
     assert dict(report.checks)["depth_minimal"] is False and not report.ok
-    with pytest.raises(CapExceeded, match="magnus_depth: cap 8 exceeded"):
+    with pytest.raises(CapExceeded, match="magnus_degree: cap 8 exceeded"):
         depth_minimal_by_ladder(parse_word(forged.survivor_word, 2), 4, 3)
 
     # a stored degree above the cap is refused before anything is embedded
@@ -694,7 +694,7 @@ def test_a_stored_degree_below_the_true_depth_fails_without_the_cap(monkeypatch)
         raise AssertionError("a word was embedded")
 
     monkeypatch.setattr(witness, "magnus_embed", refuse)
-    with pytest.raises(CapExceeded, match="magnus_depth: cap 8 exceeded"):
+    with pytest.raises(CapExceeded, match="magnus_degree: cap 8 exceeded"):
         verify_witness(_with_degree(cert, 9))
 
 
