@@ -134,19 +134,6 @@ class BraidWord(Record):
         object.__setattr__(self, "strands", strands)
         object.__setattr__(self, "letters", letters)
 
-    def inverse(self) -> "BraidWord":
-        return BraidWord(self.strands, tuple(-a for a in reversed(self.letters)))
-
-    def __mul__(self, other: "BraidWord") -> "BraidWord":
-        if self.strands != other.strands:
-            raise InvalidSpec("strand counts differ")
-        return BraidWord(self.strands, self.letters + other.letters)
-
-    def __pow__(self, k: int) -> "BraidWord":
-        if k < 0:
-            return self.inverse() ** (-k)
-        return BraidWord(self.strands, self.letters * k)
-
 
 _TOKEN = re.compile(r"([sS])([0-9]+)")  # ASCII digits only: \d takes any Unicode digit
 

@@ -523,7 +523,7 @@ def _summarize(kind: str, result: dict) -> list[str]:
     if kind == "primes":
         ps = result["prime_set"]
         desc = "all primes" if ps["all_primes"] else "{" + ", ".join(map(str, ps["primes"])) + "}"
-        return [f"residually p exactly at {desc} (gcd {ps['gcd']})"]
+        return [f"unipotent mod p exactly at {desc}, each residually p (gcd {ps['gcd']})"]
     if kind == "fibered":
         return [f"p={v['p']}: {v['outcome']}" for v in result["verdicts"]]
     if kind == "bs":
@@ -597,7 +597,9 @@ def _build_parser() -> argparse.ArgumentParser:
     prime_flags(torus)
     common(torus)
 
-    primes = sub.add_parser("primes", help="exact residually-p prime set", allow_abbrev=False)
+    primes = sub.add_parser(
+        "primes", help="primes where A is unipotent mod p, each residually p", allow_abbrev=False
+    )
     primes.add_argument("--matrix", required=True)
     common(primes)
 

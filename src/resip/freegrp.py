@@ -4,8 +4,8 @@ Words live in a free group F_n with generators x1..xn.  Text syntax:
 whitespace-separated letters, lowercase for a generator ("x1 x2"),
 uppercase for its inverse ("X1"); "1" alone is the empty word.
 
-CONVENTION: compose_endos(phi, rho) applies rho first, so
-apply_endo(compose_endos(phi, rho), w) == apply_endo(phi, apply_endo(rho, w)).
+CONVENTION: _compose(rank, steps) applies the first step first, so
+apply_endo(_compose(rank, (rho, phi)), w) == apply_endo(phi, apply_endo(rho, w)).
 
 Reading words.  ``parse_word`` looks each token up in ``_TOKENS``, a
 table from token text to signed letter.  Only ``_parse_letters``, the loop
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from functools import cached_property
-from itertools import repeat
 from operator import neg
 
 from .errors import InvalidSpec
@@ -76,39 +75,14 @@ class FreeWord(Record):
     def identity(rank: int) -> "FreeWord":
         return FreeWord(rank, ())
 
-    @staticmethod
-    def generator(rank: int, i: int) -> "FreeWord":
-        return FreeWord(rank, (i,))
-
     def is_identity(self) -> bool:
         return not self.letters
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __mul__(self, other: "FreeWord") -> "FreeWord":
-        if self.rank != other.rank:
-            raise InvalidSpec(f"ranks {self.rank} and {other.rank}")
-        return FreeWord._trusted(self.rank, _reduce(self.letters + other.letters))
-
-    def inverse(self) -> "FreeWord":
-        return FreeWord._trusted(self.rank, tuple(-a for a in reversed(self.letters)))
 
     def exponent_sums(self) -> list[int]:
         sums = [0] * self.rank
         for a in self.letters:
             sums[abs(a) - 1] += 1 if a > 0 else -1
         return sums
-
-
-def conjugate(u: FreeWord, by: FreeWord) -> FreeWord:
-    """by * u * by^-1"""
-    return by * u * by.inverse()
-
-
-def commutator(u: FreeWord, v: FreeWord) -> FreeWord:
-    """[u, v] = u v u^-1 v^-1"""
-    return u * v * u.inverse() * v.inverse()
 
 
 # token -> signed letter; see "Reading words" above
@@ -267,11 +241,6 @@ class FreeEndo(Record):
                     raise InvalidSpec(f"claimed inverse fails on x{i} (left)")
 
     @staticmethod
-    def identity(rank: int) -> "FreeEndo":
-        gens = tuple(FreeWord.generator(rank, i) for i in range(1, rank + 1))
-        return FreeEndo(rank, gens, gens)
-
-    @staticmethod
     def from_letters(rank: int, images, inverse=None) -> "FreeEndo":
         """An endo whose images (and certified inverse) are given as letter
         tuples already in range for rank and freely reduced, such as those
@@ -330,20 +299,6 @@ def _compose(rank: int, steps: Iterable[FreeEndo]) -> FreeEndo:
     return FreeEndo.from_letters(rank, images, inverse)
 
 
-def compose_endos(phi: FreeEndo, rho: FreeEndo) -> FreeEndo:
-    """phi after rho (rho acts first)."""
-    if phi.rank != rho.rank:
-        raise InvalidSpec(f"ranks {phi.rank} and {rho.rank}")
-    return _compose(phi.rank, (rho, phi))
-
-
-def endo_power(phi: FreeEndo, k: int) -> FreeEndo:
-    """phi^k, composed as one product of k steps."""
-    if k < 0:
-        return endo_power(phi.inverse_endo(), -k)
-    return _compose(phi.rank, repeat(phi, k))
-
-
 def abelianization_matrix(phi: FreeEndo) -> IntMatrix:
     """Entry (i,j) = exponent sum of x_i in phi(x_j); columns are images."""
     return IntMatrix._trusted(tuple(zip(*(w.exponent_sums() for w in phi.images))))
@@ -358,24 +313,6 @@ def is_mod_p_torelli(phi: FreeEndo, p: int) -> bool:
         for ra, rb in zip(m.entries, ident.entries)
         for a, b in zip(ra, rb)
     )
-
-
-def inner_automorphism(u: FreeWord) -> FreeEndo:
-    """Conjugation w -> u w u^-1, with its obvious inverse."""
-    gens = [FreeWord.generator(u.rank, i) for i in range(1, u.rank + 1)]
-    images = tuple(conjugate(g, u) for g in gens)
-    return FreeEndo(u.rank, images, tuple(conjugate(g, u.inverse()) for g in gens))
-
-
-def nielsen_transvection(rank: int, i: int, j: int) -> FreeEndo:
-    """x_i -> x_i x_j, other generators fixed.  Requires i != j."""
-    if i == j:
-        raise InvalidSpec("transvection needs distinct indices")
-    def moved(x_j: int) -> tuple[FreeWord, ...]:  # x_i -> x_i x_j
-        letters = [(g, x_j) if g == i else (g,) for g in range(1, rank + 1)]
-        return tuple(FreeWord.from_letters(rank, w) for w in letters)
-
-    return FreeEndo(rank, moved(j), moved(-j))
 
 
 class MappingTorusSpec(Record):

@@ -76,29 +76,11 @@ class IntMatrix(Record):
     @classmethod
     def _trusted(cls, entries: tuple[tuple[int, ...], ...]) -> "IntMatrix":
         """A matrix from entries already known to be a nonempty square of
-        ints, such as the sum, difference or product of valid matrices of
-        one size; skips the checks of __init__."""
+        ints, such as the product of valid matrices of one size; skips the
+        checks of __init__."""
         m = object.__new__(cls)
         object.__setattr__(m, "entries", entries)
         return m
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        self._check_dim(other)
-        return IntMatrix._trusted(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        self._check_dim(other)
-        return IntMatrix._trusted(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         self._check_dim(other)
@@ -170,10 +152,6 @@ class ModMatrix(Record):
         return ModMatrix._trusted(
             modulus, tuple(tuple(x % modulus for x in row) for row in m.entries)
         )
-
-    @staticmethod
-    def identity(n: int, modulus: int) -> "ModMatrix":
-        return ModMatrix.reduce(IntMatrix.identity(n), modulus)
 
     @property
     def n(self) -> int:

@@ -154,10 +154,6 @@ class TruncatedSeries:
         self.table = table
 
     @staticmethod
-    def one(rank: int, degree: int, modulus: int | None = None) -> "TruncatedSeries":
-        return TruncatedSeries(rank, degree, modulus, {0: 1})
-
-    @staticmethod
     def generator_term(rank: int, degree: int, i: int, modulus: int | None = None) -> "TruncatedSeries":
         """1 + X_i"""
         return TruncatedSeries(rank, degree, modulus, {0: 1, i: 1})
@@ -176,29 +172,6 @@ class TruncatedSeries:
             and (self.rank, self.degree, self.modulus) == (other.rank, other.degree, other.modulus)
             and self.table == other.table
         )
-
-    def __hash__(self):
-        return hash((self.rank, self.degree, self.modulus, frozenset(self.table.items())))
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self._plus(other, 1)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self._plus(other, -1)
-
-    def _plus(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
-        """self + sign * other, in one pass over other's terms."""
-        self._compatible(other)
-        table, mod = dict(self.table), self.modulus
-        for m, c in other.table.items():
-            v = table.get(m, 0) + sign * c
-            if mod is not None:
-                v %= mod
-            if v:
-                table[m] = v
-            else:
-                table.pop(m, None)
-        return TruncatedSeries(self.rank, self.degree, self.modulus, table)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Truncated product, by the kernel of ``_product``."""
@@ -219,15 +192,6 @@ class TruncatedSeries:
             return 0
         return self.table.get(monomial_code(m, self.rank), 0)
 
-    def __repr__(self):
-        if not self.table:
-            return "0"
-        parts = []
-        for code in sorted(self.table):  # by degree, then lexicographically
-            c, m = self.table[code], monomial_of(code, self.rank)
-            name = "".join(f"X{i}" for i in m) if m else "1"
-            parts.append(f"{c}*{name}" if m else str(c))
-        return " + ".join(parts)
 
 
 def _reduced(table: dict, modulus: int | None) -> dict:

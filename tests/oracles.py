@@ -13,9 +13,10 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from typing import Optional
 
-from resip.braid import _elementary_endo
+from resip.braid import BraidWord, _elementary_endo
 from resip.caps import DEFAULT_CAPS
 from resip.classify import (
     BSReport,
@@ -36,14 +37,10 @@ from resip.extension import (
 from resip.freegrp import (
     FreeEndo,
     FreeWord,
+    _compose,
     _reduce,
     abelianization_matrix,
     apply_endo,
-    commutator,
-    compose_endos,
-    conjugate,
-    endo_power,
-    nielsen_transvection,
 )
 from resip.intlin import (
     IntMatrix,
@@ -65,6 +62,93 @@ from resip.magnus import SeriesSubstitution, TruncatedSeries, magnus_embed, mono
 from resip.pgrouplab import _bits, _mask
 
 
+# ---------------------------------------------------------------------------
+# Words, endomorphisms, braids, matrices and series built from their parts,
+# as the tests need them.  The library reads words and endomorphisms from
+# text and composes endomorphisms only through freegrp._compose.
+
+
+def generator(rank: int, i: int) -> FreeWord:
+    """x_i in F_rank, or x_(-i)^-1 for i < 0."""
+    return FreeWord(rank, (i,))
+
+
+def word_product(*words: FreeWord) -> FreeWord:
+    """The reduced product of words of one rank."""
+    return FreeWord.from_letters(words[0].rank, [a for w in words for a in w.letters])
+
+
+def word_inverse(w: FreeWord) -> FreeWord:
+    return FreeWord(w.rank, tuple(-a for a in reversed(w.letters)))
+
+
+def conjugate(u: FreeWord, by: FreeWord) -> FreeWord:
+    """by * u * by^-1"""
+    return word_product(by, u, word_inverse(by))
+
+
+def commutator(u: FreeWord, v: FreeWord) -> FreeWord:
+    """[u, v] = u v u^-1 v^-1"""
+    return word_product(u, v, word_inverse(u), word_inverse(v))
+
+
+def identity_endo(rank: int) -> FreeEndo:
+    gens = [(i,) for i in range(1, rank + 1)]
+    return FreeEndo.from_letters(rank, gens, gens)
+
+
+def compose_endos(phi: FreeEndo, rho: FreeEndo) -> FreeEndo:
+    """phi after rho (rho acts first)."""
+    return _compose(phi.rank, (rho, phi))
+
+
+def endo_power(phi: FreeEndo, k: int) -> FreeEndo:
+    """phi^k, composed as one product of |k| steps."""
+    if k < 0:
+        phi, k = phi.inverse_endo(), -k
+    return _compose(phi.rank, repeat(phi, k))
+
+
+def inner_automorphism(u: FreeWord) -> FreeEndo:
+    """Conjugation w -> u w u^-1, with its obvious inverse."""
+    gens = [generator(u.rank, i) for i in range(1, u.rank + 1)]
+    images = tuple(conjugate(g, u) for g in gens)
+    return FreeEndo(u.rank, images, tuple(conjugate(g, word_inverse(u)) for g in gens))
+
+
+def nielsen_transvection(rank: int, i: int, j: int) -> FreeEndo:
+    """x_i -> x_i x_j, other generators fixed (i != j)."""
+
+    def moved(x_j: int) -> list[tuple[int, ...]]:
+        return [(g, x_j) if g == i else (g,) for g in range(1, rank + 1)]
+
+    return FreeEndo.from_letters(rank, moved(j), moved(-j))
+
+
+def braid_power(b: BraidWord, k: int) -> BraidWord:
+    """b^k; b^-1 reverses the letters and flips their signs."""
+    letters = b.letters if k >= 0 else tuple(-a for a in reversed(b.letters))
+    return BraidWord(b.strands, letters * abs(k))
+
+
+def matrix_sum(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    return IntMatrix(tuple(tuple(map(sum, zip(ra, rb))) for ra, rb in zip(a.entries, b.entries)))
+
+
+def mod_identity(n: int, modulus: int) -> ModMatrix:
+    return ModMatrix.reduce(IntMatrix.identity(n), modulus)
+
+
+def series_sum(a: TruncatedSeries, b: TruncatedSeries, sign: int = 1) -> TruncatedSeries:
+    """a + sign * b, with coefficients reduced and zero terms dropped."""
+    table = dict(a.table)
+    for code, c in b.table.items():
+        table[code] = table.get(code, 0) + sign * c
+    mod = a.modulus
+    table = {code: c % mod if mod else c for code, c in table.items()}
+    return TruncatedSeries(a.rank, a.degree, mod, {code: c for code, c in table.items() if c})
+
+
 def matrix_order_mod(m: IntMatrix, p: int, k: int, cap: Optional[int] = None) -> int:
     """Least e >= 1 with M^e = I mod p^k.
 
@@ -80,7 +164,7 @@ def matrix_order_mod(m: IntMatrix, p: int, k: int, cap: Optional[int] = None) ->
     if cap is None:
         cap = p ** (k * m.n * m.n)
     base = ModMatrix.reduce(m, modulus)
-    ident = ModMatrix.identity(m.n, modulus)
+    ident = mod_identity(m.n, modulus)
     power = base
     for e in range(1, cap + 1):
         if power == ident:
@@ -130,7 +214,7 @@ def chain_lengths(sub: SeriesSubstitution) -> list[int]:
         term = TruncatedSeries(sub.rank, sub.degree, sub.modulus, encoded({(i,): 1}, sub.rank))
         length = 0
         while term.table:
-            term = sub(term) - term
+            term = series_sum(sub(term), term, -1)
             length += 1
         lengths.append(length)
     return lengths
@@ -178,11 +262,11 @@ def unit_inverse(s: TruncatedSeries) -> TruncatedSeries:
     truncation degree; magnus_embed inverts a letter in place instead."""
     if s.coefficient(()) != 1:
         raise InvalidSpec("unit_inverse needs constant term 1")
-    one = TruncatedSeries.one(s.rank, s.degree, s.modulus)
-    y = s - one
+    one = TruncatedSeries(s.rank, s.degree, s.modulus, {0: 1})
+    y = series_sum(s, one, -1)
     inv = one
     for _ in range(s.degree):
-        inv = one - y * inv
+        inv = series_sum(one, y * inv, -1)
     return inv
 
 
@@ -253,7 +337,7 @@ def unipotence_by_powers(m: IntMatrix, p: int) -> UnipotenceResult:
 
 def mod_matrix_power(m: ModMatrix, k: int) -> ModMatrix:
     """m^k for k >= 0, by binary powering on ModMatrix products."""
-    power = ModMatrix.identity(m.n, m.modulus)
+    power = mod_identity(m.n, m.modulus)
     while k:
         if k & 1:
             power = power * m
@@ -265,7 +349,7 @@ def unipotent_order_by_iteration(q: IntMatrix, p: int) -> int:
     """Order of a unipotent matrix mod p, by taking p-th powers until the
     identity comes up: the least p^s with q^(p^s) = I."""
     power = ModMatrix.reduce(q, p)
-    ident = ModMatrix.identity(q.n, p)
+    ident = mod_identity(q.n, p)
     order = 1
     while power != ident:
         power = mod_matrix_power(power, p)
@@ -328,9 +412,9 @@ def kernel_samples(rank: int, d: int, seed: int, count: int = 20) -> list[FreeWo
     out = []
     for _ in range(count):
         letters = [rng.randint(1, rank) for _ in range(d + 1)]
-        w = FreeWord.generator(rank, letters[-1])
+        w = generator(rank, letters[-1])
         for a in letters[-2::-1]:
-            x = FreeWord.generator(rank, a)
+            x = generator(rank, a)
             w = commutator(x, w)
         conj_letters = [
             rng.choice([1, -1]) * rng.randint(1, rank) for _ in range(rng.randint(0, 3))
@@ -343,7 +427,7 @@ def random_certified_automorphism(rng, rank):
     """Random product of transvections and their inverses, permutations
     and inversions of the generators, each with its certified inverse."""
     gens = range(1, rank + 1)
-    phi = FreeEndo.identity(rank)
+    phi = identity_endo(rank)
     for _ in range(rng.randint(1, 5)):
         pick = rng.random()
         if pick < 0.5:
@@ -578,7 +662,7 @@ def report_text_by_dumps(value) -> str:
 def artin_endo_by_composition(b) -> FreeEndo:
     """The braid's automorphism by compose_endos, one letter at a time,
     each step building and checking a certified endo."""
-    endo = FreeEndo.identity(b.strands)
+    endo = identity_endo(b.strands)
     for a in b.letters:
         endo = compose_endos(_elementary_endo(b.strands, a), endo)
     return endo
@@ -678,7 +762,7 @@ def is_cyclotomic_product_by_division(coeffs) -> bool:
 
 def endo_power_by_composition(phi: FreeEndo, k: int) -> FreeEndo:
     """phi^k by k calls of compose_endos (k >= 0)."""
-    result = FreeEndo.identity(phi.rank)
+    result = identity_endo(phi.rank)
     for _ in range(k):
         result = compose_endos(phi, result)
     return result
@@ -818,7 +902,7 @@ def standard_factorization(w: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[i
 def lyndon_bracket_word(rank: int, w: tuple[int, ...]) -> FreeWord:
     """Group commutator realizing the Lyndon bracketing of w."""
     if len(w) == 1:
-        return FreeWord.generator(rank, w[0])
+        return generator(rank, w[0])
     u, v = standard_factorization(w)
     return commutator(lyndon_bracket_word(rank, u), lyndon_bracket_word(rank, v))
 

@@ -27,7 +27,6 @@ from resip.freegrp import (
     FreeEndo,
     MappingTorusSpec,
     abelianization_matrix,
-    nielsen_transvection,
     parse_endo,
     parse_word,
 )
@@ -44,8 +43,11 @@ from resip.intlin import (
 from oracles import (
     bs_classify_by_matrix,
     fibered_verdicts_per_prime,
+    identity_endo,
     matrix_order_mod,
+    mod_identity,
     mod_matrix_power,
+    nielsen_transvection,
     random_certified_automorphism,
     sl2_power_by_search,
     torus_verdicts_per_prime,
@@ -187,7 +189,7 @@ def test_obstruction_three_cycle():
     assert res3.exists
     assert res3.witness["quotient_dim"] == 3
 
-    ident = ModMatrix.identity(2, 5)
+    ident = mod_identity(2, 5)
     assert p_power_order_quotient_exists(ident, 5).exists
 
 
@@ -340,7 +342,7 @@ def test_rtfn_sufficiency():
     # the monodromy is unipotent over Z on every layer iff charpoly(M) =
     # (x - 1)^n (the magnus module docstring), which makes the torus RTFN
     cases = (
-        (FreeEndo.identity(2), True),
+        (identity_endo(2), True),
         (nielsen_transvection(2, 1, 2), True),
         (artin_endo(beta_braid()), False),
     )
@@ -423,9 +425,10 @@ alpha = FreeEndo(
     (parse_word("x1 x1 x2", 2), parse_word("x1 x2", 2)),
     (parse_word("x1 X2", 2), parse_word("x2 X1 x2", 2)),
 )
+ident = (parse_word("x1", 2), parse_word("x2", 2))
 for label, attr, fake, phi in (
     # the powers deny a unipotence the gap gcd gives
-    ("powers", "_power_chain", lambda a, modulus: [1] * a.n, FreeEndo.identity(2)),
+    ("powers", "_power_chain", lambda a, modulus: [1] * a.n, FreeEndo(2, ident, ident)),
     # the gap gcd claims a unipotence the powers deny
     ("charpoly", "charpoly_exact", lambda a: classify.poly_pow_x_minus_one(a.n), alpha),
 ):
@@ -697,7 +700,7 @@ def test_fibered_verdicts_run_the_power_route_only_where_the_gap_is_divisible(mo
     primes = primes_up_to(50)
     fibered_verdicts(_alpha_spec(), primes)  # g = 1
     assert seen == []
-    fibered_verdicts(MappingTorusSpec(FreeEndo.identity(3)), primes + primes)  # g = 0
+    fibered_verdicts(MappingTorusSpec(identity_endo(3)), primes + primes)  # g = 0
     assert seen == [math.prod(primes)]
 
 
@@ -709,7 +712,7 @@ def test_fibered_verdicts_raise_when_the_power_route_disagrees(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(classify, "_power_chain", lambda a, modulus: [1] * a.n)
         with pytest.raises(InternalInvariant, match="by charpoly and by powers"):
-            fibered_verdicts(MappingTorusSpec(FreeEndo.identity(2)), [2, 3])
+            fibered_verdicts(MappingTorusSpec(identity_endo(2)), [2, 3])
     # the gap gcd claims a unipotence the powers deny
     monkeypatch.setattr(classify, "charpoly_exact", lambda a: classify.poly_pow_x_minus_one(a.n))
     with pytest.raises(InternalInvariant, match="by charpoly and by powers"):
@@ -726,9 +729,9 @@ def test_fibered_verdicts_reject_a_non_prime_before_any_matrix(monkeypatch):
     monkeypatch.setattr(classify, "_power_chain", refuse)
     monkeypatch.setattr(classify, "abelianization_matrix", refuse)
     with pytest.raises(InvalidSpec, match="4 is not prime"):
-        fibered_verdicts(MappingTorusSpec(FreeEndo.identity(2)), [2, 4])
+        fibered_verdicts(MappingTorusSpec(identity_endo(2)), [2, 4])
     with pytest.raises(InvalidSpec, match="rank-1 fibers are torus/BS territory"):
-        fibered_verdicts(MappingTorusSpec(FreeEndo.identity(1)), [4])
+        fibered_verdicts(MappingTorusSpec(identity_endo(1)), [4])
 
 
 def test_obstruction_rejects_a_prime_power_modulus():

@@ -326,6 +326,23 @@ def test_single_task_subcommands(capsys):
     assert len(doc["entries"][0]["result"]["verdicts"]) == 2
 
 
+def test_primes_claims_unipotence_not_an_exact_residually_p_set(capsys):
+    # A = [[3, 1], [1, 0]] is unipotent mod no prime, yet the torus bundle
+    # is residually 3 (ROADMAP item 14): the set is where A is unipotent
+    # mod p, each such prime residually p, and not every residually-p prime
+    assert main(["primes", "--matrix", "3 1; 1 0"]) == 0
+    assert _entry(capsys)["result"]["prime_set"] == {"all_primes": False, "gcd": 1, "primes": []}
+    assert main(["primes", "--matrix", "3 1; 1 0", "--format", "text"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  unipotent mod p exactly at {}, each residually p (gcd 1)"
+    ]
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert "primes where A is unipotent mod p, each residually p" in out
+    assert "exact" not in out
+
+
 def test_sl2_power_takes_no_cap(tmp_path, capsys):
     sl2 = ["sl2-power", "--matrix", "2 1; 1 1"]
     assert main(sl2 + ["--p", "1000003"]) == 0

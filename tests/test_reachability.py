@@ -1,4 +1,5 @@
-"""Every function under src/resip runs for some command, or has a stated reason to stay.
+"""Every function under src/resip runs for some command or for the README's
+library block, or has a stated reason to stay.
 
 A fresh interpreter sets a profile hook before it imports resip, so calls
 made at import time count, and then runs the commands of ``corpus``
@@ -18,16 +19,19 @@ through ``resip.cli.main``:
   3.317 * 10^24 with n + 1 not a power of two, so that the strong Lucas
   test runs its ladder.
 
-A function defined under src/resip (found with ``ast``) and that no
-call reached must be listed in ``UNREACHED`` with one of these reasons:
-perfbench/tracing.py looks it up; the README names it; a ROADMAP item
-names it as a future caller; a test compares a reached route against it;
-it is an operator or constructor of a value type; or it serves only
-another listed function.  ``pgrouplab`` is listed whole: only the
+It then runs the README's "Library in one minute" block, the documented
+library surface, and reports what it reached apart from the commands.
+
+A function defined under src/resip (found with ``ast``) and that nothing
+reached must be listed in ``UNREACHED`` with one of these reasons:
+perfbench/tracing.py looks it up; a ROADMAP item names it as a future
+caller; a test compares a reached route against it; it serves only
+another listed function, whose body names it; or it is a dunder that
+``record.Record`` defines, which every record inherits.  An ``__init__``
+is named by its class.  ``pgrouplab`` is listed whole: only the
 ``pgroup`` benchmark workload reaches it (ROADMAP item 17), and none of
-its functions may run for a command.  A listed function that a command
-reaches, or that is no longer defined, fails, and so does a reason that
-does not hold.
+its functions may run.  A listed function that is reached, or that is
+no longer defined, fails, and so does a reason that does not hold.
 """
 
 import ast
@@ -39,14 +43,14 @@ import subprocess
 import sys
 
 import pytest
+from test_readme import _library_block
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "resip"
 
 # The reasons, as (kind, argument).
 TRACER = ("tracer", None)  # perfbench/tracing.py looks it up
-README = ("readme", None)  # the README names it
-VALUE = ("value", None)  # an operator or constructor of a value type
+VALUE = ("value", None)  # a dunder that record.Record defines
 
 
 def roadmap(item: int) -> tuple:
@@ -67,50 +71,21 @@ def serves(name: str) -> tuple:
 UNREACHED_MODULES = {"pgrouplab": "only the pgroup workload reaches it (ROADMAP item 17)"}
 
 UNREACHED = {
-    "braid.BraidWord.__mul__": VALUE,
-    "braid.BraidWord.__pow__": VALUE,
-    "braid.BraidWord.inverse": VALUE,
     "braid.CoverGraph.chi": serves("braid.endo_preserves_cover"),
     "braid.CoverGraph.schreier_basis_words": reference("tests/oracles.py"),
-    "braid._elementary_endo": serves("braid.artin_endo"),
-    "braid.artin_endo": README,
-    "braid.beta_braid": README,
     "braid.endo_preserves_cover": reference("tests/test_braid.py"),
     "braid.induced_cover_homology": TRACER,
-    "classify.ObstructionResult.__init__": VALUE,
+    "classify.ObstructionResult.__init__": serves("classify.p_power_order_quotient_exists"),
     "classify._column_space": serves("classify.p_power_order_quotient_exists"),
     "classify.p_power_order_quotient_exists": TRACER,
     "classify.torus_residually_p": TRACER,
-    "freegrp.FreeEndo.from_letters": VALUE,
-    "freegrp.FreeEndo.from_letters.words": serves("freegrp.FreeEndo.from_letters"),
-    "freegrp.FreeEndo.identity": VALUE,
-    "freegrp.FreeEndo.inverse_endo": VALUE,
-    "freegrp.FreeWord.__len__": VALUE,
-    "freegrp.FreeWord.__mul__": VALUE,
-    "freegrp.FreeWord.from_letters": VALUE,
-    "freegrp.FreeWord.generator": VALUE,
-    "freegrp.FreeWord.inverse": VALUE,
-    "freegrp._compose": serves("braid.artin_endo"),
-    "freegrp.commutator": VALUE,
-    "freegrp.compose_endos": VALUE,
-    "freegrp.conjugate": VALUE,
-    "freegrp.endo_power": VALUE,
-    "freegrp.inner_automorphism": VALUE,
+    "freegrp.FreeWord.from_letters": serves("braid.CoverGraph.schreier_basis_words"),
     "freegrp.is_mod_p_torelli": roadmap(13),
-    "freegrp.nielsen_transvection": VALUE,
-    "freegrp.nielsen_transvection.moved": serves("freegrp.nielsen_transvection"),
-    "intlin.IntMatrix.__add__": VALUE,
-    "intlin.IntMatrix.__mul__": VALUE,
-    "intlin.IntMatrix.__pow__": VALUE,
-    "intlin.IntMatrix.__sub__": VALUE,
-    "intlin.IntMatrix._check_dim": serves("intlin.IntMatrix.__add__"),
-    "intlin.IntMatrix.identity": VALUE,
-    "intlin.ModMatrix.__init__": VALUE,
+    "intlin.ModMatrix.__init__": reference("tests/test_obstruction.py"),
     "intlin.ModMatrix.__mul__": TRACER,
-    "intlin.ModMatrix._trusted": VALUE,
-    "intlin.ModMatrix.identity": VALUE,
+    "intlin.ModMatrix._trusted": serves("intlin.ModMatrix.__mul__"),
     "intlin.ModMatrix.n": serves("intlin.ModMatrix.__mul__"),
-    "intlin.ModMatrix.reduce": VALUE,
+    "intlin.ModMatrix.reduce": serves("classify.p_power_order_quotient_exists"),
     "intlin._add_columns": serves("intlin.hermite_normal_form"),
     "intlin._add_rows": serves("intlin._invariant_factors.clear_column"),
     "intlin._check_modulus": serves("intlin.ModMatrix.__init__"),
@@ -121,14 +96,8 @@ UNREACHED = {
     "intlin._is_prime_power": serves("intlin._check_modulus"),
     "intlin.hermite_normal_form": TRACER,
     "intlin.smith_normal_form": TRACER,
-    "magnus.TruncatedSeries.__add__": VALUE,
-    "magnus.TruncatedSeries.__hash__": VALUE,
     "magnus.TruncatedSeries.__mul__": TRACER,
-    "magnus.TruncatedSeries.__repr__": VALUE,
-    "magnus.TruncatedSeries.__sub__": VALUE,
     "magnus.TruncatedSeries._compatible": serves("magnus.TruncatedSeries.__mul__"),
-    "magnus.TruncatedSeries._plus": serves("magnus.TruncatedSeries.__add__"),
-    "magnus.TruncatedSeries.one": VALUE,
     "magnus.magnus_depth": TRACER,
     "record.Record.__delattr__": VALUE,
     "record.Record.__hash__": VALUE,
@@ -143,15 +112,16 @@ UNREACHED = {
 
 BETA = ["--images", "x1 x3 X1; x1; X3 x2 x3", "--inverse", "x2; X2 x1 x2 x3 X2 X1 x2; X2 x1 x2"]
 
-# A tiny driver: read the corpus, hook every call, run it, and print the
-# (file, first line) of each function under src/resip that ran.
+# A tiny driver: read the commands and the library block, hook every
+# call, run them, and print the (file, first line) of each function under
+# src/resip that ran, for the commands and for the block apart.
 _DRIVER = """
 import contextlib, io, json, os, sys
 codes = set()
 sys.setprofile(lambda frame, event, arg: event == "call" and codes.add(frame.f_code))
-corpus = json.load(sys.stdin)
+job = json.load(sys.stdin)
 from resip import cli
-for argv, want in corpus:
+for argv, want in job["commands"]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
         try:
@@ -160,10 +130,13 @@ for argv, want in corpus:
             status = exc.code
     if status != want:
         sys.exit(f"{argv}: exit {status}, not {want}: {out.getvalue()[-2000:]}")
+commands, codes = codes, set()
+exec(job["library"], {})
 sys.setprofile(None)
 src = os.path.dirname(os.path.abspath(cli.__file__))
-print(json.dumps(sorted({(os.path.relpath(c.co_filename, src), c.co_firstlineno)
-                         for c in codes if os.path.dirname(c.co_filename) == src})))
+print(json.dumps({name: sorted({(os.path.relpath(c.co_filename, src), c.co_firstlineno)
+                                for c in ran if os.path.dirname(c.co_filename) == src})
+                  for name, ran in (("commands", commands), ("library", codes))}))
 """
 
 
@@ -240,18 +213,25 @@ def corpus(work: pathlib.Path) -> list:
 
 
 @pytest.fixture(scope="module")
-def reached(tmp_path_factory) -> set:
-    """(file name, first line) of every function under src/resip that the
-    corpus ran, in a fresh interpreter."""
+def trace(tmp_path_factory) -> dict:
+    """"commands" and "library" -> the (file name, first line) of every
+    function under src/resip that the corpus, or the README's library
+    block, ran in a fresh interpreter."""
     work = tmp_path_factory.mktemp("reachability")
     env = {k: v for k, v in os.environ.items() if k != "RESIP_CAPS"}
     env["PYTHONPATH"] = str(ROOT / "src")
+    job = {"commands": corpus(work), "library": _library_block()}
     done = subprocess.run(
-        [sys.executable, "-c", _DRIVER], input=json.dumps(corpus(work)),
+        [sys.executable, "-c", _DRIVER], input=json.dumps(job),
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    return {tuple(site) for site in json.loads(done.stdout)}
+    return {part: {tuple(site) for site in sites} for part, sites in json.loads(done.stdout).items()}
+
+
+@pytest.fixture(scope="module")
+def reached(trace) -> set:
+    return trace["commands"] | trace["library"]
 
 
 def _functions() -> dict:
@@ -275,12 +255,6 @@ def _functions() -> dict:
 
 
 FUNCTIONS = _functions()
-CLASSES = {
-    node.name
-    for path in SRC.glob("*.py")
-    for node in ast.walk(ast.parse(path.read_text()))
-    if isinstance(node, ast.ClassDef)
-}
 
 
 def _in_listed_module(name: str) -> bool:
@@ -293,7 +267,7 @@ def test_every_unreached_function_is_listed(reached):
         for name, (file, first, _) in FUNCTIONS.items()
         if (file, first) not in reached and name not in UNREACHED and not _in_listed_module(name)
     )
-    assert missing == [], "no command reaches these: call them, delete them, or list a reason"
+    assert missing == [], "nothing reaches these: call them, delete them, or list a reason"
 
 
 def test_no_listed_function_is_reached_or_gone(reached):
@@ -304,7 +278,7 @@ def test_no_listed_function_is_reached_or_gone(reached):
         for name, (file, first, _) in FUNCTIONS.items()
         if (file, first) in reached and (name in UNREACHED or _in_listed_module(name))
     )
-    assert ran == [], "listed as unreached, yet a command runs it"
+    assert ran == [], "listed as unreached, yet a command or the library block runs it"
     assert all((SRC / f"{module}.py").exists() for module in UNREACHED_MODULES)
 
 
@@ -327,31 +301,25 @@ def _roadmap_item(number: int) -> str:
     return match.group(0)
 
 
-def _mentions(text: str, name: str) -> bool:
-    return re.search(rf"(?<!\w){re.escape(name.split('.')[-1])}(?!\w)", text) is not None
+def _mentions(text: str, word: str) -> bool:
+    return re.search(rf"(?<!\w){re.escape(word)}(?!\w)", text) is not None
 
 
 def _reason_holds(name: str, reason: tuple) -> bool:
-    _, _, node = FUNCTIONS[name]
-    bare = name.split(".")[-1]
+    parts = name.split(".")
+    # an __init__ is named by its class
+    word = parts[-2] if parts[-1] == "__init__" else parts[-1]
     kind, arg = reason
     if kind == "tracer":
         return name in _tracer_names()
-    if kind == "readme":
-        return _mentions((ROOT / "README.md").read_text(), name)
     if kind == "value":
-        # a dunder of a class, or a function or method that returns a
-        # value of a class defined under src/resip
-        in_class = len(name.split(".")) == 3 and name.split(".")[1] in CLASSES
-        returns = node.returns
-        named = returns.value if isinstance(returns, ast.Constant) else getattr(returns, "id", None)
-        return (in_class and bare.startswith("__") and bare.endswith("__")) or named in CLASSES
+        return parts[:2] == ["record", "Record"] and word.startswith("__") and word.endswith("__")
     if kind == "roadmap":
-        return _mentions(_roadmap_item(arg), name)
+        return _mentions(_roadmap_item(arg), word)
     if kind == "reference":
-        return _mentions((ROOT / arg).read_text(), name)
+        return _mentions((ROOT / arg).read_text(), word)
     if kind == "serves":
-        return arg in UNREACHED and _mentions(ast.unparse(FUNCTIONS[arg][2]), name)
+        return arg in UNREACHED and _mentions(ast.unparse(FUNCTIONS[arg][2]), word)
     return False
 
 
@@ -362,3 +330,16 @@ def test_each_listed_reason_holds():
         if name in FUNCTIONS and not _reason_holds(name, reason)
     )
     assert wrong == []
+
+
+def test_every_reason_is_of_a_checked_kind():
+    kinds = {kind for kind, _ in UNREACHED.values()}
+    assert kinds <= {"tracer", "roadmap", "reference", "serves", "value"}
+    values = [name for name, (kind, _) in UNREACHED.items() if kind == "value"]
+    assert values and all(name.startswith("record.Record.__") for name in values)
+
+
+def test_the_readme_block_reaches_the_braid_library(trace):
+    for name in ("braid.beta_braid", "braid.artin_endo", "freegrp._compose"):
+        file, first, _ = FUNCTIONS[name]
+        assert (file, first) in trace["library"], name
