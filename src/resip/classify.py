@@ -26,10 +26,9 @@ Residual nilpotence for semidirect products with Z^n fiber reduces to
 triviality of the intersection of the chain B^i(Z^n), B = A - I.  That
 intersection is trivial iff B has no unimodular piece: no irreducible
 factor of charpoly(B) other than x may have constant term of absolute
-value 1.  (The stable rank r and stable index d are reported too, but
-r > 0 with d >= 2 does not by itself force triviality: B can mix a
-unimodular block with a strictly expanding one, e.g. companion blocks of
-x^2-x-1 and x^2+3x+3 give r = 4, d = 3 and a nontrivial intersection.)
+value 1 (proved in ``lattice_chain_invariants``).  The index
+[B^n Z^n : B^(n+1) Z^n] does not decide it: companion blocks of x^2-x-1
+and x^2+3x+3 give index 3 and a nontrivial intersection.
 """
 
 from __future__ import annotations
@@ -237,7 +236,7 @@ def residually_p_prime_set(a: IntMatrix) -> PrimeSet:
 def torus_residually_nilpotent(a: IntMatrix) -> bool:
     """Is Z^n x|_A Z residually nilpotent (= omega-nilpotent here)?"""
     _require_automorphism(a)
-    return lattice_chain_invariants(a.minus_identity()).intersection_trivial
+    return lattice_chain_invariants(a.minus_identity())
 
 
 class BSSpec(Record):

@@ -210,7 +210,7 @@ def _json(text: str):
         raise SchemaError(f"not valid JSON: {exc}") from exc
 
 
-def _task_primes(payload: dict, caps: Caps = DEFAULT_CAPS) -> list[int]:
+def _task_primes(payload: dict, caps: Caps) -> list[int]:
     """The primes a task lists, or those up to its bound, sieved only
     within caps.sieve_bound; the verdicts reject a non-prime."""
     if "primes" in payload:
@@ -313,8 +313,10 @@ def run_task(task: Task, caps: Caps) -> dict:
             spec = CircleBundleSpec(payload["genus"], payload["euler"])
             return {"check": check, "report": circle_bundle_central_witness(spec).to_dict()}
         # the constructor refuses what is no cocycle; every form it takes is
-        # one, by the theorem in BilinearCocycle
-        BilinearCocycle(tuple(tuple(row) for row in payload["form"]), payload.get("coeff_modulus"))
+        # one over Z and over every Z/m, by the theorem in BilinearCocycle,
+        # so the answer does not depend on coeff_modulus, which the reader
+        # has already checked
+        BilinearCocycle(tuple(tuple(row) for row in payload["form"]))
         return {"check": check, "report": {"ok": True, "violation": None}}
     if task.kind == "sl2-power":
         matrix = IntMatrix.from_rows(payload["matrix"])
@@ -352,14 +354,14 @@ _WIDE = 2 ** 53
 def _json_text(value, indent: str = "") -> str:
     """The bytes ``json.dumps(value, indent=2, sort_keys=True)`` writes,
     in one pass, with integers of absolute value 2^53 or more written as
-    strings and tuples as lists.  Dict keys must be strings; a value of
-    any other type is a TypeError.  ``indent`` is that of the line the
+    strings and tuples as lists.  Dict keys must be strings.  A value is
+    of exactly one of the types a result holds: str, int, bool, None,
+    dict, list or tuple; any other, a float or a subclass (an IntEnum,
+    say) included, is a TypeError.  ``indent`` is that of the line the
     value starts on.  (CPython's C encoder does not take ``indent``, so
     json.dumps would run its pure-Python encoder instead.)
 
-    The text goes to one list of parts, joined once.  The exact type of a
-    value picks its branch; a subclass of a JSON type (an IntEnum, say)
-    falls through to ``isinstance``."""
+    The text goes to one list of parts, joined once."""
     parts: list[str] = []
     _write_json(value, indent, parts.append)
     return "".join(parts)
@@ -383,16 +385,6 @@ def _write_json(value, indent: str, out) -> None:
         out("null")
     elif kind is bool:
         out("true" if value else "false")
-    elif isinstance(value, int):
-        out(_int_text(value))
-    elif isinstance(value, str):
-        out(_quote(value))
-    elif isinstance(value, float):
-        out(json.dumps(value))  # repr, or NaN / Infinity / -Infinity
-    elif isinstance(value, dict):
-        _write_dict(value, indent, out)
-    elif isinstance(value, (list, tuple)):
-        _write_list(value, indent, out)
     else:
         raise TypeError(f"unserializable value {value!r}")
 

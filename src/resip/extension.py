@@ -5,8 +5,8 @@ normalized 2-cocycle Q x Q -> A.  The one cocycle representation is a
 bilinear integer form on Q = Z^r, enough for the Heisenberg group and all
 circle-bundle witnesses.  It is a cocycle by a theorem (see
 ``BilinearCocycle``), so nothing is checked by enumeration; a form with
-non-integer entries, or a coefficient modulus below 2, is refused.
-Everything is abelian-base here, written additively.
+non-integer entries is refused.  Everything is abelian-base here, written
+additively.
 
 Central extensions by a bilinear form.  Let B(u, v) = u^T F v with F an
 integer matrix, and G = Z x Z^r with (a, u)(b, v) = (a + b + B(u, v),
@@ -24,9 +24,9 @@ u + v).  The identity is (0, 0), and (a, u)^-1 = (-a + B(u, u), -u).
   m u = 0 gives u = 0, and then m a = 0 gives a = 0.  So G is
   torsion-free, and an element (c, 0) with c != 0 has infinite order.
 
-Both hold over Z.  With coefficients in Z/m (``coeff_modulus``), (1, 0)
-has order m, so the checks that rest on them require integer
-coefficients.
+Both hold over Z, and every form here is integral.  A bilinear form is
+a cocycle over every Z/m too, so the ``cocycle`` task's coefficient
+modulus does not change its answer.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .record import Record
 
 
 class BilinearCocycle(Record):
-    """f(u, v) = u^T F v on Z^r, values in Z or Z/m.
+    """f(u, v) = u^T F v on Z^r, values in Z.
 
     Every such f is a normalized 2-cocycle, whatever the integer form F:
 
@@ -47,27 +47,21 @@ class BilinearCocycle(Record):
     * Bilinearity makes the cocycle identity automatic: both sides of
       f(g,h) + f(g+h,k) = f(h,k) + f(g,h+k) expand to
       f(g,h) + f(g,k) + f(h,k), an equality of integers, so it holds
-      after reduction mod m too.
+      after reduction mod any m too.
 
     The proof holds over Z, so the entries of F must be integers: with
-    floats, rounding alone can break the identity.  A modulus m below 2
-    gives no Z/m to reduce into: 0 would be Z under another name, 1 kills
-    every central coordinate, and a negative m yields residues outside
-    [0, |m|).
+    floats, rounding alone can break the identity.
     """
 
-    __slots__ = ("form", "coeff_modulus")
+    __slots__ = ("form",)
 
-    def __init__(self, form: tuple[tuple[int, ...], ...], coeff_modulus: int | None = None):
+    def __init__(self, form: tuple[tuple[int, ...], ...]):
         r = len(form)
         if r == 0 or any(len(row) != r for row in form):
             raise InvalidSpec("bilinear form must be square and nonempty")
         if any(not isinstance(x, int) for row in form for x in row):
             raise InvalidSpec("bilinear form entries must be exact integers")
-        if coeff_modulus is not None and (type(coeff_modulus) is not int or coeff_modulus < 2):
-            raise InvalidSpec("coefficient modulus must be an integer >= 2")
         object.__setattr__(self, "form", form)
-        object.__setattr__(self, "coeff_modulus", coeff_modulus)
 
     @property
     def r(self) -> int:
@@ -77,8 +71,7 @@ class BilinearCocycle(Record):
         if len(u) != self.r or len(v) != self.r:
             raise InvalidSpec("argument length differs from base rank")
         # by the nonzero coordinates of u, each row taken against v at once
-        total = sum(a * sum(map(mul, row, v)) for a, row in zip(u, self.form) if a)
-        return total % self.coeff_modulus if self.coeff_modulus else total
+        return sum(a * sum(map(mul, row, v)) for a, row in zip(u, self.form) if a)
 
 
 class ExtensionElement(Record):
@@ -89,23 +82,18 @@ class ExtensionElement(Record):
         object.__setattr__(self, "base", base)
 
 
-def _central_red(f, a: int) -> int:
-    return a % f.coeff_modulus if f.coeff_modulus else a
-
-
 def ext_identity(f) -> ExtensionElement:
     return ExtensionElement(0, (0,) * f.r)
 
 
 def ext_multiply(x: ExtensionElement, y: ExtensionElement, f) -> ExtensionElement:
-    a = _central_red(f, x.central + y.central + f(x.base, y.base))
+    a = x.central + y.central + f(x.base, y.base)
     return ExtensionElement(a, tuple(map(add, x.base, y.base)))
 
 
 def ext_inverse(x: ExtensionElement, f) -> ExtensionElement:
     nb = tuple(map(neg, x.base))
-    a = _central_red(f, -x.central - f(x.base, nb))
-    return ExtensionElement(a, nb)
+    return ExtensionElement(-x.central - f(x.base, nb), nb)
 
 
 def ext_commutator(x: ExtensionElement, y: ExtensionElement, f) -> ExtensionElement:
@@ -168,18 +156,6 @@ def standard_pairing(genus: int, e: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in rows)
 
 
-def _integral(f: BilinearCocycle) -> bool:
-    """A form with coefficients in Z, as the theorems of the module
-    docstring need."""
-    return f.coeff_modulus is None
-
-
-def _pairing_is(f, pairing) -> bool:
-    """Is the extension by f of class <= 2 with commutator pairing
-    ``pairing`` over Z (module docstring)?"""
-    return _integral(f) and commutator_pairing(f) == pairing
-
-
 def heisenberg_checks() -> CheckReport:
     """Verify the presentation [x,y] = z, [x,z] = [y,z] = 1, nilpotency
     class exactly 2, and torsion-freeness.
@@ -206,9 +182,11 @@ def heisenberg_checks() -> CheckReport:
         ("class_two_xyy", ext_commutator(ext_commutator(x, y, f), y, f) == ident)
     )
     checks.append(
-        ("gamma2_central_with_det_pairing", _pairing_is(f, standard_pairing(1, 1)))
+        ("gamma2_central_with_det_pairing", commutator_pairing(f) == standard_pairing(1, 1))
     )
-    checks.append(("torsion_free", _integral(f)))
+    # the form is integral, so the extension is torsion-free, by the
+    # theorem of the module docstring
+    checks.append(("torsion_free", True))
     return CheckReport(tuple(checks))
 
 
@@ -280,8 +258,11 @@ def circle_bundle_central_witness(spec: CircleBundleSpec) -> CheckReport:
         ext_commutator(z, basis(i), f) == ident for i in range(r)
     )
     checks.append(("z_central", z_central))
-    # Q is torsion-free, so every element but the identity has infinite order
-    checks.append(("z_image_infinite_order", _integral(f) and z != ident))
-    checks.append(("class_two", _pairing_is(f, standard_pairing(g, e))))
-    checks.append(("torsion_free", _integral(f)))
+    # Q is torsion-free (below), so every element but the identity has
+    # infinite order
+    checks.append(("z_image_infinite_order", z != ident))
+    checks.append(("class_two", commutator_pairing(f) == standard_pairing(g, e)))
+    # the form is integral, so Q is torsion-free, by the theorem of the
+    # module docstring
+    checks.append(("torsion_free", True))
     return CheckReport(tuple(checks))

@@ -15,12 +15,10 @@ bound the answer is a probable-prime answer: no composite is known to pass,
 but none is proved not to.  Prime factors come from trial division, then
 Pollard-Brent rho on every composite cofactor.
 
-The stable rank and index of the lattice chain B^i Z^n need neither a
-normal form nor a factorisation: with g the characteristic polynomial of
-B stripped of its powers of x, the rank is deg g and the index |g(0)|
-(proved in ``lattice_chain_invariants``).  Whether some factor other
-than x has constant term +-1 does need one, by Zassenhaus
-(resip.polyfactor).
+Whether the lattice chain B^i Z^n meets in {0} is read off the
+irreducible factors of charpoly(B), found by Zassenhaus
+(resip.polyfactor): it does iff no factor other than x has constant term
++-1 (proved in ``lattice_chain_invariants``).
 """
 
 from __future__ import annotations
@@ -460,18 +458,6 @@ def poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[tuple[int, ...]
     return tuple(quot), tuple(num)
 
 
-class UnipotenceResult(Record):
-    __slots__ = ("unipotent", "index")
-
-    # index: the least j with (M - I)^j = 0 mod p, when unipotent
-    def __init__(self, unipotent: bool, index: int | None):
-        object.__setattr__(self, "unipotent", unipotent)
-        object.__setattr__(self, "index", index)
-
-    def __bool__(self) -> bool:
-        return self.unipotent
-
-
 def _power_chain(a: IntMatrix, modulus: int) -> list[int]:
     """d_j = gcd(modulus, entries of (A - I)^j mod modulus) for
     j = 1, 2, ..., up to n or to the first d_j equal to the modulus."""
@@ -485,15 +471,15 @@ def _power_chain(a: IntMatrix, modulus: int) -> list[int]:
         power = [[sum(map(mul, row, col)) % modulus for col in cols] for row in power]
 
 
-def is_unipotent_mod(m: IntMatrix, p: int) -> UnipotenceResult:
-    """Is M unipotent mod p, i.e. (M - I)^n = 0 over F_p?  With the
-    nilpotency index of M - I when true: the length of
-    ``_power_chain(m, p)``, which stops at the first (M - I)^j = 0 mod p."""
+def is_unipotent_mod(m: IntMatrix, p: int) -> int | None:
+    """The nilpotency index of M - I over F_p, the least j >= 1 with
+    (M - I)^j = 0 mod p, when M is unipotent mod p; None when it is not.
+    The index is the length of ``_power_chain(m, p)``, which stops at the
+    first such j, and it is at least 1, so the answer is true exactly
+    when M is unipotent."""
     _require_prime(p)
     chain = _power_chain(m, p)
-    if chain[-1] == p:
-        return UnipotenceResult(True, len(chain))
-    return UnipotenceResult(False, None)
+    return len(chain) if chain[-1] == p else None
 
 
 def rref_mod(
@@ -658,53 +644,33 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return out
 
 
-class LatticeChainInvariants(Record):
-    """Invariants of the image chain B^i(Z^n).
+def lattice_chain_invariants(b: IntMatrix) -> bool:
+    """Does the decreasing lattice chain Z^n > B Z^n > B^2 Z^n > ... meet
+    in {0}?  It does exactly when no irreducible factor of charpoly(B)
+    other than x has constant term +-1.
 
-    stable_rank: rank of B^n over Q.
-    stable_index: index [B^n Z^n : B^(n+1) Z^n] (None when stable_rank = 0).
-    intersection_trivial: whether the chain intersects in {0}.
-    """
-
-    __slots__ = ("stable_rank", "stable_index", "intersection_trivial")
-
-    def __init__(self, stable_rank: int, stable_index: int | None, intersection_trivial: bool):
-        object.__setattr__(self, "stable_rank", stable_rank)
-        object.__setattr__(self, "stable_index", stable_index)
-        object.__setattr__(self, "intersection_trivial", intersection_trivial)
-
-
-def lattice_chain_invariants(b: IntMatrix) -> LatticeChainInvariants:
-    """Invariants of the decreasing lattice chain Z^n > B Z^n > B^2 Z^n > ...
-
-    Let g be charpoly(B) with its powers of x removed, r = deg g, and
+    Proof.  Let g be charpoly(B) with its powers of x removed, and
     L = B^n Z^n.  Q^n is the direct sum of K = ker B^n and W = im_Q B^n
-    (Fitting), both B-invariant, B nilpotent on K and invertible on W.
-    So charpoly(B) = charpoly(B|K) charpoly(B|W) with the first a power
-    of x and the second of nonzero constant term: charpoly(B|W) = g.
-
-    * The stable rank is r: L spans W over Q, and dim W = deg g.
-    * The stable index [L : B L] is |g(0)|.  Proof: B L = B^(n+1) Z^n lies
-      in B^n Z^n = L, so in a basis of the lattice L, which spans W, B is
-      an integer r x r matrix T with characteristic polynomial g.  Then
-      [L : B L] = [Z^r : T Z^r] = |det T| (Smith normal form), and
-      |det T| = |g(0)|, the product of |c_0|^mult over the irreducible
-      factors of charpoly(B) other than x.
-    * The intersection of the chain is trivial exactly when B has no
-      invariant sublattice on which it acts unimodularly; equivalently, no
-      irreducible factor of charpoly(B) other than x has constant term +-1
-      (decided by factoring).
+    (Fitting), both B-invariant, with B nilpotent on K and invertible on
+    W, so charpoly(B|W) = g and L spans W.
+    * If a monic irreducible factor f of g has f(0) = +-1, then
+      L_f = L cap ker f(B) is a nonzero lattice (ker f(B) is a nonzero
+      subspace of W), which B maps into itself with determinant
+      +-f(0)^k = +-1, so onto itself: L_f = B^i L_f lies in every
+      B^i Z^n.
+    * Otherwise let I be the intersection.  It lies in L, so in W, and
+      B I = I: an x in I is B y_i with y_i in B^(i-1) Z^n, which lies in
+      W once i > n, where B is one-to-one, so all y_i are one y, and y is
+      in I.  So B is an automorphism of the lattice I, of determinant
+      +-1, while its characteristic polynomial there is a product of
+      factors of g, each with |f(0)| >= 2: I = {0}.
     """
     from .polyfactor import factor_monic  # polyfactor imports intlin
 
     g = list(charpoly_exact(b))
     while g[-1] == 0:  # strip the powers of x; g stays monic
         g.pop()
-    r = len(g) - 1
-    if r == 0:
-        return LatticeChainInvariants(0, None, True)
-    unit_part = any(abs(f[-1]) == 1 for f, _ in factor_monic(g))
-    return LatticeChainInvariants(r, abs(g[-1]), not unit_part)
+    return len(g) == 1 or not any(abs(f[-1]) == 1 for f, _ in factor_monic(g))
 
 
 def _require_prime(p: int) -> None:

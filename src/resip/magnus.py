@@ -1,11 +1,12 @@
 """Truncated Magnus expansion, and the lower-central layers decided on H_1.
 
 The free group F_n embeds into the units of Z<<X_1..X_n>> by x_i -> 1 + X_i.
-Truncating at degree d (and optionally reducing coefficients mod a prime
-power) yields finite nilpotent images; over F_p the kernels are the mod-p
-dimension subgroups, which are fully invariant and of p-power index.  These
-kernels, not the lower p-central series, are the quotient family used by
-the witness engine.
+Truncating at degree d and reducing coefficients mod m >= 2 yields finite
+nilpotent images; over F_p the kernels are the mod-p dimension subgroups,
+which are fully invariant and of p-power index.  These kernels, not the
+lower p-central series, are the quotient family used by the witness
+engine, so every series here has a modulus: the witness route passes its
+p, and there is no series over Z.
 
 Lower-central layers, decided on H_1.  Theorem: let phi be an
 automorphism of F_n with M = abelianization_matrix(phi), and let K = F_p
@@ -15,15 +16,16 @@ unipotence mod p on every layer is ``is_unipotent_mod(M, p)``, and over Z
 (hence Q) it is charpoly(M) == (x - 1)^n (``charpoly_exact`` against
 ``poly_pow_x_minus_one``), at any depth and under no cap; no layer basis
 is built.  Proof:
-* g -> (degree-i part of magnus_embed(g)) maps layer i isomorphically
-  onto Lie_i, the degree-i Lie polynomials in T_i = (Z^n)^(tensor i).
+* g -> (degree-i part of the Magnus embedding of g over Z) maps layer i
+  isomorphically onto Lie_i, the degree-i Lie polynomials in
+  T_i = (Z^n)^(tensor i).
   The Lyndon polynomials P_w = w + lex-greater monomials are a basis of
   Lie_i, so with the non-Lyndon monomials they form a unitriangular basis
   of T_i: Lie_i is a direct summand, and Lie_i tensor K embeds in
   T_i tensor K.
-* phi substitutes X_j -> magnus_embed(phi(x_j)) - 1, whose degree-1 part
-  is sum_k M_kj X_k, and g in gamma_i has magnus_embed(g) = 1 + (its Lie
-  element) + higher degree.  So phi acts on layer i tensor K as
+* phi substitutes X_j -> embed(phi(x_j)) - 1, whose degree-1 part is
+  sum_k M_kj X_k, and g in gamma_i has embed(g) = 1 + (its Lie element)
+  + higher degree.  So phi acts on layer i tensor K as
   M^(tensor i) restricted to Lie_i tensor K.
 * If M = I + N with N nilpotent, M^(tensor i) is the product of the i
   commuting unipotent maps I x .. x M x .. x I, hence unipotent, and so
@@ -47,11 +49,10 @@ nonzero reduced coefficients only; there is no dense form.
   term c m of level k adds c at m X_i, code r m + i, in level k + 1, for
   k = d - 1 .. 0: level k + 1 has already been read in this pass.  By
   (1 + X_i)^-1, the result y solves y_(k+1) = x_(k+1) - y_k X_i, for
-  k = 0 .. d - 1: y_k is already final.  Mod p a letter adds, or an
-  inverse letter subtracts, a reduced coefficient from a reduced one, so
-  one subtraction or addition of p reduces the sum; over Z nothing is
-  reduced.  No series product is formed, and the levels are merged into
-  one table at the end.
+  k = 0 .. d - 1: y_k is already final.  A letter adds, or an inverse
+  letter subtracts, a reduced coefficient from a reduced one, so one
+  subtraction or addition of m reduces the sum.  No series product is
+  formed, and the levels are merged into one table at the end.
 * SeriesSubstitution is linear, so it memoises the image of each monomial
   it meets, one product from the image of its prefix, whose code is
   (m - 1) // r.  One accumulation kernel sums c * image(m) into one table that is
@@ -136,17 +137,16 @@ def code_range(rank: int, k: int) -> range:
 class TruncatedSeries:
     """Noncommutative polynomial truncated at total degree d.
 
-    Coefficients are integers, reduced mod `modulus` when set (None = Z).
-    The table maps monomial codes (``monomial_code``) to nonzero
-    coefficients only.
+    Coefficients are residues mod `modulus`, an int >= 2.  The table maps
+    monomial codes (``monomial_code``) to nonzero residues only.
     """
 
     __slots__ = ("rank", "degree", "modulus", "table")
 
-    def __init__(self, rank: int, degree: int, modulus: int | None, table: dict):
+    def __init__(self, rank: int, degree: int, modulus: int, table: dict):
         if rank < 1 or degree < 1:
             raise InvalidSpec("rank and degree must be >= 1")
-        if modulus is not None and modulus < 2:
+        if modulus is None or modulus < 2:
             raise InvalidSpec("modulus must be >= 2")
         self.rank = rank
         self.degree = degree
@@ -154,7 +154,7 @@ class TruncatedSeries:
         self.table = table
 
     @staticmethod
-    def generator_term(rank: int, degree: int, i: int, modulus: int | None = None) -> "TruncatedSeries":
+    def generator_term(rank: int, degree: int, i: int, modulus: int) -> "TruncatedSeries":
         """1 + X_i"""
         return TruncatedSeries(rank, degree, modulus, {0: 1, i: 1})
 
@@ -193,11 +193,8 @@ class TruncatedSeries:
         return self.table.get(monomial_code(m, self.rank), 0)
 
 
-
-def _reduced(table: dict, modulus: int | None) -> dict:
+def _reduced(table: dict, modulus: int) -> dict:
     """The table with coefficients reduced and zero entries dropped."""
-    if modulus is None:
-        return {m: c for m, c in table.items() if c}
     return {m: v for m, c in table.items() if (v := c % modulus)}
 
 
@@ -220,7 +217,7 @@ def _by_degree(table: dict, d: int, rank: int) -> list[tuple]:
     ]
 
 
-def _product(left: dict, right: list[tuple], modulus: int | None) -> dict:
+def _product(left: dict, right: list[tuple], modulus: int) -> dict:
     """Table of left * right truncated at degree d, right given by
     ``_by_degree`` at that d; reduced once at the end."""
     table: dict = {}
@@ -239,10 +236,11 @@ def _product(left: dict, right: list[tuple], modulus: int | None) -> dict:
 def magnus_embed(
     w: FreeWord,
     d: int,
-    modulus: int | None = None,
+    modulus: int,
     caps: Caps = DEFAULT_CAPS,
 ) -> TruncatedSeries:
-    """Image of w under x_i -> 1 + X_i, truncated at degree d.
+    """Image of w under x_i -> 1 + X_i, truncated at degree d, with
+    coefficients mod m = modulus >= 2.
 
     Inverse letters map to the truncated geometric series of (1 + X_i)^-1,
     so the map is multiplicative on the nose: embed(uv) = embed(u) *
@@ -252,14 +250,14 @@ def magnus_embed(
     adds x_k X_i to level k + 1, so the pass runs k = d - 1 .. 0 and reads
     each level before the level below writes into it.  Multiplying by
     (1 + X_i)^-1 gives the y with y_(k+1) = x_(k+1) - y_k X_i, so the pass
-    runs k = 0 .. d - 1 and reads each level once it is final.  Mod p the
-    stored coefficients lie in 1..p - 1, so a sum lies in 1..2p - 2 and a
-    difference in 1 - p..p - 2, and one step of p reduces it.  The levels
+    runs k = 0 .. d - 1 and reads each level once it is final.  The stored
+    coefficients lie in 1..m - 1, so a sum lies in 1..2m - 2 and a
+    difference in 1 - m..m - 2, and one step of m reduces it.  The levels
     are merged into one table at the end.
     """
     if d < 1:
         raise InvalidSpec("degree must be >= 1")
-    if modulus is not None and modulus < 2:
+    if modulus is None or modulus < 2:
         raise InvalidSpec("modulus must be >= 2")
     if d > caps.magnus_degree:
         raise CapExceeded("magnus_degree", caps.magnus_degree)
@@ -277,7 +275,7 @@ def magnus_embed(
                 for m, c in levels[k].items():
                     n = m * r + a
                     v = get(n, 0) + c
-                    if p is not None and v >= p:
+                    if v >= p:
                         v -= p
                     if v:
                         above[n] = v
@@ -290,7 +288,7 @@ def magnus_embed(
                 for m, c in levels[k].items():
                     n = m * r - a
                     v = get(n, 0) - c
-                    if p is not None and v < 0:
+                    if v < 0:
                         v += p
                     if v:
                         above[n] = v
@@ -348,7 +346,7 @@ class SeriesSubstitution:
     1 (code 1..r) is its image.  Repeated sums only ever multiply for
     monomials they have not met before."""
 
-    def __init__(self, phi: FreeEndo, d: int, modulus: int | None, caps: Caps = DEFAULT_CAPS):
+    def __init__(self, phi: FreeEndo, d: int, modulus: int, caps: Caps = DEFAULT_CAPS):
         self.rank = phi.rank
         self.degree = d
         self.modulus = modulus

@@ -115,7 +115,7 @@ class PGroupQuotient(Record):
         monodromy_inverse: tuple[str, ...],
         survivor_t: int,
         survivor_word: str,
-        data: dict | None = None,  # None: a new empty dict
+        data: dict,
         components: tuple["PGroupQuotient", ...] = (),
     ):
         if kind not in DATA_FIELDS:
@@ -127,7 +127,7 @@ class PGroupQuotient(Record):
         object.__setattr__(self, "monodromy_inverse", monodromy_inverse)
         object.__setattr__(self, "survivor_t", survivor_t)
         object.__setattr__(self, "survivor_word", survivor_word)
-        object.__setattr__(self, "data", {} if data is None else data)
+        object.__setattr__(self, "data", data)
         object.__setattr__(self, "components", components)
 
     def to_dict(self) -> dict:
@@ -255,7 +255,7 @@ def _raw_induced_order(sub: SeriesSubstitution, p: int, nu: int) -> int:
 
 def _unipotent_order(phi: FreeEndo, p: int, d: int, nu1: int, caps: Caps) -> int:
     """Order of phi on the level-(p, d) quotient, given (M - I)^nu1 = 0 on
-    H_1 mod p, nu1 the index is_unipotent_mod reports."""
+    H_1 mod p, nu1 the index is_unipotent_mod returns."""
     sub = SeriesSubstitution(phi, d, p, caps)
     return _raw_induced_order(sub, p, _nilpotency_bound(d, nu1))
 
@@ -266,10 +266,10 @@ def induced_automorphism_order(
     """Order p^s of the monodromy on the level-(p, d) quotient.  A
     non-unipotent H_1 action mod p has none at any level: InvalidSpec,
     raised before any substitution is built."""
-    unip = is_unipotent_mod(abelianization_matrix(spec.fiber), p)
-    if not unip:
+    nu1 = is_unipotent_mod(abelianization_matrix(spec.fiber), p)
+    if nu1 is None:
         raise InvalidSpec(f"H_1 action not unipotent mod {p}")
-    return _unipotent_order(spec.fiber, p, d, unip.index, caps)
+    return _unipotent_order(spec.fiber, p, d, nu1, caps)
 
 
 def _stable_letter_exponent(p: int, m: int) -> int:
@@ -363,8 +363,8 @@ def find_p_quotient_witness(
             **base,
         )
         return WitnessOutcome("certificate", certificate=cert)
-    unip = is_unipotent_mod(abelianization_matrix(phi), p)
-    if not unip:
+    nu1 = is_unipotent_mod(abelianization_matrix(phi), p)
+    if nu1 is None:
         return WitnessOutcome(
             "undecided",
             reason=f"H_1 action not unipotent mod {p}; the certificate route requires it",
@@ -372,7 +372,7 @@ def find_p_quotient_witness(
     w = g.fiber_word
     d, series = _depth_and_embedding(w, p, caps)
     evidence_mon, evidence_coeff = _least_nonzero_evidence(series, d)
-    order = _unipotent_order(phi, p, d, unip.index, caps)
+    order = _unipotent_order(phi, p, d, nu1, caps)
     count, s = _monomial_count(spec.rank, d), p_power_exponent(order, p)
     if _too_wide(p, count + s):  # the total is the wider of the two bounds
         return _too_wide_outcome("total_order_bound", p, count + s)
@@ -505,13 +505,13 @@ def verify_witness(cert: PGroupQuotient, caps: Caps = DEFAULT_CAPS) -> CheckRepo
             len(mon) == d and series.coefficient(mon) == cert.data["evidence_coefficient"] != 0,
         )
     )
-    unip = is_unipotent_mod(abelianization_matrix(phi), p)
-    checks.append(("h1_unipotent_mod_p", bool(unip)))
+    nu1 = is_unipotent_mod(abelianization_matrix(phi), p)
+    checks.append(("h1_unipotent_mod_p", nu1 is not None))
     sub = SeriesSubstitution(phi, d, p, caps)
     order = 0  # no level has a p-power order: nothing to compute
-    if unip:
-        order = _raw_induced_order(sub, p, _nilpotency_bound(d, unip.index))
-    checks.append(("induced_order_matches", bool(unip) and order == cert.data["induced_order"]))
+    if nu1 is not None:
+        order = _raw_induced_order(sub, p, _nilpotency_bound(d, nu1))
+    checks.append(("induced_order_matches", nu1 is not None and order == cert.data["induced_order"]))
     checks.append(("induced_order_p_power", p_power_exponent(order, p) is not None))
     # the stored order's exponent is compared, so no p ** exponent is built
     # from an unbounded stored value

@@ -44,9 +44,7 @@ from resip.freegrp import (
 )
 from resip.intlin import (
     IntMatrix,
-    LatticeChainInvariants,
     ModMatrix,
-    UnipotenceResult,
     _require_prime,
     charpoly_exact,
     det_exact,
@@ -145,8 +143,8 @@ def series_sum(a: TruncatedSeries, b: TruncatedSeries, sign: int = 1) -> Truncat
     for code, c in b.table.items():
         table[code] = table.get(code, 0) + sign * c
     mod = a.modulus
-    table = {code: c % mod if mod else c for code, c in table.items()}
-    return TruncatedSeries(a.rank, a.degree, mod, {code: c for code, c in table.items() if c})
+    table = {code: v for code, c in table.items() if (v := c % mod)}
+    return TruncatedSeries(a.rank, a.degree, mod, table)
 
 
 def matrix_order_mod(m: IntMatrix, p: int, k: int, cap: Optional[int] = None) -> int:
@@ -270,9 +268,43 @@ def unit_inverse(s: TruncatedSeries) -> TruncatedSeries:
     return inv
 
 
-def homogeneous(s: TruncatedSeries, i: int) -> dict:
-    """Degree-i coefficient slice of a series, keyed by monomial."""
-    return {m: c for m, c in decoded(s).items() if len(m) == i}
+def table_reduced(table: dict, modulus: Optional[int]) -> dict:
+    """A monomial-keyed table with coefficients reduced mod modulus, or
+    kept over Z when it is None, and zero entries dropped."""
+    out = {}
+    for m, c in table.items():
+        c = c % modulus if modulus is not None else c
+        if c:
+            out[m] = c
+    return out
+
+
+def table_product(a: dict, b: dict, d: int, modulus: Optional[int]) -> dict:
+    """The product of two monomial-keyed tables truncated at degree d,
+    term by term."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            if len(m1) + len(m2) <= d:
+                out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
+    return table_reduced(out, modulus)
+
+
+def embed_by_products(w: FreeWord, d: int, modulus: Optional[int] = None) -> dict:
+    """The Magnus embedding of w truncated at degree d, as a
+    monomial-keyed table over Z, or mod modulus: one full series product
+    per letter, by 1 + X_i, or by the (d+1)-term geometric series
+    1 - X_i + X_i^2 - ... for the inverse letter.  The library embeds
+    only mod m; this is the embedding over Z the layer theorem reads."""
+    table = {(): 1}
+    for a in w.letters:
+        i = abs(a)
+        if a > 0:
+            factor = {(): 1, (i,): 1}
+        else:
+            factor = {(i,) * r: (-1) ** r for r in range(d + 1)}
+        table = table_product(table, factor, d, modulus)
+    return table
 
 
 def decoded(s: TruncatedSeries) -> dict:
@@ -323,16 +355,17 @@ def quotient_matrix(m: ModMatrix, w_basis: tuple[tuple[int, ...], ...]) -> IntMa
     return IntMatrix.from_rows([[cols[j][i] for j in range(d)] for i in range(d)])
 
 
-def unipotence_by_powers(m: IntMatrix, p: int) -> UnipotenceResult:
-    """Unipotence of M mod p and the nilpotency index of M - I, by forming
-    (M - I)^j over F_p for j = 1, ..., n until one is zero."""
+def unipotence_by_powers(m: IntMatrix, p: int) -> Optional[int]:
+    """The nilpotency index of M - I over F_p when M is unipotent mod p,
+    else None, by forming (M - I)^j over F_p for j = 1, ..., n until one
+    is zero."""
     nil = ModMatrix.reduce(m.minus_identity(), p)
     power = nil
     for j in range(1, m.n + 1):
         if not any(map(any, power.entries)):
-            return UnipotenceResult(True, j)
+            return j
         power = power * nil
-    return UnipotenceResult(False, None)
+    return None
 
 
 def mod_matrix_power(m: ModMatrix, k: int) -> ModMatrix:
@@ -357,10 +390,13 @@ def unipotent_order_by_iteration(q: IntMatrix, p: int) -> int:
     return order
 
 
-def cocycle_by_sampling(f, samples: int = 200, seed: int = 0) -> Optional[tuple]:
+def cocycle_by_sampling(
+    f, samples: int = 200, seed: int = 0, modulus: Optional[int] = None
+) -> Optional[tuple]:
     """Normalization and the cocycle identity of a bilinear cocycle on
-    seeded sampled triples with entries in [-5, 5]: None, or the first
-    triple (g, h, k) that breaks one of them."""
+    seeded sampled triples with entries in [-5, 5], with values read mod
+    ``modulus`` when it is given: None, or the first triple (g, h, k)
+    that breaks one of them."""
     rng = random.Random(seed)
     zero = (0,) * f.r
 
@@ -375,9 +411,9 @@ def cocycle_by_sampling(f, samples: int = 200, seed: int = 0) -> Optional[tuple]
             return (zero, g, zero)
         lhs = f(g, h) + f(plus(g, h), k)
         rhs = f(h, k) + f(g, plus(h, k))
-        if f.coeff_modulus:
-            lhs %= f.coeff_modulus
-            rhs %= f.coeff_modulus
+        if modulus is not None:
+            lhs %= modulus
+            rhs %= modulus
         if lhs != rhs:
             return (g, h, k)
     return None
@@ -559,20 +595,20 @@ def torus_verdicts_per_prime(a: IntMatrix, primes) -> list[dict]:
         raise InvalidSpec("matrix is not in GL_n(Z)")
     out = []
     for p in primes:
-        unip = is_unipotent_mod(a, p)
+        index = is_unipotent_mod(a, p)
         if a.n == 2 and det_exact(a) == 1:
             det_door = det_exact(a.minus_identity()) % p == 0
-            if det_door != unip.unipotent:
+            if det_door != (index is not None):
                 raise InternalInvariant(
                     "unipotence and det(A-I) criteria disagree on an SL2 input"
                 )
-        if unip:
+        if index is not None:
             verdict = Verdict(
                 p,
                 RESIDUALLY_P,
                 certificate={
                     "criterion": "unipotent_mod_p",
-                    "nilpotency_index": unip.index,
+                    "nilpotency_index": index,
                 },
             )
         else:
@@ -601,14 +637,14 @@ def fibered_verdicts_per_prime(spec, primes) -> list[dict]:
     for p in primes:
         a = abelianization_matrix(spec.fiber)
         abelianization = [list(r) for r in a.entries]
-        unip = is_unipotent_mod(a, p)
-        if unip:
+        index = is_unipotent_mod(a, p)
+        if index is not None:
             verdict = Verdict(
                 p,
                 RESIDUALLY_P,
                 certificate={
                     "criterion": "unipotent_on_H1_mod_p",
-                    "nilpotency_index": unip.index,
+                    "nilpotency_index": index,
                     "abelianization": abelianization,
                 },
             )
@@ -637,19 +673,17 @@ def fibered_verdicts_per_prime(spec, primes) -> list[dict]:
 
 def json_safe(value):
     """A copy of a report value that json.dumps takes: integers of absolute
-    value 2^53 or more become strings and tuples lists; any other type
-    than those of JSON is a TypeError."""
-    if isinstance(value, bool) or value is None:
+    value 2^53 or more become strings and tuples lists.  A value of any
+    type but str, int, bool, None, dict, list and tuple, a float or a
+    subclass of one of these included, is a TypeError."""
+    kind = type(value)
+    if kind is bool or kind is str or value is None:
         return value
-    if isinstance(value, int):
+    if kind is int:
         return str(value) if abs(value) >= 2 ** 53 else value
-    if isinstance(value, float):
-        return value
-    if isinstance(value, str):
-        return value
-    if isinstance(value, dict):
+    if kind is dict:
         return {k: json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if kind is list or kind is tuple:
         return [json_safe(v) for v in value]
     raise TypeError(f"unserializable value {value!r}")
 
@@ -797,13 +831,15 @@ def _solve_exact(columns: list[list[int]], targets: list[list[int]]) -> list[lis
     return solutions
 
 
-def lattice_chain_by_normal_forms(b: IntMatrix) -> LatticeChainInvariants:
-    """The lattice chain's invariants from the lattices themselves.  A
-    Hermite basis of L = B^n Z^n gives the stable rank; B written in that
-    basis, by an exact rational solve that must come out integral, is a
-    matrix T whose Smith diagonal multiplies to [L : B L].  The chain meets
-    in {0} iff sympy's factorisation of charpoly(B) has no factor with
-    constant term +-1 (x itself has 0)."""
+def lattice_chain_by_normal_forms(b: IntMatrix) -> tuple[int, Optional[int], bool]:
+    """(stable rank, stable index, whether the chain meets in {0}) of the
+    lattice chain B^i Z^n, from the lattices themselves.  A Hermite basis
+    of L = B^n Z^n gives the stable rank r, the rank of B^n; B written in
+    that basis, by an exact rational solve that must come out integral, is
+    a matrix T whose Smith diagonal multiplies to the index [L : B L]
+    (None when r = 0).  The chain meets in {0} iff sympy's factorisation
+    of charpoly(B) has no factor with constant term +-1 (x itself has
+    0)."""
     import sympy
 
     n = b.n
@@ -811,7 +847,7 @@ def lattice_chain_by_normal_forms(b: IntMatrix) -> LatticeChainInvariants:
     basis = [[row[j] for row in h] for j in range(len(h[0]))]
     r = len(basis)
     if r == 0:
-        return LatticeChainInvariants(0, None, True)
+        return 0, None, True
     images = [
         [sum(b.entries[i][k] * vec[k] for k in range(n)) for i in range(n)]
         for vec in basis
@@ -827,7 +863,7 @@ def lattice_chain_by_normal_forms(b: IntMatrix) -> LatticeChainInvariants:
     x = sympy.Symbol("x")
     factors = sympy.Poly(list(charpoly_exact(b)), x).factor_list()[1]
     unit_part = any(abs(int(f.TC())) == 1 for f, _ in factors)
-    return LatticeChainInvariants(r, index, not unit_part)
+    return r, index, not unit_part
 
 
 def bs_classify_by_matrix(q: int) -> BSReport:
@@ -837,7 +873,7 @@ def bs_classify_by_matrix(q: int) -> BSReport:
     a = IntMatrix.from_rows([[q]])
     g = math.gcd(*(c - t for c, t in zip(charpoly_exact(a), poly_pow_x_minus_one(1))))
     primes = PrimeSet(True, (), 0) if g == 0 else PrimeSet(False, prime_factors(g), g)
-    omega = lattice_chain_invariants(a.minus_identity()).intersection_trivial
+    omega = lattice_chain_invariants(a.minus_identity())
     return BSReport(q, primes, omega, trivial_case=q == 1)
 
 
@@ -965,8 +1001,9 @@ def lie_layer_matrix(phi: FreeEndo, i: int, modulus: Optional[int] = None) -> In
     columns = []
     for w in basis:
         image = apply_endo(phi, lyndon_bracket_word(phi.rank, w))
-        series = magnus_embed(image, i, modulus)
-        columns.append(_lie_coordinates(homogeneous(series, i), basis, modulus))
+        series = embed_by_products(image, i, modulus)
+        top = {m: c for m, c in series.items() if len(m) == i}
+        columns.append(_lie_coordinates(top, basis, modulus))
     return IntMatrix.from_rows([[col[r] for col in columns] for r in range(len(basis))])
 
 

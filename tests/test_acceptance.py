@@ -126,7 +126,7 @@ def test_c03_determinant_test_matches_unipotence_on_500_matrices():
         a = _random_sl2(rng)
         d = det_exact(a.minus_identity())
         for p in primes:
-            assert (d % p == 0) == is_unipotent_mod(a, p).unipotent
+            assert (d % p == 0) == (is_unipotent_mod(a, p) is not None)
 
 
 def test_c04_bs_sweep_matches_prime_divisors_of_q_minus_one():
@@ -140,8 +140,8 @@ def test_c04_bs_sweep_matches_prime_divisors_of_q_minus_one():
         assert report.omega_nilpotent == (q != 2)
         # the ascending HNN extension of Z by multiplication-by-q is the
         # 1x1 case of the semidirect-product criterion
-        chain = lattice_chain_invariants(IntMatrix.from_rows([[q]]).minus_identity())
-        assert report.omega_nilpotent == chain.intersection_trivial
+        chain_meets_in_zero = lattice_chain_invariants(IntMatrix.from_rows([[q]]).minus_identity())
+        assert report.omega_nilpotent == chain_meets_in_zero
 
 
 def test_c05_power_determinant_divisibility_within_group_order():
@@ -198,7 +198,7 @@ def test_c09_series_engine_multiplicativity_witt_and_propagation():
     rng = random.Random(5090)
     for _ in range(200):
         d = rng.randint(1, 5)
-        mod = rng.choice((None, 2, 3, 5))
+        mod = rng.choice((2, 3, 5, 2 ** 61 - 1))
         u = _random_word(rng, 3)
         v = _random_word(rng, 3)
         lhs = magnus_embed(word_product(u, v), d, mod)

@@ -131,8 +131,8 @@ def test_big_integers_become_strings():
     assert _json_text({"a": [True, None, 7]}) == '{\n  "a": [\n    true,\n    null,\n    7\n  ]\n}'
 
 
-# Scalars of every type a report may hold.  Strings come from a fixed
-# alphabet with control characters, quotes, backslashes and non-ASCII
+# Scalars of every type a report may hold: None, booleans, integers and
+# strings, no floats.  Strings come from a fixed alphabet with control characters, quotes, backslashes and non-ASCII
 # letters (drawing from all of Unicode would rebuild Hypothesis's
 # character tables on every run).
 _TEXT = st.text(alphabet='ab "\\/\x00\x1f\x7f\n\t\u00e9\u03bb\u2028\U0001f600', max_size=8)
@@ -142,7 +142,6 @@ _SCALARS = st.one_of(
     st.booleans(),
     st.integers(),
     st.sampled_from(_EDGES),
-    st.floats(),
     _TEXT,
 )
 _VALUES = st.recursive(
@@ -165,16 +164,15 @@ class _Level(enum.IntEnum):
 @given(_VALUES)
 @example({"b": [], "a": {}, "c": ()})
 @example([2 ** 53 - 1, -(2 ** 53 - 1), 2 ** 53, -(2 ** 53), True, False, None])
-@example({"\u00e9\x00": "\u03bb\x1f\U0001f600", "": [float("nan"), float("inf"), -0.0, 1e300]})
+@example({"\u00e9\x00": "\u03bb\x1f\U0001f600", "": ["", None]})
 # the one-join path for lists of exact ints, and what must stay off it
 @example([1, True, 0])
 @example([2 ** 53 - 1, 2 ** 53])
 @example((3, -4))
 @example([[1, 2], [], [True]])
-@example([1, _Level.HIGH, 2])
-@example({"level": _Level.LOW, "n": 5})
 def test_json_text_matches_json_dumps(value):
     assert _json_text(value) == report_text_by_dumps(value)
+
 
 
 def test_empty_report_is_pinned():
@@ -182,8 +180,16 @@ def test_empty_report_is_pinned():
     assert emit_report([], "text") == "\n"
 
 
+class _Name(str):
+    pass
+
+
+# a report holds exactly the JSON types: a float, or a subclass of a JSON
+# type such as an IntEnum, is refused too
 @pytest.mark.parametrize(
-    "value", [Fraction(1, 2), {1, 2}, {"a": [1, Fraction(1, 3)]}, ({"x"},), {"k": frozenset()}]
+    "value",
+    [Fraction(1, 2), {1, 2}, {"a": [1, Fraction(1, 3)]}, ({"x"},), {"k": frozenset()},
+     1.5, float("nan"), -0.0, (0.5,), _Level.LOW, {"level": _Level.HIGH}, [1, _Level.HIGH, 2], _Name("a")],
 )
 def test_json_text_rejects_other_types(value):
     with pytest.raises(TypeError):
@@ -588,19 +594,21 @@ def test_a_task_past_the_genus_or_cover_rank_cap_leaves_the_others_running(tmp_p
 
 
 def test_a_cocycle_task_refuses_only_what_the_form_constructor_refuses(tmp_path, capsys):
-    # every square integer form is a cocycle, modulus or not, so the one
-    # failing task is the form that is not square
+    # every square integer form is a cocycle over Z and over every Z/m, so
+    # the modulus changes nothing, and the one failing task is the form
+    # that is not square
     cocycle = {"kind": "extension", "check": "cocycle"}
     tasks = [
         dict(cocycle, id="ragged", form=[[0, 1], [0]]),
         dict(cocycle, id="mod-3", form=[[0, 1], [0, 0]], coeff_modulus=3),
+        dict(cocycle, id="mod-7", form=[[0, 1], [0, 0]], coeff_modulus=7),
         dict(cocycle, id="over-z", form=[[0, 1], [0, 0]]),
     ]
     path = tmp_path / "tasks.json"
     path.write_text(json.dumps({"version": 1, "tasks": tasks}))
     assert main(["run", "--tasks", str(path)]) == 0
     entries = json.loads(capsys.readouterr().out)["entries"]
-    assert [e["status"] for e in entries] == ["error", "ok", "ok"]
+    assert [e["status"] for e in entries] == ["error", "ok", "ok", "ok"]
     assert entries[0]["error"] == {"type": "InvalidSpec", "message": "bilinear form must be square and nonempty"}
     assert "result" not in entries[0]
     for entry in entries[1:]:

@@ -1,9 +1,11 @@
 """Central extensions by explicit 2-cocycles: Heisenberg, circle bundles."""
 
+import json
 import random
 
 import pytest
 
+from resip.cli import main
 from resip.errors import InvalidSpec
 from resip.extension import (
     BilinearCocycle,
@@ -68,22 +70,28 @@ def test_extension_associativity_needs_cocycle_identity():
 
 
 def test_bilinear_verdict_agrees_with_sampling():
-    # the theorem makes every integer form a cocycle; the sampled check
-    # must find no violation, with and without a modulus
+    # the theorem makes every integer form a cocycle over Z and over every
+    # Z/m; the sampled check must find no violation, with values over Z or
+    # read mod m
     rng = random.Random(41)
     for i in range(120):
         r = rng.randint(1, 4)
         form = tuple(tuple(rng.randint(-9, 9) for _ in range(r)) for _ in range(r))
-        f = BilinearCocycle(form, rng.randint(2, 12) if i % 2 else None)
-        assert cocycle_by_sampling(f, samples=50, seed=i) is None
+        modulus = rng.randint(2, 12) if i % 2 else None
+        f = BilinearCocycle(form)
+        assert cocycle_by_sampling(f, samples=50, seed=i, modulus=modulus) is None
 
 
 @pytest.mark.parametrize("modulus", [0, 1, -3, True])
-def test_coefficient_modulus_below_two_is_refused(modulus):
-    # 0 would compute over Z yet read as non-integral, 1 kills every
-    # central coordinate, -3 gives residues outside [0, 3), and True is a bool
-    with pytest.raises(InvalidSpec, match="coefficient modulus must be an integer >= 2"):
-        BilinearCocycle(((0, 1), (0, 0)), coeff_modulus=modulus)
+def test_coefficient_modulus_below_two_is_refused(modulus, tmp_path, capsys):
+    # the task reader refuses it (exit 2), before any form is built: 0
+    # would name Z, 1 kills every central coordinate, -3 gives residues
+    # outside [0, 3), and True is a bool
+    task = {"kind": "extension", "check": "cocycle", "form": [[0, 1], [0, 0]], "coeff_modulus": modulus}
+    path = tmp_path / "tasks.json"
+    path.write_text(json.dumps({"version": 1, "tasks": [task]}))
+    assert main(["run", "--tasks", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("schema error at $.tasks[0].coeff_modulus: ")
 
 
 @pytest.mark.parametrize("form", [((0.1, 0.7), (0.3, 0.2)), ((0, 1.0), (0, 0)), ((0, "1"), (0, 0))])
@@ -116,15 +124,6 @@ def test_heisenberg_as_genus_one_euler_one():
     assert k.form == ((0, 1), (0, 0))
 
 
-def test_bilinear_with_modulus():
-    f = BilinearCocycle(((0, 2), (0, 0)), coeff_modulus=4)
-    x = ExtensionElement(0, (1, 0))
-    y = ExtensionElement(0, (0, 1))
-    # central coordinate lives in Z/4
-    assert ext_commutator(x, y, f).central == 2
-    assert ext_power(ext_commutator(x, y, f), 2, f) == ext_identity(f)
-
-
 def _random_form(rng, r):
     return tuple(tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(r))
 
@@ -151,15 +150,13 @@ def test_commutator_pairing_agrees_with_sampling():
 
 def test_rank_two_grids_agree_with_the_exact_checks():
     rng = random.Random(47)
-    for i in range(8):
-        modulus = rng.randint(2, 12) if i % 2 else None
-        f = BilinearCocycle(_random_form(rng, 2), modulus)
-        if modulus is None:
-            true = commutator_pairing(f)
-            assert gamma2_by_grid(f, true)
-            assert not gamma2_by_grid(f, _nudged(true, rng))
-        # (1, 0) has order m over Z/m; over Z nothing has finite order
-        assert torsion_free_by_grid(f) == (modulus is None)
+    for _ in range(8):
+        f = BilinearCocycle(_random_form(rng, 2))
+        true = commutator_pairing(f)
+        assert gamma2_by_grid(f, true)
+        assert not gamma2_by_grid(f, _nudged(true, rng))
+        # over Z nothing but the identity has finite order
+        assert torsion_free_by_grid(f)
 
 
 def test_heisenberg_pairing_is_the_determinant():
@@ -177,38 +174,17 @@ def test_a_wrong_expected_pairing_fails_the_extension_checks(monkeypatch):
     assert _failed(circle_bundle_central_witness(CircleBundleSpec(2, 3))) == ["class_two"]
 
 
-def test_a_form_with_a_coefficient_modulus_fails_the_extension_checks(monkeypatch):
-    monkeypatch.setattr(
-        extension, "heisenberg_cocycle", lambda: BilinearCocycle(((0, 1), (0, 0)), coeff_modulus=5)
-    )
-    assert _failed(heisenberg_checks()) == ["gamma2_central_with_det_pairing", "torsion_free"]
-    circle = extension.circle_bundle_cocycle
-    monkeypatch.setattr(
-        extension, "circle_bundle_cocycle", lambda spec: BilinearCocycle(circle(spec).form, coeff_modulus=7)
-    )
-    assert _failed(circle_bundle_central_witness(CircleBundleSpec(1, 2))) == [
-        "z_image_infinite_order",
-        "class_two",
-        "torsion_free",
-    ]
-
-
 def test_ext_power_matches_the_power_formula():
     # (a, u)^m = (m a + C(m, 2) B(u, u), m u), for every integer m, since
     # C(m, 2) = m (m - 1) / 2 also gives the powers of the inverse
     rng = random.Random(19)
     for _ in range(200):
         r = rng.randint(1, 4)
-        modulus = rng.choice((None, rng.randint(2, 30)))
-        f = BilinearCocycle(
-            tuple(tuple(rng.randint(-5, 5) for _ in range(r)) for _ in range(r)), modulus
-        )
+        f = BilinearCocycle(tuple(tuple(rng.randint(-5, 5) for _ in range(r)) for _ in range(r)))
         x = ExtensionElement(rng.randint(-9, 9), tuple(rng.randint(-4, 4) for _ in range(r)))
         for m in list(range(-12, 13)) + [rng.randint(-10**15, 10**15) for _ in range(3)]:
             central = m * x.central + m * (m - 1) // 2 * f(x.base, x.base)
-            expected = ExtensionElement(
-                central % modulus if modulus else central, tuple(m * c for c in x.base)
-            )
+            expected = ExtensionElement(central, tuple(m * c for c in x.base))
             assert ext_power(x, m, f) == expected
 
 
@@ -233,7 +209,6 @@ def test_form_value_is_the_dense_double_sum():
     rng = random.Random(43)
     for _ in range(300):
         r = rng.randint(1, 6)
-        modulus = rng.choice((None, rng.randint(2, 30)))
         form = tuple(
             tuple(rng.choice((0, 0, rng.randint(-10**20, 10**20))) for _ in range(r))
             for _ in range(r)
@@ -241,7 +216,7 @@ def test_form_value_is_the_dense_double_sum():
         u = tuple(rng.choice((0, rng.randint(-9, 9))) for _ in range(r))
         v = tuple(rng.randint(-10**12, 10**12) for _ in range(r))
         total = sum(u[i] * form[i][j] * v[j] for i in range(r) for j in range(r))
-        assert BilinearCocycle(form, modulus)(u, v) == (total % modulus if modulus else total)
+        assert BilinearCocycle(form)(u, v) == total
 
 
 def test_circle_bundle_form_is_evaluated_by_its_nonzero_coordinates(monkeypatch):

@@ -1,5 +1,5 @@
 """Exact integer linear algebra: determinants, charpolys, unipotence,
-orders mod p^k, and the stabilized lattice chain B^i(Z^n)."""
+orders mod p^k, and whether the lattice chain B^i(Z^n) meets in {0}."""
 
 import random
 
@@ -10,7 +10,6 @@ from resip import intlin
 from resip.errors import CapExceeded, InvalidSpec
 from resip.intlin import (
     IntMatrix,
-    LatticeChainInvariants,
     ModMatrix,
     charpoly_exact,
     det_exact,
@@ -123,8 +122,8 @@ def test_charpoly_constant_term_is_signed_det():
 def test_unipotence_fixtures():
     assert is_unipotent_mod(A_SOL_CUBED, 2)
     assert not is_unipotent_mod(A_SOL, 2)
-    res = is_unipotent_mod(IntMatrix.identity(3), 7)
-    assert res and res.index == 1
+    assert is_unipotent_mod(IntMatrix.identity(3), 7) == 1
+    assert is_unipotent_mod(A_SOL, 2) is None
 
 
 def test_unipotence_agrees_with_direct_power():
@@ -151,8 +150,8 @@ def test_unipotence_index_stops_at_the_nth_power():
         res = is_unipotent_mod(m, p)
         b = m.minus_identity()
         zero = [j for j in range(1, n + 1) if all(x % p == 0 for row in (b ** j).entries for x in row)]
-        assert res.index == (zero[0] if zero else None)
-        assert len(intlin._power_chain(m, p)) == (res.index if res else n)
+        assert res == (zero[0] if zero else None)
+        assert len(intlin._power_chain(m, p)) == (res if res else n)
 
 
 def test_unipotence_matches_the_power_loop_at_every_index():
@@ -168,11 +167,14 @@ def test_unipotence_matches_the_power_loop_at_every_index():
             m = _random_matrix(rng, n, -6, 6)
         else:
             m = _conjugated_unipotent(rng, n, p, rng.randint(1, n))
+        # the index is the length of the power chain, or None when M is
+        # not unipotent
         res, oracle = is_unipotent_mod(m, p), unipotence_by_powers(m, p)
-        assert (res.unipotent, res.index) == (oracle.unipotent, oracle.index)
+        assert res == oracle
+        assert res == (len(intlin._power_chain(m, p)) if oracle is not None else None)
         if trial % 2 == 0:
             assert res
-            indices.setdefault(n, set()).add(res.index)
+            indices.setdefault(n, set()).add(res)
     assert all(indices[n] == set(range(1, n + 1)) for n in range(1, 5))
 
 
@@ -214,9 +216,9 @@ def test_unipotent_order_is_the_least_p_power_above_the_index():
         n = rng.randint(1, 6)
         p = rng.choice([2, 3, 5, 7, 11])
         m = _random_unipotent(rng, n, p)
-        unip = is_unipotent_mod(m, p)
-        assert unip
-        order = p ** intlin.least_p_power_exponent(unip.index, p)
+        index = is_unipotent_mod(m, p)
+        assert index
+        order = p ** intlin.least_p_power_exponent(index, p)
         assert order == unipotent_order_by_iteration(m, p)
         orders.add(intlin.p_power_exponent(order, p))
     assert orders >= {0, 1, 2}
@@ -313,25 +315,20 @@ def test_poly_divmod_exact():
 
 
 def test_lattice_chain_fixtures():
-    fib = lattice_chain_invariants(IntMatrix.from_rows([[1, 1], [1, 0]]))
-    assert (fib.stable_rank, fib.stable_index) == (2, 1)
-    assert not fib.intersection_trivial
-
-    bs4 = lattice_chain_invariants(IntMatrix.from_rows([[3]]))
-    assert (bs4.stable_rank, bs4.stable_index) == (1, 3)
-    assert bs4.intersection_trivial
-
-    nil = lattice_chain_invariants(IntMatrix.from_rows([[0, 1], [0, 0]]))
-    assert nil.stable_rank == 0 and nil.intersection_trivial
+    # x^2 - x - 1 has constant term -1, so the chain does not meet in {0}
+    assert lattice_chain_invariants(IntMatrix.from_rows([[1, 1], [1, 0]])) is False
+    assert lattice_chain_invariants(IntMatrix.from_rows([[3]])) is True
+    # B nilpotent: B^2 Z^2 is already {0}
+    assert lattice_chain_invariants(IntMatrix.from_rows([[0, 1], [0, 0]])) is True
 
 
 def test_lattice_chain_mixed_block_regression():
     """Companion blocks of x^2-x-1 and x^2+3x+3 glued diagonally.
 
-    Both factors have constant term of absolute value 1 and are != x, so
-    the chain intersection is all ofZ^4 in the first block's span even
-    though the stable index d = 3 is >= 2.  Guards against reading d >= 2
-    alone as triviality.
+    The first factor has constant term -1 and is != x, so the chain's
+    intersection is a nonzero lattice in the first block's span, even
+    though the index [B^4 Z^4 : B^5 Z^4] = 3 is >= 2 (by the normal-form
+    oracle).  Guards against reading an index >= 2 alone as triviality.
     """
     b = IntMatrix.from_rows(
         [
@@ -341,10 +338,8 @@ def test_lattice_chain_mixed_block_regression():
             [0, 0, 1, -3],
         ]
     )
-    inv = lattice_chain_invariants(b)
-    assert inv.stable_rank == 4
-    assert inv.stable_index == 3
-    assert not inv.intersection_trivial
+    assert lattice_chain_by_normal_forms(b) == (4, 3, False)
+    assert lattice_chain_invariants(b) is False
     # the glued matrix is A - I for a genuine automorphism of Z^4
     a = matrix_sum(b, IntMatrix.identity(4))
     assert det_exact(a) in (1, -1)
@@ -363,12 +358,7 @@ def test_lattice_chain_conjugation_invariance():
             e[i][j] = rng.choice([-1, 1])
             u = u * IntMatrix.from_rows(e)
         uinv = _integer_inverse(u)
-        conj = lattice_chain_invariants(u * b * uinv)
-        assert (conj.stable_rank, conj.stable_index) == (
-            base.stable_rank,
-            base.stable_index,
-        )
-        assert conj.intersection_trivial == base.intersection_trivial
+        assert lattice_chain_invariants(u * b * uinv) == base
 
 
 def _integer_inverse(u: IntMatrix) -> IntMatrix:
@@ -376,26 +366,6 @@ def _integer_inverse(u: IntMatrix) -> IntMatrix:
     assert d in (1, -1)
     (a, b), (c, e) = u.entries
     return IntMatrix.from_rows([[e * d, -b * d], [-c * d, a * d]])
-
-
-def test_stable_rank_matches_rank_exact():
-    # deg of the charpoly stripped of x, against Fraction elimination of B^n
-    rng = random.Random(37)
-    ranks = set()
-    for i in range(240):
-        n = rng.randint(1, 6)
-        if i % 3 == 0:  # nilpotent, or nilpotent plus a small block
-            b = _random_unipotent(rng, n, 4).minus_identity()
-            if i % 2:
-                b = matrix_sum(b, IntMatrix.from_rows(
-                    [[rng.randint(-2, 2) if j == k == n - 1 else 0 for k in range(n)] for j in range(n)]
-                ))
-        else:
-            b = _random_matrix(rng, n, -3, 3)
-        r = rank_exact(b ** n)
-        assert lattice_chain_invariants(b).stable_rank == r, b.entries
-        ranks.add((r == 0, r == n))
-    assert ranks == {(True, False), (False, True), (False, False)}
 
 
 def test_rank_exact_is_no_longer_library_api():
@@ -426,8 +396,9 @@ MIXED_BLOCKS = IntMatrix.from_rows(  # companion blocks of x^2-x-1 and x^2+3x+3
 
 
 def test_lattice_chain_invariants_match_the_normal_form_oracle():
-    # rank, index |g(0)| and intersection against Hermite and Smith forms
-    # of the lattices B^n Z^n and B^(n+1) Z^n, on singular and regular B
+    # the intersection against the oracle, whose Hermite and Smith forms
+    # of the lattices B^n Z^n and B^(n+1) Z^n sort the draw by rank, on
+    # singular and regular B
     rng = random.Random(59)
     mats = [MIXED_BLOCKS, IntMatrix.from_rows([[0, 1], [0, 0]]), IntMatrix.from_rows([[3]])]
     for i in range(200):
@@ -442,10 +413,10 @@ def test_lattice_chain_invariants_match_the_normal_form_oracle():
         mats.append(b)
     kinds = set()
     for b in mats:
-        ours = lattice_chain_invariants(b)
-        assert ours == lattice_chain_by_normal_forms(b), b.entries
-        kinds.add((ours.stable_rank == 0, ours.stable_rank == b.n, ours.intersection_trivial))
-    assert lattice_chain_by_normal_forms(MIXED_BLOCKS) == LatticeChainInvariants(4, 3, False)
+        rank, _, trivial = lattice_chain_by_normal_forms(b)
+        assert lattice_chain_invariants(b) is trivial, b.entries
+        kinds.add((rank == 0, rank == b.n, trivial))
+    assert lattice_chain_by_normal_forms(MIXED_BLOCKS) == (4, 3, False)
     # the draw holds rank 0, full and partial rank, and both intersections
     assert {(True, False, True), (False, True, True), (False, True, False)} <= kinds
     assert any(not zero and not full for zero, full, _ in kinds)
@@ -603,19 +574,3 @@ def test_normal_forms_match_sympy():
         assert ours == [[int(h[i, j]) for j in range(h.cols)] for i in range(n)], rows
         s = smith_normal_form(sympy.Matrix(rows))
         assert intlin.smith_normal_form(rows) == [[int(x) for x in r] for r in s.tolist()], rows
-
-
-def test_lattice_index_is_the_charpoly_constant_without_x_powers():
-    """|g(0)| for g = charpoly(B) stripped of its x factors is the product
-    of |c_0|^mult over the irreducible factors with c_0 != 0."""
-    rng = random.Random(53)
-    x = sympy.Symbol("x")
-    for _ in range(60):
-        b = _random_matrix(rng, rng.randint(1, 4), -3, 3)
-        if rank_exact(b ** b.n) == 0:
-            continue
-        index = 1
-        for f, mult in sympy.Poly(list(charpoly_exact(b)), x).factor_list()[1]:
-            if f.TC() != 0:
-                index *= abs(int(f.TC())) ** mult
-        assert lattice_chain_invariants(b).stable_index == index

@@ -10,6 +10,7 @@ from oracles import (
     commutator,
     compose_endos,
     decoded,
+    embed_by_products,
     encoded,
     generator,
     identity_endo,
@@ -20,6 +21,8 @@ from oracles import (
     nielsen_transvection,
     random_certified_automorphism,
     standard_factorization,
+    table_product,
+    table_reduced,
     unit_inverse,
     witt_dimension,
     word_inverse,
@@ -53,58 +56,29 @@ def _random_word(rng, rank, length):
 
 
 # ---------------------------------------------------------------------------
-# Oracles: the straightforward kernels, on plain coefficient dicts.
-
-
-def _oracle_reduce(table, modulus):
-    out = {}
-    for m, c in table.items():
-        c = c % modulus if modulus is not None else c
-        if c:
-            out[m] = c
-    return out
-
-
-def _oracle_product(a, b, d, modulus):
-    out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            if len(m1) + len(m2) <= d:
-                out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
-    return _oracle_reduce(out, modulus)
-
-
-def _oracle_embed(w, d, modulus):
-    """One full series product per letter: 1 + X_i, or the (d+1)-term
-    geometric series 1 - X_i + X_i^2 - ... for the inverse letter."""
-    table = {(): 1}
-    for a in w.letters:
-        i = abs(a)
-        if a > 0:
-            factor = {(): 1, (i,): 1}
-        else:
-            factor = {(i,) * r: (-1) ** r for r in range(d + 1)}
-        table = _oracle_product(table, factor, d, modulus)
-    return table
+# Oracles: the straightforward kernels, on plain coefficient dicts
+# (table_reduced, table_product and embed_by_products in oracles.py).
 
 
 def _oracle_substitute(phi, s_table, d, modulus):
     """Rebuild the image of every monomial from scratch and add them up."""
     images = [
-        {m: c for m, c in _oracle_embed(w, d, modulus).items() if m}
+        {m: c for m, c in embed_by_products(w, d, modulus).items() if m}
         for w in phi.images
     ]
     acc = {}
     for m, c in s_table.items():
         term = {(): c}
         for idx in m:
-            term = _oracle_product(term, images[idx - 1], d, modulus)
+            term = table_product(term, images[idx - 1], d, modulus)
         for n, v in term.items():
             acc[n] = acc.get(n, 0) + v
-    return _oracle_reduce(acc, modulus)
+    return table_reduced(acc, modulus)
 
 
-MODULI = (None, 2, 3, 5, 9)
+# 2^127 - 1 stands in for Z: the coefficients of these words stay far
+# below it, so only the signs of negative ones are reduced
+MODULI = (2, 3, 5, 9, 2 ** 127 - 1)
 
 
 def _oracle_words(rng, rank):
@@ -135,7 +109,7 @@ def _random_table(rng, rank, d, modulus):
     for _ in range(rng.randint(0, 12)):
         m = tuple(rng.randint(1, rank) for _ in range(rng.randint(0, d)))
         table[m] = rng.randint(-20, 20)
-    return _oracle_reduce(table, modulus)
+    return table_reduced(table, modulus)
 
 
 def test_monomial_codes_number_each_degree_in_lexicographic_order():
@@ -172,7 +146,7 @@ def test_a_letter_outside_the_rank_has_no_code_and_no_coefficient(m):
 
 
 def test_a_monomial_past_the_degree_has_coefficient_zero():
-    s = magnus_embed(parse_word("x1 x2", 2), 2)
+    s = magnus_embed(parse_word("x1 x2", 2), 2, 3)
     assert s.coefficient((1, 2)) == 1 and s.coefficient((1, 2, 1)) == 0
 
 
@@ -182,7 +156,7 @@ def test_embed_matches_oracle():
         for d in range(1, 7):
             for modulus in MODULI:
                 for w in _oracle_words(rng, rank):
-                    assert decoded(magnus_embed(w, d, modulus)) == _oracle_embed(w, d, modulus)
+                    assert decoded(magnus_embed(w, d, modulus)) == embed_by_products(w, d, modulus)
 
 
 def _generator_power(i, e, d, modulus):
@@ -190,9 +164,7 @@ def _generator_power(i, e, d, modulus):
     C(e, j) X_i^j for e >= 0, and (-1)^j C(-e + j - 1, j) X_i^j for e < 0."""
     table = {}
     for j in range(d + 1):
-        c = comb(e, j) if e >= 0 else (-1) ** j * comb(-e + j - 1, j)
-        if modulus is not None:
-            c %= modulus
+        c = (comb(e, j) if e >= 0 else (-1) ** j * comb(-e + j - 1, j)) % modulus
         if c:
             table[(i,) * j] = c
     return table
@@ -227,16 +199,24 @@ def test_embed_of_runs_matches_oracle():
                         letters += [rng.choice((a, -a))] * rng.randint(1, 4)
                     w = FreeWord.from_letters(rank, letters)
                     table = decoded(magnus_embed(w, d, modulus))
-                    assert table == _oracle_embed(w, d, modulus)
+                    assert table == embed_by_products(w, d, modulus)
                     assert 0 not in table.values()
                     assert all(len(m) <= d for m in table)
 
 
-@pytest.mark.parametrize("modulus", [0, 1, -3])
+@pytest.mark.parametrize("modulus", [0, 1, -3, None])
 def test_modulus_below_two_is_refused(modulus):
+    # None asked for a series over Z, which no caller embeds in
     w = parse_word("x1 X2 x1", 2)
     phi = FreeEndo(2, (w, generator(2, 2)))
-    for build in (lambda: magnus_embed(w, 3, modulus), lambda: SeriesSubstitution(phi, 3, modulus)):
+    builds = (
+        lambda: magnus_embed(w, 3, modulus),
+        lambda: magnus_embed(FreeWord.identity(2), 3, modulus),
+        lambda: SeriesSubstitution(phi, 3, modulus),
+        lambda: TruncatedSeries(2, 3, modulus, {0: 1}),
+        lambda: TruncatedSeries.generator_term(2, 3, 1, modulus),
+    )
+    for build in builds:
         with pytest.raises(InvalidSpec, match="modulus must be >= 2"):
             build()
 
@@ -249,7 +229,7 @@ def test_product_matches_oracle():
                 a = _random_table(rng, rank, d, modulus)
                 b = _random_table(rng, rank, d, modulus)
                 ta, tb = (TruncatedSeries(rank, d, modulus, encoded(t, rank)) for t in (a, b))
-                assert decoded(ta * tb) == _oracle_product(a, b, d, modulus)
+                assert decoded(ta * tb) == table_product(a, b, d, modulus)
 
 
 def test_substitution_matches_oracle():
@@ -282,9 +262,9 @@ def test_substitution_commutes_with_embedding():
 
 
 def test_embed_identity_and_generator():
-    one = magnus_embed(FreeWord.identity(2), 3)
+    one = magnus_embed(FreeWord.identity(2), 3, 5)
     assert one.is_one()
-    g = magnus_embed(generator(2, 1), 3)
+    g = magnus_embed(generator(2, 1), 3, 5)
     assert g.coefficient(()) == 1
     assert g.coefficient((1,)) == 1
     assert g.coefficient((2,)) == 0
@@ -292,10 +272,11 @@ def test_embed_identity_and_generator():
 
 def test_embed_commutator_degree_two():
     w = commutator(generator(2, 1), generator(2, 2))
-    s = magnus_embed(w, 2)
+    p = 7
+    s = magnus_embed(w, 2, p)
     assert s.coefficient(()) == 1
     assert s.coefficient((1, 2)) == 1
-    assert s.coefficient((2, 1)) == -1
+    assert s.coefficient((2, 1)) == p - 1  # -1 mod p
     assert s.coefficient((1,)) == 0 and s.coefficient((2,)) == 0
 
 
@@ -303,8 +284,8 @@ def test_embed_pth_power_vanishes_at_degree_one():
     for p in (2, 3, 5):
         w = FreeWord.from_letters(1, [1] * p)
         assert magnus_embed(w, 1, p).is_one()
-        # but not over Z
-        assert not magnus_embed(w, 1).is_one()
+        # but not mod p^2, where p X_1 is no zero
+        assert not magnus_embed(w, 1, p * p).is_one()
 
 
 def test_embed_multiplicative_random_pairs():
@@ -312,7 +293,7 @@ def test_embed_multiplicative_random_pairs():
     for _ in range(200):
         rank = rng.randint(1, 3)
         d = rng.randint(1, 5)
-        mod = rng.choice([None, 2, 3, 5])
+        mod = rng.choice([2, 3, 5, 2 ** 61 - 1])
         u = _random_word(rng, rank, rng.randint(0, 8))
         v = _random_word(rng, rank, rng.randint(0, 8))
         lhs = magnus_embed(word_product(u, v), d, mod)
@@ -324,7 +305,7 @@ def test_embed_inverse_is_unit_inverse():
     rng = random.Random(43)
     for _ in range(40):
         u = _random_word(rng, 2, rng.randint(1, 8))
-        s = magnus_embed(u, 4)
+        s = magnus_embed(u, 4, 7)
         assert (s * unit_inverse(s)).is_one()
 
 
@@ -539,8 +520,8 @@ def test_substitution_matches_endo_application():
 
 def test_series_ring_arithmetic():
     # generator_term is the group-element image 1 + X_i
-    gx = TruncatedSeries.generator_term(2, 3, 1, None)
-    gy = TruncatedSeries.generator_term(2, 3, 2, None)
+    gx = TruncatedSeries.generator_term(2, 3, 1, 5)
+    gy = TruncatedSeries.generator_term(2, 3, 2, 5)
     prod = gx * gy
     assert prod.coefficient(()) == 1
     assert prod.coefficient((1, 2)) == 1

@@ -25,7 +25,7 @@ from resip.extension import (
     ExtensionElement,
 )
 from resip.freegrp import FreeEndo, FreeWord, MappingTorusElement, MappingTorusSpec
-from resip.intlin import IntMatrix, LatticeChainInvariants, ModMatrix, UnipotenceResult
+from resip.intlin import IntMatrix, ModMatrix
 from resip.record import Record
 from resip.witness import PGroupQuotient, WitnessOutcome
 
@@ -54,9 +54,9 @@ FACTORIES = {
     "MappingTorusElement": lambda: MappingTorusElement(1, FreeWord(2, (1,))),
     "IntMatrix": lambda: IntMatrix(((1, 2), (3, 4))),
     "ModMatrix": lambda: ModMatrix(5, ((1, 2), (3, 4))),
-    "UnipotenceResult": lambda: UnipotenceResult(True, 2),
-    "LatticeChainInvariants": lambda: LatticeChainInvariants(2, 5, True),
-    "PGroupQuotient": lambda: PGroupQuotient(3, "stable_letter", 2, ("x2", "x1"), ("x2", "x1"), 1, "1"),
+    "PGroupQuotient": lambda: PGroupQuotient(
+        3, "stable_letter", 2, ("x2", "x1"), ("x2", "x1"), 1, "1", {"j": 1, "quotient_order": 3, "residue": 1}
+    ),
     "WitnessOutcome": lambda: WitnessOutcome("undecided", reason="no survivor"),
 }
 RECORDS = [pytest.param(f, id=name) for name, f in FACTORIES.items()]
@@ -71,7 +71,7 @@ def _hash_or_error(value):
 
 def test_every_record_class_is_covered():
     assert {type(f()) for f in FACTORIES.values()} == set(Record.__subclasses__())
-    assert len(FACTORIES) == 25
+    assert len(FACTORIES) == 23
 
 
 @pytest.mark.parametrize("make", RECORDS)
@@ -137,7 +137,6 @@ def test_reprs_and_fields_in_declaration_order():
     assert repr(ReportEntry("t", "bs", "ok")) == (
         "ReportEntry(id='t', kind='bs', status='ok', result=None, error=None, elapsed_ms=None)"
     )
-    assert PGroupQuotient(3, "magnus", 2, (), (), 0, "1").data == {}
     assert FreeEndo._fields == ("rank", "images", "certified_inverse")
 
 
